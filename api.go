@@ -47,12 +47,6 @@ type (
 	TaskSet = experiments.TaskSet
 )
 
-// NewHarness composes workload specs over a fresh simulated memory.
-//
-// Deprecated: prefer Session.NewHarness, which binds the harness to the
-// session's machine (seed, caches, switch pricing) automatically.
-var NewHarness = experiments.NewHarness
-
 // NS converts simulated cycles to nanoseconds (3 GHz clock).
 func NS(cycles float64) float64 { return experiments.NS(cycles) }
 

@@ -6,13 +6,23 @@ import (
 	"testing"
 )
 
+// defaultHarness composes specs on a default session's machine.
+func defaultHarness(tb testing.TB, specs ...WorkloadSpec) *Harness {
+	tb.Helper()
+	s, err := NewSession()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, err := s.NewHarness(specs...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
 // TestPublicAPIEndToEnd exercises the façade exactly as the README shows.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	h, err := NewHarness(DefaultTopology(1).Machine,
-		PointerChase{Nodes: 2048, Hops: 500, Instances: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := defaultHarness(t, PointerChase{Nodes: 2048, Hops: 500, Instances: 4})
 	prof, _, err := h.Profile("chase")
 	if err != nil {
 		t.Fatal(err)
@@ -38,12 +48,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicAPIDualMode(t *testing.T) {
-	h, err := NewHarness(DefaultTopology(1).Machine,
+	h := defaultHarness(t,
 		HashJoin{BuildRows: 2048, Buckets: 1024, Probes: 100, MatchFraction: 0.7, Instances: 1},
 		Compute{Iters: 1_000_000, Instances: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	prof, _, err := h.Profile("hashjoin")
 	if err != nil {
 		t.Fatal(err)

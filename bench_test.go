@@ -215,10 +215,7 @@ func BenchmarkE20SwitchCost(b *testing.B) {
 // instructions per second) on the pointer chase, as a harness sanity
 // metric.
 func BenchmarkCoreSimulator(b *testing.B) {
-	h, err := NewHarness(DefaultTopology(1).Machine, PointerChase{Nodes: 4096, Hops: 2000, Instances: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	h := defaultHarness(b, PointerChase{Nodes: 4096, Hops: 2000, Instances: 1})
 	img := h.Baseline()
 	b.ResetTimer()
 	var retired uint64
@@ -383,10 +380,7 @@ func BenchmarkServeMulticore(b *testing.B) {
 }
 
 func BenchmarkCoreSimulatorALU(b *testing.B) {
-	h, err := NewHarness(DefaultTopology(1).Machine, UnrolledCompute{BlockInstrs: 64, Iters: 2000, Instances: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	h := defaultHarness(b, UnrolledCompute{BlockInstrs: 64, Iters: 2000, Instances: 1})
 	img := h.Baseline()
 	b.ResetTimer()
 	var retired uint64

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -320,7 +321,7 @@ func TestFuelExhaustion(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxSteps = 1000
 	_, err := New(core, cfg).RunSolo(task)
-	if err != ErrFuelExhausted {
+	if !errors.Is(err, ErrFuelExhausted) {
 		t.Errorf("err = %v, want fuel exhaustion", err)
 	}
 }
@@ -553,7 +554,7 @@ func TestWindowedFuelExhaustion(t *testing.T) {
 	task := NewTask(coro.NewContext(0, 0, m.Size()-8), coro.Primary)
 	cfg := DefaultConfig()
 	cfg.MaxSteps = 500
-	if _, err := New(core, cfg).RunWindowed([]*Task{task}, 1); err != ErrFuelExhausted {
+	if _, err := New(core, cfg).RunWindowed([]*Task{task}, 1); !errors.Is(err, ErrFuelExhausted) {
 		t.Errorf("err = %v, want fuel exhaustion", err)
 	}
 }

@@ -1,18 +1,23 @@
 // Package exec is the runtime half of the paper's proposal: it interleaves
 // instrumented coroutines on the simulated core.
 //
-// Three execution disciplines are provided:
+// Two scheduling loops do all of it, each fed by a Source that is either
+// a fixed task set (the closed-loop Run* entry points here) or an
+// arrival-fed slot pool (internal/service):
 //
-//   - Solo: one coroutine, yields are no-ops (the uninstrumented baseline,
-//     and the measure of pure instrumentation overhead).
-//   - Symmetric: N equal coroutines round-robin at primary yields — the
+//   - Flat: N equal coroutines round-robin at primary yields — the
 //     CoroBase-style throughput mode the paper's §2 describes for
-//     databases.
-//   - Dual-mode (§3.3, asymmetric concurrency): one latency-sensitive
-//     primary plus scavengers. The primary yields only at likely misses;
-//     scavengers run in the shadow of those misses and hand the CPU back
-//     at a conditional yield once the miss is hidden, chaining to more
-//     scavengers on demand when they hit misses of their own.
+//     databases (RunSymmetric, RunWindowed). Over a ring of one, yields
+//     are no-ops: the uninstrumented baseline and the measure of pure
+//     instrumentation overhead (RunSolo).
+//   - Asym (§3.3, asymmetric concurrency): one latency-sensitive primary
+//     plus scavengers (RunDualMode). The primary yields only at likely
+//     misses; scavengers run in the shadow of those misses and hand the
+//     CPU back at a conditional yield once the miss is hidden, chaining
+//     to more scavengers on demand when they hit misses of their own.
+//
+// internal/smt adds the third loop, hardware threads, over the same
+// Source.
 //
 // Context switches are physically enacted: the outgoing coroutine's
 // registers are saved per the yield's live mask and every register outside
@@ -21,7 +26,7 @@
 package exec
 
 import (
-	"fmt"
+	"errors"
 
 	"repro/internal/bincfg"
 	"repro/internal/coro"
@@ -192,8 +197,9 @@ func New(core *cpu.Core, cfg Config) *Executor {
 	return &Executor{Core: core, Cfg: cfg}
 }
 
-// ErrFuelExhausted is returned when a run exceeds Config.MaxSteps.
-var ErrFuelExhausted = fmt.Errorf("exec: MaxSteps exceeded (likely livelock)")
+// ErrFuelExhausted is returned (wrapped, by the layers above) when a
+// run exceeds its MaxSteps budget; match it with errors.Is.
+var ErrFuelExhausted = errors.New("exec: MaxSteps exceeded (likely livelock)")
 
 // switchFrom enacts a context switch away from t at a yield with the given
 // live mask: save the live set, charge the cost, and mark for poisoned
@@ -215,17 +221,6 @@ func (e *Executor) resume(t *Task) {
 	}
 	e.emit(trace.Resume, t, 0)
 }
-
-// SwitchOut is the exported form of switchFrom for external scheduling
-// disciplines (internal/service's open-loop engines): it enacts a
-// context switch away from t at a yield with the given live mask,
-// saving the live set, charging the switch cost and marking the task
-// for poisoned restore.
-func (e *Executor) SwitchOut(t *Task, mask isa.RegMask) { e.switchFrom(t, mask) }
-
-// Resume is the exported form of resume: it reinstates a previously
-// switched-out task, poisoning registers outside its saved mask.
-func (e *Executor) Resume(t *Task) { e.resume(t) }
 
 // emit sends a trace event if tracing is enabled.
 func (e *Executor) emit(kind trace.Kind, t *Task, arg uint64) {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestTickerFuelExhaustion(t *testing.T) {
 	}
 	for i := 0; i < 1<<16; i++ {
 		done, err := tk.Run(core.Now + 100)
-		if err == ErrFuelExhausted {
+		if errors.Is(err, ErrFuelExhausted) {
 			return
 		}
 		if err != nil {

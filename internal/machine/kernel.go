@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/coro"
-	"repro/internal/cpu"
 	"repro/internal/exec"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -13,20 +12,30 @@ import (
 	"repro/internal/trace"
 )
 
-// Machine is a running many-core simulation. Build one with New, drive
-// it with Step (one quantum at a time) or Run (to completion), then
-// Close. A Machine is not safe for concurrent use: Step and Run must be
-// called from one goroutine (the kernel goroutine), which is also the
-// only place the shared LLC commits.
-type Machine struct {
-	topo  Topology
-	rc    RunConfig
-	llc   *mem.SharedLLC
-	cores []*coreRunner
+// Core is one simulated core as the barrier kernel sees it: anything
+// that can advance its own clock to a cycle deadline. done reports that
+// the core has nothing left to run. RunQuantum is called on the core's
+// own goroutine through this interface, which the static call graph
+// does not follow: every implementation carries its own
+// //shsim:cycle-entry and //shsim:quantum-phase roots.
+type Core interface {
+	RunQuantum(deadline uint64) (done bool, err error)
+}
 
-	quantum  uint64
-	deadline uint64
-	quanta   uint64
+// Kernel is the cycle-quantum barrier: it owns one goroutine per core,
+// the two channel operations per core per quantum, the shared-LLC
+// commit at the barrier, first-error propagation and shutdown. Both the
+// closed-loop Machine and the open-loop service dispatcher step their
+// cores through it. Not safe for concurrent use: Step and Close must be
+// called from one goroutine, which is also the only place the shared
+// LLC commits.
+type Kernel struct {
+	llc     *mem.SharedLLC // nil: nothing to commit (1-core machines)
+	quantum uint64
+	workers []worker
+
+	barrier uint64 // last committed barrier cycle
+	quanta  uint64
 
 	started  bool
 	finished bool
@@ -34,53 +43,143 @@ type Machine struct {
 	err      error
 }
 
-// coreRunner is one simulated core: its harness-built scenario, the
-// engine advancing it, per-core observability, and the worker-goroutine
-// handshake channels.
-type coreRunner struct {
-	id   int
-	mach core.Machine
-
-	ts   *core.TaskSet
-	ex   *exec.Executor // ModeSymmetric / ModeSolo
-	tick *exec.Ticker
-	smt  *smt.Runner // ModeSMT
-	cpu  *cpu.Core   // the core driving the engine
-
-	view *mem.LLCView
-	reg  *metrics.Registry
-	ring *trace.Ring
-
-	done bool
-	err  error
-
+// worker is one core's goroutine state and handshake channels.
+type worker struct {
+	core  Core
+	done  bool
+	err   error
 	start chan uint64   // kernel → worker: quantum deadline
 	ack   chan struct{} // worker → kernel: quantum complete
 }
 
-// run advances the core's engine to the deadline.
-//
-//shsim:quantum-phase
-func (c *coreRunner) run(deadline uint64) (bool, error) {
-	if c.tick != nil {
-		return c.tick.Run(deadline)
+// NewKernel prepares a kernel over cores, committing llc (nil for none)
+// at every barrier. Goroutines start at the first Step.
+func NewKernel(llc *mem.SharedLLC, quantum uint64, cores []Core) *Kernel {
+	k := &Kernel{llc: llc, quantum: quantum, workers: make([]worker, len(cores))}
+	for i, c := range cores {
+		k.workers[i] = worker{core: c, start: make(chan uint64), ack: make(chan struct{})}
 	}
-	return c.smt.Run(deadline)
+	return k
 }
 
 // loop is the worker goroutine: one quantum per handshake. It performs
 // no allocation and exits when the kernel closes the start channel.
 //
 //shsim:quantum-phase
-func (c *coreRunner) loop() {
-	for deadline := range c.start {
-		if !c.done && c.err == nil {
-			done, err := c.run(deadline)
-			c.done = done
-			c.err = err
+func (w *worker) loop() {
+	for deadline := range w.start {
+		if !w.done && w.err == nil {
+			w.done, w.err = w.core.RunQuantum(deadline)
 		}
-		c.ack <- struct{}{}
+		w.ack <- struct{}{}
 	}
+}
+
+// Step runs one cycle quantum: every core advances to the next barrier
+// on its own goroutine, the kernel waits for all of them, and the
+// shared LLC commits the quantum's traffic in core-index order. Returns
+// done=true once every core is done, an error stopped the run (the
+// first, by core index; sticky) or the kernel was closed. The
+// steady-state path performs no allocation.
+//
+// Step is the barrier: the only place shared LLC state commits, and a
+// cycle-domain entry point in its own right (all forward progress of
+// the many-core clock flows through here). The channel handshake is
+// both the determinism barrier and the happens-before edges the race
+// detector needs.
+//
+//shsim:commit-phase
+//shsim:cycle-entry
+func (k *Kernel) Step() (bool, error) {
+	if k.finished || k.closed {
+		return true, k.err
+	}
+	if !k.started {
+		for i := range k.workers {
+			go k.workers[i].loop()
+		}
+		k.started = true
+	}
+	k.barrier += k.quantum
+	for i := range k.workers {
+		k.workers[i].start <- k.barrier
+	}
+	for i := range k.workers {
+		<-k.workers[i].ack
+	}
+	if k.llc != nil {
+		k.llc.Commit()
+	}
+	k.quanta++
+	all := true
+	for i := range k.workers {
+		w := &k.workers[i]
+		if w.err != nil {
+			k.err = fmt.Errorf("core %d: %w", i, w.err)
+			k.finished = true
+			return true, k.err
+		}
+		all = all && w.done
+	}
+	k.finished = all
+	return all, nil
+}
+
+// Close shuts the worker goroutines down. Idempotent; the kernel cannot
+// be stepped afterwards.
+func (k *Kernel) Close() {
+	if k.closed {
+		return
+	}
+	k.closed = true
+	if k.started {
+		for i := range k.workers {
+			close(k.workers[i].start)
+		}
+	}
+}
+
+// Barrier returns the last committed barrier cycle.
+func (k *Kernel) Barrier() uint64 { return k.barrier }
+
+// Quanta returns the number of quanta stepped so far.
+func (k *Kernel) Quanta() uint64 { return k.quanta }
+
+// Machine is a running many-core simulation. Build one with New, drive
+// it with Step (one quantum at a time) or Run (to completion), then
+// Close. A Machine is not safe for concurrent use (see Kernel).
+type Machine struct {
+	topo  Topology
+	rc    RunConfig
+	llc   *mem.SharedLLC
+	cores []*coreRunner
+	k     *Kernel
+}
+
+// coreRunner is one simulated core: its harness-built scenario, the
+// engine advancing it and per-core observability.
+type coreRunner struct {
+	id   int
+	mach core.Machine
+
+	ts   *core.TaskSet
+	ex   *exec.Executor // owns the cpu.Core either engine drives
+	tick *exec.Ticker   // ModeSymmetric / ModeSolo
+	smt  *smt.Runner    // ModeSMT
+
+	reg  *metrics.Registry
+	ring *trace.Ring
+}
+
+// RunQuantum advances the core's engine to the deadline.
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+func (c *coreRunner) RunQuantum(deadline uint64) (bool, error) {
+	if c.tick != nil {
+		return c.tick.Run(deadline)
+	}
+	return c.smt.Run(deadline)
 }
 
 // New builds a many-core machine: per-core harnesses (each core
@@ -100,7 +199,7 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 		part = rc.Spec.Name()
 	}
 
-	m := &Machine{topo: topo, rc: rc, quantum: topo.Quantum}
+	m := &Machine{topo: topo, rc: rc}
 	if topo.Cores > 1 {
 		llc, err := mem.NewSharedLLC(topo.LLC)
 		if err != nil {
@@ -109,13 +208,9 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 		m.llc = llc
 	}
 
+	cores := make([]Core, 0, topo.Cores)
 	for i := 0; i < topo.Cores; i++ {
-		c := &coreRunner{
-			id:    i,
-			mach:  topo.CoreMachine(i),
-			start: make(chan uint64),
-			ack:   make(chan struct{}),
-		}
+		c := &coreRunner{id: i, mach: topo.CoreMachine(i)}
 		h, err := core.NewHarness(c.mach, rc.Spec)
 		if err != nil {
 			return nil, fmt.Errorf("machine: core %d: %w", i, err)
@@ -137,34 +232,21 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 		}
 		c.ts = ts
 
-		switch rc.Mode {
-		case ModeSymmetric, ModeSolo:
-			cfg := rc.Exec
-			if cfg.Tracer == nil && c.ring != nil {
-				cfg.Tracer = c.ring
-			}
-			if cfg.Metrics == nil {
-				cfg.Metrics = c.reg
-			}
-			ex := h.NewExecutor(img, cfg)
-			c.ex = ex
-			c.cpu = ex.Core
-			if m.llc != nil {
-				c.view = m.llc.NewView(i)
-				ex.Core.Hier.AttachLLC(c.view)
-			}
-			tick, err := ex.NewTicker(ts.Tasks, rc.Mode == ModeSolo)
-			if err != nil {
-				return nil, fmt.Errorf("machine: core %d: %w", i, err)
-			}
-			c.tick = tick
-		case ModeSMT:
-			cpuCore := cpu.MustNewCore(c.mach.CPU, img.Prog, h.Sc.Mem, mem.MustNewHierarchy(c.mach.Mem))
-			c.cpu = cpuCore
-			if m.llc != nil {
-				c.view = m.llc.NewView(i)
-				cpuCore.Hier.AttachLLC(c.view)
-			}
+		cfg := rc.Exec
+		if cfg.Tracer == nil && c.ring != nil {
+			cfg.Tracer = c.ring
+		}
+		if cfg.Metrics == nil {
+			cfg.Metrics = c.reg
+		}
+		if rc.Mode == ModeSMT {
+			cfg.DisableSuperblocks = rc.SMT.DisableSuperblocks
+		}
+		c.ex = h.NewExecutor(img, cfg)
+		if m.llc != nil {
+			c.ex.Core.Hier.AttachLLC(m.llc.NewView(i))
+		}
+		if rc.Mode == ModeSMT {
 			ctxs := make([]*coro.Context, len(ts.Tasks))
 			for j, t := range ts.Tasks {
 				ctxs[j] = t.Ctx
@@ -173,66 +255,30 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 			if smtCfg.Contexts == 0 {
 				smtCfg.Contexts = len(ctxs)
 			}
-			if smtCfg.Metrics == nil {
-				smtCfg.Metrics = c.reg
-			}
-			rn, err := smt.NewRunner(cpuCore, smtCfg, ctxs)
-			if err != nil {
-				return nil, fmt.Errorf("machine: core %d: %w", i, err)
-			}
-			c.smt = rn
+			c.smt, err = smt.NewRunner(c.ex.Core, smtCfg, ctxs)
+		} else {
+			c.tick, err = c.ex.NewTicker(ts.Tasks, rc.Mode == ModeSolo)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("machine: core %d: %w", i, err)
 		}
 		m.cores = append(m.cores, c)
+		cores = append(cores, c)
 	}
+	m.k = NewKernel(m.llc, topo.Quantum, cores)
 	return m, nil
 }
 
-// Step runs one cycle quantum: every core advances to the next deadline
-// on its own goroutine, the kernel waits for all of them at the
-// barrier, and the shared LLC commits the quantum's traffic in
-// core-index order. Returns done=true once every core has halted (or an
-// error stopped the run). The steady-state path performs no allocation.
+// Step runs one cycle quantum through the kernel. Returns done=true
+// once every core has halted (or an error stopped the run).
 //
-// Step is the barrier: the only place shared LLC state commits, and a
-// cycle-domain entry point in its own right (all forward progress of
-// the many-core clock flows through here).
-//
-//shsim:commit-phase
 //shsim:cycle-entry
 func (m *Machine) Step() (bool, error) {
-	if m.finished || m.closed {
-		return true, m.err
+	done, err := m.k.Step()
+	if err != nil {
+		return true, fmt.Errorf("machine: %w", err)
 	}
-	if !m.started {
-		for _, c := range m.cores {
-			go c.loop()
-		}
-		m.started = true
-	}
-	m.deadline += m.quantum
-	for _, c := range m.cores {
-		c.start <- m.deadline
-	}
-	for _, c := range m.cores {
-		<-c.ack
-	}
-	if m.llc != nil {
-		m.llc.Commit()
-	}
-	m.quanta++
-	all := true
-	for _, c := range m.cores {
-		if c.err != nil {
-			m.err = fmt.Errorf("machine: core %d: %w", c.id, c.err)
-			m.finished = true
-			return true, m.err
-		}
-		if !c.done {
-			all = false
-		}
-	}
-	m.finished = all
-	return m.finished, nil
+	return done, nil
 }
 
 // Run steps the machine to completion, validates every core's
@@ -259,20 +305,10 @@ func (m *Machine) Run() (Stats, error) {
 
 // Close shuts the worker goroutines down. Idempotent; the Machine
 // cannot be stepped afterwards.
-func (m *Machine) Close() {
-	if m.closed {
-		return
-	}
-	m.closed = true
-	if m.started {
-		for _, c := range m.cores {
-			close(c.start)
-		}
-	}
-}
+func (m *Machine) Close() { m.k.Close() }
 
 // Quanta returns the number of quanta stepped so far.
-func (m *Machine) Quanta() uint64 { return m.quanta }
+func (m *Machine) Quanta() uint64 { return m.k.Quanta() }
 
 // TraceRing returns core i's trace ring, or nil when tracing is off.
 func (m *Machine) TraceRing(i int) *trace.Ring { return m.cores[i].ring }

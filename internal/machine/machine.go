@@ -1,8 +1,9 @@
 // Package machine simulates a many-core machine: each simulated core
 // owns a cpu.Core with private L1/L2, all cores share a banked L3 +
 // DRAM with bandwidth/MSHR contention (mem.SharedLLC), and a
-// cycle-quantum kernel steps every core on its own goroutine inside
-// deterministic quanta.
+// cycle-quantum kernel (Kernel, which the open-loop service dispatcher
+// steps its cores through too) steps every core on its own goroutine
+// inside deterministic quanta.
 //
 // # Determinism
 //
@@ -140,13 +141,15 @@ func (t Topology) CoreMachine(i int) core.Machine {
 type Mode int
 
 const (
-	// ModeSymmetric interleaves all workload instances on each core with
-	// the symmetric coroutine discipline (exec.RunSymmetric).
+	// ModeSymmetric interleaves all workload instances on each core
+	// round-robin: the exec.Flat loop, as exec.RunSymmetric runs it.
 	ModeSymmetric Mode = iota
-	// ModeSolo runs one instance per core with no software scheduling
-	// (exec.RunSolo) — the baseline for scaling measurements.
+	// ModeSolo runs one instance per core with no software scheduling —
+	// the same loop over a ring of one, as exec.RunSolo runs it; the
+	// baseline for scaling measurements.
 	ModeSolo
-	// ModeSMT multiplexes the instances as hardware threads (smt.Run).
+	// ModeSMT multiplexes the instances as hardware threads: the
+	// smt.Loop, as smt.Run runs it.
 	ModeSMT
 )
 
@@ -181,6 +184,7 @@ type RunConfig struct {
 	// is per-core (see Metrics/TraceN), never shared across goroutines.
 	Exec exec.Config
 	// SMT configures ModeSMT; a zero Contexts defaults to the task count.
+	// Observability comes from Exec/Metrics/TraceN in every mode.
 	SMT smt.Config
 	// Metrics allocates a private metrics registry per core, snapshot
 	// into CoreStats.Metrics after the run.
@@ -202,8 +206,8 @@ func (rc RunConfig) validate(cores int) error {
 	if rc.Tasks < 0 {
 		return fmt.Errorf("machine: negative task count %d", rc.Tasks)
 	}
-	if cores > 1 && (rc.Exec.Tracer != nil || rc.Exec.Metrics != nil || rc.SMT.Metrics != nil) {
-		return fmt.Errorf("machine: Exec.Tracer/Exec.Metrics/SMT.Metrics would be shared across %d core goroutines; use RunConfig.TraceN/Metrics for per-core observability", cores)
+	if cores > 1 && (rc.Exec.Tracer != nil || rc.Exec.Metrics != nil) {
+		return fmt.Errorf("machine: Exec.Tracer/Exec.Metrics would be shared across %d core goroutines; use RunConfig.TraceN/Metrics for per-core observability", cores)
 	}
 	if rc.TraceN < 0 {
 		return fmt.Errorf("machine: negative trace capacity %d", rc.TraceN)

@@ -51,23 +51,31 @@ type Stats struct {
 
 // stats assembles the result after the run completes.
 func (m *Machine) stats() Stats {
-	st := Stats{Quanta: m.quanta}
+	st := Stats{Quanta: m.k.Quanta()}
 	if m.llc != nil {
 		st.LLC = m.llc.Stats
 	}
 	for _, c := range m.cores {
 		cs := CoreStats{Core: c.id, Seed: c.mach.Seed}
+		c.ex.CaptureMetrics()
+		var latencies []uint64
 		if c.tick != nil {
-			c.ex.CaptureMetrics()
 			cs.Exec = c.tick.Stats()
-		} else if c.smt != nil {
-			if reg := c.reg; reg != nil {
-				c.cpu.Hier.FillMetrics(&reg.Mem)
-				c.cpu.Counters.FillMetrics(&reg.CPU)
-			}
+			latencies = cs.Exec.Latencies
+		} else {
 			cs.SMT = c.smt.Stats()
+			latencies = cs.SMT.Latencies
 		}
-		cs.Mem = c.cpu.Hier.Stats
+		if reg := c.ex.Cfg.Metrics; reg != nil {
+			// What internal/sched records for a classic single-core run,
+			// so many-core runs report request latencies too: one request
+			// per task, its latency the halt time. Solo runs record none.
+			for _, l := range latencies {
+				reg.Sched.Requests++
+				reg.Sched.RequestLatency.Observe(l)
+			}
+		}
+		cs.Mem = c.ex.Core.Hier.Stats
 		if reg := c.reg; reg != nil {
 			cs.Metrics = reg.Snapshot()
 		}

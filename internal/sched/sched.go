@@ -21,7 +21,6 @@ package sched
 import (
 	"fmt"
 
-	"repro/internal/coro"
 	"repro/internal/exec"
 )
 
@@ -143,41 +142,22 @@ func (s *Scheduler) Run() (Stats, error) {
 			st.RequestLatencies[i] = runStats.Latencies[i]
 		}
 
-	case Sidecar:
-		// Requests strictly FIFO; the executor pulls scavengers from the
-		// exposed batch ready-queue during each request's miss windows.
-		for _, t := range s.batch {
-			t.Mode = coro.Scavenger
-			t.Ctx.Mode = coro.Scavenger
-		}
-		for _, req := range s.requests {
-			if _, err := s.ex.RunDualMode(req, s.ready(s.batch)); err != nil {
-				return Stats{}, err
-			}
-			record()
-		}
-
-	case EventAware:
-		// Like sidecar, but pending requests are co-scheduled into the
-		// running request's miss shadows ahead of batch work.
+	case Sidecar, EventAware:
+		// Requests strictly FIFO, each the primary of one dual-mode run
+		// whose scavengers come from the exposed batch ready-queue —
+		// and, under EventAware, from the requests still pending behind
+		// it, co-scheduled into its miss shadows ahead of batch work (so
+		// a later request may already be done when its turn comes).
 		for i, req := range s.requests {
-			if req.Ctx.Halted {
-				record()
-				continue
-			}
-			var pool []*exec.Task
-			for j := i + 1; j < len(s.requests); j++ {
-				if !s.requests[j].Ctx.Halted {
-					pool = append(pool, s.requests[j])
+			if !req.Ctx.Halted {
+				var pool []*exec.Task
+				if s.policy == EventAware {
+					pool = s.ready(s.requests[i+1:])
 				}
-			}
-			pool = append(pool, s.ready(s.batch)...)
-			for _, t := range pool {
-				t.Mode = coro.Scavenger
-				t.Ctx.Mode = coro.Scavenger
-			}
-			if _, err := s.ex.RunDualMode(req, pool); err != nil {
-				return Stats{}, err
+				pool = append(pool, s.ready(s.batch)...)
+				if _, err := s.ex.RunDualMode(req, pool); err != nil {
+					return Stats{}, err
+				}
 			}
 			record()
 		}

@@ -4,51 +4,33 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 )
 
-// serveCore is one core of a multi-core serving cell: a dispatched cell
-// (no arrival process of its own) advanced one quantum per handshake on
-// its own goroutine, exactly like internal/machine's coreRunner. The
-// two plain channel operations per quantum are both the determinism
-// barrier and the happens-before edges the race detector needs.
-type serveCore struct {
-	c     *cell
-	start chan uint64   // dispatcher → core: quantum deadline
-	ack   chan struct{} // core → dispatcher: quantum complete
-	err   error
-}
-
-// loop is the core goroutine: one quantum per handshake, no allocation,
-// exits when the dispatcher closes the start channel.
+// RunQuantum makes a dispatched cell — no arrival process of its own —
+// one core of the barrier kernel (machine.Core). It dispatches what the
+// barrier delivered into free slots (the loop itself resumes a block
+// the last barrier cut without consulting its source), advances the
+// scheduling loop to the deadline, then tops the clock up to the
+// barrier: the loops return with Now ≥ deadline on every nil path, but
+// an idle top-up here keeps the invariant local and guards causality —
+// a core whose clock lagged the barrier could otherwise complete a
+// request before its recorded arrival. A serving core is never done;
+// the dispatcher decides when the cell has drained.
 //
+//shsim:cycle-entry
 //shsim:quantum-phase
-func (sc *serveCore) loop() {
-	for deadline := range sc.start {
-		if sc.err == nil {
-			sc.err = sc.run(deadline)
-		}
-		sc.ack <- struct{}{}
+func (c *cell) RunQuantum(deadline uint64) (bool, error) {
+	c.fill()
+	if err := c.run(deadline); err != nil {
+		return false, err
 	}
-}
-
-// run advances the core's policy engine to the deadline, then tops the
-// clock up to the barrier: engines return with Now ≥ deadline on every
-// nil path, but an idle top-up here keeps the invariant local and
-// guards causality — a core whose clock lagged the barrier could
-// otherwise complete a request before its recorded arrival.
-//
-//shsim:quantum-phase
-func (sc *serveCore) run(deadline uint64) error {
-	if err := sc.c.run(deadline); err != nil {
-		return err
+	if now := c.ex.Core.Now; now < deadline {
+		c.ex.Core.AdvanceIdle(deadline - now)
 	}
-	if now := sc.c.ex.Core.Now; now < deadline {
-		sc.c.ex.Core.AdvanceIdle(deadline - now)
-	}
-	return nil
+	return false, nil
 }
 
 // dispatcher serves one multi-core cell: a single open-loop arrival
@@ -57,28 +39,22 @@ func (sc *serveCore) run(deadline uint64) error {
 // drains it into per-core local run queues in deterministic core-index
 // order, using each core's queue depth plus in-flight count as of the
 // just-committed quantum as the load signal (one-quantum-lag feedback,
-// mirroring the LLC commit protocol). Cores then advance one quantum
-// concurrently against frozen shared-LLC state, and their traffic
-// commits in core-index order — so the whole cell is a pure function of
-// (machine, config, cell), byte-identical at any GOMAXPROCS.
+// like the LLC commit's). The kernel then advances the cores one
+// quantum concurrently against frozen shared-LLC state and commits
+// their traffic in core-index order — so the whole cell is a pure
+// function of (machine, config, cell), byte-identical at any GOMAXPROCS.
 type dispatcher struct {
 	cfg  Config
 	cl   Cell
 	topo machine.Topology
-	llc  *mem.SharedLLC
 
-	cores []*serveCore
+	cores []*cell
+	k     *machine.Kernel
 
-	arr         *Arrivals
-	nextArrival uint64
-	generated   uint64
+	arr *feed
 
 	shared  queue  // bounded admission queue (capacity cfg.Queue)
 	dropped uint64 // rejected at a full admission queue
-
-	barrier uint64 // last committed barrier cycle
-	started bool
-	closed  bool
 }
 
 // newDispatcher builds the per-core cells (each over its strided
@@ -94,8 +70,9 @@ func newDispatcher(mach core.Machine, cfg Config, cl Cell) (*dispatcher, error) 
 	if err != nil {
 		return nil, err
 	}
-	d := &dispatcher{cfg: cfg, cl: cl, topo: topo, llc: llc, shared: newQueue(cfg.Queue)}
-	for i := 0; i < topo.Cores; i++ {
+	d := &dispatcher{cfg: cfg, cl: cl, topo: topo, shared: newQueue(cfg.Queue)}
+	cores := make([]machine.Core, topo.Cores)
+	for i := range cores {
 		c, err := newCell(topo.CoreMachine(i), cfg, cl, false)
 		if err != nil {
 			return nil, fmt.Errorf("service: core %d: %w", i, err)
@@ -106,20 +83,13 @@ func newDispatcher(mach core.Machine, cfg Config, cl Cell) (*dispatcher, error) 
 		// in the shared queue, where the balancer can still steer it,
 		// rather than behind one core).
 		c.q = newQueue(len(c.slots))
-		d.cores = append(d.cores, &serveCore{
-			c:     c,
-			start: make(chan uint64),
-			ack:   make(chan struct{}),
-		})
+		d.cores = append(d.cores, c)
+		cores[i] = c
 	}
-	spec := cfg.Arrivals
-	spec.Rate = cl.Rate
-	arr, err := NewArrivals(spec, mach.Seed)
-	if err != nil {
+	d.k = machine.NewKernel(llc, topo.Quantum, cores)
+	if d.arr, err = newFeed(cfg, cl, mach.Seed); err != nil {
 		return nil, err
 	}
-	d.arr = arr
-	d.nextArrival = arr.Next()
 	return d, nil
 }
 
@@ -142,15 +112,8 @@ func runCellMulti(mach core.Machine, cfg Config, cl Cell) (CellStats, error) {
 // contention — so admission order is a pure function of the arrival
 // process, never of core timing.
 func (d *dispatcher) pump() {
-	for d.generated < uint64(d.cfg.Requests) && d.nextArrival <= d.barrier {
-		if !d.shared.push(request{id: d.generated, arrival: d.nextArrival}) {
-			d.dropped++
-		}
-		d.generated++
-		if d.generated < uint64(d.cfg.Requests) {
-			d.nextArrival = d.arr.Next()
-		}
-	}
+	_, dropped := d.arr.offer(d.k.Barrier(), &d.shared)
+	d.dropped += dropped
 }
 
 // assign drains the shared queue into per-core local queues: each
@@ -162,8 +125,7 @@ func (d *dispatcher) pump() {
 func (d *dispatcher) assign() {
 	for !d.shared.empty() {
 		best, bestLoad := -1, 0
-		for i, sc := range d.cores {
-			c := sc.c
+		for i, c := range d.cores {
 			if c.q.n == len(c.q.buf) {
 				continue
 			}
@@ -176,45 +138,28 @@ func (d *dispatcher) assign() {
 			return
 		}
 		req, _ := d.shared.pop()
-		c := d.cores[best].c
+		c := d.cores[best]
 		c.reg.Service.Arrivals++
 		c.reg.Service.Admitted++
 		c.q.push(req)
 	}
 }
 
-// step runs one cycle quantum: every core advances to the next barrier
-// on its own goroutine, the dispatcher waits for all of them, and the
-// shared LLC commits the quantum's traffic in core-index order. The
-// steady-state path performs no allocation.
+// step runs one cycle quantum through the kernel, then checks the
+// cell-wide fuel budget. The steady-state path performs no allocation.
 //
-//shsim:commit-phase
 //shsim:cycle-entry
 func (d *dispatcher) step() error {
-	if !d.started {
-		for _, sc := range d.cores {
-			go sc.loop()
-		}
-		d.started = true
+	if _, err := d.k.Step(); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
-	d.barrier += d.topo.Quantum
-	for _, sc := range d.cores {
-		sc.start <- d.barrier
-	}
-	for _, sc := range d.cores {
-		<-sc.ack
-	}
-	d.llc.Commit()
 	var steps uint64
-	for i, sc := range d.cores {
-		if sc.err != nil {
-			return fmt.Errorf("service: core %d: %w", i, sc.err)
-		}
-		steps += sc.c.steps
+	for _, c := range d.cores {
+		steps += c.loop.Steps()
 	}
 	if steps > d.cfg.MaxSteps {
-		return fmt.Errorf("service: MaxSteps exceeded across %d cores (%s at rate %g)",
-			d.topo.Cores, d.cl.Policy, d.cl.Rate)
+		return fmt.Errorf("service: %s at rate %g across %d cores: %w",
+			d.cl.Policy, d.cl.Rate, d.topo.Cores, exec.ErrFuelExhausted)
 	}
 	return nil
 }
@@ -222,11 +167,11 @@ func (d *dispatcher) step() error {
 // drained reports whether the cell is finished: every request
 // generated, and no work waiting or in flight anywhere.
 func (d *dispatcher) drained() bool {
-	if d.generated < uint64(d.cfg.Requests) || !d.shared.empty() {
+	if !d.arr.exhausted() || !d.shared.empty() {
 		return false
 	}
-	for _, sc := range d.cores {
-		if !sc.c.q.empty() || len(sc.c.fifo) > 0 {
+	for _, c := range d.cores {
+		if !c.q.empty() || len(c.fifo) > 0 {
 			return false
 		}
 	}
@@ -237,12 +182,12 @@ func (d *dispatcher) drained() bool {
 // request ended as exactly one of completed, dropped or shed.
 func (d *dispatcher) reconcile() error {
 	done := d.dropped
-	for _, sc := range d.cores {
-		s := &sc.c.reg.Service
+	for _, c := range d.cores {
+		s := &c.reg.Service
 		done += s.Completed + s.Shed
 	}
-	if done != d.generated {
-		return fmt.Errorf("service: conservation violated — %d requests generated, %d accounted for", d.generated, done)
+	if done != d.arr.generated {
+		return fmt.Errorf("service: conservation violated — %d requests generated, %d accounted for", d.arr.generated, done)
 	}
 	return nil
 }
@@ -266,56 +211,7 @@ func (d *dispatcher) serve() error {
 }
 
 // close shuts the core goroutines down. Idempotent.
-func (d *dispatcher) close() {
-	if d.closed {
-		return
-	}
-	d.closed = true
-	if d.started {
-		for _, sc := range d.cores {
-			close(sc.start)
-		}
-	}
-}
+func (d *dispatcher) close() { d.k.Close() }
 
-// stats merges the per-core summaries into one CellStats: counters sum,
-// per-core sojourn histograms fold together bucket-wise (exactly
-// equivalent to one histogram observing every request), quantiles come
-// from the merged histogram, and the cell's wall clock is the furthest
-// core clock.
-func (d *dispatcher) stats() CellStats {
-	var merged metrics.FineHist
-	cs := CellStats{
-		Policy:   d.cl.Policy,
-		Rate:     d.cl.Rate,
-		Cores:    d.topo.Cores,
-		Requests: d.generated,
-		Dropped:  d.dropped,
-	}
-	for _, sc := range d.cores {
-		c := sc.c
-		s := &c.reg.Service
-		cs.Completed += s.Completed
-		cs.Shed += s.Shed
-		cs.BatchOps += s.BatchOps
-		cs.Episodes += c.reg.Exec.Episodes
-		cs.Chains += c.reg.Exec.Chains
-		merged.Merge(&s.Sojourn)
-		if now := c.ex.Core.Now; now > cs.Cycles {
-			cs.Cycles = now
-		}
-		for _, sl := range c.slots {
-			cs.Switches += sl.task.Ctx.Switches
-		}
-		for _, b := range c.batch {
-			cs.Switches += b.task.Ctx.Switches
-		}
-	}
-	cs.P50 = merged.Quantile(0.50)
-	cs.P99 = merged.Quantile(0.99)
-	cs.P999 = merged.Quantile(0.999)
-	cs.MeanSojourn = merged.Mean()
-	cs.MaxSojourn = merged.Max
-	cs.Hist = sojournTable(&merged, d.cl.Policy, d.cl.Rate)
-	return cs
-}
+// stats merges the per-core summaries into one CellStats.
+func (d *dispatcher) stats() CellStats { return summarize(d.cl, d.cores, d.dropped) }

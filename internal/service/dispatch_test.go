@@ -37,8 +37,8 @@ func TestDispatcherPerCoreConservation(t *testing.T) {
 	}
 
 	var assigned, done uint64
-	for i, sc := range d.cores {
-		s := &sc.c.reg.Service
+	for i, c := range d.cores {
+		s := &c.reg.Service
 		if s.Dropped != 0 {
 			t.Errorf("core %d dropped %d requests; local queues must never overflow", i, s.Dropped)
 		}
@@ -54,14 +54,14 @@ func TestDispatcherPerCoreConservation(t *testing.T) {
 		assigned += s.Arrivals
 		done += s.Completed + s.Shed
 	}
-	if d.generated != uint64(cfg.Requests) {
-		t.Fatalf("generated %d of %d requests", d.generated, cfg.Requests)
+	if d.arr.generated != uint64(cfg.Requests) {
+		t.Fatalf("generated %d of %d requests", d.arr.generated, cfg.Requests)
 	}
-	if assigned+d.dropped != d.generated {
-		t.Errorf("assigned %d + dropped %d != generated %d", assigned, d.dropped, d.generated)
+	if assigned+d.dropped != d.arr.generated {
+		t.Errorf("assigned %d + dropped %d != generated %d", assigned, d.dropped, d.arr.generated)
 	}
-	if done+d.dropped != d.generated {
-		t.Errorf("completed+shed %d + dropped %d != generated %d", done, d.dropped, d.generated)
+	if done+d.dropped != d.arr.generated {
+		t.Errorf("completed+shed %d + dropped %d != generated %d", done, d.dropped, d.arr.generated)
 	}
 
 	// The merged report tells the same story.

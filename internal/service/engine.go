@@ -1,12 +1,12 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/coro"
-	"repro/internal/cpu"
 	"repro/internal/exec"
 	"repro/internal/instrument"
 	"repro/internal/isa"
@@ -17,11 +17,12 @@ import (
 
 // slot is one worker: a bounded execution context re-armed for request
 // after request, so a million-request run needs only Workers contexts.
+// A free slot's context is halted — parked until the next arm — which
+// is what takes it off the scheduling loops' ring.
 type slot struct {
 	task  *exec.Task
 	stack uint64 // this slot's private stack top
 
-	busy       bool
 	id         uint64 // request id (selects the instance)
 	arrival    uint64 // cycle the request arrived (sojourn base)
 	dispatched uint64 // cycle the request took the slot
@@ -36,18 +37,27 @@ type batchTask struct {
 	inst  int // instance currently armed
 }
 
+// engine is the scheduling loop a cell's policy selects: exec.Flat,
+// exec.Asym or smt.Loop.
+type engine interface {
+	Run(deadline uint64) (done bool, err error)
+	Steps() uint64
+}
+
 // cell is one (policy, rate) point of the sweep: a pure single-threaded
-// simulation over its own harness, executor and metrics registry. In a
-// multi-core cell each core owns one of these (built from its strided
-// per-core machine, arrivals owned by the dispatcher instead), and the
-// engines below run it one quantum at a time.
+// simulation over its own harness, executor and metrics registry. It is
+// the open-loop source (exec.AsymSource) of its policy's scheduling
+// loop: an arrival-fed pool of worker slots plus batch tasks that never
+// run out. In a multi-core cell each core owns one of these (built from
+// its strided per-core machine, arrivals owned by the dispatcher
+// instead), and the kernel runs it one quantum at a time.
 type cell struct {
 	cfg  Config
 	pol  Policy
 	rate float64
 
-	h  *core.Harness
-	ex *exec.Executor
+	ex   *exec.Executor
+	loop engine
 
 	// reg is held by value: a serving cell always records (the sojourn
 	// histogram IS the output), so the registry is never nil. The
@@ -59,38 +69,20 @@ type cell struct {
 	bpart  *workloads.Part // background part (nil without batch work)
 	bentry int
 
-	// arr is the cell-owned arrival process. nil marks a dispatched
+	// arr is the cell-owned arrival stream. nil marks a dispatched
 	// (multi-core) cell: requests appear in q at quantum barriers via
-	// the dispatcher instead of being pumped inline, and the engines run
+	// the dispatcher instead of being admitted inline, and the loop runs
 	// against a quantum deadline rather than to drain.
-	arr         *Arrivals
-	nextArrival uint64
-	generated   uint64
+	arr *feed
 
-	q     queue
-	slots []*slot
-	fifo  []int // in-flight slots in arrival order; fifo[0] is the oldest
-	batch []*batchTask
-	bnext int // next background instance to arm
-
-	steps uint64
-	r     cpu.BlockResult
-
-	// Engine state that single-core runs kept in loop locals. It lives
-	// on the cell so a deadline-sliced engine resumes mid-discipline
-	// exactly where the quantum cut it: a budget stop is a fuel split
-	// (equivalence-preserving), so a cell served in quantum slices is
-	// byte-identical to the same cell run unsliced.
-	cur       int    // ring entity holding the CPU; -1 = none (flat/asym)
-	scavIdx   int    // batch rotation cursor (asym)
-	inEpisode bool   // an open hide episode (asym)
-	epStart   uint64 // episode start cycle
-	epTarget  uint64 // episode hide target
-
-	smtCur       int      // SMT rotation cursor
-	sliceUsed    uint64   // busy cycles used of the current SMT slice
-	smtQuantum   uint64   // SMT hardware-thread slice length
-	blockedUntil []uint64 // per-entity SMT memory-stall wakeups
+	// The loop's ring is the worker slots followed by the batch tasks;
+	// a ring index names either.
+	q       queue
+	slots   []*slot
+	fifo    []int // in-flight slots in arrival order; fifo[0] is the oldest
+	batch   []*batchTask
+	bnext   int // next background instance to arm
+	scavIdx int // batch rotation cursor (asymmetric policies)
 }
 
 // RunCell serves one sweep cell: cfg.Requests requests offered at
@@ -112,26 +104,21 @@ func RunCell(mach core.Machine, cfg Config, cl Cell) (CellStats, error) {
 	if err != nil {
 		return CellStats{}, err
 	}
-	start := c.ex.Core.Now
-	if err := c.run(0); err != nil {
+	if err := c.run(exec.NoDeadline); err != nil {
 		return CellStats{}, err
 	}
-	return c.stats(c.ex.Core.Now - start), nil
+	return summarize(cl, []*cell{c}, 0), nil
 }
 
-// run advances the cell's policy engine until the cell drains
-// (single-core cells, deadline 0) or the cycle deadline passes
-// (quantum-sliced multi-core cells).
+// run advances the cell's scheduling loop until the cell drains
+// (self-clocked cells) or the cycle deadline passes (quantum-sliced
+// multi-core cells).
 func (c *cell) run(deadline uint64) error {
-	switch c.pol {
-	case Agnostic, OSThread:
-		return c.runFlat(deadline)
-	case Sidecar, EventAware:
-		return c.runAsym(deadline)
-	case SMT:
-		return c.runSMT(deadline)
+	_, err := c.loop.Run(deadline)
+	if errors.Is(err, exec.ErrFuelExhausted) {
+		err = fmt.Errorf("service: %s at rate %g: %w", c.pol, c.rate, err)
 	}
-	return fmt.Errorf("service: unknown policy %d", uint8(c.pol))
+	return err
 }
 
 // pipelineOpts builds instrumentation options consistent with the
@@ -188,11 +175,9 @@ func newCell(mach core.Machine, cfg Config, cl Cell, withArrivals bool) (*cell, 
 		cfg:   cfg,
 		pol:   cl.Policy,
 		rate:  cl.Rate,
-		h:     h,
 		part:  h.Sc.Part(reqName),
 		entry: img.Entries[reqName],
 		q:     newQueue(cfg.Queue),
-		cur:   -1,
 	}
 	execCfg := exec.Config{Switch: mach.Switch, MaxSteps: cfg.MaxSteps, Metrics: &c.reg}
 	if cl.Policy == OSThread {
@@ -206,6 +191,7 @@ func newCell(mach core.Machine, cfg Config, cl Cell, withArrivals bool) (*cell, 
 	for i := 0; i < workers; i++ {
 		ctx := coro.NewContext(i, c.entry, c.part.StackTops[i])
 		ctx.Name = fmt.Sprintf("worker[%d]", i)
+		ctx.Halted = true // parked until armed
 		c.slots = append(c.slots, &slot{task: exec.NewTask(ctx, coro.Primary), stack: c.part.StackTops[i]})
 	}
 	if withBatch {
@@ -225,31 +211,53 @@ func newCell(mach core.Machine, cfg Config, cl Cell, withArrivals bool) (*cell, 
 		}
 		c.reg.Sched.BatchTasks = uint64(cfg.Batch)
 	}
-	if cl.Policy == SMT {
-		c.blockedUntil = make([]uint64, c.entities())
-		c.smtQuantum = smt.DefaultConfig().Quantum
+	ring := make([]*exec.Task, 0, len(c.slots)+len(c.batch))
+	for _, s := range c.slots {
+		ring = append(ring, s.task)
+	}
+	for _, b := range c.batch {
+		ring = append(ring, b.task)
+	}
+	switch cl.Policy {
+	case Agnostic, OSThread:
+		// One flat ring over in-flight requests and batch work, blind to
+		// request class; OSThread differs only in the switch price.
+		c.loop = c.ex.NewFlat(ring, c)
+	case Sidecar, EventAware:
+		// The oldest in-flight request is the primary; younger ones
+		// (EventAware only — Sidecar's single lane never has any), then
+		// batch tasks, fill its miss shadows and the idle lane.
+		c.loop = c.ex.NewAsym(ring, c)
+	case SMT:
+		// Slots and batch contexts multiplex the core as hardware threads
+		// with zero software cost and zero notion of request priority
+		// (the paper's §1 critique).
+		ctxs := make([]*coro.Context, len(ring))
+		for i, t := range ring {
+			ctxs[i] = t.Ctx
+		}
+		c.loop = smt.NewLoop(c.ex.Core, smt.Config{Quantum: smt.DefaultConfig().Quantum, MaxSteps: cfg.MaxSteps}, ctxs, c)
+	default:
+		return nil, fmt.Errorf("service: unknown policy %d", uint8(cl.Policy))
 	}
 
 	if withArrivals {
-		spec := cfg.Arrivals
-		spec.Rate = cl.Rate
-		arr, err := NewArrivals(spec, mach.Seed)
-		if err != nil {
+		if c.arr, err = newFeed(cfg, cl, mach.Seed); err != nil {
 			return nil, err
 		}
-		c.arr = arr
-		c.nextArrival = arr.Next()
 	}
 	return c, nil
 }
 
-// pending reports whether the engine loop has more to do. A
-// self-clocked cell drains its own request budget: every request ends
-// as exactly one of completed, dropped or shed. A dispatched cell runs
-// until its quantum deadline — the dispatcher, not the core, decides
-// when the cell as a whole is drained — so here it is always pending
-// and the deadline check in the engine loop is the only exit.
-func (c *cell) pending() bool {
+// Pending reports whether the loop has more to do. A self-clocked cell
+// drains its own request budget: every request ends as exactly one of
+// completed, dropped or shed. A dispatched cell runs until its quantum
+// deadline — the dispatcher, not the core, decides when the cell as a
+// whole is drained.
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+func (c *cell) Pending() bool {
 	if c.arr == nil {
 		return true
 	}
@@ -257,91 +265,51 @@ func (c *cell) pending() bool {
 	return s.Completed+s.Dropped+s.Shed < uint64(c.cfg.Requests)
 }
 
-// pump admits every arrival due at or before the current cycle. After
-// pump, either all requests have been generated or the next arrival is
-// strictly in the future — which is what makes clip() a positive
-// budget. Dispatched cells have no arrival process: their queue is fed
-// at quantum barriers and pump is a no-op.
-func (c *cell) pump() {
-	if c.arr == nil {
-		return
-	}
-	now := c.ex.Core.Now
-	for c.generated < uint64(c.cfg.Requests) && c.nextArrival <= now {
-		c.reg.Service.Arrivals++
-		if c.q.push(request{id: c.generated, arrival: c.nextArrival}) {
-			c.reg.Service.Admitted++
-		} else {
-			c.reg.Service.Dropped++
+// Poll admits every arrival due at or before the current cycle and
+// fills free slots from the queue. What it returns — the next arrival,
+// if one is still to come — is strictly in the future, so the loops
+// re-enter here at each arrival. Dispatched cells have no arrival
+// process: their queue is fed at quantum barriers (RunQuantum
+// dispatches what the barrier delivered).
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+func (c *cell) Poll() uint64 {
+	horizon := uint64(exec.NoHorizon)
+	if a := c.arr; a != nil && !a.exhausted() {
+		if a.next <= c.ex.Core.Now {
+			arrived, dropped := a.offer(c.ex.Core.Now, &c.q)
+			c.reg.Service.Arrivals += arrived
+			c.reg.Service.Admitted += arrived - dropped
+			c.reg.Service.Dropped += dropped
 		}
-		c.generated++
-		if c.generated < uint64(c.cfg.Requests) {
-			c.nextArrival = c.arr.Next()
+		if !a.exhausted() {
+			horizon = a.next
 		}
 	}
+	if !c.q.empty() {
+		c.fill()
+	}
+	return horizon
 }
 
-// clip returns the busy-cycle budget to the next scheduling boundary
-// (0 = unbounded): the next arrival for self-clocked cells, additionally
-// capped by the quantum deadline when one is set. Every engine hands it
-// to RunBlock so the simulation re-enters the scheduling loop at each
-// boundary. A budget stop is exactly a fuel split — equivalence-
-// preserving — so clipping changes no architectural state, only where
-// the engine gets to look at the clock.
-func (c *cell) clip(deadline uint64) uint64 {
-	now := c.ex.Core.Now
-	var budget uint64
-	if c.arr != nil && c.generated < uint64(c.cfg.Requests) {
-		budget = c.nextArrival - now
-	}
-	if deadline != 0 {
-		if b := deadline - now; budget == 0 || b < budget {
-			budget = b
+// fill dispatches queued requests into free slots, shedding stale ones.
+// Dispatch order is arrival order (the queue is FIFO), so fifo stays
+// sorted by arrival.
+func (c *cell) fill() {
+	for _, s := range c.slots {
+		if s.task.Ctx.Halted {
+			c.dispatch(s)
 		}
 	}
-	return budget
-}
-
-// idle advances the clock to the next arrival (or the quantum deadline,
-// whichever is sooner) when nothing is runnable.
-func (c *cell) idle(deadline uint64) error {
-	now := c.ex.Core.Now
-	if c.arr == nil {
-		// Dispatched cells idle out the quantum; new work can only
-		// appear at the next barrier. The engine loop re-checks the
-		// deadline and returns.
-		c.ex.Core.AdvanceIdle(deadline - now)
-		return nil
-	}
-	if c.generated >= uint64(c.cfg.Requests) {
-		// Unaccounted requests with nothing runnable and nothing to
-		// arrive cannot happen: queued requests fill free slots first.
-		return fmt.Errorf("service: stalled with no runnable work and no pending arrivals")
-	}
-	next := c.nextArrival
-	if deadline != 0 && deadline < next {
-		next = deadline
-	}
-	c.ex.Core.AdvanceIdle(next - now)
-	return nil
 }
 
 // arm points s at req: restore the instance's initial registers on the
 // slot's private stack and clear all per-run context state. Accounting
 // counters survive — they aggregate across requests.
 func (c *cell) arm(s *slot, req request) {
-	inst := c.part.Instances[int(req.id%uint64(len(c.part.Instances)))]
-	ctx := s.task.Ctx
-	ctx.Regs = inst.Regs
-	ctx.Regs[isa.SP] = s.stack
-	ctx.PC = c.entry
-	ctx.Flags = 0
-	ctx.Halted = false
-	ctx.Result = 0
-	ctx.LastPrefetchValid = false
-	ctx.AccelPending = false
-	s.task.Reset()
-	s.busy = true
+	inst := &c.part.Instances[int(req.id%uint64(len(c.part.Instances)))]
+	rearm(s.task, inst, s.stack, c.entry)
 	s.id = req.id
 	s.arrival = req.arrival
 	s.dispatched = c.ex.Core.Now
@@ -352,41 +320,31 @@ func (c *cell) arm(s *slot, req request) {
 func (c *cell) armBatch(b *batchTask) {
 	b.inst = c.bnext % len(c.bpart.Instances)
 	c.bnext++
-	inst := c.bpart.Instances[b.inst]
-	ctx := b.task.Ctx
+	rearm(b.task, &c.bpart.Instances[b.inst], b.stack, c.bentry)
+}
+
+// rearm points t at a fresh run of inst from entry on its private
+// stack, clearing all per-run context state.
+func rearm(t *exec.Task, inst *workloads.Instance, stack uint64, entry int) {
+	ctx := t.Ctx
 	ctx.Regs = inst.Regs
-	ctx.Regs[isa.SP] = b.stack
-	ctx.PC = c.bentry
+	ctx.Regs[isa.SP] = stack
+	ctx.PC = entry
 	ctx.Flags = 0
 	ctx.Halted = false
 	ctx.Result = 0
 	ctx.LastPrefetchValid = false
 	ctx.AccelPending = false
-	b.task.Reset()
+	t.Reset()
 }
 
-// fill dispatches queued requests into free slots, shedding stale ones.
-// Dispatch order is arrival order (the queue is FIFO), so fifo stays
-// sorted by arrival.
-func (c *cell) fill() {
-	for _, s := range c.slots {
-		if s.busy {
-			continue
-		}
-		if !c.dispatch(s) {
-			return
-		}
-	}
-}
-
-// dispatch pops the next serviceable request into s; false means the
-// queue ran dry.
-func (c *cell) dispatch(s *slot) bool {
+// dispatch pops the next serviceable request, if any, into s.
+func (c *cell) dispatch(s *slot) {
 	now := c.ex.Core.Now
 	for {
 		req, ok := c.q.pop()
 		if !ok {
-			return false
+			return
 		}
 		if c.cfg.ShedAfter > 0 && now-req.arrival > c.cfg.ShedAfter {
 			c.reg.Service.Shed++
@@ -394,7 +352,7 @@ func (c *cell) dispatch(s *slot) bool {
 		}
 		c.arm(s, req)
 		c.fifo = append(c.fifo, s.task.Ctx.ID)
-		return true
+		return
 	}
 }
 
@@ -410,7 +368,6 @@ func (c *cell) complete(s *slot) error {
 	c.reg.Service.Sojourn.Observe(now - s.arrival)
 	c.reg.Sched.Requests++
 	c.reg.Sched.RequestLatency.Observe(now - s.dispatched)
-	s.busy = false
 	for i, id := range c.fifo {
 		if id == ctx.ID {
 			c.fifo = append(c.fifo[:i], c.fifo[i+1:]...)
@@ -430,125 +387,38 @@ func (c *cell) completeBatch(b *batchTask) error {
 	return nil
 }
 
-// Ring indexing: entities 0..len(slots)-1 are worker slots,
-// len(slots).. are batch tasks.
-
-func (c *cell) entities() int { return len(c.slots) + len(c.batch) }
-
-func (c *cell) taskAt(i int) *exec.Task {
-	if i < len(c.slots) {
-		return c.slots[i].task
-	}
-	return c.batch[i-len(c.slots)].task
-}
-
-// runnableAt reports whether ring entity i has work: busy slots always,
-// batch tasks always (they re-arm on halt).
-func (c *cell) runnableAt(i int) bool {
-	if i < len(c.slots) {
-		return c.slots[i].busy
-	}
-	return true
-}
-
-// nextRunnable scans the ring from cur+1, wrapping through cur itself;
-// -1 means nothing is runnable.
-func (c *cell) nextRunnable(cur int) int {
-	n := c.entities()
-	for off := 1; off <= n; off++ {
-		i := (cur + off + n) % n
-		if c.runnableAt(i) {
-			return i
-		}
-	}
-	return -1
-}
-
-// haltAt retires ring entity i after its context halted.
-func (c *cell) haltAt(i int) error {
-	if i < len(c.slots) {
-		return c.complete(c.slots[i])
-	}
-	return c.completeBatch(c.batch[i-len(c.slots)])
-}
-
-// expired reports whether the quantum deadline has passed (never true
-// for self-clocked cells, which run with deadline 0).
-func (c *cell) expired(deadline uint64) bool {
-	return deadline != 0 && c.ex.Core.Now >= deadline
-}
-
-// runFlat is the Agnostic/OSThread engine: one flat round-robin ring
-// over in-flight requests and batch work, rotating at every primary
-// yield, blind to request class — requests queue behind batch ops and
-// behind each other. OSThread runs the identical discipline with
-// kernel-priced switches.
+// OnHalt retires ring entity i after its context halted: a worker slot
+// completes its request and parks, a batch task re-arms. Every halt is
+// a scheduling boundary — the flat ring rotates on, a scavenger whose
+// episode has run its course hands back.
 //
 //shsim:cycle-entry
-//shsim:noalloc
-func (c *cell) runFlat(deadline uint64) error {
-	for c.pending() {
-		if c.expired(deadline) {
-			return nil
-		}
-		if c.steps >= c.cfg.MaxSteps {
-			return fmt.Errorf("service: MaxSteps exceeded (%s at rate %g)", c.pol, c.rate) //shsim:alloc-ok cold overrun guard; fails the run
-		}
-		c.pump()
-		c.fill()
-		if c.cur < 0 || !c.runnableAt(c.cur) {
-			nxt := c.nextRunnable(c.cur)
-			if nxt < 0 {
-				if err := c.idle(deadline); err != nil {
-					return err
-				}
-				continue
-			}
-			c.cur = nxt
-			c.ex.Resume(c.taskAt(c.cur))
-		}
-		t := c.taskAt(c.cur)
-		if err := c.ex.Core.RunBlock(t.Ctx, false, c.cfg.MaxSteps-c.steps, c.clip(deadline), &c.r); err != nil {
-			return err
-		}
-		c.steps += c.r.Steps
-		switch {
-		case c.r.Halted:
-			if err := c.haltAt(c.cur); err != nil {
-				return err
-			}
-			if nxt := c.nextRunnable(c.cur); nxt >= 0 {
-				c.cur = nxt
-				c.ex.Resume(c.taskAt(c.cur))
-			} else {
-				c.cur = -1
-			}
-		case c.r.Yield:
-			if nxt := c.nextRunnable(c.cur); nxt >= 0 && nxt != c.cur {
-				c.ex.SwitchOut(t, c.r.LiveMask)
-				c.cur = nxt
-				c.ex.Resume(c.taskAt(c.cur))
-			}
-			// Conditional yields stay dormant in the flat disciplines
-			// (every task runs in primary mode), and a budget stop just
-			// re-enters the loop on the same task.
-		}
+//shsim:quantum-phase
+func (c *cell) OnHalt(i int) (bool, error) {
+	if i < len(c.slots) {
+		return true, c.complete(c.slots[i])
 	}
-	return nil
+	return true, c.completeBatch(c.batch[i-len(c.slots)])
 }
 
-// primary returns the ring entity of the oldest in-flight request,
-// or -1 (asymmetric policies).
-func (c *cell) primary() int {
+// Primary returns the ring entity of the oldest in-flight request,
+// or -1.
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+func (c *cell) Primary() int {
 	if len(c.fifo) == 0 {
 		return -1
 	}
 	return c.fifo[0]
 }
 
-// nextScavenger picks the next shadow-filler: younger in-flight
+// NextScavenger picks the next shadow-filler: younger in-flight
 // requests in arrival order, then batch tasks in rotation.
-func (c *cell) nextScavenger(exclude int) int {
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+func (c *cell) NextScavenger(exclude int) int {
 	if len(c.fifo) > 1 {
 		for _, id := range c.fifo[1:] {
 			if id != exclude {
@@ -567,265 +437,15 @@ func (c *cell) nextScavenger(exclude int) int {
 	return -1
 }
 
-// endEpisode closes an open hide episode, if any.
-func (c *cell) endEpisode() {
-	if !c.inEpisode {
-		return
-	}
-	c.inEpisode = false
-	c.reg.Exec.NoteEpisode(c.ex.Core.Now-c.epStart, c.epTarget)
-}
-
-// backToPrimary closes any open episode and resumes the oldest request.
-func (c *cell) backToPrimary() {
-	c.endEpisode()
-	c.cur = c.primary()
-	c.ex.Resume(c.taskAt(c.cur))
-}
-
-// runAsym is the Sidecar/EventAware engine: the oldest in-flight
-// request is the primary; its miss shadows are filled by scavengers —
-// younger in-flight requests first (EventAware only; Sidecar's single
-// lane never has any), then batch tasks — using the dual-mode episode
-// discipline of exec.RunDualMode. Between requests, batch tasks fill
-// the idle core and hand over at their next yield boundary when a
-// request arrives.
+// IdleFill picks the batch task that fills the lane between requests.
 //
 //shsim:cycle-entry
-//shsim:noalloc
-func (c *cell) runAsym(deadline uint64) error {
-	for c.pending() {
-		if c.expired(deadline) {
-			return nil
-		}
-		if c.steps >= c.cfg.MaxSteps {
-			return fmt.Errorf("service: MaxSteps exceeded (%s at rate %g)", c.pol, c.rate) //shsim:alloc-ok cold overrun guard; fails the run
-		}
-		c.pump()
-		c.fill()
-		if c.cur < 0 {
-			// Nothing holds the CPU: the oldest request if any, else
-			// batch work, else idle to the next arrival.
-			if p := c.primary(); p >= 0 {
-				c.cur = p
-				c.ex.Resume(c.taskAt(c.cur))
-			} else if len(c.batch) > 0 {
-				c.cur = len(c.slots) + c.scavIdx%len(c.batch)
-				c.scavIdx++
-				c.ex.Resume(c.taskAt(c.cur))
-			} else {
-				if err := c.idle(deadline); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		t := c.taskAt(c.cur)
-		isPrimary := c.cur == c.primary()
-		if err := c.ex.Core.RunBlock(t.Ctx, false, c.cfg.MaxSteps-c.steps, c.clip(deadline), &c.r); err != nil {
-			return err
-		}
-		c.steps += c.r.Steps
-		now := c.ex.Core.Now
-		targetMet := c.inEpisode && now-c.epStart >= c.epTarget
-
-		switch {
-		case c.r.Halted:
-			if err := c.haltAt(c.cur); err != nil {
-				return err
-			}
-			if isPrimary {
-				// The request completed; promote the next oldest. No
-				// episode can be open — the primary halts only while
-				// running.
-				if p := c.primary(); p >= 0 {
-					c.cur = p
-					c.ex.Resume(c.taskAt(c.cur))
-				} else {
-					c.cur = -1
-				}
-				continue
-			}
-			// A scavenger finished (younger request served in a shadow,
-			// or a batch op — already re-armed). Hand back if the
-			// episode's window has elapsed, else keep the shadow full;
-			// with nothing in flight, fall back to the idle-fill pick.
-			switch {
-			case targetMet:
-				c.backToPrimary()
-			case c.inEpisode:
-				if nxt := c.nextScavenger(c.cur); nxt >= 0 {
-					if nxt != c.cur {
-						c.reg.Exec.Chains++
-					}
-					c.cur = nxt
-					c.ex.Resume(c.taskAt(c.cur))
-				} else {
-					c.backToPrimary()
-				}
-			case c.primary() >= 0:
-				c.cur = c.primary()
-				c.ex.Resume(c.taskAt(c.cur))
-			default:
-				c.cur = -1 // idle fill re-picks at the loop top
-			}
-
-		case c.r.Yield:
-			if isPrimary {
-				// The primary prefetched a likely miss: open a hide
-				// episode sized by the prefetch's residual fill time.
-				nxt := c.nextScavenger(-1)
-				if nxt < 0 {
-					continue // nobody to hide behind; eat the miss
-				}
-				target := c.ex.Cfg.HideTarget
-				ctx := t.Ctx
-				var residual uint64
-				if ctx.LastPrefetchValid {
-					residual = c.ex.Core.Hier.Residual(ctx.LastPrefetchAddr, now)
-				}
-				if ctx.AccelPending && ctx.AccelDone > now {
-					if r := ctx.AccelDone - now; r > residual {
-						residual = r
-					}
-				}
-				if residual > 0 {
-					target = residual
-				}
-				c.inEpisode = true
-				c.epStart = now
-				c.epTarget = target
-				c.ex.SwitchOut(t, c.r.LiveMask)
-				c.cur = nxt
-				c.ex.Resume(c.taskAt(c.cur))
-				continue
-			}
-			// A scavenger hit its own likely miss: chain onward; or, if
-			// the lane is idle-filling and a request is now waiting,
-			// this yield is the hand-over boundary.
-			if !c.inEpisode && c.primary() >= 0 {
-				c.ex.SwitchOut(t, c.r.LiveMask)
-				c.cur = c.primary()
-				c.ex.Resume(c.taskAt(c.cur))
-				continue
-			}
-			if nxt := c.nextScavenger(c.cur); nxt >= 0 && nxt != c.cur {
-				c.ex.SwitchOut(t, c.r.LiveMask)
-				c.reg.Exec.Chains++
-				c.cur = nxt
-				c.ex.Resume(c.taskAt(c.cur))
-			}
-
-		case c.r.CondYield:
-			if isPrimary {
-				continue // dormant in primary mode
-			}
-			// Scavenger-phase yield: the hand-back point. Return to the
-			// primary once the hide window elapsed, or to a
-			// newly-arrived request when the core was idle-filling.
-			if targetMet {
-				c.ex.SwitchOut(t, c.r.LiveMask)
-				c.backToPrimary()
-			} else if !c.inEpisode && c.primary() >= 0 {
-				c.ex.SwitchOut(t, c.r.LiveMask)
-				c.cur = c.primary()
-				c.ex.Resume(c.taskAt(c.cur))
-			}
-		}
+//shsim:quantum-phase
+func (c *cell) IdleFill() int {
+	if len(c.batch) == 0 {
+		return -1
 	}
-	return nil
-}
-
-// runSMT is the hardware baseline: worker slots plus batch contexts
-// multiplex the core as hardware threads over the uninstrumented
-// binary, switching on memory stalls with zero software cost — and zero
-// notion of request priority, so batch work is multiplexed like any
-// request (the paper's §1 critique). The loop is smt.Runner's
-// stall-switch discipline with arrival-clipped budgets and slot
-// re-arming.
-//
-//shsim:cycle-entry
-//shsim:noalloc
-func (c *cell) runSMT(deadline uint64) error {
-	n := c.entities()
-	for c.pending() {
-		if c.expired(deadline) {
-			return nil
-		}
-		if c.steps >= c.cfg.MaxSteps {
-			return fmt.Errorf("service: MaxSteps exceeded (%s at rate %g)", c.pol, c.rate) //shsim:alloc-ok cold overrun guard; fails the run
-		}
-		c.pump()
-		c.fill()
-		now := c.ex.Core.Now
-		picked := -1
-		preemptAt := uint64(0)
-		for off := 0; off < n; off++ {
-			i := (c.smtCur + off) % n
-			if !c.runnableAt(i) {
-				continue
-			}
-			if c.blockedUntil[i] <= now {
-				picked = i
-				break
-			}
-			if preemptAt == 0 || c.blockedUntil[i] < preemptAt {
-				preemptAt = c.blockedUntil[i]
-			}
-		}
-		if picked < 0 {
-			// Every armed context is blocked on memory (or no request
-			// is in flight): idle to the earliest wake-up, arrival, or
-			// quantum deadline.
-			soonest := uint64(0)
-			for i := 0; i < n; i++ {
-				if c.runnableAt(i) && c.blockedUntil[i] > now &&
-					(soonest == 0 || c.blockedUntil[i] < soonest) {
-					soonest = c.blockedUntil[i]
-				}
-			}
-			if c.arr != nil && c.generated < uint64(c.cfg.Requests) &&
-				(soonest == 0 || c.nextArrival < soonest) {
-				soonest = c.nextArrival
-			}
-			if deadline != 0 && (soonest == 0 || soonest > deadline) {
-				soonest = deadline
-			}
-			if soonest <= now {
-				return fmt.Errorf("service: smt deadlock — nothing runnable and nothing pending") //shsim:alloc-ok cold deadlock guard; fails the run
-			}
-			c.ex.Core.AdvanceIdle(soonest - now)
-			continue
-		}
-		budget := c.smtQuantum - c.sliceUsed
-		if preemptAt > now && preemptAt-now < budget {
-			budget = preemptAt - now
-		}
-		if clip := c.clip(deadline); clip > 0 && clip < budget {
-			budget = clip
-		}
-		ctx := c.taskAt(picked).Ctx
-		if err := c.ex.Core.RunBlock(ctx, true, c.cfg.MaxSteps-c.steps, budget, &c.r); err != nil {
-			return err
-		}
-		c.steps += c.r.Steps
-		c.sliceUsed += c.r.Busy
-		rotate := false
-		if c.r.Stall > 0 {
-			c.blockedUntil[picked] = c.ex.Core.Now + c.r.Stall
-			ctx.StallCycles += c.r.Stall
-			rotate = true
-		}
-		if c.r.Halted {
-			if err := c.haltAt(picked); err != nil {
-				return err
-			}
-			rotate = true
-		}
-		if rotate || c.sliceUsed >= c.smtQuantum {
-			c.smtCur = (picked + 1) % n
-			c.sliceUsed = 0
-		}
-	}
-	return nil
+	i := len(c.slots) + c.scavIdx%len(c.batch)
+	c.scavIdx++
+	return i
 }

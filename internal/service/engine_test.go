@@ -1,0 +1,200 @@
+package service
+
+import (
+	"errors"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/coro"
+	"repro/internal/cpu"
+	"repro/internal/exec"
+	"repro/internal/machine"
+	"repro/internal/mem"
+	"repro/internal/smt"
+	"repro/internal/workloads"
+)
+
+// smallMachine shrinks the per-core memory so tests that build many
+// harnesses don't allocate 256 MiB each.
+func smallMachine() core.Machine {
+	m := core.DefaultMachine()
+	m.MemBytes = 16 << 20
+	return m
+}
+
+// A self-clocked cell driven in deadline slices must be byte-identical
+// to the same cell run unsliced, for every policy: the loops' budget
+// stop is a fuel split and everything that must survive the cut (CPU
+// holder, open episode, SMT slice and wake-ups) lives on the loop. The
+// closed-loop twins are exec's TestTickerSymmetricEquivalence and smt's
+// TestRunnerSlicedEquivalence.
+func TestServeSlicedEquivalence(t *testing.T) {
+	cfg, err := testConfig().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Requests = 120
+	for _, pol := range []Policy{Agnostic, Sidecar, EventAware, OSThread, SMT} {
+		cl := Cell{Policy: pol, Rate: 4}
+		serve := func(slice uint64) (CellStats, *cell) {
+			c, err := newCell(smallMachine(), cfg, cl, true)
+			if err != nil {
+				t.Fatalf("%s: %v", pol, err)
+			}
+			deadline, slices := c.ex.Core.Now, 0
+			for c.Pending() {
+				if slice == 0 {
+					deadline = exec.NoDeadline
+				} else {
+					deadline += slice
+				}
+				if err := c.run(deadline); err != nil {
+					t.Fatalf("%s, slice %d: %v", pol, slice, err)
+				}
+				slices++
+			}
+			if slice == 257 && slices < 2 {
+				t.Errorf("%s: slicing untested: one slice sufficed", pol)
+			}
+			return summarize(cl, []*cell{c}, 0), c
+		}
+		ref, refCell := serve(0)
+		conservation(t, ref, uint64(cfg.Requests))
+		for _, slice := range []uint64{1, 257, 4096} {
+			got, c := serve(slice)
+			if got.Hist.String() != ref.Hist.String() {
+				t.Errorf("%s, slice %d: sojourn table diverged", pol, slice)
+			}
+			if !reflect.DeepEqual(c.reg.Service.Sojourn, refCell.reg.Service.Sojourn) {
+				t.Errorf("%s, slice %d: sojourn histogram diverged", pol, slice)
+			}
+			a, b := got, ref
+			a.Hist, b.Hist = nil, nil
+			if a != b {
+				t.Errorf("%s, slice %d: stats diverged\n got %+v\nwant %+v", pol, slice, a, b)
+			}
+		}
+	}
+}
+
+// Every layer reports a starved run as the one sentinel, wrapped with
+// its own context.
+func TestFuelExhaustionIsOneError(t *testing.T) {
+	mach := smallMachine()
+	closed := func(run func(h *core.Harness, img *core.Image, ts *core.TaskSet) error) error {
+		h, err := core.NewHarness(mach, workloads.PointerChase{Nodes: 1024, Hops: 400, Instances: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := h.Baseline()
+		ts, err := h.Tasks(img, "chase", coro.Primary, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run(h, img, ts)
+	}
+	serve := func(cores int) error {
+		cfg := testConfig()
+		cfg.MaxSteps = 2000
+		cfg.Topology = machine.Topology{Cores: cores}
+		_, err := RunCell(mach, cfg, Cell{Policy: EventAware, Rate: 4})
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"solo run", closed(func(h *core.Harness, img *core.Image, ts *core.TaskSet) error {
+			_, err := h.NewExecutor(img, exec.Config{MaxSteps: 50}).RunSolo(ts.Tasks[0])
+			return err
+		})},
+		{"smt run", closed(func(h *core.Harness, img *core.Image, ts *core.TaskSet) error {
+			c := cpu.MustNewCore(mach.CPU, img.Prog, h.Sc.Mem, mem.MustNewHierarchy(mach.Mem))
+			_, err := smt.Run(c, smt.Config{Contexts: 2, MaxSteps: 50}, []*coro.Context{ts.Tasks[0].Ctx, ts.Tasks[1].Ctx})
+			return err
+		})},
+		{"1-core serve cell", serve(1)},
+		{"2-core serve cell", serve(2)},
+	} {
+		if !errors.Is(tc.err, exec.ErrFuelExhausted) {
+			t.Errorf("%s: error %v does not wrap exec.ErrFuelExhausted", tc.name, tc.err)
+		}
+	}
+}
+
+// assertGoroutinesReturn runs f and checks that every goroutine it
+// started has exited once it returns.
+func assertGoroutinesReturn(t *testing.T, name string, f func()) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	f()
+	// Close only closes the workers' start channels; give them a moment
+	// to observe it and unwind.
+	for wait := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(wait); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%s: %d goroutines alive after Close, %d before the run", name, n, base)
+	}
+}
+
+// The barrier kernel's worker goroutines must not outlive Close, on
+// any path, for either of its consumers.
+func TestKernelGoroutineLifetime(t *testing.T) {
+	topo := machine.DefaultTopology(2)
+	topo.Machine = smallMachine()
+	rc := machine.RunConfig{Spec: workloads.PointerChase{Nodes: 1024, Hops: 400, Instances: 4}}
+	newMachine := func(rc machine.RunConfig) *machine.Machine {
+		m, err := machine.New(topo, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	cfg, cl := multiConfig(t, 2, 6, 300)
+
+	assertGoroutinesReturn(t, "machine, normal completion", func() {
+		if _, err := newMachine(rc).Run(); err != nil {
+			t.Error(err)
+		}
+	})
+	assertGoroutinesReturn(t, "machine, core error mid-run", func() {
+		starved := rc
+		starved.Exec.MaxSteps = 3000
+		if _, err := newMachine(starved).Run(); !errors.Is(err, exec.ErrFuelExhausted) {
+			t.Errorf("starved machine returned %v", err)
+		}
+	})
+	assertGoroutinesReturn(t, "machine, Close before Step and twice", func() {
+		m := newMachine(rc)
+		m.Close()
+		m.Close()
+		if done, err := m.Step(); !done || err != nil {
+			t.Errorf("Step after Close = (%v, %v), want (true, nil)", done, err)
+		}
+	})
+
+	assertGoroutinesReturn(t, "serve, normal completion", func() {
+		if _, err := RunCell(smallMachine(), cfg, cl); err != nil {
+			t.Error(err)
+		}
+	})
+	assertGoroutinesReturn(t, "serve, core error mid-run", func() {
+		starved := cfg
+		starved.MaxSteps = 3000
+		if _, err := RunCell(smallMachine(), starved, cl); !errors.Is(err, exec.ErrFuelExhausted) {
+			t.Errorf("starved cell returned %v", err)
+		}
+	})
+	assertGoroutinesReturn(t, "serve, close before step and twice", func() {
+		d, err := newDispatcher(smallMachine(), cfg, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.close()
+		d.close()
+	})
+}

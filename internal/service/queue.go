@@ -43,3 +43,43 @@ func (q *queue) pop() (request, bool) {
 }
 
 func (q *queue) empty() bool { return q.n == 0 }
+
+// feed is one open-loop arrival stream being offered to a bounded
+// queue: the cell's own for a self-clocked cell, the dispatcher's for a
+// multi-core one.
+type feed struct {
+	arr       *Arrivals
+	next      uint64 // cycle of the next arrival (valid while !exhausted)
+	generated uint64
+	limit     uint64 // requests to offer in all
+}
+
+// newFeed seeds the cell's arrival process; request ids count from 0.
+func newFeed(cfg Config, cl Cell, seed int64) (*feed, error) {
+	spec := cfg.Arrivals
+	spec.Rate = cl.Rate
+	arr, err := NewArrivals(spec, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &feed{arr: arr, next: arr.Next(), limit: uint64(cfg.Requests)}, nil
+}
+
+func (f *feed) exhausted() bool { return f.generated >= f.limit }
+
+// offer pushes every arrival due at or before now into q and reports
+// how many were due and how many of those the full queue rejected.
+// Afterwards the next arrival, if any, is strictly in the future.
+func (f *feed) offer(now uint64, q *queue) (arrived, dropped uint64) {
+	for !f.exhausted() && f.next <= now {
+		arrived++
+		if !q.push(request{id: f.generated, arrival: f.next}) {
+			dropped++
+		}
+		f.generated++
+		if !f.exhausted() {
+			f.next = f.arr.Next()
+		}
+	}
+	return arrived, dropped
+}

@@ -57,34 +57,45 @@ func (cs CellStats) P50Micros() float64  { return micros(cs.P50) }
 func (cs CellStats) P99Micros() float64  { return micros(cs.P99) }
 func (cs CellStats) P999Micros() float64 { return micros(cs.P999) }
 
-// stats assembles the cell summary from the private registry.
-func (c *cell) stats(cycles uint64) CellStats {
-	s := &c.reg.Service
+// summarize folds the per-core cells that served cl into one CellStats:
+// counters sum, per-core sojourn histograms fold together bucket-wise
+// (exactly equivalent to one histogram observing every request),
+// quantiles come from the merged histogram, and the cell's wall clock
+// is the furthest core clock. sharedDropped counts rejections at a
+// multi-core cell's shared admission queue, which no core ever saw.
+func summarize(cl Cell, cells []*cell, sharedDropped uint64) CellStats {
+	var merged metrics.FineHist
 	cs := CellStats{
-		Policy:      c.pol,
-		Rate:        c.rate,
-		Cores:       1,
-		Requests:    s.Arrivals,
-		Completed:   s.Completed,
-		Dropped:     s.Dropped,
-		Shed:        s.Shed,
-		BatchOps:    s.BatchOps,
-		Cycles:      cycles,
-		Episodes:    c.reg.Exec.Episodes,
-		Chains:      c.reg.Exec.Chains,
-		P50:         s.Sojourn.Quantile(0.50),
-		P99:         s.Sojourn.Quantile(0.99),
-		P999:        s.Sojourn.Quantile(0.999),
-		MeanSojourn: s.Sojourn.Mean(),
-		MaxSojourn:  s.Sojourn.Max,
-		Hist:        sojournTable(&s.Sojourn, c.pol, c.rate),
+		Policy:   cl.Policy,
+		Rate:     cl.Rate,
+		Cores:    len(cells),
+		Requests: sharedDropped,
+		Dropped:  sharedDropped,
 	}
-	for _, sl := range c.slots {
-		cs.Switches += sl.task.Ctx.Switches
+	for _, c := range cells {
+		s := &c.reg.Service
+		cs.Requests += s.Arrivals
+		cs.Completed += s.Completed
+		cs.Dropped += s.Dropped
+		cs.Shed += s.Shed
+		cs.BatchOps += s.BatchOps
+		cs.Episodes += c.reg.Exec.Episodes
+		cs.Chains += c.reg.Exec.Chains
+		merged.Merge(&s.Sojourn)
+		cs.Cycles = max(cs.Cycles, c.ex.Core.Now)
+		for _, sl := range c.slots {
+			cs.Switches += sl.task.Ctx.Switches
+		}
+		for _, b := range c.batch {
+			cs.Switches += b.task.Ctx.Switches
+		}
 	}
-	for _, b := range c.batch {
-		cs.Switches += b.task.Ctx.Switches
-	}
+	cs.P50 = merged.Quantile(0.50)
+	cs.P99 = merged.Quantile(0.99)
+	cs.P999 = merged.Quantile(0.999)
+	cs.MeanSojourn = merged.Mean()
+	cs.MaxSojourn = merged.Max
+	cs.Hist = sojournTable(&merged, cl.Policy, cl.Rate)
 	return cs
 }
 

@@ -15,7 +15,7 @@ import (
 	"repro/internal/bincfg"
 	"repro/internal/coro"
 	"repro/internal/cpu"
-	"repro/internal/metrics"
+	"repro/internal/exec"
 )
 
 // Config tunes the SMT model.
@@ -35,12 +35,6 @@ type Config struct {
 	// quantum budget and stall-block boundaries exactly, so this is an
 	// A/B and differential-testing knob, not a correctness one.
 	DisableSuperblocks bool
-	// Metrics, when non-nil, receives per-context completion latencies
-	// in the Sched section at each halt — the same contract exec.Config
-	// has, so SMT baseline runs (including resumable many-core ones)
-	// report request latencies like the coroutine engines do. One nil
-	// check per halt is the whole disabled-path cost.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig models 2-way SMT (Intel Hyper-Threading) with a fine
@@ -82,32 +76,145 @@ func Run(core *cpu.Core, cfg Config, ctxs []*coro.Context) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	if _, err := r.Run(^uint64(0)); err != nil {
+	if _, err := r.Run(exec.NoDeadline); err != nil {
 		return Stats{}, err
 	}
 	return r.Stats(), nil
 }
 
-// Runner is the resumable form of Run for the cycle-quantum kernel
-// (internal/machine): Run(deadline) multiplexes the contexts until the
-// core clock reaches the deadline, and a later call picks up exactly
-// where the previous one stopped. Run(^uint64(0)) is the classic
-// run-to-completion discipline — the free Run function is that wrapper.
-type Runner struct {
-	core *cpu.Core
-	cfg  Config
-	ctxs []*coro.Context
+// errFuel is the loop's fuel-exhaustion error, built once so the hot
+// loop never formats.
+var errFuel = fmt.Errorf("smt: %w", exec.ErrFuelExhausted)
 
-	latencies    []uint64
-	blockedUntil []uint64
+// Loop is the SMT stall-switch scheduling loop: ring contexts multiplex
+// the core as hardware threads, rotating every Quantum busy cycles and
+// switching for free whenever one exposes a memory stall. Like the exec
+// loops it is fed by a source (a context is runnable iff it has not
+// halted) and resumable: Run(deadline) multiplexes until the core clock
+// reaches the deadline, and a later call picks up exactly where it
+// stopped — slice, rotation cursor and wake-ups live on the loop.
+type Loop struct {
+	core    *cpu.Core
+	quantum uint64
+	fuel    uint64
+	ring    []*coro.Context
+	src     exec.Source
+
+	blockedUntil []uint64 // per-context memory-stall wake-ups
 	idle         uint64
-	running      int
 	cur          int
 	steps        uint64
 	sliceUsed    uint64
-	start        uint64
-	done         bool
 	r            cpu.BlockResult
+}
+
+// NewLoop prepares a stall-switch loop over ring, fed by src, with the
+// hardware-thread slice length and MaxSteps budget of cfg. The source
+// may re-arm ring entries in place.
+func NewLoop(core *cpu.Core, cfg Config, ring []*coro.Context, src exec.Source) *Loop {
+	return &Loop{
+		core:         core,
+		quantum:      cfg.Quantum,
+		fuel:         cfg.MaxSteps,
+		ring:         ring,
+		src:          src,
+		blockedUntil: make([]uint64, len(ring)),
+	}
+}
+
+// Steps returns the instructions retired so far.
+func (l *Loop) Steps() uint64 { return l.steps }
+
+// Run advances until the core clock reaches deadline (done=false: call
+// again with a later one) or the source has nothing pending (done=true).
+// Two clips make slicing lossless: the busy budget handed to the block
+// engine never extends past the deadline or the next arrival (in block
+// mode the clock advances by exactly the busy cycles retired), and an
+// all-blocked idle advance stops there too (the remaining wait is
+// re-derived from blockedUntil, so splitting it changes no state).
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+//shsim:noalloc
+func (l *Loop) Run(deadline uint64) (bool, error) {
+	core := l.core
+	n := len(l.ring)
+	for l.src.Pending() {
+		if core.Now >= deadline {
+			return false, nil
+		}
+		if l.steps >= l.fuel {
+			return false, errFuel
+		}
+		stop := min(l.src.Poll(), deadline)
+		// Pick the next runnable context, round-robin from cur. Contexts
+		// skipped over (earlier in scan order but currently blocked) may
+		// unblock while the picked one runs; wake records the earliest
+		// such wake-up so the block engine hands control back at exactly
+		// the instruction boundary where a per-instruction loop would
+		// have re-picked them.
+		picked := -1
+		wake := exec.NoHorizon
+		for off := 0; off < n; off++ {
+			i := (l.cur + off) % n
+			if l.ring[i].Halted {
+				continue
+			}
+			if l.blockedUntil[i] <= core.Now {
+				picked = i
+				break
+			}
+			wake = min(wake, l.blockedUntil[i])
+		}
+		// until is the next cycle at which the pick could change: the
+		// wake-up of a skipped-over peer, the next arrival, the deadline.
+		until := min(wake, stop)
+		if picked < 0 {
+			// Every live context is blocked on memory, or none is live:
+			// idle until then. This is the exposed stall SMT cannot hide.
+			if until == exec.NoHorizon {
+				return false, fmt.Errorf("smt: deadlock — nothing runnable and nothing pending") //shsim:alloc-ok cold deadlock guard; fails the run
+			}
+			l.idle += until - core.Now
+			core.AdvanceIdle(until - core.Now)
+			continue
+		}
+		// The busy budget is what remains of the slice, clipped to until.
+		budget := min(l.quantum-l.sliceUsed, until-core.Now)
+		ctx := l.ring[picked]
+		if err := core.RunBlock(ctx, true, l.fuel-l.steps, budget, &l.r); err != nil {
+			return false, err
+		}
+		l.steps += l.r.Steps
+		l.sliceUsed += l.r.Busy
+		rotate := false
+		if l.r.Stall > 0 {
+			// Block on the fill; the hardware switches to a peer for free.
+			l.blockedUntil[picked] = core.Now + l.r.Stall
+			ctx.StallCycles += l.r.Stall
+			rotate = true
+		}
+		if l.r.Halted {
+			// Hardware threads rotate at every halt, boundary or not.
+			if _, err := l.src.OnHalt(picked); err != nil {
+				return false, err
+			}
+			rotate = true
+		}
+		if rotate || l.sliceUsed >= l.quantum {
+			l.cur = (picked + 1) % n
+			l.sliceUsed = 0
+		}
+	}
+	return true, nil
+}
+
+// Runner is the closed-loop SMT run the cycle-quantum kernel
+// (internal/machine) steps: a Loop over a fixed context set. The free
+// Run function is Run(exec.NoDeadline) over one.
+type Runner struct {
+	Loop
+	set *exec.FixedSet
 }
 
 // NewRunner validates the configuration and prepares a resumable run.
@@ -136,141 +243,21 @@ func NewRunner(core *cpu.Core, cfg Config, ctxs []*coro.Context) (*Runner, error
 	if !cfg.DisableSuperblocks && !core.HasSuperblocks() {
 		_ = bincfg.InstallSuperblocks(core, nil)
 	}
-	return &Runner{
-		core:         core,
-		cfg:          cfg,
-		ctxs:         ctxs,
-		latencies:    make([]uint64, len(ctxs)),
-		blockedUntil: make([]uint64, len(ctxs)),
-		running:      len(ctxs),
-		start:        core.Now,
-	}, nil
+	set := exec.NewFixedSet(core, len(ctxs), make([]uint64, len(ctxs)))
+	return &Runner{Loop: *NewLoop(core, cfg, ctxs, set), set: set}, nil
 }
 
 // Done reports whether every context has halted.
-func (rn *Runner) Done() bool { return rn.done }
+func (rn *Runner) Done() bool { return !rn.set.Pending() }
 
-// Run advances the multiplexed contexts until the core clock reaches
-// deadline or all contexts halt. done=false means the quantum expired;
-// call again with a later deadline. The loop is the original Run's,
-// with two deadline clips: the busy budget handed to the block engine
-// never extends past the deadline (in block mode the clock advances by
-// exactly the busy cycles retired, so a budget stop lands at or past
-// the deadline), and an all-blocked idle advance stops at the deadline
-// (the remaining idle is re-derived next quantum from blockedUntil, so
-// splitting the wait changes no state).
-//
-//shsim:cycle-entry
-func (rn *Runner) Run(deadline uint64) (bool, error) {
-	if rn.done {
-		return true, nil
-	}
-	core := rn.core
-	cfg := rn.cfg
-	ctxs := rn.ctxs
-	for rn.running > 0 {
-		if core.Now >= deadline {
-			return false, nil
-		}
-		if rn.steps >= cfg.MaxSteps {
-			return false, fmt.Errorf("smt: MaxSteps exceeded")
-		}
-		// Pick the next runnable context, round-robin from cur. Contexts
-		// skipped over (earlier in scan order but currently blocked) may
-		// unblock while the picked one runs; preemptAt records the
-		// earliest such wake-up so the block engine hands control back at
-		// exactly the instruction boundary where the per-instruction loop
-		// would have re-picked them.
-		picked := -1
-		preemptAt := uint64(0)
-		for off := 0; off < len(ctxs); off++ {
-			i := (rn.cur + off) % len(ctxs)
-			if ctxs[i].Halted {
-				continue
-			}
-			if rn.blockedUntil[i] <= core.Now {
-				picked = i
-				break
-			}
-			if preemptAt == 0 || rn.blockedUntil[i] < preemptAt {
-				preemptAt = rn.blockedUntil[i]
-			}
-		}
-		if picked < 0 {
-			// All runnable contexts are blocked: idle until the earliest
-			// fill completes. This is the exposed stall SMT cannot hide.
-			var soonest uint64
-			first := true
-			for i := range ctxs {
-				if ctxs[i].Halted {
-					continue
-				}
-				if first || rn.blockedUntil[i] < soonest {
-					soonest = rn.blockedUntil[i]
-					first = false
-				}
-			}
-			if first || soonest <= core.Now {
-				return false, fmt.Errorf("smt: deadlock — nothing runnable and nothing blocked")
-			}
-			if soonest > deadline {
-				soonest = deadline
-			}
-			rn.idle += soonest - core.Now
-			core.AdvanceIdle(soonest - core.Now)
-			continue
-		}
-		// The busy budget is the remaining quantum, clipped to the next
-		// wake-up of a skipped-over peer and to the kernel deadline: in
-		// block mode the clock advances by exactly the busy cycles
-		// retired, so a budget of (preemptAt − Now) stops at the first
-		// boundary where that peer is runnable.
-		budget := cfg.Quantum - rn.sliceUsed
-		if preemptAt > core.Now && preemptAt-core.Now < budget {
-			budget = preemptAt - core.Now
-		}
-		if deadline-core.Now < budget {
-			budget = deadline - core.Now
-		}
-		if err := core.RunBlock(ctxs[picked], true, cfg.MaxSteps-rn.steps, budget, &rn.r); err != nil {
-			return false, err
-		}
-		rn.steps += rn.r.Steps
-		rn.sliceUsed += rn.r.Busy
-		rotate := false
-		if rn.r.Stall > 0 {
-			// Block on the fill; the hardware switches to a peer for free.
-			rn.blockedUntil[picked] = core.Now + rn.r.Stall
-			ctxs[picked].StallCycles += rn.r.Stall
-			rotate = true
-		}
-		if rn.r.Halted {
-			rn.latencies[picked] = core.Now - rn.start
-			if m := cfg.Metrics; m != nil {
-				m.Sched.Requests++
-				m.Sched.RequestLatency.Observe(core.Now - rn.start)
-			}
-			rn.running--
-			rotate = true
-		}
-		if rotate || rn.sliceUsed >= cfg.Quantum {
-			rn.cur = (picked + 1) % len(ctxs)
-			rn.sliceUsed = 0
-		}
-	}
-	rn.done = true
-	return true, nil
-}
-
-// Stats assembles the run statistics; the fields match what the free
-// Run would have returned for the same inputs.
+// Stats assembles the run statistics; complete once Run reported done.
 func (rn *Runner) Stats() Stats {
 	st := Stats{
-		Cycles:    rn.core.Now - rn.start,
+		Cycles:    rn.core.Now - rn.set.Start,
 		Idle:      rn.idle,
-		Latencies: rn.latencies,
+		Latencies: rn.set.Latencies,
 	}
-	for _, c := range rn.ctxs {
+	for _, c := range rn.ring {
 		st.Busy += c.BusyCycles
 		st.Retired += c.Retired
 	}

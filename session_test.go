@@ -14,7 +14,7 @@ func TestSessionDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Machine().Seed != DefaultTopology(1).Machine.Seed {
+	if s.Topology().Machine.Seed != DefaultTopology(1).Machine.Seed {
 		t.Error("default session machine differs from the reference topology's")
 	}
 	if s.CacheDir() != "" {
@@ -28,15 +28,15 @@ func TestSessionDefaults(t *testing.T) {
 func TestSessionOptions(t *testing.T) {
 	m := DefaultTopology(1).Machine
 	m.MemBytes = 128 << 20
-	s, err := NewSession(WithMachine(m), WithSeed(99), WithParallelism(4), WithCache(t.TempDir()))
+	s, err := NewSession(WithTopology(Topology{Cores: 1, Machine: m}), WithSeed(99), WithParallelism(4), WithCache(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Machine().Seed != 99 {
-		t.Errorf("seed = %d, want 99 (WithSeed applies after WithMachine)", s.Machine().Seed)
+	if got := s.Topology(); got.Cores != 1 || got.Machine.MemBytes != 128<<20 {
+		t.Errorf("WithTopology lost: %d cores, %d bytes", got.Cores, got.Machine.MemBytes)
 	}
-	if s.Machine().MemBytes != 128<<20 {
-		t.Error("WithMachine lost")
+	if s.Topology().Machine.Seed != 99 {
+		t.Errorf("seed = %d, want 99 (WithSeed applies after WithTopology)", s.Topology().Machine.Seed)
 	}
 	if s.CacheDir() == "" {
 		t.Error("WithCache ignored")
@@ -95,7 +95,7 @@ func TestSessionRunUnknownID(t *testing.T) {
 
 func TestSessionPipelineAndTracer(t *testing.T) {
 	ring := NewTraceRing(1 << 12)
-	s, err := NewSession(WithTracer(ring))
+	s, err := NewSession(WithObservability(ObservabilityConfig{Tracer: ring}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package allocguard is the compile-time complement of the
 // AllocsPerRun runtime guards: functions annotated `//shsim:noalloc`
 // (the per-cycle hot paths — cpu.Core.StepInto/RunBlock, the
-// superblock retire loop, the mem.Hierarchy access paths, the service
-// cell's inner loop) are proven allocation-free in two layers.
+// superblock retire loop, the mem.Hierarchy access paths, the exec and
+// smt scheduling loops) are proven allocation-free in two layers.
 //
 // The vet analyzer in this file catches the constructs that always
 // heap-allocate, at the AST, with precise positions:

@@ -53,10 +53,9 @@ const (
 // LLC scaled to the core count.
 func DefaultTopology(cores int) Topology { return machine.DefaultTopology(cores) }
 
-// WithTopology replaces the session's machine topology wholesale. It
-// subsumes WithMachine: WithMachine(m) is WithTopology(Topology{Cores:
-// 1, Machine: m}). WithSeed still applies afterwards, to the per-core
-// template's seed.
+// WithTopology replaces the session's machine topology wholesale; a
+// single-core machine m is Topology{Cores: 1, Machine: m}. WithSeed
+// still applies afterwards, to the per-core template's seed.
 func WithTopology(t Topology) Option {
 	return func(c *sessionConfig) { c.topo = t }
 }
