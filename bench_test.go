@@ -250,15 +250,12 @@ func BenchmarkMachineScaling(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
 			topo := DefaultTopology(cores)
-			topo.Machine.MemBytes = 32 << 20
 			s, err := NewSession(WithTopology(topo))
 			if err != nil {
 				b.Fatal(err)
 			}
 			// Iters is sized so simulated stepping dominates the per-
-			// iteration scenario build (~33 MB of memory image): at 2000
-			// iters setup is ~90% of wall time and the Minstr/s figure
-			// measures the allocator, not the kernel.
+			// iteration scenario build.
 			rc := MachineRun{
 				Spec: UnrolledCompute{BlockInstrs: 64, Iters: 20000, Instances: 1},
 				Mode: MachineSolo,
@@ -376,6 +373,26 @@ func BenchmarkServeMulticore(b *testing.B) {
 			b.ReportMetric(float64(cell.Completed), "completed/run")
 			b.ReportMetric(cell.P99Micros(), "p99_us")
 		})
+	}
+}
+
+// BenchmarkComposeDefault composes a scavenger and a 1 MiB pointer chase
+// on the default 256 MiB machine. B/op is the figure: a scenario costs
+// the bytes it touches, and scripts/bench.sh fails the run if B/op ever
+// nears a dense image again.
+func BenchmarkComposeDefault(b *testing.B) {
+	s, err := NewSession()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, err := s.NewHarness(
+			Compute{Iters: 1000, Instances: 2},
+			PointerChase{Nodes: 16384, Hops: 1000, Instances: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -48,7 +48,6 @@ func Example_pipeline() {
 // kernel. The run is byte-identical regardless of GOMAXPROCS.
 func Example_manycore() {
 	topo := repro.DefaultTopology(4)
-	topo.Machine.MemBytes = 16 << 20 // small per-core memory for the example
 	s, err := repro.NewSession(repro.WithTopology(topo))
 	if err != nil {
 		panic(err)

@@ -28,7 +28,6 @@ func main() {
 
 	for _, cores := range []int{1, 2, 4, 8} {
 		topo := repro.DefaultTopology(cores)
-		topo.Machine.MemBytes = 32 << 20 // per-core memory; example-sized
 		s, err := repro.NewSession(repro.WithTopology(topo))
 		if err != nil {
 			log.Fatal(err)

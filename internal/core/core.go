@@ -38,7 +38,7 @@ type Machine struct {
 	CPU      cpu.Config
 	Sampling pebs.Config
 	Switch   coro.CostModel
-	// MemBytes sizes the backing store for scenarios.
+	// MemBytes is the logical size of a scenario's memory image.
 	MemBytes uint64
 	// Seed drives all workload construction.
 	Seed int64

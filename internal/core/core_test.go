@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/coro"
@@ -164,5 +165,32 @@ func TestDefaultMachine(t *testing.T) {
 	}
 	if NS(3000) != 1000 {
 		t.Error("NS conversion wrong")
+	}
+}
+
+// TestHarnessAllocatesTouchedBytesOnly is the byte budget of the
+// demand-backed memory image: composing on the default 256 MiB machine
+// costs what the workload touches, not the image's logical size.
+func TestHarnessAllocatesTouchedBytesOnly(t *testing.T) {
+	composeBytes := func(spec workloads.Spec) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h, err := NewHarness(DefaultMachine(), spec)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Sc.Mem.Size() != DefaultMachine().MemBytes {
+			t.Fatalf("image size %d, want the machine's %d", h.Sc.Mem.Size(), DefaultMachine().MemBytes)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if n := composeBytes(workloads.Compute{Iters: 1000, Instances: 2}); n >= 1<<20 {
+		t.Errorf("composing Compute allocated %d bytes, want < 1 MiB", n)
+	}
+	// 16384 nodes x 64 B = 1 MiB of chain; doubling regrowth costs at most
+	// 4x the footprint.
+	if n := composeBytes(workloads.PointerChase{Nodes: 16384, Hops: 100, Instances: 1}); n >= 4<<20 {
+		t.Errorf("composing a 1 MiB PointerChase allocated %d bytes, want < 4 MiB", n)
 	}
 }

@@ -74,6 +74,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// outsideSandbox reports whether the 8-byte access at addr leaves
+// [lo, hi). It never forms addr+8, which wraps for addresses in the top 8
+// bytes and would wave them through.
+func outsideSandbox(addr, lo, hi uint64) bool {
+	return addr < lo || addr > hi || hi-addr < 8
+}
+
 // BusyCost returns the base cost of an opcode (memory latency excluded).
 // The instrumentation pipeline uses it for static latency estimates.
 func (c Config) BusyCost(op isa.Op) uint64 { return c.busyCost(op) }

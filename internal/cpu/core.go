@@ -275,7 +275,7 @@ func (c *Core) StepInto(ctx *coro.Context, block bool, res *StepResult) error {
 	case isa.OpCheck:
 		if c.Cfg.SandboxHi > c.Cfg.SandboxLo {
 			addr := regs[in.Rs1] + uint64(in.Imm)
-			if addr < c.Cfg.SandboxLo || addr+8 > c.Cfg.SandboxHi {
+			if outsideSandbox(addr, c.Cfg.SandboxLo, c.Cfg.SandboxHi) {
 				return c.fault(ctx.ID, pc, fmt.Errorf("SFI trap: %#x outside [%#x,%#x)", addr, c.Cfg.SandboxLo, c.Cfg.SandboxHi)) //shsim:alloc-ok cold fault path; ends the run
 			}
 		}

@@ -227,27 +227,26 @@ func (w inlineChase) Build(m *mem.Memory, rng *rand.Rand) (*workloads.Built, err
 		return nil, fmt.Errorf("inline chase: bad config")
 	}
 	b := &workloads.Built{Prog: isa.MustAssemble(inlineChaseAsm)}
-	mkChain := func(n int) (uint64, map[uint64]uint64) {
+	mkChain := func(n int) uint64 {
 		base := m.Alloc(uint64(n)*64, 64)
 		perm := rng.Perm(n)
-		next := make(map[uint64]uint64, n)
 		for i := 0; i < n; i++ {
 			from := base + uint64(perm[i])*64
 			to := base + uint64(perm[(i+1)%n])*64
 			m.MustWrite64(from, to)
-			next[from] = to
 		}
-		return base + uint64(perm[0])*64, next
+		return base + uint64(perm[0])*64
 	}
 	for inst := 0; inst < w.Instances; inst++ {
-		headA, nextA := mkChain(w.BigNodes)
-		headB, nextB := mkChain(w.SmallNodes)
+		headA := mkChain(w.BigNodes)
+		headB := mkChain(w.SmallNodes)
+		// Host reference walk, over the nodes just written.
 		curA, curB := headA, headB
 		for i := 0; i < w.HopsA; i++ {
-			curA = nextA[curA]
+			curA = m.MustRead64(curA)
 		}
 		for i := 0; i < w.HopsB; i++ {
-			curB = nextB[curB]
+			curB = m.MustRead64(curB)
 		}
 		var in workloads.Instance
 		in.Regs[1] = headA

@@ -11,7 +11,7 @@ import (
 // dominate small quanta and make scaling numbers garbage-collector
 // noise.
 func TestMachineSteadyStateAllocs(t *testing.T) {
-	topo := testTopo(2)
+	topo := DefaultTopology(2)
 	topo.Quantum = 1024
 	spec := workloads.UnrolledCompute{BlockInstrs: 64, Iters: 1 << 20, Instances: 1}
 	m, err := New(topo, RunConfig{Spec: spec, Mode: ModeSolo})

@@ -13,7 +13,7 @@ import (
 // counters and metrics snapshots included) plus every core's trace.
 func run8(t *testing.T) (Stats, [][]trace.Event) {
 	t.Helper()
-	topo := testTopo(8)
+	topo := DefaultTopology(8)
 	topo.Quantum = 512 // small quantum → many barriers → more interleavings stressed
 	m, err := New(topo, RunConfig{Spec: chaseSpec(), Mode: ModeSymmetric, Metrics: true, TraceN: 1 << 12})
 	if err != nil {
@@ -72,7 +72,7 @@ func TestDeterminismAcrossRepeatedRuns(t *testing.T) {
 // ModeSMT under the kernel must be deterministic too.
 func TestDeterminismSMT(t *testing.T) {
 	run := func() Stats {
-		topo := testTopo(4)
+		topo := DefaultTopology(4)
 		topo.Quantum = 512
 		m, err := New(topo, RunConfig{Spec: chaseSpec(), Mode: ModeSMT, Metrics: true})
 		if err != nil {

@@ -18,21 +18,6 @@ func chaseSpec() workloads.Spec {
 	return workloads.PointerChase{Nodes: 1024, Hops: 400, Instances: 4}
 }
 
-// testMachine shrinks the default per-core memory so tests don't
-// allocate 256 MiB per harness.
-func testMachine() core.Machine {
-	m := core.DefaultMachine()
-	m.MemBytes = 16 << 20
-	return m
-}
-
-// testTopo is DefaultTopology over the smaller test machine.
-func testTopo(cores int) Topology {
-	t := DefaultTopology(cores)
-	t.Machine = testMachine()
-	return t
-}
-
 // newSMTCore mirrors the kernel's ModeSMT core construction.
 func newSMTCore(t *testing.T, mach core.Machine, h *core.Harness, img *core.Image) *cpu.Core {
 	t.Helper()
@@ -45,7 +30,7 @@ func newSMTCore(t *testing.T, mach core.Machine, h *core.Harness, img *core.Imag
 func TestSingleCoreMatchesEngine(t *testing.T) {
 	for _, mode := range []Mode{ModeSymmetric, ModeSolo} {
 		// Reference: the classic harness path, run to completion.
-		mach := testMachine()
+		mach := core.DefaultMachine()
 		h, err := core.NewHarness(mach, chaseSpec())
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +54,7 @@ func TestSingleCoreMatchesEngine(t *testing.T) {
 		refMem := ex.Core.Hier.Stats
 
 		// Machine path, 1 core.
-		m, err := New(Topology{Cores: 1, Machine: testMachine()}, RunConfig{Spec: chaseSpec(), Mode: mode, TraceN: 1 << 12})
+		m, err := New(Topology{Cores: 1, Machine: core.DefaultMachine()}, RunConfig{Spec: chaseSpec(), Mode: mode, TraceN: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +84,7 @@ func TestSingleCoreMatchesEngine(t *testing.T) {
 // ModeSMT under the kernel must match the classic smt.Run discipline on
 // a single core.
 func TestSingleCoreSMTMatchesEngine(t *testing.T) {
-	mach := testMachine()
+	mach := core.DefaultMachine()
 	h, err := core.NewHarness(mach, chaseSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +104,7 @@ func TestSingleCoreSMTMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := New(Topology{Cores: 1, Machine: testMachine()}, RunConfig{Spec: chaseSpec(), Mode: ModeSMT})
+	m, err := New(Topology{Cores: 1, Machine: core.DefaultMachine()}, RunConfig{Spec: chaseSpec(), Mode: ModeSMT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +130,7 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Topology{Cores: 4, PerCoreMem: make([]mem.Config, 3)}, RunConfig{Spec: chaseSpec()}); err == nil {
 		t.Error("PerCoreMem length mismatch accepted")
 	}
-	topo := testTopo(2)
+	topo := DefaultTopology(2)
 	rc := RunConfig{Spec: chaseSpec(), Exec: exec.Config{Tracer: trace.NewRing(8)}}
 	if _, err := New(topo, rc); err == nil {
 		t.Error("shared tracer across cores accepted")
@@ -155,7 +140,7 @@ func TestValidation(t *testing.T) {
 // Multi-core runs make progress, produce per-core sections in index
 // order, and the shared LLC sees traffic.
 func TestMultiCoreRuns(t *testing.T) {
-	m, err := New(testTopo(4), RunConfig{Spec: chaseSpec(), Mode: ModeSymmetric, Metrics: true})
+	m, err := New(DefaultTopology(4), RunConfig{Spec: chaseSpec(), Mode: ModeSymmetric, Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +183,7 @@ func TestMultiCoreRuns(t *testing.T) {
 // exactly like the classic single-core paths do.
 func TestManyCoreRequestLatencyMetrics(t *testing.T) {
 	for _, mode := range []Mode{ModeSymmetric, ModeSMT} {
-		m, err := New(testTopo(2), RunConfig{Spec: chaseSpec(), Mode: mode, Metrics: true})
+		m, err := New(DefaultTopology(2), RunConfig{Spec: chaseSpec(), Mode: mode, Metrics: true})
 		if err != nil {
 			t.Fatal(err)
 		}

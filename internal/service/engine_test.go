@@ -17,14 +17,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// smallMachine shrinks the per-core memory so tests that build many
-// harnesses don't allocate 256 MiB each.
-func smallMachine() core.Machine {
-	m := core.DefaultMachine()
-	m.MemBytes = 16 << 20
-	return m
-}
-
 // A self-clocked cell driven in deadline slices must be byte-identical
 // to the same cell run unsliced, for every policy: the loops' budget
 // stop is a fuel split and everything that must survive the cut (CPU
@@ -40,7 +32,7 @@ func TestServeSlicedEquivalence(t *testing.T) {
 	for _, pol := range []Policy{Agnostic, Sidecar, EventAware, OSThread, SMT} {
 		cl := Cell{Policy: pol, Rate: 4}
 		serve := func(slice uint64) (CellStats, *cell) {
-			c, err := newCell(smallMachine(), cfg, cl, true)
+			c, err := newCell(core.DefaultMachine(), cfg, cl, true)
 			if err != nil {
 				t.Fatalf("%s: %v", pol, err)
 			}
@@ -83,7 +75,7 @@ func TestServeSlicedEquivalence(t *testing.T) {
 // Every layer reports a starved run as the one sentinel, wrapped with
 // its own context.
 func TestFuelExhaustionIsOneError(t *testing.T) {
-	mach := smallMachine()
+	mach := core.DefaultMachine()
 	closed := func(run func(h *core.Harness, img *core.Image, ts *core.TaskSet) error) error {
 		h, err := core.NewHarness(mach, workloads.PointerChase{Nodes: 1024, Hops: 400, Instances: 2})
 		if err != nil {
@@ -145,7 +137,6 @@ func assertGoroutinesReturn(t *testing.T, name string, f func()) {
 // any path, for either of its consumers.
 func TestKernelGoroutineLifetime(t *testing.T) {
 	topo := machine.DefaultTopology(2)
-	topo.Machine = smallMachine()
 	rc := machine.RunConfig{Spec: workloads.PointerChase{Nodes: 1024, Hops: 400, Instances: 4}}
 	newMachine := func(rc machine.RunConfig) *machine.Machine {
 		m, err := machine.New(topo, rc)
@@ -178,19 +169,19 @@ func TestKernelGoroutineLifetime(t *testing.T) {
 	})
 
 	assertGoroutinesReturn(t, "serve, normal completion", func() {
-		if _, err := RunCell(smallMachine(), cfg, cl); err != nil {
+		if _, err := RunCell(core.DefaultMachine(), cfg, cl); err != nil {
 			t.Error(err)
 		}
 	})
 	assertGoroutinesReturn(t, "serve, core error mid-run", func() {
 		starved := cfg
 		starved.MaxSteps = 3000
-		if _, err := RunCell(smallMachine(), starved, cl); !errors.Is(err, exec.ErrFuelExhausted) {
+		if _, err := RunCell(core.DefaultMachine(), starved, cl); !errors.Is(err, exec.ErrFuelExhausted) {
 			t.Errorf("starved cell returned %v", err)
 		}
 	})
 	assertGoroutinesReturn(t, "serve, close before step and twice", func() {
-		d, err := newDispatcher(smallMachine(), cfg, cl)
+		d, err := newDispatcher(core.DefaultMachine(), cfg, cl)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,31 +49,27 @@ func (w MixedChase) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 		return nil, fmt.Errorf("mixed chase: need ≥2 nodes per chain, ≥1 hops and instances")
 	}
 	b := &Built{Prog: isa.MustAssemble(mixedChaseAsm)}
-	mkChain := func(n int) (uint64, map[uint64]uint64, map[uint64]uint64) {
+	mkChain := func(n int) uint64 {
 		base := m.Alloc(uint64(n)*64, 64)
 		perm := rng.Perm(n)
-		next := make(map[uint64]uint64, n)
-		vals := make(map[uint64]uint64, n)
 		for i := 0; i < n; i++ {
 			from := base + uint64(perm[i])*64
 			to := base + uint64(perm[(i+1)%n])*64
-			v := uint64(rng.Intn(1 << 16))
 			m.MustWrite64(from, to)
-			m.MustWrite64(from+8, v)
-			next[from] = to
-			vals[from] = v
+			m.MustWrite64(from+8, uint64(rng.Intn(1<<16)))
 		}
-		return base + uint64(perm[0])*64, next, vals
+		return base + uint64(perm[0])*64
 	}
 	for inst := 0; inst < w.Instances; inst++ {
-		coldHead, coldNext, _ := mkChain(w.ColdNodes)
-		hotHead, hotNext, hotVals := mkChain(w.HotNodes)
+		coldHead := mkChain(w.ColdNodes)
+		hotHead := mkChain(w.HotNodes)
+		// Host reference walk, over the nodes just written.
 		cold, hot := coldHead, hotHead
 		var acc uint64
 		for i := 0; i < w.Hops; i++ {
-			cold = coldNext[cold]
-			hot = hotNext[hot]
-			acc += hotVals[hot]
+			cold = m.MustRead64(cold)
+			hot = m.MustRead64(hot)
+			acc += m.MustRead64(hot + 8)
 		}
 		var in Instance
 		in.Regs[1] = coldHead

@@ -52,34 +52,28 @@ func (w MultiChase) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 	b := &Built{Prog: isa.MustAssemble(multiChaseAsm)}
 	for inst := 0; inst < w.Instances; inst++ {
 		var heads [3]uint64
-		nexts := make([]map[uint64]uint64, 3)
-		vals := make([]map[uint64]uint64, 3)
 		for c := 0; c < 3; c++ {
 			base := m.Alloc(uint64(w.Nodes)*64, 64)
 			perm := rng.Perm(w.Nodes)
-			nexts[c] = make(map[uint64]uint64, w.Nodes)
-			vals[c] = make(map[uint64]uint64, w.Nodes)
 			for i := 0; i < w.Nodes; i++ {
 				from := base + uint64(perm[i])*64
 				to := base + uint64(perm[(i+1)%w.Nodes])*64
-				v := uint64(rng.Intn(1 << 16))
 				m.MustWrite64(from, to)
-				m.MustWrite64(from+8, v)
-				nexts[c][from] = to
-				vals[c][from] = v
+				m.MustWrite64(from+8, uint64(rng.Intn(1<<16)))
 			}
 			heads[c] = base + uint64(perm[0])*64
 		}
-		// Host reference: advance all three, then sum the payloads of the
-		// new positions, exactly as the assembly does.
+		// Host reference, over the nodes just written: advance all three,
+		// then sum the payloads of the new positions, exactly as the
+		// assembly does.
 		cur := heads
 		var sum uint64
 		for h := 0; h < w.Hops; h++ {
 			for c := 0; c < 3; c++ {
-				cur[c] = nexts[c][cur[c]]
+				cur[c] = m.MustRead64(cur[c])
 			}
 			for c := 0; c < 3; c++ {
-				sum += vals[c][cur[c]]
+				sum += m.MustRead64(cur[c] + 8)
 			}
 		}
 		var in Instance

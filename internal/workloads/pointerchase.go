@@ -48,25 +48,20 @@ func (w PointerChase) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 	for inst := 0; inst < w.Instances; inst++ {
 		base := m.Alloc(uint64(w.Nodes)*64, 64)
 		perm := rng.Perm(w.Nodes)
-		values := make([]uint64, w.Nodes)
-		next := make(map[uint64]uint64, w.Nodes)
 		for i := 0; i < w.Nodes; i++ {
 			from := base + uint64(perm[i])*64
 			to := base + uint64(perm[(i+1)%w.Nodes])*64
-			v := uint64(rng.Intn(1 << 20))
-			values[perm[i]] = v
 			m.MustWrite64(from, to)
-			m.MustWrite64(from+8, v)
-			next[from] = to
+			m.MustWrite64(from+8, uint64(rng.Intn(1<<20)))
 		}
 		head := base + uint64(perm[0])*64
 
-		// Host reference walk.
+		// Host reference walk, over the nodes just written.
 		var sum uint64
 		cur := head
 		for h := 0; h < w.Hops; h++ {
-			sum += values[(cur-base)/64]
-			cur = next[cur]
+			sum += m.MustRead64(cur + 8)
+			cur = m.MustRead64(cur)
 		}
 		var in Instance
 		in.Regs[1] = head

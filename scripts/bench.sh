@@ -3,11 +3,14 @@
 #
 # Runs the hot-path benchmarks and compares them against the most recent
 # recorded trajectory (the highest-numbered BENCH_PR*.json in the repo
-# root). Two lines are drawn:
+# root). Three lines are drawn:
 #
 #   - allocation count (hard): steady-state stepping (BenchmarkCoreStep)
 #     and block retire (BenchmarkCoreBlock) must both report 0 allocs/op,
 #     or the allocation-free hot path regressed;
+#   - compose bytes (hard): BenchmarkComposeDefault must stay under
+#     4 MiB/op on the default 256 MiB machine, or the demand-backed
+#     memory image regressed to a dense one;
 #   - step rate (gated, tolerant, drift-aware): measured ns/op must be
 #     within BENCH_TOLERANCE_PCT (default 15%) of the recorded ns_per_op
 #     scaled by the host drift ratio. The drift ratio is measured at gate
@@ -92,6 +95,19 @@ if ! go test -run 'TestDispatcherSteadyStateAllocs' -count=1 ./internal/service/
     exit 1
 fi
 echo "OK: multi-core dispatch round is allocation-free (TestDispatcherSteadyStateAllocs)"
+
+# Hard check: composing on the default 256 MiB machine must cost the bytes
+# the scenario touches (~1.4 MB for BenchmarkComposeDefault's 1 MiB chase),
+# not the image's logical size. The ceiling is 4 MiB/op (doubling regrowth
+# costs at most 4x the footprint); a dense image is 268 MB/op.
+compose=$(go test -run '^$' -bench 'BenchmarkComposeDefault$' -benchmem -benchtime "$benchtime" .)
+echo "$compose"
+compose_bytes=$(echo "$compose" | awk '/BenchmarkComposeDefault-|BenchmarkComposeDefault / { for (i=2; i<NF; i++) if ($(i+1) == "B/op") print $i }')
+if [ -z "$compose_bytes" ] || [ "$compose_bytes" -gt 4194304 ]; then
+    echo "FAIL: BenchmarkComposeDefault allocates ${compose_bytes:-?} B/op (ceiling 4194304): dense memory image is back?" >&2
+    exit 1
+fi
+echo "OK: default-machine compose costs touched bytes only (${compose_bytes} B/op <= 4194304)"
 
 echo
 echo "== recorded trajectory ($trajectory) =="

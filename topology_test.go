@@ -6,7 +6,6 @@ import (
 
 func TestWithTopology(t *testing.T) {
 	topo := DefaultTopology(4)
-	topo.Machine.MemBytes = 16 << 20
 	s, err := NewSession(WithTopology(topo), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +20,6 @@ func TestWithTopology(t *testing.T) {
 
 func TestSessionRunMachine(t *testing.T) {
 	topo := DefaultTopology(2)
-	topo.Machine.MemBytes = 16 << 20
 	reg := &MetricsRegistry{}
 	s, err := NewSession(WithTopology(topo),
 		WithObservability(ObservabilityConfig{Metrics: reg}))
