@@ -31,16 +31,6 @@ const (
 	sbMinLen = 4
 )
 
-// sbChainable reports whether op may continue a trace (must agree with
-// the cpu package's admissibility check: pure ALU, loads/stores,
-// branches). Everything else — calls, rets, yields, halts, prefetches,
-// SFI checks, accelerator ops — ends trace formation.
-func sbChainable(op isa.Op) bool {
-	return op <= isa.OpShrI || op == isa.OpCmp || op == isa.OpCmpI ||
-		op == isa.OpLoad || op == isa.OpStore ||
-		op == isa.OpJmp || op.IsConditional()
-}
-
 // predictTaken resolves the predicted direction of the branch at pc.
 // With a profile, an observed taken edge predicts taken — the LBR
 // records only taken transfers, so presence is the entire signal. With
@@ -61,12 +51,13 @@ func predictTaken(in *isa.Instr, pc int, taken map[EdgeWeight]bool) bool {
 // the static loop-head candidates (pc 0 and every backward-branch
 // target) plus the destination of every profiled taken edge; from each
 // head the trace follows straight-line flow and the predicted direction
-// of each branch until it meets a non-chainable instruction, re-enters
-// itself (closing a loop trace when it re-enters at the head), or hits
-// the length cap. Traces shorter than sbMinLen are dropped. The profile
-// may be nil (pure static BTFN derivation). Output order is
-// deterministic: heads are visited in ascending pc order, then in
-// profile order.
+// of each branch until it meets an instruction the tier cannot trace
+// (cpu.SuperblockTraceable: conditional yields chain, primary-phase
+// yields, calls, returns and halts do not), re-enters itself (closing a
+// loop trace when it re-enters at the head), or hits the length cap.
+// Traces shorter than sbMinLen are dropped. The profile may be nil (pure
+// static BTFN derivation). Output order is deterministic: heads are
+// visited in ascending pc order, then in profile order.
 func SuperblockSpecs(prog *isa.Program, profile []EdgeWeight) []cpu.SuperblockSpec {
 	n := len(prog.Instrs)
 	if n == 0 {
@@ -85,7 +76,7 @@ func SuperblockSpecs(prog *isa.Program, profile []EdgeWeight) []cpu.SuperblockSp
 	isHead := make([]bool, n)
 	heads := make([]int, 0, 8)
 	addHead := func(pc int) {
-		if pc >= 0 && pc < n && !isHead[pc] && sbChainable(prog.Instrs[pc].Op) {
+		if pc >= 0 && pc < n && !isHead[pc] && cpu.SuperblockTraceable(prog.Instrs[pc].Op) {
 			isHead[pc] = true
 			heads = append(heads, pc)
 		}
@@ -110,7 +101,7 @@ func SuperblockSpecs(prog *isa.Program, profile []EdgeWeight) []cpu.SuperblockSp
 		loop := false
 		pc := head
 		for len(pcs) < sbMaxLen {
-			if pc < 0 || pc >= n || inTrace[pc] || !sbChainable(prog.Instrs[pc].Op) {
+			if pc < 0 || pc >= n || inTrace[pc] || !cpu.SuperblockTraceable(prog.Instrs[pc].Op) {
 				break
 			}
 			inTrace[pc] = true

@@ -81,8 +81,6 @@ type Context struct {
 	StallCycles  uint64 // cycles spent waiting on memory
 	SwitchCycles uint64 // cycles charged for context switches out of this context
 	Switches     uint64 // number of times this context was switched out
-	Yields       uint64 // yields taken (primary-phase)
-	CondYields   uint64 // conditional yields taken (scavenger-phase)
 	Retired      uint64 // instructions retired
 }
 

@@ -88,12 +88,12 @@ func TestRunBlockSteadyStateAllocFree(t *testing.T) {
 
 	var res BlockResult
 	for i := 0; i < 50; i++ {
-		if err := core.RunBlock(ctx, false, 100, 0, &res); err != nil {
+		if err := core.RunBlock(ctx, false, 100, 0, Horizon{}, &res); err != nil {
 			t.Fatalf("warm-up block %d: %v", i, err)
 		}
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		if err := core.RunBlock(ctx, false, 100, 0, &res); err != nil {
+		if err := core.RunBlock(ctx, false, 100, 0, Horizon{}, &res); err != nil {
 			t.Fatalf("block: %v", err)
 		}
 	})
@@ -116,13 +116,13 @@ func BenchmarkCoreBlock(b *testing.B) {
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 
 	var res BlockResult
-	if err := core.RunBlock(ctx, false, 10_000, 0, &res); err != nil {
+	if err := core.RunBlock(ctx, false, 10_000, 0, Horizon{}, &res); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := core.RunBlock(ctx, false, blockFuel, 0, &res); err != nil {
+		if err := core.RunBlock(ctx, false, blockFuel, 0, Horizon{}, &res); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,8 +18,9 @@ import (
 // with their aggregate busy cost precomputed in a BlockPlan, memory
 // operations still consult the hierarchy at their exact per-instruction
 // cycle (MSHR and fill timing are unchanged), and control returns to the
-// executor only at yields, halts, faults, fuel exhaustion, or — in SMT
-// block mode — exposed stalls and quantum expiry.
+// executor only at yields it would act on (see Horizon), halts, faults,
+// fuel or busy-budget exhaustion, or — in SMT block mode — exposed
+// stalls.
 //
 // The contract with StepInto is byte-identical observable behaviour:
 // registers, flags, the clock, every per-PC counter, hierarchy state and
@@ -130,13 +131,37 @@ func (c *Core) ClearPlan() { c.plan = nil }
 // Plan returns the installed block plan, or nil.
 func (c *Core) Plan() *BlockPlan { return c.plan }
 
+// Horizon tells RunBlock which conditional yields its caller would act
+// on. A scheduling loop that regains control at a CYIELD only to find
+// the hide window still open, no arrival due and the deadline ahead
+// re-enters with nothing changed but the busy budget, which it re-bases
+// against the clock; the horizon lets the retire tier take that trip
+// itself. The zero value returns at every CYIELD.
+type Horizon struct {
+	// Wake is the first cycle at which a CYIELD returns to the caller. One
+	// that retires with the clock still below it is dormant: charged and
+	// counted like any other, then execution continues.
+	Wake uint64
+	// Bound is the cycle the busy budget runs to: at a dormant CYIELD the
+	// budget becomes Bound − Now and BlockResult.Busy restarts from zero,
+	// exactly as if the caller had returned and re-entered there. It must
+	// not be below Wake.
+	Bound uint64
+}
+
 // BlockResult reports why a RunBlock call stopped and what it retired.
 type BlockResult struct {
 	// Steps is the number of instructions retired by this call.
 	Steps uint64
-	// Busy is the busy-cycle total retired by this call (the SMT
-	// executor accounts its quantum from it).
+	// Busy is the busy cycles retired against the current budget: the
+	// whole call (the SMT executor accounts its quantum from it), or what
+	// followed the last dormant CYIELD.
 	Busy uint64
+	// Dormant counts the CYIELDs retired below the wake horizon;
+	// DormantAt is the clock right after the last of them, where the busy
+	// budget was re-based.
+	Dormant   uint64
+	DormantAt uint64
 	// Stall is the exposed stall of the final instruction, reported
 	// only in block mode (the SMT executor blocks the context on it).
 	// In coroutine mode stalls are applied to the clock inline, exactly
@@ -151,12 +176,21 @@ type BlockResult struct {
 
 // RunBlock retires straight-line instructions for ctx until one of:
 //
-//   - a YIELD or CYIELD retires (reported, with its live mask);
+//   - a YIELD retires, or a CYIELD at or past hz.Wake (reported, with its
+//     live mask);
 //   - the context halts;
 //   - an execution fault (identical surface to StepInto);
 //   - fuel instructions have retired;
-//   - block mode only: an instruction exposes a memory stall, or the
-//     accumulated busy cycles reach busyBudget (0 means unbounded).
+//   - the busy cycles retired reach busyBudget (0 means unbounded), in
+//     either mode — a fused ALU segment that would cross the budget
+//     retires instruction by instruction, so the stop is exact;
+//   - block mode only: an instruction exposes a memory stall.
+//
+// The budget counts busy cycles only — in coroutine mode stalls move the
+// clock past it — and counts from the last dormant CYIELD, where it was
+// re-based to hz.Bound − Now. The horizon only ever saves returns: a
+// caller must still accept a CondYield below hz.Wake (the observer path
+// reports every one).
 //
 // Branches, calls and returns are followed inline — they do not return
 // control to the executor, which only ever needs to act at yields and
@@ -166,7 +200,7 @@ type BlockResult struct {
 // StepInto sequence, so the observer event stream is unchanged.
 //
 //shsim:noalloc
-func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, res *BlockResult) error {
+func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, hz Horizon, res *BlockResult) error {
 	*res = BlockResult{}
 	if len(c.observers) > 0 || c.plan == nil {
 		return c.runBlockSlow(ctx, block, fuel, busyBudget, res)
@@ -210,7 +244,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		// shrink, so retrying it would loop forever.
 		if trySB {
 			if sbi := sbEntry[pc]; sbi >= 0 {
-				done, progressed, err := c.runSuper(&c.sbs[sbi], ctx, block, fuel, busyBudget, res, &pc, &steps, &busyAcc)
+				done, progressed, err := c.runSuper(&c.sbs[sbi], ctx, block, fuel, hz, res, &pc, &steps, &busyAcc, &busyBudget)
 				if err != nil {
 					finish()
 					return err
@@ -432,10 +466,8 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 
 		case isa.OpYield:
 			yield = true
-			res.LiveMask = in.LiveMask()
 		case isa.OpCYield:
 			condYield = true
-			res.LiveMask = in.LiveMask()
 
 		case isa.OpCheck:
 			if c.Cfg.SandboxHi > c.Cfg.SandboxLo {
@@ -494,11 +526,23 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			c.lastBranchAt = c.Now
 		}
 
+		if condYield && c.Now < hz.Wake {
+			// Dormant: the caller would have looked, found nothing to do
+			// and come straight back with a fresh budget.
+			res.Dormant++
+			res.DormantAt = c.Now
+			busyAcc = 0
+			busyBudget = hz.Bound - c.Now
+			continue
+		}
 		if halted || yield || condYield {
 			finish()
 			res.Halted = halted
 			res.Yield = yield
 			res.CondYield = condYield
+			if yield || condYield {
+				res.LiveMask = in.LiveMask()
+			}
 			return nil
 		}
 		if block && stall > 0 {

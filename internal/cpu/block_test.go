@@ -78,7 +78,7 @@ func (r *engineRig) driveStep(block bool, maxSteps int) {
 // driveBlock retires through the block engine with a plan installed,
 // deliberately chopping fuel into rng-sized pieces so calls stop at
 // arbitrary points inside and between fused segments.
-func (r *engineRig) driveBlock(block bool, budget uint64, maxSteps int, rng *rand.Rand) {
+func (r *engineRig) driveBlock(block bool, budget uint64, hz Horizon, maxSteps int, rng *rand.Rand) {
 	r.core.InstallPlan(fastRuns(r.core.Prog))
 	var res BlockResult
 	var used int
@@ -87,7 +87,7 @@ func (r *engineRig) driveBlock(block bool, budget uint64, maxSteps int, rng *ran
 		if rem := uint64(maxSteps - used); fuel > rem {
 			fuel = rem
 		}
-		if err := r.core.RunBlock(r.ctx, block, fuel, budget, &res); err != nil {
+		if err := r.core.RunBlock(r.ctx, block, fuel, budget, hz, &res); err != nil {
 			r.err = err
 			return
 		}
@@ -133,10 +133,9 @@ func assertRigsEqual(t *testing.T, label string, a, b *engineRig) {
 	}
 }
 
-// diffOneProgram runs prog through both engines from identical initial
-// state and asserts byte-identical observables.
-func diffOneProgram(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, block bool, budget uint64) {
-	t.Helper()
+// newRigPair builds two rigs for prog from one rng-drawn initial state:
+// twelve random registers over a random 512-word arena.
+func newRigPair(prog *isa.Program, rng *rand.Rand) (a, b *engineRig) {
 	var initRegs [isa.NumRegs]uint64
 	for r := 0; r < 12; r++ {
 		initRegs[r] = uint64(rng.Intn(1 << 20))
@@ -145,23 +144,30 @@ func diffOneProgram(t *testing.T, label string, prog *isa.Program, rng *rand.Ran
 	for i := range arena {
 		arena[i] = uint64(rng.Intn(1 << 24))
 	}
-	a := newEngineRig(prog, initRegs, arena)
-	b := newEngineRig(prog, initRegs, arena)
+	return newEngineRig(prog, initRegs, arena), newEngineRig(prog, initRegs, arena)
+}
+
+// diffOneProgram runs prog through both engines from identical initial
+// state and asserts byte-identical observables.
+func diffOneProgram(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, block bool, budget uint64, hz Horizon) {
+	t.Helper()
+	a, b := newRigPair(prog, rng)
 	const maxSteps = 1 << 20
 	a.driveStep(block, maxSteps)
-	b.driveBlock(block, budget, maxSteps, rng)
+	b.driveBlock(block, budget, hz, maxSteps, rng)
 	assertRigsEqual(t, label, a, b)
 }
 
 // TestBlockVsStepDifferential is the acceptance pin for the block
 // engine: across ≥1000 random programs the fused fast path must be
 // byte-identical to per-instruction StepInto — registers, flags, clock,
-// per-PC counters, hierarchy metrics and memory.
+// per-PC counters, hierarchy metrics and memory — wherever the wake
+// horizon falls among the program's conditional yields.
 func TestBlockVsStepDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	for trial := 0; trial < 1000; trial++ {
 		prog := randRunnableProgram(rng, 10+rng.Intn(80), 4096)
-		diffOneProgram(t, "trial", prog, rng, false, 0)
+		diffOneProgram(t, "trial", prog, rng, false, 0, horizonFromByte(uint8(rng.Intn(256))))
 	}
 }
 
@@ -174,7 +180,7 @@ func TestBlockVsStepDifferentialSMT(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		prog := randRunnableProgram(rng, 10+rng.Intn(80), 4096)
 		budget := uint64(1 + rng.Intn(8)) // incl. quantum 4, the SMT default
-		diffOneProgram(t, "smt-trial", prog, rng, true, budget)
+		diffOneProgram(t, "smt-trial", prog, rng, true, budget, Horizon{})
 	}
 }
 
@@ -202,7 +208,7 @@ func TestBlockVsStepCallsAndLoops(t *testing.T) {
         ret
     `)
 	rng := rand.New(rand.NewSource(7))
-	diffOneProgram(t, "calls-loops", prog, rng, false, 0)
+	diffOneProgram(t, "calls-loops", prog, rng, false, 0, Horizon{})
 }
 
 // TestBlockVsStepYields pins yield reporting: the block engine must
@@ -231,7 +237,7 @@ func TestBlockVsStepYields(t *testing.T) {
 	var sr StepResult
 	var br BlockResult
 	for !b.ctx.Halted {
-		if err := b.core.RunBlock(b.ctx, false, 1<<20, 0, &br); err != nil {
+		if err := b.core.RunBlock(b.ctx, false, 1<<20, 0, Horizon{}, &br); err != nil {
 			t.Fatal(err)
 		}
 		for i := uint64(0); i < br.Steps; i++ {
@@ -277,7 +283,7 @@ func TestBlockVsStepFaults(t *testing.T) {
 	for _, tc := range cases {
 		prog := &isa.Program{Instrs: tc.instr}
 		rng := rand.New(rand.NewSource(9))
-		diffOneProgram(t, tc.name, prog, rng, false, 0)
+		diffOneProgram(t, tc.name, prog, rng, false, 0, Horizon{})
 	}
 }
 
@@ -288,10 +294,10 @@ func TestRunBlockHaltedContextFaults(t *testing.T) {
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
 	rig.core.InstallPlan(fastRuns(prog))
 	var res BlockResult
-	if err := rig.core.RunBlock(rig.ctx, false, 10, 0, &res); err != nil || !res.Halted {
+	if err := rig.core.RunBlock(rig.ctx, false, 10, 0, Horizon{}, &res); err != nil || !res.Halted {
 		t.Fatalf("halt run: err=%v halted=%v", err, res.Halted)
 	}
-	if err := rig.core.RunBlock(rig.ctx, false, 10, 0, &res); err == nil {
+	if err := rig.core.RunBlock(rig.ctx, false, 10, 0, Horizon{}, &res); err == nil {
 		t.Fatal("stepping a halted context through RunBlock did not fault")
 	}
 	if rig.core.Counters.Faults != 1 {
@@ -360,7 +366,7 @@ func TestRunBlockObserverFallback(t *testing.T) {
 			rig.core.InstallPlan(fastRuns(prog))
 			var res BlockResult
 			for !rig.ctx.Halted {
-				if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, &res); err != nil {
+				if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, Horizon{}, &res); err != nil {
 					t.Fatal(err)
 				}
 			}

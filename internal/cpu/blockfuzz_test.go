@@ -8,14 +8,20 @@ import (
 // FuzzBlockVsStep is the fuzzing face of TestBlockVsStepDifferential:
 // any seed must produce byte-identical behaviour between the block
 // engine and per-instruction StepInto, in both coroutine and SMT
-// (block) mode. The corpus seeds cover both modes and a spread of
-// program sizes; the fuzzer explores the seed space from there.
+// (block) mode — and, under the wake horizon the last byte selects
+// (horizonFromByte), between one call that runs on past dormant
+// conditional yields and the calls a loop returning at each would make.
+// The corpus seeds cover both modes, a spread of program sizes, and
+// horizons that are zero, mid-run and never reached; the fuzzer explores
+// the seed space from there.
 func FuzzBlockVsStep(f *testing.F) {
-	f.Add(int64(1), uint8(20), false, uint8(0))
-	f.Add(int64(2), uint8(80), false, uint8(0))
-	f.Add(int64(3), uint8(40), true, uint8(4))
-	f.Add(int64(4), uint8(90), true, uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, size uint8, block bool, budget uint8) {
+	f.Add(int64(1), uint8(20), false, uint8(0), uint8(0))
+	f.Add(int64(2), uint8(80), false, uint8(0), uint8(6))
+	f.Add(int64(3), uint8(40), true, uint8(4), uint8(0))
+	f.Add(int64(4), uint8(90), true, uint8(1), uint8(19))
+	f.Add(int64(5), uint8(60), false, uint8(9), uint8(255))
+	f.Add(int64(6), uint8(85), false, uint8(3), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, block bool, budget, horizon uint8) {
 		n := 5 + int(size)%86 // program length in [5, 90]
 		rng := rand.New(rand.NewSource(seed))
 		prog := randRunnableProgram(rng, n, 4096)
@@ -23,6 +29,8 @@ func FuzzBlockVsStep(f *testing.F) {
 		if block {
 			b = 1 + uint64(budget)%16
 		}
-		diffOneProgram(t, "fuzz", prog, rng, block, b)
+		hz := horizonFromByte(horizon)
+		diffOneProgram(t, "fuzz", prog, rng, block, b, hz)
+		diffHorizon(t, "fuzz-horizon", prog, rng, false, block, uint64(budget)%16, hz)
 	})
 }

@@ -31,10 +31,14 @@ import (
 //     executes with full scalar semantics, and if its actual successor
 //     differs from the predicted chain the trace exits to RunBlock's
 //     generic loop at the real target. Mispredictions cost speed, never
-//     correctness.
+//     correctness;
+//   - a conditional yield stays in the trace while it is dormant (the
+//     clock below the caller's Horizon.Wake) and is RunBlock's return
+//     otherwise, so an instrumented scavenger or batch loop — a CYIELD
+//     every few instructions — still runs as one loop superblock.
 //
 // The fallback ladder is literal: a superblock step that cannot proceed
-// (fuel, SMT busy budget, side exit) drops to RunBlock's block dispatch
+// (fuel, busy budget, side exit) drops to RunBlock's block dispatch
 // at an exact instruction boundary, and RunBlock itself drops to the
 // per-instruction StepInto loop when observers are attached or no plan
 // is installed. Every stop condition, fault surface, counter and clock
@@ -61,6 +65,7 @@ const (
 	sbALUAddI              // homogeneous `addi r, r, imm` segment, pre-aggregated
 	sbMem                  // one load or store
 	sbBranch               // one branch: guarded side exit
+	sbCYield               // one conditional yield: in-trace while dormant
 )
 
 // sbAddISelfMin is the shortest homogeneous `addi r, r, imm` run that is
@@ -94,8 +99,8 @@ type sbStep struct {
 	predNext int32 // branch: successor pc on the predicted path (-1: none)
 	nextStep int32 // branch: step index on the predicted path (-1: exit)
 
-	cost uint64 // ALU: aggregate busy cost; mem/branch: base op cost
-	imm  uint64 // mem: address displacement (two's complement)
+	cost uint64 // ALU: aggregate busy cost; mem/branch/cyield: base op cost
+	imm  uint64 // mem: address displacement (two's complement); cyield: live mask
 
 	memoLine uint64 // mem: line last observed L1-resident
 	memoGen  uint64 // mem: hierarchy generation of that observation (0 = none)
@@ -149,14 +154,16 @@ func (c *Core) ClearSuperblocks() {
 	c.sbEntry = nil
 }
 
-// sbTraceable reports whether op may appear inside a superblock: pure
-// ALU, loads/stores, and branches. Calls, returns, yields, halts,
-// prefetches, SFI checks and accelerator ops end trace formation — they
-// carry executor-visible or cross-instruction state the specialized
-// loop does not model.
-func sbTraceable(op isa.Op) bool {
+// SuperblockTraceable reports whether op may appear inside a superblock:
+// pure ALU, loads/stores, branches and conditional yields. Calls,
+// returns, primary-phase yields, halts, prefetches, SFI checks and
+// accelerator ops end trace formation — they carry executor-visible or
+// cross-instruction state the specialized loop does not model. Trace
+// derivers (bincfg.SuperblockSpecs) chain on this predicate;
+// InstallSuperblocks rejects anything else.
+func SuperblockTraceable(op isa.Op) bool {
 	return fusableALU(op) || op == isa.OpLoad || op == isa.OpStore ||
-		op == isa.OpJmp || op.IsConditional()
+		op == isa.OpJmp || op.IsConditional() || op == isa.OpCYield
 }
 
 // compileSuperblock validates one spec against the program and compiles
@@ -172,7 +179,7 @@ func (c *Core) compileSuperblock(spec *SuperblockSpec) (*superblock, error) {
 			return nil, fmt.Errorf("cpu: superblock pc %d out of range", pc)
 		}
 		in := &c.instrs[pc]
-		if !sbTraceable(in.Op) {
+		if !SuperblockTraceable(in.Op) {
 			return nil, fmt.Errorf("cpu: superblock pc %d: %v is not traceable", pc, in.Op)
 		}
 		branch := in.Op == isa.OpJmp || in.Op.IsConditional()
@@ -229,6 +236,14 @@ func (c *Core) compileSuperblock(spec *SuperblockSpec) (*superblock, error) {
 				st.rd = uint8(in.Rs2) & 15
 			}
 			sb.steps = append(sb.steps, st)
+			i++
+		case in.Op == isa.OpCYield:
+			sb.steps = append(sb.steps, sbStep{
+				kind: sbCYield,
+				pc:   int32(pc),
+				cost: c.costs[in.Op],
+				imm:  uint64(in.LiveMask()),
+			})
 			i++
 		default: // branch
 			st := sbStep{
@@ -345,45 +360,48 @@ func (c *Core) flushSuperExec(sb *superblock, laps uint64, partial int) {
 		if add == 0 {
 			return // laps == 0 and k >= partial: nothing later retired either
 		}
-		if st.kind == sbMem || st.kind == sbBranch {
-			exec[st.pc] += add
-		} else {
+		if st.kind == sbALU || st.kind == sbALUAddI {
 			seg := exec[st.pc : st.pc+st.n]
 			for i := range seg {
 				seg[i] += add
 			}
+		} else {
+			exec[st.pc] += add
 		}
 	}
 }
 
 // runSuper executes one superblock activation for RunBlock: it enters at
 // the trace head and retires steps — looping for loop superblocks —
-// until a side exit, fuel or busy-budget expiry, an exposed stall in
-// block mode, or a fault. State is exchanged with RunBlock's locals
-// through pointers; on return pc is always an exact instruction
-// boundary. done=true means RunBlock must stop (res is filled as the
-// generic loop would have); progressed=false means not a single
-// instruction retired, so the caller must fall back to generic dispatch
-// to guarantee forward progress.
+// until a side exit, fuel or busy-budget expiry, a conditional yield at
+// or past hz.Wake, an exposed stall in block mode, or a fault. State is
+// exchanged with RunBlock's locals through pointers (the budget too: a
+// dormant CYIELD re-bases it); on return pc is always an exact
+// instruction boundary. done=true means RunBlock must stop (res is
+// filled as the generic loop would have); progressed=false means not a
+// single instruction retired, so the caller must fall back to generic
+// dispatch to guarantee forward progress.
 //
 //shsim:noalloc
-func (c *Core) runSuper(sb *superblock, ctx *coro.Context, block bool, fuel, busyBudget uint64, res *BlockResult, pcp *int, stepsp, busyAccp *uint64) (done, progressed bool, err error) {
+func (c *Core) runSuper(sb *superblock, ctx *coro.Context, block bool, fuel uint64, hz Horizon, res *BlockResult, pcp *int, stepsp, busyAccp, busyBudgetp *uint64) (done, progressed bool, err error) {
 	var (
-		regs     = &ctx.Regs
-		counters = c.Counters
-		absorb   = c.Cfg.PipelineAbsorb
-		steps    = *stepsp
-		busyAcc  = *busyAccp
-		start    = steps
-		laps     uint64
-		si       int
-		stepsA   = sb.steps
+		regs       = &ctx.Regs
+		counters   = c.Counters
+		absorb     = c.Cfg.PipelineAbsorb
+		steps      = *stepsp
+		busyAcc    = *busyAccp
+		busyBudget = *busyBudgetp
+		start      = steps
+		laps       uint64
+		si         int
+		stepsA     = sb.steps
 	)
 	leave := func(pc, partial int) {
 		c.flushSuperExec(sb, laps, partial)
 		*pcp = pc
 		*stepsp = steps
 		*busyAccp = busyAcc
+		*busyBudgetp = busyBudget
 	}
 
 	for {
@@ -545,6 +563,35 @@ func (c *Core) runSuper(sb *superblock, ctx *coro.Context, block bool, fuel, bus
 			}
 			if si == len(stepsA) {
 				leave(pc+1, si)
+				return false, true, nil
+			}
+
+		case sbCYield:
+			if steps >= fuel {
+				leave(int(st.pc), si)
+				return false, steps > start, nil
+			}
+			c.Now += st.cost
+			ctx.BusyCycles += st.cost
+			counters.TotalRetired++
+			counters.TotalBusy += st.cost
+			ctx.Retired++
+			busyAcc += st.cost
+			steps++
+			si++
+			if c.Now >= hz.Wake {
+				leave(int(st.pc)+1, si)
+				res.CondYield = true
+				res.LiveMask = isa.RegMask(st.imm)
+				return true, true, nil
+			}
+			// Dormant: what RunBlock's scalar dispatch does at one.
+			res.Dormant++
+			res.DormantAt = c.Now
+			busyAcc = 0
+			busyBudget = hz.Bound - c.Now
+			if si == len(stepsA) {
+				leave(int(st.pc)+1, si)
 				return false, true, nil
 			}
 

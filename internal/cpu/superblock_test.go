@@ -16,14 +16,10 @@ import (
 // interchangeable for these tests.
 func sbDeriveSpecs(prog *isa.Program) []SuperblockSpec {
 	n := len(prog.Instrs)
-	chainable := func(op isa.Op) bool {
-		return fusableALU(op) || op == isa.OpLoad || op == isa.OpStore ||
-			op == isa.OpJmp || op.IsConditional()
-	}
 	isHead := make([]bool, n)
 	var heads []int
 	addHead := func(pc int) {
-		if pc >= 0 && pc < n && !isHead[pc] && chainable(prog.Instrs[pc].Op) {
+		if pc >= 0 && pc < n && !isHead[pc] && SuperblockTraceable(prog.Instrs[pc].Op) {
 			isHead[pc] = true
 			heads = append(heads, pc)
 		}
@@ -42,7 +38,7 @@ func sbDeriveSpecs(prog *isa.Program) []SuperblockSpec {
 		loop := false
 		pc := head
 		for len(pcs) < 512 {
-			if pc < 0 || pc >= n || inTrace[pc] || !chainable(prog.Instrs[pc].Op) {
+			if pc < 0 || pc >= n || inTrace[pc] || !SuperblockTraceable(prog.Instrs[pc].Op) {
 				break
 			}
 			inTrace[pc] = true
@@ -73,7 +69,7 @@ func sbDeriveSpecs(prog *isa.Program) []SuperblockSpec {
 // driveSuper retires through the superblock tier (block plan plus
 // derived traces), chopping fuel into rng-sized pieces so calls stop at
 // arbitrary points inside and between trace activations.
-func (r *engineRig) driveSuper(block bool, budget uint64, maxSteps int, rng *rand.Rand) {
+func (r *engineRig) driveSuper(block bool, budget uint64, hz Horizon, maxSteps int, rng *rand.Rand) {
 	r.core.InstallPlan(fastRuns(r.core.Prog))
 	if err := r.core.InstallSuperblocks(sbDeriveSpecs(r.core.Prog)); err != nil {
 		r.err = err
@@ -86,7 +82,7 @@ func (r *engineRig) driveSuper(block bool, budget uint64, maxSteps int, rng *ran
 		if rem := uint64(maxSteps - used); fuel > rem {
 			fuel = rem
 		}
-		if err := r.core.RunBlock(r.ctx, block, fuel, budget, &res); err != nil {
+		if err := r.core.RunBlock(r.ctx, block, fuel, budget, hz, &res); err != nil {
 			r.err = err
 			return
 		}
@@ -102,21 +98,12 @@ func (r *engineRig) driveSuper(block bool, budget uint64, maxSteps int, rng *ran
 // the superblock tier from identical initial state and asserts
 // byte-identical observables — the same contract block_test.go pins for
 // the block engine, extended one tier up.
-func diffSuperProgram(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, block bool, budget uint64) {
+func diffSuperProgram(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, block bool, budget uint64, hz Horizon) {
 	t.Helper()
-	var initRegs [isa.NumRegs]uint64
-	for r := 0; r < 12; r++ {
-		initRegs[r] = uint64(rng.Intn(1 << 20))
-	}
-	arena := make([]uint64, 512)
-	for i := range arena {
-		arena[i] = uint64(rng.Intn(1 << 24))
-	}
-	a := newEngineRig(prog, initRegs, arena)
-	b := newEngineRig(prog, initRegs, arena)
+	a, b := newRigPair(prog, rng)
 	const maxSteps = 1 << 20
 	a.driveStep(block, maxSteps)
-	b.driveSuper(block, budget, maxSteps, rng)
+	b.driveSuper(block, budget, hz, maxSteps, rng)
 	assertRigsEqual(t, label, a, b)
 }
 
@@ -125,10 +112,15 @@ func diffSuperProgram(t *testing.T, label string, prog *isa.Program, rng *rand.R
 // falls through into a loop latch on r12, which the generator's body
 // never touches. The backward latch makes the whole program a loop-
 // superblock candidate, and re-running the body exercises residency
-// memos across iterations.
-func randLoopProgram(rng *rand.Rand, n int, iters int64, arenaSize int64) *isa.Program {
+// memos across iterations. latchYield puts a CYIELD ahead of the latch —
+// the shape of an instrumented scavenger loop, and the one in which a
+// loop superblock laps through a yield.
+func randLoopProgram(rng *rand.Rand, n int, iters int64, arenaSize int64, latchYield bool) *isa.Program {
 	p := randRunnableProgram(rng, n, arenaSize)
 	p.Instrs = p.Instrs[:len(p.Instrs)-1] // drop HALT; targets of n now hit the latch
+	if latchYield {
+		p.Instrs = append(p.Instrs, isa.Instr{Op: isa.OpCYield, Imm: int64(isa.AllRegs)})
+	}
 	p.Instrs = append(p.Instrs,
 		isa.Instr{Op: isa.OpAddI, Rd: 12, Rs1: 12, Imm: 1},
 		isa.Instr{Op: isa.OpCmpI, Rs1: 12, Imm: iters},
@@ -140,17 +132,18 @@ func randLoopProgram(rng *rand.Rand, n int, iters int64, arenaSize int64) *isa.P
 
 // TestSuperblockVsStepDifferential is the acceptance pin for the
 // superblock tier: across ≥1000 random programs — straight-line and
-// looping — the specialized trace loops must be byte-identical to
-// per-instruction StepInto.
+// looping, under wake horizons on both sides of their yields — the
+// specialized trace loops must be byte-identical to per-instruction
+// StepInto.
 func TestSuperblockVsStepDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 700; trial++ {
 		prog := randRunnableProgram(rng, 10+rng.Intn(80), 4096)
-		diffSuperProgram(t, "sb-trial", prog, rng, false, 0)
+		diffSuperProgram(t, "sb-trial", prog, rng, false, 0, horizonFromByte(uint8(rng.Intn(256))))
 	}
 	for trial := 0; trial < 300; trial++ {
-		prog := randLoopProgram(rng, 5+rng.Intn(40), int64(2+rng.Intn(6)), 4096)
-		diffSuperProgram(t, "sb-loop-trial", prog, rng, false, 0)
+		prog := randLoopProgram(rng, 5+rng.Intn(40), int64(2+rng.Intn(6)), 4096, trial%2 == 0)
+		diffSuperProgram(t, "sb-loop-trial", prog, rng, false, 0, horizonFromByte(uint8(rng.Intn(256))))
 	}
 }
 
@@ -163,12 +156,12 @@ func TestSuperblockVsStepSMT(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		prog := randRunnableProgram(rng, 10+rng.Intn(80), 4096)
 		budget := uint64(1 + rng.Intn(8)) // incl. quantum 4, the SMT default
-		diffSuperProgram(t, "sb-smt", prog, rng, true, budget)
+		diffSuperProgram(t, "sb-smt", prog, rng, true, budget, Horizon{})
 	}
 	for trial := 0; trial < 150; trial++ {
-		prog := randLoopProgram(rng, 5+rng.Intn(40), int64(2+rng.Intn(6)), 4096)
+		prog := randLoopProgram(rng, 5+rng.Intn(40), int64(2+rng.Intn(6)), 4096, trial%2 == 0)
 		budget := uint64(1 + rng.Intn(8))
-		diffSuperProgram(t, "sb-smt-loop", prog, rng, true, budget)
+		diffSuperProgram(t, "sb-smt-loop", prog, rng, true, budget, Horizon{})
 	}
 }
 
@@ -196,7 +189,7 @@ func TestSuperblockCallsAndLoops(t *testing.T) {
         ret
     `)
 	rng := rand.New(rand.NewSource(7))
-	diffSuperProgram(t, "sb-calls-loops", prog, rng, false, 0)
+	diffSuperProgram(t, "sb-calls-loops", prog, rng, false, 0, Horizon{})
 }
 
 // TestSuperblockFaults pins the fault surface through the trace loop: a
@@ -216,7 +209,7 @@ func TestSuperblockFaults(t *testing.T) {
         halt
     `)
 	rng := rand.New(rand.NewSource(11))
-	diffSuperProgram(t, "sb-fault", prog, rng, false, 0)
+	diffSuperProgram(t, "sb-fault", prog, rng, false, 0, Horizon{})
 	// Same program, store side.
 	sprog := isa.MustAssemble(`
         movi r2, 0
@@ -229,7 +222,7 @@ func TestSuperblockFaults(t *testing.T) {
         jlt  loop
         halt
     `)
-	diffSuperProgram(t, "sb-fault-store", sprog, rng, false, 0)
+	diffSuperProgram(t, "sb-fault-store", sprog, rng, false, 0, Horizon{})
 }
 
 // TestSuperblockFlushInvalidation drives the reference and the trace
@@ -263,7 +256,7 @@ func TestSuperblockFlushInvalidation(t *testing.T) {
 	var sr StepResult
 	var br BlockResult
 	for !b.ctx.Halted {
-		if err := b.core.RunBlock(b.ctx, false, 17, 0, &br); err != nil {
+		if err := b.core.RunBlock(b.ctx, false, 17, 0, Horizon{}, &br); err != nil {
 			t.Fatal(err)
 		}
 		for i := uint64(0); i < br.Steps; i++ {
@@ -300,7 +293,7 @@ func TestSuperblockMemoArms(t *testing.T) {
 	}
 	var res BlockResult
 	for !rig.ctx.Halted {
-		if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, &res); err != nil {
+		if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, Horizon{}, &res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,7 +341,7 @@ func TestSuperblockObserverFallback(t *testing.T) {
 			}
 			var res BlockResult
 			for !rig.ctx.Halted {
-				if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, &res); err != nil {
+				if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, Horizon{}, &res); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -48,9 +48,9 @@ func TestAddressWrapFaultsOnEveryTier(t *testing.T) {
 		step := newEngineRig(prog, regs, arena)
 		step.driveStep(false, maxSteps)
 		block := newEngineRig(prog, regs, arena)
-		block.driveBlock(false, 0, maxSteps, rand.New(rand.NewSource(1)))
+		block.driveBlock(false, 0, Horizon{}, maxSteps, rand.New(rand.NewSource(1)))
 		super := newEngineRig(prog, regs, arena)
-		super.driveSuper(false, 0, maxSteps, rand.New(rand.NewSource(1)))
+		super.driveSuper(false, 0, Horizon{}, maxSteps, rand.New(rand.NewSource(1)))
 
 		if step.err == nil || !strings.Contains(step.err.Error(), tc.want) {
 			t.Fatalf("%s: step tier error = %v, want it to contain %q", tc.name, step.err, tc.want)
@@ -71,7 +71,7 @@ func TestCheckTrapsWrappedAddress(t *testing.T) {
 	}}
 	tiers := map[string]func(*engineRig){
 		"step":  func(r *engineRig) { r.driveStep(false, 10) },
-		"block": func(r *engineRig) { r.driveBlock(false, 0, 10, rand.New(rand.NewSource(1))) },
+		"block": func(r *engineRig) { r.driveBlock(false, 0, Horizon{}, 10, rand.New(rand.NewSource(1))) },
 	}
 	for tier, drive := range tiers {
 		rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))

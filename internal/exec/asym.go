@@ -60,7 +60,8 @@ func (l *Asym) Run(deadline uint64) (bool, error) {
 			return false, ErrFuelExhausted
 		}
 		if l.quota == 0 {
-			l.quota = l.src.Poll() - e.Core.Now
+			l.due = l.src.Poll()
+			l.quota = l.due - e.Core.Now
 		}
 		primary := l.src.Primary()
 		if l.cur < 0 {
@@ -79,7 +80,17 @@ func (l *Asym) Run(deadline uint64) (bool, error) {
 		}
 		t := l.ring[l.cur]
 		isPrimary := l.cur == primary
-		if err := l.retire(deadline); err != nil {
+		// The CondYield case below, ahead of time: the primary ignores
+		// conditional yields, a scavenger acts on the first one once the
+		// hide window has elapsed, an idle-filler on the first one while a
+		// primary waits.
+		wake := uint64(NoHorizon)
+		if !isPrimary && l.inEpisode {
+			wake = l.epStart + l.epTarget
+		} else if !isPrimary && primary >= 0 {
+			wake = 0
+		}
+		if err := l.retire(deadline, wake); err != nil {
 			return false, err
 		}
 		targetMet := l.inEpisode && e.Core.Now-l.epStart >= l.epTarget

@@ -28,6 +28,11 @@ type lane struct {
 	// Poll — a deadline cut in between must carry the remainder, not
 	// re-derive it from a clock that stalls have moved.
 	quota uint64
+	// due is the cycle that Poll returned. Until the clock reaches it, or
+	// a halt intervenes, another Poll would admit nothing and return it
+	// again (Source.Poll is idempotent) — the ground a dormant
+	// conditional yield is skipped on.
+	due uint64
 }
 
 // Steps returns the instructions retired so far.
@@ -38,12 +43,25 @@ func (l *lane) Steps() uint64 { return l.steps }
 // halt or yield is a scheduling boundary and an exhausted quota an
 // arrival: either way the source is polled next. Anything else was a
 // deadline (or fuel) cut, which carries the remainder.
-func (l *lane) retire(deadline uint64) error {
+//
+// wake is the first cycle at which the loop would act on a conditional
+// yield (0: at any, NoHorizon: never). One that retires before wake, the
+// next arrival and the deadline would bring the loop round to this call
+// again having changed nothing — Pending and Primary move only in Poll
+// and OnHalt, Poll before due is a no-op — except that the Poll re-bases
+// the quota on the clock the yield retired at. RunBlock runs on past
+// such a yield and reports that clock, so the quota comes out the same.
+func (l *lane) retire(deadline, wake uint64) error {
 	e := l.e
-	if err := e.Core.RunBlock(l.ring[l.cur].Ctx, false, e.Cfg.MaxSteps-l.steps, min(l.quota, deadline-e.Core.Now), &l.r); err != nil {
+	bound := min(l.due, deadline)
+	hz := cpu.Horizon{Wake: min(wake, bound), Bound: bound}
+	if err := e.Core.RunBlock(l.ring[l.cur].Ctx, false, e.Cfg.MaxSteps-l.steps, min(l.quota, deadline-e.Core.Now), hz, &l.r); err != nil {
 		return err
 	}
 	l.steps += l.r.Steps
+	if l.r.Dormant > 0 {
+		l.quota = l.due - l.r.DormantAt
+	}
 	if l.r.Halted || l.r.Yield || l.r.CondYield || l.r.Busy >= l.quota {
 		l.quota = 0
 	} else {
@@ -68,7 +86,9 @@ func (l *lane) idle(deadline uint64) error {
 
 // Flat is the flat round-robin scheduling loop: every primary-phase
 // yield rotates to the next runnable ring entity, blind to class;
-// conditional yields stay dormant (every task runs in primary mode).
+// conditional yields stay dormant (every task runs in primary mode), so
+// the retire tier never returns for one before the next arrival or the
+// deadline.
 type Flat struct {
 	lane
 	src Source
@@ -96,7 +116,8 @@ func (l *Flat) Run(deadline uint64) (bool, error) {
 			return false, ErrFuelExhausted
 		}
 		if l.quota == 0 {
-			l.quota = l.src.Poll() - e.Core.Now
+			l.due = l.src.Poll()
+			l.quota = l.due - e.Core.Now
 		}
 		if l.cur < 0 || l.ring[l.cur].Ctx.Halted {
 			nxt := nextRunnable(l.ring, l.cur)
@@ -109,7 +130,7 @@ func (l *Flat) Run(deadline uint64) (bool, error) {
 			l.cur = nxt
 			e.resume(l.ring[nxt])
 		}
-		if err := l.retire(deadline); err != nil {
+		if err := l.retire(deadline, NoHorizon); err != nil {
 			return false, err
 		}
 		switch {

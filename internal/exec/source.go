@@ -33,6 +33,13 @@ type Source interface {
 	// scheduling boundary — halt, yield, arrival, idle — and never after
 	// a bare deadline cut, which is what keeps a sliced run identical to
 	// the unsliced one.
+	//
+	// Poll must be idempotent: called again before the clock reaches the
+	// cycle it returned, with no OnHalt in between, it changes nothing —
+	// no counter, queue or ring entry, nor what Pending and Primary
+	// answer — and returns that cycle again. The coroutine loops rely on
+	// it to let a conditional yield nobody would act on retire without
+	// the Poll it used to cost.
 	Poll() uint64
 	// OnHalt retires ring entity i, whose context just halted. resched
 	// reports whether the halt is a scheduling boundary: open-loop

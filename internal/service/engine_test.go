@@ -13,6 +13,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/smt"
 	"repro/internal/workloads"
 )
@@ -188,4 +189,80 @@ func TestKernelGoroutineLifetime(t *testing.T) {
 		d.close()
 		d.close()
 	})
+}
+
+// pollState is everything a Poll may touch: the registry, the admission
+// queue, the in-flight order, every slot and its context, the arrival
+// process, the batch cursors.
+type pollState struct {
+	reg        metrics.Registry
+	q          queue
+	fifo       []int
+	slots      []slot
+	ctxs       []coro.Context
+	next, gen  uint64
+	bnext, idx int
+}
+
+func snapPoll(c *cell) pollState {
+	s := pollState{reg: c.reg, q: c.q, fifo: append([]int(nil), c.fifo...), next: c.arr.next, gen: c.arr.generated, bnext: c.bnext, idx: c.scavIdx}
+	s.q.buf = append([]request(nil), c.q.buf...)
+	for _, sl := range c.slots {
+		s.slots = append(s.slots, *sl)
+		s.ctxs = append(s.ctxs, *sl.task.Ctx)
+	}
+	return s
+}
+
+// The scheduling loops skip the Poll a dormant conditional yield used to
+// trigger on the strength of exec.Source's idempotence clause: until the
+// clock reaches the cycle a Poll returned, with no halt in between,
+// another Poll changes nothing and returns that cycle again. Hold the
+// serving cell to it, by polling at every cut of a finely sliced run:
+// twice in a row at one cycle, and again at the next cut whenever no halt
+// and no arrival fell in between.
+func TestCellPollIdempotent(t *testing.T) {
+	cfg, err := testConfig().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Requests = 120
+	for _, pol := range []Policy{Agnostic, Sidecar, EventAware, SMT} {
+		c, err := newCell(core.DefaultMachine(), cfg, Cell{Policy: pol, Rate: 4}, true)
+		if err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		halts := func() uint64 { return c.reg.Service.Completed + c.reg.Service.BatchOps }
+		var (
+			due, haltsAtPoll uint64
+			carried, twice   int
+		)
+		for deadline := c.ex.Core.Now; c.Pending(); {
+			deadline += 61
+			if err := c.run(deadline); err != nil {
+				t.Fatalf("%s: %v", pol, err)
+			}
+			now := c.ex.Core.Now
+			if due != 0 && now < due && halts() == haltsAtPoll {
+				before := snapPoll(c)
+				if got := c.Poll(); got != due || !reflect.DeepEqual(snapPoll(c), before) {
+					t.Fatalf("%s: Poll at cycle %d, before the %d a halt-free earlier Poll returned, returned %d or changed state", pol, now, due, got)
+				}
+				carried++
+			}
+			due, haltsAtPoll = c.Poll(), halts()
+			if due <= now {
+				t.Fatalf("%s: Poll at cycle %d returned %d, not strictly in the future", pol, now, due)
+			}
+			after := snapPoll(c)
+			if again := c.Poll(); again != due || !reflect.DeepEqual(snapPoll(c), after) {
+				t.Fatalf("%s: second Poll at cycle %d returned %d after %d, or changed state", pol, now, again, due)
+			}
+			twice++
+		}
+		if carried == 0 || twice == 0 {
+			t.Errorf("%s: property untested (%d carried, %d repeated polls)", pol, carried, twice)
+		}
+		conservation(t, summarize(Cell{Policy: pol, Rate: 4}, []*cell{c}, 0), uint64(cfg.Requests))
+	}
 }

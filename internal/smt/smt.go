@@ -182,7 +182,7 @@ func (l *Loop) Run(deadline uint64) (bool, error) {
 		// The busy budget is what remains of the slice, clipped to until.
 		budget := min(l.quantum-l.sliceUsed, until-core.Now)
 		ctx := l.ring[picked]
-		if err := core.RunBlock(ctx, true, l.fuel-l.steps, budget, &l.r); err != nil {
+		if err := core.RunBlock(ctx, true, l.fuel-l.steps, budget, cpu.Horizon{}, &l.r); err != nil {
 			return false, err
 		}
 		l.steps += l.r.Steps
