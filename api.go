@@ -7,8 +7,7 @@
 // (Harness, workloads, configs) are not deprecated; the free functions
 // Session subsumed — DefaultMachine, Experiments, LookupExperiment,
 // ExperimentIDs — have been removed (see the migration table in
-// doc.go); the single-core Machine surface Topology subsumes remains
-// deprecated but working.
+// doc.go).
 package repro
 
 import (
@@ -32,12 +31,8 @@ import (
 type (
 	// Machine describes one simulated core's platform: cache hierarchy,
 	// core cost model, sampler configuration and coroutine switch
-	// pricing.
-	//
-	// Deprecated: the public surface is cut around Topology, which
-	// embeds Machine as its per-core template; a single-core machine is
-	// Topology{Cores: 1, Machine: m}. The alias remains for existing
-	// callers.
+	// pricing. It is the type of Topology.Machine, the per-core template;
+	// a single-core machine is Topology{Cores: 1, Machine: m}.
 	Machine = experiments.Machine
 	// Harness owns a composed workload scenario and builds executors.
 	Harness = experiments.Harness

@@ -12,8 +12,6 @@
 //	shbench -metrics               # also dump flat metrics (machine-readable)
 //	shbench -seeds 5 -parallel 8   # 5-seed stability sweep on 8 workers
 //	shbench -cache -progress       # cache results, report live progress
-//	shbench -compare BENCH_PR6.json BENCH_PR7.json
-//	                               # benchstat-style deltas between trajectories
 //	shbench -cpuprofile cpu.out    # profile the run (go tool pprof cpu.out)
 //	shbench -memprofile mem.out    # heap profile written on exit
 package main
@@ -54,10 +52,6 @@ type options struct {
 	progress bool
 	cache    bool
 	cacheDir string
-	// compare/compareWith are the old and new trajectory files for the
-	// benchstat-style delta report (-compare old.json new.json).
-	compare     string
-	compareWith string
 }
 
 func main() {
@@ -75,11 +69,10 @@ func main() {
 	fs.BoolVar(&o.progress, "progress", false, "report per-job completion on stderr")
 	fs.BoolVar(&o.cache, "cache", false, "serve and store results in the content-addressed cache")
 	fs.StringVar(&o.cacheDir, "cache-dir", "", "cache directory (implies -cache; default ~/.cache/softhide)")
-	fs.StringVar(&o.compare, "compare", "", "old trajectory JSON; with a new trajectory as the positional argument, print per-benchmark deltas and exit")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with `go tool pprof`)")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fs.Parse(os.Args[1:])
-	o.compareWith = fs.Arg(0)
+	cli.NoArgs(fs)
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -124,12 +117,6 @@ func main() {
 }
 
 func run(ctx context.Context, w, ew io.Writer, o options) error {
-	if o.compare != "" {
-		if o.compareWith == "" {
-			return fmt.Errorf("-compare needs both trajectories: shbench -compare old.json new.json")
-		}
-		return runCompare(w, o.compare, o.compareWith)
-	}
 	if o.format != "text" && o.format != "md" {
 		return fmt.Errorf("unknown format %q (want text or md)", o.format)
 	}

@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"repro/internal/check"
+	"repro/internal/cli"
 	"repro/internal/isa"
 	"repro/internal/sfi"
 )
@@ -43,6 +44,7 @@ func main() {
 	jsonOut := fs.Bool("json", false, "emit the full report as JSON instead of diagnostics")
 	verbose := fs.Bool("v", false, "print the summary line even for a clean image")
 	fs.Parse(os.Args[1:])
+	cli.NoArgs(fs)
 
 	code, err := run(os.Stdout, *origPath, *instPath, *mapPath, *entriesFlag, *sfiMode, *codesign, *guardStores, *jsonOut, *verbose)
 	if err != nil {

@@ -42,6 +42,7 @@ func main() {
 	origOut := fs.String("origout", "", "also write the uninstrumented scenario image here (shcheck -orig input)")
 	verify := fs.Bool("verify", true, "statically verify the rewritten image before writing it")
 	fs.Parse(os.Args[1:])
+	cli.NoArgs(fs)
 
 	if err := run(&wf, *profPath, *out, *policyName, *theta, *topK, *coalesce, *liveMasks, *interval, *report, *origOut, *verify); err != nil {
 		fmt.Fprintln(os.Stderr, "shinstr:", err)

@@ -29,6 +29,7 @@ func main() {
 	out := fs.String("o", "", "output profile path (default: <workload>.profile.json)")
 	periodScale := fs.Uint64("period-scale", 1, "multiply all sampling periods (sparser sampling)")
 	fs.Parse(os.Args[1:])
+	cli.NoArgs(fs)
 
 	if err := run(&wf, *out, *periodScale); err != nil {
 		fmt.Fprintln(os.Stderr, "shprof:", err)

@@ -90,6 +90,7 @@ func main() {
 	fs.BoolVar(&o.cache, "cache", false, "serve and store sweep results in the content-addressed cache")
 	fs.StringVar(&o.cacheDir, "cache-dir", "", "cache directory (implies -cache; default ~/.cache/softhide)")
 	fs.Parse(os.Args[1:])
+	cli.NoArgs(fs)
 
 	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "shrun:", err)

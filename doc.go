@@ -66,12 +66,11 @@
 // stepping, a basic-block fast path, and a superblock trace tier that
 // chains hot blocks across predicted-taken branches (profile-guided when
 // an LBR edge profile exists, static heuristics otherwise). Superblocks
-// are on by default and bit-identical to stepping; WithSuperblocks(false)
-// opts a session out for A/B measurement. Attaching an observer (tracing,
-// PEBS sampling) bypasses both fast tiers automatically — profiled runs
-// always see the full per-instruction event stream:
-//
-//	s, _ = repro.NewSession(repro.WithSuperblocks(false)) // force the block/step tiers
+// are on by default and bit-identical to stepping (the per-executor
+// ExecConfig.DisableSuperblocks is the A/B switch the benchmark's
+// alu-tiers workload uses). Attaching an observer (tracing, PEBS
+// sampling) bypasses both fast tiers automatically — profiled runs
+// always see the full per-instruction event stream.
 //
 // Many-core simulation is cut around Topology: each simulated core owns
 // a private L1/L2 and runs on its own goroutine; all cores share a
@@ -107,9 +106,10 @@
 // out over the session's worker pool and result cache exactly like
 // experiment sweeps, and reports are byte-identical at any GOMAXPROCS.
 //
-// The package-level bench harness (go test -bench .) and cmd/shbench
-// regenerate every table and figure of the evaluation; see DESIGN.md and
-// EXPERIMENTS.md. The free functions Session subsumed are gone.
+// cmd/shbench regenerates every table and figure of the evaluation (see
+// DESIGN.md and EXPERIMENTS.md); go run ./bench is the only timed
+// instrument (see bench/README.md). The free functions Session subsumed
+// are gone.
 // Migration:
 //
 //	DefaultMachine()        → DefaultTopology(1).Machine (removed)

@@ -8,6 +8,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -312,6 +313,24 @@ func InstallUsage(fs *flag.FlagSet) {
 			fmt.Fprintf(fs.Output(), "  -%-10s %s\n", f.Name, f.Meaning)
 		}
 	}
+}
+
+// NoArgs rejects positional arguments left over after fs.Parse: every
+// input of the flag-only tools is a flag, so a stray word is a
+// forgotten flag name (`shbench E7` for `shbench -exp E7`) that would
+// otherwise run the default job. It fails the way fs.Parse does — a
+// one-line error and exit status 2 under flag.ExitOnError, a returned
+// error otherwise.
+func NoArgs(fs *flag.FlagSet) error {
+	if fs.NArg() == 0 {
+		return nil
+	}
+	err := fmt.Errorf("unexpected argument %q: %s takes flags only (see -h)", fs.Arg(0), fs.Name())
+	if fs.ErrorHandling() == flag.ExitOnError {
+		fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+		os.Exit(2)
+	}
+	return err
 }
 
 // Harness builds the scenario described by the flags.

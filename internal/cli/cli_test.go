@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"flag"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -229,6 +230,52 @@ func TestServiceFlagsAreCanonical(t *testing.T) {
 	for _, name := range []string{"serve", "arrivals", "rate", "requests", "policy"} {
 		if !canon[name] {
 			t.Errorf("flag -%s missing from CanonicalFlags", name)
+		}
+	}
+}
+
+// A stray positional argument is a forgotten flag name, not input: one
+// row per flag-only tool, each with the flag groups that tool registers
+// and the slip that used to run its default job.
+func TestNoArgsRejectsStrayArguments(t *testing.T) {
+	workload := func(fs *flag.FlagSet) { new(WorkloadFlags).Register(fs) }
+	cases := []struct {
+		tool     string
+		register func(*flag.FlagSet)
+		args     []string
+		stray    string // "" = accepted
+	}{
+		{"shbench", func(fs *flag.FlagSet) { new(TopologyFlags).Register(fs) }, []string{"E7"}, "E7"},
+		{"shrun", func(fs *flag.FlagSet) {
+			workload(fs)
+			new(TopologyFlags).Register(fs)
+			new(ServiceFlags).Register(fs)
+		}, []string{"-serve", "-rate", "8", "bst"}, "bst"},
+		{"shprof", workload, []string{"-workload", "bst", "out.profile.json"}, "out.profile.json"},
+		{"shinstr", workload, []string{"chase", "-seed", "7"}, "chase"},
+		{"shcheck", func(*flag.FlagSet) {}, []string{"a.img", "b.img"}, "a.img"},
+		{"shrun", workload, []string{"-workload", "bst", "-seed", "7"}, ""},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet(c.tool, flag.ContinueOnError)
+		c.register(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%s %v: %v", c.tool, c.args, err)
+		}
+		err := NoArgs(fs)
+		if c.stray == "" {
+			if err != nil {
+				t.Errorf("%s %v rejected: %v", c.tool, c.args, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s %v accepted", c.tool, c.args)
+			continue
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, strconv.Quote(c.stray)) || !strings.Contains(msg, c.tool) || strings.Contains(msg, "\n") {
+			t.Errorf("%s: error must be one line naming the tool and %q, got %q", c.tool, c.stray, msg)
 		}
 	}
 }

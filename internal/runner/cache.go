@@ -90,7 +90,11 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// Get returns the cached result for a job, if present and readable.
+// Get returns the cached result for a job, if present and readable. An
+// entry is served only if it is what Put writes for this job: current
+// schema, the job's ID, and a result that carries an ID of its own (so
+// a hollow `"result":{}` is damage, not an empty table). Anything else
+// — truncated, unparsable, foreign — is a miss the next Put overwrites.
 func (c *Cache) Get(j Job) (*experiments.Result, bool) {
 	key, err := c.Key(j)
 	if err != nil {
@@ -103,7 +107,8 @@ func (c *Cache) Get(j Job) (*experiments.Result, bool) {
 		return nil, false
 	}
 	var e entry
-	if err := json.Unmarshal(data, &e); err != nil || e.Schema != cacheSchema || e.Result == nil {
+	if err := json.Unmarshal(data, &e); err != nil ||
+		e.Schema != cacheSchema || e.ID != j.ID || e.Result == nil || e.Result.ID == "" {
 		c.misses.Add(1)
 		return nil, false
 	}

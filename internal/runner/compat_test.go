@@ -2,6 +2,7 @@ package runner
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -138,5 +139,87 @@ func TestCacheRoundTripWithObservabilityTable(t *testing.T) {
 	}
 	if got.Metrics["obs.exec.episodes"] != 2 {
 		t.Errorf("obs.exec.episodes = %v, want 2", got.Metrics["obs.exec.episodes"])
+	}
+}
+
+// TestCacheDamagedEntriesMiss damages a copy of the fixture entry in
+// the ways a shared cache directory gets damaged and holds each to the
+// same contract: Get misses without panicking, nothing is served, and
+// the next Put heals the slot. The entry carries no checksum, so a flip
+// that turns one digit of a metric into another digit is out of reach;
+// the two flips here are the detectable kinds (a number the entry is
+// checked against, and a byte that stops being a digit).
+func TestCacheDamagedEntriesMiss(t *testing.T) {
+	j := compatJob()
+	fix, err := OpenCache(fixtureDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := fix.Get(j)
+	if !ok {
+		t.Fatal("fixture entry missed")
+	}
+	key, err := fix.Key(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(fix.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// flip XORs mask into the byte after the first occurrence of marker.
+	flip := func(marker string, mask byte) []byte {
+		i := strings.Index(string(good), marker)
+		if i < 0 {
+			t.Fatalf("fixture has no %q", marker)
+		}
+		out := append([]byte(nil), good...)
+		out[i+len(marker)] ^= mask
+		return out
+	}
+	replace := func(old, new string) []byte {
+		if !strings.Contains(string(good), old) {
+			t.Fatalf("fixture has no %q", old)
+		}
+		return []byte(strings.Replace(string(good), old, new, 1))
+	}
+	schema := fmt.Sprintf(`"schema":%d`, cacheSchema)
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"truncated", good[:len(good)/2]},
+		{"schema digit flipped", flip(`"schema":`, 0x01)},
+		{"metric digit flipped to a non-digit", flip(`"coro_full_ns":`, 0x80)},
+		{"hollow result", []byte(fmt.Sprintf(`{%s,"id":%q,"result":{}}`, schema, j.ID))},
+		{"foreign id", replace(`"id":"E1"`, `"id":"E2"`)},
+		{"older schema", replace(schema, fmt.Sprintf(`"schema":%d`, cacheSchema-1))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(c.path(key), tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if res, ok := c.Get(j); ok || res != nil {
+				t.Fatalf("damaged entry served: %+v", res)
+			}
+			if c.Hits() != 0 || c.Misses() != 1 {
+				t.Fatalf("hits/misses = %d/%d, want 0/1", c.Hits(), c.Misses())
+			}
+			if err := c.Put(j, want); err != nil {
+				t.Fatal(err)
+			}
+			got, ok := c.Get(j)
+			if !ok {
+				t.Fatal("Put did not heal the damaged slot")
+			}
+			if got.String() != want.String() {
+				t.Fatalf("healed entry differs from the fixture:\n%s", got.String())
+			}
+		})
 	}
 }

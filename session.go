@@ -39,12 +39,11 @@ import (
 //	s, _ := repro.NewSession(repro.WithTopology(repro.DefaultTopology(8)))
 //	st, _ := s.RunMachine(repro.MachineRun{Spec: repro.PointerChase{...}})
 type Session struct {
-	topo          machine.Topology
-	parallelism   int
-	cache         *runner.Cache
-	obs           ObservabilityConfig
-	verify        bool
-	noSuperblocks bool
+	topo        machine.Topology
+	parallelism int
+	cache       *runner.Cache
+	obs         ObservabilityConfig
+	verify      bool
 
 	preflightOnce sync.Once
 	preflightErr  error
@@ -54,13 +53,12 @@ type Session struct {
 type Option func(*sessionConfig)
 
 type sessionConfig struct {
-	topo          machine.Topology
-	seed          *int64
-	parallelism   int
-	cacheDir      *string
-	obs           ObservabilityConfig
-	verify        bool
-	noSuperblocks bool
+	topo        machine.Topology
+	seed        *int64
+	parallelism int
+	cacheDir    *string
+	obs         ObservabilityConfig
+	verify      bool
 }
 
 // WithSeed overrides the scenario seed (applied after WithTopology, to
@@ -91,19 +89,6 @@ func WithCache(dir string) Option {
 // binary; it adds milliseconds, not simulation time.
 func WithVerification() Option {
 	return func(c *sessionConfig) { c.verify = true }
-}
-
-// WithSuperblocks toggles the superblock trace tier for every executor
-// the session builds; it is on by default. The tier chains hot basic
-// blocks across predicted-taken branches into specialized retire loops
-// (see ARCHITECTURE.md §7) and is observation-equivalent to plain block
-// dispatch: identical stats, traces and fault surfaces. Note that
-// attached observers (profiling runs under WithObservability sampling,
-// shprof) bypass the tier — and the whole block engine — entirely, so
-// per-instruction event streams are never affected by this knob; turn
-// it off only for A/B measurement against the block engine.
-func WithSuperblocks(enabled bool) Option {
-	return func(c *sessionConfig) { c.noSuperblocks = !enabled }
 }
 
 // ObservabilityConfig bundles the session's whole observation surface:
@@ -151,7 +136,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	if cfg.seed != nil {
 		cfg.topo.Machine.Seed = *cfg.seed
 	}
-	s := &Session{topo: cfg.topo, parallelism: cfg.parallelism, obs: cfg.obs, verify: cfg.verify, noSuperblocks: cfg.noSuperblocks}
+	s := &Session{topo: cfg.topo, parallelism: cfg.parallelism, obs: cfg.obs, verify: cfg.verify}
 	if cfg.cacheDir != nil {
 		dir := *cfg.cacheDir
 		if dir == "" {
@@ -203,9 +188,6 @@ func (s *Session) NewExecutor(h *Harness, img *Image, cfg ExecConfig) *Executor 
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = s.obs.Metrics
-	}
-	if s.noSuperblocks {
-		cfg.DisableSuperblocks = true
 	}
 	return h.NewExecutor(img, cfg)
 }
