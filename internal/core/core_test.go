@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
@@ -192,5 +193,82 @@ func TestHarnessAllocatesTouchedBytesOnly(t *testing.T) {
 	// 4x the footprint.
 	if n := composeBytes(workloads.PointerChase{Nodes: 16384, Hops: 100, Instances: 1}); n >= 4<<20 {
 		t.Errorf("composing a 1 MiB PointerChase allocated %d bytes, want < 4 MiB", n)
+	}
+}
+
+// TestCountingLoopInterpretsBoundedLaps pins lap skipping (cpu.sbLap)
+// through the executor, in integers: a 10⁹-iteration Compute loop — as
+// compiled, and as the scavenger pass instruments it, a CYIELD in every
+// lap — runs to its halt under exec.Flat with the host-reference result
+// while the superblock tier interprets only a handful of laps per entry
+// and retires the rest in closed form; and a run that is too long for
+// its MaxSteps still stops on exactly that instruction.
+func TestCountingLoopInterpretsBoundedLaps(t *testing.T) {
+	const iters = 1_000_000_000
+	h, err := NewHarness(DefaultMachine(),
+		workloads.PointerChase{Nodes: 256, Hops: 64, Instances: 1},
+		workloads.Compute{Iters: iters, Instances: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := h.Profile("chase")
+	if err != nil {
+		t.Fatal(err)
+	}
+	instrumented, err := h.Instrument(prof, instrument.DefaultPipelineOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	yields := 0
+	for _, in := range instrumented.Prog.Instrs { // the chase part gets YIELDs, never CYIELDs
+		if in.Op == isa.OpCYield {
+			yields++
+		}
+	}
+	if yields == 0 {
+		t.Fatal("the scavenger pass left the compute loop without a CYIELD")
+	}
+
+	for _, tc := range []struct {
+		name    string
+		img     *Image
+		retired uint64
+	}{
+		{"baseline", h.Baseline(), 4*iters + 2},
+		// The part's entry stays on the loop's first instruction, past the
+		// CYIELDs inserted at its head: the first lap retires none.
+		{"instrumented", instrumented, (4+uint64(yields))*iters + 2 - uint64(yields)},
+	} {
+		ts, err := h.Tasks(tc.img, "compute", coro.Primary, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := h.NewExecutor(tc.img, exec.Config{MaxSteps: 1 << 40})
+		st, err := ex.RunSolo(ts.Tasks[0])
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := ts.Validate(); err != nil || !ts.Tasks[0].Ctx.Halted {
+			t.Fatalf("%s: halted %v, %v", tc.name, ts.Tasks[0].Ctx.Halted, err)
+		}
+		if st.Retired != tc.retired {
+			t.Errorf("%s: retired %d instructions, want %d", tc.name, st.Retired, tc.retired)
+		}
+		// All but the lap that enters mid-loop go through the trace.
+		sb := ex.Core.SuperblockStats()
+		if sb.Activations == 0 || sb.LapsInterpreted > 4*sb.Activations || sb.LapsInterpreted+sb.LapsSkipped < iters-1 {
+			t.Errorf("%s: %d laps interpreted and %d skipped over %d trace entries, want ≤ 4 interpreted per entry and %d in all",
+				tc.name, sb.LapsInterpreted, sb.LapsSkipped, sb.Activations, iters-1)
+		}
+	}
+
+	const maxSteps = 1_000_003 // mid-lap
+	ts, err := h.Tasks(instrumented, "compute", coro.Primary, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = h.NewExecutor(instrumented, exec.Config{MaxSteps: maxSteps}).RunSolo(ts.Tasks[0])
+	if !errors.Is(err, exec.ErrFuelExhausted) || ts.Tasks[0].Ctx.Retired != maxSteps {
+		t.Errorf("over-long loop: %v after %d instructions, want ErrFuelExhausted after exactly %d", err, ts.Tasks[0].Ctx.Retired, maxSteps)
 	}
 }

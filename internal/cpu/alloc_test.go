@@ -49,7 +49,11 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 // overhead's worst case: a straight-line body of `body` fusable ALU
 // instructions closed by a compare and backward branch, matching the
 // paper's observation that retired instructions concentrate in
-// straight-line stretches between yields.
+// straight-line stretches between yields. One xor against the counter
+// keeps the lap from being an affine step of the registers, so the
+// superblock tier has to walk every lap (a pure counting loop it would
+// retire in closed form — sbLap — and the tiers' benchmarks would stop
+// measuring the same work).
 func aluLoopProgram(body int) *isa.Program {
 	p := &isa.Program{Instrs: []isa.Instr{
 		{Op: isa.OpMovI, Rd: 1, Imm: 0},
@@ -58,6 +62,7 @@ func aluLoopProgram(body int) *isa.Program {
 		p.Instrs = append(p.Instrs, isa.Instr{Op: isa.OpAddI, Rd: isa.Reg(2 + i%6), Rs1: isa.Reg(2 + i%6), Imm: int64(i)})
 	}
 	p.Instrs = append(p.Instrs,
+		isa.Instr{Op: isa.OpXor, Rd: 8, Rs1: 8, Rs2: 1},
 		isa.Instr{Op: isa.OpAddI, Rd: 1, Rs1: 1, Imm: 1},
 		isa.Instr{Op: isa.OpCmpI, Rs1: 1, Imm: 1 << 30},
 		isa.Instr{Op: isa.OpJlt, Imm: 1},

@@ -56,6 +56,7 @@ type Core struct {
 	sbs        []superblock
 	sbEntry    []int32
 	sbLineMask uint64
+	sbStats    SuperblockStats
 
 	observers    []Observer
 	lastBranchAt uint64 // clock of the previous taken transfer (LBR delta base)

@@ -35,7 +35,16 @@ import (
 //   - a conditional yield stays in the trace while it is dormant (the
 //     clock below the caller's Horizon.Wake) and is RunBlock's return
 //     otherwise, so an instrumented scavenger or batch loop — a CYIELD
-//     every few instructions — still runs as one loop superblock.
+//     every few instructions — still runs as one loop superblock;
+//   - a counting loop — a loop trace whose lap only increments registers,
+//     compares one of them with an immediate, yields conditionally and
+//     branches back on the comparison — carries a lap summary (sbLap),
+//     and at its head runSuper retires in closed form every lap in which
+//     it can prove the interpreter would have changed nothing but
+//     counters: the same strength reduction sbALUAddI applies within a
+//     lap, applied to whole laps. The laps where anything can happen —
+//     the latch falling through, a yield waking, fuel or the busy budget
+//     running out — are left to the interpreter below.
 //
 // The fallback ladder is literal: a superblock step that cannot proceed
 // (fuel, busy budget, side exit) drops to RunBlock's block dispatch
@@ -111,7 +120,56 @@ type superblock struct {
 	entry int32
 	steps []sbStep
 	uops  []sbUop
+	lap   sbLap
 }
+
+// sbLap summarises one lap of a counting loop: a loop trace whose lap is
+// only self-increments (`addi r, r, imm`), nops, `cmpi`s, CYIELDs and a
+// closing jgt/jge/jlt/jle back to the head. Every lap of such a loop is
+// the same affine step — each register moves by a fixed delta, the clock
+// by a fixed cost — and whether the latch is taken is a threshold test on
+// one register, so how many laps run before anything else can happen has
+// a closed form (ahead). instrs == 0 marks a trace that is not one. The
+// summary is held by value and its register deltas live in
+// superblock.uops, as sbALUAddI's do: a trace allocates nothing for it.
+type sbLap struct {
+	cost uint64 // busy cycles per lap
+	tail uint64 // busy cycles a lap retires after its last CYIELD
+
+	// The deciding compare is the lap's last `cmpi cmpReg, cmpImm`: it
+	// sees cmpOff more than the register held at the head, and cmpAdd is
+	// what a whole lap adds to the register (both two's complement).
+	cmpOff, cmpAdd uint64
+	cmpImm         int64
+	// The latch is taken exactly while the compared value lies in
+	// [lo, hi], in the order-preserving image of int64 in uint64 (sign
+	// bit flipped): a bound that is 0 or MaxUint64 is where the signed
+	// value would wrap.
+	lo, hi uint64
+
+	instrs uint32 // instructions per lap
+	yields uint32 // CYIELDs per lap
+	dlo    int32  // register deltas: uops[dlo : dlo+dnu]
+	dnu    int32
+	cmpReg uint8
+}
+
+// SuperblockStats counts what the superblock tier did on the host's
+// behalf. The counts are exact and repeat run for run, but they describe
+// the simulator, not the simulated machine: nothing architectural reads
+// them, and they stay out of Counters, the metrics registry and every
+// result.
+type SuperblockStats struct {
+	// Activations counts trace entries from RunBlock.
+	Activations uint64
+	// LapsInterpreted counts the trace traversals the step interpreter
+	// began; LapsSkipped the counting-loop laps retired in closed form.
+	LapsInterpreted uint64
+	LapsSkipped     uint64
+}
+
+// SuperblockStats returns the tier's host-side counts so far.
+func (c *Core) SuperblockStats() SuperblockStats { return c.sbStats }
 
 // InstallSuperblocks compiles and installs the given traces, enabling
 // the superblock tier in RunBlock. Specs are validated defensively —
@@ -266,6 +324,9 @@ func (c *Core) compileSuperblock(spec *SuperblockSpec) (*superblock, error) {
 			i++
 		}
 	}
+	if spec.Loop {
+		c.summariseLap(sb, pcs)
+	}
 	return sb, nil
 }
 
@@ -343,6 +404,127 @@ func (c *Core) compileALURun(sb *superblock, pcs []int) {
 	}
 }
 
+// sbSignBit maps int64 order onto uint64 order: x ^ sbSignBit is
+// monotonic in int64(x), and since the flip is an addition of 2^63
+// modulo 2^64 it commutes with the wrapping adds a lap performs.
+const sbSignBit = 1 << 63
+
+// summariseLap fills sb.lap when the validated loop trace over pcs is a
+// counting loop, and leaves it zero otherwise. The test is structural
+// and total: any load, store, interior branch, jeq/jne/jmp latch,
+// register-register compare or ALU op other than a self-increment means
+// the lap is not an affine step of the registers alone, and the trace
+// simply runs as before.
+func (c *Core) summariseLap(sb *superblock, pcs []int) {
+	body, latch := pcs[:len(pcs)-1], &c.instrs[pcs[len(pcs)-1]]
+	if latch.Target() != pcs[0] {
+		return
+	}
+	lap := sbLap{instrs: uint32(len(pcs)), dlo: int32(len(sb.uops))}
+	var delta [16]uint64
+	compared := false
+	for _, pc := range body {
+		in := &c.instrs[pc]
+		cost := c.costs[in.Op]
+		lap.cost += cost
+		lap.tail += cost
+		switch {
+		case in.Op == isa.OpNop:
+		case in.Op == isa.OpAddI && in.Rd == in.Rs1:
+			delta[in.Rd&15] += uint64(in.Imm)
+		case in.Op == isa.OpCmpI:
+			compared = true
+			lap.cmpReg = uint8(in.Rs1) & 15
+			lap.cmpImm = in.Imm
+			lap.cmpOff = delta[in.Rs1&15]
+		case in.Op == isa.OpCYield:
+			lap.yields++
+			lap.tail = 0
+		default:
+			return
+		}
+	}
+	lap.cost += c.costs[latch.Op]
+	lap.tail += c.costs[latch.Op]
+	lap.cmpAdd = delta[lap.cmpReg]
+	if !compared || lap.cost >= 1<<32 {
+		// No compare in the lap leaves the latch to flags from outside it;
+		// and a lap that long is a cost table nothing meaningful runs
+		// under — refusing it keeps runSuper's 2·cost from wrapping.
+		return
+	}
+	// The interval the latch is taken on. A latch no value can take (jgt
+	// against MaxInt64, jlt against MinInt64) has none.
+	at := uint64(lap.cmpImm) ^ sbSignBit
+	switch {
+	case latch.Op == isa.OpJgt && at != ^uint64(0):
+		lap.lo, lap.hi = at+1, ^uint64(0)
+	case latch.Op == isa.OpJge:
+		lap.lo, lap.hi = at, ^uint64(0)
+	case latch.Op == isa.OpJlt && at != 0:
+		lap.lo, lap.hi = 0, at-1
+	case latch.Op == isa.OpJle:
+		lap.lo, lap.hi = 0, at
+	default:
+		return
+	}
+	for rd, d := range delta {
+		if d != 0 {
+			sb.uops = append(sb.uops, sbUop{op: uint8(isa.OpAddI), rd: uint8(rd), rs1: uint8(rd), imm: d})
+		}
+	}
+	lap.dnu = int32(len(sb.uops)) - lap.dlo
+	sb.lap = lap
+}
+
+// ahead returns how many whole laps of the counting loop can be retired
+// in closed form from the trace head, with the registers, the clock, the
+// fuel left and the busy budget left (MaxUint64: no budget) as they stand
+// there. It is the largest k such that k whole laps fit in the fuel, k+1
+// fit in the budget and in the cycles below wake, and the latch is taken
+// in each of the k:
+//
+//   - fuel is counted in instructions and checked before each step, so k
+//     laps that fit retire exactly as they would one step at a time;
+//   - every budget check the interpreter makes inside those k laps asks
+//     whether the busy cycles so far, or with the next segment, are still
+//     short of the budget, and with a whole lap to spare they are,
+//     strictly; a CYIELD in them retires before the k-th lap ends, below
+//     wake, so it is dormant, and the budget it re-bases runs to hz.Bound
+//     ≥ hz.Wake, beyond the spare lap's end;
+//   - the compared value moves by cmpAdd a lap, so how long it stays in
+//     the taken interval [lo, hi] is a quotient; the interval ends where
+//     the signed value would wrap, so a register is never carried across
+//     its wrap — that lap, like every other doubt, is the interpreter's.
+//
+// Quotients and differences of ordered values only: nothing here wraps.
+func (l *sbLap) ahead(regs *[isa.NumRegs]uint64, now, fuelLeft, busyLeft, wake uint64) uint64 {
+	spare := busyLeft / l.cost // laps the budget and the cycles below wake cover
+	if l.yields > 0 {
+		if now >= wake {
+			return 0
+		}
+		spare = min(spare, (wake-now)/l.cost)
+	}
+	v := (regs[l.cmpReg&15] + l.cmpOff) ^ sbSignBit
+	if spare < 2 || v < l.lo || v > l.hi {
+		return 0
+	}
+	k := min(fuelLeft/uint64(l.instrs), spare-1)
+	if d := l.cmpAdd; d != 0 {
+		var more uint64 // laps after the first that keep the latch taken
+		if int64(d) > 0 {
+			more = (l.hi - v) / d
+		} else {
+			more = (v - l.lo) / -d
+		}
+		if more < k {
+			k = more + 1
+		}
+	}
+	return k
+}
+
 // flushSuperExec applies the batched per-PC Exec increments of one
 // runSuper activation: every step retired `laps` full traversals, plus
 // one more for the first `partial` steps of the unfinished lap. Totals
@@ -392,18 +574,66 @@ func (c *Core) runSuper(sb *superblock, ctx *coro.Context, block bool, fuel uint
 		busyAcc    = *busyAccp
 		busyBudget = *busyBudgetp
 		start      = steps
-		laps       uint64
+		laps       uint64 // traversals completed, skipped ones included
+		skipped    uint64
 		si         int
 		stepsA     = sb.steps
+		lap        = &sb.lap
 	)
 	leave := func(pc, partial int) {
 		c.flushSuperExec(sb, laps, partial)
+		c.sbStats.Activations++
+		c.sbStats.LapsInterpreted += laps - skipped + 1
+		c.sbStats.LapsSkipped += skipped
 		*pcp = pc
 		*stepsp = steps
 		*busyAccp = busyAcc
 		*busyBudgetp = busyBudget
 	}
 
+head:
+	// At the head of a counting loop, retire in closed form the laps
+	// that would change nothing but counters (see ahead): k times the
+	// lap's register deltas, clock, accounting and dormant yields, the
+	// flags its last compare would have left, and — a CYIELD having
+	// re-based it on the way — the budget as that lap's last one left
+	// it. The per-PC Exec counts ride on laps like any other lap's.
+	// The test against two laps' cost is all a caller whose budget is
+	// shorter pays (the SMT loop's every call).
+	if lap.instrs != 0 {
+		busyLeft := ^uint64(0)
+		if busyBudget != 0 {
+			busyLeft = busyBudget - busyAcc
+		}
+		var k uint64
+		if busyLeft >= 2*lap.cost {
+			k = lap.ahead(regs, c.Now, fuel-steps, busyLeft, hz.Wake)
+		}
+		if k > 0 {
+			for _, u := range sb.uops[lap.dlo : lap.dlo+lap.dnu] {
+				regs[u.rd&15] += k * u.imm
+			}
+			ctx.Flags = sign(int64(regs[lap.cmpReg&15]-lap.cmpAdd+lap.cmpOff), lap.cmpImm)
+			busy, n := k*lap.cost, k*uint64(lap.instrs)
+			c.Now += busy
+			ctx.BusyCycles += busy
+			counters.TotalBusy += busy
+			counters.TotalRetired += n
+			ctx.Retired += n
+			steps += n
+			laps += k
+			skipped += k
+			c.lastBranchAt = c.Now
+			if lap.yields > 0 {
+				res.Dormant += k * uint64(lap.yields)
+				res.DormantAt = c.Now - lap.tail
+				busyAcc = lap.tail
+				busyBudget = hz.Bound - res.DormantAt
+			} else {
+				busyAcc += busy
+			}
+		}
+	}
 	for {
 		st := &stepsA[si]
 		switch st.kind {
@@ -637,6 +867,9 @@ func (c *Core) runSuper(sb *superblock, ctx *coro.Context, block bool, fuel uint
 			if !predicted {
 				leave(next, si)
 				return false, true, nil
+			}
+			if si == 0 {
+				goto head
 			}
 		}
 	}

@@ -118,6 +118,31 @@ func diffSuperProgram(t *testing.T, label string, prog *isa.Program, rng *rand.R
 func randLoopProgram(rng *rand.Rand, n int, iters int64, arenaSize int64, latchYield bool) *isa.Program {
 	p := randRunnableProgram(rng, n, arenaSize)
 	p.Instrs = p.Instrs[:len(p.Instrs)-1] // drop HALT; targets of n now hit the latch
+	return closeLoop(p, iters, latchYield)
+}
+
+// randCountingLoop is randLoopProgram over a body of nothing but
+// self-increments, nops and CYIELDs, which with the latch makes a
+// counting loop: the shape whose laps the superblock tier retires in
+// closed form (sbLap). iters may be large — only a tier that walks every
+// lap pays for it.
+func randCountingLoop(rng *rand.Rand, n int, iters int64, latchYield bool) *isa.Program {
+	p := &isa.Program{}
+	for i := 0; i < n; i++ {
+		switch r := isa.Reg(rng.Intn(16)); {
+		case r < 12:
+			p.Instrs = append(p.Instrs, isa.Instr{Op: isa.OpAddI, Rd: r, Rs1: r, Imm: int64(rng.Intn(129) - 64)})
+		case r < 14:
+			p.Instrs = append(p.Instrs, isa.Instr{Op: isa.OpNop})
+		default:
+			p.Instrs = append(p.Instrs, isa.Instr{Op: isa.OpCYield, Imm: int64(isa.AllRegs)})
+		}
+	}
+	return closeLoop(p, iters, latchYield)
+}
+
+// closeLoop appends the latch — iters laps, counted on r12 — and a HALT.
+func closeLoop(p *isa.Program, iters int64, latchYield bool) *isa.Program {
 	if latchYield {
 		p.Instrs = append(p.Instrs, isa.Instr{Op: isa.OpCYield, Imm: int64(isa.AllRegs)})
 	}

@@ -166,13 +166,14 @@ func NewLBRStats(progLen int) *LBRStats {
 	}
 }
 
-// credit counts one traversal of e, tracking first-observation order for
+// credit counts n traversals of e, tracking first-observation order for
 // the deterministic export.
-func (l *LBRStats) credit(e Edge) {
-	if l.Edges[e] == 0 {
+func (l *LBRStats) credit(e Edge, n uint64) {
+	seen := l.Edges[e]
+	if seen == 0 {
 		l.edgeOrder = append(l.edgeOrder, e)
 	}
-	l.Edges[e]++
+	l.Edges[e] = seen + n
 }
 
 // EdgeCount is one exported LBR edge with its snapshot-traversal count.

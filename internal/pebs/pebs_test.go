@@ -2,6 +2,7 @@ package pebs
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cpu"
@@ -143,6 +144,57 @@ func TestLBRPartialRing(t *testing.T) {
 	// Snapshot of a partially filled ring must still count edges.
 	if s.LBR().Edges[Edge{5, 1}] != 2 {
 		t.Errorf("edges = %v", s.LBR().Edges)
+	}
+}
+
+// TestLBRSnapshotCreditsRunsLikeRecords holds the run-folded snapshot to
+// the per-record walk it replaced — one count and one first-observation
+// check per ring record — over streams that are all one back-edge (what a
+// ring sampled inside a loop holds), strictly alternating, random, and
+// that open on the zero edge a fresh run detector starts out holding.
+func TestLBRSnapshotCreditsRunsLikeRecords(t *testing.T) {
+	const progLen = 8
+	cfg := Config{LBRDepth: 8, LBREvery: 5}
+	rng := rand.New(rand.NewSource(11))
+	streams := map[string]func(i int) Edge{
+		"one back-edge": func(int) Edge { return Edge{6, 2} },
+		"alternating":   func(i int) Edge { return Edge{6 - i%2, 2} },
+		"zero edge":     func(i int) Edge { return Edge{0, i / 7 % 2} },
+		"random runs": func(int) Edge {
+			if rng.Intn(3) == 0 {
+				return Edge{rng.Intn(progLen), rng.Intn(progLen)}
+			}
+			return Edge{7, 1}
+		},
+	}
+	for name, next := range streams {
+		s := NewSampler(cfg, progLen)
+		want := NewLBRStats(progLen)
+		var window []BranchRecord // the ring's contents, oldest first
+		for i := 0; i < 203; i++ {
+			e, cycles := next(i), uint64(10+i%3)
+			s.OnBranch(cpu.BranchEvent{From: e.From, To: e.To, Cycles: cycles})
+			if window = append(window, BranchRecord{e.From, e.To, cycles}); len(window) > cfg.LBRDepth {
+				window = window[1:]
+			}
+			if uint64(i+1)%cfg.LBREvery != 0 {
+				continue
+			}
+			for j, rec := range window {
+				e := Edge{rec.From, rec.To}
+				if want.Edges[e] == 0 {
+					want.edgeOrder = append(want.edgeOrder, e)
+				}
+				want.Edges[e]++
+				if j > 0 {
+					want.BlockCycleSum[window[j-1].To] += rec.Cycles
+					want.BlockCycleCount[window[j-1].To]++
+				}
+			}
+		}
+		if got := s.LBR(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got  %+v\n want %+v", name, got, want)
+		}
 	}
 }
 

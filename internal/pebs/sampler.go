@@ -151,7 +151,11 @@ func (s *Sampler) OnBranch(e cpu.BranchEvent) {
 
 // snapshot walks the ring oldest-to-newest, crediting edges and block
 // latencies. The Cycles of record i measure the straight-line region
-// entered at record i-1's target, so consecutive pairs are required.
+// entered at record i-1's target, so consecutive pairs are required. A
+// ring snapshotted inside a loop holds its back-edge many times over, so
+// a run of one edge is credited once, with its length: the same counts in
+// the same first-observation order for a map update per run, not two per
+// record.
 func (s *Sampler) snapshot() {
 	n := len(s.ring)
 	if !s.ringFull {
@@ -165,13 +169,22 @@ func (s *Sampler) snapshot() {
 		start = s.ringPos // oldest entry
 	}
 	prevTo := -1
+	var run Edge
+	var runLen uint64
 	for i := 0; i < n; i++ {
 		rec := s.ring[(start+i)%len(s.ring)]
-		s.lbr.credit(Edge{rec.From, rec.To})
+		if e := (Edge{rec.From, rec.To}); e != run {
+			if runLen > 0 {
+				s.lbr.credit(run, runLen)
+			}
+			run, runLen = e, 0
+		}
+		runLen++
 		if prevTo >= 0 && prevTo < len(s.lbr.BlockCycleSum) {
 			s.lbr.BlockCycleSum[prevTo] += rec.Cycles
 			s.lbr.BlockCycleCount[prevTo]++
 		}
 		prevTo = rec.To
 	}
+	s.lbr.credit(run, runLen)
 }

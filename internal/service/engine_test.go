@@ -266,3 +266,74 @@ func TestCellPollIdempotent(t *testing.T) {
 		conservation(t, summarize(Cell{Policy: pol, Rate: 4}, []*cell{c}, 0), uint64(cfg.Requests))
 	}
 }
+
+// The mechanism behind a serve cell's host cost, as integers
+// (cpu.SuperblockStats): on the two cells the tier ledger in
+// ARCHITECTURE §7 reports — the benchmark's serve-1core agnostic cell at
+// 4 req/µs and its serve-mcore event-aware cell at 8, same configuration
+// and seed — the batch loop's laps between arrivals are retired in closed
+// form, not walked. The counts repeat exactly run for run and are logged
+// for that table (go test -run TestServeCellsSkipBatchLaps -v); what is
+// asserted is the share, which only a change of mechanism moves. -short
+// serves a tenth of the requests.
+func TestServeCellsSkipBatchLaps(t *testing.T) {
+	mach := core.DefaultMachine()
+	mach.MemBytes, mach.Seed = 32<<20, 1
+	for _, tc := range []struct {
+		cl       Cell
+		cores    int
+		requests int
+		minShare float64 // of all instructions, retired in skipped laps
+	}{
+		{Cell{Policy: Agnostic, Rate: 4}, 1, 60_000, 0.95},
+		{Cell{Policy: EventAware, Rate: 8}, 4, 100_000, 0.75},
+	} {
+		cfg := testConfig()
+		cfg.Queue, cfg.Requests, cfg.Topology.Cores = 64, tc.requests, tc.cores
+		if testing.Short() {
+			cfg.Requests /= 10
+		}
+		cfg, err := cfg.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells []*cell
+		if tc.cores == 1 {
+			c, err := newCell(mach, cfg, tc.cl, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.run(exec.NoDeadline); err != nil {
+				t.Fatal(err)
+			}
+			cells = []*cell{c}
+		} else {
+			d, err := newDispatcher(mach, cfg, tc.cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.close()
+			if err := d.serve(); err != nil {
+				t.Fatal(err)
+			}
+			cells = d.cores
+		}
+		var steps uint64
+		var sb cpu.SuperblockStats
+		for _, c := range cells {
+			steps += c.loop.Steps()
+			st := c.ex.Core.SuperblockStats()
+			sb.Activations += st.Activations
+			sb.LapsInterpreted += st.LapsInterpreted
+			sb.LapsSkipped += st.LapsSkipped
+		}
+		t.Logf("%s@%g on %d core(s), %d requests: %d instructions, %d trace entries, %d laps interpreted, %d laps skipped",
+			tc.cl.Policy, tc.cl.Rate, tc.cores, cfg.Requests, steps, sb.Activations, sb.LapsInterpreted, sb.LapsSkipped)
+		// The only counting loop in the image is the instrumented batch
+		// loop, five instructions a lap: addi; cyield; addi; cmpi; jgt.
+		if share := float64(5*sb.LapsSkipped) / float64(steps); share < tc.minShare {
+			t.Errorf("%s@%g: %.1f%% of %d instructions retired in skipped laps, want ≥ %.0f%%",
+				tc.cl.Policy, tc.cl.Rate, 100*share, steps, 100*tc.minShare)
+		}
+	}
+}
