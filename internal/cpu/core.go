@@ -51,10 +51,12 @@ type Core struct {
 
 	// Superblock tier (superblock.go): sbEntry[pc] indexes sbs when pc
 	// heads an installed trace, -1 otherwise; nil disables the tier.
-	// sbLineMask caches the hierarchy's line mask for the residency
-	// memos.
+	// sbQuiet indexes the laps of the counting loops that never yield
+	// (QuietLaps); nil when there are none. sbLineMask caches the
+	// hierarchy's line mask for the residency memos.
 	sbs        []superblock
 	sbEntry    []int32
+	sbQuiet    []sbQuietPC
 	sbLineMask uint64
 	sbStats    SuperblockStats
 

@@ -198,6 +198,7 @@ func (c *Core) InstallSuperblocks(specs []SuperblockSpec) error {
 	}
 	c.sbs = sbs
 	c.sbEntry = entry
+	c.sbQuiet = quietLaps(c.instrs, sbs)
 	c.sbLineMask = c.Hier.LineMask()
 	return nil
 }
@@ -210,6 +211,7 @@ func (c *Core) HasSuperblocks() bool { return c.sbEntry != nil }
 func (c *Core) ClearSuperblocks() {
 	c.sbs = nil
 	c.sbEntry = nil
+	c.sbQuiet = nil
 }
 
 // SuperblockTraceable reports whether op may appear inside a superblock:
@@ -482,7 +484,7 @@ func (c *Core) summariseLap(sb *superblock, pcs []int) {
 // fuel left and the busy budget left (MaxUint64: no budget) as they stand
 // there. It is the largest k such that k whole laps fit in the fuel, k+1
 // fit in the budget and in the cycles below wake, and the latch is taken
-// in each of the k:
+// in each of the k (taken):
 //
 //   - fuel is counted in instructions and checked before each step, so k
 //     laps that fit retire exactly as they would one step at a time;
@@ -491,11 +493,7 @@ func (c *Core) summariseLap(sb *superblock, pcs []int) {
 //     short of the budget, and with a whole lap to spare they are,
 //     strictly; a CYIELD in them retires before the k-th lap ends, below
 //     wake, so it is dormant, and the budget it re-bases runs to hz.Bound
-//     ≥ hz.Wake, beyond the spare lap's end;
-//   - the compared value moves by cmpAdd a lap, so how long it stays in
-//     the taken interval [lo, hi] is a quotient; the interval ends where
-//     the signed value would wrap, so a register is never carried across
-//     its wrap — that lap, like every other doubt, is the interpreter's.
+//     ≥ hz.Wake, beyond the spare lap's end.
 //
 // Quotients and differences of ordered values only: nothing here wraps.
 func (l *sbLap) ahead(regs *[isa.NumRegs]uint64, now, fuelLeft, busyLeft, wake uint64) uint64 {
@@ -506,23 +504,112 @@ func (l *sbLap) ahead(regs *[isa.NumRegs]uint64, now, fuelLeft, busyLeft, wake u
 		}
 		spare = min(spare, (wake-now)/l.cost)
 	}
-	v := (regs[l.cmpReg&15] + l.cmpOff) ^ sbSignBit
-	if spare < 2 || v < l.lo || v > l.hi {
+	if spare < 2 {
 		return 0
 	}
-	k := min(fuelLeft/uint64(l.instrs), spare-1)
-	if d := l.cmpAdd; d != 0 {
-		var more uint64 // laps after the first that keep the latch taken
-		if int64(d) > 0 {
-			more = (l.hi - v) / d
-		} else {
-			more = (v - l.lo) / -d
+	return min(fuelLeft/uint64(l.instrs), spare-1, l.taken(regs[l.cmpReg&15]))
+}
+
+// taken returns how many laps in a row, entered at the head with the
+// compared register holding r, take the latch: 0 if the first does not,
+// MaxUint64 if more than that many do. The compared value moves by cmpAdd
+// a lap, so how long it stays in the taken interval [lo, hi] is a
+// quotient; the interval ends where the signed value would wrap, so a
+// register is never carried across its wrap — that lap, like every other
+// doubt, is the interpreter's.
+func (l *sbLap) taken(r uint64) uint64 {
+	v := (r + l.cmpOff) ^ sbSignBit
+	if v < l.lo || v > l.hi {
+		return 0
+	}
+	more := ^uint64(0) // laps after the first that keep the latch taken
+	if d := l.cmpAdd; int64(d) > 0 {
+		more = (l.hi - v) / d
+	} else if d != 0 {
+		more = (v - l.lo) / -d
+	}
+	return min(more, ^uint64(0)-1) + 1
+}
+
+// sbQuietPC places a pc inside the lap of a counting loop that never
+// yields: sb is the loop's trace (-1: the pc lies in no such lap), pre
+// what the lap adds to the compared register ahead of the pc, and
+// cmpAhead whether the deciding compare is still to come.
+type sbQuietPC struct {
+	sb       int32
+	cmpAhead bool
+	pre      uint64
+}
+
+// quietLaps indexes by pc the laps of the counting loops in sbs that
+// never yield; nil when there are none, so a program without one pays
+// nothing for the index.
+func quietLaps(instrs []isa.Instr, sbs []superblock) []sbQuietPC {
+	var at []sbQuietPC
+	for i := range sbs {
+		sb := &sbs[i]
+		lap := &sb.lap
+		if lap.instrs == 0 || lap.yields > 0 {
+			continue
 		}
-		if more < k {
-			k = more + 1
+		if at == nil {
+			at = make([]sbQuietPC, len(instrs))
+			for pc := range at {
+				at[pc].sb = -1
+			}
+		}
+		// A summarised lap is straight-line code from the head to the
+		// latch: any interior branch would have refused the summary.
+		head, end := int(sb.entry), int(sb.entry)+int(lap.instrs)
+		lastCmp := head
+		for pc := head; pc < end; pc++ {
+			if instrs[pc].Op == isa.OpCmpI {
+				lastCmp = pc
+			}
+		}
+		var pre uint64
+		for pc := head; pc < end; pc++ {
+			at[pc] = sbQuietPC{sb: int32(i), cmpAhead: pc <= lastCmp, pre: pre}
+			if in := &instrs[pc]; in.Op == isa.OpAddI && uint8(in.Rd)&15 == lap.cmpReg {
+				pre += uint64(in.Imm)
+			}
 		}
 	}
-	return k
+	return at
+}
+
+// QuietLaps answers the SMT loop's question (internal/smt) about a
+// hardware thread: how long does ctx provably stay inside a counting loop
+// that never yields? Such a lap touches no memory, cannot stall and reads
+// nothing but ctx's own registers and flags, so what it does depends
+// neither on the clock nor on any other context. If ctx's next
+// instruction lies in one, QuietLaps returns the lap's busy cost and
+// instruction count and how many of the latch executions from here on are
+// provably taken (MaxUint64: at least that many), from wherever in the
+// lap ctx stands. cost 0 means ctx is in no such lap, or RunBlock would
+// not run the trace (an observer is attached, or no plan is installed).
+// A pc outside every such lap costs one table lookup; inside, O(1).
+//
+//shsim:noalloc
+func (c *Core) QuietLaps(ctx *coro.Context) (cost, instrs, taken uint64) {
+	pc := ctx.PC
+	if uint(pc) >= uint(len(c.sbQuiet)) || c.sbQuiet[pc].sb < 0 || len(c.observers) > 0 || c.plan == nil {
+		return 0, 0, 0
+	}
+	at := &c.sbQuiet[pc]
+	sb := &c.sbs[at.sb]
+	lap := &sb.lap
+	// The compared register as it stood at the head of this lap. The next
+	// latch sees it through the lap's compare if that is still to come,
+	// and through ctx's flags, already set, if not.
+	r := ctx.Regs[lap.cmpReg&15] - at.pre
+	switch {
+	case at.cmpAhead:
+		taken = lap.taken(r)
+	case condHolds(c.instrs[int(sb.entry)+int(lap.instrs)-1].Op, ctx.Flags):
+		taken = min(lap.taken(r+lap.cmpAdd), ^uint64(0)-1) + 1
+	}
+	return lap.cost, uint64(lap.instrs), taken
 }
 
 // flushSuperExec applies the batched per-PC Exec increments of one
@@ -599,7 +686,7 @@ head:
 	// re-based it on the way — the budget as that lap's last one left
 	// it. The per-PC Exec counts ride on laps like any other lap's.
 	// The test against two laps' cost is all a caller whose budget is
-	// shorter pays (the SMT loop's every call).
+	// shorter pays (an SMT slice).
 	if lap.instrs != 0 {
 		busyLeft := ^uint64(0)
 		if busyBudget != 0 {

@@ -236,7 +236,9 @@ func newCell(mach core.Machine, cfg Config, cl Cell, withArrivals bool) (*cell, 
 		for i, t := range ring {
 			ctxs[i] = t.Ctx
 		}
-		c.loop = smt.NewLoop(c.ex.Core, smt.Config{Quantum: smt.DefaultConfig().Quantum, MaxSteps: cfg.MaxSteps}, ctxs, c)
+		if c.loop, err = smt.NewLoop(c.ex.Core, smt.Config{Contexts: len(ctxs), MaxSteps: cfg.MaxSteps}, ctxs, c); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("service: unknown policy %d", uint8(cl.Policy))
 	}

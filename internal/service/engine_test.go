@@ -337,3 +337,42 @@ func TestServeCellsSkipBatchLaps(t *testing.T) {
 		}
 	}
 }
+
+// The same for the smt loop (smt.RoundStats): on the benchmark's two
+// serve-1core smt cells, 4 and 8 req/µs, the rounds in which only the two
+// batch loops are runnable — taking turns a 4-cycle lap at a time — are
+// retired in closed form, not slice by slice. The counts are logged (go
+// test -run TestServeSMTCellSkipsRounds -v); the share of slices skipped
+// is asserted. -short serves a tenth of the requests.
+func TestServeSMTCellSkipsRounds(t *testing.T) {
+	mach := core.DefaultMachine()
+	mach.MemBytes, mach.Seed = 32<<20, 1
+	cfg := testConfig()
+	cfg.Queue, cfg.Requests = 64, 60_000
+	if testing.Short() {
+		cfg.Requests /= 10
+	}
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		rate     float64
+		minShare float64 // of all slices, retired in skipped rounds
+	}{{4, 0.7}, {8, 0.45}} {
+		c, err := newCell(mach, cfg, Cell{Policy: SMT, Rate: tc.rate}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.run(exec.NoDeadline); err != nil {
+			t.Fatal(err)
+		}
+		rs := c.loop.(*smt.Loop).RoundStats()
+		t.Logf("smt@%g, %d requests: %d instructions, %d single slices, %d skips retiring %d rounds (%d slices)",
+			tc.rate, cfg.Requests, c.loop.Steps(), rs.Slices, rs.Skips, rs.Rounds, rs.SkippedSlices)
+		if share := float64(rs.SkippedSlices) / float64(rs.Slices+rs.SkippedSlices); share < tc.minShare {
+			t.Errorf("smt@%g: %.1f%% of %d slices retired in skipped rounds, want ≥ %.0f%%",
+				tc.rate, 100*share, rs.Slices+rs.SkippedSlices, 100*tc.minShare)
+		}
+	}
+}

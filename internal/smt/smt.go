@@ -10,6 +10,7 @@
 package smt
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bincfg"
@@ -26,9 +27,10 @@ type Config struct {
 	// rotates runnable contexts every Quantum busy cycles, approximating
 	// per-cycle issue-slot sharing. This is what makes SMT inflate the
 	// latency of a thread sharing the core with compute-bound peers —
-	// the hardware cannot prioritize.
+	// the hardware cannot prioritize. Zero selects DefaultConfig's.
 	Quantum uint64
-	// MaxSteps bounds total retired instructions (runaway guard).
+	// MaxSteps bounds total retired instructions (runaway guard). Zero
+	// selects DefaultConfig's.
 	MaxSteps uint64
 	// DisableSuperblocks keeps the superblock trace tier off (see
 	// exec.Config.DisableSuperblocks); superblock exits respect the
@@ -86,13 +88,46 @@ func Run(core *cpu.Core, cfg Config, ctxs []*coro.Context) (Stats, error) {
 // loop never formats.
 var errFuel = fmt.Errorf("smt: %w", exec.ErrFuelExhausted)
 
+// errRound reports a broken premise of a skipped round: a context given
+// whole slices' budget stopped short of it. Built once, like errFuel.
+var errRound = errors.New("smt: a context in a skipped round stopped short of its slices")
+
 // Loop is the SMT stall-switch scheduling loop: ring contexts multiplex
 // the core as hardware threads, rotating every Quantum busy cycles and
 // switching for free whenever one exposes a memory stall. Like the exec
 // loops it is fed by a source (a context is runnable iff it has not
-// halted) and resumable: Run(deadline) multiplexes until the core clock
-// reaches the deadline, and a later call picks up exactly where it
-// stopped — slice, rotation cursor and wake-ups live on the loop.
+// halted and is not blocked on a fill) and resumable: Run(deadline)
+// multiplexes until the core clock reaches the deadline, and a later call
+// picks up exactly where it stopped — slice, rotation cursor and wake-ups
+// live on the loop.
+//
+// The slice belongs to the core, not to a context. Only a full slice, a
+// stall or a halt rotates — moves the cursor past the holder and starts a
+// fresh slice; a call that stops short — clipped by a blocked peer's
+// wake-up, an arrival or the deadline, or returning at a CYIELD — leaves
+// both as they are. The next pick scans from the cursor again, so when the
+// clip made an earlier context in scan order runnable (a peer whose fill
+// landed, a slot an arrival armed), that context inherits the rest of the
+// slice, Quantum − sliceUsed, not a fresh one. This carry is why a serve
+// cell's batch loops start their slices anywhere in their laps rather than
+// at the loop head. TestRoundsSliceCarry pins it; changing it would move
+// every SMT golden.
+//
+// Whole rounds in closed form (ARCHITECTURE §7). At a fresh slice, when
+// every runnable context is inside a counting loop whose lap never yields
+// and whose cost divides Quantum (cpu.Core.QuietLaps), each slice of a
+// rotation round retires Quantum/cost laps and ends at the pc it began at,
+// and nothing another context or the clock does changes that; who is
+// runnable cannot change before a blocked context wakes or the source is
+// due. So Run hands each runnable context, in scan order, one RunBlock
+// call of k slices' budget (the lap skip retires it in O(1)) and leaves
+// the cursor where the k-th round would; the last context run is that
+// round's last, so the clock and the last taken branch agree too. k is at
+// least 2, every latch of the k rounds is provably taken, k·m·Quantum
+// cycles (m runnable contexts) end by the earliest wake-up and by the next
+// arrival or deadline, and the rounds fit the fuel. Anything else — a
+// chaser, a CYIELD in the lap, a clipped slice, an observer,
+// DisableSuperblocks — runs slice by slice for one table lookup a slice.
 type Loop struct {
 	core    *cpu.Core
 	quantum uint64
@@ -103,15 +138,47 @@ type Loop struct {
 	blockedUntil []uint64 // per-context memory-stall wake-ups
 	idle         uint64
 	cur          int
+	loud         int // the context that last spoiled a round skip
 	steps        uint64
 	sliceUsed    uint64
 	r            cpu.BlockResult
+	rounds       RoundStats
 }
 
-// NewLoop prepares a stall-switch loop over ring, fed by src, with the
-// hardware-thread slice length and MaxSteps budget of cfg. The source
-// may re-arm ring entries in place.
-func NewLoop(core *cpu.Core, cfg Config, ring []*coro.Context, src exec.Source) *Loop {
+// RoundStats counts how a Loop retired its slices. Like
+// cpu.SuperblockStats the counts are exact and repeat run for run, but
+// they describe the simulator, not the simulated machine: nothing
+// architectural reads them, and they stay out of Stats, the metrics
+// registry and every result.
+type RoundStats struct {
+	// Slices counts the RunBlock calls that ran one slice, or what a
+	// wake-up, an arrival or the deadline left of it.
+	Slices uint64
+	// Skips counts the times whole rounds were retired in closed form
+	// (one RunBlock call per runnable context each), Rounds the rounds so
+	// retired and SkippedSlices their slices: rounds × runnable contexts.
+	Skips, Rounds, SkippedSlices uint64
+}
+
+// NewLoop prepares a stall-switch loop over ring, fed by src. cfg is
+// validated against ring, and a zero Quantum or MaxSteps takes
+// DefaultConfig's. The source may re-arm ring entries in place.
+func NewLoop(core *cpu.Core, cfg Config, ring []*coro.Context, src exec.Source) (*Loop, error) {
+	switch {
+	case cfg.Contexts <= 0:
+		return nil, fmt.Errorf("smt: context count must be positive")
+	case len(ring) == 0:
+		return nil, fmt.Errorf("smt: no contexts")
+	case len(ring) > cfg.Contexts:
+		return nil, fmt.Errorf("smt: %d software threads exceed %d hardware contexts", len(ring), cfg.Contexts)
+	}
+	def := DefaultConfig()
+	if cfg.Quantum == 0 {
+		cfg.Quantum = def.Quantum
+	}
+	if cfg.MaxSteps == 0 {
+		cfg.MaxSteps = def.MaxSteps
+	}
 	return &Loop{
 		core:         core,
 		quantum:      cfg.Quantum,
@@ -119,11 +186,14 @@ func NewLoop(core *cpu.Core, cfg Config, ring []*coro.Context, src exec.Source) 
 		ring:         ring,
 		src:          src,
 		blockedUntil: make([]uint64, len(ring)),
-	}
+	}, nil
 }
 
 // Steps returns the instructions retired so far.
 func (l *Loop) Steps() uint64 { return l.steps }
+
+// RoundStats returns the loop's host-side counts so far.
+func (l *Loop) RoundStats() RoundStats { return l.rounds }
 
 // Run advances until the core clock reaches deadline (done=false: call
 // again with a later one) or the source has nothing pending (done=true).
@@ -155,8 +225,7 @@ func (l *Loop) Run(deadline uint64) (bool, error) {
 		// have re-picked them.
 		picked := -1
 		wake := exec.NoHorizon
-		for off := 0; off < n; off++ {
-			i := (l.cur + off) % n
+		for off, i := 0, l.cur; off < n; off, i = off+1, l.next(i) {
 			if l.ring[i].Halted {
 				continue
 			}
@@ -179,12 +248,22 @@ func (l *Loop) Run(deadline uint64) (bool, error) {
 			core.AdvanceIdle(until - core.Now)
 			continue
 		}
+		if l.sliceUsed == 0 {
+			skipped, err := l.skipRounds(picked, stop)
+			if err != nil {
+				return false, err
+			}
+			if skipped {
+				continue
+			}
+		}
 		// The busy budget is what remains of the slice, clipped to until.
 		budget := min(l.quantum-l.sliceUsed, until-core.Now)
 		ctx := l.ring[picked]
 		if err := core.RunBlock(ctx, true, l.fuel-l.steps, budget, cpu.Horizon{}, &l.r); err != nil {
 			return false, err
 		}
+		l.rounds.Slices++
 		l.steps += l.r.Steps
 		l.sliceUsed += l.r.Busy
 		rotate := false
@@ -202,10 +281,88 @@ func (l *Loop) Run(deadline uint64) (bool, error) {
 			rotate = true
 		}
 		if rotate || l.sliceUsed >= l.quantum {
-			l.cur = (picked + 1) % n
+			l.cur = l.next(picked)
 			l.sliceUsed = 0
 		}
 	}
+	return true, nil
+}
+
+// next is the ring index after i.
+func (l *Loop) next(i int) int {
+	if i++; i == len(l.ring) {
+		return 0
+	}
+	return i
+}
+
+// skipRounds retires in closed form the whole rounds that lie ahead of a
+// fresh slice going to picked, when they are quiet (see Loop) and there
+// are at least two; stop is the next arrival or the deadline. It reports
+// whether it did. The contexts between the cursor and picked are halted
+// or blocked, so scan order from picked is the round's order.
+//
+//shsim:noalloc
+func (l *Loop) skipRounds(picked int, stop uint64) (bool, error) {
+	core := l.core
+	now := core.Now
+	n := len(l.ring)
+	// The context that spoiled the last attempt usually spoils this one,
+	// and asking it first costs one table lookup.
+	if ctx := l.ring[l.loud]; !ctx.Halted && l.blockedUntil[l.loud] <= now {
+		if cost, _, _ := core.QuietLaps(ctx); cost == 0 {
+			return false, nil
+		}
+	}
+	fuelLeft := l.fuel - l.steps
+	k := ^uint64(0)        // rounds in which every latch is provably taken
+	h := stop              // the first cycle at which who is runnable could change
+	var m, perRound uint64 // runnable contexts; instructions a round retires
+	last := picked
+	for off, i := 0, picked; off < n; off, i = off+1, l.next(i) {
+		ctx := l.ring[i]
+		switch {
+		case ctx.Halted:
+		case l.blockedUntil[i] > now:
+			h = min(h, l.blockedUntil[i])
+		default:
+			cost, instrs, taken := core.QuietLaps(ctx)
+			if cost == 0 || l.quantum%cost != 0 {
+				l.loud = i
+				return false, nil
+			}
+			laps := l.quantum / cost // per slice, and the latches it executes
+			if laps > fuelLeft/instrs || laps*instrs > fuelLeft-perRound {
+				return false, nil // not even one round fits the fuel
+			}
+			k = min(k, taken/laps)
+			perRound += laps * instrs
+			m++
+			last = i
+		}
+	}
+	k = min(k, (h-now)/l.quantum/m, fuelLeft/perRound)
+	if k < 2 {
+		return false, nil
+	}
+	budget := k * l.quantum
+	for off, i := 0, picked; off < n; off, i = off+1, l.next(i) {
+		ctx := l.ring[i]
+		if ctx.Halted || l.blockedUntil[i] > now {
+			continue
+		}
+		if err := core.RunBlock(ctx, true, l.fuel-l.steps, budget, cpu.Horizon{}, &l.r); err != nil {
+			return false, err
+		}
+		l.steps += l.r.Steps
+		if l.r.Busy != budget || l.r.Stall != 0 || l.r.Halted {
+			return false, errRound
+		}
+	}
+	l.cur = l.next(last)
+	l.rounds.Skips++
+	l.rounds.Rounds += k
+	l.rounds.SkippedSlices += k * m
 	return true, nil
 }
 
@@ -219,20 +376,10 @@ type Runner struct {
 
 // NewRunner validates the configuration and prepares a resumable run.
 func NewRunner(core *cpu.Core, cfg Config, ctxs []*coro.Context) (*Runner, error) {
-	if cfg.Contexts <= 0 {
-		return nil, fmt.Errorf("smt: context count must be positive")
-	}
-	if len(ctxs) == 0 {
-		return nil, fmt.Errorf("smt: no contexts")
-	}
-	if len(ctxs) > cfg.Contexts {
-		return nil, fmt.Errorf("smt: %d software threads exceed %d hardware contexts", len(ctxs), cfg.Contexts)
-	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = DefaultConfig().MaxSteps
-	}
-	if cfg.Quantum == 0 {
-		cfg.Quantum = DefaultConfig().Quantum
+	set := exec.NewFixedSet(core, len(ctxs), make([]uint64, len(ctxs)))
+	l, err := NewLoop(core, cfg, ctxs, set)
+	if err != nil {
+		return nil, err
 	}
 	if !core.HasPlan() {
 		// Enable the basic-block fast path; the program was validated at
@@ -243,8 +390,7 @@ func NewRunner(core *cpu.Core, cfg Config, ctxs []*coro.Context) (*Runner, error
 	if !cfg.DisableSuperblocks && !core.HasSuperblocks() {
 		_ = bincfg.InstallSuperblocks(core, nil)
 	}
-	set := exec.NewFixedSet(core, len(ctxs), make([]uint64, len(ctxs)))
-	return &Runner{Loop: *NewLoop(core, cfg, ctxs, set), set: set}, nil
+	return &Runner{Loop: *l, set: set}, nil
 }
 
 // Done reports whether every context has halted.
