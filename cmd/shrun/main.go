@@ -326,7 +326,7 @@ func runMachine(w io.Writer, o options) error {
 		Spec:    spec,
 		Mode:    md,
 		Tasks:   o.n,
-		Exec:    exec.Config{HWAssist: o.hwAssist, HWAssistProbeCost: 2},
+		Exec:    exec.Config{HWAssist: o.hwAssist},
 		Metrics: o.metrics,
 		TraceN:  traceN,
 	}
@@ -387,7 +387,7 @@ func runMachine(w io.Writer, o options) error {
 // execute runs one scenario under the selected discipline, observing
 // into ob, and validates results against the host reference.
 func execute(h *core.Harness, img *core.Image, part string, o options, ob observe) (exec.Stats, error) {
-	cfg := exec.Config{HWAssist: o.hwAssist, HWAssistProbeCost: 2}
+	cfg := exec.Config{HWAssist: o.hwAssist}
 	if ob.ring != nil {
 		cfg.Tracer = ob.ring
 	}
@@ -562,7 +562,7 @@ func runMachineSweep(w io.Writer, o options, spec workloads.Spec, cache *runner.
 		return err
 	}
 	rc := machine.RunConfig{Spec: spec, Mode: md, Tasks: o.n,
-		Exec: exec.Config{HWAssist: o.hwAssist, HWAssistProbeCost: 2}}
+		Exec: exec.Config{HWAssist: o.hwAssist}}
 
 	var jobs []runner.Job
 	for i := 0; i < o.seeds; i++ {

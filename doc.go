@@ -64,11 +64,11 @@
 //
 // Execution speed comes from a three-tier retire engine: per-instruction
 // stepping, a basic-block fast path, and a superblock trace tier that
-// chains hot blocks across predicted-taken branches (profile-guided when
-// an LBR edge profile exists, static heuristics otherwise). Superblocks
-// are on by default and bit-identical to stepping (the per-executor
-// ExecConfig.DisableSuperblocks is the A/B switch the benchmark's
-// alu-tiers workload uses). Attaching an observer (tracing, PEBS
+// chains basic blocks across branches predicted by a static
+// backward-taken/forward-not-taken rule. Every core is built with its
+// traces, and they are bit-identical to stepping (the per-executor
+// ExecConfig.DisableSuperblocks, which clears them, is the A/B switch the
+// benchmark's alu-tiers workload uses). Attaching an observer (tracing, PEBS
 // sampling) bypasses both fast tiers automatically — profiled runs
 // always see the full per-instruction event stream.
 //

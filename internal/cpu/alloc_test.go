@@ -88,7 +88,7 @@ func TestRunBlockSteadyStateAllocFree(t *testing.T) {
 	m := mem.NewMemory(1 << 20)
 	h := mem.MustNewHierarchy(mem.DefaultConfig())
 	core := MustNewCore(DefaultConfig(), prog, m, h)
-	core.InstallPlan(fastRuns(prog))
+	core.ClearSuperblocks()
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 
 	var res BlockResult
@@ -117,7 +117,7 @@ func BenchmarkCoreBlock(b *testing.B) {
 	m := mem.NewMemory(1 << 20)
 	h := mem.MustNewHierarchy(mem.DefaultConfig())
 	core := MustNewCore(DefaultConfig(), prog, m, h)
-	core.InstallPlan(fastRuns(prog))
+	core.ClearSuperblocks()
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 
 	var res BlockResult

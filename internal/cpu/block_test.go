@@ -11,30 +11,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// fastRuns derives straight-line runs by a linear stopper scan — the
-// in-package mirror of bincfg.FastPathRuns, which cannot be imported
-// here without an import cycle. The engine's correctness does not depend
-// on run granularity (InstallPlan treats runs as advisory), so the two
-// derivations are interchangeable for these tests.
-func fastRuns(prog *isa.Program) []BlockRun {
-	stopper := func(op isa.Op) bool {
-		return op.IsBranch() || op == isa.OpRet || op == isa.OpHalt || op.IsYield()
-	}
-	var runs []BlockRun
-	start := 0
-	for pc := range prog.Instrs {
-		if stopper(prog.Instrs[pc].Op) {
-			if pc > start {
-				runs = append(runs, BlockRun{Start: start, End: pc})
-			}
-			start = pc + 1
-		}
-	}
-	if len(prog.Instrs) > start {
-		runs = append(runs, BlockRun{Start: start, End: len(prog.Instrs)})
-	}
-	return runs
-}
+// testMinLen is the shortest trace the differential tests install with
+// superTier: below NewCore's sbMinLen, since short traces widen their
+// coverage of trace entry and exit boundaries.
+const testMinLen = 2
 
 // engineRig is one independent core+memory+context triple, so the two
 // engines under differential test cannot share mutable state.
@@ -75,11 +55,16 @@ func (r *engineRig) driveStep(block bool, maxSteps int) {
 	}
 }
 
-// driveBlock retires through the block engine with a plan installed,
-// deliberately chopping fuel into rng-sized pieces so calls stop at
-// arbitrary points inside and between fused segments.
+// superTier replaces the rig's traces with those derived at testMinLen.
+func (r *engineRig) superTier() error {
+	return r.core.installSuperblocks(deriveSuperblocks(r.core.instrs, testMinLen))
+}
+
+// driveBlock retires through the block engine with the core's traces
+// cleared, deliberately chopping fuel into rng-sized pieces so calls stop
+// at arbitrary points inside and between fused segments.
 func (r *engineRig) driveBlock(block bool, budget uint64, hz Horizon, maxSteps int, rng *rand.Rand) {
-	r.core.InstallPlan(fastRuns(r.core.Prog))
+	r.core.ClearSuperblocks()
 	var res BlockResult
 	var used int
 	for used < maxSteps && !r.ctx.Halted {
@@ -96,6 +81,16 @@ func (r *engineRig) driveBlock(block bool, budget uint64, hz Horizon, maxSteps i
 			r.ctx.StallCycles += res.Stall
 			r.core.AdvanceIdle(res.Stall)
 		}
+	}
+}
+
+// assertNoTraces fails unless r ran with zero superblock traces: a block
+// arm that entered one would hold the trace tier to the reference in the
+// block engine's place.
+func assertNoTraces(t *testing.T, label string, r *engineRig) {
+	t.Helper()
+	if n := r.core.SuperblockStats().Activations; n != 0 {
+		t.Fatalf("%s: the block arm entered %d superblock traces", label, n)
 	}
 }
 
@@ -155,6 +150,7 @@ func diffOneProgram(t *testing.T, label string, prog *isa.Program, rng *rand.Ran
 	const maxSteps = 1 << 20
 	a.driveStep(block, maxSteps)
 	b.driveBlock(block, budget, hz, maxSteps, rng)
+	assertNoTraces(t, label, b)
 	assertRigsEqual(t, label, a, b)
 }
 
@@ -231,7 +227,7 @@ func TestBlockVsStepYields(t *testing.T) {
 	arena := make([]uint64, 512)
 	a := newEngineRig(prog, initRegs, arena)
 	b := newEngineRig(prog, initRegs, arena)
-	b.core.InstallPlan(fastRuns(prog))
+	b.core.ClearSuperblocks()
 
 	// Drive both engines yield-by-yield, checking mask parity at each.
 	var sr StepResult
@@ -250,6 +246,7 @@ func TestBlockVsStepYields(t *testing.T) {
 				sr.Yield, sr.CondYield, sr.LiveMask, br.Yield, br.CondYield, br.LiveMask)
 		}
 	}
+	assertNoTraces(t, "yields", b)
 	assertRigsEqual(t, "yields", a, b)
 }
 
@@ -292,7 +289,6 @@ func TestBlockVsStepFaults(t *testing.T) {
 func TestRunBlockHaltedContextFaults(t *testing.T) {
 	prog := &isa.Program{Instrs: []isa.Instr{{Op: isa.OpHalt}}}
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
-	rig.core.InstallPlan(fastRuns(prog))
 	var res BlockResult
 	if err := rig.core.RunBlock(rig.ctx, false, 10, 0, Horizon{}, &res); err != nil || !res.Halted {
 		t.Fatalf("halt run: err=%v halted=%v", err, res.Halted)
@@ -305,9 +301,9 @@ func TestRunBlockHaltedContextFaults(t *testing.T) {
 	}
 }
 
-// TestInstallPlanTables checks the precomputed plan against a hand-worked
-// program: fused segment extents, aggregate costs, and run extents.
-func TestInstallPlanTables(t *testing.T) {
+// TestFusedSegmentTables checks the plan NewCore precomputes against a
+// hand-worked program: fused segment extents and aggregate costs.
+func TestFusedSegmentTables(t *testing.T) {
 	prog := &isa.Program{Instrs: []isa.Instr{
 		{Op: isa.OpAddI, Rd: 1, Rs1: 1, Imm: 1}, // 0: fusable
 		{Op: isa.OpCmpI, Rs1: 1, Imm: 10},       // 1: fusable
@@ -317,34 +313,21 @@ func TestInstallPlanTables(t *testing.T) {
 		{Op: isa.OpHalt},                        // 5: stopper
 	}}
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
-	rig.core.InstallPlan(fastRuns(prog))
-	p := rig.core.Plan()
-
-	wantALUEnd := []int{2, 2, 2, 4, 4, 5}
-	for pc, want := range wantALUEnd {
-		if got := p.FusedEnd(pc); got != want {
-			t.Errorf("FusedEnd(%d) = %d, want %d", pc, got, want)
-		}
-	}
 	alu := rig.core.Cfg.CostALU
-	wantCost := []uint64{2 * alu, alu, 0, alu, 0, 0}
-	for pc, want := range wantCost {
-		if got := p.FusedCost(pc); got != want {
-			t.Errorf("FusedCost(%d) = %d, want %d", pc, got, want)
-		}
+	wantEnd := []int32{2, 2, 2, 4, 4, 5, 6}
+	wantCost := []uint64{2 * alu, alu, 0, alu, 0, 0, 0}
+	if got := rig.core.plan.aluEnd; !reflect.DeepEqual(got, wantEnd) {
+		t.Errorf("aluEnd = %v, want %v", got, wantEnd)
 	}
-	wantRunEnd := []int{4, 4, 4, 4, 4, 5}
-	for pc, want := range wantRunEnd {
-		if got := p.RunEnd(pc); got != want {
-			t.Errorf("RunEnd(%d) = %d, want %d", pc, got, want)
-		}
+	if got := rig.core.plan.aluCost; !reflect.DeepEqual(got, wantCost) {
+		t.Errorf("aluCost = %v, want %v", got, wantCost)
 	}
 }
 
 // TestRunBlockObserverFallback pins the profiling contract at the core
 // level: with an observer attached, RunBlock must deliver the identical
-// per-instruction event stream StepInto does, even with a plan
-// installed.
+// per-instruction event stream StepInto does, for all the tables and
+// traces a core is born with.
 func TestRunBlockObserverFallback(t *testing.T) {
 	prog := isa.MustAssemble(`
         movi r1, 0
@@ -363,7 +346,6 @@ func TestRunBlockObserverFallback(t *testing.T) {
 		rec := &blockEventRecorder{}
 		rig.core.Observe(rec)
 		if useBlock {
-			rig.core.InstallPlan(fastRuns(prog))
 			var res BlockResult
 			for !rig.ctx.Halted {
 				if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, Horizon{}, &res); err != nil {

@@ -56,16 +56,16 @@ func (r *engineRig) runReentering(block bool, fuel, budget uint64, hz Horizon, r
 // call must report the same BlockResult — where it stopped and why, the
 // busy cycles since the last re-base, the dormant count and clock a
 // scheduling loop rebuilds its poll quota from — and the runs must end
-// in byte-identical state. super selects the tier.
+// in byte-identical state. super selects the tier: the superblock tier
+// with traces derived at testMinLen, or the block engine with none.
 func diffHorizon(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, super, block bool, budget uint64, hz Horizon) {
 	t.Helper()
 	ref, got := newRigPair(prog, rng)
 	for _, r := range []*engineRig{ref, got} {
-		r.core.InstallPlan(fastRuns(prog))
-		if super {
-			if err := r.core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
+		if !super {
+			r.core.ClearSuperblocks()
+		} else if err := r.superTier(); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 	}
 	var want, have BlockResult
@@ -86,6 +86,10 @@ func diffHorizon(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, 
 				r.core.AdvanceIdle(want.Stall)
 			}
 		}
+	}
+	if !super {
+		assertNoTraces(t, label, ref)
+		assertNoTraces(t, label, got)
 	}
 	assertRigsEqual(t, label, ref, got)
 }
@@ -133,8 +137,7 @@ func TestHorizonLoopSuperblock(t *testing.T) {
 		{Op: isa.OpHalt},
 	}}
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 64))
-	rig.core.InstallPlan(fastRuns(prog))
-	if err := rig.core.InstallSuperblocks([]SuperblockSpec{{PCs: []int{1, 2, 3, 4, 5, 6}, Loop: true}}); err != nil {
+	if err := rig.core.installSuperblocks([]sbSpec{{pcs: []int{1, 2, 3, 4, 5, 6}, loop: true}}); err != nil {
 		t.Fatal(err)
 	}
 	hz := Horizon{Wake: 5000, Bound: 5200}
@@ -185,11 +188,10 @@ func TestHorizonBoundaries(t *testing.T) {
 
 	for _, super := range []bool{false, true} {
 		rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
-		rig.core.InstallPlan(fastRuns(prog))
-		if super {
-			if err := rig.core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
-				t.Fatal(err)
-			}
+		if !super {
+			rig.core.ClearSuperblocks()
+		} else if err := rig.superTier(); err != nil {
+			t.Fatal(err)
 		}
 		// Wake one past the first yield, bound mid-way through the next
 		// stretch: dormant at 3, budget 9−3, stop on it at 9.

@@ -17,9 +17,9 @@ import (
 // counting loops of every shape the summary admits — and the ones it
 // must refuse — run in lockstep on three cores. One retires on the
 // superblock tier under the horizon, where laps are skipped; one on the
-// block tier (no superblocks: the tier exec.Config.DisableSuperblocks
-// selects) under the same horizon; one through runReentering, the
-// zero-horizon reference that returns at every CYIELD. Every call must
+// block tier (traces cleared, as exec.Config.DisableSuperblocks does)
+// under the same horizon; one through runReentering, the zero-horizon
+// reference that returns at every CYIELD. Every call must
 // report the same BlockResult and leave the same registers, flags, pc,
 // accounting, clock and lastBranchAt; every run must end with the same
 // per-PC counters.
@@ -117,14 +117,13 @@ var (
 func newLapDiff(t *testing.T, label string, prog *isa.Program, regs [isa.NumRegs]uint64, cfg Config) *lapDiff {
 	t.Helper()
 	rig := func(super bool) *engineRig {
-		core := MustNewCore(cfg, prog, lapMem, lapHier)
-		core.InstallPlan(fastRuns(prog))
-		if super {
-			if err := core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
+		r := &engineRig{core: MustNewCore(cfg, prog, lapMem, lapHier), ctx: &coro.Context{}, m: lapMem}
+		if !super {
+			r.core.ClearSuperblocks()
+		} else if err := r.superTier(); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-		return &engineRig{core: core, ctx: &coro.Context{}, m: lapMem}
+		return r
 	}
 	return &lapDiff{label: label, prog: prog, regs: regs, skip: rig(true), block: rig(false), reent: rig(true)}
 }
@@ -204,6 +203,7 @@ func (d *lapDiff) run(t *testing.T, s lapSchedule) SuperblockStats {
 			fail(-1, what, " counters %+v\n       vs %+v", rigs[i].core.Counters, d.skip.core.Counters)
 		}
 	}
+	assertNoTraces(t, d.label, d.block)
 	return d.skip.core.sbStats
 }
 
@@ -626,7 +626,7 @@ func TestLapSummaryRefusals(t *testing.T) {
 		for i := range pcs {
 			pcs[i] = i
 		}
-		if err := core.InstallSuperblocks([]SuperblockSpec{{PCs: pcs, Loop: true}}); err != nil {
+		if err := core.installSuperblocks([]sbSpec{{pcs: pcs, loop: true}}); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := core.sbs[0].lap.instrs != 0; got != tc.want {
@@ -637,7 +637,7 @@ func TestLapSummaryRefusals(t *testing.T) {
 	huge := DefaultConfig()
 	huge.CostALU = 1 << 40
 	core := MustNewCore(huge, cases[0].prog, lapMem, lapHier)
-	if err := core.InstallSuperblocks([]SuperblockSpec{{PCs: []int{0, 1, 2, 3, 4}, Loop: true}}); err != nil {
+	if err := core.installSuperblocks([]sbSpec{{pcs: []int{0, 1, 2, 3, 4}, loop: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if core.sbs[0].lap.instrs != 0 {

@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the superblock (trace) execution tier above the
-// basic-block engine. A superblock chains hot basic blocks across
-// predicted-taken branches — typically discovered by bincfg from the CFG
-// plus pebs LBR edge counts — into one pre-decoded trace with a
-// specialized retire loop:
+// basic-block engine. A superblock chains basic blocks across
+// predicted-taken branches — derived statically by deriveSuperblocks when
+// the core is built — into one pre-decoded trace with a specialized
+// retire loop:
 //
 //   - pure-ALU stretches are compiled to micro-ops with pre-extended
 //     immediates, pre-masked shift amounts and pre-masked register
@@ -49,23 +49,93 @@ import (
 // The fallback ladder is literal: a superblock step that cannot proceed
 // (fuel, busy budget, side exit) drops to RunBlock's block dispatch
 // at an exact instruction boundary, and RunBlock itself drops to the
-// per-instruction StepInto loop when observers are attached or no plan
-// is installed. Every stop condition, fault surface, counter and clock
-// movement is byte-identical to the equivalent RunBlock (and therefore
-// StepInto) sequence; internal/cpu/superblock_test.go pins this
-// differentially and FuzzSuperblockVsBlock extends it to arbitrary
-// seeds.
+// per-instruction StepInto loop when observers are attached. Every stop
+// condition, fault surface, counter and clock movement is byte-identical
+// to the equivalent RunBlock (and therefore StepInto) sequence;
+// internal/cpu/superblock_test.go pins this differentially and
+// FuzzSuperblockVsBlock extends it to arbitrary seeds.
 
-// SuperblockSpec describes one trace to compile: the chained program
-// counters in predicted execution order. Consecutive entries must be
-// connected — pcs[i+1] is pcs[i]+1 for straight-line instructions, and
-// either the fall-through or the branch target for branches (the chain
-// direction *is* the prediction). Loop marks a trace whose final branch
-// is predicted to re-enter the trace head (a loop superblock); a
-// non-loop trace simply exits after its last instruction.
-type SuperblockSpec struct {
-	PCs  []int
-	Loop bool
+// sbSpec describes one trace to compile: the chained program counters
+// in predicted execution order. Consecutive entries must be connected —
+// pcs[i+1] is pcs[i]+1 for straight-line instructions, and either the
+// fall-through or the branch target for branches (the chain direction
+// *is* the prediction). loop marks a trace whose final branch is
+// predicted to re-enter the trace head (a loop superblock); a non-loop
+// trace simply exits after its last instruction.
+type sbSpec struct {
+	pcs  []int
+	loop bool
+}
+
+const (
+	// sbMaxLen bounds a single trace; longer chains see diminishing
+	// returns and cost compile time and memo slots.
+	sbMaxLen = 512
+	// sbMinLen is the shortest trace NewCore installs: below it the entry
+	// check costs as much as the specialized loop saves.
+	sbMinLen = 4
+)
+
+// deriveSuperblocks derives the static traces of a program. Trace heads
+// are pc 0 and every backward-branch target, visited in ascending pc
+// order. From each head the trace follows straight-line flow and the
+// static backward-taken/forward-not-taken prediction of each branch
+// (unconditional jumps are taken) until it meets an instruction the tier
+// cannot trace (superblockTraceable: conditional yields chain;
+// primary-phase yields, calls, returns and halts do not), re-enters
+// itself (closing a loop trace when it re-enters at the head), or reaches
+// sbMaxLen. Traces shorter than minLen are dropped: NewCore passes
+// sbMinLen, and the differential tests pass 2, since short traces widen
+// their coverage of entry and exit boundaries.
+func deriveSuperblocks(instrs []isa.Instr, minLen int) []sbSpec {
+	n := len(instrs)
+	isHead := make([]bool, n)
+	heads := make([]int, 0, 8)
+	addHead := func(pc int) {
+		if pc < n && !isHead[pc] && superblockTraceable(instrs[pc].Op) {
+			isHead[pc] = true
+			heads = append(heads, pc)
+		}
+	}
+	addHead(0)
+	for pc := range instrs {
+		if in := &instrs[pc]; (in.Op == isa.OpJmp || in.Op.IsConditional()) && in.Target() <= pc {
+			addHead(in.Target())
+		}
+	}
+
+	inTrace := make([]bool, n) // per-trace scratch, reset after each walk
+	var specs []sbSpec
+	for _, head := range heads {
+		pcs := make([]int, 0, 16)
+		loop := false
+		for pc := head; len(pcs) < sbMaxLen; {
+			if pc >= n || inTrace[pc] || !superblockTraceable(instrs[pc].Op) {
+				break
+			}
+			inTrace[pc] = true
+			pcs = append(pcs, pc)
+			in := &instrs[pc]
+			next := pc + 1
+			if in.Op == isa.OpJmp || in.Op.IsConditional() {
+				if in.Op == isa.OpJmp || in.Target() <= pc {
+					next = in.Target()
+				}
+				if next == head {
+					loop = true
+					break
+				}
+			}
+			pc = next
+		}
+		for _, p := range pcs {
+			inTrace[p] = false
+		}
+		if len(pcs) >= minLen {
+			specs = append(specs, sbSpec{pcs: pcs, loop: loop})
+		}
+	}
+	return specs
 }
 
 // Superblock step kinds.
@@ -171,14 +241,13 @@ type SuperblockStats struct {
 // SuperblockStats returns the tier's host-side counts so far.
 func (c *Core) SuperblockStats() SuperblockStats { return c.sbStats }
 
-// InstallSuperblocks compiles and installs the given traces, enabling
+// installSuperblocks compiles and installs the given traces, enabling
 // the superblock tier in RunBlock. Specs are validated defensively —
 // connectivity, op admissibility, loop closure — so a buggy deriver
-// surfaces as an install error, never as wrong execution. A later spec
-// with the same entry pc replaces the earlier one. Superblocks compose
-// with (and require, at run time) an installed block plan; observers
-// disable them along with the whole block engine.
-func (c *Core) InstallSuperblocks(specs []SuperblockSpec) error {
+// surfaces as an error from NewCore, never as wrong execution. A later
+// spec with the same entry pc replaces the earlier one. Observers
+// disable the tier along with the whole block engine.
+func (c *Core) installSuperblocks(specs []sbSpec) error {
 	entry := make([]int32, len(c.instrs))
 	for i := range entry {
 		entry[i] = -1
@@ -203,33 +272,31 @@ func (c *Core) InstallSuperblocks(specs []SuperblockSpec) error {
 	return nil
 }
 
-// HasSuperblocks reports whether a superblock set is installed.
-func (c *Core) HasSuperblocks() bool { return c.sbEntry != nil }
-
-// ClearSuperblocks removes the superblock set, dropping RunBlock back to
-// plain block dispatch (used by equivalence tests).
+// ClearSuperblocks removes the core's superblock traces, dropping
+// RunBlock back to plain block dispatch (exec.Config.DisableSuperblocks,
+// and the block arms of the differential tests).
 func (c *Core) ClearSuperblocks() {
 	c.sbs = nil
 	c.sbEntry = nil
 	c.sbQuiet = nil
 }
 
-// SuperblockTraceable reports whether op may appear inside a superblock:
+// superblockTraceable reports whether op may appear inside a superblock:
 // pure ALU, loads/stores, branches and conditional yields. Calls,
 // returns, primary-phase yields, halts, prefetches, SFI checks and
 // accelerator ops end trace formation — they carry executor-visible or
-// cross-instruction state the specialized loop does not model. Trace
-// derivers (bincfg.SuperblockSpecs) chain on this predicate;
-// InstallSuperblocks rejects anything else.
-func SuperblockTraceable(op isa.Op) bool {
+// cross-instruction state the specialized loop does not model.
+// deriveSuperblocks chains on this predicate; installSuperblocks rejects
+// anything else.
+func superblockTraceable(op isa.Op) bool {
 	return fusableALU(op) || op == isa.OpLoad || op == isa.OpStore ||
 		op == isa.OpJmp || op.IsConditional() || op == isa.OpCYield
 }
 
 // compileSuperblock validates one spec against the program and compiles
 // it into step/micro-op form.
-func (c *Core) compileSuperblock(spec *SuperblockSpec) (*superblock, error) {
-	pcs := spec.PCs
+func (c *Core) compileSuperblock(spec *sbSpec) (*superblock, error) {
+	pcs := spec.pcs
 	if len(pcs) == 0 {
 		return nil, fmt.Errorf("cpu: empty superblock spec")
 	}
@@ -239,14 +306,14 @@ func (c *Core) compileSuperblock(spec *SuperblockSpec) (*superblock, error) {
 			return nil, fmt.Errorf("cpu: superblock pc %d out of range", pc)
 		}
 		in := &c.instrs[pc]
-		if !SuperblockTraceable(in.Op) {
+		if !superblockTraceable(in.Op) {
 			return nil, fmt.Errorf("cpu: superblock pc %d: %v is not traceable", pc, in.Op)
 		}
 		branch := in.Op == isa.OpJmp || in.Op.IsConditional()
 		next := -1
 		if i+1 < len(pcs) {
 			next = pcs[i+1]
-		} else if spec.Loop {
+		} else if spec.loop {
 			next = pcs[0]
 		}
 		if next < 0 {
@@ -261,7 +328,7 @@ func (c *Core) compileSuperblock(spec *SuperblockSpec) (*superblock, error) {
 			return nil, fmt.Errorf("cpu: superblock jmp %d predicted fall-through", pc)
 		}
 	}
-	if spec.Loop {
+	if spec.loop {
 		lastOp := c.instrs[pcs[len(pcs)-1]].Op
 		if lastOp != isa.OpJmp && !lastOp.IsConditional() {
 			return nil, fmt.Errorf("cpu: loop superblock must close with a branch, got %v", lastOp)
@@ -318,7 +385,7 @@ func (c *Core) compileSuperblock(spec *SuperblockSpec) (*superblock, error) {
 			if i+1 < len(pcs) {
 				st.predNext = int32(pcs[i+1])
 				st.nextStep = int32(len(sb.steps)) + 1
-			} else if spec.Loop {
+			} else if spec.loop {
 				st.predNext = int32(pcs[0])
 				st.nextStep = 0
 			}
@@ -326,7 +393,7 @@ func (c *Core) compileSuperblock(spec *SuperblockSpec) (*superblock, error) {
 			i++
 		}
 	}
-	if spec.Loop {
+	if spec.loop {
 		c.summariseLap(sb, pcs)
 	}
 	return sb, nil
@@ -587,13 +654,13 @@ func quietLaps(instrs []isa.Instr, sbs []superblock) []sbQuietPC {
 // instruction count and how many of the latch executions from here on are
 // provably taken (MaxUint64: at least that many), from wherever in the
 // lap ctx stands. cost 0 means ctx is in no such lap, or RunBlock would
-// not run the trace (an observer is attached, or no plan is installed).
+// not run the trace (an observer is attached).
 // A pc outside every such lap costs one table lookup; inside, O(1).
 //
 //shsim:noalloc
 func (c *Core) QuietLaps(ctx *coro.Context) (cost, instrs, taken uint64) {
 	pc := ctx.PC
-	if uint(pc) >= uint(len(c.sbQuiet)) || c.sbQuiet[pc].sb < 0 || len(c.observers) > 0 || c.plan == nil {
+	if uint(pc) >= uint(len(c.sbQuiet)) || c.sbQuiet[pc].sb < 0 || len(c.observers) > 0 {
 		return 0, 0, 0
 	}
 	at := &c.sbQuiet[pc]

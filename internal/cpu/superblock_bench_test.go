@@ -27,10 +27,6 @@ func TestRunSuperblockSteadyStateAllocFree(t *testing.T) {
 	m := mem.NewMemory(1 << 20)
 	h := mem.MustNewHierarchy(mem.DefaultConfig())
 	core := MustNewCore(DefaultConfig(), prog, m, h)
-	core.InstallPlan(fastRuns(prog))
-	if err := core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
-		t.Fatal(err)
-	}
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 
 	var res BlockResult
@@ -60,10 +56,6 @@ func BenchmarkCoreSuperblock(b *testing.B) {
 	m := mem.NewMemory(1 << 20)
 	h := mem.MustNewHierarchy(mem.DefaultConfig())
 	core := MustNewCore(DefaultConfig(), prog, m, h)
-	core.InstallPlan(fastRuns(prog))
-	if err := core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
-		b.Fatal(err)
-	}
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 
 	var res BlockResult
@@ -101,10 +93,6 @@ func BenchmarkCoreSuperblockMem(b *testing.B) {
 	m := mem.NewMemory(1 << 20)
 	h := mem.MustNewHierarchy(mem.DefaultConfig())
 	core := MustNewCore(DefaultConfig(), prog, m, h)
-	core.InstallPlan(fastRuns(prog))
-	if err := core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
-		b.Fatal(err)
-	}
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 	ctx.Regs[13] = 4096
 

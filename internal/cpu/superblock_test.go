@@ -6,72 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
-// sbDeriveSpecs derives static-BTFN superblock traces by a linear scan —
-// the in-package mirror of bincfg.SuperblockSpecs, which cannot be
-// imported here without an import cycle. Correctness does not depend on
-// which traces are chosen (InstallSuperblocks validates and the engine
-// side-exits on any misprediction), so the two derivations are
-// interchangeable for these tests.
-func sbDeriveSpecs(prog *isa.Program) []SuperblockSpec {
-	n := len(prog.Instrs)
-	isHead := make([]bool, n)
-	var heads []int
-	addHead := func(pc int) {
-		if pc >= 0 && pc < n && !isHead[pc] && SuperblockTraceable(prog.Instrs[pc].Op) {
-			isHead[pc] = true
-			heads = append(heads, pc)
-		}
-	}
-	addHead(0)
-	for pc := range prog.Instrs {
-		in := &prog.Instrs[pc]
-		if (in.Op == isa.OpJmp || in.Op.IsConditional()) && in.Target() <= pc {
-			addHead(in.Target())
-		}
-	}
-	inTrace := make([]bool, n)
-	var specs []SuperblockSpec
-	for _, head := range heads {
-		var pcs []int
-		loop := false
-		pc := head
-		for len(pcs) < 512 {
-			if pc < 0 || pc >= n || inTrace[pc] || !SuperblockTraceable(prog.Instrs[pc].Op) {
-				break
-			}
-			inTrace[pc] = true
-			pcs = append(pcs, pc)
-			in := &prog.Instrs[pc]
-			next := pc + 1
-			if in.Op == isa.OpJmp || (in.Op.IsConditional() && in.Target() <= pc) {
-				next = in.Target()
-			}
-			if (in.Op == isa.OpJmp || in.Op.IsConditional()) && next == head {
-				loop = true
-				break
-			}
-			pc = next
-		}
-		for _, p := range pcs {
-			inTrace[p] = false
-		}
-		if len(pcs) >= 2 {
-			// Deliberately lower than bincfg's minimum: short traces widen
-			// differential coverage of entry/exit boundaries.
-			specs = append(specs, SuperblockSpec{PCs: pcs, Loop: loop})
-		}
-	}
-	return specs
-}
-
-// driveSuper retires through the superblock tier (block plan plus
-// derived traces), chopping fuel into rng-sized pieces so calls stop at
+// driveSuper retires through the superblock tier (traces derived at
+// testMinLen), chopping fuel into rng-sized pieces so calls stop at
 // arbitrary points inside and between trace activations.
 func (r *engineRig) driveSuper(block bool, budget uint64, hz Horizon, maxSteps int, rng *rand.Rand) {
-	r.core.InstallPlan(fastRuns(r.core.Prog))
-	if err := r.core.InstallSuperblocks(sbDeriveSpecs(r.core.Prog)); err != nil {
+	if err := r.superTier(); err != nil {
 		r.err = err
 		return
 	}
@@ -274,8 +216,7 @@ func TestSuperblockFlushInvalidation(t *testing.T) {
 	}
 	a := newEngineRig(prog, initRegs, arena)
 	b := newEngineRig(prog, initRegs, arena)
-	b.core.InstallPlan(fastRuns(prog))
-	if err := b.core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
+	if err := b.superTier(); err != nil {
 		t.Fatal(err)
 	}
 	var sr StepResult
@@ -312,8 +253,7 @@ func TestSuperblockMemoArms(t *testing.T) {
         halt
     `)
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 64))
-	rig.core.InstallPlan(fastRuns(prog))
-	if err := rig.core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
+	if err := rig.superTier(); err != nil {
 		t.Fatal(err)
 	}
 	var res BlockResult
@@ -360,8 +300,7 @@ func TestSuperblockObserverFallback(t *testing.T) {
 		rec := &blockEventRecorder{}
 		rig.core.Observe(rec)
 		if useSuper {
-			rig.core.InstallPlan(fastRuns(prog))
-			if err := rig.core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
+			if err := rig.superTier(); err != nil {
 				t.Fatal(err)
 			}
 			var res BlockResult
@@ -409,31 +348,113 @@ func TestInstallSuperblocksValidation(t *testing.T) {
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 64))
 	cases := []struct {
 		name string
-		spec SuperblockSpec
+		spec sbSpec
 	}{
-		{"empty", SuperblockSpec{}},
-		{"pc out of range", SuperblockSpec{PCs: []int{0, 99}}},
-		{"negative pc", SuperblockSpec{PCs: []int{-1}}},
-		{"not traceable (call)", SuperblockSpec{PCs: []int{5}}},
-		{"disconnected", SuperblockSpec{PCs: []int{0, 2}}},
-		{"branch to unrelated pc", SuperblockSpec{PCs: []int{3, 4, 0}}},
-		{"loop closing on non-branch", SuperblockSpec{PCs: []int{1, 2}, Loop: true}},
+		{"empty", sbSpec{}},
+		{"pc out of range", sbSpec{pcs: []int{0, 99}}},
+		{"negative pc", sbSpec{pcs: []int{-1}}},
+		{"not traceable (call)", sbSpec{pcs: []int{5}}},
+		{"disconnected", sbSpec{pcs: []int{0, 2}}},
+		{"branch to unrelated pc", sbSpec{pcs: []int{3, 4, 0}}},
+		{"loop closing on non-branch", sbSpec{pcs: []int{1, 2}, loop: true}},
 	}
 	for _, tc := range cases {
-		if err := rig.core.InstallSuperblocks([]SuperblockSpec{tc.spec}); err == nil {
+		if err := rig.core.installSuperblocks([]sbSpec{tc.spec}); err == nil {
 			t.Errorf("%s: install accepted invalid spec %+v", tc.name, tc.spec)
 		}
 	}
 	// And the valid loop trace installs.
-	valid := SuperblockSpec{PCs: []int{1, 2, 3, 4}, Loop: true}
-	if err := rig.core.InstallSuperblocks([]SuperblockSpec{valid}); err != nil {
+	valid := sbSpec{pcs: []int{1, 2, 3, 4}, loop: true}
+	if err := rig.core.installSuperblocks([]sbSpec{valid}); err != nil {
 		t.Fatalf("valid loop spec rejected: %v", err)
 	}
-	if !rig.core.HasSuperblocks() {
-		t.Fatal("HasSuperblocks false after install")
+	if len(rig.core.sbs) != 1 {
+		t.Fatalf("%d traces installed, want 1", len(rig.core.sbs))
 	}
 	rig.core.ClearSuperblocks()
-	if rig.core.HasSuperblocks() {
-		t.Fatal("HasSuperblocks true after clear")
+	if rig.core.sbs != nil || rig.core.sbEntry != nil {
+		t.Fatal("traces left after ClearSuperblocks")
+	}
+}
+
+// An instrumented scavenger loop — a conditional yield in the body —
+// must derive as one loop trace straight through the CYIELD, or the
+// retire tier that keeps dormant yields in-trace never gets the loop. A
+// primary-phase YIELD still ends the trace it sits in.
+func TestDeriveSuperblocksChainConditionalYields(t *testing.T) {
+	scav := isa.MustAssemble(`
+    scav:
+        addi r5, r5, 1
+        cyield 0x8030
+        addi r4, r4, -1
+        cmpi r4, 0
+        jgt scav
+        mov r1, r5
+        halt
+    `)
+	want := []sbSpec{{pcs: []int{0, 1, 2, 3, 4}, loop: true}}
+	if got := deriveSuperblocks(scav.Instrs, sbMinLen); !reflect.DeepEqual(got, want) {
+		t.Errorf("scavenger loop derived %+v, want %+v", got, want)
+	}
+
+	chase := isa.MustAssemble(`
+    chase:
+        prefetch [r1]
+        yield 0x800a
+        load r1, [r1]
+        addi r3, r3, -1
+        cmpi r3, 0
+        jgt chase
+        halt
+    `)
+	for _, spec := range deriveSuperblocks(chase.Instrs, testMinLen) {
+		for _, pc := range spec.pcs {
+			if op := chase.Instrs[pc].Op; op == isa.OpYield || op == isa.OpPrefetch {
+				t.Errorf("trace %+v runs through the %v at pc %d", spec, op, pc)
+			}
+		}
+	}
+}
+
+// TestNewCoreIsBornReady pins what NewCore hands every caller: the block
+// plan and exactly the traces deriveSuperblocks finds at
+// sbMinLen, one per head, entered from their head pc and nowhere else —
+// over random programs full of yields of both kinds and closed into a
+// loop so heads beyond pc 0 exist. Both sides chain on
+// superblockTraceable, so the install never rejects what was derived.
+func TestNewCoreIsBornReady(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		prog := randRunnableProgram(rng, 5+rng.Intn(60), 4096)
+		prog.Instrs[len(prog.Instrs)-1] = isa.Instr{Op: isa.OpJlt, Imm: int64(rng.Intn(len(prog.Instrs)))}
+		prog.Instrs = append(prog.Instrs, isa.Instr{Op: isa.OpHalt})
+		c, err := NewCore(DefaultConfig(), prog, mem.NewMemory(1<<12), mem.MustNewHierarchy(mem.DefaultConfig()))
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, isa.Disassemble(prog))
+		}
+		if p := c.plan; len(p.aluEnd) != len(prog.Instrs)+1 || len(p.aluCost) != len(prog.Instrs)+1 {
+			t.Fatalf("trial %d: fused-segment tables of %d and %d entries for %d instructions", trial, len(p.aluEnd), len(p.aluCost), len(prog.Instrs))
+		}
+		specs := deriveSuperblocks(prog.Instrs, sbMinLen)
+		if len(c.sbs) != len(specs) {
+			t.Fatalf("trial %d: %d traces installed, %d derived", trial, len(c.sbs), len(specs))
+		}
+		entries := 0
+		for pc, sbi := range c.sbEntry {
+			if sbi >= 0 {
+				entries++
+				if int(c.sbs[sbi].entry) != pc {
+					t.Fatalf("trial %d: pc %d enters the trace headed at %d", trial, pc, c.sbs[sbi].entry)
+				}
+			}
+		}
+		for i, spec := range specs {
+			if c.sbs[i].entry != int32(spec.pcs[0]) {
+				t.Fatalf("trial %d: trace %d headed at %d, derived at %d", trial, i, c.sbs[i].entry, spec.pcs[0])
+			}
+		}
+		if entries != len(specs) {
+			t.Fatalf("trial %d: %d entry pcs for %d traces", trial, entries, len(specs))
+		}
 	}
 }

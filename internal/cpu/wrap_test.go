@@ -55,6 +55,7 @@ func TestAddressWrapFaultsOnEveryTier(t *testing.T) {
 		if step.err == nil || !strings.Contains(step.err.Error(), tc.want) {
 			t.Fatalf("%s: step tier error = %v, want it to contain %q", tc.name, step.err, tc.want)
 		}
+		assertNoTraces(t, tc.name+" block", block)
 		assertRigsEqual(t, tc.name+" block", step, block)
 		assertRigsEqual(t, tc.name+" superblock", step, super)
 	}

@@ -218,7 +218,7 @@ func (l *Asym) hideWindow(t *Task) (target uint64, skip bool) {
 		residual = max(residual, ctx.AccelDone-e.Core.Now)
 	}
 	if e.Cfg.HWAssist && (ctx.LastPrefetchValid || ctx.AccelPending) {
-		e.Core.AdvanceIdle(e.Cfg.HWAssistProbeCost)
+		e.Core.AdvanceIdle(hwProbeCost)
 		satisfied := residual == 0
 		if satisfied && ctx.LastPrefetchValid {
 			satisfied = e.Core.Hier.Contains(ctx.LastPrefetchAddr, e.Core.Now, mem.LevelL2)
@@ -240,7 +240,7 @@ func (l *Asym) hideWindow(t *Task) (target uint64, skip bool) {
 
 // RunDualMode executes one latency-sensitive primary with a fixed pool
 // of scavengers: the Asym loop over a closed source. The run ends when
-// the primary halts (then optionally drains the scavengers).
+// the primary halts.
 //
 //shsim:cycle-entry
 func (e *Executor) RunDualMode(primary *Task, scavengers []*Task) (Stats, error) {
@@ -255,22 +255,6 @@ func (e *Executor) RunDualMode(primary *Task, scavengers []*Task) (Stats, error)
 	}
 	st := l.st
 	st.PrimaryLatency = set.primaryLatency
-
-	if e.Cfg.KeepScavengersAfterPrimary {
-		// Drain remaining scavengers round-robin (pure throughput mode).
-		var rem []*Task
-		for _, s := range scavengers {
-			if !s.Ctx.Halted {
-				rem = append(rem, s)
-			}
-		}
-		if len(rem) > 0 {
-			if _, err := e.RunSymmetric(rem); err != nil {
-				return Stats{}, err
-			}
-		}
-	}
-
 	st.Cycles = e.Core.Now - set.start
 	collect(&st, ring...)
 	return st, nil

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/coro"
 	"repro/internal/cpu"
 	"repro/internal/trace"
 )
@@ -21,7 +22,7 @@ func (o *countingObserver) OnBranch(cpu.BranchEvent) { o.branches++ }
 
 // blockDualModeRun executes the standard dual-mode scenario (chase primary +
 // two compute scavengers) and returns its stats and scheduling trace.
-// setup tweaks the core after executor construction (clear the plan,
+// setup tweaks the core after executor construction (clear its traces,
 // attach observers) and before the run.
 func blockDualModeRun(t *testing.T, setup func(*cpu.Core)) (Stats, []trace.Event) {
 	t.Helper()
@@ -44,14 +45,20 @@ func blockDualModeRun(t *testing.T, setup func(*cpu.Core)) (Stats, []trace.Event
 // TestObserverFallbackMatchesFastPath pins the profiling contract at the
 // executor level: a dual-mode run with an attached observer (which
 // forces per-instruction StepInto, the pre-block engine) must produce
-// Stats and a scheduling trace identical to both the block fast path and
-// the plan-free slow path — and the observer must see every retirement.
+// Stats and a scheduling trace identical to both the fast path the core
+// is born with and plain block dispatch with its traces cleared — and the
+// observer must see every retirement.
 func TestObserverFallbackMatchesFastPath(t *testing.T) {
 	fastStats, fastTrace := blockDualModeRun(t, func(c *cpu.Core) {})
 
+	var blockCore *cpu.Core
 	slowStats, slowTrace := blockDualModeRun(t, func(c *cpu.Core) {
-		c.ClearPlan()
+		c.ClearSuperblocks()
+		blockCore = c
 	})
+	if n := blockCore.SuperblockStats().Activations; n != 0 {
+		t.Fatalf("the block arm entered %d superblock traces", n)
+	}
 
 	obs := &countingObserver{}
 	obsStats, obsTrace := blockDualModeRun(t, func(c *cpu.Core) {
@@ -79,8 +86,9 @@ func TestObserverFallbackMatchesFastPath(t *testing.T) {
 }
 
 // TestExecutorsAgreeWithPlanCleared drives every executor discipline
-// with the plan cleared mid-setup and compares against the fast path:
-// the block engine must be a pure optimization at every call site.
+// on the per-instruction step path, forced by an attached observer, and
+// compares against the fast path: the block and superblock tiers must be
+// a pure optimization at every call site.
 func TestExecutorsAgreeWithPlanCleared(t *testing.T) {
 	type result struct {
 		st  Stats
@@ -91,7 +99,7 @@ func TestExecutorsAgreeWithPlanCleared(t *testing.T) {
 		head := buildChain(m, 512, 7)
 		e := New(core, DefaultConfig())
 		if !fast {
-			core.ClearPlan()
+			core.Observe(&countingObserver{})
 		}
 		var st Stats
 		var err error
@@ -120,6 +128,39 @@ func TestExecutorsAgreeWithPlanCleared(t *testing.T) {
 		slow := run(false, mode)
 		if !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("%s: fast vs slow diverge:\n fast: %+v\n slow: %+v", mode, fast, slow)
+		}
+	}
+}
+
+// TestDisableSuperblocksClearsTraces pins what the knob means now that a
+// core is born with its traces: New clears them. A context in a counting
+// loop that never yields gets a lap summary from QuietLaps on the core as
+// built and none after New with DisableSuperblocks, and its run enters
+// no trace.
+func TestDisableSuperblocksClearsTraces(t *testing.T) {
+	const loop = `
+    top:
+        addi r2, r2, 1
+        addi r3, r3, -1
+        cmpi r3, 0
+        jgt top
+        halt
+`
+	for _, disable := range []bool{false, true} {
+		core, m := newMachine(t, loop, 1<<16)
+		cfg := DefaultConfig()
+		cfg.DisableSuperblocks = disable
+		e := New(core, cfg)
+		ctx := coro.NewContext(0, 0, m.Size()-8)
+		ctx.Regs[3] = 100
+		if cost, _, _ := core.QuietLaps(ctx); (cost == 0) != disable {
+			t.Errorf("DisableSuperblocks=%v: QuietLaps lap cost %d", disable, cost)
+		}
+		if _, err := e.RunSolo(NewTask(ctx, coro.Primary)); err != nil {
+			t.Fatal(err)
+		}
+		if n := core.SuperblockStats().Activations; (n == 0) != disable {
+			t.Errorf("DisableSuperblocks=%v: %d trace entries", disable, n)
 		}
 	}
 }

@@ -344,23 +344,6 @@ func TestStatsDerivedMetrics(t *testing.T) {
 	}
 }
 
-func TestDualModeDrainScavengers(t *testing.T) {
-	core, m := newMachine(t, testImage, 1<<20)
-	head := buildChain(m, 64, 7)
-	p := chaseTask(core, m, 0, 50, head)
-	s1 := scavTask(core, m, 1, 3000)
-	s2 := scavTask(core, m, 2, 3000)
-	cfg := DefaultConfig()
-	cfg.KeepScavengersAfterPrimary = true
-	st, err := New(core, cfg).RunDualMode(p, []*Task{s1, s2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Halted != 3 {
-		t.Errorf("halted = %d, want all 3 (drain enabled)", st.Halted)
-	}
-}
-
 func TestTracerReceivesSchedulingEvents(t *testing.T) {
 	core, m := newMachine(t, testImage, 1<<20)
 	head := buildChain(m, 128, 21)

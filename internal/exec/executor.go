@@ -28,7 +28,6 @@ package exec
 import (
 	"errors"
 
-	"repro/internal/bincfg"
 	"repro/internal/coro"
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -47,22 +46,15 @@ type Config struct {
 	// HWAssist enables the §4.1 cache-presence probe: a primary yield is
 	// skipped when the just-prefetched line is already in L1/L2.
 	HWAssist bool
-	// HWAssistProbeCost is the probe's cycle cost.
-	HWAssistProbeCost uint64
 	// MaxSteps bounds total retired instructions per run (runaway guard).
 	MaxSteps uint64
-	// DisableSuperblocks keeps the superblock trace tier off: New
-	// installs statically derived superblocks (bincfg.SuperblockSpecs)
-	// alongside the block plan unless this is set. The tier is
-	// observation-equivalent to block dispatch, and attached observers
-	// bypass it entirely (profiling sees per-instruction retires either
-	// way), so the knob exists for A/B measurement and differential
-	// tests, not correctness.
+	// DisableSuperblocks makes New clear the core's superblock traces
+	// (cpu.Core.ClearSuperblocks), so RunBlock retires through plain block
+	// dispatch. The trace tier is observation-equivalent to block
+	// dispatch, and attached observers bypass both (profiling sees
+	// per-instruction retires either way), so the knob exists for A/B
+	// measurement, not correctness.
 	DisableSuperblocks bool
-	// KeepScavengersAfterPrimary lets scavengers run to completion after
-	// the primary halts (throughput accounting); when false the run ends
-	// at primary halt.
-	KeepScavengersAfterPrimary bool
 	// Tracer, when non-nil, receives scheduling events (switches, hide
 	// episodes, chains, halts) for debugging.
 	Tracer trace.Tracer
@@ -75,12 +67,14 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
+// hwProbeCost is the cycle cost of the HWAssist presence probe.
+const hwProbeCost = 2
+
 // DefaultConfig returns the reference runtime configuration.
 func DefaultConfig() Config {
 	return Config{
-		Switch:            coro.DefaultCostModel(),
-		HWAssistProbeCost: 2,
-		MaxSteps:          200_000_000,
+		Switch:   coro.DefaultCostModel(),
+		MaxSteps: 200_000_000,
 	}
 }
 
@@ -172,10 +166,8 @@ type Executor struct {
 	Cfg  Config
 }
 
-// New creates an executor. It installs the basic-block fast-path plan on
-// the core (unless one is already present), enabling cpu.RunBlock's fused
-// straight-line retire for measured runs; profiling runs with observers
-// attached automatically fall back to per-instruction dispatch.
+// New creates an executor over core, clearing its superblock traces when
+// cfg.DisableSuperblocks is set.
 func New(core *cpu.Core, cfg Config) *Executor {
 	if cfg.HideTarget == 0 {
 		cfg.HideTarget = core.Hier.Config().LatDRAM
@@ -183,16 +175,8 @@ func New(core *cpu.Core, cfg Config) *Executor {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultConfig().MaxSteps
 	}
-	if !core.HasPlan() {
-		// The program was validated when the core was built, so plan
-		// construction cannot fail; a nil plan would only mean the slow
-		// path, never a wrong answer.
-		_ = bincfg.InstallFastPath(core)
-	}
-	if !cfg.DisableSuperblocks && !core.HasSuperblocks() {
-		// Static BTFN derivation (no profile at construction time); a
-		// failure or empty trace set degrades to block dispatch.
-		_ = bincfg.InstallSuperblocks(core, nil)
+	if cfg.DisableSuperblocks {
+		core.ClearSuperblocks()
 	}
 	return &Executor{Core: core, Cfg: cfg}
 }

@@ -54,7 +54,7 @@ func E11HWAssist(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := exec.Config{HWAssist: hw, HWAssistProbeCost: 2}
+		cfg := exec.Config{HWAssist: hw}
 		st, err := h.NewExecutor(img, cfg).RunDualMode(pts.Tasks[0], sts.Tasks)
 		if err != nil {
 			return nil, err

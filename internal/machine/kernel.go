@@ -194,11 +194,6 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 	if err := rc.validate(topo.Cores); err != nil {
 		return nil, err
 	}
-	part := rc.Part
-	if part == "" {
-		part = rc.Spec.Name()
-	}
-
 	m := &Machine{topo: topo, rc: rc}
 	if topo.Cores > 1 {
 		llc, err := mem.NewSharedLLC(topo.LLC)
@@ -226,7 +221,7 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 		if rc.Mode == ModeSolo {
 			count = 1
 		}
-		ts, err := h.Tasks(img, part, coro.Primary, count)
+		ts, err := h.Tasks(img, rc.Spec.Name(), coro.Primary, count)
 		if err != nil {
 			return nil, fmt.Errorf("machine: core %d: %w", i, err)
 		}
@@ -238,9 +233,6 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 		}
 		if cfg.Metrics == nil {
 			cfg.Metrics = c.reg
-		}
-		if rc.Mode == ModeSMT {
-			cfg.DisableSuperblocks = rc.SMT.DisableSuperblocks
 		}
 		c.ex = h.NewExecutor(img, cfg)
 		if m.llc != nil {

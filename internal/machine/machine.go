@@ -172,8 +172,6 @@ func (m Mode) String() string {
 type RunConfig struct {
 	// Spec is the workload every core composes and runs.
 	Spec workloads.Spec
-	// Part selects the program part; empty means Spec.Name().
-	Part string
 	// Mode is the per-core execution discipline.
 	Mode Mode
 	// Tasks caps the instances run per core (0 = all of Spec's

@@ -148,10 +148,10 @@ func TestLBRPartialRing(t *testing.T) {
 }
 
 // TestLBRSnapshotCreditsRunsLikeRecords holds the run-folded snapshot to
-// the per-record walk it replaced — one count and one first-observation
-// check per ring record — over streams that are all one back-edge (what a
-// ring sampled inside a loop holds), strictly alternating, random, and
-// that open on the zero edge a fresh run detector starts out holding.
+// the per-record walk it replaced — one count per ring record — over
+// streams that are all one back-edge (what a ring sampled inside a loop
+// holds), strictly alternating, random, and that open on the zero edge a
+// fresh run detector starts out holding.
 func TestLBRSnapshotCreditsRunsLikeRecords(t *testing.T) {
 	const progLen = 8
 	cfg := Config{LBRDepth: 8, LBREvery: 5}
@@ -181,11 +181,7 @@ func TestLBRSnapshotCreditsRunsLikeRecords(t *testing.T) {
 				continue
 			}
 			for j, rec := range window {
-				e := Edge{rec.From, rec.To}
-				if want.Edges[e] == 0 {
-					want.edgeOrder = append(want.edgeOrder, e)
-				}
-				want.Edges[e]++
+				want.Edges[Edge{rec.From, rec.To}]++
 				if j > 0 {
 					want.BlockCycleSum[window[j-1].To] += rec.Cycles
 					want.BlockCycleCount[window[j-1].To]++

@@ -153,9 +153,8 @@ func (s *Sampler) OnBranch(e cpu.BranchEvent) {
 // latencies. The Cycles of record i measure the straight-line region
 // entered at record i-1's target, so consecutive pairs are required. A
 // ring snapshotted inside a loop holds its back-edge many times over, so
-// a run of one edge is credited once, with its length: the same counts in
-// the same first-observation order for a map update per run, not two per
-// record.
+// a run of one edge is credited once, with its length: the same counts for
+// a map update per run, not one per record.
 func (s *Sampler) snapshot() {
 	n := len(s.ring)
 	if !s.ringFull {

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bincfg"
 	"repro/internal/coro"
 	"repro/internal/cpu"
 	"repro/internal/exec"
@@ -21,8 +20,8 @@ import (
 // and pointer chasers, started anywhere in their laps, under one quantum
 // and one cost table — runs on two cores: one with the superblock tier,
 // whose counting loops carry lap summaries, so quiet rounds are skipped;
-// one with Config.DisableSuperblocks, which has no summaries and so no
-// skip: the per-slice reference. Both must end identical: the run's
+// one with its traces cleared, which has no summaries and so no skip: the
+// per-slice reference. Both must end identical: the run's
 // error, Stats and clock, every context (pc, registers, flags, busy
 // cycles, retired instructions), every per-PC counter and, under the
 // serve-style source, the cycle of every halt.
@@ -134,9 +133,8 @@ func (s *roundScenario) machine(super bool) (*cpu.Core, []*coro.Context, func(*c
 	prog, heads, chase := s.program()
 	m := mem.NewMemory(4 << 20)
 	core := cpu.MustNewCore(s.cost, prog, m, mem.MustNewHierarchy(tinyCaches()))
-	_ = bincfg.InstallFastPath(core)
-	if super {
-		_ = bincfg.InstallSuperblocks(core, nil)
+	if !super {
+		core.ClearSuperblocks()
 	}
 	var rec *recorder
 	if s.observe {
@@ -241,7 +239,7 @@ func (s *roundScenario) runFixed(t *testing.T, super bool, cuts *rand.Rand) roun
 	for i, th := range s.threads {
 		arm(ctxs[i], th)
 	}
-	rn, err := NewRunner(core, Config{Contexts: len(ctxs), Quantum: s.quantum, MaxSteps: s.fuel, DisableSuperblocks: !super}, ctxs)
+	rn, err := NewRunner(core, Config{Contexts: len(ctxs), Quantum: s.quantum, MaxSteps: s.fuel}, ctxs)
 	if err != nil {
 		t.Fatal(err)
 	}

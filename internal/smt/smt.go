@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bincfg"
 	"repro/internal/coro"
 	"repro/internal/cpu"
 	"repro/internal/exec"
@@ -32,11 +31,6 @@ type Config struct {
 	// MaxSteps bounds total retired instructions (runaway guard). Zero
 	// selects DefaultConfig's.
 	MaxSteps uint64
-	// DisableSuperblocks keeps the superblock trace tier off (see
-	// exec.Config.DisableSuperblocks); superblock exits respect the
-	// quantum budget and stall-block boundaries exactly, so this is an
-	// A/B and differential-testing knob, not a correctness one.
-	DisableSuperblocks bool
 }
 
 // DefaultConfig models 2-way SMT (Intel Hyper-Threading) with a fine
@@ -126,8 +120,8 @@ var errRound = errors.New("smt: a context in a skipped round stopped short of it
 // least 2, every latch of the k rounds is provably taken, k·m·Quantum
 // cycles (m runnable contexts) end by the earliest wake-up and by the next
 // arrival or deadline, and the rounds fit the fuel. Anything else — a
-// chaser, a CYIELD in the lap, a clipped slice, an observer,
-// DisableSuperblocks — runs slice by slice for one table lookup a slice.
+// chaser, a CYIELD in the lap, a clipped slice, an observer, a core whose
+// traces were cleared — runs slice by slice for one table lookup a slice.
 type Loop struct {
 	core    *cpu.Core
 	quantum uint64
@@ -380,15 +374,6 @@ func NewRunner(core *cpu.Core, cfg Config, ctxs []*coro.Context) (*Runner, error
 	l, err := NewLoop(core, cfg, ctxs, set)
 	if err != nil {
 		return nil, err
-	}
-	if !core.HasPlan() {
-		// Enable the basic-block fast path; the program was validated at
-		// core construction, so this cannot fail (and a nil plan would
-		// only mean per-instruction dispatch, never a wrong answer).
-		_ = bincfg.InstallFastPath(core)
-	}
-	if !cfg.DisableSuperblocks && !core.HasSuperblocks() {
-		_ = bincfg.InstallSuperblocks(core, nil)
 	}
 	return &Runner{Loop: *l, set: set}, nil
 }

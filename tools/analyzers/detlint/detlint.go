@@ -4,12 +4,6 @@
 // packages must not iterate maps in an order-sensitive way, read wall
 // clocks, or draw from the global (process-seeded) random source.
 //
-// A few individual files outside those packages also feed simulated
-// state — internal/bincfg/blockplan.go computes the block-engine run
-// table the CPU retires from — and are held to the same rules by file
-// name (see cycleAdjacent), without dragging their whole package (which
-// may legitimately use maps for analysis) into the contract.
-//
 // The rule set is deliberately blunt — each construct it flags has
 // caused (or would cause) a real nondeterminism bug:
 //
@@ -39,8 +33,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"path"
-	"path/filepath"
 	"strings"
 
 	"repro/tools/analyzers/framework"
@@ -49,8 +41,7 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "detlint",
 	Doc: "forbid nondeterminism sources (map iteration, wall clocks, global rand, address-dependent values) in cycle-domain packages\n\n" +
-		"Applies to packages under internal/ whose name is one of mem, cpu, exec, smt, sched, pebs, machine, service, " +
-		"plus individually listed cycle-adjacent files (internal/bincfg/{blockplan,superblock}.go).",
+		"Applies to packages under internal/ whose name is one of mem, cpu, exec, smt, sched, pebs, machine, service.",
 	Run: run,
 }
 
@@ -68,60 +59,19 @@ var cycleDomain = map[string]bool{
 	"service": true, // open-loop arrivals + admission queue feed sojourn histograms
 }
 
-// cycleAdjacent lists individual files, keyed by package base name under
-// internal/, that compute inputs to simulated state from inside packages
-// that are otherwise exempt. bincfg is an analysis package — dom.go
-// legitimately ranges over maps while building dominator sets — but
-// blockplan.go derives the block-engine run table cpu.RunBlock retires
-// from, so that one file carries the full determinism contract. The same
-// holds for superblock.go, which derives the trace specs the superblock
-// tier executes — its predicted-path selection must not depend on map
-// iteration order over profile edges.
-var cycleAdjacent = map[string]map[string]bool{
-	"bincfg": {
-		"blockplan.go":  true,
-		"superblock.go": true,
-	},
-}
-
-func packageBase(importPath string) (base string, underInternal bool) {
-	base = importPath
-	if i := strings.LastIndexByte(base, '/'); i >= 0 {
-		base = base[i+1:]
-	}
-	return base, strings.Contains(importPath+"/", "/internal/")
-}
-
 func inCycleDomain(importPath string) bool {
-	base, internal := packageBase(importPath)
-	return internal && cycleDomain[base]
-}
-
-// adjacentFiles returns the set of file base names in this package that
-// are individually held to the determinism contract, or nil if none.
-func adjacentFiles(importPath string) map[string]bool {
-	base, internal := packageBase(importPath)
-	if !internal {
-		return nil
-	}
-	return cycleAdjacent[base]
+	base := importPath[strings.LastIndexByte(importPath, '/')+1:]
+	return strings.Contains(importPath+"/", "/internal/") && cycleDomain[base]
 }
 
 func run(pass *framework.Pass) error {
-	full := inCycleDomain(pass.ImportPath)
-	adjacent := adjacentFiles(pass.ImportPath)
-	if !full && adjacent == nil {
+	if !inCycleDomain(pass.ImportPath) {
 		return nil
 	}
 	for _, file := range pass.Files {
-		name := pass.Fset.Position(file.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
+		if !strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
+			checkFile(pass, file)
 		}
-		if !full && !adjacent[path.Base(filepath.ToSlash(name))] {
-			continue
-		}
-		checkFile(pass, file)
 	}
 	return nil
 }

@@ -160,57 +160,6 @@ func durationTime() *types.Package {
 	return pkg
 }
 
-// TestCycleAdjacentFileChecked pins the file-level extension of the
-// contract: internal/bincfg is exempt as a package (its dominator
-// analysis ranges over maps legitimately), but blockplan.go feeds the
-// block engine's run table and must obey the cycle-domain rules.
-func TestCycleAdjacentFileChecked(t *testing.T) {
-	const planSrc = `package bincfg
-
-func runs(blocks map[int]int) []int {
-	var out []int
-	for start := range blocks { // violation: run order feeds the CPU
-		out = append(out, start)
-	}
-	return out
-}
-`
-	const domSrc = `package bincfg
-
-func frontier(doms map[int]int) int {
-	n := 0
-	for range doms { // fine: analysis-only, order-insensitive
-		n++
-	}
-	return n
-}
-`
-	const sbSrc = `package bincfg
-
-func heads(profile map[int]uint64) []int {
-	var out []int
-	for pc := range profile { // violation: trace selection feeds the CPU
-		out = append(out, pc)
-	}
-	return out
-}
-`
-	diags := analyzertest.Check(t, "repro/internal/bincfg", map[string]string{
-		"blockplan.go":  planSrc,
-		"superblock.go": sbSrc,
-		"dom.go":        domSrc,
-	}, deps(), Analyzer)
-	if len(diags) != 2 {
-		t.Fatalf("want exactly 2 diagnostics (blockplan.go and superblock.go, not dom.go), got %d: %v",
-			len(diags), analyzertest.Messages(diags))
-	}
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "range over map") {
-			t.Fatalf("want range-over-map diagnostic, got %q", d.Message)
-		}
-	}
-}
-
 func TestSMTPackageInCycleDomain(t *testing.T) {
 	diags := analyzertest.Check(t, "repro/internal/smt",
 		map[string]string{"step.go": strings.Replace(violationsSrc, "package exec", "package smt", 1)},
