@@ -420,12 +420,7 @@ func execute(h *core.Harness, img *core.Image, part string, o options, ob observ
 		if err != nil {
 			return st, err
 		}
-		primary := ts.Tasks[0]
-		scavs := ts.Tasks[1:]
-		for _, s := range scavs {
-			s.Mode = coro.Scavenger
-		}
-		if st, err = ex.RunDualMode(primary, scavs); err != nil {
+		if st, err = ex.RunDualMode(ts.Tasks[0], ts.Tasks[1:]); err != nil {
 			return st, err
 		}
 		return st, ts.Validate()

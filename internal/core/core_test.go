@@ -88,7 +88,7 @@ func TestTasksCountSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts.Tasks) != 2 || ts.Tasks[0].Mode != coro.Scavenger {
+	if len(ts.Tasks) != 2 || ts.Tasks[0].Ctx.Mode != coro.Scavenger {
 		t.Error("count/mode semantics wrong")
 	}
 	if _, err := h.Tasks(base, "nope", coro.Primary, 1); err == nil {

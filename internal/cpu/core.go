@@ -21,9 +21,6 @@ type StepResult struct {
 	Yield     bool // an OpYield retired; the executor decides whether to switch
 	CondYield bool // an OpCYield retired
 	LiveMask  isa.RegMask
-
-	DidPrefetch  bool
-	PrefetchAddr uint64
 }
 
 // Core executes instructions for coroutine contexts and owns the global
@@ -51,13 +48,12 @@ type Core struct {
 	// Superblock tier (superblock.go): sbEntry[pc] indexes sbs when pc
 	// heads an installed trace, -1 otherwise; nil disables the tier.
 	// sbQuiet indexes the laps of the counting loops that never yield
-	// (QuietLaps); nil when there are none. sbLineMask caches the
-	// hierarchy's line mask for the residency memos.
-	sbs        []superblock
-	sbEntry    []int32
-	sbQuiet    []sbQuietPC
-	sbLineMask uint64
-	sbStats    SuperblockStats
+	// (QuietLaps); nil when there are none. Running a trace never
+	// writes to sbs.
+	sbs     []superblock
+	sbEntry []int32
+	sbQuiet []sbQuietPC
+	sbStats SuperblockStats
 
 	observers    []Observer
 	lastBranchAt uint64 // clock of the previous taken transfer (LBR delta base)
@@ -270,8 +266,6 @@ func (c *Core) StepInto(ctx *coro.Context, block bool, res *StepResult) error {
 	case isa.OpPrefetch:
 		addr := regs[in.Rs1] + uint64(in.Imm)
 		c.Hier.Prefetch(addr, c.Now)
-		res.DidPrefetch = true
-		res.PrefetchAddr = addr
 		ctx.LastPrefetchAddr = addr
 		ctx.LastPrefetchValid = true
 

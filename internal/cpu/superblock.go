@@ -22,11 +22,9 @@ import (
 //   - per-PC Exec counters are batched: the trace counts completed
 //     traversals and flushes the per-PC increments once on exit, instead
 //     of one read-modify-write per retired instruction;
-//   - memory steps memoize the line they last found L1-resident, keyed
-//     to the hierarchy's residency generation (mem.Hierarchy.Gen, which
-//     advances on every fill, eviction and flush). While the memo holds,
-//     the access takes mem.AccessResident — a self-verifying replay of
-//     the MRU-hit case that skips the full set walk;
+//   - memory steps call mem.Hierarchy.AccessW, as the block and step
+//     tiers do (its MRU-way check keeps a resident hit cheap), and write
+//     nothing back: a compiled trace is read-only once NewCore built it;
 //   - every branch in the trace is a guarded side exit: the branch
 //     executes with full scalar semantics, and if its actual successor
 //     differs from the predicted chain the trace exits to RunBlock's
@@ -69,7 +67,7 @@ type sbSpec struct {
 
 const (
 	// sbMaxLen bounds a single trace; longer chains see diminishing
-	// returns and cost compile time and memo slots.
+	// returns and cost compile time and memory.
 	sbMaxLen = 512
 	// sbMinLen is the shortest trace NewCore installs: below it the entry
 	// check costs as much as the specialized loop saves.
@@ -162,8 +160,7 @@ type sbUop struct {
 }
 
 // sbStep is one compiled superblock step. The fields form a tagged
-// union over kind; mem steps additionally carry the mutable residency
-// memo (superblocks are per-core state, like the block plan).
+// union over kind; nothing writes them after compileSuperblock.
 type sbStep struct {
 	kind uint8
 	op   uint8 // isa.Op: mem (Load/Store) and branch steps
@@ -180,9 +177,6 @@ type sbStep struct {
 
 	cost uint64 // ALU: aggregate busy cost; mem/branch/cyield: base op cost
 	imm  uint64 // mem: address displacement (two's complement); cyield: live mask
-
-	memoLine uint64 // mem: line last observed L1-resident
-	memoGen  uint64 // mem: hierarchy generation of that observation (0 = none)
 }
 
 // superblock is one compiled trace.
@@ -268,7 +262,6 @@ func (c *Core) installSuperblocks(specs []sbSpec) error {
 	c.sbs = sbs
 	c.sbEntry = entry
 	c.sbQuiet = quietLaps(c.instrs, sbs)
-	c.sbLineMask = c.Hier.LineMask()
 	return nil
 }
 
@@ -875,24 +868,7 @@ head:
 			pc := int(st.pc)
 			isStore := isa.Op(st.op) == isa.OpStore
 			addr := regs[st.rs1&15] + st.imm
-			var acc mem.AccessResult
-			if st.memoGen == c.Hier.Gen() && addr&c.sbLineMask == st.memoLine {
-				r, ok := c.Hier.AccessResident(addr, c.Now, isStore)
-				if ok {
-					acc = r
-				} else {
-					st.memoGen = 0
-					acc = c.Hier.AccessW(addr, c.Now, isStore)
-				}
-			} else {
-				acc = c.Hier.AccessW(addr, c.Now, isStore)
-				if acc.Level == mem.LevelL1 {
-					// An L1 hit leaves the line MRU at every level: arm
-					// the memo for the next traversal.
-					st.memoLine = addr & c.sbLineMask
-					st.memoGen = c.Hier.Gen()
-				}
-			}
+			acc := c.Hier.AccessW(addr, c.Now, isStore)
 			busy := st.cost
 			var stall uint64
 			if acc.Latency > absorb {

@@ -9,8 +9,8 @@ import (
 )
 
 // TestRunSuperblockSteadyStateAllocFree pins the trace tier's allocation
-// contract: activations — specialized ALU loops, memoized memory steps,
-// guarded branches, lap-batched counter flushes — perform zero heap
+// contract: activations — specialized ALU loops, memory steps, guarded
+// branches, lap-batched counter flushes — perform zero heap
 // allocations per RunBlock call.
 func TestRunSuperblockSteadyStateAllocFree(t *testing.T) {
 	prog := isa.MustAssemble(`
@@ -74,10 +74,9 @@ func BenchmarkCoreSuperblock(b *testing.B) {
 }
 
 // BenchmarkCoreSuperblockMem measures the trace tier on a loop with
-// resident memory traffic — the shape the residency memo targets: after
-// the first lap both lines are L1-resident and every subsequent access
-// should take the memoized AccessResident path instead of the full
-// hierarchy walk.
+// resident memory traffic: two loads per six-instruction lap. After the
+// first lap both lines are L1-resident, so each access is AccessW's
+// MRU-way check inside a trace — the cheapest memory step there is.
 func BenchmarkCoreSuperblockMem(b *testing.B) {
 	const blockFuel = 1024
 	prog := isa.MustAssemble(`

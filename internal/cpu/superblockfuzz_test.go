@@ -14,8 +14,8 @@ import (
 // FuzzBlockVsStep, making the three-way equivalence transitive). shape
 // picks the program: 0 a straight-line one; 1 the same body wrapped in a
 // counted backward branch, so the fuzzer exercises loop superblocks —
-// trace re-entry, residency memos across iterations, lap-batched counter
-// flushes — not just one-shot traces; 2 a counting loop (randCountingLoop)
+// trace re-entry, resident memory steps across iterations, lap-batched
+// counter flushes — not just one-shot traces; 2 a counting loop (randCountingLoop)
 // a few thousand to tens of thousands of laps long, whose laps the tier
 // retires in closed form wherever fuel, budget and horizon leave it room.
 // Odd seeds put a CYIELD ahead of the latch, so the trace laps through a

@@ -205,8 +205,8 @@ func (l *Asym) noteChain() {
 
 // hideWindow sizes the hide episode for a primary that just yielded:
 // the residual fill time of its prefetch or pending accelerator call,
-// else Config.HideTarget. With HWAssist it first pays for the §4.1
-// presence probe, and reports skip when every pending event has
+// else the machine's DRAM latency. With HWAssist it first pays for the
+// §4.1 presence probe, and reports skip when every pending event has
 // already completed (line cached, accelerator done).
 func (l *Asym) hideWindow(t *Task) (target uint64, skip bool) {
 	e, ctx := l.e, t.Ctx
@@ -235,7 +235,7 @@ func (l *Asym) hideWindow(t *Task) (target uint64, skip bool) {
 	if residual > 0 {
 		return residual, false
 	}
-	return e.Cfg.HideTarget, false
+	return e.Core.Hier.Config().LatDRAM, false
 }
 
 // RunDualMode executes one latency-sensitive primary with a fixed pool

@@ -259,7 +259,6 @@ func TestDualModeScavengerChaining(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		h := buildChain(m, 256, int64(5+i))
 		scavs = append(scavs, chaseTask(core, m, i, 1_000_000, h))
-		scavs[i-1].Mode = coro.Scavenger
 	}
 	st, err := New(core, DefaultConfig()).RunDualMode(p, scavs)
 	if err != nil {
@@ -542,13 +541,24 @@ func TestWindowedFuelExhaustion(t *testing.T) {
 	}
 }
 
-func TestHideTargetDefaultsToDRAM(t *testing.T) {
-	core, _ := newMachine(t, "halt", 1<<16)
-	e := New(core, Config{})
-	if e.Cfg.HideTarget != core.Hier.Config().LatDRAM {
-		t.Errorf("HideTarget = %d, want DRAM latency", e.Cfg.HideTarget)
-	}
-	if e.Cfg.MaxSteps == 0 {
-		t.Error("MaxSteps default missing")
+// TestHideWindowFallsBackToDRAM pins the fallback hide window: a primary
+// that yields with no prefetch and no accelerator call pending hides for
+// the machine's DRAM latency. With HWAssist there is nothing to probe, so
+// the yield is neither skipped nor charged the probe.
+func TestHideWindowFallsBackToDRAM(t *testing.T) {
+	for _, hw := range []bool{false, true} {
+		core, m := newMachine(t, "halt", 1<<16)
+		e := New(core, Config{HWAssist: hw})
+		if e.Cfg.MaxSteps == 0 {
+			t.Error("MaxSteps default missing")
+		}
+		p := NewTask(coro.NewContext(0, 0, m.Size()-8), coro.Primary)
+		target, skip := e.NewAsym([]*Task{p}, nil).hideWindow(p)
+		if want := core.Hier.Config().LatDRAM; target != want || skip {
+			t.Errorf("HWAssist=%v: hideWindow = (%d, skip=%v), want (%d, false)", hw, target, skip, want)
+		}
+		if core.Now != 0 {
+			t.Errorf("HWAssist=%v: hideWindow advanced the clock to %d", hw, core.Now)
+		}
 	}
 }

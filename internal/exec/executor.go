@@ -39,10 +39,6 @@ import (
 type Config struct {
 	// Switch prices context switches.
 	Switch coro.CostModel
-	// HideTarget is the fallback hide window (cycles) for a primary yield
-	// whose prefetch residual is unknown. Defaults to the machine's DRAM
-	// latency when zero.
-	HideTarget uint64
 	// HWAssist enables the §4.1 cache-presence probe: a primary yield is
 	// skipped when the just-prefetched line is already in L1/L2.
 	HWAssist bool
@@ -80,17 +76,16 @@ func DefaultConfig() Config {
 
 // Task wraps a coroutine context under executor control.
 type Task struct {
-	Ctx  *coro.Context
-	Mode coro.Mode
+	Ctx *coro.Context
 
 	saved    coro.Saved
 	hasSaved bool
 }
 
-// NewTask wraps a context.
+// NewTask wraps a context, putting it in mode.
 func NewTask(ctx *coro.Context, mode coro.Mode) *Task {
 	ctx.Mode = mode
-	return &Task{Ctx: ctx, Mode: mode}
+	return &Task{Ctx: ctx}
 }
 
 // Reset discards any pending switched-out register save, so the task's
@@ -169,9 +164,6 @@ type Executor struct {
 // New creates an executor over core, clearing its superblock traces when
 // cfg.DisableSuperblocks is set.
 func New(core *cpu.Core, cfg Config) *Executor {
-	if cfg.HideTarget == 0 {
-		cfg.HideTarget = core.Hier.Config().LatDRAM
-	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultConfig().MaxSteps
 	}

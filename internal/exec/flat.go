@@ -276,10 +276,9 @@ func (e *Executor) RunWindowed(stream []*Task, width int) (Stats, error) {
 	return st, nil
 }
 
-// forceMode puts tasks and their contexts in mode.
+// forceMode puts the tasks' contexts in mode.
 func forceMode(mode coro.Mode, tasks ...*Task) {
 	for _, t := range tasks {
-		t.Mode = mode
 		t.Ctx.Mode = mode
 	}
 }

@@ -44,9 +44,8 @@ const CoreSeedStride = 100003
 const DefaultQuantum = 4096
 
 // Topology describes a many-core machine: how many cores, the per-core
-// template (caches, CPU, switch costs, memory size, seed), optional
-// per-core memory-hierarchy overrides, and the shared LLC every core
-// contends for.
+// template (caches, CPU, switch costs, memory size, seed), and the
+// shared LLC every core contends for.
 type Topology struct {
 	// Cores is the number of simulated cores, each on its own goroutine.
 	Cores int
@@ -54,9 +53,6 @@ type Topology struct {
 	// with Seed advanced by i*CoreSeedStride. A zero template (detected
 	// by MemBytes == 0) means core.DefaultMachine().
 	Machine core.Machine
-	// PerCoreMem optionally overrides the private hierarchy per core;
-	// len must be 0 (uniform) or Cores.
-	PerCoreMem []mem.Config
 	// LLC configures the shared banked L3 + DRAM. The zero value means
 	// mem.DefaultLLCConfig(Cores). Ignored for single-core topologies,
 	// which keep the template's private three-level hierarchy so results
@@ -97,9 +93,6 @@ func (t Topology) Validate() error {
 	if t.Cores < 1 {
 		return fmt.Errorf("machine: core count %d must be at least 1", t.Cores)
 	}
-	if n := len(t.PerCoreMem); n != 0 && n != t.Cores {
-		return fmt.Errorf("machine: PerCoreMem has %d entries for %d cores (want 0 or %d)", n, t.Cores, t.Cores)
-	}
 	if t.Machine.MemBytes > 1<<44 {
 		// The shared LLC tags per-core lines with a core id above bit 40
 		// (lines, i.e. bit 44+ of byte addresses at 16-byte lines or larger).
@@ -107,11 +100,6 @@ func (t Topology) Validate() error {
 	}
 	if err := t.Machine.Mem.Validate(); err != nil {
 		return err
-	}
-	for i := range t.PerCoreMem {
-		if err := t.PerCoreMem[i].Validate(); err != nil {
-			return fmt.Errorf("machine: core %d: %w", i, err)
-		}
 	}
 	if t.Cores > 1 {
 		if err := t.LLC.Validate(); err != nil {
@@ -121,8 +109,8 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// CoreMachine derives core i's template: optional per-core hierarchy
-// override plus the seed stride. Core 0 is the template itself, so a
+// CoreMachine derives core i's template: the template with its seed
+// advanced by the stride. Core 0 is the template itself, so a
 // 1-core topology reproduces the single-core engine exactly; layers
 // that build their own per-core scenarios over a topology (the service
 // dispatcher, external harnesses) must derive machines here rather
@@ -130,9 +118,6 @@ func (t Topology) Validate() error {
 // data layout core i sees.
 func (t Topology) CoreMachine(i int) core.Machine {
 	m := t.Machine
-	if len(t.PerCoreMem) == t.Cores && t.Cores > 0 {
-		m.Mem = t.PerCoreMem[i]
-	}
 	m.Seed += int64(i) * CoreSeedStride
 	return m
 }

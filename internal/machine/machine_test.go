@@ -127,9 +127,6 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Topology{Cores: 2}, RunConfig{Spec: chaseSpec(), Mode: Mode(99)}); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if _, err := New(Topology{Cores: 4, PerCoreMem: make([]mem.Config, 3)}, RunConfig{Spec: chaseSpec()}); err == nil {
-		t.Error("PerCoreMem length mismatch accepted")
-	}
 	topo := DefaultTopology(2)
 	rc := RunConfig{Spec: chaseSpec(), Exec: exec.Config{Tracer: trace.NewRing(8)}}
 	if _, err := New(topo, rc); err == nil {

@@ -149,17 +149,6 @@ type Hierarchy struct {
 	// keeps the original private three-level model bit-for-bit.
 	llc *LLCView
 
-	// gen is the residency generation: it advances whenever cache
-	// contents could have changed — a line installed or evicted at any
-	// level (demand misses, fill landings, Touch), a fill started
-	// (prefetch or hardware stream), or a Flush. Callers that cache a
-	// residency proof (see AccessResident) key it to Gen(): a matching
-	// generation means no fill/evict/flush happened since the proof, so
-	// re-attempting the resident fast path is worthwhile. The generation
-	// is a staleness hint, never a soundness argument — AccessResident
-	// re-verifies residency on every call.
-	gen uint64
-
 	Stats Stats
 }
 
@@ -174,7 +163,6 @@ func NewHierarchy(cfg Config) (*Hierarchy, error) {
 		l2:    newCache(cfg.L2Size, cfg.LineSize, cfg.L2Ways),
 		l3:    newCache(cfg.L3Size, cfg.LineSize, cfg.L3Ways),
 		fills: newFillTable(cfg.MaxInflight),
-		gen:   1, // so a zero generation in caller state means "never proven"
 	}
 	h.lineShift = h.l1.lineBits
 	for l := LevelL1; l < Level(NumLevels); l++ {
@@ -268,9 +256,6 @@ func (h *Hierarchy) AccessW(addr, now uint64, write bool) AccessResult {
 	tag := (ln >> h.lineShift) + 1
 	h1, dirty := h.l1.access(tag, write)
 	h2, _ := h.l2.access(tag, false)
-	if !h1 || !h2 {
-		h.gen++ // a miss installed the line (and may have evicted a victim)
-	}
 	if h.llc != nil {
 		// Shared-LLC mode: L2 misses are served by the banked LLC view.
 		// L1/L2 hits generate no LLC traffic; the miss is logged by
@@ -298,9 +283,6 @@ func (h *Hierarchy) AccessW(addr, now uint64, write bool) AccessResult {
 		}
 	}
 	h3, _ := h.l3.access(tag, false)
-	if h1 && h2 && !h3 {
-		h.gen++ // non-inclusive L3 re-install still changes cache contents
-	}
 	var lvl Level
 	switch {
 	case h1:
@@ -323,62 +305,6 @@ func (h *Hierarchy) AccessW(addr, now uint64, write bool) AccessResult {
 		Level:    lvl,
 		MissedL2: lvl == LevelL3 || lvl == LevelDRAM,
 	}
-}
-
-// Gen returns the current residency generation (see the field comment).
-// It is never zero, so callers can use 0 as "no proof cached".
-func (h *Hierarchy) Gen() uint64 { return h.gen }
-
-// LineMask returns the mask that truncates an address to its line
-// address (^(LineSize-1)), for callers that key cached state by line.
-func (h *Hierarchy) LineMask() uint64 { return ^(h.cfg.LineSize - 1) }
-
-// AccessResident is the residency fast path for AccessW: when the line
-// containing addr is provably an L1 hit whose access would change no
-// cache state beyond what the fast path replays itself, it performs the
-// access — stream detection, dirty marking, stats — and returns ok.
-// Otherwise it returns ok=false having changed nothing, and the caller
-// must take the full AccessW walk.
-//
-// The proof obligations mirror AccessW's walk exactly. The fill table
-// must be empty (a non-empty table would be searched, and stream
-// detection below may insert fills only for *later* lines, which that
-// search cannot match). The line must be the MRU way of L1 and L2 — an
-// MRU hit is the one case where the fused probe's promotion is a no-op —
-// and, in private-L3 mode, of L3 too (AccessW probes all three levels
-// unconditionally; a non-MRU hit or a miss at any of them would move
-// recency state or install). Under those conditions the only state
-// AccessW would change is the stream-detector ring (replayed here via
-// the same streamDetect call), the L1 dirty bit on a store, and the L1
-// access counter — so the replay is bit-identical, just without the set
-// walks. The superblock engine (internal/cpu) memoizes per-instruction
-// lines against Gen() to decide when attempting this path is worthwhile.
-//
-//shsim:noalloc
-func (h *Hierarchy) AccessResident(addr, now uint64, write bool) (AccessResult, bool) {
-	if len(h.fills.entries) != 0 {
-		return AccessResult{}, false
-	}
-	ln := h.lineAddr(addr)
-	tag := (ln >> h.lineShift) + 1
-	i1, ok := h.l1.mruIndex(tag)
-	if !ok {
-		return AccessResult{}, false
-	}
-	if _, ok := h.l2.mruIndex(tag); !ok {
-		return AccessResult{}, false
-	}
-	if h.llc == nil {
-		if _, ok := h.l3.mruIndex(tag); !ok {
-			return AccessResult{}, false
-		}
-	}
-	h.streamDetect(ln, now)
-	if write {
-		h.l1.dirty[i1] = true
-	}
-	h.Stats.Accesses[LevelL1]++
-	return AccessResult{Latency: h.lat[LevelL1], Level: LevelL1}, true
 }
 
 // Prefetch starts an asynchronous fill of the line containing addr at cycle
@@ -430,7 +356,6 @@ func (h *Hierarchy) Prefetch(addr, now uint64) (Level, uint64) {
 		completion = now + h.cfg.Latency(lvl)
 	}
 	h.fills.insert(ln, completion, lvl)
-	h.gen++ // a fill is now outstanding
 	if n := uint64(h.fills.len()); n > h.Stats.MSHRPeak {
 		h.Stats.MSHRPeak = n
 	}
@@ -515,7 +440,6 @@ func (h *Hierarchy) hwPrefetch(ln, now uint64) {
 		completion = now + h.cfg.Latency(lvl)
 	}
 	h.fills.insert(ln, completion, lvl)
-	h.gen++ // a fill is now outstanding
 	if n := uint64(h.fills.len()); n > h.Stats.MSHRPeak {
 		h.Stats.MSHRPeak = n
 	}
@@ -572,7 +496,6 @@ func (h *Hierarchy) Flush() {
 	h.fills.reset()
 	h.recent = [8]uint64{}
 	h.recentPos = 0
-	h.gen++
 }
 
 // ResetStats zeroes the counters without touching cache state.
@@ -602,7 +525,6 @@ func (h *Hierarchy) FillMetrics(m *metrics.Mem) {
 // set) and returns the write-back penalty incurred if L1 had to evict a
 // dirty victim.
 func (h *Hierarchy) install(ln uint64, write bool) uint64 {
-	h.gen++
 	tag := (ln >> h.lineShift) + 1
 	_, dirty := h.l1.access(tag, write)
 	h.l2.access(tag, false)

@@ -135,10 +135,10 @@ type Config struct {
 	// open-loop arrival stream is load-balanced across Cores per-core
 	// policy engines contending for the shared LLC under the
 	// cycle-quantum kernel. Cores ≤ 1 (the default) serves on the
-	// classic single-core engine. The Machine and PerCoreMem fields are
-	// ignored — RunCell's machine argument is the authoritative per-core
-	// template (normalization zeroes them so a cache key never depends
-	// on a field the simulation does not read).
+	// classic single-core engine. The Machine field is ignored —
+	// RunCell's machine argument is the authoritative per-core template
+	// (normalization zeroes it so a cache key never depends on a field
+	// the simulation does not read).
 	Topology machine.Topology
 }
 
@@ -192,10 +192,9 @@ func (cfg Config) withDefaults() Config {
 		cfg.Topology.Cores = 1
 	}
 	// The per-core template comes from RunCell's machine argument, never
-	// from the topology: zeroing the unread fields keeps the normalized
-	// config (the cache-key contract) independent of them.
+	// from the topology: zeroing the unread field keeps the normalized
+	// config (the cache-key contract) independent of it.
 	cfg.Topology.Machine = core.Machine{}
-	cfg.Topology.PerCoreMem = nil
 	if cfg.Topology.Cores > 1 {
 		if cfg.Topology.LLC == (mem.LLCConfig{}) {
 			cfg.Topology.LLC = mem.DefaultLLCConfig(cfg.Topology.Cores)
