@@ -62,15 +62,17 @@
 //	snap := s.MetricsSnapshot()            // counters + histograms
 //	_ = s.ExportTrace(f, repro.ChromeTraceOptions{}) // Perfetto-loadable JSON
 //
-// Execution speed comes from a three-tier retire engine: per-instruction
-// stepping, a basic-block fast path, and a superblock trace tier that
-// chains basic blocks across branches predicted by a static
+// Execution speed comes from a two-tier retire engine over one
+// per-instruction interpreter: a basic-block fast path that fuses
+// straight-line ALU code, and a superblock trace tier that chains basic
+// blocks across branches predicted by a static
 // backward-taken/forward-not-taken rule. Every core is built with its
-// traces, and they are bit-identical to stepping (the per-executor
-// ExecConfig.DisableSuperblocks, which clears them, is the A/B switch the
-// benchmark's alu-tiers workload uses). Attaching an observer (tracing, PEBS
-// sampling) bypasses both fast tiers automatically — profiled runs
-// always see the full per-instruction event stream.
+// traces, and both tiers are bit-identical to retiring one instruction
+// at a time (the per-executor ExecConfig.DisableSuperblocks, which
+// clears the traces, is the A/B switch the benchmark's alu-tiers
+// workload uses). Attaching an observer (PEBS sampling) bypasses both
+// tiers automatically — profiled runs always see the full
+// per-instruction event stream.
 //
 // Many-core simulation is cut around Topology: each simulated core owns
 // a private L1/L2 and runs on its own goroutine; all cores share a

@@ -80,8 +80,16 @@ type Harness struct {
 	Sc   *workloads.Scenario
 }
 
-// NewHarness composes the specs on the machine.
+// NewHarness composes the specs on the machine. It rejects a machine
+// whose hierarchy or core configuration is invalid, so that every core
+// the harness builds later can be built.
 func NewHarness(mach Machine, specs ...workloads.Spec) (*Harness, error) {
+	if err := mach.Mem.Validate(); err != nil {
+		return nil, fmt.Errorf("core: machine: %w", err)
+	}
+	if err := mach.CPU.Validate(); err != nil {
+		return nil, fmt.Errorf("core: machine: %w", err)
+	}
 	sc, err := workloads.Compose(mach.MemBytes, mach.Seed, specs...)
 	if err != nil {
 		return nil, err

@@ -8,9 +8,10 @@ import (
 	"repro/internal/mem"
 )
 
-// TestStepSteadyStateAllocFree guards the tentpole property on the core:
-// once warmed up, stepping instructions — loads and stores included —
-// performs zero heap allocations.
+// TestStepSteadyStateAllocFree guards the per-instruction path: once
+// warmed up, RunBlock under an observer — every instruction through the
+// scalar dispatch and notify, loads and stores included — performs zero
+// heap allocations.
 func TestStepSteadyStateAllocFree(t *testing.T) {
 	prog := isa.MustAssemble(`
         movi r1, 0
@@ -26,22 +27,23 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 	m := mem.NewMemory(1 << 20)
 	h := mem.MustNewHierarchy(mem.DefaultConfig())
 	core := MustNewCore(DefaultConfig(), prog, m, h)
+	core.Observe(nopObserver{})
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 
-	var res StepResult
+	var res BlockResult
 	// Warm-up: past cold caches and any first-use growth.
-	for i := 0; i < 2000; i++ {
-		if err := core.StepInto(ctx, false, &res); err != nil {
-			t.Fatalf("warm-up step %d: %v", i, err)
+	for i := 0; i < 50; i++ {
+		if err := core.RunBlock(ctx, false, 100, 0, Horizon{}, &res); err != nil {
+			t.Fatalf("warm-up block %d: %v", i, err)
 		}
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		if err := core.StepInto(ctx, false, &res); err != nil {
-			t.Fatalf("step: %v", err)
+		if err := core.RunBlock(ctx, false, 100, 0, Horizon{}, &res); err != nil {
+			t.Fatalf("block: %v", err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state Step allocated %.1f times per run, want 0", allocs)
+		t.Errorf("steady-state observed RunBlock allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -107,19 +109,10 @@ func TestRunBlockSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkCoreBlock measures the block engine on an ALU-heavy loop (a
-// 64-instruction straight-line body), the shape the fast path exists
-// for. Each op retires blockFuel instructions; ns/instr is reported as
-// its own metric for comparison against BenchmarkCoreStep's ns/op.
-func BenchmarkCoreBlock(b *testing.B) {
+// benchRunBlock times RunBlock on core, blockFuel instructions per op,
+// after a warm-up, and reports ns/instr.
+func benchRunBlock(b *testing.B, core *Core, ctx *coro.Context) {
 	const blockFuel = 1024
-	prog := aluLoopProgram(64)
-	m := mem.NewMemory(1 << 20)
-	h := mem.MustNewHierarchy(mem.DefaultConfig())
-	core := MustNewCore(DefaultConfig(), prog, m, h)
-	core.ClearSuperblocks()
-	ctx := coro.NewContext(0, 0, m.Size()-8)
-
 	var res BlockResult
 	if err := core.RunBlock(ctx, false, 10_000, 0, Horizon{}, &res); err != nil {
 		b.Fatal(err)
@@ -135,36 +128,33 @@ func BenchmarkCoreBlock(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blockFuel), "ns/instr")
 }
 
-// BenchmarkCoreStepALU is BenchmarkCoreBlock's control: the identical
-// ALU-heavy loop retired per-instruction through StepInto. The ratio of
-// the two ns/instr metrics is the block engine's speedup.
-func BenchmarkCoreStepALU(b *testing.B) {
+// BenchmarkCoreBlock measures the block engine on an ALU-heavy loop (a
+// 64-instruction straight-line body), the shape the fast path exists
+// for.
+func BenchmarkCoreBlock(b *testing.B) {
 	prog := aluLoopProgram(64)
 	m := mem.NewMemory(1 << 20)
-	h := mem.MustNewHierarchy(mem.DefaultConfig())
-	core := MustNewCore(DefaultConfig(), prog, m, h)
-	ctx := coro.NewContext(0, 0, m.Size()-8)
-
-	var res StepResult
-	for i := 0; i < 2000; i++ {
-		if err := core.StepInto(ctx, false, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := core.StepInto(ctx, false, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/instr")
+	core := MustNewCore(DefaultConfig(), prog, m, mem.MustNewHierarchy(mem.DefaultConfig()))
+	core.ClearSuperblocks()
+	benchRunBlock(b, core, coro.NewContext(0, 0, m.Size()-8))
 }
 
-// BenchmarkCoreStep measures the bare per-instruction step cost in steady
-// state. Run with -benchmem: the expectation is 0 allocs/op.
-func BenchmarkCoreStep(b *testing.B) {
+// BenchmarkCoreObservedALU is BenchmarkCoreBlock's control: the identical
+// ALU-heavy loop under a no-op observer, which retires it instruction by
+// instruction through the scalar dispatch. The ratio of the two ns/instr
+// metrics is the fused segments' speedup.
+func BenchmarkCoreObservedALU(b *testing.B) {
+	prog := aluLoopProgram(64)
+	m := mem.NewMemory(1 << 20)
+	core := MustNewCore(DefaultConfig(), prog, m, mem.MustNewHierarchy(mem.DefaultConfig()))
+	core.Observe(nopObserver{})
+	benchRunBlock(b, core, coro.NewContext(0, 0, m.Size()-8))
+}
+
+// BenchmarkCoreObserved measures the per-instruction cost of a profiled
+// run in steady state: a load/store loop under a no-op observer. Run
+// with -benchmem: the expectation is 0 allocs/op.
+func BenchmarkCoreObserved(b *testing.B) {
 	prog := isa.MustAssemble(`
         movi r1, 0
         movi r2, 4096
@@ -177,21 +167,7 @@ func BenchmarkCoreStep(b *testing.B) {
         jmp   loop
     `)
 	m := mem.NewMemory(1 << 20)
-	h := mem.MustNewHierarchy(mem.DefaultConfig())
-	core := MustNewCore(DefaultConfig(), prog, m, h)
-	ctx := coro.NewContext(0, 0, m.Size()-8)
-
-	var res StepResult
-	for i := 0; i < 2000; i++ {
-		if err := core.StepInto(ctx, false, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := core.StepInto(ctx, false, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
+	core := MustNewCore(DefaultConfig(), prog, m, mem.MustNewHierarchy(mem.DefaultConfig()))
+	core.Observe(nopObserver{})
+	benchRunBlock(b, core, coro.NewContext(0, 0, m.Size()-8))
 }

@@ -8,27 +8,27 @@ import (
 	"repro/internal/mem"
 )
 
-// This file is the basic-block fast-path engine. The paper's measured
-// runs spend almost all retired instructions in straight-line code
-// between yield points — that is exactly why profile-guided yield
-// insertion works — so the per-instruction dispatch cost of StepInto
-// (call, StepResult reset, observer nil-check) dominates simulator time
-// in exactly the runs we care most about. RunBlock retires whole
-// straight-line runs in one tight loop: pure-ALU prefixes execute fused
-// with their aggregate busy cost precomputed by NewCore, memory
-// operations still consult the hierarchy at their exact per-instruction
-// cycle (MSHR and fill timing are unchanged), and control returns to the
-// executor only at yields it would act on (see Horizon), halts, faults,
-// fuel or busy-budget exhaustion, or — in SMT block mode — exposed
-// stalls.
+// This file is the retire engine. The paper's measured runs spend almost
+// all retired instructions in straight-line code between yield points —
+// that is exactly why profile-guided yield insertion works — so RunBlock
+// retires whole straight-line runs in one tight loop: pure-ALU prefixes
+// execute fused with their aggregate busy cost precomputed by NewCore,
+// memory operations still consult the hierarchy at their exact
+// per-instruction cycle (MSHR and fill timing are unchanged), and control
+// returns to the executor only at yields it would act on (see Horizon),
+// halts, faults, fuel or busy-budget exhaustion, or — in SMT block mode —
+// exposed stalls.
 //
-// The contract with StepInto is byte-identical observable behaviour:
+// RunBlock's scalar dispatch is the simulator's one per-instruction
+// interpreter of the timed ISA; the fused segments and the superblock
+// traces above it are shortcuts that must be byte-identical to it:
 // registers, flags, the clock, every per-PC counter, hierarchy state and
-// fault surfaces must not differ. internal/cpu/block_test.go pins this
-// differentially over random programs; FuzzBlockVsStep extends it to
-// arbitrary seeds. Profiling runs must see every retirement, so RunBlock
-// falls back to a StepInto loop whenever observers are attached — the
-// PEBS/LBR event stream stays bit-identical.
+// fault surfaces. internal/cpu/block_test.go pins this differentially
+// over random programs, FuzzBlockVsScalar extends it to arbitrary seeds,
+// and differential_test.go holds every tier to isa.RefRun. Profiling runs
+// must see every retirement, so with observers attached RunBlock takes
+// neither shortcut: every instruction retires through the scalar
+// dispatch, which hands the observers its events (notify).
 
 // fusableALU reports whether op can run inside a fused segment: it
 // writes only registers and flags, costs a statically known number of
@@ -100,8 +100,7 @@ type BlockResult struct {
 	DormantAt uint64
 	// Stall is the exposed stall of the final instruction, reported
 	// only in block mode (the SMT executor blocks the context on it).
-	// In coroutine mode stalls are applied to the clock inline, exactly
-	// as StepInto does.
+	// In coroutine mode stalls are applied to the clock inline.
 	Stall uint64
 
 	Halted    bool
@@ -115,7 +114,8 @@ type BlockResult struct {
 //   - a YIELD retires, or a CYIELD at or past hz.Wake (reported, with its
 //     live mask);
 //   - the context halts;
-//   - an execution fault (identical surface to StepInto);
+//   - an execution fault (the context's PC left on the faulting
+//     instruction, which is not retired);
 //   - fuel instructions have retired;
 //   - the busy cycles retired reach busyBudget (0 means unbounded), in
 //     either mode — a fused ALU segment that would cross the budget
@@ -124,23 +124,18 @@ type BlockResult struct {
 //
 // The budget counts busy cycles only — in coroutine mode stalls move the
 // clock past it — and counts from the last dormant CYIELD, where it was
-// re-based to hz.Bound − Now. The horizon only ever saves returns: a
-// caller must still accept a CondYield below hz.Wake (the observer path
-// reports every one).
+// re-based to hz.Bound − Now.
 //
 // Branches, calls and returns are followed inline — they do not return
 // control to the executor, which only ever needs to act at yields and
-// halts. Semantics, clock movement and counter updates are byte-for-byte
-// those of an equivalent StepInto sequence; when observers are attached
-// (profiling runs), the call literally is a StepInto sequence, so the
-// observer event stream is unchanged.
+// halts. When observers are attached (profiling runs), every instruction
+// retires through the scalar dispatch and is reported to them as it
+// retires; where the call stops, and everything it changes, is the same
+// as without them.
 //
 //shsim:noalloc
 func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, hz Horizon, res *BlockResult) error {
 	*res = BlockResult{}
-	if len(c.observers) > 0 {
-		return c.runBlockSlow(ctx, block, fuel, busyBudget, res)
-	}
 	if ctx.Halted {
 		return c.fault(ctx.ID, ctx.PC, fmt.Errorf("stepping a halted context")) //shsim:alloc-ok cold fault path; ends the run
 	}
@@ -155,10 +150,13 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		steps    uint64
 		busyAcc  uint64
 		sbEntry  = c.sbEntry
+		// Observers must see every retirement, so they turn off both
+		// shortcuts: fused segments and traces.
+		observed = len(c.observers) > 0
 		// installSuperblocks builds the entry table even when the deriver
 		// found no traces; probing it per PC would then be pure overhead,
 		// so the tier arms only when at least one trace exists.
-		trySB = len(c.sbs) > 0
+		trySB = !observed && len(c.sbs) > 0
 	)
 	finish := func() {
 		ctx.PC = pc
@@ -200,7 +198,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		// loop, clock and bulk counters are bumped once with the
 		// precomputed aggregate cost. Falls through to scalar dispatch
 		// when fuel or the SMT busy budget could expire mid-segment.
-		if end := int(plan.aluEnd[pc]); end > pc {
+		if end := int(plan.aluEnd[pc]); end > pc && !observed {
 			n := uint64(end - pc)
 			segCost := plan.aluCost[pc]
 			if n <= fuel-steps && (busyBudget == 0 || busyAcc+segCost < busyBudget) {
@@ -263,11 +261,12 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			}
 		}
 
-		// Scalar dispatch: one instruction, StepInto semantics inlined
-		// without the StepResult writes and observer checks.
+		// Scalar dispatch: one instruction. lat and level describe its
+		// memory access, for the observers.
 		in := &instrs[pc]
 		busy := c.costs[in.Op]
-		var stall uint64
+		var stall, lat uint64
+		var level mem.Level
 		next := pc + 1
 		takenBranch := false
 		halted := false
@@ -320,6 +319,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		case isa.OpLoad, isa.OpStore:
 			addr := regs[in.Rs1] + uint64(in.Imm)
 			acc := c.Hier.AccessW(addr, c.Now, in.Op == isa.OpStore)
+			lat, level = acc.Latency, acc.Level
 			if acc.Latency > absorb {
 				stall += acc.Latency - absorb
 				busy += absorb
@@ -363,6 +363,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 				return c.fault(ctx.ID, pc, fmt.Errorf("call push: %w", err)) //shsim:alloc-ok cold fault path; ends the run
 			}
 			acc := c.Hier.Access(sp, c.Now)
+			lat, level = acc.Latency, acc.Level
 			if acc.Latency > absorb {
 				stall += acc.Latency - absorb
 				busy += absorb
@@ -380,6 +381,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 				return c.fault(ctx.ID, pc, fmt.Errorf("ret pop: %w", err)) //shsim:alloc-ok cold fault path; ends the run
 			}
 			acc := c.Hier.Access(sp, c.Now)
+			lat, level = acc.Latency, acc.Level
 			if acc.Latency > absorb {
 				stall += acc.Latency - absorb
 				busy += absorb
@@ -442,7 +444,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			return c.fault(ctx.ID, pc, fmt.Errorf("unimplemented opcode %v", in.Op)) //shsim:alloc-ok cold fault path; ends the run
 		}
 
-		// Clock and accounting, in StepInto's exact order.
+		// Clock and accounting.
 		c.Now += busy
 		ctx.BusyCycles += busy
 		if stall > 0 && !block {
@@ -457,6 +459,9 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		ctx.Retired++
 		busyAcc += busy
 		steps++
+		if observed {
+			c.notify(ctx.ID, pc, in.Op, lat, level, stall, takenBranch, next)
+		}
 		pc = next
 		if takenBranch {
 			c.lastBranchAt = c.Now
@@ -492,40 +497,5 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		}
 	}
 	finish()
-	return nil
-}
-
-// runBlockSlow is RunBlock's per-instruction fallback: it drives the
-// same stop conditions through StepInto, so attached observers see every
-// retirement exactly as the pre-block engine delivered them.
-func (c *Core) runBlockSlow(ctx *coro.Context, block bool, fuel, busyBudget uint64, res *BlockResult) error {
-	var r StepResult
-	for res.Steps < fuel {
-		if err := c.StepInto(ctx, block, &r); err != nil {
-			return err
-		}
-		res.Steps++
-		res.Busy += r.Busy
-		switch {
-		case r.Halted:
-			res.Halted = true
-			return nil
-		case r.Yield:
-			res.Yield = true
-			res.LiveMask = r.LiveMask
-			return nil
-		case r.CondYield:
-			res.CondYield = true
-			res.LiveMask = r.LiveMask
-			return nil
-		}
-		if block && r.Stall > 0 {
-			res.Stall = r.Stall
-			return nil
-		}
-		if busyBudget != 0 && res.Busy >= busyBudget {
-			return nil
-		}
-	}
 	return nil
 }

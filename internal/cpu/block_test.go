@@ -39,11 +39,14 @@ func newEngineRig(prog *isa.Program, initRegs [isa.NumRegs]uint64, arena []uint6
 	return &engineRig{core: core, ctx: ctx, m: m}
 }
 
-// driveStep retires through the per-instruction reference engine.
-func (r *engineRig) driveStep(block bool, maxSteps int) {
-	var res StepResult
+// driveScalar retires one instruction per RunBlock call under an
+// observer, which keeps every call on the scalar dispatch: the
+// per-instruction reference the fused segments and traces are held to.
+func (r *engineRig) driveScalar(block bool, maxSteps int) {
+	r.core.Observe(nopObserver{})
+	var res BlockResult
 	for i := 0; i < maxSteps && !r.ctx.Halted; i++ {
-		if err := r.core.StepInto(r.ctx, block, &res); err != nil {
+		if err := r.core.RunBlock(r.ctx, block, 1, 0, Horizon{}, &res); err != nil {
 			r.err = err
 			return
 		}
@@ -60,11 +63,37 @@ func (r *engineRig) superTier() error {
 	return r.core.installSuperblocks(deriveSuperblocks(r.core.instrs, testMinLen))
 }
 
-// driveBlock retires through the block engine with the core's traces
-// cleared, deliberately chopping fuel into rng-sized pieces so calls stop
-// at arbitrary points inside and between fused segments.
-func (r *engineRig) driveBlock(block bool, budget uint64, hz Horizon, maxSteps int, rng *rand.Rand) {
-	r.core.ClearSuperblocks()
+// retireTier is a way RunBlock can retire a program.
+type retireTier int
+
+const (
+	tierObserved retireTier = iota // an observer attached: scalar dispatch only
+	tierBlock                      // traces cleared: fused segments and scalar dispatch
+	tierSuper                      // traces derived at testMinLen, over both
+)
+
+func (t retireTier) String() string { return [...]string{"observed", "block", "superblock"}[t] }
+
+// setTier puts the rig's core on tier.
+func (r *engineRig) setTier(tier retireTier) error {
+	switch tier {
+	case tierObserved:
+		r.core.Observe(nopObserver{})
+	case tierBlock:
+		r.core.ClearSuperblocks()
+	default:
+		return r.superTier()
+	}
+	return nil
+}
+
+// driveTier retires through tier, deliberately chopping fuel into
+// rng-sized pieces so calls stop at arbitrary points inside and between
+// fused segments and trace activations.
+func (r *engineRig) driveTier(tier retireTier, block bool, budget uint64, hz Horizon, maxSteps int, rng *rand.Rand) {
+	if r.err = r.setTier(tier); r.err != nil {
+		return
+	}
 	var res BlockResult
 	var used int
 	for used < maxSteps && !r.ctx.Halted {
@@ -101,24 +130,24 @@ func assertRigsEqual(t *testing.T, label string, a, b *engineRig) {
 	t.Helper()
 	switch {
 	case (a.err == nil) != (b.err == nil):
-		t.Fatalf("%s: fault divergence: step=%v block=%v\n%s", label, a.err, b.err, isa.Disassemble(a.core.Prog))
+		t.Fatalf("%s: fault divergence: %v vs %v\n%s", label, a.err, b.err, isa.Disassemble(a.core.Prog))
 	case a.err != nil && a.err.Error() != b.err.Error():
-		t.Fatalf("%s: fault text divergence:\n step:  %v\n block: %v", label, a.err, b.err)
+		t.Fatalf("%s: fault text divergence:\n %v\n %v", label, a.err, b.err)
 	}
 	if !reflect.DeepEqual(a.ctx, b.ctx) {
-		t.Fatalf("%s: context divergence:\n step:  %+v\n block: %+v\n%s", label, a.ctx, b.ctx, isa.Disassemble(a.core.Prog))
+		t.Fatalf("%s: context divergence:\n %+v\n %+v\n%s", label, a.ctx, b.ctx, isa.Disassemble(a.core.Prog))
 	}
 	if a.core.Now != b.core.Now {
-		t.Fatalf("%s: clock divergence: step=%d block=%d", label, a.core.Now, b.core.Now)
+		t.Fatalf("%s: clock divergence: %d vs %d", label, a.core.Now, b.core.Now)
 	}
 	if !reflect.DeepEqual(a.core.Counters, b.core.Counters) {
-		t.Fatalf("%s: counter divergence:\n step:  %+v\n block: %+v\n%s", label, a.core.Counters, b.core.Counters, isa.Disassemble(a.core.Prog))
+		t.Fatalf("%s: counter divergence:\n %+v\n %+v\n%s", label, a.core.Counters, b.core.Counters, isa.Disassemble(a.core.Prog))
 	}
 	var ma, mb metrics.Mem
 	a.core.Hier.FillMetrics(&ma)
 	b.core.Hier.FillMetrics(&mb)
 	if ma != mb {
-		t.Fatalf("%s: hierarchy metrics divergence:\n step:  %+v\n block: %+v", label, ma, mb)
+		t.Fatalf("%s: hierarchy metrics divergence:\n %+v\n %+v", label, ma, mb)
 	}
 	sa, sb := a.m.Snapshot(), b.m.Snapshot()
 	for i := range sa {
@@ -128,37 +157,43 @@ func assertRigsEqual(t *testing.T, label string, a, b *engineRig) {
 	}
 }
 
-// newRigPair builds two rigs for prog from one rng-drawn initial state:
-// twelve random registers over a random 512-word arena.
-func newRigPair(prog *isa.Program, rng *rand.Rand) (a, b *engineRig) {
-	var initRegs [isa.NumRegs]uint64
+// randInitState draws an initial state: twelve random registers over a
+// random 512-word arena.
+func randInitState(rng *rand.Rand) (initRegs [isa.NumRegs]uint64, arena []uint64) {
 	for r := 0; r < 12; r++ {
 		initRegs[r] = uint64(rng.Intn(1 << 20))
 	}
-	arena := make([]uint64, 512)
+	arena = make([]uint64, 512)
 	for i := range arena {
 		arena[i] = uint64(rng.Intn(1 << 24))
 	}
+	return initRegs, arena
+}
+
+// newRigPair builds two rigs for prog from one randInitState.
+func newRigPair(prog *isa.Program, rng *rand.Rand) (a, b *engineRig) {
+	initRegs, arena := randInitState(rng)
 	return newEngineRig(prog, initRegs, arena), newEngineRig(prog, initRegs, arena)
 }
 
-// diffOneProgram runs prog through both engines from identical initial
-// state and asserts byte-identical observables.
+// diffOneProgram runs prog through the scalar reference and the block
+// engine from identical initial state and asserts byte-identical
+// observables.
 func diffOneProgram(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, block bool, budget uint64, hz Horizon) {
 	t.Helper()
 	a, b := newRigPair(prog, rng)
 	const maxSteps = 1 << 20
-	a.driveStep(block, maxSteps)
-	b.driveBlock(block, budget, hz, maxSteps, rng)
+	a.driveScalar(block, maxSteps)
+	b.driveTier(tierBlock, block, budget, hz, maxSteps, rng)
 	assertNoTraces(t, label, b)
 	assertRigsEqual(t, label, a, b)
 }
 
 // TestBlockVsStepDifferential is the acceptance pin for the block
 // engine: across ≥1000 random programs the fused fast path must be
-// byte-identical to per-instruction StepInto — registers, flags, clock,
-// per-PC counters, hierarchy metrics and memory — wherever the wake
-// horizon falls among the program's conditional yields.
+// byte-identical to the per-instruction scalar dispatch — registers,
+// flags, clock, per-PC counters, hierarchy metrics and memory — wherever
+// the wake horizon falls among the program's conditional yields.
 func TestBlockVsStepDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	for trial := 0; trial < 1000; trial++ {
@@ -208,8 +243,9 @@ func TestBlockVsStepCallsAndLoops(t *testing.T) {
 }
 
 // TestBlockVsStepYields pins yield reporting: the block engine must
-// return at every YIELD/CYIELD with the same live mask StepInto reports,
-// and retire the same accounting around it.
+// return at every YIELD/CYIELD exactly where the observed scalar path
+// does, with the same live mask, and retire the same accounting around
+// it.
 func TestBlockVsStepYields(t *testing.T) {
 	prog := &isa.Program{}
 	for i := 0; i < 6; i++ {
@@ -226,24 +262,22 @@ func TestBlockVsStepYields(t *testing.T) {
 	var initRegs [isa.NumRegs]uint64
 	arena := make([]uint64, 512)
 	a := newEngineRig(prog, initRegs, arena)
+	a.core.Observe(nopObserver{})
 	b := newEngineRig(prog, initRegs, arena)
 	b.core.ClearSuperblocks()
 
-	// Drive both engines yield-by-yield, checking mask parity at each.
-	var sr StepResult
-	var br BlockResult
+	// Drive both engines yield-by-yield: every call must stop in the same
+	// place for the same reason.
+	var ar, br BlockResult
 	for !b.ctx.Halted {
+		if err := a.core.RunBlock(a.ctx, false, 1<<20, 0, Horizon{}, &ar); err != nil {
+			t.Fatal(err)
+		}
 		if err := b.core.RunBlock(b.ctx, false, 1<<20, 0, Horizon{}, &br); err != nil {
 			t.Fatal(err)
 		}
-		for i := uint64(0); i < br.Steps; i++ {
-			if err := a.core.StepInto(a.ctx, false, &sr); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if sr.Yield != br.Yield || sr.CondYield != br.CondYield || sr.LiveMask != br.LiveMask {
-			t.Fatalf("yield divergence: step={y:%v cy:%v mask:%v} block={y:%v cy:%v mask:%v}",
-				sr.Yield, sr.CondYield, sr.LiveMask, br.Yield, br.CondYield, br.LiveMask)
+		if ar != br {
+			t.Fatalf("yield divergence:\n observed: %+v\n block:    %+v", ar, br)
 		}
 	}
 	assertNoTraces(t, "yields", b)
@@ -284,8 +318,8 @@ func TestBlockVsStepFaults(t *testing.T) {
 	}
 }
 
-// TestRunBlockHaltedContextFaults matches StepInto's halted-context
-// fault, including the Faults counter bump.
+// TestRunBlockHaltedContextFaults pins the halted-context fault,
+// including the Faults counter bump.
 func TestRunBlockHaltedContextFaults(t *testing.T) {
 	prog := &isa.Program{Instrs: []isa.Instr{{Op: isa.OpHalt}}}
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
@@ -325,9 +359,10 @@ func TestFusedSegmentTables(t *testing.T) {
 }
 
 // TestRunBlockObserverFallback pins the profiling contract at the core
-// level: with an observer attached, RunBlock must deliver the identical
-// per-instruction event stream StepInto does, for all the tables and
-// traces a core is born with.
+// level: with an observer attached, RunBlock reports every instruction as
+// it retires — one event stream however the run is cut into calls, and
+// one that agrees with the ground-truth counters — and the run ends in
+// the state the unobserved fast path reaches.
 func TestRunBlockObserverFallback(t *testing.T) {
 	prog := isa.MustAssemble(`
         movi r1, 0
@@ -337,49 +372,96 @@ func TestRunBlockObserverFallback(t *testing.T) {
         andi r4, r4, 0xFF8
         add  r4, r4, r13
         load r3, [r4]
+        accel [r4]
+        accwait r5
         cmpi r1, 200
         jlt  loop
         halt
     `)
-	run := func(useBlock bool) (*engineRig, []RetireEvent, []BranchEvent) {
+	run := func(observe bool, fuel uint64) (*engineRig, *recordingObserver) {
 		rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 1024))
-		rec := &blockEventRecorder{}
-		rig.core.Observe(rec)
-		if useBlock {
-			var res BlockResult
-			for !rig.ctx.Halted {
-				if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, Horizon{}, &res); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else {
-			var res StepResult
-			for !rig.ctx.Halted {
-				if err := rig.core.StepInto(rig.ctx, false, &res); err != nil {
-					t.Fatal(err)
-				}
+		rec := &recordingObserver{}
+		if observe {
+			rig.core.Observe(rec)
+		}
+		var res BlockResult
+		for !rig.ctx.Halted {
+			if err := rig.core.RunBlock(rig.ctx, false, fuel, 0, Horizon{}, &res); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return rig, rec.retires, rec.branches
+		return rig, rec
 	}
-	a, aRet, aBr := run(false)
-	b, bRet, bBr := run(true)
-	if !reflect.DeepEqual(aRet, bRet) {
-		t.Fatalf("retire event streams diverge: %d vs %d events", len(aRet), len(bRet))
+	fast, _ := run(false, 1<<20)
+	one, oneRec := run(true, 1)
+	obs, rec := run(true, 1<<20)
+	if !reflect.DeepEqual(oneRec, rec) {
+		t.Fatalf("event streams diverge between one-instruction calls and one call: %d vs %d retires", len(oneRec.retires), len(rec.retires))
 	}
-	if !reflect.DeepEqual(aBr, bBr) {
-		t.Fatalf("branch event streams diverge: %d vs %d events", len(aBr), len(bBr))
-	}
-	assertRigsEqual(t, "observer-fallback", a, b)
-	if got := uint64(len(bRet)); got != b.ctx.Retired {
-		t.Fatalf("observer saw %d retires, context retired %d", got, b.ctx.Retired)
-	}
+	assertRigsEqual(t, "observer-fallback", fast, obs)
+	assertRigsEqual(t, "observer-one-step", fast, one)
+	assertNoTraces(t, "observer-fallback", obs)
+	assertEventsMatchCounters(t, obs, rec)
 }
 
-type blockEventRecorder struct {
-	retires  []RetireEvent
-	branches []BranchEvent
+// assertEventsMatchCounters holds an observed coroutine-mode run's event
+// stream to the core's ground truth: one retire event per retired
+// instruction, per-PC loads, stores, DRAM misses, accelerator waits and
+// stall cycles as counted, the clock of each event non-decreasing and the
+// last one the core's, and each branch event's cycle delta measured from
+// the previous one.
+func assertEventsMatchCounters(t *testing.T, rig *engineRig, rec *recordingObserver) {
+	t.Helper()
+	cnt := rig.core.Counters
+	n := len(rig.core.instrs)
+	got := NewCounters(n)
+	var now uint64
+	for _, e := range rec.retires {
+		if e.Now < now {
+			t.Fatalf("retire event at pc %d moves the clock back: %d after %d", e.PC, e.Now, now)
+		}
+		now = e.Now
+		got.Exec[e.PC]++
+		got.StallCycles[e.PC] += e.Stall
+		if e.IsLoad {
+			got.Loads[e.PC]++
+		}
+		if e.IsStore {
+			got.Stores[e.PC]++
+		}
+		if e.MissedL3 {
+			got.MissL3[e.PC]++
+		}
+		if e.IsAccWait {
+			got.AccWaits[e.PC]++
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []uint64
+	}{
+		{"Exec", got.Exec, cnt.Exec},
+		{"StallCycles", got.StallCycles, cnt.StallCycles},
+		{"Loads", got.Loads, cnt.Loads},
+		{"Stores", got.Stores, cnt.Stores},
+		{"MissL3", got.MissL3, cnt.MissL3},
+		{"AccWaits", got.AccWaits, cnt.AccWaits},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("per-PC %s from events %v, counted %v", c.name, c.got, c.want)
+		}
+	}
+	if uint64(len(rec.retires)) != rig.ctx.Retired || now != rig.core.Now {
+		t.Fatalf("%d retire events ending at cycle %d; context retired %d, clock %d", len(rec.retires), now, rig.ctx.Retired, rig.core.Now)
+	}
+	var last uint64
+	for _, b := range rec.branches {
+		if b.Cycles != b.Now-last {
+			t.Fatalf("branch %d->%d at cycle %d reports %d cycles since the one at %d", b.From, b.To, b.Now, b.Cycles, last)
+		}
+		last = b.Now
+	}
+	if len(rec.branches) == 0 {
+		t.Fatal("no branch events from a looping program")
+	}
 }
-
-func (r *blockEventRecorder) OnRetire(ev RetireEvent) { r.retires = append(r.retires, ev) }
-func (r *blockEventRecorder) OnBranch(ev BranchEvent) { r.branches = append(r.branches, ev) }

@@ -7,20 +7,21 @@ import (
 	"repro/internal/isa"
 )
 
-// FuzzBlockVsStep is the fuzzing face of TestBlockVsStepDifferential:
+// FuzzBlockVsScalar is the fuzzing face of TestBlockVsStepDifferential:
 // any seed must produce byte-identical behaviour between the block
-// engine and per-instruction StepInto, in both coroutine and SMT
-// (block) mode — and, under the wake horizon the last byte selects
-// (horizonFromByte), between one call that runs on past dormant
+// engine and the per-instruction scalar dispatch (RunBlock under an
+// observer: no fused segments, no traces), in both coroutine and SMT
+// (block) mode — and, on both, under the wake horizon the last byte
+// selects (horizonFromByte), between one call that runs on past dormant
 // conditional yields and the calls a loop returning at each would make.
 // counting swaps the straight-line program for a counting loop
 // (randCountingLoop) thousands of laps long: the block engine is the
 // oracle the superblock tier's closed-form laps are held to, so it is
-// itself held to StepInto on that shape. The corpus seeds cover both
-// modes, a spread of program sizes, both shapes, and horizons that are
-// zero, mid-run and never reached; the fuzzer explores the seed space
-// from there.
-func FuzzBlockVsStep(f *testing.F) {
+// itself held to the scalar dispatch on that shape. The corpus seeds
+// cover both modes, a spread of program sizes, both shapes, and horizons
+// that are zero, mid-run and never reached; the fuzzer explores the seed
+// space from there.
+func FuzzBlockVsScalar(f *testing.F) {
 	f.Add(int64(1), uint8(20), false, uint8(0), uint8(0), false)
 	f.Add(int64(2), uint8(80), false, uint8(0), uint8(6), false)
 	f.Add(int64(3), uint8(40), true, uint8(4), uint8(0), false)
@@ -44,6 +45,7 @@ func FuzzBlockVsStep(f *testing.F) {
 		}
 		hz := horizonFromByte(horizon)
 		diffOneProgram(t, "fuzz", prog, rng, block, b, hz)
-		diffHorizon(t, "fuzz-horizon", prog, rng, false, block, uint64(budget)%16, hz)
+		diffHorizon(t, "fuzz-horizon", prog, rng, tierBlock, block, uint64(budget)%16, hz)
+		diffHorizon(t, "fuzz-observed-horizon", prog, rng, tierObserved, block, uint64(budget)%16, hz)
 	})
 }

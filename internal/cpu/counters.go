@@ -23,7 +23,7 @@ type Counters struct {
 	TotalRetired uint64
 	TotalBusy    uint64
 	TotalStall   uint64
-	// Faults counts execution faults raised by Step (bad PC, memory
+	// Faults counts execution faults raised by RunBlock (bad PC, memory
 	// fault, SFI trap, stepping a halted context).
 	Faults uint64
 }

@@ -10,11 +10,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// step drives one instruction through StepInto, the value-returning shape
-// the tests prefer (the hot paths use StepInto / RunBlock directly).
-func step(c *Core, ctx *coro.Context, block bool) (StepResult, error) {
-	var r StepResult
-	err := c.StepInto(ctx, block, &r)
+// step retires one instruction through RunBlock, the value-returning
+// shape the tests prefer.
+func step(c *Core, ctx *coro.Context, block bool) (BlockResult, error) {
+	var r BlockResult
+	err := c.RunBlock(ctx, block, 1, 0, Horizon{}, &r)
 	return r, err
 }
 
@@ -30,13 +30,13 @@ func testRig(t *testing.T, src string) (*Core, *coro.Context, *mem.Memory) {
 	return core, ctx, m
 }
 
-// runToHalt steps until halt or fuel exhaustion.
+// runToHalt retires until halt or fuel exhaustion.
 func runToHalt(t *testing.T, core *Core, ctx *coro.Context, fuel int) {
 	t.Helper()
-	for i := 0; i < fuel; i++ {
-		r, err := step(core, ctx, false)
-		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
+	var r BlockResult
+	for used := 0; used < fuel; used += int(r.Steps) {
+		if err := core.RunBlock(ctx, false, uint64(fuel-used), 0, Horizon{}, &r); err != nil {
+			t.Fatalf("after %d steps: %v", used, err)
 		}
 		if r.Halted {
 			return
@@ -250,21 +250,19 @@ func TestStallAccounting(t *testing.T) {
         halt
     `)
 	cfg := core.Hier.Config()
-	step(core, ctx, false) // movi
-	r, err := step(core, ctx, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Level != mem.LevelDRAM {
-		t.Fatalf("cold load level = %v", r.Level)
+	obs := &recordingObserver{}
+	core.Observe(obs)
+	runToHalt(t, core, ctx, 10)
+	cold, hot := obs.retires[1], obs.retires[2]
+	if cold.Level != mem.LevelDRAM || cold.MemLat != cfg.LatDRAM {
+		t.Fatalf("cold load level = %v, latency %d", cold.Level, cold.MemLat)
 	}
 	wantStall := cfg.LatDRAM - core.Cfg.PipelineAbsorb
-	if r.Stall != wantStall {
-		t.Errorf("cold load stall = %d, want %d", r.Stall, wantStall)
+	if cold.Stall != wantStall {
+		t.Errorf("cold load stall = %d, want %d", cold.Stall, wantStall)
 	}
-	r, _ = step(core, ctx, false)
-	if r.Stall != 0 {
-		t.Errorf("hot load stall = %d, want 0", r.Stall)
+	if hot.Stall != 0 {
+		t.Errorf("hot load stall = %d, want 0", hot.Stall)
 	}
 	if core.Counters.StallCycles[1] != wantStall {
 		t.Errorf("per-PC stall = %d", core.Counters.StallCycles[1])
@@ -314,22 +312,10 @@ func TestPrefetchThenLoadHidesStall(t *testing.T) {
         load r1, [r2]
         halt
     `)
-	var loadStall uint64
-	for i := 0; i < 5000; i++ {
-		r, err := step(core, ctx, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Op == isa.OpLoad {
-			loadStall = r.Stall
-		}
-		if r.Halted {
-			break
-		}
-	}
+	runToHalt(t, core, ctx, 5000)
 	// The spin loop runs ~200*4 cycles > DRAM latency, so the prefetch
 	// completes and the load must not stall at all.
-	if loadStall != 0 {
+	if loadStall := core.Counters.StallCycles[8]; loadStall != 0 {
 		t.Errorf("load after long prefetch window stalled %d cycles", loadStall)
 	}
 	if !ctx.LastPrefetchValid || ctx.LastPrefetchAddr != 4096 {
@@ -391,6 +377,7 @@ func TestSFIDisabledNeverTraps(t *testing.T) {
 	}
 }
 
+// recordingObserver keeps every event it sees.
 type recordingObserver struct {
 	retires  []RetireEvent
 	branches []BranchEvent
@@ -398,6 +385,13 @@ type recordingObserver struct {
 
 func (r *recordingObserver) OnRetire(e RetireEvent) { r.retires = append(r.retires, e) }
 func (r *recordingObserver) OnBranch(e BranchEvent) { r.branches = append(r.branches, e) }
+
+// nopObserver ignores every event. Attaching it keeps RunBlock on its
+// scalar dispatch at no other cost.
+type nopObserver struct{}
+
+func (nopObserver) OnRetire(RetireEvent) {}
+func (nopObserver) OnBranch(BranchEvent) {}
 
 func TestObserverEvents(t *testing.T) {
 	core, ctx, _ := testRig(t, `
@@ -534,11 +528,10 @@ func TestFaultCounting(t *testing.T) {
 	if c.Counters.Faults != 0 {
 		t.Fatalf("fresh core reports %d faults", c.Counters.Faults)
 	}
-	var res StepResult
-	if err := c.StepInto(ctx, false, &res); err != nil { // movi
+	if _, err := step(c, ctx, false); err != nil { // movi
 		t.Fatal(err)
 	}
-	err := c.StepInto(ctx, false, &res) // faulting load
+	_, err := step(c, ctx, false) // faulting load
 	if err == nil {
 		t.Fatal("expected a fault from the null load")
 	}

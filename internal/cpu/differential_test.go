@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -74,70 +75,55 @@ func randRunnableProgram(rng *rand.Rand, n int, arenaSize int64) *isa.Program {
 	return p
 }
 
+// diffAgainstReference runs prog from one initial state through the
+// timing-free reference interpreter and, on rigs of their own, through
+// every retire tier — the observed scalar dispatch, the block engine with
+// the traces cleared, and traces derived at testMinLen — with fuel cut at
+// random. Each tier must halt with the reference's result, registers,
+// flags and memory. It returns the tiers' rigs.
+func diffAgainstReference(t *testing.T, label string, prog *isa.Program, initRegs [isa.NumRegs]uint64, arena []uint64, rng *rand.Rand) []*engineRig {
+	t.Helper()
+	ref := newEngineRig(prog, initRegs, arena)
+	want := &isa.RefState{Regs: ref.ctx.Regs}
+	if err := isa.RefRun(prog, want, ref.m, 1<<20); err != nil {
+		t.Fatalf("%s: reference: %v\n%s", label, err, isa.Disassemble(prog))
+	}
+	wantMem := ref.m.Snapshot()
+	var rigs []*engineRig
+	for _, tier := range []retireTier{tierObserved, tierBlock, tierSuper} {
+		r := newEngineRig(prog, initRegs, arena)
+		r.driveTier(tier, false, 0, Horizon{}, 1<<20, rng)
+		switch {
+		case r.err != nil:
+			t.Fatalf("%s on the %v tier: %v\n%s", label, tier, r.err, isa.Disassemble(prog))
+		case !r.ctx.Halted:
+			t.Fatalf("%s on the %v tier: no halt\n%s", label, tier, isa.Disassemble(prog))
+		case r.ctx.Result != want.Result:
+			t.Fatalf("%s on the %v tier: result %d != reference %d\n%s", label, tier, r.ctx.Result, want.Result, isa.Disassemble(prog))
+		case r.ctx.Regs != want.Regs:
+			t.Fatalf("%s on the %v tier: registers %#x != reference %#x\n%s", label, tier, r.ctx.Regs, want.Regs, isa.Disassemble(prog))
+		case r.ctx.Flags != want.Flags:
+			t.Fatalf("%s on the %v tier: flags %d != reference %d", label, tier, r.ctx.Flags, want.Flags)
+		}
+		for i, b := range r.m.Snapshot() {
+			if b != wantMem[i] {
+				t.Fatalf("%s on the %v tier: memory diverges at %#x", label, tier, i)
+			}
+		}
+		rigs = append(rigs, r)
+	}
+	return rigs
+}
+
 // TestDifferentialAgainstReference cross-checks the cycle-level core's
 // architectural semantics against the timing-free reference interpreter
-// on random programs: final registers, flags, results and memory must
-// agree exactly.
+// on random programs, on every retire tier.
 func TestDifferentialAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	const arenaSize = 4096
 	for trial := 0; trial < 300; trial++ {
-		prog := randRunnableProgram(rng, 10+rng.Intn(80), arenaSize)
-
-		memA := mem.NewMemory(1 << 16)
-		memB := mem.NewMemory(1 << 16)
-		arenaA := memA.Alloc(arenaSize, 64)
-		arenaB := memB.Alloc(arenaSize, 64)
-		if arenaA != arenaB {
-			t.Fatal("arenas diverge")
-		}
-		var initRegs [isa.NumRegs]uint64
-		for r := 0; r < 12; r++ {
-			initRegs[r] = uint64(rng.Intn(1 << 20))
-		}
-		initRegs[13] = arenaA
-		for i := uint64(0); i < arenaSize; i += 8 {
-			v := uint64(rng.Intn(1 << 24))
-			memA.MustWrite64(arenaA+i, v)
-			memB.MustWrite64(arenaB+i, v)
-		}
-
-		// Cycle-level core.
-		core := MustNewCore(DefaultConfig(), prog, memA, mem.MustNewHierarchy(mem.DefaultConfig()))
-		ctx := coro.NewContext(0, 0, memA.Size()-8)
-		ctx.Regs = initRegs
-		ctx.Regs[isa.SP] = memA.Size() - 8
-		for !ctx.Halted {
-			if _, err := step(core, ctx, false); err != nil {
-				t.Fatalf("trial %d: core: %v\n%s", trial, err, isa.Disassemble(prog))
-			}
-		}
-
-		// Reference interpreter.
-		ref := &isa.RefState{PC: 0}
-		ref.Regs = initRegs
-		ref.Regs[isa.SP] = memB.Size() - 8
-		if err := isa.RefRun(prog, ref, memB, 1<<20); err != nil {
-			t.Fatalf("trial %d: reference: %v\n%s", trial, err, isa.Disassemble(prog))
-		}
-
-		if ctx.Result != ref.Result {
-			t.Fatalf("trial %d: result %d != reference %d\n%s", trial, ctx.Result, ref.Result, isa.Disassemble(prog))
-		}
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if ctx.Regs[r] != ref.Regs[r] {
-				t.Fatalf("trial %d: r%d = %#x != reference %#x\n%s", trial, r, ctx.Regs[r], ref.Regs[r], isa.Disassemble(prog))
-			}
-		}
-		if ctx.Flags != ref.Flags {
-			t.Fatalf("trial %d: flags %d != reference %d", trial, ctx.Flags, ref.Flags)
-		}
-		a, b := memA.Snapshot(), memB.Snapshot()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d: memory diverges at %#x", trial, i)
-			}
-		}
+		prog := randRunnableProgram(rng, 10+rng.Intn(80), 4096)
+		initRegs, arena := randInitState(rng)
+		diffAgainstReference(t, fmt.Sprintf("trial %d", trial), prog, initRegs, arena, rng)
 	}
 }
 
@@ -157,22 +143,11 @@ func TestDifferentialWithCalls(t *testing.T) {
         addi r1, r1, 100
         ret
     `)
-	m1 := mem.NewMemory(1 << 16)
-	core := MustNewCore(DefaultConfig(), prog, m1, mem.MustNewHierarchy(mem.DefaultConfig()))
-	ctx := coro.NewContext(0, 0, m1.Size()-8)
-	for !ctx.Halted {
-		if _, err := step(core, ctx, false); err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range diffAgainstReference(t, "calls", prog, [isa.NumRegs]uint64{}, make([]uint64, 8), rng) {
+		if r.ctx.Result != 123 {
+			t.Fatalf("result %d, want 123", r.ctx.Result)
 		}
-	}
-	m2 := mem.NewMemory(1 << 16)
-	ref := &isa.RefState{}
-	ref.Regs[isa.SP] = m2.Size() - 8
-	if err := isa.RefRun(prog, ref, m2, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if ctx.Result != ref.Result || ctx.Result != 123 {
-		t.Fatalf("core %d, reference %d, want 123", ctx.Result, ref.Result)
 	}
 }
 
@@ -180,7 +155,7 @@ func TestDifferentialWithCalls(t *testing.T) {
 // semantics (timing aside) between the core and the reference.
 func TestDifferentialAccelerator(t *testing.T) {
 	prog := isa.MustAssemble(`
-        movi r2, 4096
+        mov  r2, r13
         movi r3, 4
     loop:
         accel [r2]
@@ -193,37 +168,19 @@ func TestDifferentialAccelerator(t *testing.T) {
         jgt loop
         halt
     `)
-	mkMem := func() *mem.Memory {
-		m := mem.NewMemory(1 << 16)
-		for i := uint64(0); i < 4*64; i += 8 {
-			m.MustWrite64(4096+i, i*3+7)
+	const accwaitPC = 4
+	arena := make([]uint64, 32)
+	for i := range arena {
+		arena[i] = uint64(i)*24 + 7
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range diffAgainstReference(t, "accel", prog, [isa.NumRegs]uint64{}, arena, rng) {
+		if r.ctx.Result == 0 {
+			t.Fatal("accelerator checksums summed to zero")
 		}
-		return m
-	}
-	m1 := mkMem()
-	core := MustNewCore(DefaultConfig(), prog, m1, mem.MustNewHierarchy(mem.DefaultConfig()))
-	ctx := coro.NewContext(0, 0, m1.Size()-8)
-	var sawStall bool
-	for !ctx.Halted {
-		r, err := step(core, ctx, false)
-		if err != nil {
-			t.Fatal(err)
+		if r.core.Counters.StallCycles[accwaitPC] == 0 {
+			t.Error("accwait never stalled despite minimal intervening work")
 		}
-		if r.Op == isa.OpAccWait && r.Stall > 0 {
-			sawStall = true
-		}
-	}
-	if !sawStall {
-		t.Error("accwait never stalled despite minimal intervening work")
-	}
-	m2 := mkMem()
-	ref := &isa.RefState{}
-	ref.Regs[isa.SP] = m2.Size() - 8
-	if err := isa.RefRun(prog, ref, m2, 10000); err != nil {
-		t.Fatal(err)
-	}
-	if ctx.Result != ref.Result || ctx.Result == 0 {
-		t.Fatalf("core %d != reference %d", ctx.Result, ref.Result)
 	}
 }
 
@@ -235,11 +192,10 @@ func TestAccWaitWithoutSubmit(t *testing.T) {
 	m := mem.NewMemory(1 << 12)
 	core := MustNewCore(DefaultConfig(), prog, m, mem.MustNewHierarchy(mem.DefaultConfig()))
 	ctx := coro.NewContext(0, 0, m.Size()-8)
-	r, err := step(core, ctx, false)
-	if err != nil {
+	if _, err := step(core, ctx, false); err != nil {
 		t.Fatalf("bare ACCWAIT should read the sticky record: %v", err)
 	}
-	if r.Stall != 0 || ctx.Regs[1] != 0 {
-		t.Errorf("bare ACCWAIT: stall=%d r1=%d, want zero record", r.Stall, ctx.Regs[1])
+	if ctx.StallCycles != 0 || ctx.Regs[1] != 0 {
+		t.Errorf("bare ACCWAIT: stall=%d r1=%d, want zero record", ctx.StallCycles, ctx.Regs[1])
 	}
 }

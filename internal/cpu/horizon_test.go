@@ -9,7 +9,7 @@ import (
 
 // horizonFromByte spreads one fuzz byte over the horizons worth telling
 // apart: 0 is the zero horizon (every CYIELD returns, what the SMT loop
-// and the observer path run under), 255 one that never wakes, and
+// runs under), 255 one that never wakes, and
 // anything in between wakes 16 cycles per unit into the run — the
 // generators' programs retire in a few thousand cycles, so yields fall
 // on both sides of it — with the re-base bound at or a little past it.
@@ -56,15 +56,12 @@ func (r *engineRig) runReentering(block bool, fuel, budget uint64, hz Horizon, r
 // call must report the same BlockResult — where it stopped and why, the
 // busy cycles since the last re-base, the dormant count and clock a
 // scheduling loop rebuilds its poll quota from — and the runs must end
-// in byte-identical state. super selects the tier: the superblock tier
-// with traces derived at testMinLen, or the block engine with none.
-func diffHorizon(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, super, block bool, budget uint64, hz Horizon) {
+// in byte-identical state. Both rigs retire on tier.
+func diffHorizon(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, tier retireTier, block bool, budget uint64, hz Horizon) {
 	t.Helper()
 	ref, got := newRigPair(prog, rng)
 	for _, r := range []*engineRig{ref, got} {
-		if !super {
-			r.core.ClearSuperblocks()
-		} else if err := r.superTier(); err != nil {
+		if err := r.setTier(tier); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 	}
@@ -77,8 +74,8 @@ func diffHorizon(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, 
 			break
 		}
 		if want != have {
-			t.Fatalf("%s: call results diverge under %+v (block=%v budget=%d fuel=%d):\n re-entering: %+v\n horizon:     %+v\n%s",
-				label, hz, block, budget, fuel, want, have, isa.Disassemble(prog))
+			t.Fatalf("%s: call results diverge under %+v (%v tier, block=%v budget=%d fuel=%d):\n re-entering: %+v\n horizon:     %+v\n%s",
+				label, hz, tier, block, budget, fuel, want, have, isa.Disassemble(prog))
 		}
 		if block && want.Stall > 0 {
 			for _, r := range []*engineRig{ref, got} {
@@ -87,7 +84,7 @@ func diffHorizon(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, 
 			}
 		}
 	}
-	if !super {
+	if tier != tierSuper {
 		assertNoTraces(t, label, ref)
 		assertNoTraces(t, label, got)
 	}
@@ -98,8 +95,8 @@ func diffHorizon(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, 
 // random straight-line and looping programs — the generator scatters
 // CYIELDs through them — one RunBlock call under a horizon is
 // indistinguishable from the calls a loop would have made returning at
-// every CYIELD, in coroutine and block mode, on the block tier and the
-// superblock tier, under tight busy budgets and none.
+// every CYIELD, in coroutine and block mode, on the observed path, the
+// block tier and the superblock tier, under tight busy budgets and none.
 func TestHorizonVsReentry(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261002))
 	for trial := 0; trial < 1200; trial++ {
@@ -109,12 +106,12 @@ func TestHorizonVsReentry(t *testing.T) {
 		} else {
 			prog = randRunnableProgram(rng, 10+rng.Intn(80), 4096)
 		}
-		super, block := rng.Intn(2) == 0, rng.Intn(2) == 0
+		tier, block := retireTier(rng.Intn(3)), rng.Intn(2) == 0
 		var budget uint64
 		if block || rng.Intn(2) == 0 {
 			budget = uint64(1 + rng.Intn(16))
 		}
-		diffHorizon(t, "horizon-trial", prog, rng, super, block, budget, horizonFromByte(uint8(rng.Intn(256))))
+		diffHorizon(t, "horizon-trial", prog, rng, tier, block, budget, horizonFromByte(uint8(rng.Intn(256))))
 	}
 }
 
@@ -161,9 +158,9 @@ func TestHorizonLoopSuperblock(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, block := range []bool{false, true} {
 		for _, hz := range []Horizon{{}, hz, horizonFromByte(255)} {
-			diffHorizon(t, "loop-superblock", prog, rng, true, block, 0, hz)
-			diffHorizon(t, "loop-superblock-budget", prog, rng, true, block, 7, hz)
-			diffSuperProgram(t, "loop-superblock-vs-step", prog, rng, block, 7, hz)
+			diffHorizon(t, "loop-superblock", prog, rng, tierSuper, block, 0, hz)
+			diffHorizon(t, "loop-superblock-budget", prog, rng, tierSuper, block, 7, hz)
+			diffSuperProgram(t, "loop-superblock-vs-scalar", prog, rng, block, 7, hz)
 		}
 	}
 }
@@ -186,11 +183,10 @@ func TestHorizonBoundaries(t *testing.T) {
 	prog.Instrs = append(prog.Instrs, addi, addi, isa.Instr{Op: isa.OpHalt})
 	// Every instruction costs one cycle: the CYIELDs retire at 3, 14, 20.
 
-	for _, super := range []bool{false, true} {
+	tiers := []retireTier{tierObserved, tierBlock, tierSuper}
+	for _, tier := range tiers {
 		rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
-		if !super {
-			rig.core.ClearSuperblocks()
-		} else if err := rig.superTier(); err != nil {
+		if err := rig.setTier(tier); err != nil {
 			t.Fatal(err)
 		}
 		// Wake one past the first yield, bound mid-way through the next
@@ -200,23 +196,23 @@ func TestHorizonBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := (BlockResult{Steps: 9, Busy: 6, Dormant: 1, DormantAt: 3}); res != want || rig.core.Now != 9 {
-			t.Fatalf("super=%v: got %+v at cycle %d, want %+v at cycle 9", super, res, rig.core.Now, want)
+			t.Fatalf("%v tier: got %+v at cycle %d, want %+v at cycle 9", tier, res, rig.core.Now, want)
 		}
 		// Resume with the second yield retiring exactly on the wake cycle.
 		if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, Horizon{Wake: 14, Bound: 30}, &res); err != nil {
 			t.Fatal(err)
 		}
 		if want := (BlockResult{Steps: 5, Busy: 5, CondYield: true, LiveMask: isa.AllRegs}); res != want || rig.core.Now != 14 {
-			t.Fatalf("super=%v: got %+v at cycle %d, want %+v at cycle 14", super, res, rig.core.Now, want)
+			t.Fatalf("%v tier: got %+v at cycle %d, want %+v at cycle 14", tier, res, rig.core.Now, want)
 		}
 	}
 
 	rng := rand.New(rand.NewSource(5))
 	for wake := uint64(0); wake <= 24; wake++ {
 		for bound := wake; bound <= wake+12; bound++ {
-			for _, super := range []bool{false, true} {
+			for _, tier := range tiers {
 				for _, block := range []bool{false, true} {
-					diffHorizon(t, "boundary", prog, rng, super, block, 0, Horizon{Wake: wake, Bound: bound})
+					diffHorizon(t, "boundary", prog, rng, tier, block, 0, Horizon{Wake: wake, Bound: bound})
 				}
 			}
 		}

@@ -22,9 +22,10 @@ import (
 //   - per-PC Exec counters are batched: the trace counts completed
 //     traversals and flushes the per-PC increments once on exit, instead
 //     of one read-modify-write per retired instruction;
-//   - memory steps call mem.Hierarchy.AccessW, as the block and step
-//     tiers do (its MRU-way check keeps a resident hit cheap), and write
-//     nothing back: a compiled trace is read-only once NewCore built it;
+//   - memory steps call mem.Hierarchy.AccessW, as RunBlock's scalar
+//     dispatch does (its MRU-way check keeps a resident hit cheap), and
+//     write nothing back: a compiled trace is read-only once NewCore
+//     built it;
 //   - every branch in the trace is a guarded side exit: the branch
 //     executes with full scalar semantics, and if its actual successor
 //     differs from the predicted chain the trace exits to RunBlock's
@@ -45,13 +46,12 @@ import (
 //     running out — are left to the interpreter below.
 //
 // The fallback ladder is literal: a superblock step that cannot proceed
-// (fuel, busy budget, side exit) drops to RunBlock's block dispatch
-// at an exact instruction boundary, and RunBlock itself drops to the
-// per-instruction StepInto loop when observers are attached. Every stop
-// condition, fault surface, counter and clock movement is byte-identical
-// to the equivalent RunBlock (and therefore StepInto) sequence;
-// internal/cpu/superblock_test.go pins this differentially and
-// FuzzSuperblockVsBlock extends it to arbitrary seeds.
+// (fuel, busy budget, side exit) drops to RunBlock's block dispatch at an
+// exact instruction boundary; with observers attached RunBlock enters no
+// trace at all. Every stop condition, fault surface, counter and clock
+// movement is byte-identical to RunBlock's scalar dispatch retiring the
+// same instructions; internal/cpu/superblock_test.go pins this
+// differentially and FuzzSuperblockVsBlock extends it to arbitrary seeds.
 
 // sbSpec describes one trace to compile: the chained program counters
 // in predicted execution order. Consecutive entries must be connected —
@@ -240,7 +240,7 @@ func (c *Core) SuperblockStats() SuperblockStats { return c.sbStats }
 // connectivity, op admissibility, loop closure — so a buggy deriver
 // surfaces as an error from NewCore, never as wrong execution. A later
 // spec with the same entry pc replaces the earlier one. Observers
-// disable the tier along with the whole block engine.
+// disable the tier along with the fused segments.
 func (c *Core) installSuperblocks(specs []sbSpec) error {
 	entry := make([]int32, len(c.instrs))
 	for i := range entry {

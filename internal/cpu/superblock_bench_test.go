@@ -51,26 +51,10 @@ func TestRunSuperblockSteadyStateAllocFree(t *testing.T) {
 // the switch-free micro-op loop. The ns/instr metric against
 // BenchmarkCoreBlock's is the tier's speedup.
 func BenchmarkCoreSuperblock(b *testing.B) {
-	const blockFuel = 1024
 	prog := aluLoopProgram(64)
 	m := mem.NewMemory(1 << 20)
-	h := mem.MustNewHierarchy(mem.DefaultConfig())
-	core := MustNewCore(DefaultConfig(), prog, m, h)
-	ctx := coro.NewContext(0, 0, m.Size()-8)
-
-	var res BlockResult
-	if err := core.RunBlock(ctx, false, 10_000, 0, Horizon{}, &res); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := core.RunBlock(ctx, false, blockFuel, 0, Horizon{}, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blockFuel), "ns/instr")
+	core := MustNewCore(DefaultConfig(), prog, m, mem.MustNewHierarchy(mem.DefaultConfig()))
+	benchRunBlock(b, core, coro.NewContext(0, 0, m.Size()-8))
 }
 
 // BenchmarkCoreSuperblockMem measures the trace tier on a loop with
@@ -78,7 +62,6 @@ func BenchmarkCoreSuperblock(b *testing.B) {
 // first lap both lines are L1-resident, so each access is AccessW's
 // MRU-way check inside a trace — the cheapest memory step there is.
 func BenchmarkCoreSuperblockMem(b *testing.B) {
-	const blockFuel = 1024
 	prog := isa.MustAssemble(`
         movi r1, 0
     loop:
@@ -90,22 +73,8 @@ func BenchmarkCoreSuperblockMem(b *testing.B) {
         jlt  loop
     `)
 	m := mem.NewMemory(1 << 20)
-	h := mem.MustNewHierarchy(mem.DefaultConfig())
-	core := MustNewCore(DefaultConfig(), prog, m, h)
+	core := MustNewCore(DefaultConfig(), prog, m, mem.MustNewHierarchy(mem.DefaultConfig()))
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 	ctx.Regs[13] = 4096
-
-	var res BlockResult
-	if err := core.RunBlock(ctx, false, 10_000, 0, Horizon{}, &res); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := core.RunBlock(ctx, false, blockFuel, 0, Horizon{}, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blockFuel), "ns/instr")
+	benchRunBlock(b, core, ctx)
 }

@@ -9,43 +9,16 @@ import (
 	"repro/internal/mem"
 )
 
-// driveSuper retires through the superblock tier (traces derived at
-// testMinLen), chopping fuel into rng-sized pieces so calls stop at
-// arbitrary points inside and between trace activations.
-func (r *engineRig) driveSuper(block bool, budget uint64, hz Horizon, maxSteps int, rng *rand.Rand) {
-	if err := r.superTier(); err != nil {
-		r.err = err
-		return
-	}
-	var res BlockResult
-	var used int
-	for used < maxSteps && !r.ctx.Halted {
-		fuel := uint64(1 + rng.Intn(40))
-		if rem := uint64(maxSteps - used); fuel > rem {
-			fuel = rem
-		}
-		if err := r.core.RunBlock(r.ctx, block, fuel, budget, hz, &res); err != nil {
-			r.err = err
-			return
-		}
-		used += int(res.Steps)
-		if block && res.Stall > 0 {
-			r.ctx.StallCycles += res.Stall
-			r.core.AdvanceIdle(res.Stall)
-		}
-	}
-}
-
-// diffSuperProgram runs prog through the per-instruction reference and
-// the superblock tier from identical initial state and asserts
+// diffSuperProgram runs prog through the scalar reference and the
+// superblock tier from identical initial state and asserts
 // byte-identical observables — the same contract block_test.go pins for
 // the block engine, extended one tier up.
 func diffSuperProgram(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, block bool, budget uint64, hz Horizon) {
 	t.Helper()
 	a, b := newRigPair(prog, rng)
 	const maxSteps = 1 << 20
-	a.driveStep(block, maxSteps)
-	b.driveSuper(block, budget, hz, maxSteps, rng)
+	a.driveScalar(block, maxSteps)
+	b.driveTier(tierSuper, block, budget, hz, maxSteps, rng)
 	assertRigsEqual(t, label, a, b)
 }
 
@@ -100,8 +73,8 @@ func closeLoop(p *isa.Program, iters int64, latchYield bool) *isa.Program {
 // TestSuperblockVsStepDifferential is the acceptance pin for the
 // superblock tier: across ≥1000 random programs — straight-line and
 // looping, under wake horizons on both sides of their yields — the
-// specialized trace loops must be byte-identical to per-instruction
-// StepInto.
+// specialized trace loops must be byte-identical to the per-instruction
+// scalar dispatch.
 func TestSuperblockVsStepDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 700; trial++ {
@@ -162,7 +135,8 @@ func TestSuperblockCallsAndLoops(t *testing.T) {
 // TestSuperblockFaults pins the fault surface through the trace loop: a
 // faulting memory step must park the PC on the faulting instruction with
 // the exact counter state — including the batched per-PC Exec flush of
-// every instruction retired before the fault — StepInto produces.
+// every instruction retired before the fault — the scalar dispatch
+// produces.
 func TestSuperblockFaults(t *testing.T) {
 	prog := isa.MustAssemble(`
         movi r2, 0
@@ -214,20 +188,21 @@ func TestSuperblockFlushInvalidation(t *testing.T) {
 		arena[i] = uint64(i * 3)
 	}
 	a := newEngineRig(prog, initRegs, arena)
+	a.core.Observe(nopObserver{})
 	b := newEngineRig(prog, initRegs, arena)
 	if err := b.superTier(); err != nil {
 		t.Fatal(err)
 	}
-	var sr StepResult
-	var br BlockResult
+	var ar, br BlockResult
 	for !b.ctx.Halted {
+		if err := a.core.RunBlock(a.ctx, false, 17, 0, Horizon{}, &ar); err != nil {
+			t.Fatal(err)
+		}
 		if err := b.core.RunBlock(b.ctx, false, 17, 0, Horizon{}, &br); err != nil {
 			t.Fatal(err)
 		}
-		for i := uint64(0); i < br.Steps; i++ {
-			if err := a.core.StepInto(a.ctx, false, &sr); err != nil {
-				t.Fatal(err)
-			}
+		if ar != br {
+			t.Fatalf("calls diverge:\n observed: %+v\n trace:    %+v", ar, br)
 		}
 		a.core.Hier.Flush()
 		b.core.Hier.Flush()
@@ -274,8 +249,8 @@ func TestSuperblocksReadOnly(t *testing.T) {
 
 // TestSuperblockObserverFallback pins the profiling contract one tier
 // up: with an observer attached, a core with superblocks installed must
-// deliver the identical per-instruction event stream StepInto does —
-// the trace tier, like the block engine, is bypassed entirely.
+// enter none of them and deliver the event stream a core without any
+// does, ending in the state the unobserved trace tier reaches.
 func TestSuperblockObserverFallback(t *testing.T) {
 	prog := isa.MustAssemble(`
         movi r1, 0
@@ -289,39 +264,37 @@ func TestSuperblockObserverFallback(t *testing.T) {
         jlt  loop
         halt
     `)
-	run := func(useSuper bool) (*engineRig, []RetireEvent, []BranchEvent) {
+	run := func(super, observe bool) (*engineRig, *recordingObserver) {
 		rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 1024))
-		rec := &blockEventRecorder{}
-		rig.core.Observe(rec)
-		if useSuper {
-			if err := rig.superTier(); err != nil {
+		if !super {
+			rig.core.ClearSuperblocks()
+		} else if err := rig.superTier(); err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingObserver{}
+		if observe {
+			rig.core.Observe(rec)
+		}
+		var res BlockResult
+		for !rig.ctx.Halted {
+			if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, Horizon{}, &res); err != nil {
 				t.Fatal(err)
 			}
-			var res BlockResult
-			for !rig.ctx.Halted {
-				if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, Horizon{}, &res); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else {
-			var res StepResult
-			for !rig.ctx.Halted {
-				if err := rig.core.StepInto(rig.ctx, false, &res); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
-		return rig, rec.retires, rec.branches
+		return rig, rec
 	}
-	a, aRet, aBr := run(false)
-	b, bRet, bBr := run(true)
-	if !reflect.DeepEqual(aRet, bRet) {
-		t.Fatalf("retire event streams diverge: %d vs %d events", len(aRet), len(bRet))
+	fast, _ := run(true, false)
+	if fast.core.SuperblockStats().Activations == 0 {
+		t.Fatal("the unobserved run entered no trace")
 	}
-	if !reflect.DeepEqual(aBr, bBr) {
-		t.Fatalf("branch event streams diverge: %d vs %d events", len(aBr), len(bBr))
+	plain, plainRec := run(false, true)
+	obs, rec := run(true, true)
+	if !reflect.DeepEqual(plainRec, rec) {
+		t.Fatalf("event streams diverge with and without traces: %d vs %d retires", len(plainRec.retires), len(rec.retires))
 	}
-	assertRigsEqual(t, "sb-observer-fallback", a, b)
+	assertNoTraces(t, "sb-observer-fallback", obs)
+	assertRigsEqual(t, "sb-observer-fallback", fast, obs)
+	assertRigsEqual(t, "sb-observer-no-traces", fast, plain)
 }
 
 // TestInstallSuperblocksValidation exercises the defensive checks: a

@@ -9,9 +9,9 @@ import (
 
 // FuzzSuperblockVsBlock is the fuzzing face of
 // TestSuperblockVsStepDifferential: any seed must produce byte-identical
-// behaviour between the superblock trace tier and per-instruction
-// StepInto (which the block engine is separately pinned to by
-// FuzzBlockVsStep, making the three-way equivalence transitive). shape
+// behaviour between the superblock trace tier and the per-instruction
+// scalar dispatch (which the block engine is separately pinned to by
+// FuzzBlockVsScalar, making the three-way equivalence transitive). shape
 // picks the program: 0 a straight-line one; 1 the same body wrapped in a
 // counted backward branch, so the fuzzer exercises loop superblocks —
 // trace re-entry, resident memory steps across iterations, lap-batched
@@ -53,7 +53,7 @@ func FuzzSuperblockVsBlock(f *testing.F) {
 		case 1:
 			prog, label = randLoopProgram(rng, n, int64(2+seed%5), 4096, seed&1 == 1), "fuzz-loop"
 		case 2:
-			// As many laps as the step reference's cap lets it walk.
+			// As many laps as the scalar reference's cap lets it walk.
 			prog, label = randCountingLoop(rng, n, int64(1<<19/(n+4)), seed&1 == 1), "fuzz-counting"
 			var regs [isa.NumRegs]uint64
 			for r := 0; r < 12; r++ {
@@ -66,6 +66,6 @@ func FuzzSuperblockVsBlock(f *testing.F) {
 			})
 		}
 		diffSuperProgram(t, label, prog, rng, block, b, hz)
-		diffHorizon(t, label+"-horizon", prog, rng, true, block, uint64(budget)%16, hz)
+		diffHorizon(t, label+"-horizon", prog, rng, tierSuper, block, uint64(budget)%16, hz)
 	})
 }

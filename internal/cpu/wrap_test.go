@@ -12,8 +12,8 @@ import (
 // [r2-4] with r2 = 0: address 2^64-4, in the top 8 bytes of the address
 // space, where addr+8 wraps to a small number and a check written as
 // `addr+8 <= limit` waves it through. The backward latch makes pc 1.. a
-// superblock trace, so the same program reaches the access on all three
-// tiers.
+// superblock trace, so the same program reaches the access through the
+// scalar dispatch, the block engine and a trace.
 func wrapLoop(access isa.Instr) *isa.Program {
 	return &isa.Program{Instrs: []isa.Instr{
 		{Op: isa.OpMovI, Rd: 2, Imm: 0},
@@ -28,7 +28,7 @@ func wrapLoop(access isa.Instr) *isa.Program {
 // TestAddressWrapFaultsOnEveryTier pins the fix for a host panic: a load
 // or store at 2^64-4 passed InBounds (addr+8 wrapped to 4) and died in the
 // slice expression. It must be the ordinary simulated fault, with the
-// same text and state on the step, block and superblock tiers.
+// same text and state on the scalar, block and superblock tiers.
 func TestAddressWrapFaultsOnEveryTier(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -45,19 +45,19 @@ func TestAddressWrapFaultsOnEveryTier(t *testing.T) {
 		arena := make([]uint64, 8)
 		const maxSteps = 100
 
-		step := newEngineRig(prog, regs, arena)
-		step.driveStep(false, maxSteps)
+		scalar := newEngineRig(prog, regs, arena)
+		scalar.driveScalar(false, maxSteps)
 		block := newEngineRig(prog, regs, arena)
-		block.driveBlock(false, 0, Horizon{}, maxSteps, rand.New(rand.NewSource(1)))
+		block.driveTier(tierBlock, false, 0, Horizon{}, maxSteps, rand.New(rand.NewSource(1)))
 		super := newEngineRig(prog, regs, arena)
-		super.driveSuper(false, 0, Horizon{}, maxSteps, rand.New(rand.NewSource(1)))
+		super.driveTier(tierSuper, false, 0, Horizon{}, maxSteps, rand.New(rand.NewSource(1)))
 
-		if step.err == nil || !strings.Contains(step.err.Error(), tc.want) {
-			t.Fatalf("%s: step tier error = %v, want it to contain %q", tc.name, step.err, tc.want)
+		if scalar.err == nil || !strings.Contains(scalar.err.Error(), tc.want) {
+			t.Fatalf("%s: scalar error = %v, want it to contain %q", tc.name, scalar.err, tc.want)
 		}
 		assertNoTraces(t, tc.name+" block", block)
-		assertRigsEqual(t, tc.name+" block", step, block)
-		assertRigsEqual(t, tc.name+" superblock", step, super)
+		assertRigsEqual(t, tc.name+" block", scalar, block)
+		assertRigsEqual(t, tc.name+" superblock", scalar, super)
 	}
 }
 
@@ -71,8 +71,8 @@ func TestCheckTrapsWrappedAddress(t *testing.T) {
 		{Op: isa.OpHalt},
 	}}
 	tiers := map[string]func(*engineRig){
-		"step":  func(r *engineRig) { r.driveStep(false, 10) },
-		"block": func(r *engineRig) { r.driveBlock(false, 0, Horizon{}, 10, rand.New(rand.NewSource(1))) },
+		"scalar": func(r *engineRig) { r.driveScalar(false, 10) },
+		"block":  func(r *engineRig) { r.driveTier(tierBlock, false, 0, Horizon{}, 10, rand.New(rand.NewSource(1))) },
 	}
 	for tier, drive := range tiers {
 		rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))

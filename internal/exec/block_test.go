@@ -10,7 +10,7 @@ import (
 )
 
 // countingObserver is a minimal PEBS-shaped observer: attaching it must
-// force the executor onto the per-instruction fallback without changing
+// put the core on its per-instruction scalar dispatch without changing
 // any simulated outcome.
 type countingObserver struct {
 	retires  uint64
@@ -43,8 +43,8 @@ func blockDualModeRun(t *testing.T, setup func(*cpu.Core)) (Stats, []trace.Event
 }
 
 // TestObserverFallbackMatchesFastPath pins the profiling contract at the
-// executor level: a dual-mode run with an attached observer (which
-// forces per-instruction StepInto, the pre-block engine) must produce
+// executor level: a dual-mode run with an attached observer (which keeps
+// the core on its per-instruction scalar dispatch) must produce
 // Stats and a scheduling trace identical to both the fast path the core
 // is born with and plain block dispatch with its traces cleared — and the
 // observer must see every retirement.
@@ -86,7 +86,7 @@ func TestObserverFallbackMatchesFastPath(t *testing.T) {
 }
 
 // TestExecutorsAgreeWithPlanCleared drives every executor discipline
-// on the per-instruction step path, forced by an attached observer, and
+// on the per-instruction path, forced by an attached observer, and
 // compares against the fast path: the block and superblock tiers must be
 // a pure optimization at every call site.
 func TestExecutorsAgreeWithPlanCleared(t *testing.T) {

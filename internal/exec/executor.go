@@ -47,9 +47,9 @@ type Config struct {
 	// DisableSuperblocks makes New clear the core's superblock traces
 	// (cpu.Core.ClearSuperblocks), so RunBlock retires through plain block
 	// dispatch. The trace tier is observation-equivalent to block
-	// dispatch, and attached observers bypass both (profiling sees
-	// per-instruction retires either way), so the knob exists for A/B
-	// measurement, not correctness.
+	// dispatch, and attached observers bypass both fused segments and
+	// traces (profiling sees per-instruction retires either way), so the
+	// knob exists for A/B measurement, not correctness.
 	DisableSuperblocks bool
 	// Tracer, when non-nil, receives scheduling events (switches, hide
 	// episodes, chains, halts) for debugging.

@@ -510,10 +510,10 @@ func runSolo(t *testing.T, prog *isa.Program, seed int64) (uint64, []byte) {
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 	ctx.Regs[1] = base
 	ctx.Regs[2] = base
-	var r cpu.StepResult
-	for i := 0; i < 1_000_000; i++ {
-		if err := core.StepInto(ctx, false, &r); err != nil {
-			t.Fatalf("step: %v", err)
+	var r cpu.BlockResult
+	for used := uint64(0); used < 1_000_000; used += r.Steps {
+		if err := core.RunBlock(ctx, false, 1_000_000-used, 0, cpu.Horizon{}, &r); err != nil {
+			t.Fatalf("run: %v", err)
 		}
 		if r.Halted {
 			return ctx.Result, m.Snapshot()

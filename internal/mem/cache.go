@@ -72,6 +72,12 @@ type cache struct {
 	stamp uint64
 }
 
+// setCount is the number of sets in a cache of sizeBytes with the given
+// line size and associativity: at least one.
+func setCount(sizeBytes, lineSize uint64, ways int) uint64 {
+	return max(sizeBytes/lineSize/uint64(ways), 1)
+}
+
 func newCache(sizeBytes, lineSize uint64, ways int) *cache {
 	if ways <= 0 {
 		panic("mem: cache ways must be positive")
@@ -79,11 +85,7 @@ func newCache(sizeBytes, lineSize uint64, ways int) *cache {
 	if lineSize == 0 || lineSize&(lineSize-1) != 0 {
 		panic("mem: line size must be a power of two")
 	}
-	lines := sizeBytes / lineSize
-	sets := lines / uint64(ways)
-	if sets == 0 {
-		sets = 1
-	}
+	sets := setCount(sizeBytes, lineSize, ways)
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("mem: cache set count %d must be a power of two (size %d, line %d, ways %d)", sets, sizeBytes, lineSize, ways))
 	}

@@ -75,6 +75,15 @@ func (c Config) Validate() error {
 	if c.L1Ways <= 0 || c.L2Ways <= 0 || c.L3Ways <= 0 {
 		return fmt.Errorf("mem: cache ways must be positive")
 	}
+	for _, l := range [...]struct {
+		name string
+		size uint64
+		ways int
+	}{{"L1", c.L1Size, c.L1Ways}, {"L2", c.L2Size, c.L2Ways}, {"L3", c.L3Size, c.L3Ways}} {
+		if sets := setCount(l.size, c.LineSize, l.ways); sets&(sets-1) != 0 {
+			return fmt.Errorf("mem: %s set count %d must be a power of two (size %d, line %d, ways %d)", l.name, sets, l.size, c.LineSize, l.ways)
+		}
+	}
 	if !(c.LatL1 <= c.LatL2 && c.LatL2 <= c.LatL3 && c.LatL3 <= c.LatDRAM) {
 		return fmt.Errorf("mem: latencies must be monotone across levels")
 	}

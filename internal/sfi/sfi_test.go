@@ -92,9 +92,9 @@ func TestGuardsTrapOutsideSandbox(t *testing.T) {
 	core := cpu.MustNewCore(cfg, hardened, m, mem.MustNewHierarchy(mem.DefaultConfig()))
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 	var fault error
-	var r cpu.StepResult
-	for i := 0; i < 100 && !ctx.Halted; i++ {
-		if err := core.StepInto(ctx, false, &r); err != nil {
+	var r cpu.BlockResult
+	for used := uint64(0); used < 100 && !ctx.Halted; used += r.Steps {
+		if err := core.RunBlock(ctx, false, 100-used, 0, cpu.Horizon{}, &r); err != nil {
 			fault = err
 			break
 		}
@@ -122,9 +122,9 @@ func TestHardenedProgramStillComputes(t *testing.T) {
 	m := mem.NewMemory(1 << 20)
 	core := cpu.MustNewCore(cpu.DefaultConfig(), hardened, m, mem.MustNewHierarchy(mem.DefaultConfig()))
 	ctx := coro.NewContext(0, 0, m.Size()-8)
-	var r cpu.StepResult
-	for i := 0; i < 100 && !ctx.Halted; i++ {
-		if err := core.StepInto(ctx, false, &r); err != nil {
+	var r cpu.BlockResult
+	for used := uint64(0); used < 100 && !ctx.Halted; used += r.Steps {
+		if err := core.RunBlock(ctx, false, 100-used, 0, cpu.Horizon{}, &r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,16 +22,14 @@ func runScenario(t *testing.T, sc *Scenario) {
 			id++
 			ctx.Regs = inst.Regs
 			ctx.Regs[15] = part.StackTops[i]
-			var r cpu.StepResult
-			for steps := 0; ; steps++ {
-				if steps > 20_000_000 {
+			const maxSteps = 20_000_000
+			var r cpu.BlockResult
+			for used := uint64(0); !r.Halted; used += r.Steps {
+				if used >= maxSteps {
 					t.Fatalf("%s[%d]: did not halt", part.Name, i)
 				}
-				if err := core.StepInto(ctx, false, &r); err != nil {
+				if err := core.RunBlock(ctx, false, maxSteps-used, 0, cpu.Horizon{}, &r); err != nil {
 					t.Fatalf("%s[%d]: %v", part.Name, i, err)
-				}
-				if r.Halted {
-					break
 				}
 			}
 			if ctx.Result != inst.Expected {

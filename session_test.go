@@ -93,6 +93,40 @@ func TestSessionRunUnknownID(t *testing.T) {
 	}
 }
 
+// TestInvalidMachineIsAnError pins that a machine no core can be built on
+// reaches the caller as an error from every session entry point that
+// builds one, never as a panic in a runner goroutine.
+func TestInvalidMachineIsAnError(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		spoil func(*Machine)
+		want  string
+	}{
+		{"zero L1 ways", func(m *Machine) { m.Mem.L1Ways = 0 }, "mem: cache ways must be positive"},
+		{"L1 set count", func(m *Machine) { m.Mem.L1Size = 3 << 10 }, "mem: L1 set count 6 must be a power of two"},
+		{"zero ALU cost", func(m *Machine) { m.CPU.CostALU = 0 }, "cpu: instruction costs must be nonzero"},
+	} {
+		topo := DefaultTopology(1)
+		tc.spoil(&topo.Machine)
+		s, err := NewSession(WithTopology(topo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultServiceConfig()
+		cfg.Requests = 10
+		cfg.Policies = []ServicePolicy{PolicyAgnostic}
+		_, serveErr := s.Serve(ctx, cfg)
+		_, runErr := s.Run(ctx, "E1")
+		_, harnessErr := s.NewHarness(PointerChase{Nodes: 64, Hops: 8, Instances: 1})
+		for entry, err := range map[string]error{"Serve": serveErr, "Run(E1)": runErr, "NewHarness": harnessErr} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %s returned %v, want an error containing %q", tc.name, entry, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestSessionPipelineAndTracer(t *testing.T) {
 	ring := NewTraceRing(1 << 12)
 	s, err := NewSession(WithObservability(ObservabilityConfig{Tracer: ring}))

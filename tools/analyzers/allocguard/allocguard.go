@@ -1,6 +1,6 @@
 // Package allocguard is the compile-time complement of the
 // AllocsPerRun runtime guards: functions annotated `//shsim:noalloc`
-// (the per-cycle hot paths — cpu.Core.StepInto/RunBlock, the
+// (the per-cycle hot paths — cpu.Core.RunBlock and its observer hook, the
 // superblock retire loop, the mem.Hierarchy access paths, the exec and
 // smt scheduling loops) are proven allocation-free in two layers.
 //
