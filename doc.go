@@ -70,9 +70,10 @@
 // traces, and both tiers are bit-identical to retiring one instruction
 // at a time (the per-executor ExecConfig.DisableSuperblocks, which
 // clears the traces, is the A/B switch the benchmark's alu-tiers
-// workload uses). Attaching an observer (PEBS sampling) bypasses both
-// tiers automatically — profiled runs always see the full
-// per-instruction event stream.
+// workload uses). Attaching an observer (PEBS sampling) keeps both
+// tiers on: observers receive events, not instructions — every load,
+// store, accelerator wait, exposed stall and taken branch, each tier
+// emitting exactly the stream the one-at-a-time interpreter would.
 //
 // Many-core simulation is cut around Topology: each simulated core owns
 // a private L1/L2 and runs on its own goroutine; all cores share a

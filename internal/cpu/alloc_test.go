@@ -8,10 +8,12 @@ import (
 	"repro/internal/mem"
 )
 
-// TestStepSteadyStateAllocFree guards the per-instruction path: once
-// warmed up, RunBlock under an observer — every instruction through the
-// scalar dispatch and notify, loads and stores included — performs zero
-// heap allocations.
+// TestStepSteadyStateAllocFree guards the observed paths: once warmed
+// up, RunBlock under an observer performs zero heap allocations, both on
+// the scalar dispatch alone (every instruction through it, loads, stores
+// and taken branches handed to notify) and on the loop trace a core is
+// born with (memory steps and the latch notifying from inside runSuper).
+// internal/pebs holds the same with the PEBS sampler attached.
 func TestStepSteadyStateAllocFree(t *testing.T) {
 	prog := isa.MustAssemble(`
         movi r1, 0
@@ -24,26 +26,34 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
         andi  r1, r1, 0xFFF
         jmp   loop
     `)
-	m := mem.NewMemory(1 << 20)
-	h := mem.MustNewHierarchy(mem.DefaultConfig())
-	core := MustNewCore(DefaultConfig(), prog, m, h)
-	core.Observe(nopObserver{})
-	ctx := coro.NewContext(0, 0, m.Size()-8)
+	for _, scalar := range []bool{true, false} {
+		m := mem.NewMemory(1 << 20)
+		h := mem.MustNewHierarchy(mem.DefaultConfig())
+		core := MustNewCore(DefaultConfig(), prog, m, h)
+		if scalar {
+			scalarOnly(core)
+		}
+		core.Observe(nopObserver{})
+		ctx := coro.NewContext(0, 0, m.Size()-8)
 
-	var res BlockResult
-	// Warm-up: past cold caches and any first-use growth.
-	for i := 0; i < 50; i++ {
-		if err := core.RunBlock(ctx, false, 100, 0, Horizon{}, &res); err != nil {
-			t.Fatalf("warm-up block %d: %v", i, err)
+		var res BlockResult
+		// Warm-up: past cold caches and any first-use growth.
+		for i := 0; i < 50; i++ {
+			if err := core.RunBlock(ctx, false, 100, 0, Horizon{}, &res); err != nil {
+				t.Fatalf("warm-up block %d: %v", i, err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(500, func() {
-		if err := core.RunBlock(ctx, false, 100, 0, Horizon{}, &res); err != nil {
-			t.Fatalf("block: %v", err)
+		allocs := testing.AllocsPerRun(500, func() {
+			if err := core.RunBlock(ctx, false, 100, 0, Horizon{}, &res); err != nil {
+				t.Fatalf("block: %v", err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("scalar=%v: steady-state observed RunBlock allocated %.1f times per run, want 0", scalar, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state observed RunBlock allocated %.1f times per run, want 0", allocs)
+		if entered := core.SuperblockStats().Activations > 0; entered == scalar {
+			t.Errorf("scalar=%v: observed run entered traces: %v", scalar, entered)
+		}
 	}
 }
 
@@ -139,10 +149,10 @@ func BenchmarkCoreBlock(b *testing.B) {
 	benchRunBlock(b, core, coro.NewContext(0, 0, m.Size()-8))
 }
 
-// BenchmarkCoreObservedALU is BenchmarkCoreBlock's control: the identical
-// ALU-heavy loop under a no-op observer, which retires it instruction by
-// instruction through the scalar dispatch. The ratio of the two ns/instr
-// metrics is the fused segments' speedup.
+// BenchmarkCoreObservedALU runs BenchmarkCoreSuperblock's ALU-heavy loop
+// under a no-op observer: the loop trace runs as it does unobserved, and
+// the only events are the latch's branch events. Its ns/instr against
+// BenchmarkCoreSuperblock's is what profiling ALU code costs.
 func BenchmarkCoreObservedALU(b *testing.B) {
 	prog := aluLoopProgram(64)
 	m := mem.NewMemory(1 << 20)
@@ -152,8 +162,9 @@ func BenchmarkCoreObservedALU(b *testing.B) {
 }
 
 // BenchmarkCoreObserved measures the per-instruction cost of a profiled
-// run in steady state: a load/store loop under a no-op observer. Run
-// with -benchmem: the expectation is 0 allocs/op.
+// run in steady state: a load/store loop under a no-op observer, two
+// retire events and one branch event per six-instruction lap. Run with
+// -benchmem: the expectation is 0 allocs/op.
 func BenchmarkCoreObserved(b *testing.B) {
 	prog := isa.MustAssemble(`
         movi r1, 0

@@ -22,13 +22,15 @@ import (
 // RunBlock's scalar dispatch is the simulator's one per-instruction
 // interpreter of the timed ISA; the fused segments and the superblock
 // traces above it are shortcuts that must be byte-identical to it:
-// registers, flags, the clock, every per-PC counter, hierarchy state and
-// fault surfaces. internal/cpu/block_test.go pins this differentially
-// over random programs, FuzzBlockVsScalar extends it to arbitrary seeds,
-// and differential_test.go holds every tier to isa.RefRun. Profiling runs
-// must see every retirement, so with observers attached RunBlock takes
-// neither shortcut: every instruction retires through the scalar
-// dispatch, which hands the observers its events (notify).
+// registers, flags, the clock, every per-PC counter, hierarchy state,
+// fault surfaces and the observers' event stream. internal/cpu/block_test.go
+// pins this differentially over random programs against a test-only core
+// whose every instruction takes the scalar dispatch (tierScalar),
+// FuzzBlockVsScalar extends it to arbitrary seeds, and
+// differential_test.go holds every tier to isa.RefRun. Observers receive
+// events, not instructions (notify): a fused ALU segment carries none,
+// and a trace emits its memory steps' and taken branches' events inline,
+// so profiling runs keep both shortcuts.
 
 // fusableALU reports whether op can run inside a fused segment: it
 // writes only registers and flags, costs a statically known number of
@@ -128,10 +130,9 @@ type BlockResult struct {
 //
 // Branches, calls and returns are followed inline — they do not return
 // control to the executor, which only ever needs to act at yields and
-// halts. When observers are attached (profiling runs), every instruction
-// retires through the scalar dispatch and is reported to them as it
-// retires; where the call stops, and everything it changes, is the same
-// as without them.
+// halts. When observers are attached (profiling runs), every retirement
+// that carries an event is reported to them as it retires; where the call
+// stops, and everything it changes, is the same as without them.
 //
 //shsim:noalloc
 func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, hz Horizon, res *BlockResult) error {
@@ -150,13 +151,11 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		steps    uint64
 		busyAcc  uint64
 		sbEntry  = c.sbEntry
-		// Observers must see every retirement, so they turn off both
-		// shortcuts: fused segments and traces.
 		observed = len(c.observers) > 0
 		// installSuperblocks builds the entry table even when the deriver
 		// found no traces; probing it per PC would then be pure overhead,
 		// so the tier arms only when at least one trace exists.
-		trySB = !observed && len(c.sbs) > 0
+		trySB = len(c.sbs) > 0
 	)
 	finish := func() {
 		ctx.PC = pc
@@ -198,7 +197,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		// loop, clock and bulk counters are bumped once with the
 		// precomputed aggregate cost. Falls through to scalar dispatch
 		// when fuel or the SMT busy budget could expire mid-segment.
-		if end := int(plan.aluEnd[pc]); end > pc && !observed {
+		if end := int(plan.aluEnd[pc]); end > pc {
 			n := uint64(end - pc)
 			segCost := plan.aluCost[pc]
 			if n <= fuel-steps && (busyBudget == 0 || busyAcc+segCost < busyBudget) {
@@ -262,7 +261,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		}
 
 		// Scalar dispatch: one instruction. lat and level describe its
-		// memory access, for the observers.
+		// memory access, for the observers' retire event.
 		in := &instrs[pc]
 		busy := c.costs[in.Op]
 		var stall, lat uint64
@@ -459,7 +458,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		ctx.Retired++
 		busyAcc += busy
 		steps++
-		if observed {
+		if observed && (takenBranch || carriesEvent(in.Op, stall)) {
 			c.notify(ctx.ID, pc, in.Op, lat, level, stall, takenBranch, next)
 		}
 		pc = next

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -39,11 +40,13 @@ func newEngineRig(prog *isa.Program, initRegs [isa.NumRegs]uint64, arena []uint6
 	return &engineRig{core: core, ctx: ctx, m: m}
 }
 
-// driveScalar retires one instruction per RunBlock call under an
-// observer, which keeps every call on the scalar dispatch: the
-// per-instruction reference the fused segments and traces are held to.
+// driveScalar retires one instruction per RunBlock call on tierScalar:
+// the per-instruction reference the fused segments and traces are held
+// to.
 func (r *engineRig) driveScalar(block bool, maxSteps int) {
-	r.core.Observe(nopObserver{})
+	if r.err = r.setTier(tierScalar); r.err != nil {
+		return
+	}
 	var res BlockResult
 	for i := 0; i < maxSteps && !r.ctx.Halted; i++ {
 		if err := r.core.RunBlock(r.ctx, block, 1, 0, Horizon{}, &res); err != nil {
@@ -67,21 +70,39 @@ func (r *engineRig) superTier() error {
 type retireTier int
 
 const (
-	tierObserved retireTier = iota // an observer attached: scalar dispatch only
+	tierScalar   retireTier = iota // no traces, no fused segments: the scalar dispatch alone
 	tierBlock                      // traces cleared: fused segments and scalar dispatch
 	tierSuper                      // traces derived at testMinLen, over both
+	tierObserved                   // tierSuper with an observer attached
 )
 
-func (t retireTier) String() string { return [...]string{"observed", "block", "superblock"}[t] }
+var allTiers = []retireTier{tierScalar, tierBlock, tierSuper, tierObserved}
+
+func (t retireTier) String() string {
+	return [...]string{"scalar", "block", "superblock", "observed"}[t]
+}
+
+// scalarOnly clears c's traces and empties every fused segment
+// (aluEnd[pc] = pc), so each instruction takes the scalar dispatch: a
+// reference that needs no observer and no production knob.
+func scalarOnly(c *Core) {
+	c.ClearSuperblocks()
+	for pc := range c.plan.aluEnd {
+		c.plan.aluEnd[pc] = int32(pc)
+	}
+}
 
 // setTier puts the rig's core on tier.
 func (r *engineRig) setTier(tier retireTier) error {
 	switch tier {
-	case tierObserved:
-		r.core.Observe(nopObserver{})
+	case tierScalar:
+		scalarOnly(r.core)
 	case tierBlock:
 		r.core.ClearSuperblocks()
-	default:
+	case tierSuper:
+		return r.superTier()
+	case tierObserved:
+		r.core.Observe(nopObserver{})
 		return r.superTier()
 	}
 	return nil
@@ -243,9 +264,8 @@ func TestBlockVsStepCallsAndLoops(t *testing.T) {
 }
 
 // TestBlockVsStepYields pins yield reporting: the block engine must
-// return at every YIELD/CYIELD exactly where the observed scalar path
-// does, with the same live mask, and retire the same accounting around
-// it.
+// return at every YIELD/CYIELD exactly where the scalar dispatch does,
+// with the same live mask, and retire the same accounting around it.
 func TestBlockVsStepYields(t *testing.T) {
 	prog := &isa.Program{}
 	for i := 0; i < 6; i++ {
@@ -262,7 +282,9 @@ func TestBlockVsStepYields(t *testing.T) {
 	var initRegs [isa.NumRegs]uint64
 	arena := make([]uint64, 512)
 	a := newEngineRig(prog, initRegs, arena)
-	a.core.Observe(nopObserver{})
+	if err := a.setTier(tierScalar); err != nil {
+		t.Fatal(err)
+	}
 	b := newEngineRig(prog, initRegs, arena)
 	b.core.ClearSuperblocks()
 
@@ -277,7 +299,7 @@ func TestBlockVsStepYields(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ar != br {
-			t.Fatalf("yield divergence:\n observed: %+v\n block:    %+v", ar, br)
+			t.Fatalf("yield divergence:\n scalar: %+v\n block:  %+v", ar, br)
 		}
 	}
 	assertNoTraces(t, "yields", b)
@@ -359,10 +381,11 @@ func TestFusedSegmentTables(t *testing.T) {
 }
 
 // TestRunBlockObserverFallback pins the profiling contract at the core
-// level: with an observer attached, RunBlock reports every instruction as
-// it retires — one event stream however the run is cut into calls, and
-// one that agrees with the ground-truth counters — and the run ends in
-// the state the unobserved fast path reaches.
+// level: with an observer attached, RunBlock still enters the traces,
+// reports every retirement that carries an event — one event stream
+// however the run is cut into calls, the one the scalar dispatch alone
+// produces, and one that agrees with the ground-truth counters — and the
+// run ends in the state the unobserved fast path reaches.
 func TestRunBlockObserverFallback(t *testing.T) {
 	prog := isa.MustAssemble(`
         movi r1, 0
@@ -374,12 +397,22 @@ func TestRunBlockObserverFallback(t *testing.T) {
         load r3, [r4]
         accel [r4]
         accwait r5
+        call bump
         cmpi r1, 200
         jlt  loop
         halt
+    bump:
+        addi r6, r6, 1
+        ret
     `)
-	run := func(observe bool, fuel uint64) (*engineRig, *recordingObserver) {
+	const callPC = 8 // its first push misses to DRAM: a retire event for the stall alone
+	run := func(scalar, observe bool, fuel uint64) (*engineRig, *recordingObserver) {
 		rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 1024))
+		if scalar {
+			if err := rig.setTier(tierScalar); err != nil {
+				t.Fatal(err)
+			}
+		}
 		rec := &recordingObserver{}
 		if observe {
 			rig.core.Observe(rec)
@@ -392,35 +425,132 @@ func TestRunBlockObserverFallback(t *testing.T) {
 		}
 		return rig, rec
 	}
-	fast, _ := run(false, 1<<20)
-	one, oneRec := run(true, 1)
-	obs, rec := run(true, 1<<20)
+	fast, _ := run(false, false, 1<<20)
+	scalar, scalarRec := run(true, true, 1<<20)
+	one, oneRec := run(false, true, 1)
+	obs, rec := run(false, true, 1<<20)
 	if !reflect.DeepEqual(oneRec, rec) {
 		t.Fatalf("event streams diverge between one-instruction calls and one call: %d vs %d retires", len(oneRec.retires), len(rec.retires))
 	}
+	if !reflect.DeepEqual(scalarRec, rec) {
+		t.Fatalf("event streams diverge between the scalar dispatch and the tiers: %d vs %d retires", len(scalarRec.retires), len(rec.retires))
+	}
 	assertRigsEqual(t, "observer-fallback", fast, obs)
 	assertRigsEqual(t, "observer-one-step", fast, one)
-	assertNoTraces(t, "observer-fallback", obs)
-	assertEventsMatchCounters(t, obs, rec)
+	assertRigsEqual(t, "observer-scalar", fast, scalar)
+	if n := obs.core.SuperblockStats().Activations; n == 0 {
+		t.Fatal("the observed run entered no trace")
+	}
+	if obs.core.Counters.StallCycles[callPC] == 0 {
+		t.Fatal("the call's stack push never stalled")
+	}
+	assertEventsMatchCounters(t, "observer-fallback", obs, rec)
+	if len(rec.branches) == 0 {
+		t.Fatal("no branch events from a looping program")
+	}
+}
+
+// TestObserverKeepsFusedSegments pins that an observer leaves the fused
+// ALU segments on: with the segment at pc 0 doctored to cost 1000 cycles
+// more than its instructions do, an observed run must end 1000 cycles
+// later than an undoctored one — an extra only the fused loop charges.
+func TestObserverKeepsFusedSegments(t *testing.T) {
+	prog := &isa.Program{Instrs: []isa.Instr{
+		{Op: isa.OpAddI, Rd: 1, Rs1: 1, Imm: 1},
+		{Op: isa.OpMulI, Rd: 2, Rs1: 1, Imm: 3},
+		{Op: isa.OpXor, Rd: 3, Rs1: 2, Rs2: 1},
+		{Op: isa.OpHalt},
+	}}
+	clock := func(extra uint64) uint64 {
+		rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
+		rig.core.ClearSuperblocks()
+		rig.core.Observe(nopObserver{})
+		rig.core.plan.aluCost[0] += extra
+		runToHalt(t, rig.core, rig.ctx, 10)
+		return rig.core.Now
+	}
+	if doctored, plain := clock(1000), clock(0); doctored != plain+1000 {
+		t.Fatalf("observed run ended at cycle %d with the segment doctored, %d without: the fused segment did not run", doctored, plain)
+	}
+}
+
+// diffEvents runs prog from one initial state on tierScalar, tierBlock
+// and tierSuper, each with a recording observer and fuel cut at random,
+// and holds the three event streams to one another, every field of every
+// event, and each run's end state to the scalar one. In coroutine mode
+// the scalar stream is also held to the ground-truth counters.
+func diffEvents(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, block bool, budget uint64, hz Horizon) {
+	t.Helper()
+	initRegs, arena := randInitState(rng)
+	var ref *engineRig
+	var refRec *recordingObserver
+	for _, tier := range []retireTier{tierScalar, tierBlock, tierSuper} {
+		r := newEngineRig(prog, initRegs, arena)
+		rec := &recordingObserver{}
+		r.core.Observe(rec)
+		r.driveTier(tier, block, budget, hz, 1<<20, rng)
+		if tier == tierScalar {
+			ref, refRec = r, rec
+			if !block {
+				assertEventsMatchCounters(t, label, r, rec)
+			}
+			continue
+		}
+		at := fmt.Sprintf("%s (%v tier, block=%v budget=%d hz=%+v)", label, tier, block, budget, hz)
+		assertRigsEqual(t, at, ref, r)
+		if i, ok := firstDiff(refRec.retires, rec.retires); !ok {
+			t.Fatalf("%s: retire event %d of %d/%d diverges:\n scalar: %s\n tier:   %s\n%s", at, i, len(refRec.retires), len(rec.retires),
+				eventAt(refRec.retires, i), eventAt(rec.retires, i), isa.Disassemble(prog))
+		}
+		if i, ok := firstDiff(refRec.branches, rec.branches); !ok {
+			t.Fatalf("%s: branch event %d of %d/%d diverges:\n scalar: %s\n tier:   %s\n%s", at, i, len(refRec.branches), len(rec.branches),
+				eventAt(refRec.branches, i), eventAt(rec.branches, i), isa.Disassemble(prog))
+		}
+	}
+}
+
+// firstDiff returns the index of the first event in which a and b
+// differ, and whether they are equal.
+func firstDiff[E comparable](a, b []E) (int, bool) {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i, false
+		}
+	}
+	return min(len(a), len(b)), len(a) == len(b)
+}
+
+// eventAt renders s[i], or "none" past its end.
+func eventAt[E any](s []E, i int) string {
+	if i >= len(s) {
+		return "none"
+	}
+	return fmt.Sprintf("%+v", s[i])
 }
 
 // assertEventsMatchCounters holds an observed coroutine-mode run's event
-// stream to the core's ground truth: one retire event per retired
-// instruction, per-PC loads, stores, DRAM misses, accelerator waits and
-// stall cycles as counted, the clock of each event non-decreasing and the
-// last one the core's, and each branch event's cycle delta measured from
-// the previous one.
-func assertEventsMatchCounters(t *testing.T, rig *engineRig, rec *recordingObserver) {
+// stream to the core's ground truth: retire events only for retirements
+// that carry one (a load, a store, an accelerator wait, an exposed
+// stall), never more at a pc than retired there, and adding up to the
+// per-PC loads, stores, DRAM misses, accelerator waits and stall cycles
+// as counted — so one per load, store, wait and stalled instruction; both
+// streams' clocks non-decreasing and never past the core's; and each
+// branch event's cycle delta measured from the previous one. How often
+// the other instructions retired is the counters' alone.
+func assertEventsMatchCounters(t *testing.T, label string, rig *engineRig, rec *recordingObserver) {
 	t.Helper()
 	cnt := rig.core.Counters
-	n := len(rig.core.instrs)
-	got := NewCounters(n)
+	instrs := rig.core.instrs
+	got := NewCounters(len(instrs))
 	var now uint64
 	for _, e := range rec.retires {
-		if e.Now < now {
-			t.Fatalf("retire event at pc %d moves the clock back: %d after %d", e.PC, e.Now, now)
+		if e.Now < now || e.Now > rig.core.Now {
+			t.Fatalf("%s: retire event at pc %d at cycle %d, after one at %d with the core at %d", label, e.PC, e.Now, now, rig.core.Now)
 		}
 		now = e.Now
+		if op := instrs[e.PC].Op; e.Op != byte(op) || !carriesEvent(op, e.Stall) {
+			t.Fatalf("%s: retire event %+v for the %v at pc %d, which carries none", label, e, op, e.PC)
+		}
 		got.Exec[e.PC]++
 		got.StallCycles[e.PC] += e.Stall
 		if e.IsLoad {
@@ -436,11 +566,15 @@ func assertEventsMatchCounters(t *testing.T, rig *engineRig, rec *recordingObser
 			got.AccWaits[e.PC]++
 		}
 	}
+	for pc, n := range got.Exec {
+		if n > cnt.Exec[pc] {
+			t.Fatalf("%s: %d retire events at pc %d, which retired %d times", label, n, pc, cnt.Exec[pc])
+		}
+	}
 	for _, c := range []struct {
 		name      string
 		got, want []uint64
 	}{
-		{"Exec", got.Exec, cnt.Exec},
 		{"StallCycles", got.StallCycles, cnt.StallCycles},
 		{"Loads", got.Loads, cnt.Loads},
 		{"Stores", got.Stores, cnt.Stores},
@@ -448,20 +582,14 @@ func assertEventsMatchCounters(t *testing.T, rig *engineRig, rec *recordingObser
 		{"AccWaits", got.AccWaits, cnt.AccWaits},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
-			t.Fatalf("per-PC %s from events %v, counted %v", c.name, c.got, c.want)
+			t.Fatalf("%s: per-PC %s from events %v, counted %v", label, c.name, c.got, c.want)
 		}
-	}
-	if uint64(len(rec.retires)) != rig.ctx.Retired || now != rig.core.Now {
-		t.Fatalf("%d retire events ending at cycle %d; context retired %d, clock %d", len(rec.retires), now, rig.ctx.Retired, rig.core.Now)
 	}
 	var last uint64
 	for _, b := range rec.branches {
-		if b.Cycles != b.Now-last {
-			t.Fatalf("branch %d->%d at cycle %d reports %d cycles since the one at %d", b.From, b.To, b.Now, b.Cycles, last)
+		if b.Now < last || b.Now > rig.core.Now || b.Cycles != b.Now-last {
+			t.Fatalf("%s: branch %d->%d at cycle %d reports %d cycles since the one at %d (core at %d)", label, b.From, b.To, b.Now, b.Cycles, last, rig.core.Now)
 		}
 		last = b.Now
-	}
-	if len(rec.branches) == 0 {
-		t.Fatal("no branch events from a looping program")
 	}
 }

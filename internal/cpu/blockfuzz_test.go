@@ -9,18 +9,19 @@ import (
 
 // FuzzBlockVsScalar is the fuzzing face of TestBlockVsStepDifferential:
 // any seed must produce byte-identical behaviour between the block
-// engine and the per-instruction scalar dispatch (RunBlock under an
-// observer: no fused segments, no traces), in both coroutine and SMT
-// (block) mode — and, on both, under the wake horizon the last byte
-// selects (horizonFromByte), between one call that runs on past dormant
-// conditional yields and the calls a loop returning at each would make.
-// counting swaps the straight-line program for a counting loop
-// (randCountingLoop) thousands of laps long: the block engine is the
-// oracle the superblock tier's closed-form laps are held to, so it is
-// itself held to the scalar dispatch on that shape. The corpus seeds
-// cover both modes, a spread of program sizes, both shapes, and horizons
-// that are zero, mid-run and never reached; the fuzzer explores the seed
-// space from there.
+// engine and the per-instruction scalar dispatch (tierScalar: no fused
+// segments, no traces), in both coroutine and SMT (block) mode — and, on
+// both, under the wake horizon the last byte selects (horizonFromByte),
+// between one call that runs on past dormant conditional yields and the
+// calls a loop returning at each would make. The event arm holds the
+// stream an observer receives on the block and superblock tiers to the
+// scalar dispatch's, event for event (diffEvents). counting swaps the
+// straight-line program for a counting loop (randCountingLoop) thousands
+// of laps long: the block engine is the oracle the superblock tier's
+// closed-form laps are held to, so it is itself held to the scalar
+// dispatch on that shape. The corpus seeds cover both modes, a spread of
+// program sizes, both shapes, and horizons that are zero, mid-run and
+// never reached; the fuzzer explores the seed space from there.
 func FuzzBlockVsScalar(f *testing.F) {
 	f.Add(int64(1), uint8(20), false, uint8(0), uint8(0), false)
 	f.Add(int64(2), uint8(80), false, uint8(0), uint8(6), false)
@@ -46,6 +47,8 @@ func FuzzBlockVsScalar(f *testing.F) {
 		hz := horizonFromByte(horizon)
 		diffOneProgram(t, "fuzz", prog, rng, block, b, hz)
 		diffHorizon(t, "fuzz-horizon", prog, rng, tierBlock, block, uint64(budget)%16, hz)
+		diffHorizon(t, "fuzz-scalar-horizon", prog, rng, tierScalar, block, uint64(budget)%16, hz)
 		diffHorizon(t, "fuzz-observed-horizon", prog, rng, tierObserved, block, uint64(budget)%16, hz)
+		diffEvents(t, "fuzz-events", prog, rng, block, b, hz)
 	})
 }

@@ -86,32 +86,42 @@ func (c *Core) Observe(o Observer) { c.observers = append(c.observers, o) }
 // ClearObservers removes all observers (e.g. after the profiling run).
 func (c *Core) ClearObservers() { c.observers = nil }
 
-// notify hands the observers one retired instruction, after its clock and
-// counter accounting: the retire event, and a branch event when it
-// transferred control. lat and level describe its memory access (zero
-// for instructions without one); stall is its exposed stall, reported
-// even in block mode, where the clock does not include it. Outlined so
-// that unobserved runs pay one branch for it.
+// carriesEvent reports whether retiring op with the given exposed stall
+// owes the observers a retire event (see Observer).
+func carriesEvent(op isa.Op, stall uint64) bool {
+	return stall > 0 || op == isa.OpLoad || op == isa.OpStore || op == isa.OpAccWait
+}
+
+// notify hands the observers one retired instruction's events, after its
+// clock and counter accounting: the retire event when it carries one, and
+// a branch event when it transferred control, before lastBranchAt moves.
+// lat and level describe its memory access (zero for instructions
+// without one); stall is its exposed stall, reported even in block mode,
+// where the clock does not include it. Every tier calls it at the same
+// point of the same instruction, so the stream does not depend on which
+// tier retired it. Outlined so that unobserved runs pay one branch for it.
 //
 //shsim:noalloc
 func (c *Core) notify(ctxID, pc int, op isa.Op, lat uint64, level mem.Level, stall uint64, taken bool, next int) {
-	memOp := op == isa.OpLoad || op == isa.OpStore
-	ev := RetireEvent{
-		Ctx:       ctxID,
-		PC:        pc,
-		Op:        byte(op),
-		Now:       c.Now,
-		IsLoad:    op == isa.OpLoad,
-		IsStore:   op == isa.OpStore,
-		IsAccWait: op == isa.OpAccWait,
-		Level:     level,
-		MemLat:    lat,
-		Stall:     stall,
-		MissedL2:  memOp && (level == mem.LevelL3 || level == mem.LevelDRAM),
-		MissedL3:  memOp && level == mem.LevelDRAM,
-	}
-	for _, o := range c.observers {
-		o.OnRetire(ev)
+	if carriesEvent(op, stall) {
+		memOp := op == isa.OpLoad || op == isa.OpStore
+		ev := RetireEvent{
+			Ctx:       ctxID,
+			PC:        pc,
+			Op:        byte(op),
+			Now:       c.Now,
+			IsLoad:    op == isa.OpLoad,
+			IsStore:   op == isa.OpStore,
+			IsAccWait: op == isa.OpAccWait,
+			Level:     level,
+			MemLat:    lat,
+			Stall:     stall,
+			MissedL2:  memOp && (level == mem.LevelL3 || level == mem.LevelDRAM),
+			MissedL3:  memOp && level == mem.LevelDRAM,
+		}
+		for _, o := range c.observers {
+			o.OnRetire(ev)
+		}
 	}
 	if taken {
 		bev := BranchEvent{Ctx: ctxID, From: pc, To: next, Now: c.Now, Cycles: c.Now - c.lastBranchAt}

@@ -69,8 +69,10 @@ func (c *Counters) FillMetrics(m *metrics.CPU) {
 	m.Faults = c.Faults
 }
 
-// RetireEvent describes one retired instruction for observers (the PEBS
-// sampler). Fields are populated only as applicable.
+// RetireEvent describes one retired instruction that carries an event —
+// a load, a store, an accelerator wait, or any instruction with an
+// exposed stall — for observers (the PEBS sampler). Fields are populated
+// only as applicable.
 type RetireEvent struct {
 	Ctx       int // context ID
 	PC        int
@@ -95,8 +97,14 @@ type BranchEvent struct {
 	Cycles uint64 // cycles since the previous taken transfer on this core
 }
 
-// Observer receives retire and branch events. Implementations must be
-// cheap; they run inline with simulation.
+// Observer receives events, not instructions. OnRetire fires for every
+// retirement that carries one — a load, a store, an accelerator wait, or
+// any instruction with an exposed stall, in retire order — and OnBranch
+// for every taken control transfer; the other retirements (ALU code,
+// not-taken branches, yields, halts) are not reported, which is what lets
+// the fused segments and the traces run under an observer. The stream is
+// the same on every retire tier and however a run is cut into RunBlock
+// calls. Implementations must be cheap; they run inline with simulation.
 type Observer interface {
 	OnRetire(RetireEvent)
 	OnBranch(BranchEvent)

@@ -77,10 +77,12 @@ func randRunnableProgram(rng *rand.Rand, n int, arenaSize int64) *isa.Program {
 
 // diffAgainstReference runs prog from one initial state through the
 // timing-free reference interpreter and, on rigs of their own, through
-// every retire tier — the observed scalar dispatch, the block engine with
-// the traces cleared, and traces derived at testMinLen — with fuel cut at
-// random. Each tier must halt with the reference's result, registers,
-// flags and memory. It returns the tiers' rigs.
+// every retire tier — the scalar dispatch alone, the block engine with
+// the traces cleared, traces derived at testMinLen, and those traces
+// under an observer — with fuel cut at random. Each tier must halt with
+// the reference's result, registers, flags and memory, and every tier
+// above the scalar dispatch must end in the scalar run's exact state:
+// clock, counters, hierarchy and all. It returns the tiers' rigs.
 func diffAgainstReference(t *testing.T, label string, prog *isa.Program, initRegs [isa.NumRegs]uint64, arena []uint64, rng *rand.Rand) []*engineRig {
 	t.Helper()
 	ref := newEngineRig(prog, initRegs, arena)
@@ -90,7 +92,7 @@ func diffAgainstReference(t *testing.T, label string, prog *isa.Program, initReg
 	}
 	wantMem := ref.m.Snapshot()
 	var rigs []*engineRig
-	for _, tier := range []retireTier{tierObserved, tierBlock, tierSuper} {
+	for _, tier := range allTiers {
 		r := newEngineRig(prog, initRegs, arena)
 		r.driveTier(tier, false, 0, Horizon{}, 1<<20, rng)
 		switch {
@@ -110,6 +112,9 @@ func diffAgainstReference(t *testing.T, label string, prog *isa.Program, initReg
 				t.Fatalf("%s on the %v tier: memory diverges at %#x", label, tier, i)
 			}
 		}
+		if tier != tierScalar {
+			assertRigsEqual(t, fmt.Sprintf("%s on the %v tier", label, tier), rigs[0], r)
+		}
 		rigs = append(rigs, r)
 	}
 	return rigs
@@ -117,13 +122,31 @@ func diffAgainstReference(t *testing.T, label string, prog *isa.Program, initReg
 
 // TestDifferentialAgainstReference cross-checks the cycle-level core's
 // architectural semantics against the timing-free reference interpreter
-// on random programs, on every retire tier.
+// on random programs, on every retire tier, and holds the event stream
+// each tier hands an observer to the scalar dispatch's (diffEvents) in
+// both modes under random budgets and horizons — over straight-line
+// programs, loops and counting loops, whose laps the observed trace tier
+// must walk.
 func TestDifferentialAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 300; trial++ {
 		prog := randRunnableProgram(rng, 10+rng.Intn(80), 4096)
 		initRegs, arena := randInitState(rng)
-		diffAgainstReference(t, fmt.Sprintf("trial %d", trial), prog, initRegs, arena, rng)
+		label := fmt.Sprintf("trial %d", trial)
+		diffAgainstReference(t, label, prog, initRegs, arena, rng)
+		block := rng.Intn(2) == 0
+		var budget uint64
+		if block || rng.Intn(2) == 0 {
+			budget = uint64(1 + rng.Intn(16))
+		}
+		diffEvents(t, label, prog, rng, block, budget, horizonFromByte(uint8(rng.Intn(256))))
+	}
+	for trial := 0; trial < 100; trial++ {
+		prog := randLoopProgram(rng, 5+rng.Intn(40), int64(2+rng.Intn(6)), 4096, trial%2 == 0)
+		if trial%4 == 3 {
+			prog = randCountingLoop(rng, 5+rng.Intn(20), int64(2+rng.Intn(200)), rng.Intn(2) == 0)
+		}
+		diffEvents(t, fmt.Sprintf("loop trial %d", trial), prog, rng, rng.Intn(2) == 0, uint64(rng.Intn(16)), horizonFromByte(uint8(rng.Intn(256))))
 	}
 }
 

@@ -84,7 +84,7 @@ func diffHorizon(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, 
 			}
 		}
 	}
-	if tier != tierSuper {
+	if tier == tierScalar || tier == tierBlock {
 		assertNoTraces(t, label, ref)
 		assertNoTraces(t, label, got)
 	}
@@ -95,8 +95,9 @@ func diffHorizon(t *testing.T, label string, prog *isa.Program, rng *rand.Rand, 
 // random straight-line and looping programs — the generator scatters
 // CYIELDs through them — one RunBlock call under a horizon is
 // indistinguishable from the calls a loop would have made returning at
-// every CYIELD, in coroutine and block mode, on the observed path, the
-// block tier and the superblock tier, under tight busy budgets and none.
+// every CYIELD, in coroutine and block mode, on the scalar dispatch, the
+// block tier, the superblock tier and the superblock tier under an
+// observer, under tight busy budgets and none.
 func TestHorizonVsReentry(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261002))
 	for trial := 0; trial < 1200; trial++ {
@@ -106,7 +107,7 @@ func TestHorizonVsReentry(t *testing.T) {
 		} else {
 			prog = randRunnableProgram(rng, 10+rng.Intn(80), 4096)
 		}
-		tier, block := retireTier(rng.Intn(3)), rng.Intn(2) == 0
+		tier, block := allTiers[rng.Intn(len(allTiers))], rng.Intn(2) == 0
 		var budget uint64
 		if block || rng.Intn(2) == 0 {
 			budget = uint64(1 + rng.Intn(16))
@@ -183,8 +184,7 @@ func TestHorizonBoundaries(t *testing.T) {
 	prog.Instrs = append(prog.Instrs, addi, addi, isa.Instr{Op: isa.OpHalt})
 	// Every instruction costs one cycle: the CYIELDs retire at 3, 14, 20.
 
-	tiers := []retireTier{tierObserved, tierBlock, tierSuper}
-	for _, tier := range tiers {
+	for _, tier := range allTiers {
 		rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
 		if err := rig.setTier(tier); err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestHorizonBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for wake := uint64(0); wake <= 24; wake++ {
 		for bound := wake; bound <= wake+12; bound++ {
-			for _, tier := range tiers {
+			for _, tier := range allTiers {
 				for _, block := range []bool{false, true} {
 					diffHorizon(t, "boundary", prog, rng, tier, block, 0, Horizon{Wake: wake, Bound: bound})
 				}

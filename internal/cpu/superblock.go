@@ -47,11 +47,14 @@ import (
 //
 // The fallback ladder is literal: a superblock step that cannot proceed
 // (fuel, busy budget, side exit) drops to RunBlock's block dispatch at an
-// exact instruction boundary; with observers attached RunBlock enters no
-// trace at all. Every stop condition, fault surface, counter and clock
-// movement is byte-identical to RunBlock's scalar dispatch retiring the
-// same instructions; internal/cpu/superblock_test.go pins this
-// differentially and FuzzSuperblockVsBlock extends it to arbitrary seeds.
+// exact instruction boundary. With observers attached a trace runs as
+// usual and emits its events inline — a memory step's retire event, a
+// taken branch's branch event — but walks every lap: each latch is a
+// branch event, so there is no closed form to skip. Every stop condition,
+// fault surface, counter, clock movement and event is byte-identical to
+// RunBlock's scalar dispatch retiring the same instructions;
+// internal/cpu/superblock_test.go pins this differentially and
+// FuzzSuperblockVsBlock extends it to arbitrary seeds.
 
 // sbSpec describes one trace to compile: the chained program counters
 // in predicted execution order. Consecutive entries must be connected —
@@ -239,8 +242,7 @@ func (c *Core) SuperblockStats() SuperblockStats { return c.sbStats }
 // the superblock tier in RunBlock. Specs are validated defensively —
 // connectivity, op admissibility, loop closure — so a buggy deriver
 // surfaces as an error from NewCore, never as wrong execution. A later
-// spec with the same entry pc replaces the earlier one. Observers
-// disable the tier along with the fused segments.
+// spec with the same entry pc replaces the earlier one.
 func (c *Core) installSuperblocks(specs []sbSpec) error {
 	entry := make([]int32, len(c.instrs))
 	for i := range entry {
@@ -647,7 +649,7 @@ func quietLaps(instrs []isa.Instr, sbs []superblock) []sbQuietPC {
 // instruction count and how many of the latch executions from here on are
 // provably taken (MaxUint64: at least that many), from wherever in the
 // lap ctx stands. cost 0 means ctx is in no such lap, or RunBlock would
-// not run the trace (an observer is attached).
+// walk every lap (an observer is attached: each latch is a branch event).
 // A pc outside every such lap costs one table lookup; inside, O(1).
 //
 //shsim:noalloc
@@ -726,6 +728,7 @@ func (c *Core) runSuper(sb *superblock, ctx *coro.Context, block bool, fuel uint
 		si         int
 		stepsA     = sb.steps
 		lap        = &sb.lap
+		observed   = len(c.observers) > 0
 	)
 	leave := func(pc, partial int) {
 		c.flushSuperExec(sb, laps, partial)
@@ -746,8 +749,9 @@ head:
 	// re-based it on the way — the budget as that lap's last one left
 	// it. The per-PC Exec counts ride on laps like any other lap's.
 	// The test against two laps' cost is all a caller whose budget is
-	// shorter pays (an SMT slice).
-	if lap.instrs != 0 {
+	// shorter pays (an SMT slice). Under an observer every lap's latch is
+	// a branch event, so every lap is walked.
+	if lap.instrs != 0 && !observed {
 		busyLeft := ^uint64(0)
 		if busyBudget != 0 {
 			busyLeft = busyBudget - busyAcc
@@ -912,6 +916,9 @@ head:
 			busyAcc += busy
 			steps++
 			si++
+			if observed {
+				c.notify(ctx.ID, pc, isa.Op(st.op), acc.Latency, acc.Level, stall, false, pc+1)
+			}
 			if block && stall > 0 {
 				leave(pc+1, si)
 				res.Stall = stall
@@ -977,6 +984,9 @@ head:
 			busyAcc += busy
 			steps++
 			if taken {
+				if observed {
+					c.notify(ctx.ID, pc, op, 0, 0, 0, true, next)
+				}
 				c.lastBranchAt = c.Now
 			}
 			predicted := st.nextStep >= 0 && int32(next) == st.predNext

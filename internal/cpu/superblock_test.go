@@ -188,7 +188,9 @@ func TestSuperblockFlushInvalidation(t *testing.T) {
 		arena[i] = uint64(i * 3)
 	}
 	a := newEngineRig(prog, initRegs, arena)
-	a.core.Observe(nopObserver{})
+	if err := a.setTier(tierScalar); err != nil {
+		t.Fatal(err)
+	}
 	b := newEngineRig(prog, initRegs, arena)
 	if err := b.superTier(); err != nil {
 		t.Fatal(err)
@@ -202,7 +204,7 @@ func TestSuperblockFlushInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ar != br {
-			t.Fatalf("calls diverge:\n observed: %+v\n trace:    %+v", ar, br)
+			t.Fatalf("calls diverge:\n scalar: %+v\n trace:  %+v", ar, br)
 		}
 		a.core.Hier.Flush()
 		b.core.Hier.Flush()
@@ -249,10 +251,13 @@ func TestSuperblocksReadOnly(t *testing.T) {
 
 // TestSuperblockObserverFallback pins the profiling contract one tier
 // up: with an observer attached, a core with superblocks installed must
-// enter none of them and deliver the event stream a core without any
-// does, ending in the state the unobserved trace tier reaches.
+// still run them and deliver the event stream the scalar dispatch alone
+// does, ending in the state the unobserved trace tier reaches. A counting
+// loop, whose laps the unobserved tier skips, is walked lap by lap: every
+// latch is a branch event.
 func TestSuperblockObserverFallback(t *testing.T) {
-	prog := isa.MustAssemble(`
+	progs := map[string]*isa.Program{
+		"memory loop": isa.MustAssemble(`
         movi r1, 0
     loop:
         addi r1, r1, 1
@@ -263,38 +268,55 @@ func TestSuperblockObserverFallback(t *testing.T) {
         cmpi r1, 200
         jlt  loop
         halt
-    `)
-	run := func(super, observe bool) (*engineRig, *recordingObserver) {
-		rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 1024))
-		if !super {
-			rig.core.ClearSuperblocks()
-		} else if err := rig.superTier(); err != nil {
-			t.Fatal(err)
-		}
-		rec := &recordingObserver{}
-		if observe {
-			rig.core.Observe(rec)
-		}
-		var res BlockResult
-		for !rig.ctx.Halted {
-			if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, Horizon{}, &res); err != nil {
+    `),
+		"counting loop": isa.MustAssemble(`
+        movi r1, 0
+    loop:
+        addi r2, r2, 7
+        addi r1, r1, 1
+        cmpi r1, 200
+        jlt  loop
+        halt
+    `),
+	}
+	for name, prog := range progs {
+		run := func(tier retireTier, observe bool) (*engineRig, *recordingObserver) {
+			rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 1024))
+			if err := rig.setTier(tier); err != nil {
 				t.Fatal(err)
 			}
+			rec := &recordingObserver{}
+			if observe {
+				rig.core.Observe(rec)
+			}
+			var res BlockResult
+			for !rig.ctx.Halted {
+				if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, Horizon{}, &res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return rig, rec
 		}
-		return rig, rec
+		fast, _ := run(tierSuper, false)
+		scalar, scalarRec := run(tierScalar, true)
+		obs, rec := run(tierSuper, true)
+		if !reflect.DeepEqual(scalarRec, rec) {
+			t.Fatalf("%s: event streams diverge between the scalar dispatch and the traces: %d vs %d retires, %d vs %d branches",
+				name, len(scalarRec.retires), len(rec.retires), len(scalarRec.branches), len(rec.branches))
+		}
+		if len(rec.branches) != 199 {
+			t.Fatalf("%s: %d branch events, want one per taken latch (199)", name, len(rec.branches))
+		}
+		if st := obs.core.SuperblockStats(); st.Activations == 0 || st.LapsSkipped != 0 || st.LapsInterpreted < 200 {
+			t.Fatalf("%s: observed run's trace stats %+v, want all 200 laps walked", name, st)
+		}
+		if name == "counting loop" && fast.core.SuperblockStats().LapsSkipped == 0 {
+			t.Fatalf("%s: the unobserved run skipped no lap", name)
+		}
+		assertNoTraces(t, name, scalar)
+		assertRigsEqual(t, name+": observed vs unobserved", fast, obs)
+		assertRigsEqual(t, name+": scalar vs unobserved", fast, scalar)
 	}
-	fast, _ := run(true, false)
-	if fast.core.SuperblockStats().Activations == 0 {
-		t.Fatal("the unobserved run entered no trace")
-	}
-	plain, plainRec := run(false, true)
-	obs, rec := run(true, true)
-	if !reflect.DeepEqual(plainRec, rec) {
-		t.Fatalf("event streams diverge with and without traces: %d vs %d retires", len(plainRec.retires), len(rec.retires))
-	}
-	assertNoTraces(t, "sb-observer-fallback", obs)
-	assertRigsEqual(t, "sb-observer-fallback", fast, obs)
-	assertRigsEqual(t, "sb-observer-no-traces", fast, plain)
 }
 
 // TestInstallSuperblocksValidation exercises the defensive checks: a

@@ -10,8 +10,9 @@ import (
 // FuzzSuperblockVsBlock is the fuzzing face of
 // TestSuperblockVsStepDifferential: any seed must produce byte-identical
 // behaviour between the superblock trace tier and the per-instruction
-// scalar dispatch (which the block engine is separately pinned to by
-// FuzzBlockVsScalar, making the three-way equivalence transitive). shape
+// scalar dispatch (tierScalar, which the block engine is separately
+// pinned to by FuzzBlockVsScalar, making the three-way equivalence
+// transitive). shape
 // picks the program: 0 a straight-line one; 1 the same body wrapped in a
 // counted backward branch, so the fuzzer exercises loop superblocks —
 // trace re-entry, resident memory steps across iterations, lap-batched

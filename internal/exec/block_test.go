@@ -9,16 +9,36 @@ import (
 	"repro/internal/trace"
 )
 
-// countingObserver is a minimal PEBS-shaped observer: attaching it must
-// put the core on its per-instruction scalar dispatch without changing
-// any simulated outcome.
+// countingObserver is a minimal PEBS-shaped observer: it counts what a
+// sampler reads — loads, stores, accelerator waits, exposed stall cycles
+// and taken branches — and attaching it must change no simulated outcome.
 type countingObserver struct {
-	retires  uint64
-	branches uint64
+	loads, stores, accWaits, stallCycles uint64
+	branches                             uint64
 }
 
-func (o *countingObserver) OnRetire(cpu.RetireEvent) { o.retires++ }
+func (o *countingObserver) OnRetire(e cpu.RetireEvent) {
+	if e.IsLoad {
+		o.loads++
+	}
+	if e.IsStore {
+		o.stores++
+	}
+	if e.IsAccWait {
+		o.accWaits++
+	}
+	o.stallCycles += e.Stall
+}
+
 func (o *countingObserver) OnBranch(cpu.BranchEvent) { o.branches++ }
+
+// sum adds up a per-PC counter.
+func sum(perPC []uint64) (n uint64) {
+	for _, v := range perPC {
+		n += v
+	}
+	return n
+}
 
 // blockDualModeRun executes the standard dual-mode scenario (chase primary +
 // two compute scavengers) and returns its stats and scheduling trace.
@@ -43,11 +63,11 @@ func blockDualModeRun(t *testing.T, setup func(*cpu.Core)) (Stats, []trace.Event
 }
 
 // TestObserverFallbackMatchesFastPath pins the profiling contract at the
-// executor level: a dual-mode run with an attached observer (which keeps
-// the core on its per-instruction scalar dispatch) must produce
+// executor level: a dual-mode run with an attached observer must produce
 // Stats and a scheduling trace identical to both the fast path the core
 // is born with and plain block dispatch with its traces cleared — and the
-// observer must see every retirement.
+// observer must see every load, store, accelerator wait and stall cycle
+// the core counted, from a run that still entered the traces.
 func TestObserverFallbackMatchesFastPath(t *testing.T) {
 	fastStats, fastTrace := blockDualModeRun(t, func(c *cpu.Core) {})
 
@@ -61,8 +81,10 @@ func TestObserverFallbackMatchesFastPath(t *testing.T) {
 	}
 
 	obs := &countingObserver{}
+	var obsCore *cpu.Core
 	obsStats, obsTrace := blockDualModeRun(t, func(c *cpu.Core) {
 		c.Observe(obs)
+		obsCore = c
 	})
 
 	if !reflect.DeepEqual(fastStats, slowStats) {
@@ -77,28 +99,37 @@ func TestObserverFallbackMatchesFastPath(t *testing.T) {
 	if !reflect.DeepEqual(fastTrace, obsTrace) {
 		t.Fatalf("fast vs observer traces diverge: %d vs %d events", len(fastTrace), len(obsTrace))
 	}
-	if obs.retires != obsStats.Retired {
-		t.Fatalf("observer saw %d retires, stats retired %d", obs.retires, obsStats.Retired)
+	cnt := obsCore.Counters
+	if obs.loads != sum(cnt.Loads) || obs.stores != sum(cnt.Stores) || obs.accWaits != sum(cnt.AccWaits) || obs.stallCycles != cnt.TotalStall {
+		t.Fatalf("observer saw %d loads, %d stores, %d waits, %d stall cycles; the core counted %d, %d, %d, %d",
+			obs.loads, obs.stores, obs.accWaits, obs.stallCycles, sum(cnt.Loads), sum(cnt.Stores), sum(cnt.AccWaits), cnt.TotalStall)
 	}
-	if obs.branches == 0 {
-		t.Fatal("observer saw no branch events in a looping workload")
+	if obs.loads == 0 || obs.branches == 0 {
+		t.Fatalf("observer saw %d loads and %d branch events in a looping chase workload", obs.loads, obs.branches)
+	}
+	if obsCore.SuperblockStats().Activations == 0 {
+		t.Fatal("the observed run entered no trace")
 	}
 }
 
-// TestExecutorsAgreeWithPlanCleared drives every executor discipline
-// on the per-instruction path, forced by an attached observer, and
-// compares against the fast path: the block and superblock tiers must be
-// a pure optimization at every call site.
+// TestExecutorsAgreeWithPlanCleared drives every executor discipline on
+// three arms — the fast path a core is born with, its traces cleared, and
+// the fast path under an observer — which must agree on Stats and the
+// final clock: the trace tier and observation are pure optimization and
+// pure observation at every call site.
 func TestExecutorsAgreeWithPlanCleared(t *testing.T) {
 	type result struct {
 		st  Stats
 		now uint64
 	}
-	run := func(fast bool, mode string) result {
+	run := func(arm, mode string) result {
 		core, m := newMachine(t, testImage, 8<<20)
 		head := buildChain(m, 512, 7)
 		e := New(core, DefaultConfig())
-		if !fast {
+		switch arm {
+		case "cleared":
+			core.ClearSuperblocks()
+		case "observed":
 			core.Observe(&countingObserver{})
 		}
 		var st Stats
@@ -119,15 +150,16 @@ func TestExecutorsAgreeWithPlanCleared(t *testing.T) {
 			}, 2)
 		}
 		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("%s %s: %v", arm, mode, err)
 		}
 		return result{st, core.Now}
 	}
 	for _, mode := range []string{"solo", "symmetric", "windowed"} {
-		fast := run(true, mode)
-		slow := run(false, mode)
-		if !reflect.DeepEqual(fast, slow) {
-			t.Fatalf("%s: fast vs slow diverge:\n fast: %+v\n slow: %+v", mode, fast, slow)
+		fast := run("fast", mode)
+		for _, arm := range []string{"cleared", "observed"} {
+			if other := run(arm, mode); !reflect.DeepEqual(fast, other) {
+				t.Fatalf("%s: fast vs %s diverge:\n fast: %+v\n %s: %+v", mode, arm, fast, arm, other)
+			}
 		}
 	}
 }

@@ -194,6 +194,80 @@ func TestLBRSnapshotCreditsRunsLikeRecords(t *testing.T) {
 	}
 }
 
+// onBranchModular is OnBranch written with the modular arithmetic it
+// replaced, one division per wrap-around: the reference the
+// compare-and-reset counters are held to.
+func onBranchModular(s *Sampler, e cpu.BranchEvent) {
+	if len(s.ring) == 0 {
+		return
+	}
+	s.ring[s.ringPos] = BranchRecord{From: e.From, To: e.To, Cycles: e.Cycles}
+	s.ringPos = (s.ringPos + 1) % len(s.ring)
+	if s.ringPos == 0 {
+		s.ringFull = true
+	}
+	s.branches++
+	if s.cfg.LBREvery > 0 && s.branches%s.cfg.LBREvery == 0 {
+		s.snapshot()
+	}
+}
+
+// TestOnBranchMatchesModularArithmetic holds OnBranch's counters to the
+// modular arithmetic over random branch streams, ring depths and snapshot
+// intervals, 0 and 1 included for both: after every branch the two
+// samplers must agree on the branch count, the ring's contents and
+// position, and the LBR aggregates — so every snapshot fell on the same
+// branch and walked the same records.
+func TestOnBranchMatchesModularArithmetic(t *testing.T) {
+	const progLen = 12
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 300; trial++ {
+		cfg := Config{LBRDepth: rng.Intn(10), LBREvery: uint64(rng.Intn(12))}
+		if trial%5 == 0 {
+			cfg.LBRDepth = 32
+		}
+		got, want := NewSampler(cfg, progLen), NewSampler(cfg, progLen)
+		hot := Edge{rng.Intn(progLen), rng.Intn(progLen)}
+		for i := 0; i < 200+rng.Intn(200); i++ {
+			e := cpu.BranchEvent{From: hot.From, To: hot.To, Cycles: uint64(rng.Intn(50))}
+			if rng.Intn(3) == 0 {
+				e.From, e.To = rng.Intn(progLen), rng.Intn(progLen)
+			}
+			got.OnBranch(e)
+			onBranchModular(want, e)
+			switch {
+			case got.branches != want.branches || got.ringPos != want.ringPos || got.ringFull != want.ringFull:
+				t.Fatalf("%+v, branch %d: count %d, ring at %d (full %v); modular %d, %d (%v)",
+					cfg, i, got.branches, got.ringPos, got.ringFull, want.branches, want.ringPos, want.ringFull)
+			case !reflect.DeepEqual(got.ring, want.ring):
+				t.Fatalf("%+v, branch %d: ring %v, modular %v", cfg, i, got.ring, want.ring)
+			case !reflect.DeepEqual(got.LBR(), want.LBR()):
+				t.Fatalf("%+v, branch %d: LBR stats %+v, modular %+v", cfg, i, got.LBR(), want.LBR())
+			}
+		}
+	}
+}
+
+// BenchmarkOnBranch times one taken branch into the default LBR (a
+// 32-record ring, a snapshot every 64 branches), with the counters and
+// with the modular arithmetic they replaced, both called through a
+// function value so neither is inlined.
+func BenchmarkOnBranch(b *testing.B) {
+	arms := []struct {
+		name string
+		on   func(*Sampler, cpu.BranchEvent)
+	}{{"counters", (*Sampler).OnBranch}, {"modular", onBranchModular}}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			s := NewSampler(DefaultConfig(), 16)
+			e := cpu.BranchEvent{From: 9, To: 2, Cycles: 30}
+			for i := 0; i < b.N; i++ {
+				arm.on(s, e)
+			}
+		})
+	}
+}
+
 func TestLBRDisabled(t *testing.T) {
 	s := NewSampler(Config{}, 10)
 	s.OnBranch(cpu.BranchEvent{From: 1, To: 0, Cycles: 5})

@@ -20,6 +20,9 @@ type Sampler struct {
 	ringPos  int
 	ringFull bool
 	branches uint64
+	// snapLeft counts the taken branches still to go before the next LBR
+	// snapshot, from cfg.LBREvery down; 0 when snapshots are off.
+	snapLeft uint64
 	lbr      *LBRStats
 
 	progLen int
@@ -36,6 +39,7 @@ func NewSampler(cfg Config, progLen int) *Sampler {
 	if cfg.LBRDepth > 0 {
 		s.ring = make([]BranchRecord, cfg.LBRDepth)
 	}
+	s.snapLeft = cfg.LBREvery
 	return s
 }
 
@@ -133,19 +137,24 @@ func (s *Sampler) OnRetire(e cpu.RetireEvent) {
 }
 
 // OnBranch implements cpu.Observer: it feeds the LBR ring and takes a
-// snapshot every cfg.LBREvery taken branches.
+// snapshot every cfg.LBREvery taken branches. Taken branches are most of
+// what a profiled run reports, so both wrap-arounds are a compare and a
+// reset, not a division.
 func (s *Sampler) OnBranch(e cpu.BranchEvent) {
 	if len(s.ring) == 0 {
 		return
 	}
 	s.ring[s.ringPos] = BranchRecord{From: e.From, To: e.To, Cycles: e.Cycles}
-	s.ringPos = (s.ringPos + 1) % len(s.ring)
-	if s.ringPos == 0 {
+	if s.ringPos++; s.ringPos == len(s.ring) {
+		s.ringPos = 0
 		s.ringFull = true
 	}
 	s.branches++
-	if s.cfg.LBREvery > 0 && s.branches%s.cfg.LBREvery == 0 {
-		s.snapshot()
+	if s.snapLeft > 0 {
+		if s.snapLeft--; s.snapLeft == 0 {
+			s.snapLeft = s.cfg.LBREvery
+			s.snapshot()
+		}
 	}
 }
 
@@ -170,8 +179,11 @@ func (s *Sampler) snapshot() {
 	prevTo := -1
 	var run Edge
 	var runLen uint64
-	for i := 0; i < n; i++ {
-		rec := s.ring[(start+i)%len(s.ring)]
+	for i, at := 0, start; i < n; i++ {
+		rec := s.ring[at]
+		if at++; at == len(s.ring) {
+			at = 0
+		}
 		if e := (Edge{rec.From, rec.To}); e != run {
 			if runLen > 0 {
 				s.lbr.credit(run, runLen)
