@@ -18,10 +18,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 
 	"repro"
-	"repro/internal/sched"
 )
 
 const (
@@ -67,7 +67,7 @@ func main() {
 	fmt.Printf("%-12s %14s %14s %14s %12s\n",
 		"policy", "mean_latency", "p95_latency", "drain_cycles", "efficiency")
 
-	for _, policy := range []sched.Policy{sched.Agnostic, sched.Sidecar, sched.EventAware} {
+	for _, policy := range []string{"agnostic", "sidecar", "event-aware"} {
 		reqs, err := h.Tasks(img, "skiplist", repro.Primary, nRequests)
 		if err != nil {
 			log.Fatal(err)
@@ -76,14 +76,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		s := sched.New(h.NewExecutor(img, repro.ExecConfig{}), policy)
-		for _, t := range reqs.Tasks {
-			s.Submit(t, sched.Request)
-		}
-		for _, t := range batch.Tasks {
-			s.Submit(t, sched.Batch)
-		}
-		st, err := s.Run()
+		st, err := runPolicy(h.NewExecutor(img, repro.ExecConfig{}), policy, reqs.Tasks, batch.Tasks)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -93,16 +86,57 @@ func main() {
 		if err := batch.Validate(); err != nil {
 			log.Fatalf("%v corrupted analytics: %v", policy, err)
 		}
-		lats := make([]float64, len(st.RequestLatencies))
-		for i, l := range st.RequestLatencies {
+		var sum uint64
+		lats := make([]float64, len(st.Latencies))
+		for i, l := range st.Latencies {
+			sum += l
 			lats[i] = float64(l)
 		}
 		sort.Float64s(lats)
 		p95 := lats[len(lats)*95/100-1]
 		fmt.Printf("%-12s %14.0f %14.0f %14d %11.1f%%\n",
-			policy, st.MeanRequestLatency(), p95, st.Cycles, st.Efficiency()*100)
+			policy, float64(sum)/float64(len(lats)), p95, st.Cycles, st.Efficiency()*100)
 	}
 
 	fmt.Println("\nall three policies served byte-identical results; only the scheduling")
 	fmt.Println("of miss shadows differs — the paper's §4.2 integration question")
+}
+
+// runPolicy serves the requests and runs the analytics on ex under one
+// policy until every request has completed. Latencies[i] is request
+// i's completion cycle from the start; Cycles and Busy cover the whole
+// drain. Under sidecar and event-aware a request already finished in
+// an earlier request's shadows completes at the end of that run.
+func runPolicy(ex *repro.Executor, policy string, reqs, batch []*repro.Task) (repro.ExecStats, error) {
+	start := ex.Core.Now
+	st := repro.ExecStats{Latencies: make([]uint64, len(reqs))}
+	if policy == "agnostic" {
+		sym, err := ex.RunSymmetric(slices.Concat(reqs, batch))
+		if err != nil {
+			return st, err
+		}
+		copy(st.Latencies, sym.Latencies)
+	}
+	for i, req := range reqs {
+		if policy != "agnostic" && !req.Ctx.Halted {
+			pool := slices.Clone(batch)
+			if policy == "event-aware" {
+				pool = slices.Concat(reqs[i+1:], batch)
+			}
+			pool = slices.DeleteFunc(pool, func(t *repro.Task) bool { return t.Ctx.Halted })
+			if _, err := ex.RunDualMode(req, pool); err != nil {
+				return st, err
+			}
+		}
+		for j, r := range reqs {
+			if r.Ctx.Halted && st.Latencies[j] == 0 {
+				st.Latencies[j] = ex.Core.Now - start
+			}
+		}
+	}
+	st.Cycles = ex.Core.Now - start
+	for _, t := range slices.Concat(reqs, batch) {
+		st.Busy += t.Ctx.BusyCycles
+	}
+	return st, nil
 }

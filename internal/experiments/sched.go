@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/coro"
 	"repro/internal/exec"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -40,7 +39,7 @@ func E14SchedulerIntegration(mach Machine) (*Result, error) {
 		return nil, err
 	}
 
-	for _, policy := range []sched.Policy{sched.Agnostic, sched.Sidecar, sched.EventAware} {
+	for _, policy := range []string{"agnostic", "sidecar", "event-aware"} {
 		reqs, err := h.Tasks(img, "hashjoin", coro.Primary, nReq)
 		if err != nil {
 			return nil, err
@@ -49,14 +48,7 @@ func E14SchedulerIntegration(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := sched.New(h.NewExecutor(img, exec.Config{}), policy)
-		for _, t := range reqs.Tasks {
-			s.Submit(t, sched.Request)
-		}
-		for _, t := range batch.Tasks {
-			s.Submit(t, sched.Batch)
-		}
-		st, err := s.Run()
+		st, err := runPolicy(h.NewExecutor(img, exec.Config{}), policy, reqs.Tasks, batch.Tasks)
 		if err != nil {
 			return nil, fmt.Errorf("E14 %v: %w", policy, err)
 		}
@@ -66,23 +58,64 @@ func E14SchedulerIntegration(mach Machine) (*Result, error) {
 		if err := batch.Validate(); err != nil {
 			return nil, err
 		}
-		lat := make([]float64, len(st.RequestLatencies))
-		for i, l := range st.RequestLatencies {
+		lat := make([]float64, len(st.Latencies))
+		for i, l := range st.Latencies {
 			lat[i] = float64(l)
 		}
-		sort.Float64s(lat)
-		p95 := stats.Percentile(lat, 95)
-		tbl.Row(policy.String(), st.MeanRequestLatency(), p95, st.Cycles, st.Efficiency())
-		key := policy.String()
-		res.Metrics[key+"_mean"] = st.MeanRequestLatency()
-		res.Metrics[key+"_p95"] = p95
-		res.Metrics[key+"_eff"] = st.Efficiency()
+		sum := stats.Summarize(lat)
+		tbl.Row(policy, sum.Mean, sum.P95, st.Cycles, st.Efficiency())
+		res.Metrics[policy+"_mean"] = sum.Mean
+		res.Metrics[policy+"_p95"] = sum.P95
+		res.Metrics[policy+"_eff"] = st.Efficiency()
 	}
 	res.Notes = append(res.Notes,
 		"agnostic: requests round-robin with batch work at every yield (no event knowledge)",
 		"sidecar: FIFO requests; the executor borrows the scheduler's ready batch tasks per miss (§4.2 approach 1)",
 		"event-aware: pending requests are co-scheduled into each other's miss shadows (§4.2 approach 2)")
 	return res, nil
+}
+
+// runPolicy runs requests and batch tasks on ex under one §4.2
+// integration policy until every request has completed. Latencies[i] is
+// request i's completion cycle from the start; Cycles and Busy cover the
+// whole drain. agnostic round-robins requests with batch work. sidecar
+// runs requests FIFO, each the primary of a dual-mode run whose
+// scavengers are the unfinished batch tasks; event-aware puts the
+// pending requests ahead of the batch in that pool, so a request may
+// already be done when its turn comes (its latency is then the end of
+// the run that finished it).
+func runPolicy(ex *exec.Executor, policy string, reqs, batch []*exec.Task) (exec.Stats, error) {
+	start := ex.Core.Now
+	st := exec.Stats{Latencies: make([]uint64, len(reqs))}
+	if policy == "agnostic" {
+		sym, err := ex.RunSymmetric(slices.Concat(reqs, batch))
+		if err != nil {
+			return st, err
+		}
+		copy(st.Latencies, sym.Latencies)
+	}
+	for i, req := range reqs {
+		if policy != "agnostic" && !req.Ctx.Halted {
+			pool := slices.Clone(batch)
+			if policy == "event-aware" {
+				pool = slices.Concat(reqs[i+1:], batch)
+			}
+			pool = slices.DeleteFunc(pool, func(t *exec.Task) bool { return t.Ctx.Halted })
+			if _, err := ex.RunDualMode(req, pool); err != nil {
+				return st, err
+			}
+		}
+		for j, r := range reqs {
+			if r.Ctx.Halted && st.Latencies[j] == 0 {
+				st.Latencies[j] = ex.Core.Now - start
+			}
+		}
+	}
+	st.Cycles = ex.Core.Now - start
+	for _, t := range slices.Concat(reqs, batch) {
+		st.Busy += t.Ctx.BusyCycles
+	}
+	return st, nil
 }
 
 // E15ProfilePortability probes the PGO deployment story behind §3.2: the

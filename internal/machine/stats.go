@@ -67,9 +67,8 @@ func (m *Machine) stats() Stats {
 			latencies = cs.SMT.Latencies
 		}
 		if reg := c.ex.Cfg.Metrics; reg != nil {
-			// What internal/sched records for a classic single-core run,
-			// so many-core runs report request latencies too: one request
-			// per task, its latency the halt time. Solo runs record none.
+			// Many-core runs report request latencies: one request per
+			// task, its latency the halt time. Solo runs record none.
 			for _, l := range latencies {
 				reg.Sched.Requests++
 				reg.Sched.RequestLatency.Observe(l)

@@ -1,7 +1,7 @@
 // Package metrics is the cycle-domain observability registry: plain
 // uint64 counters and fixed-array histograms that the simulator's hot
-// layers (internal/mem, internal/cpu, internal/exec, internal/sched,
-// internal/pebs) bump inline, plus a typed Snapshot that renders the
+// layers (internal/mem, internal/cpu, internal/exec, internal/machine,
+// internal/pebs) bump inline, plus a Snapshot copy that renders the
 // whole registry as a stats.Table or a flat metric map.
 //
 // # The inline-uint64 rule
@@ -18,8 +18,9 @@
 //
 // Ownership is split by domain:
 //
-//   - Exec and Sched sections are bumped inline by their packages
-//     during a run (episode boundaries, request completions).
+//   - The Exec section is bumped inline by internal/exec during a run
+//     (episode boundaries); the Sched section by internal/machine at
+//     the end of one (request completions).
 //   - Mem, CPU and Sampler sections are harvested from counters those
 //     packages already maintain unconditionally (mem.Hierarchy.Stats,
 //     cpu.Counters, the pebs sampler) via their FillMetrics methods —
@@ -102,11 +103,11 @@ func (x *Exec) NoteEpisode(away, target uint64) {
 	x.EpisodeCover.Observe(covered)
 }
 
-// Sched holds scheduler-level accounting bumped by internal/sched at
-// the end of each Run.
+// Sched holds request accounting bumped by internal/machine at the end
+// of each run: one request per task, its latency the halt time.
 type Sched struct {
 	Requests   uint64 // latency-sensitive requests completed
-	BatchTasks uint64 // batch tasks submitted alongside them
+	BatchTasks uint64 // batch tasks submitted alongside them (no run records any today)
 	// RequestLatency distributes request completion times (cycles from
 	// run start), log2-bucketed.
 	RequestLatency Hist
@@ -175,21 +176,12 @@ type Registry struct {
 func (r *Registry) Reset() { *r = Registry{} }
 
 // Snapshot is a point-in-time copy of a Registry, safe to render or
-// serialize while the registry keeps counting.
-type Snapshot struct {
-	Mem     Mem
-	CPU     CPU
-	Exec    Exec
-	Sched   Sched
-	Service Service
-	Sampler Sampler
-	Machine Machine
-}
+// serialize while the registry keeps counting. A Registry is plain data,
+// so the copy is the registry itself, by value.
+type Snapshot = Registry
 
 // Snapshot copies the registry's current state.
-func (r *Registry) Snapshot() Snapshot {
-	return Snapshot{Mem: r.Mem, CPU: r.CPU, Exec: r.Exec, Sched: r.Sched, Service: r.Service, Sampler: r.Sampler, Machine: r.Machine}
-}
+func (r *Registry) Snapshot() Snapshot { return *r }
 
 // Table renders the snapshot as a stats.Table (domain, metric, value
 // triples), mergeable into any experiment's table list. Histograms

@@ -99,8 +99,8 @@ func (s ArrivalSpec) validate() error {
 }
 
 // splitmix is a private splitmix64 stream: the cycle-domain determinism
-// rules (tools/detlint) forbid the global math/rand source, and owning
-// the generator pins the arrival sequence to the seed forever.
+// rules (tools/analyzers/detflow) forbid the global math/rand source, and
+// owning the generator pins the arrival sequence to the seed forever.
 type splitmix struct{ s uint64 }
 
 func (r *splitmix) next() uint64 {

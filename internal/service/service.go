@@ -11,7 +11,7 @@ import (
 )
 
 // Policy selects the serving discipline for one sweep cell. The first
-// three mirror internal/sched's closed-loop integration policies
+// three mirror the closed-loop integration policies of experiment E14
 // (§4.2); the last two are the hardware baselines the paper argues
 // against.
 type Policy uint8

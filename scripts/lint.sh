@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # lint.sh — gating static-analysis entry point.
 #
-# Builds the repository's custom vet tool (shlint: detlint, detflow,
+# Builds the repository's custom vet tool (shlint: detflow,
 # barrierguard, allocguard, metricsguard — see tools/analyzers/) and
 # runs two layers over every package:
 #
-#   1. `go vet -vettool=bin/shlint ./...` — the five analyzers, each
+#   1. `go vet -vettool=bin/shlint ./...` — the four analyzers, each
 #      package fully type-checked against the same export data the
 #      build uses, with cross-package facts (detflow taint,
 #      barrierguard reachability) flowing through the go command's

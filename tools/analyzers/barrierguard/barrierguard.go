@@ -171,7 +171,7 @@ func run(pass *framework.Pass) error {
 			}
 			local[fn] = append(local[fn], flow.Taint{
 				Rule:   "quantum-mutate",
-				Chain:  flow.FuncName(fn) + " → " + flow.FuncName(call.Callee),
+				Chain:  flow.FuncName(call.Callee),
 				Detail: detail,
 			})
 		}

@@ -1,41 +1,53 @@
-// Package detflow proves, interprocedurally, that the cycle domain
-// cannot observe a nondeterminism source. detlint bans the dangerous
-// constructs lexically inside cycle-domain packages; detflow closes
-// the remaining hole — a cycle-domain step loop calling an innocent-
-// looking helper in a non-cycle package that ranges over a map three
-// frames down. The PR-1 reclaim bug wore exactly that disguise in its
-// fixture form: the map iteration sat behind a wrapper, outside the
-// lexical ban, and still decided eviction order.
+// Package detflow enforces the repository's determinism contract: every
+// simulated run with the same seed must be bit-identical, so code that
+// decides how the simulated clock moves must not observe a
+// nondeterminism source. One classifier (scan) recognizes the sources;
+// the analyzer applies it in two scopes.
 //
-// # Model
+// # Sources
+//
+// Each construct below has caused, or would cause, a real
+// nondeterminism bug. Diagnostics are attributed to the rule:
+//
+//	wallclock   time.Now / time.Since / time.Until, called or taken as a
+//	            function value: wall-clock reads leak host timing
+//	globalrand  package-level math/rand and math/rand/v2 functions (the
+//	            process-seeded global source; constructors and methods
+//	            on an explicitly seeded *rand.Rand are fine)
+//	randimport  an import of math/rand or math/rand/v2 (imports live
+//	            outside function bodies, so only the backstop sees it)
+//	maprange    range over a map (iteration order is per-run random —
+//	            the PR-1 reclaim bug installed fills in this order)
+//	select      select with two or more communication cases (the
+//	            runtime picks among ready cases pseudo-randomly)
+//	addrformat  a %p verb in a fmt format string
+//	addrvalue   uintptr conversion of a pointer
+//	mapkeys     reflect.Value.MapKeys (map order again)
+//	ptrsort     sort.Slice / sort.SliceStable over a slice of pointers
+//	            (harvested pointer keys order by allocation address)
+//
+// # Interprocedural scope
 //
 // Entry points are the functions annotated `//shsim:cycle-entry` — the
 // exec/smt/machine/service step loops and the runner's per-job cell
 // executor. For every function in every in-module package, detflow
-// computes whether it transitively reaches one of the sources below,
-// exporting the result as a framework fact so the analysis composes
-// across packages (facts flow bottom-up: the package defining the
-// helper is analyzed before the package whose entry point calls it).
-// An entry point that reaches a source is reported with the full call
-// chain and the originating construct, attributed to one of the rules:
-//
-//	wallclock   time.Now / time.Since / time.Until
-//	globalrand  package-level math/rand and math/rand/v2 functions
-//	            (the process-seeded global source; methods on an
-//	            explicitly seeded *rand.Rand are fine)
-//	maprange    range over a map (iteration order is per-run random;
-//	            also covers "harvest map keys then use unsorted")
-//	select      select with two or more communication cases (the
-//	            runtime picks among ready cases pseudo-randomly)
-//	addrformat  fmt verbs rendering addresses (%p) — output depends
-//	            on allocator placement
-//	addrvalue   uintptr conversion of a pointer — address-dependent
-//	            arithmetic, ordering, or hashing
-//	mapkeys     reflect.Value.MapKeys (map order again)
-//
+// computes whether it transitively reaches a source, exporting the
+// result as a framework fact so the analysis composes across packages
+// (facts flow bottom-up: the package defining a helper is analyzed
+// before the package whose entry point calls it). An entry point that
+// reaches a source is reported with the full call chain — the PR-1
+// reclaim bug in disguise, a step loop calling a helper that ranges
+// over a map three frames down in another package, is caught this way.
 // Indirect calls (function values, interface methods) contribute no
-// edges; detlint's lexical ban inside the cycle-domain packages is the
-// backstop for those. See tools/analyzers/internal/flow.
+// edges; see tools/analyzers/internal/flow.
+//
+// # Backstop scope
+//
+// Every non-test file of a cycle-domain package
+// (internal/{mem,cpu,exec,smt,pebs,machine,service}) is inspected whole
+// — imports, package-level initialisers and function bodies — and every
+// source is reported at the construct. This covers what the call graph
+// cannot follow. Suppressions do not apply here.
 //
 // # Suppression
 //
@@ -49,7 +61,9 @@ package detflow
 import (
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 
 	"repro/tools/analyzers/framework"
@@ -68,29 +82,45 @@ const (
 
 var Analyzer = &framework.Analyzer{
 	Name: "detflow",
-	Doc: "interprocedural proof that cycle-domain entry points reach no nondeterminism source\n\n" +
-		"Functions annotated //shsim:cycle-entry (step loops, runner cells) must not transitively call " +
-		"wall clocks, the global rand source, map iteration, multi-case selects, or address-dependent " +
-		"formatting, across package boundaries via exported facts.",
+	Doc: "forbid nondeterminism sources (wall clocks, global rand, map iteration, multi-case selects, address-dependent values) in the cycle domain\n\n" +
+		"Functions annotated //shsim:cycle-entry must not transitively reach a source, across package boundaries " +
+		"via exported facts; every non-test file of the packages under internal/ named mem, cpu, exec, smt, pebs, " +
+		"machine or service must not contain one.",
 	Run: run,
 }
 
-func run(pass *framework.Pass) error {
-	g := flow.BuildGraph(pass)
+// cycleDomain lists the package base names under internal/ whose
+// computations feed simulated state.
+var cycleDomain = map[string]bool{
+	"mem": true, "cpu": true, "exec": true, "smt": true,
+	"pebs": true, "machine": true, "service": true,
+}
 
-	// Directive hygiene: a detached annotation enforces nothing.
+func inCycleDomain(importPath string) bool {
+	base := importPath[strings.LastIndexByte(importPath, '/')+1:]
+	return strings.Contains(importPath+"/", "/internal/") && cycleDomain[base]
+}
+
+func run(pass *framework.Pass) error {
+	backstop := inCycleDomain(pass.ImportPath)
 	for _, file := range pass.Files {
-		name := pass.Fset.Position(file.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
 			continue
 		}
+		// Directive hygiene: a detached annotation enforces nothing.
 		for _, d := range flow.Misplaced(file, DirEntry, DirSuppress) {
 			pass.ReportRule(d.Pos, "misplaced",
 				"//shsim:%s must be the doc comment of a function declaration", d.Name)
 		}
+		if backstop {
+			scan(pass.TypesInfo, file, func(pos token.Pos, t flow.Taint) {
+				pass.ReportRule(pos, t.Rule, "nondeterminism source in cycle-domain package: %s", t.Detail)
+			})
+		}
 	}
 
 	// Local sources per function, plus suppression marking.
+	g := flow.BuildGraph(pass)
 	local := map[*types.Func][]flow.Taint{}
 	suppressed := map[*types.Func]bool{}
 	for _, fn := range g.Funcs {
@@ -103,18 +133,15 @@ func run(pass *framework.Pass) error {
 				suppressed[fn] = true
 			}
 		}
-		local[fn] = scanBody(pass, fd)
+		scan(pass.TypesInfo, fd.Body, func(_ token.Pos, t flow.Taint) {
+			local[fn] = append(local[fn], t)
+		})
 	}
 
 	taints := flow.Propagate(g, local,
 		func(callee *types.Func) (flow.Taint, bool) {
-			if t, ok := intrinsic(callee); ok {
-				return t, true
-			}
 			if v, ok := pass.Facts.LookupFunc(FactKind, callee); ok {
-				if t, ok := flow.DecodeTaint(v); ok {
-					return t, true
-				}
+				return flow.DecodeTaint(v)
 			}
 			return flow.Taint{}, false
 		},
@@ -124,14 +151,12 @@ func run(pass *framework.Pass) error {
 	// at the annotated entry points.
 	for _, fn := range g.Funcs {
 		t, tainted := taints[fn]
-		if tainted {
-			pass.Facts.Export(FactKind, framework.ObjectKey(fn), t.Encode())
-		}
-		fd := g.Decl[fn]
-		if _, isEntry := flow.FuncDirective(fd, DirEntry); !isEntry {
+		if !tainted {
 			continue
 		}
-		if tainted {
+		pass.Facts.Export(FactKind, framework.ObjectKey(fn), t.Encode())
+		fd := g.Decl[fn]
+		if _, isEntry := flow.FuncDirective(fd, DirEntry); isEntry {
 			pass.ReportRule(fd.Name.Pos(), t.Rule,
 				"cycle-domain entry %s reaches a nondeterminism source: %s (via %s)",
 				flow.FuncName(fn), t.Detail, t.Chain)
@@ -140,17 +165,27 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// scanBody collects the nondeterminism sources a function body contains
-// directly, in source order.
-func scanBody(pass *framework.Pass, fd *ast.FuncDecl) []flow.Taint {
-	var out []flow.Taint
-	info := pass.TypesInfo
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+// scan calls found for every nondeterminism source under root, in
+// source order. A source reached by use of a standard-library function
+// carries that function as its chain; structural sources carry none.
+func scan(info *types.Info, root ast.Node, found func(token.Pos, flow.Taint)) {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.ImportSpec:
+			if path, _ := strconv.Unquote(n.Path.Value); path == "math/rand" || path == "math/rand/v2" {
+				found(n.Pos(), flow.Taint{Rule: "randimport",
+					Detail: "import of " + path + " (the global source is process-seeded; thread the scenario's seeded rng)"})
+			}
+		case *ast.Ident:
+			if fn, ok := info.Uses[n].(*types.Func); ok {
+				if t, ok := sourceFunc(fn); ok {
+					found(n.Pos(), t)
+				}
+			}
 		case *ast.RangeStmt:
 			if t := info.TypeOf(n.X); t != nil {
 				if _, ok := t.Underlying().(*types.Map); ok {
-					out = append(out, flow.Taint{Rule: "maprange",
+					found(n.Pos(), flow.Taint{Rule: "maprange",
 						Detail: "range over map (iteration order is randomized per run)"})
 				}
 			}
@@ -162,48 +197,58 @@ func scanBody(pass *framework.Pass, fd *ast.FuncDecl) []flow.Taint {
 				}
 			}
 			if cases >= 2 {
-				out = append(out, flow.Taint{Rule: "select",
+				found(n.Pos(), flow.Taint{Rule: "select",
 					Detail: "select with multiple communication cases (runtime picks among ready cases pseudo-randomly)"})
 			}
 		case *ast.CallExpr:
-			out = append(out, scanCall(info, n)...)
+			scanCall(info, n, found)
 		}
 		return true
 	})
-	return out
 }
 
-// scanCall classifies one call expression's direct sources: intrinsic
-// callees and address-formatting arguments.
-func scanCall(info *types.Info, call *ast.CallExpr) []flow.Taint {
-	var out []flow.Taint
+// scanCall classifies the sources a call is by its arguments: pointer
+// conversions to uintptr, %p format strings, pointer-slice sorts.
+func scanCall(info *types.Info, call *ast.CallExpr, found func(token.Pos, flow.Taint)) {
 	// uintptr(ptr) conversion: the callee of a conversion is a type.
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Kind() == types.Uintptr {
-			if at := info.TypeOf(call.Args[0]); at != nil && pointerLike(at) {
-				out = append(out, flow.Taint{Rule: "addrvalue",
-					Detail: "uintptr conversion of a pointer (address-dependent value)"})
-			}
+	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
+		if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Kind() == types.Uintptr &&
+			len(call.Args) == 1 && pointerLike(info.TypeOf(call.Args[0])) {
+			found(call.Pos(), flow.Taint{Rule: "addrvalue",
+				Detail: "uintptr conversion of a pointer (address-dependent value)"})
 		}
-		return out
+		return
 	}
 	callee := flow.Callee(info, call)
-	if callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt" {
+	if callee == nil || callee.Pkg() == nil {
+		return
+	}
+	switch callee.Pkg().Path() {
+	case "fmt":
 		for _, arg := range call.Args {
-			if tv, ok := info.Types[arg]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-				// %%p is a literal "%p", not a verb.
-				if strings.Contains(strings.ReplaceAll(constant.StringVal(tv.Value), "%%", ""), "%p") {
-					out = append(out, flow.Taint{Rule: "addrformat",
-						Detail: "fmt call formatting an address with %p"})
-					break
-				}
+			tv, ok := info.Types[arg]
+			// %%p is a literal "%p", not a verb.
+			if ok && tv.Value != nil && tv.Value.Kind() == constant.String &&
+				strings.Contains(strings.ReplaceAll(constant.StringVal(tv.Value), "%%", ""), "%p") {
+				found(arg.Pos(), flow.Taint{Rule: "addrformat",
+					Detail: "fmt call formatting an address with %p"})
+				return
+			}
+		}
+	case "sort":
+		if (callee.Name() == "Slice" || callee.Name() == "SliceStable") && len(call.Args) > 0 && info.TypeOf(call.Args[0]) != nil {
+			if sl, ok := info.TypeOf(call.Args[0]).Underlying().(*types.Slice); ok && pointerLike(sl.Elem()) {
+				found(call.Pos(), flow.Taint{Rule: "ptrsort",
+					Detail: "sort." + callee.Name() + " over a slice of pointers (orders by allocation address)"})
 			}
 		}
 	}
-	return out
 }
 
 func pointerLike(t types.Type) bool {
+	if t == nil {
+		return false
+	}
 	switch u := t.Underlying().(type) {
 	case *types.Pointer:
 		return true
@@ -213,33 +258,29 @@ func pointerLike(t types.Type) bool {
 	return false
 }
 
-// intrinsic classifies callees whose nondeterminism is modeled rather
-// than derived: the standard library is never analyzed for facts.
-func intrinsic(fn *types.Func) (flow.Taint, bool) {
-	pkg := fn.Pkg()
-	if pkg == nil {
+// sourceFunc classifies a use of a standard-library function that reads
+// a nondeterminism source. The standard library is never analyzed for
+// facts, so these are modeled rather than derived.
+func sourceFunc(fn *types.Func) (flow.Taint, bool) {
+	if fn.Pkg() == nil {
 		return flow.Taint{}, false
 	}
-	recv := fn.Type().(*types.Signature).Recv()
-	switch pkg.Path() {
+	method := fn.Type().(*types.Signature).Recv() != nil
+	name := fn.Name()
+	switch fn.Pkg().Path() {
 	case "time":
-		if recv == nil {
-			switch fn.Name() {
-			case "Now", "Since", "Until":
-				return flow.Taint{Rule: "wallclock", Chain: "time." + fn.Name(),
-					Detail: "wall-clock read time." + fn.Name()}, true
-			}
+		if !method && (name == "Now" || name == "Since" || name == "Until") {
+			return flow.Taint{Rule: "wallclock", Chain: "time." + name,
+				Detail: "wall-clock read time." + name}, true
 		}
 	case "math/rand", "math/rand/v2":
-		// Package-level functions draw from the process-seeded global
-		// source; methods on an explicitly seeded *rand.Rand are fine.
-		if recv == nil && fn.Name() != "New" && fn.Name() != "NewSource" &&
-			fn.Name() != "NewPCG" && fn.Name() != "NewChaCha8" && fn.Name() != "NewZipf" {
-			return flow.Taint{Rule: "globalrand", Chain: "rand." + fn.Name(),
-				Detail: "global math/rand source rand." + fn.Name()}, true
+		if !method && name != "New" && name != "NewSource" &&
+			name != "NewPCG" && name != "NewChaCha8" && name != "NewZipf" {
+			return flow.Taint{Rule: "globalrand", Chain: "rand." + name,
+				Detail: "global math/rand source rand." + name}, true
 		}
 	case "reflect":
-		if recv != nil && fn.Name() == "MapKeys" {
+		if method && name == "MapKeys" {
 			return flow.Taint{Rule: "mapkeys", Chain: "reflect.Value.MapKeys",
 				Detail: "reflect.Value.MapKeys (map iteration order)"}, true
 		}

@@ -159,8 +159,8 @@ func TestSelectAnalyzers(t *testing.T) {
 }
 
 func TestParseOptions(t *testing.T) {
-	opts, cfg := parseOptions([]string{"-run=detlint,detflow", "-json", "/tmp/vet.cfg"})
-	if opts.run != "detlint,detflow" || !opts.json || cfg != "/tmp/vet.cfg" {
+	opts, cfg := parseOptions([]string{"-run=detflow,barrierguard", "-json", "/tmp/vet.cfg"})
+	if opts.run != "detflow,barrierguard" || !opts.json || cfg != "/tmp/vet.cfg" {
 		t.Errorf("parseOptions = %+v, %q", opts, cfg)
 	}
 	opts, cfg = parseOptions([]string{"-json=false", "b001/vet.cfg"})

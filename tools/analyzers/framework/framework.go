@@ -19,7 +19,7 @@ import (
 // Analyzer is one named static check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and flags; by
-	// convention a short all-lowercase word (e.g. "detlint").
+	// convention a short all-lowercase word (e.g. "detflow").
 	Name string
 	// Doc is the one-paragraph description shown by -help.
 	Doc string

@@ -1,6 +1,6 @@
 // Package analyzers_test exercises the full vettool protocol: it
 // builds the real shlint binary and runs `go vet -vettool=shlint` over
-// the fixture module in testdata/detlintmod, asserting that every
+// the fixture module in testdata/shlintmod, asserting that every
 // seeded defect is caught by the right analyzer and rule and the
 // control packages pass. This is the suite that proves the unitchecker
 // handshake (-V=full, -flags, vet.cfg, vetx fact files, vet.out)
@@ -41,7 +41,7 @@ func repoRoot(t *testing.T) string {
 }
 
 func fixtureDir(t *testing.T) string {
-	return filepath.Join(repoRoot(t), "tools", "analyzers", "testdata", "detlintmod")
+	return filepath.Join(repoRoot(t), "tools", "analyzers", "testdata", "shlintmod")
 }
 
 func runVet(t *testing.T, vettool, dir string, args ...string) (string, error) {
@@ -67,10 +67,12 @@ func TestVettoolFlagsFixtureModule(t *testing.T) {
 		t.Fatalf("go vet should fail on the fixture module; output:\n%s", out)
 	}
 	for _, want := range []string{
-		// detlint: lexical bans inside cycle-domain package names.
-		"reclaim.go", "detlint(maprange)", "detlint(wallclock)", "detlint(randimport)",
-		// detflow: interprocedural taint through wrapper and package
-		// boundary — the PR-1 reclaim bug in disguise, with the chain.
+		// detflow backstop: every file of a cycle-domain package.
+		"reclaim.go", "detflow(maprange): nondeterminism source in cycle-domain package",
+		"detflow(wallclock): nondeterminism source in cycle-domain package",
+		"detflow(randimport)",
+		// detflow entry points: interprocedural taint through wrapper and
+		// package boundary — the PR-1 reclaim bug in disguise, with the chain.
 		"detflow(maprange)", "(*Engine).Step → (*Engine).harvest → Ready",
 		"detflow(wallclock)", "(*Engine).Tick → stamp",
 		"detflow(select)", "Drain",
@@ -110,23 +112,23 @@ func TestVettoolPassesControlPackage(t *testing.T) {
 }
 
 // TestVettoolRunSelection forwards -run through the go command: with
-// only detlint selected, the engine package (whose defects are all
+// only barrierguard selected, the engine package (whose defects are all
 // detflow findings) must pass.
 func TestVettoolRunSelection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and invokes the go command")
 	}
 	shlint := buildShlint(t)
-	out, err := runVet(t, shlint, fixtureDir(t), "-run=detlint", "./internal/engine/")
+	out, err := runVet(t, shlint, fixtureDir(t), "-run=barrierguard", "./internal/engine/")
 	if err != nil {
-		t.Fatalf("-run=detlint should pass the engine package: %v\n%s", err, out)
+		t.Fatalf("-run=barrierguard should pass the engine package: %v\n%s", err, out)
 	}
 	out, err = runVet(t, shlint, fixtureDir(t), "-run=detflow", "./internal/engine/")
 	if err == nil {
 		t.Fatalf("-run=detflow should still fail the engine package:\n%s", out)
 	}
-	if !strings.Contains(out, "detflow(") || strings.Contains(out, "detlint(") {
-		t.Errorf("want only detflow diagnostics, got:\n%s", out)
+	if !strings.Contains(out, "detflow(") {
+		t.Errorf("want detflow diagnostics, got:\n%s", out)
 	}
 }
 
@@ -167,7 +169,7 @@ func TestVettoolJSONOutput(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &unit); err != nil {
 			t.Fatalf("bad JSON line %q: %v", line, err)
 		}
-		if unit.Package != "detlintfixture/internal/hot" {
+		if unit.Package != "shlintfixture/internal/hot" {
 			continue
 		}
 		for _, d := range unit.Diagnostics {

@@ -119,7 +119,7 @@ func FuncsPackage(path, name string, funcs ...string) *types.Package {
 	return pkg
 }
 
-// Time stubs the "time" package with the wall-clock readers detlint
+// Time stubs the "time" package with the wall-clock readers detflow
 // forbids, with realistic shapes: Now() Time, Since/Until(Time) Duration.
 func Time() *types.Package {
 	pkg := types.NewPackage("time", "time")
@@ -145,13 +145,40 @@ func Time() *types.Package {
 	return pkg
 }
 
-// Rand stubs "math/rand" with Intn(int) int.
+// Rand stubs "math/rand" with the global-source draw detflow forbids,
+// Intn(int) int, and the seeded-generator constructor it allows,
+// New(int64) *Rand.
 func Rand() *types.Package {
 	pkg := types.NewPackage("math/rand", "rand")
-	sig := types.NewSignatureType(nil, nil, nil,
-		types.NewTuple(types.NewVar(token.NoPos, pkg, "n", types.Typ[types.Int])),
-		types.NewTuple(types.NewVar(token.NoPos, pkg, "", types.Typ[types.Int])), false)
-	pkg.Scope().Insert(types.NewFunc(token.NoPos, pkg, "Intn", sig))
+	randObj := types.NewTypeName(token.NoPos, pkg, "Rand", nil)
+	randT := types.NewNamed(randObj, types.NewStruct(nil, nil), nil)
+	pkg.Scope().Insert(randObj)
+	fn := func(name string, param, result types.Type) {
+		pkg.Scope().Insert(types.NewFunc(token.NoPos, pkg, name, types.NewSignatureType(nil, nil, nil,
+			types.NewTuple(types.NewVar(token.NoPos, pkg, "n", param)),
+			types.NewTuple(types.NewVar(token.NoPos, pkg, "", result)), false)))
+	}
+	fn("Intn", types.Typ[types.Int], types.Typ[types.Int])
+	fn("New", types.Typ[types.Int64], types.NewPointer(randT))
+	pkg.MarkComplete()
+	return pkg
+}
+
+// Sort stubs "sort" with Slice and SliceStable(x any, less func(i, j
+// int) bool), the sorts detflow inspects for pointer-slice arguments.
+func Sort() *types.Package {
+	pkg := types.NewPackage("sort", "sort")
+	intT := types.Typ[types.Int]
+	less := types.NewSignatureType(nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, pkg, "i", intT), types.NewVar(token.NoPos, pkg, "j", intT)),
+		types.NewTuple(types.NewVar(token.NoPos, pkg, "", types.Typ[types.Bool])), false)
+	params := types.NewTuple(
+		types.NewVar(token.NoPos, pkg, "x", types.Universe.Lookup("any").Type()),
+		types.NewVar(token.NoPos, pkg, "less", less))
+	for _, name := range []string{"Slice", "SliceStable"} {
+		pkg.Scope().Insert(types.NewFunc(token.NoPos, pkg, name,
+			types.NewSignatureType(nil, nil, nil, params, nil, false)))
+	}
 	pkg.MarkComplete()
 	return pkg
 }
@@ -183,7 +210,7 @@ func Fmt() *types.Package {
 }
 
 // Reflect stubs "reflect" with ValueOf and the Value.MapKeys method
-// detlint forbids in cycle-domain code.
+// detflow forbids.
 func Reflect() *types.Package {
 	pkg := types.NewPackage("reflect", "reflect")
 	valObj := types.NewTypeName(token.NoPos, pkg, "Value", nil)

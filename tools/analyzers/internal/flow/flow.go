@@ -11,9 +11,9 @@
 // calls on concrete receivers, go/defer statements, calls inside
 // function literals — attributed to the enclosing declaration).
 // Indirect calls through function values and interface methods
-// contribute no edges; the lexical analyzers (detlint) keep covering
-// the cycle-domain packages themselves, so the gap is the documented
-// trade for a zero-dependency analyzer suite.
+// contribute no edges; detflow's backstop scope keeps covering every
+// file of the cycle-domain packages themselves, so the gap is the
+// documented trade for a zero-dependency analyzer suite.
 package flow
 
 import (
@@ -220,7 +220,10 @@ func DecodeTaint(s string) (Taint, bool) {
 // Propagate computes, for every function in the graph, the first taint
 // it transitively reaches. local gives the taints originating inside a
 // function's own body (source order); external classifies callees that
-// are not declared in this package (intrinsic sources, imported facts).
+// are not declared in this package (imported facts). A taint's chain
+// names what lies below the function that holds it — empty for a
+// construct, the used function for a source reached by use — and
+// Propagate prefixes each function it passes through.
 // stop marks functions whose contents are licensed (suppressed or
 // structurally privileged): they contribute no taint to their callers.
 // Cycles are handled by treating in-progress functions as clean — a
@@ -231,6 +234,15 @@ func Propagate(g *Graph, local map[*types.Func][]Taint,
 
 	result := map[*types.Func]Taint{}
 	state := map[*types.Func]int{} // 0 unvisited, 1 in progress, 2 done
+	record := func(fn *types.Func, t Taint) (Taint, bool) {
+		if t.Chain == "" {
+			t.Chain = FuncName(fn)
+		} else {
+			t.Chain = FuncName(fn) + " → " + t.Chain
+		}
+		result[fn] = t
+		return t, true
+	}
 	var visit func(fn *types.Func) (Taint, bool)
 	visit = func(fn *types.Func) (Taint, bool) {
 		switch state[fn] {
@@ -246,12 +258,7 @@ func Propagate(g *Graph, local map[*types.Func][]Taint,
 			return Taint{}, false
 		}
 		if ts := local[fn]; len(ts) > 0 {
-			t := ts[0]
-			if t.Chain == "" {
-				t.Chain = FuncName(fn)
-			}
-			result[fn] = t
-			return t, true
+			return record(fn, ts[0])
 		}
 		for _, call := range g.Calls[fn] {
 			var t Taint
@@ -262,9 +269,7 @@ func Propagate(g *Graph, local map[*types.Func][]Taint,
 				t, tainted = external(call.Callee)
 			}
 			if tainted {
-				t.Chain = FuncName(fn) + " → " + t.Chain
-				result[fn] = t
-				return t, true
+				return record(fn, t)
 			}
 		}
 		return Taint{}, false

@@ -1,10 +1,10 @@
 // Command shlint is the repository's custom vet tool. It bundles the
-// five project-specific analyzers behind the `go vet -vettool`
+// four project-specific analyzers behind the `go vet -vettool`
 // protocol:
 //
-//	detlint       lexical determinism contract in cycle-domain packages
-//	detflow       interprocedural proof that cycle-domain entry points
-//	              reach no nondeterminism source (fact-propagated)
+//	detflow       determinism contract: cycle-domain entry points reach
+//	              no nondeterminism source (fact-propagated), and no
+//	              file of a cycle-domain package contains one
 //	barrierguard  cycle-quantum LLC protocol: no mutating shared-LLC
 //	              method reachable from quantum-phase code
 //	allocguard    always-allocating constructs in //shsim:noalloc
@@ -34,7 +34,6 @@ import (
 	"repro/tools/analyzers/allocguard"
 	"repro/tools/analyzers/barrierguard"
 	"repro/tools/analyzers/detflow"
-	"repro/tools/analyzers/detlint"
 	"repro/tools/analyzers/framework"
 	"repro/tools/analyzers/metricsguard"
 )
@@ -58,7 +57,6 @@ func main() {
 		return
 	}
 	framework.Main(
-		detlint.Analyzer,
 		detflow.Analyzer,
 		barrierguard.Analyzer,
 		allocguard.Analyzer,

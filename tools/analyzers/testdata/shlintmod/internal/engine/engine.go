@@ -1,13 +1,13 @@
-// Package engine is the detflow integration fixture: annotated
-// cycle-domain entry points that reach nondeterminism sources only
-// through wrappers and package boundaries, where detlint's lexical
-// rules cannot see them.
+// Package engine is the fixture for detflow's interprocedural scope:
+// annotated cycle-domain entry points that reach nondeterminism sources
+// only through wrappers and package boundaries. "engine" is not a
+// cycle-domain package name, so the backstop scope never looks here.
 package engine
 
 import (
 	"time"
 
-	"detlintfixture/internal/fillutil"
+	"shlintfixture/internal/fillutil"
 )
 
 // Engine mimics the shape of a per-core step engine.

@@ -1,6 +1,6 @@
 // Package fillutil is a helper outside the cycle-domain package list:
-// detlint's lexical map-range ban does not apply here, so only
-// detflow's interprocedural taint can connect the iteration below to a
+// detflow's backstop scope does not apply here, so only its
+// interprocedural taint can connect the iteration below to a
 // cycle-domain entry point.
 package fillutil
 

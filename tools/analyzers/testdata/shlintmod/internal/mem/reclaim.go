@@ -1,7 +1,7 @@
-// Package mem is an integration fixture for detlint: a stdlib-only
-// reduction of the PR-1 reclaim nondeterminism bug, compiled and
-// vetted by a real `go vet -vettool=shlint` invocation in the
-// analyzer integration test.
+// Package mem is the fixture for detflow's backstop scope: a stdlib-only
+// reduction of the PR-1 reclaim nondeterminism bug with no cycle-entry
+// root, compiled and vetted by a real `go vet -vettool=shlint`
+// invocation in the analyzer integration test.
 package mem
 
 import (

@@ -3,7 +3,7 @@
 // a control.
 package obs
 
-import "detlintfixture/internal/metrics"
+import "shlintfixture/internal/metrics"
 
 // Tracer carries optional observability hooks.
 type Tracer struct {

@@ -3,7 +3,7 @@
 // boundary.
 package quantum
 
-import "detlintfixture/internal/llc"
+import "shlintfixture/internal/llc"
 
 type core struct{ llc *llc.SharedLLC }
 
