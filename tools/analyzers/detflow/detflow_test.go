@@ -402,17 +402,62 @@ func TestBackstopCoversEveryCycleDomainPackage(t *testing.T) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		pkg := "repro/internal/" + name
-		diags := analyzertest.Check(t, pkg, map[string]string{"step.go": everyRuleSrc(pkg)}, deps(), Analyzer)
-		var got []string
-		for _, d := range diags {
-			got = append(got, d.Rule)
-			if !strings.Contains(d.Message, "cycle-domain package") {
-				t.Errorf("%s: backstop message lacks its scope: %s", pkg, d.Message)
+		t.Run(name, func(t *testing.T) {
+			pkg := "repro/internal/" + name
+			diags := analyzertest.Check(t, pkg, map[string]string{"step.go": everyRuleSrc(pkg)}, deps(), Analyzer)
+			var got []string
+			for _, d := range diags {
+				got = append(got, d.Rule)
+				if !strings.Contains(d.Message, "cycle-domain package") {
+					t.Errorf("%s: backstop message lacks its scope: %s", pkg, d.Message)
+				}
 			}
-		}
-		if !slices.Equal(got, rules) {
-			t.Errorf("%s: want rules %v, got %v", pkg, rules, analyzertest.Messages(diags))
+			if !slices.Equal(got, rules) {
+				t.Errorf("%s: want rules %v, got %v", pkg, rules, analyzertest.Messages(diags))
+			}
+		})
+	}
+}
+
+// violationsSrc mixes the everyday sources a simulator step might reach
+// for: map range, wall-clock reads and the global rand.
+const violationsSrc = `package exec
+
+import (
+	"time"
+	"math/rand"
+)
+
+func step(pending map[int]bool) int {
+	n := 0
+	for id := range pending { // violation: map range
+		n += id
+	}
+	start := time.Now()      // violation: wall clock
+	_ = time.Since(start)    // violation: wall clock
+	return n + rand.Intn(8)  // violation: import and global source
+}
+`
+
+// TestFlagsEveryViolationClass: each source in violationsSrc is reported
+// once, at the construct, in source order.
+func TestFlagsEveryViolationClass(t *testing.T) {
+	diags := analyzertest.Check(t, "repro/internal/exec",
+		map[string]string{"step.go": violationsSrc}, deps(), Analyzer)
+	want := []struct{ rule, mention string }{
+		{"randimport", "math/rand"},
+		{"maprange", "range over map"},
+		{"wallclock", "time.Now"},
+		{"wallclock", "time.Since"},
+		{"globalrand", "rand.Intn"},
+	}
+	if len(diags) != len(want) {
+		t.Fatalf("want %d diagnostics, got %v", len(want), analyzertest.Messages(diags))
+	}
+	for i, w := range want {
+		if diags[i].Rule != w.rule || !strings.Contains(diags[i].Message, w.mention) {
+			t.Errorf("diagnostic %d: want %s mentioning %q, got %s: %s",
+				i, w.rule, w.mention, diags[i].Rule, diags[i].Message)
 		}
 	}
 }
