@@ -1,6 +1,7 @@
 // Command shinstr performs profile-guided yield instrumentation — the
 // paper's §3.2 step (ii) — on the binary of a deterministically rebuilt
-// workload scenario, and writes the rewritten image.
+// workload scenario, verifies the rewritten image (internal/check) and
+// writes it; an unsound image is refused, not written.
 //
 // Usage:
 //
@@ -40,18 +41,17 @@ func main() {
 	interval := fs.Uint64("interval", 300, "scavenger inter-yield interval in cycles (0 disables the phase)")
 	report := fs.String("report", "", "write the old-to-new mapping report JSON here (shcheck -map input)")
 	origOut := fs.String("origout", "", "also write the uninstrumented scenario image here (shcheck -orig input)")
-	verify := fs.Bool("verify", true, "statically verify the rewritten image before writing it")
 	fs.Parse(os.Args[1:])
 	cli.NoArgs(fs)
 
-	if err := run(&wf, *profPath, *out, *policyName, *theta, *topK, *coalesce, *liveMasks, *interval, *report, *origOut, *verify); err != nil {
+	if err := run(&wf, *profPath, *out, *policyName, *theta, *topK, *coalesce, *liveMasks, *interval, *report, *origOut); err != nil {
 		fmt.Fprintln(os.Stderr, "shinstr:", err)
 		os.Exit(1)
 	}
 }
 
 func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64, topK int,
-	coalesce, liveMasks bool, interval uint64, report, origOut string, verify bool) error {
+	coalesce, liveMasks bool, interval uint64, report, origOut string) error {
 	if profPath == "" {
 		return fmt.Errorf("-profile is required (produce one with shprof)")
 	}
@@ -72,10 +72,7 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 			prof.ProgramLen, len(h.Sc.Prog.Instrs))
 	}
 
-	opts := instrument.DefaultPipelineOptions()
-	opts.Primary.Machine = h.Mach.Mem
-	opts.Primary.CPU = h.Mach.CPU
-	opts.Primary.Switch = h.Mach.Switch
+	opts := h.Mach.PipelineOptions()
 	opts.Primary.Coalesce = coalesce
 	opts.Primary.LiveMasks = liveMasks
 	switch policyName {
@@ -96,12 +93,11 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 		opts.Scavenger = nil
 	} else {
 		opts.Scavenger.TargetInterval = interval
-		opts.Scavenger.Machine = h.Mach.Mem
-		opts.Scavenger.CPU = h.Mach.CPU
 		opts.Scavenger.LiveMasks = liveMasks
 	}
 
-	img, res, err := instrument.InstrumentImage(isa.Encode(h.Sc.Prog), &prof, opts)
+	bin := isa.Encode(h.Sc.Prog)
+	img, res, err := instrument.InstrumentImage(bin, &prof, opts)
 	if err != nil {
 		return err
 	}
@@ -112,14 +108,12 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 		entries = append(entries, res.OldToNew[p.Entry])
 	}
 
-	if verify {
-		rep, err := check.Image(isa.Encode(h.Sc.Prog), img, res.OldToNew, check.Options{Entries: entries})
-		if err != nil {
-			return err
-		}
-		if err := rep.Err(); err != nil {
-			return fmt.Errorf("refusing to write unsound image: %w", err)
-		}
+	rep, err := check.Image(bin, img, res.OldToNew, check.Options{Entries: entries})
+	if err != nil {
+		return err
+	}
+	if err := rep.Err(); err != nil {
+		return fmt.Errorf("refusing to write unsound image: %w", err)
 	}
 
 	if report != "" {
@@ -141,7 +135,7 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 		if err != nil {
 			return err
 		}
-		if err := isa.SaveImage(f, isa.Encode(h.Sc.Prog)); err != nil {
+		if err := isa.SaveImage(f, bin); err != nil {
 			f.Close()
 			return err
 		}
@@ -177,9 +171,7 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 		fmt.Printf("  scavenger phase: %d conditional yields (%d loop guarantees, %d spacing)\n",
 			len(res.Scavenger.CondYieldPCs), res.Scavenger.LoopYields, res.Scavenger.SpacingYields)
 	}
-	if verify {
-		fmt.Printf("  verified: %d instructions clean (shcheck)\n", img.Len())
-	}
+	fmt.Printf("  verified: %d instructions clean (shcheck)\n", img.Len())
 	if report != "" {
 		fmt.Printf("  wrote mapping report %s\n", report)
 	}

@@ -135,20 +135,28 @@ func (ob observe) finish(w io.Writer, o options, dumpEvents bool) error {
 		}
 	}
 	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		if err := trace.WriteChromeTrace(f, ob.ring.Events(), trace.ChromeTraceOptions{}); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trace: %d event(s) exported to %s (load in Perfetto / chrome://tracing)\n",
-			ob.ring.Total(), o.traceOut)
+		return exportChromeTrace(w, o.traceOut, ob.ring, "")
 	}
+	return nil
+}
+
+// exportChromeTrace writes ring's retained events to path as Chrome
+// trace-event JSON and confirms the export on w; whose names the
+// events' owner in that line ("core 0's "), or is empty.
+func exportChromeTrace(w io.Writer, path string, ring *trace.Ring, whose string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.WriteChromeTrace(f, ring.Events(), trace.ChromeTraceOptions{}); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "trace: %s%d event(s) exported to %s (load in Perfetto / chrome://tracing)\n",
+		whose, ring.Total(), path)
 	return nil
 }
 
@@ -352,11 +360,9 @@ func runMachine(w io.Writer, o options) error {
 	fmt.Fprintf(w, "  results validated against host reference: ok\n")
 
 	if o.metrics {
-		reg := &metrics.Registry{}
-		st.FillMetrics(reg)
-		if m := reg; m != nil {
-			fmt.Fprint(w, m.Snapshot().Table().String())
-		}
+		var reg metrics.Registry
+		st.FillMetrics(&reg)
+		fmt.Fprint(w, reg.Snapshot().Table().String())
 	}
 	if ring := m.TraceRing(0); ring != nil {
 		if o.traceN > 0 {
@@ -366,19 +372,7 @@ func runMachine(w io.Writer, o options) error {
 			}
 		}
 		if o.traceOut != "" {
-			f, err := os.Create(o.traceOut)
-			if err != nil {
-				return err
-			}
-			if err := trace.WriteChromeTrace(f, ring.Events(), trace.ChromeTraceOptions{}); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "trace: core 0's %d event(s) exported to %s (load in Perfetto / chrome://tracing)\n",
-				ring.Total(), o.traceOut)
+			return exportChromeTrace(w, o.traceOut, ring, "core 0's ")
 		}
 	}
 	return nil

@@ -36,18 +36,15 @@
 //	results, _ := s.RunAll(context.Background()) // all of F1, E1–E21
 //
 // Static verification guards against silent miscompiles in the binary
-// rewriter. WithVerification makes the session self-checking: every
-// image Pipeline produces is verified by the internal/check analyses
-// (yield save-mask liveness, branch-target closure, call/ret
-// discipline, insertion reachability), and RunAll/Sweep gate on a
-// one-time toolchain preflight. The same checks run standalone over
-// image files via cmd/shcheck:
+// rewriter: every image Harness.Instrument (and so Session.Pipeline)
+// builds is checked by the internal/check analyses (yield save-mask
+// liveness, branch-target closure, call/ret discipline, insertion
+// reachability) before it is returned. The same checks run standalone
+// over image files via cmd/shcheck:
 //
-//	s, _ = repro.NewSession(repro.WithVerification())
 //	_, img, err := s.Pipeline("chase", repro.DefaultPipelineOptions(), spec)
 //	// err is a *repro.CheckError listing every diagnostic if the
-//	// rewritten binary is unsound; Session.VerifyImage re-checks any
-//	// instrumented image on demand.
+//	// rewritten binary is unsound.
 //
 // Observability — tracing, the cycle-domain metrics registry and Chrome
 // trace export — is configured in one option and threaded into every

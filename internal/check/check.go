@@ -1,11 +1,13 @@
 // Package check is the whole-program semantic verifier for instrumented
-// binaries — the second, deeper trust gate behind instrument.Verify.
+// binaries, and the one gate every rewrite passes: core.Harness.Instrument
+// runs it on every image the library builds, shinstr before it writes
+// one, and shcheck over image files.
 //
-// instrument.Verify proves the rewrite is *positionally* sound: originals
-// in place, insertions effect-free, branches remapped. This package
-// consumes the binary analyses the pipeline already paid for
-// (internal/bincfg: CFG, dominators, liveness) to prove the properties a
-// positional diff cannot:
+// Program first proves the rewrite *positionally* sound — originals in
+// place, insertions effect-free, branches remapped, the mapping total
+// and monotone — then consumes the binary analyses the pipeline already
+// paid for (internal/bincfg: CFG, dominators, liveness) to prove the
+// properties a positional diff cannot:
 //
 //   - liveness: every YIELD/CYIELD save mask covers every register live
 //     at its program point. The runtime deliberately poisons unsaved
@@ -30,7 +32,7 @@
 // (rule, severity, old/new PC, message) rather than a first-error — so a
 // corrupted image surfaces its full damage in one pass. The report is
 // exposed through the shcheck CLI (tool image in, JSON or human
-// diagnostics out) and the Session WithVerification gate.
+// diagnostics out) and as the *ReportError the gates return.
 package check
 
 import (
@@ -206,7 +208,7 @@ func (r *Report) Err() error {
 }
 
 // ReportError wraps a non-clean Report as an error for gating call
-// sites (Session.WithVerification, the instrumentation pipeline).
+// sites (core.Harness.Instrument, shinstr).
 type ReportError struct {
 	Report *Report
 }

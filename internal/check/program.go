@@ -62,8 +62,8 @@ func Program(orig, rewritten *isa.Program, oldToNew []int, opts Options) *Report
 		validTarget[gs] = true
 	}
 
-	// Positional soundness (the instrument.Verify rules, re-proved here
-	// so shcheck stands alone on a pair of images).
+	// Positional soundness: originals in place (modulo branch-target
+	// remapping), insertions from the effect-free set.
 	for i, in := range orig.Instrs {
 		nw := oldToNew[i]
 		isOriginal[nw] = true

@@ -9,7 +9,8 @@
 //     samples aggregate into a profile (step i).
 //  2. Call Instrument with the profile — the encoded binary is rewritten
 //     with primary prefetch+yield pairs and conditional scavenger yields
-//     (step ii).
+//     (step ii), and the rewrite is statically verified (internal/check)
+//     before the image is returned.
 //  3. Build tasks over the instrumented Image and run them under one of
 //     the exec disciplines — solo, symmetric, or dual-mode asymmetric
 //     concurrency (step iii).
@@ -21,6 +22,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/check"
 	"repro/internal/coro"
 	"repro/internal/cpu"
 	"repro/internal/exec"
@@ -65,6 +67,16 @@ func DefaultMachine() Machine {
 		MemBytes: 256 << 20,
 		Seed:     20230626, // HotOS'23 week
 	}
+}
+
+// PipelineOptions returns the reference instrumentation options priced
+// for this machine: both phases model its hierarchy and core, and the
+// primary phase its context-switch costs.
+func (m Machine) PipelineOptions() instrument.PipelineOptions {
+	opts := instrument.DefaultPipelineOptions()
+	opts.Primary.Machine, opts.Primary.CPU, opts.Primary.Switch = m.Mem, m.CPU, m.Switch
+	opts.Scavenger.Machine, opts.Scavenger.CPU = m.Mem, m.CPU
+	return opts
 }
 
 // CyclesPerNS is the simulated clock rate (3 GHz).
@@ -162,21 +174,36 @@ func (h *Harness) ProfileParts(cfg pebs.Config, parts ...string) (*profile.Profi
 	return profile.Build(len(h.Sc.Prog.Instrs), sampler.Samples, sampler.LBR()), sampler, core, nil
 }
 
-// Instrument runs the full §3.2+§3.3 pipeline over the scenario binary.
+// Instrument runs the full §3.2+§3.3 pipeline over the scenario binary
+// and verifies the rewrite (internal/check) before returning it: an
+// unsound image comes back as the report's *check.ReportError, never as
+// an image.
 func (h *Harness) Instrument(prof *profile.Profile, opts instrument.PipelineOptions) (*Image, error) {
-	img, res, err := instrument.InstrumentImage(isa.Encode(h.Sc.Prog), prof, opts)
+	bin, res, err := instrument.InstrumentImage(isa.Encode(h.Sc.Prog), prof, opts)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := isa.Decode(img)
+	prog, err := isa.Decode(bin)
 	if err != nil {
 		return nil, err
 	}
-	entries := map[string]int{}
+	img := h.FromRewrite(prog, res.OldToNew)
+	img.Pipe = res
+	if err := h.verify(img); err != nil {
+		return nil, err
+	}
+	return img, nil
+}
+
+// verify statically checks an image Instrument built against the
+// scenario's original binary, rooting reachability at the rewritten
+// part entries.
+func (h *Harness) verify(img *Image) error {
+	var entries []int
 	for _, p := range h.Sc.Parts {
-		entries[p.Name] = res.OldToNew[p.Entry]
+		entries = append(entries, img.Pipe.OldToNew[p.Entry])
 	}
-	return &Image{Prog: prog, Entries: entries, Pipe: res}, nil
+	return check.Program(h.Sc.Prog, img.Prog, img.Pipe.OldToNew, check.Options{Entries: entries}).Err()
 }
 
 // NewExecutor builds a fresh cold-cache executor over an image.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/instrument"
@@ -71,6 +72,41 @@ func TestEndToEndPipeline(t *testing.T) {
 	if st.Efficiency() <= bst.Efficiency() {
 		t.Errorf("pipeline efficiency %.3f did not beat baseline %.3f",
 			st.Efficiency(), bst.Efficiency())
+	}
+}
+
+// TestInstrumentGatesOnCheck: the verifier Instrument runs on every
+// image passes the reference toolchain's output and refuses the same
+// image with a live register cleared from a yield's save mask, as a
+// *check.ReportError attributed to the liveness rule.
+func TestInstrumentGatesOnCheck(t *testing.T) {
+	h := testHarness(t)
+	prof, _, err := h.Profile("chase")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := h.Instrument(prof, instrument.DefaultPipelineOptions())
+	if err != nil {
+		t.Fatalf("reference toolchain output refused: %v", err)
+	}
+	bad := &Image{Prog: img.Prog.Clone(), Entries: img.Entries, Pipe: img.Pipe}
+	cleared := false
+	for p, in := range bad.Prog.Instrs {
+		if in.Op.IsYield() && in.LiveMask().Has(1) {
+			bad.Prog.Instrs[p].Imm &^= int64(1) << 1
+			cleared = true
+			break
+		}
+	}
+	if !cleared {
+		t.Fatal("no yield saves r1")
+	}
+	var rerr *check.ReportError
+	if err := h.verify(bad); !errors.As(err, &rerr) {
+		t.Fatalf("want *check.ReportError, got %T (%v)", err, err)
+	}
+	if !rerr.Report.HasRule(check.RuleLiveness) {
+		t.Errorf("cleared mask bit not attributed to liveness:\n%s", rerr.Report)
 	}
 }
 

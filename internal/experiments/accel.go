@@ -50,7 +50,7 @@ func E16Accelerator(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		img, err := h.Instrument(prof, pipelineOptsFor(m))
+		img, err := h.Instrument(prof, m.PipelineOptions())
 		if err != nil {
 			return nil, err
 		}

@@ -57,7 +57,7 @@ func E7DualMode(mach Machine) (*Result, error) {
 	res.Metrics["solo_latency"] = float64(solo)
 	res.Metrics["solo_eff"] = baseStats.Efficiency()
 
-	img, err := h.Instrument(profJoin, pipelineOptsFor(mach))
+	img, err := h.Instrument(profJoin, mach.PipelineOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +154,7 @@ func E8ScavengerScaling(mach Machine) (*Result, error) {
 				return nil, err
 			}
 		}
-		img, err := h.Instrument(prof, pipelineOptsFor(mach))
+		img, err := h.Instrument(prof, mach.PipelineOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +207,7 @@ func E9IntervalSweep(mach Machine) (*Result, error) {
 		return nil, err
 	}
 	for _, interval := range []uint64{30, 100, 300, 1000, 3000} {
-		opts := pipelineOptsFor(mach)
+		opts := mach.PipelineOptions()
 		opts.Scavenger.TargetInterval = interval
 		img, err := h.Instrument(prof, opts)
 		if err != nil {

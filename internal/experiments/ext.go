@@ -38,7 +38,7 @@ func E11HWAssist(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := pipelineOptsFor(mach)
+	opts := mach.PipelineOptions()
 	opts.Primary.Policy = instrument.AlwaysPolicy{}
 	img, err := h.Instrument(prof, opts)
 	if err != nil {

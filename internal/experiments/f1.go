@@ -6,7 +6,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/coro"
 	"repro/internal/exec"
-	"repro/internal/instrument"
 	"repro/internal/smt"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -102,12 +101,7 @@ func F1Spectrum(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := instrument.DefaultPipelineOptions()
-		opts.Primary.Machine = m.Mem
-		opts.Primary.CPU = m.CPU
-		opts.Scavenger.Machine = m.Mem
-		opts.Scavenger.CPU = m.CPU
-		img, err := h.Instrument(prof, opts)
+		img, err := h.Instrument(prof, m.PipelineOptions())
 		if err != nil {
 			return nil, err
 		}

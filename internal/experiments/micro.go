@@ -35,7 +35,7 @@ func E1SwitchCost(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	img, err := h.Instrument(prof, pipelineOptsFor(mach))
+	img, err := h.Instrument(prof, mach.PipelineOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -117,21 +117,9 @@ func E2StallFraction(mach Machine) (*Result, error) {
 	return res, nil
 }
 
-// pipelineOptsFor builds instrumentation options consistent with the
-// experiment machine.
-func pipelineOptsFor(mach Machine) instrument.PipelineOptions {
-	opts := instrument.DefaultPipelineOptions()
-	opts.Primary.Machine = mach.Mem
-	opts.Primary.CPU = mach.CPU
-	opts.Primary.Switch = mach.Switch
-	opts.Scavenger.Machine = mach.Mem
-	opts.Scavenger.CPU = mach.CPU
-	return opts
-}
-
 // primaryOnlyOpts disables the scavenger phase (throughput-only runs).
 func primaryOnlyOpts(mach Machine) instrument.PipelineOptions {
-	opts := pipelineOptsFor(mach)
+	opts := mach.PipelineOptions()
 	opts.Scavenger = nil
 	return opts
 }

@@ -34,7 +34,7 @@ func E14SchedulerIntegration(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	img, err := h.Instrument(prof, pipelineOptsFor(mach))
+	img, err := h.Instrument(prof, mach.PipelineOptions())
 	if err != nil {
 		return nil, err
 	}

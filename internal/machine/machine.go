@@ -43,6 +43,12 @@ const CoreSeedStride = 100003
 // worth of drift per synchronization epoch.
 const DefaultQuantum = 4096
 
+// MaxQuantum bounds Topology.Quantum. Barrier deadlines are sums of
+// quanta and exec.NoDeadline is the all-ones cycle, so a quantum near
+// 2^64 wraps the barrier clock within a barrier or two, after which
+// dispatched cores never see a barrier that delivers work.
+const MaxQuantum = 1 << 32
+
 // Topology describes a many-core machine: how many cores, the per-core
 // template (caches, CPU, switch costs, memory size, seed), and the
 // shared LLC every core contends for.
@@ -58,7 +64,8 @@ type Topology struct {
 	// which keep the template's private three-level hierarchy so results
 	// match the single-core engine bit-for-bit.
 	LLC mem.LLCConfig
-	// Quantum is the cycle-quantum length; 0 means DefaultQuantum.
+	// Quantum is the cycle-quantum length, at most MaxQuantum; 0 means
+	// DefaultQuantum.
 	Quantum uint64
 }
 
@@ -90,23 +97,36 @@ func (t Topology) withDefaults() Topology {
 // Validate checks the topology (after default-filling) for structural
 // problems.
 func (t Topology) Validate() error {
-	if t.Cores < 1 {
-		return fmt.Errorf("machine: core count %d must be at least 1", t.Cores)
+	if err := t.ValidateShape(); err != nil {
+		return err
 	}
 	if t.Machine.MemBytes > 1<<44 {
 		// The shared LLC tags per-core lines with a core id above bit 40
 		// (lines, i.e. bit 44+ of byte addresses at 16-byte lines or larger).
 		return fmt.Errorf("machine: per-core memory %d exceeds the 2^44-byte LLC address budget", t.Machine.MemBytes)
 	}
-	if err := t.Machine.Mem.Validate(); err != nil {
-		return err
+	return t.Machine.Mem.Validate()
+}
+
+// ValidateShape checks what every many-core layer reads of a topology —
+// core count, quantum and, above one core, the shared LLC — so Validate
+// and service.Config.Validate refuse the same shapes with the same
+// error. A zero quantum passes on one core only, where nothing slices
+// quanta.
+func (t Topology) ValidateShape() error {
+	if t.Cores < 1 {
+		return fmt.Errorf("machine: core count %d must be at least 1", t.Cores)
 	}
-	if t.Cores > 1 {
-		if err := t.LLC.Validate(); err != nil {
-			return err
-		}
+	if t.Quantum > MaxQuantum {
+		return fmt.Errorf("machine: quantum of %d cycles exceeds the %d-cycle bound", t.Quantum, MaxQuantum)
 	}
-	return nil
+	if t.Cores == 1 {
+		return nil
+	}
+	if t.Quantum == 0 {
+		return fmt.Errorf("machine: multi-core topologies need a positive cycle quantum")
+	}
+	return t.LLC.Validate()
 }
 
 // CoreMachine derives core i's template: the template with its seed

@@ -190,60 +190,89 @@ func (r *Registry) Snapshot() Snapshot { return *r }
 // inspectable without any external tooling.
 func (s Snapshot) Table() *stats.Table {
 	t := stats.NewTable("observability", "domain", "metric", "value")
-	row := func(domain, metric string, v uint64) {
-		t.Row(domain, metric, v)
+	domain := ""
+	for _, c := range s.counters() {
+		if c.domain != domain {
+			s.domainHists(t, domain)
+			domain = c.domain
+		}
+		t.Row(c.domain, c.name, c.v)
 	}
-	row("mem", "l1_hits", s.Mem.L1Hits)
-	row("mem", "l2_hits", s.Mem.L2Hits)
-	row("mem", "l3_hits", s.Mem.L3Hits)
-	row("mem", "dram_accesses", s.Mem.DRAMAccesses)
-	row("mem", "inflight_hits", s.Mem.InflightHits)
-	row("mem", "inflight_full", s.Mem.InflightFull)
-	row("mem", "l2_misses", s.Mem.L2Misses)
-	row("mem", "prefetches", s.Mem.Prefetches)
-	row("mem", "prefetch_hits", s.Mem.PrefetchHits)
-	row("mem", "hw_prefetches", s.Mem.HWPrefetches)
-	row("mem", "mshr_drops", s.Mem.MSHRDrops)
-	row("mem", "mshr_high_water", s.Mem.MSHRHighWater)
-	row("mem", "writebacks", s.Mem.Writebacks)
-	row("cpu", "retired", s.CPU.Retired)
-	row("cpu", "busy_cycles", s.CPU.BusyCycles)
-	row("cpu", "stall_cycles", s.CPU.StallCycles)
-	row("cpu", "faults", s.CPU.Faults)
-	row("exec", "episodes", s.Exec.Episodes)
-	row("exec", "episode_cycles", s.Exec.EpisodeCycles)
-	row("exec", "hidden_cycles", s.Exec.HiddenCycles)
-	row("exec", "overshoot_cycles", s.Exec.OvershootCycles)
-	row("exec", "chains", s.Exec.Chains)
-	row("exec", "hw_skips", s.Exec.HWSkips)
-	histRows(t, "exec", "episode_dur", &s.Exec.EpisodeDur)
-	histRows(t, "exec", "episode_cover", &s.Exec.EpisodeCover)
-	row("sched", "requests", s.Sched.Requests)
-	row("sched", "batch_tasks", s.Sched.BatchTasks)
-	histRows(t, "sched", "request_latency", &s.Sched.RequestLatency)
-	row("service", "arrivals", s.Service.Arrivals)
-	row("service", "admitted", s.Service.Admitted)
-	row("service", "dropped", s.Service.Dropped)
-	row("service", "shed", s.Service.Shed)
-	row("service", "completed", s.Service.Completed)
-	row("service", "batch_ops", s.Service.BatchOps)
-	fineHistRows(t, "service", "sojourn", &s.Service.Sojourn)
-	row("sampler", "samples", s.Sampler.Samples)
-	row("sampler", "dropped", s.Sampler.Dropped)
-	row("sampler", "branches", s.Sampler.Branches)
-	row("sampler", "overhead_cycles", s.Sampler.OverheadCycles)
-	row("machine", "cores", s.Machine.Cores)
-	row("machine", "quanta", s.Machine.Quanta)
-	row("machine", "cycles", s.Machine.Cycles)
-	row("machine", "llc_hits", s.Machine.LLCHits)
-	row("machine", "llc_misses", s.Machine.LLCMisses)
-	row("machine", "llc_queued", s.Machine.LLCQueued)
-	row("machine", "llc_queue_cycles", s.Machine.LLCQueueCycles)
-	row("machine", "llc_peak_bank_load", s.Machine.LLCPeakBank)
-	row("machine", "retired", s.Machine.Retired)
-	row("machine", "busy_cycles", s.Machine.BusyCycles)
-	row("machine", "stall_cycles", s.Machine.StallCycles)
+	s.domainHists(t, domain)
 	return t
+}
+
+// counter is one scalar registry value under its domain and name.
+type counter struct {
+	domain, name string
+	v            uint64
+}
+
+// counters lists every scalar counter once, in table order; Table and
+// Metrics both walk it.
+func (s *Snapshot) counters() []counter {
+	return []counter{
+		{"mem", "l1_hits", s.Mem.L1Hits},
+		{"mem", "l2_hits", s.Mem.L2Hits},
+		{"mem", "l3_hits", s.Mem.L3Hits},
+		{"mem", "dram_accesses", s.Mem.DRAMAccesses},
+		{"mem", "inflight_hits", s.Mem.InflightHits},
+		{"mem", "inflight_full", s.Mem.InflightFull},
+		{"mem", "l2_misses", s.Mem.L2Misses},
+		{"mem", "prefetches", s.Mem.Prefetches},
+		{"mem", "prefetch_hits", s.Mem.PrefetchHits},
+		{"mem", "hw_prefetches", s.Mem.HWPrefetches},
+		{"mem", "mshr_drops", s.Mem.MSHRDrops},
+		{"mem", "mshr_high_water", s.Mem.MSHRHighWater},
+		{"mem", "writebacks", s.Mem.Writebacks},
+		{"cpu", "retired", s.CPU.Retired},
+		{"cpu", "busy_cycles", s.CPU.BusyCycles},
+		{"cpu", "stall_cycles", s.CPU.StallCycles},
+		{"cpu", "faults", s.CPU.Faults},
+		{"exec", "episodes", s.Exec.Episodes},
+		{"exec", "episode_cycles", s.Exec.EpisodeCycles},
+		{"exec", "hidden_cycles", s.Exec.HiddenCycles},
+		{"exec", "overshoot_cycles", s.Exec.OvershootCycles},
+		{"exec", "chains", s.Exec.Chains},
+		{"exec", "hw_skips", s.Exec.HWSkips},
+		{"sched", "requests", s.Sched.Requests},
+		{"sched", "batch_tasks", s.Sched.BatchTasks},
+		{"service", "arrivals", s.Service.Arrivals},
+		{"service", "admitted", s.Service.Admitted},
+		{"service", "dropped", s.Service.Dropped},
+		{"service", "shed", s.Service.Shed},
+		{"service", "completed", s.Service.Completed},
+		{"service", "batch_ops", s.Service.BatchOps},
+		{"sampler", "samples", s.Sampler.Samples},
+		{"sampler", "dropped", s.Sampler.Dropped},
+		{"sampler", "branches", s.Sampler.Branches},
+		{"sampler", "overhead_cycles", s.Sampler.OverheadCycles},
+		{"machine", "cores", s.Machine.Cores},
+		{"machine", "quanta", s.Machine.Quanta},
+		{"machine", "cycles", s.Machine.Cycles},
+		{"machine", "llc_hits", s.Machine.LLCHits},
+		{"machine", "llc_misses", s.Machine.LLCMisses},
+		{"machine", "llc_queued", s.Machine.LLCQueued},
+		{"machine", "llc_queue_cycles", s.Machine.LLCQueueCycles},
+		{"machine", "llc_peak_bank_load", s.Machine.LLCPeakBank},
+		{"machine", "retired", s.Machine.Retired},
+		{"machine", "busy_cycles", s.Machine.BusyCycles},
+		{"machine", "stall_cycles", s.Machine.StallCycles},
+	}
+}
+
+// domainHists appends the histogram rows that close a domain's block of
+// the table, after its counters.
+func (s *Snapshot) domainHists(t *stats.Table, domain string) {
+	switch domain {
+	case "exec":
+		histRows(t, domain, "episode_dur", &s.Exec.EpisodeDur)
+		histRows(t, domain, "episode_cover", &s.Exec.EpisodeCover)
+	case "sched":
+		histRows(t, domain, "request_latency", &s.Sched.RequestLatency)
+	case "service":
+		fineHistRows(t, domain, "sojourn", &s.Service.Sojourn)
+	}
 }
 
 // histRows appends one summary block for a histogram: total, mean,
@@ -310,58 +339,14 @@ func utoa(v uint64) string {
 // the shape experiments.Result.Metrics uses. Histograms contribute
 // total/mean/tail-bound entries only (buckets stay in the Table form).
 func (s Snapshot) Metrics(dst map[string]float64) {
-	put := func(k string, v uint64) { dst["obs."+k] = float64(v) }
-	put("mem.l1_hits", s.Mem.L1Hits)
-	put("mem.l2_hits", s.Mem.L2Hits)
-	put("mem.l3_hits", s.Mem.L3Hits)
-	put("mem.dram_accesses", s.Mem.DRAMAccesses)
-	put("mem.inflight_hits", s.Mem.InflightHits)
-	put("mem.inflight_full", s.Mem.InflightFull)
-	put("mem.l2_misses", s.Mem.L2Misses)
-	put("mem.prefetches", s.Mem.Prefetches)
-	put("mem.prefetch_hits", s.Mem.PrefetchHits)
-	put("mem.hw_prefetches", s.Mem.HWPrefetches)
-	put("mem.mshr_drops", s.Mem.MSHRDrops)
-	put("mem.mshr_high_water", s.Mem.MSHRHighWater)
-	put("mem.writebacks", s.Mem.Writebacks)
-	put("cpu.retired", s.CPU.Retired)
-	put("cpu.busy_cycles", s.CPU.BusyCycles)
-	put("cpu.stall_cycles", s.CPU.StallCycles)
-	put("cpu.faults", s.CPU.Faults)
-	put("exec.episodes", s.Exec.Episodes)
-	put("exec.episode_cycles", s.Exec.EpisodeCycles)
-	put("exec.hidden_cycles", s.Exec.HiddenCycles)
-	put("exec.overshoot_cycles", s.Exec.OvershootCycles)
-	put("exec.chains", s.Exec.Chains)
-	put("exec.hw_skips", s.Exec.HWSkips)
+	for _, c := range s.counters() {
+		dst["obs."+c.domain+"."+c.name] = float64(c.v)
+	}
 	dst["obs.exec.episode_dur_mean"] = s.Exec.EpisodeDur.Mean()
 	dst["obs.exec.episode_cover_mean"] = s.Exec.EpisodeCover.Mean()
-	put("sched.requests", s.Sched.Requests)
-	put("sched.batch_tasks", s.Sched.BatchTasks)
 	dst["obs.sched.request_latency_mean"] = s.Sched.RequestLatency.Mean()
-	put("service.arrivals", s.Service.Arrivals)
-	put("service.admitted", s.Service.Admitted)
-	put("service.dropped", s.Service.Dropped)
-	put("service.shed", s.Service.Shed)
-	put("service.completed", s.Service.Completed)
-	put("service.batch_ops", s.Service.BatchOps)
 	dst["obs.service.sojourn_mean"] = s.Service.Sojourn.Mean()
 	dst["obs.service.sojourn_p50_le"] = float64(s.Service.Sojourn.Quantile(0.50))
 	dst["obs.service.sojourn_p99_le"] = float64(s.Service.Sojourn.Quantile(0.99))
 	dst["obs.service.sojourn_p999_le"] = float64(s.Service.Sojourn.Quantile(0.999))
-	put("sampler.samples", s.Sampler.Samples)
-	put("sampler.dropped", s.Sampler.Dropped)
-	put("sampler.branches", s.Sampler.Branches)
-	put("sampler.overhead_cycles", s.Sampler.OverheadCycles)
-	put("machine.cores", s.Machine.Cores)
-	put("machine.quanta", s.Machine.Quanta)
-	put("machine.cycles", s.Machine.Cycles)
-	put("machine.llc_hits", s.Machine.LLCHits)
-	put("machine.llc_misses", s.Machine.LLCMisses)
-	put("machine.llc_queued", s.Machine.LLCQueued)
-	put("machine.llc_queue_cycles", s.Machine.LLCQueueCycles)
-	put("machine.llc_peak_bank_load", s.Machine.LLCPeakBank)
-	put("machine.retired", s.Machine.Retired)
-	put("machine.busy_cycles", s.Machine.BusyCycles)
-	put("machine.stall_cycles", s.Machine.StallCycles)
 }

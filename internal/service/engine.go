@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/coro"
 	"repro/internal/exec"
-	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/metrics"
 	"repro/internal/smt"
@@ -121,18 +120,6 @@ func (c *cell) run(deadline uint64) error {
 	return err
 }
 
-// pipelineOpts builds instrumentation options consistent with the
-// machine (the experiment harness uses the same recipe).
-func pipelineOpts(mach core.Machine) instrument.PipelineOptions {
-	opts := instrument.DefaultPipelineOptions()
-	opts.Primary.Machine = mach.Mem
-	opts.Primary.CPU = mach.CPU
-	opts.Primary.Switch = mach.Switch
-	opts.Scavenger.Machine = mach.Mem
-	opts.Scavenger.CPU = mach.CPU
-	return opts
-}
-
 // newCell builds one serving cell over mach. withArrivals selects the
 // classic self-clocked form; a dispatched (multi-core) cell leaves arr
 // nil — its local queue is fed by the dispatcher at quantum barriers.
@@ -165,7 +152,7 @@ func newCell(mach core.Machine, cfg Config, cl Cell, withArrivals bool) (*cell, 
 		if err != nil {
 			return nil, err
 		}
-		img, err = h.Instrument(prof, pipelineOpts(mach))
+		img, err = h.Instrument(prof, mach.PipelineOptions())
 		if err != nil {
 			return nil, err
 		}

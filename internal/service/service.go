@@ -255,18 +255,7 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("service: unknown policy %d", uint8(p))
 		}
 	}
-	if cfg.Topology.Cores < 1 {
-		return fmt.Errorf("service: core count %d must be at least 1", cfg.Topology.Cores)
-	}
-	if cfg.Topology.Cores > 1 {
-		if err := cfg.Topology.LLC.Validate(); err != nil {
-			return err
-		}
-		if cfg.Topology.Quantum == 0 {
-			return fmt.Errorf("service: multi-core cells need a positive cycle quantum")
-		}
-	}
-	return nil
+	return cfg.Topology.ValidateShape()
 }
 
 // Cell identifies one point of the sweep grid.

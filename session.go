@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 
 	"repro/internal/check"
 	"repro/internal/core"
@@ -43,10 +41,6 @@ type Session struct {
 	parallelism int
 	cache       *runner.Cache
 	obs         ObservabilityConfig
-	verify      bool
-
-	preflightOnce sync.Once
-	preflightErr  error
 }
 
 // Option configures a Session under construction.
@@ -58,7 +52,6 @@ type sessionConfig struct {
 	parallelism int
 	cacheDir    *string
 	obs         ObservabilityConfig
-	verify      bool
 }
 
 // WithSeed overrides the scenario seed (applied after WithTopology, to
@@ -77,18 +70,6 @@ func WithParallelism(n int) Option {
 // dir selects the conventional location (~/.cache/softhide).
 func WithCache(dir string) Option {
 	return func(c *sessionConfig) { c.cacheDir = &dir }
-}
-
-// WithVerification makes the session self-checking against silent
-// miscompiles: every image Pipeline instruments is statically verified
-// (internal/check — liveness of yield save masks, branch-target closure,
-// call/ret discipline, insertion reachability) and rejected if unsound,
-// and RunAll/Sweep refuse to dispatch experiments until a one-time
-// preflight has proven the instrumentation toolchain sound on a
-// reference scenario. Verification is static analysis over the rewritten
-// binary; it adds milliseconds, not simulation time.
-func WithVerification() Option {
-	return func(c *sessionConfig) { c.verify = true }
 }
 
 // ObservabilityConfig bundles the session's whole observation surface:
@@ -136,7 +117,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	if cfg.seed != nil {
 		cfg.topo.Machine.Seed = *cfg.seed
 	}
-	s := &Session{topo: cfg.topo, parallelism: cfg.parallelism, obs: cfg.obs, verify: cfg.verify}
+	s := &Session{topo: cfg.topo, parallelism: cfg.parallelism, obs: cfg.obs}
 	if cfg.cacheDir != nil {
 		dir := *cfg.cacheDir
 		if dir == "" {
@@ -229,11 +210,6 @@ type RunReport = runner.Result
 // Seed + i*7919) and returns per-job reports in deterministic
 // presentation order.
 func (s *Session) Sweep(ctx context.Context, ids []string, seeds int) ([]RunReport, error) {
-	if s.verify {
-		if err := s.Preflight(); err != nil {
-			return nil, err
-		}
-	}
 	if len(ids) == 0 {
 		ids = s.ExperimentIDs()
 	}
@@ -247,23 +223,9 @@ func (s *Session) Sweep(ctx context.Context, ids []string, seeds int) ([]RunRepo
 // Pipeline is the session-level convenience for the paper's three-step
 // flow on a single workload part: profile it, instrument the binary,
 // and return the harness plus instrumented image ready for execution.
+// Harness.Instrument has verified the image; an unsound rewrite comes
+// back as a *CheckError.
 func (s *Session) Pipeline(part string, opts PipelineOptions, specs ...workloads.Spec) (*Harness, *Image, error) {
-	h, img, err := s.pipelineUnverified(part, opts, specs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s.verify {
-		if _, err := s.VerifyImage(h, img); err != nil {
-			return nil, nil, fmt.Errorf("verifying instrumented %s: %w", part, err)
-		}
-	}
-	return h, img, nil
-}
-
-// pipelineUnverified is Pipeline without the WithVerification gate —
-// the preflight uses it so a broken toolchain is reported as a
-// verification failure rather than recursing into the gate.
-func (s *Session) pipelineUnverified(part string, opts PipelineOptions, specs ...workloads.Spec) (*Harness, *Image, error) {
 	h, err := s.NewHarness(specs...)
 	if err != nil {
 		return nil, nil, err
@@ -280,47 +242,6 @@ func (s *Session) pipelineUnverified(part string, opts PipelineOptions, specs ..
 		return nil, nil, fmt.Errorf("instrumenting %s: %w", part, err)
 	}
 	return h, img, nil
-}
-
-// VerifyImage statically verifies an instrumented image against the
-// harness's original binary (internal/check): yield save masks cover
-// every live register, insertions are effect-free and reachable,
-// branch-target closure and call/ret discipline hold. The image must
-// carry its pipeline report (Harness.Instrument output); externally
-// rewritten images are verified with the shcheck tool instead. It
-// returns the full diagnostic report; the error is non-nil when the
-// report is not clean (a *CheckError wrapping the report).
-func (s *Session) VerifyImage(h *Harness, img *Image) (*CheckReport, error) {
-	if img == nil || img.Pipe == nil {
-		return nil, fmt.Errorf("repro: VerifyImage needs an image with a pipeline report (from Harness.Instrument)")
-	}
-	entries := make([]int, 0, len(img.Entries))
-	for _, e := range img.Entries {
-		entries = append(entries, e)
-	}
-	sort.Ints(entries)
-	rep := check.Program(h.Sc.Prog, img.Prog, img.Pipe.OldToNew, check.Options{Entries: entries})
-	return rep, rep.Err()
-}
-
-// Preflight proves the instrumentation toolchain sound by running the
-// full profile → instrument → verify pipeline on a small reference
-// scenario and checking the result is clean. It runs at most once per
-// session (the result is cached) and is invoked automatically by
-// RunAll/Sweep when WithVerification is set.
-func (s *Session) Preflight() error {
-	s.preflightOnce.Do(func() {
-		h, img, err := s.pipelineUnverified("chase", DefaultPipelineOptions(),
-			workloads.PointerChase{Nodes: 2048, Hops: 500, Instances: 2})
-		if err != nil {
-			s.preflightErr = fmt.Errorf("repro: verification preflight: %w", err)
-			return
-		}
-		if _, err := s.VerifyImage(h, img); err != nil {
-			s.preflightErr = fmt.Errorf("repro: verification preflight: instrumentation toolchain is unsound: %w", err)
-		}
-	})
-	return s.preflightErr
 }
 
 // Observability returns the session's observation surface as
@@ -390,8 +311,9 @@ type (
 	CheckDiagnostic = check.Diagnostic
 	// CheckRule identifies which invariant a diagnostic violates.
 	CheckRule = check.Rule
-	// CheckError wraps a non-clean CheckReport as an error; unwrap with
-	// errors.As to inspect the diagnostics of a failed verification.
+	// CheckError wraps a non-clean CheckReport as an error; it is what
+	// Harness.Instrument (and so Session.Pipeline) returns for an unsound
+	// rewrite. Unwrap with errors.As to inspect the diagnostics.
 	CheckError = check.ReportError
 )
 

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/check"
 )
 
 func TestSessionDefaults(t *testing.T) {
@@ -257,75 +258,29 @@ func TestSessionExportTrace(t *testing.T) {
 	}
 }
 
+// TestSessionVerification: every image Pipeline returns has passed
+// Harness.Instrument's static verification, so re-running the verifier
+// over it reads clean across every instruction. The refusal side is
+// internal/core's TestInstrumentGatesOnCheck.
 func TestSessionVerification(t *testing.T) {
-	s, err := NewSession(WithVerification())
+	s, err := NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pipeline under verification: the reference toolchain must pass.
 	h, img, err := s.Pipeline("chase", DefaultPipelineOptions(),
 		PointerChase{Nodes: 2048, Hops: 500, Instances: 2})
 	if err != nil {
 		t.Fatalf("verified pipeline failed: %v", err)
 	}
-	rep, err := s.VerifyImage(h, img)
-	if err != nil {
-		t.Fatalf("VerifyImage: %v", err)
+	var entries []int
+	for _, p := range h.Sc.Parts {
+		entries = append(entries, img.Entries[p.Name])
 	}
+	var rep *CheckReport = check.Program(h.Sc.Prog, img.Prog, img.Pipe.OldToNew, check.Options{Entries: entries})
 	if !rep.Clean() {
 		t.Fatalf("report not clean:\n%s", rep)
 	}
 	if rep.Checked != len(img.Prog.Instrs) {
 		t.Errorf("Checked=%d, want %d", rep.Checked, len(img.Prog.Instrs))
-	}
-
-	// A tampered image must fail with a *CheckError carrying diagnostics.
-	bad := &Image{Prog: img.Prog.Clone(), Entries: img.Entries, Pipe: img.Pipe}
-	for p, in := range bad.Prog.Instrs {
-		if in.Op.IsYield() && in.LiveMask().Has(1) {
-			bad.Prog.Instrs[p].Imm &^= int64(1) << 1
-			break
-		}
-	}
-	_, err = s.VerifyImage(h, bad)
-	var cerr *CheckError
-	if !errors.As(err, &cerr) {
-		t.Fatalf("want *CheckError, got %T (%v)", err, err)
-	}
-	if !cerr.Report.HasRule(CheckRule("liveness")) {
-		t.Errorf("tampered mask not attributed to liveness:\n%s", cerr.Report)
-	}
-
-	// Images without a pipeline report are rejected, not mis-verified.
-	if _, err := s.VerifyImage(h, h.Baseline()); err == nil {
-		t.Error("baseline image (no pipeline report) must be rejected")
-	}
-
-	// Preflight is cached after the first call.
-	if err := s.Preflight(); err != nil {
-		t.Fatalf("preflight: %v", err)
-	}
-	if err := s.Preflight(); err != nil {
-		t.Fatalf("cached preflight: %v", err)
-	}
-}
-
-func TestSessionSweepGatesOnPreflight(t *testing.T) {
-	s, err := NewSession(WithVerification())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Poison the preflight result: the sweep must refuse to dispatch.
-	s.preflightOnce.Do(func() { s.preflightErr = errors.New("toolchain unsound") })
-	if _, err := s.Sweep(context.Background(), []string{"F1"}, 1); err == nil {
-		t.Fatal("sweep must gate on a failed preflight")
-	}
-	// Without verification the gate is off and no preflight runs.
-	s2, err := NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.verify {
-		t.Error("verification must default off")
 	}
 }

@@ -1,7 +1,10 @@
 package repro
 
 import (
+	"context"
+	"math"
 	"testing"
+	"time"
 )
 
 func TestWithTopology(t *testing.T) {
@@ -46,12 +49,32 @@ func TestSessionRunMachine(t *testing.T) {
 	}
 }
 
+// TestSessionRunMachineValidates: a topology no kernel can run is
+// refused upfront, by RunMachine and Serve alike and with one error. A
+// quantum near 2^64 would wrap the barrier clock onto exec.NoDeadline,
+// after which a dispatched serve cell spins until MaxSteps.
 func TestSessionRunMachineValidates(t *testing.T) {
-	s, err := NewSession(WithTopology(Topology{Cores: -1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunMachine(MachineRun{Spec: PointerChase{Nodes: 64, Hops: 8, Instances: 1}}); err == nil {
-		t.Error("negative core count accepted")
+	for _, topo := range []Topology{
+		{Cores: -1},
+		{Cores: 2, Quantum: math.MaxUint64},
+		{Cores: 2, Quantum: 1 << 63},
+	} {
+		s, err := NewSession(WithTopology(topo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultServiceConfig()
+		cfg.Requests = 10
+		cfg.Policies = []ServicePolicy{PolicyAgnostic}
+		start := time.Now()
+		_, runErr := s.RunMachine(MachineRun{Spec: PointerChase{Nodes: 64, Hops: 8, Instances: 1}})
+		_, serveErr := s.Serve(context.Background(), cfg)
+		if runErr == nil || serveErr == nil || runErr.Error() != serveErr.Error() {
+			t.Errorf("cores %d, quantum %d: RunMachine returned %v and Serve %v, want one validation error",
+				topo.Cores, topo.Quantum, runErr, serveErr)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("cores %d, quantum %d: refusing took %v", topo.Cores, topo.Quantum, d)
+		}
 	}
 }
