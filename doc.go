@@ -73,10 +73,10 @@
 // emitting exactly the stream the one-at-a-time interpreter would.
 //
 // Many-core simulation is cut around Topology: each simulated core owns
-// a private L1/L2 and runs on its own goroutine; all cores share a
-// banked LLC + DRAM with bandwidth/MSHR contention; a cycle-quantum
-// kernel keeps the whole machine deterministic (results are
-// byte-identical across GOMAXPROCS settings and repeated runs):
+// a private L1/L2; all cores share a banked LLC + DRAM with
+// bandwidth/MSHR contention; a cycle-quantum kernel keeps the whole
+// machine deterministic (results are byte-identical across GOMAXPROCS
+// settings and repeated runs):
 //
 //	s, _ = repro.NewSession(repro.WithTopology(repro.DefaultTopology(8)))
 //	st, _ := s.RunMachine(repro.MachineRun{

@@ -1,12 +1,11 @@
 // Many-core example: the whole machine in one deterministic run.
 //
-// Each simulated core owns a private L1/L2 and advances on its own
-// goroutine; all cores share a banked LLC + DRAM with bandwidth/MSHR
-// contention. The cycle-quantum kernel barriers the cores every few
-// thousand cycles and commits shared-LLC traffic in core-index order,
-// so every number printed here is byte-identical across runs and
-// GOMAXPROCS settings — parallel simulation without losing the
-// reproducibility the single-core engine guarantees.
+// Each simulated core owns a private L1/L2; all cores share a banked
+// LLC + DRAM with bandwidth/MSHR contention. The cycle-quantum kernel
+// barriers the cores every few thousand cycles and commits shared-LLC
+// traffic in core-index order, so every number printed here is
+// byte-identical across runs and GOMAXPROCS settings — the
+// reproducibility the single-core engine guarantees, on a whole chip.
 //
 // The sweep below scales a memory-bound pointer chase from 1 to 8
 // cores. Aggregate throughput grows with the core count while the

@@ -6,10 +6,9 @@ import (
 	"repro/internal/workloads"
 )
 
-// The kernel's steady state — barrier handshake, engine resume, LLC
-// commit — must not allocate: allocation in the quantum loop would
-// dominate small quanta and make scaling numbers garbage-collector
-// noise.
+// The kernel's steady state — engine resume, LLC commit — must not
+// allocate: allocation in the quantum loop would dominate small quanta
+// and make scaling numbers garbage-collector noise.
 func TestMachineSteadyStateAllocs(t *testing.T) {
 	topo := DefaultTopology(2)
 	topo.Quantum = 1024
@@ -20,7 +19,7 @@ func TestMachineSteadyStateAllocs(t *testing.T) {
 	}
 	defer m.Close()
 
-	// Warm the workers, channel buffers, and LLC log capacity.
+	// Warm the engines and the LLC log capacity.
 	for i := 0; i < 8; i++ {
 		if done, err := m.Step(); err != nil || done {
 			t.Fatalf("machine finished during warm-up (done=%v err=%v); grow the workload", done, err)

@@ -14,7 +14,7 @@ import (
 func run8(t *testing.T) (Stats, [][]trace.Event) {
 	t.Helper()
 	topo := DefaultTopology(8)
-	topo.Quantum = 512 // small quantum → many barriers → more interleavings stressed
+	topo.Quantum = 512 // small quantum → many barriers and commits
 	m, err := New(topo, RunConfig{Spec: chaseSpec(), Mode: ModeSymmetric, Metrics: true, TraceN: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
@@ -33,9 +33,7 @@ func run8(t *testing.T) (Stats, [][]trace.Event) {
 // The acceptance criterion of the quantum kernel: an 8-core run is
 // byte-identical — Stats, per-core metrics snapshots, per-core traces —
 // across GOMAXPROCS settings and across repeated runs with the same
-// seed. The handshake channels give the race detector the
-// happens-before edges, so `go test -race` over this test doubles as
-// the data-race proof.
+// seed.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

@@ -14,129 +14,73 @@ import (
 
 // Core is one simulated core as the barrier kernel sees it: anything
 // that can advance its own clock to a cycle deadline. done reports that
-// the core has nothing left to run. RunQuantum is called on the core's
-// own goroutine through this interface, which the static call graph
-// does not follow: every implementation carries its own
-// //shsim:cycle-entry and //shsim:quantum-phase roots.
+// the core has nothing left to run. Kernel.Step calls RunQuantum through
+// this interface, which the static call graph does not follow: every
+// implementation carries its own //shsim:cycle-entry and
+// //shsim:quantum-phase roots.
 type Core interface {
 	RunQuantum(deadline uint64) (done bool, err error)
 }
 
-// Kernel is the cycle-quantum barrier: it owns one goroutine per core,
-// the two channel operations per core per quantum, the shared-LLC
-// commit at the barrier, first-error propagation and shutdown. Both the
-// closed-loop Machine and the open-loop service dispatcher step their
-// cores through it. Not safe for concurrent use: Step and Close must be
-// called from one goroutine, which is also the only place the shared
-// LLC commits.
+// Kernel is the cycle-quantum barrier: it advances every core one
+// quantum, commits the shared LLC at the barrier and keeps the first
+// core error. Both the closed-loop Machine and the open-loop service
+// dispatcher step their cores through it. Everything runs on the
+// caller's goroutine; a Kernel is not safe for concurrent use.
 type Kernel struct {
 	llc     *mem.SharedLLC // nil: nothing to commit (1-core machines)
 	quantum uint64
-	workers []worker
+	cores   []Core
+	done    []bool
 
 	barrier uint64 // last committed barrier cycle
 	quanta  uint64
 
-	started  bool
 	finished bool
-	closed   bool
 	err      error
 }
 
-// worker is one core's goroutine state and handshake channels.
-type worker struct {
-	core  Core
-	done  bool
-	err   error
-	start chan uint64   // kernel → worker: quantum deadline
-	ack   chan struct{} // worker → kernel: quantum complete
-}
-
 // NewKernel prepares a kernel over cores, committing llc (nil for none)
-// at every barrier. Goroutines start at the first Step.
+// at every barrier.
 func NewKernel(llc *mem.SharedLLC, quantum uint64, cores []Core) *Kernel {
-	k := &Kernel{llc: llc, quantum: quantum, workers: make([]worker, len(cores))}
-	for i, c := range cores {
-		k.workers[i] = worker{core: c, start: make(chan uint64), ack: make(chan struct{})}
-	}
-	return k
+	return &Kernel{llc: llc, quantum: quantum, cores: cores, done: make([]bool, len(cores))}
 }
 
-// loop is the worker goroutine: one quantum per handshake. It performs
-// no allocation and exits when the kernel closes the start channel.
-//
-//shsim:quantum-phase
-func (w *worker) loop() {
-	for deadline := range w.start {
-		if !w.done && w.err == nil {
-			w.done, w.err = w.core.RunQuantum(deadline)
-		}
-		w.ack <- struct{}{}
-	}
-}
-
-// Step runs one cycle quantum: every core advances to the next barrier
-// on its own goroutine, the kernel waits for all of them, and the
-// shared LLC commits the quantum's traffic in core-index order. Returns
-// done=true once every core is done, an error stopped the run (the
-// first, by core index; sticky) or the kernel was closed. The
-// steady-state path performs no allocation.
+// Step runs one cycle quantum: every core not yet done advances to the
+// next barrier, in core-index order, then the shared LLC commits the
+// quantum's traffic in the same order. Returns done=true once every
+// core is done or an error stopped the run (the first, by core index;
+// sticky). The steady-state path performs no allocation.
 //
 // Step is the barrier: the only place shared LLC state commits, and a
 // cycle-domain entry point in its own right (all forward progress of
-// the many-core clock flows through here). The channel handshake is
-// both the determinism barrier and the happens-before edges the race
-// detector needs.
+// the many-core clock flows through here).
 //
 //shsim:commit-phase
 //shsim:cycle-entry
 func (k *Kernel) Step() (bool, error) {
-	if k.finished || k.closed {
+	if k.finished {
 		return true, k.err
 	}
-	if !k.started {
-		for i := range k.workers {
-			go k.workers[i].loop()
-		}
-		k.started = true
-	}
 	k.barrier += k.quantum
-	for i := range k.workers {
-		k.workers[i].start <- k.barrier
-	}
-	for i := range k.workers {
-		<-k.workers[i].ack
+	all := true
+	for i, c := range k.cores {
+		if k.done[i] {
+			continue
+		}
+		done, err := c.RunQuantum(k.barrier)
+		if err != nil && k.err == nil {
+			k.err = fmt.Errorf("core %d: %w", i, err)
+		}
+		k.done[i] = done
+		all = all && done
 	}
 	if k.llc != nil {
 		k.llc.Commit()
 	}
 	k.quanta++
-	all := true
-	for i := range k.workers {
-		w := &k.workers[i]
-		if w.err != nil {
-			k.err = fmt.Errorf("core %d: %w", i, w.err)
-			k.finished = true
-			return true, k.err
-		}
-		all = all && w.done
-	}
-	k.finished = all
-	return all, nil
-}
-
-// Close shuts the worker goroutines down. Idempotent; the kernel cannot
-// be stepped afterwards.
-func (k *Kernel) Close() {
-	if k.closed {
-		return
-	}
-	k.closed = true
-	if k.started {
-		for i := range k.workers {
-			close(k.workers[i].start)
-		}
-	}
+	k.finished = all || k.err != nil
+	return k.finished, k.err
 }
 
 // Barrier returns the last committed barrier cycle.
@@ -145,15 +89,16 @@ func (k *Kernel) Barrier() uint64 { return k.barrier }
 // Quanta returns the number of quanta stepped so far.
 func (k *Kernel) Quanta() uint64 { return k.quanta }
 
-// Machine is a running many-core simulation. Build one with New, drive
-// it with Step (one quantum at a time) or Run (to completion), then
-// Close. A Machine is not safe for concurrent use (see Kernel).
+// Machine is a running many-core simulation. Build one with New and
+// drive it with Step (one quantum at a time) or Run (to completion). A
+// Machine is not safe for concurrent use (see Kernel).
 type Machine struct {
-	topo  Topology
-	rc    RunConfig
-	llc   *mem.SharedLLC
-	cores []*coreRunner
-	k     *Kernel
+	topo   Topology
+	rc     RunConfig
+	llc    *mem.SharedLLC
+	cores  []*coreRunner
+	k      *Kernel
+	folded bool // request latencies recorded in the per-core registries
 }
 
 // coreRunner is one simulated core: its harness-built scenario, the
@@ -275,9 +220,9 @@ func (m *Machine) Step() (bool, error) {
 
 // Run steps the machine to completion, validates every core's
 // architectural results against the workload's expectations, and
-// returns the per-core and aggregate statistics.
+// returns the per-core and aggregate statistics. On a finished machine
+// Run steps nothing and returns the same statistics again.
 func (m *Machine) Run() (Stats, error) {
-	defer m.Close()
 	for {
 		done, err := m.Step()
 		if err != nil {
@@ -295,9 +240,9 @@ func (m *Machine) Run() (Stats, error) {
 	return m.stats(), nil
 }
 
-// Close shuts the worker goroutines down. Idempotent; the Machine
-// cannot be stepped afterwards.
-func (m *Machine) Close() { m.k.Close() }
+// Close ends the run: Step afterwards reports done, with the run's
+// sticky error if it failed. Idempotent; there is nothing to release.
+func (m *Machine) Close() { m.k.finished = true }
 
 // Quanta returns the number of quanta stepped so far.
 func (m *Machine) Quanta() uint64 { return m.k.Quanta() }

@@ -2,8 +2,8 @@
 // owns a cpu.Core with private L1/L2, all cores share a banked L3 +
 // DRAM with bandwidth/MSHR contention (mem.SharedLLC), and a
 // cycle-quantum kernel (Kernel, which the open-loop service dispatcher
-// steps its cores through too) steps every core on its own goroutine
-// inside deterministic quanta.
+// steps its cores through too) advances every core inside
+// deterministic quanta.
 //
 // # Determinism
 //
@@ -13,10 +13,7 @@
 // the logs commit in fixed core-index order. Cores never observe each
 // other mid-quantum, so the simulation result — per-core stats, metrics
 // and traces included — is a pure function of the topology and seed,
-// byte-identical regardless of GOMAXPROCS or goroutine scheduling. The
-// worker handshake is two channel operations per core per quantum,
-// which also gives the race detector the happens-before edges it needs
-// to prove the kernel clean.
+// byte-identical at any GOMAXPROCS.
 package machine
 
 import (
@@ -38,9 +35,9 @@ import (
 const CoreSeedStride = 100003
 
 // DefaultQuantum is the cycle-quantum length: long enough to amortize
-// the barrier handshake (two channel ops per core), short enough that
-// the one-quantum contention lag stays well under a DRAM round trip's
-// worth of drift per synchronization epoch.
+// the barrier's per-core resume and LLC commit, short enough that the
+// one-quantum contention lag stays well under a DRAM round trip's worth
+// of drift per synchronization epoch.
 const DefaultQuantum = 4096
 
 // MaxQuantum bounds Topology.Quantum. Barrier deadlines are sums of
@@ -53,7 +50,7 @@ const MaxQuantum = 1 << 32
 // template (caches, CPU, switch costs, memory size, seed), and the
 // shared LLC every core contends for.
 type Topology struct {
-	// Cores is the number of simulated cores, each on its own goroutine.
+	// Cores is the number of simulated cores.
 	Cores int
 	// Machine is the per-core template. Core i inherits it wholesale
 	// with Seed advanced by i*CoreSeedStride. A zero template (detected
@@ -184,7 +181,7 @@ type RunConfig struct {
 	Tasks int
 	// Exec configures the executor for ModeSymmetric/ModeSolo. Tracer
 	// and Metrics must be nil for multi-core topologies — observability
-	// is per-core (see Metrics/TraceN), never shared across goroutines.
+	// is per-core (see Metrics/TraceN), never shared across cores.
 	Exec exec.Config
 	// SMT configures ModeSMT; a zero Contexts defaults to the task count.
 	// Observability comes from Exec/Metrics/TraceN in every mode.
@@ -210,7 +207,7 @@ func (rc RunConfig) validate(cores int) error {
 		return fmt.Errorf("machine: negative task count %d", rc.Tasks)
 	}
 	if cores > 1 && (rc.Exec.Tracer != nil || rc.Exec.Metrics != nil) {
-		return fmt.Errorf("machine: Exec.Tracer/Exec.Metrics would be shared across %d core goroutines; use RunConfig.TraceN/Metrics for per-core observability", cores)
+		return fmt.Errorf("machine: Exec.Tracer/Exec.Metrics would be shared across %d cores; use RunConfig.TraceN/Metrics for per-core observability", cores)
 	}
 	if rc.TraceN < 0 {
 		return fmt.Errorf("machine: negative trace capacity %d", rc.TraceN)

@@ -203,3 +203,36 @@ func TestManyCoreRequestLatencyMetrics(t *testing.T) {
 		}
 	}
 }
+
+// Run on a finished machine steps nothing and records nothing twice:
+// the step-then-Run pattern and a repeated Run return the same Stats,
+// request latencies counted once per task.
+func TestRunIsIdempotent(t *testing.T) {
+	for _, mode := range []Mode{ModeSymmetric, ModeSMT} {
+		m, err := New(DefaultTopology(2), RunConfig{Spec: chaseSpec(), Mode: mode, Metrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for done := false; !done; {
+			if done, err = m.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("mode %v: a second Run changed the Stats", mode)
+		}
+		for i, cs := range second.Cores {
+			if got := cs.Metrics.Sched.Requests; got != 4 {
+				t.Errorf("mode %v core %d: Sched.Requests = %d after two Runs, want 4", mode, i, got)
+			}
+		}
+	}
+}

@@ -66,9 +66,10 @@ func (m *Machine) stats() Stats {
 			cs.SMT = c.smt.Stats()
 			latencies = cs.SMT.Latencies
 		}
-		if reg := c.ex.Cfg.Metrics; reg != nil {
+		if reg := c.ex.Cfg.Metrics; reg != nil && !m.folded {
 			// Many-core runs report request latencies: one request per
 			// task, its latency the halt time. Solo runs record none.
+			// Recorded once, however often Run is called.
 			for _, l := range latencies {
 				reg.Sched.Requests++
 				reg.Sched.RequestLatency.Observe(l)
@@ -91,6 +92,7 @@ func (m *Machine) stats() Stats {
 		st.Aggregate.Halted += cs.Exec.Halted
 	}
 	st.Aggregate.Cycles = st.Cycles
+	m.folded = true
 	return st
 }
 

@@ -10,7 +10,7 @@ import "fmt"
 //
 // # Quantum discipline (determinism contract)
 //
-// The LLC is shared across goroutines, so it follows the bound-weave
+// The LLC is shared across cores, so it follows the bound-weave
 // discipline of the cycle-quantum kernel (internal/machine):
 //
 //   - During a quantum, views only READ committed bank tag state
@@ -22,12 +22,10 @@ import "fmt"
 //     and shared-MSHR pressure are tallied, and the next quantum's
 //     queue penalties are derived from this quantum's committed load.
 //
-// Tag state therefore changes only between quanta, on the kernel
-// goroutine, with the barrier providing the happens-before edges — the
-// race detector proves the absence of unsynchronized access, and the
-// outcome is a pure function of the seed: cross-core interactions
-// resolve in core-index order no matter how the host schedules the
-// worker goroutines.
+// Tag state therefore changes only between quanta, at the barrier, and
+// the outcome is a pure function of the seed: cross-core interactions
+// resolve in core-index order, never in the order cores happened to run
+// within a quantum.
 //
 // # Contention model
 //
@@ -144,8 +142,7 @@ const asidLineShift = 40
 
 // SharedLLC is the banked shared last-level cache. Construct with
 // NewSharedLLC, hand each core a view via NewView, and call Commit at
-// every quantum barrier — from a single goroutine, with the barrier
-// ordering commits against the quantum's probes.
+// every quantum barrier, after every core has run the quantum's probes.
 type SharedLLC struct {
 	cfg       LLCConfig
 	banks     []*cache
@@ -201,7 +198,7 @@ func (s *SharedLLC) Config() LLCConfig { return s.cfg }
 // NewView registers a per-core view. The view's position in the commit
 // order is its registration order, so cores must register views in
 // core-index order. Setup-only: reshapes shared state, so it is off
-// limits once core goroutines exist.
+// limits once quanta run.
 //
 //shsim:llc-mutate
 func (s *SharedLLC) NewView(coreID int) *LLCView {
@@ -213,7 +210,7 @@ func (s *SharedLLC) NewView(coreID int) *LLCView {
 // Commit applies every view's access log to the bank tag state in
 // registration (core-index) order, merges per-view statistics, and
 // derives the next quantum's contention penalties from the committed
-// load. Call exactly once per quantum barrier, from one goroutine.
+// load. Call exactly once per quantum barrier.
 //
 //shsim:llc-mutate
 func (s *SharedLLC) Commit() {
@@ -262,7 +259,7 @@ func (s *SharedLLC) Commit() {
 // LLCView is one core's window onto the shared LLC: a read-only probe
 // of the committed tag state plus a private access log replayed at the
 // barrier. Views are not safe for concurrent use; each belongs to
-// exactly one core goroutine.
+// exactly one core.
 type LLCView struct {
 	llc *SharedLLC
 	// asid disambiguates per-core address spaces: each core runs over

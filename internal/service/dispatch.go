@@ -40,8 +40,8 @@ func (c *cell) RunQuantum(deadline uint64) (bool, error) {
 // order, using each core's queue depth plus in-flight count as of the
 // just-committed quantum as the load signal (one-quantum-lag feedback,
 // like the LLC commit's). The kernel then advances the cores one
-// quantum concurrently against frozen shared-LLC state and commits
-// their traffic in core-index order — so the whole cell is a pure
+// quantum each against frozen shared-LLC state and commits their
+// traffic in core-index order — so the whole cell is a pure
 // function of (machine, config, cell), byte-identical at any GOMAXPROCS.
 type dispatcher struct {
 	cfg  Config
@@ -99,7 +99,6 @@ func runCellMulti(mach core.Machine, cfg Config, cl Cell) (CellStats, error) {
 	if err != nil {
 		return CellStats{}, err
 	}
-	defer d.close()
 	if err := d.serve(); err != nil {
 		return CellStats{}, err
 	}
@@ -209,9 +208,6 @@ func (d *dispatcher) serve() error {
 		}
 	}
 }
-
-// close shuts the core goroutines down. Idempotent.
-func (d *dispatcher) close() { d.k.Close() }
 
 // stats merges the per-core summaries into one CellStats.
 func (d *dispatcher) stats() CellStats { return summarize(d.cl, d.cores, d.dropped) }

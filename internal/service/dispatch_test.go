@@ -31,7 +31,6 @@ func TestDispatcherPerCoreConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.close()
 	if err := d.serve(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +101,10 @@ func TestRunCellMultiDeterministicRepeats(t *testing.T) {
 	}
 }
 
-// TestDispatcherSteadyStateAllocs: once the core goroutines are up and
-// the first quanta have warmed the slot/queue structures, a full
-// admit → balance → quantum barrier round performs zero allocations —
-// the same gate internal/machine holds its kernel to.
+// TestDispatcherSteadyStateAllocs: once the first quanta have warmed
+// the slot/queue structures, a full admit → balance → quantum barrier
+// round performs zero allocations — the same gate internal/machine
+// holds its kernel to.
 func TestDispatcherSteadyStateAllocs(t *testing.T) {
 	// A request count the measured rounds cannot exhaust: the cell must
 	// stay mid-flight (arrivals pumping, cores serving) while we count.
@@ -114,7 +113,6 @@ func TestDispatcherSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.close()
 	round := func() {
 		d.pump()
 		d.assign()

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/coro"
@@ -118,24 +117,25 @@ func TestFuelExhaustionIsOneError(t *testing.T) {
 	}
 }
 
-// assertGoroutinesReturn runs f and checks that every goroutine it
-// started has exited once it returns.
-func assertGoroutinesReturn(t *testing.T, name string, f func()) {
-	t.Helper()
-	base := runtime.NumGoroutine()
-	f()
-	// Close only closes the workers' start channels; give them a moment
-	// to observe it and unwind.
-	for wait := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(wait); {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("%s: %d goroutines alive after Close, %d before the run", name, n, base)
+// goroutineProbe is a cpu.Observer that reads runtime.NumGoroutine at
+// every event its core emits, that is, from inside RunQuantum.
+type goroutineProbe struct {
+	base, events, other int // other: a count that was not base, 0 if none
+}
+
+func (p *goroutineProbe) check() {
+	p.events++
+	if n := runtime.NumGoroutine(); n != p.base {
+		p.other = n
 	}
 }
 
-// The barrier kernel's worker goroutines must not outlive Close, on
-// any path, for either of its consumers.
+func (p *goroutineProbe) OnRetire(cpu.RetireEvent) { p.check() }
+func (p *goroutineProbe) OnBranch(cpu.BranchEvent) { p.check() }
+
+// The barrier kernel runs every core on the caller's goroutine: for
+// both of its consumers and on every path, no goroutine is started
+// while quanta run and none is left behind.
 func TestKernelGoroutineLifetime(t *testing.T) {
 	topo := machine.DefaultTopology(2)
 	rc := machine.RunConfig{Spec: workloads.PointerChase{Nodes: 1024, Hops: 400, Instances: 4}}
@@ -146,49 +146,75 @@ func TestKernelGoroutineLifetime(t *testing.T) {
 		}
 		return m
 	}
-	cfg, cl := multiConfig(t, 2, 6, 300)
-
-	assertGoroutinesReturn(t, "machine, normal completion", func() {
-		if _, err := newMachine(rc).Run(); err != nil {
-			t.Error(err)
-		}
-	})
-	assertGoroutinesReturn(t, "machine, core error mid-run", func() {
-		starved := rc
-		starved.Exec.MaxSteps = 3000
-		if _, err := newMachine(starved).Run(); !errors.Is(err, exec.ErrFuelExhausted) {
-			t.Errorf("starved machine returned %v", err)
-		}
-	})
-	assertGoroutinesReturn(t, "machine, Close before Step and twice", func() {
+	// runMachine steps the machine to completion, holding the goroutine
+	// count at its starting value after every Step, then Runs it.
+	runMachine := func(name string, rc machine.RunConfig) error {
 		m := newMachine(rc)
-		m.Close()
-		m.Close()
-		if done, err := m.Step(); !done || err != nil {
-			t.Errorf("Step after Close = (%v, %v), want (true, nil)", done, err)
+		base := runtime.NumGoroutine()
+		for {
+			done, err := m.Step()
+			if n := runtime.NumGoroutine(); n != base {
+				t.Errorf("%s: %d goroutines after Step, %d before the run", name, n, base)
+			}
+			if err != nil {
+				return err
+			}
+			if done {
+				break
+			}
 		}
-	})
+		_, err := m.Run()
+		return err
+	}
+	if err := runMachine("machine, normal completion", rc); err != nil {
+		t.Error(err)
+	}
+	starved := rc
+	starved.Exec.MaxSteps = 3000
+	if err := runMachine("machine, core error mid-run", starved); !errors.Is(err, exec.ErrFuelExhausted) {
+		t.Errorf("starved machine returned %v", err)
+	}
+	m := newMachine(rc)
+	m.Close()
+	m.Close()
+	if done, err := m.Step(); !done || err != nil {
+		t.Errorf("Step after Close = (%v, %v), want (true, nil)", done, err)
+	}
 
-	assertGoroutinesReturn(t, "serve, normal completion", func() {
-		if _, err := RunCell(core.DefaultMachine(), cfg, cl); err != nil {
-			t.Error(err)
-		}
-	})
-	assertGoroutinesReturn(t, "serve, core error mid-run", func() {
-		starved := cfg
-		starved.MaxSteps = 3000
-		if _, err := RunCell(core.DefaultMachine(), starved, cl); !errors.Is(err, exec.ErrFuelExhausted) {
-			t.Errorf("starved cell returned %v", err)
-		}
-	})
-	assertGoroutinesReturn(t, "serve, close before step and twice", func() {
+	cfg, cl := multiConfig(t, 2, 6, 300)
+	// serve runs a dispatched cell with a probe on every core.
+	serve := func(name string, cfg Config) error {
 		d, err := newDispatcher(core.DefaultMachine(), cfg, cl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.close()
-		d.close()
-	})
+		base := runtime.NumGoroutine()
+		probes := make([]goroutineProbe, len(d.cores))
+		for i, c := range d.cores {
+			probes[i].base = base
+			c.ex.Core.Observe(&probes[i])
+		}
+		err = d.serve()
+		for i, p := range probes {
+			if p.events == 0 {
+				t.Errorf("%s: core %d emitted no events, so nothing was checked", name, i)
+			}
+			if p.other != 0 {
+				t.Errorf("%s: core %d ran a quantum with %d goroutines alive, %d before the run", name, i, p.other, base)
+			}
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Errorf("%s: %d goroutines after the run, %d before", name, n, base)
+		}
+		return err
+	}
+	if err := serve("serve, normal completion", cfg); err != nil {
+		t.Error(err)
+	}
+	cfg.MaxSteps = 3000
+	if err := serve("serve, core error mid-run", cfg); !errors.Is(err, exec.ErrFuelExhausted) {
+		t.Errorf("starved cell returned %v", err)
+	}
 }
 
 // pollState is everything a Poll may touch: the registry, the admission
@@ -312,7 +338,6 @@ func TestServeCellsSkipBatchLaps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer d.close()
 			if err := d.serve(); err != nil {
 				t.Fatal(err)
 			}

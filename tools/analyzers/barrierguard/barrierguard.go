@@ -1,13 +1,13 @@
 // Package barrierguard turns the cycle-quantum kernel's bound-weave
 // protocol (internal/machine + mem.SharedLLC, ARCHITECTURE.md §10)
 // from a code-review convention into a machine-checked structural
-// property. The protocol: during a quantum, core goroutines may only
-// READ the committed shared-LLC tag state (plus the contention figures
-// frozen at the last barrier); tag state MUTATES only between quanta,
-// on the kernel goroutine, at the barrier's Commit. The race detector
-// proves the absence of unsynchronized access at runtime; barrierguard
-// proves at vet time that no code reachable from a core goroutine can
-// even name a mutating method.
+// property. The protocol: during a quantum, cores may only READ the
+// committed shared-LLC tag state (plus the contention figures frozen at
+// the last barrier); tag state MUTATES only between quanta, at the
+// barrier's Commit. That is what makes the result independent of the
+// order cores run within a quantum; barrierguard proves at vet time
+// that no code reachable from a core's quantum can even name a mutating
+// method.
 //
 // # Annotations
 //
@@ -16,16 +16,16 @@
 //	//shsim:llc-read    safe during a quantum (probes committed state,
 //	                    touches only the view's core-private log)
 //	//shsim:llc-mutate  commits or reshapes shared state; only legal
-//	                    from the barrier (or setup, before goroutines
-//	                    exist)
+//	                    from the barrier (or setup, before the first
+//	                    quantum)
 //
 // Once one method of a type is classified, every method of that type
 // must be (rule "unclassified") — an unclassified method on a shared
 // type is exactly where the next mutation sneaks in.
 //
-// Phase roots are annotated where the goroutines are structured:
+// Phase roots are annotated where the kernel's phases begin:
 //
-//	//shsim:quantum-phase  run on a core goroutine during quanta; the
+//	//shsim:quantum-phase  runs a core's quantum; the
 //	                       transitive call graph below it must not
 //	                       reach an llc-mutate method (rule
 //	                       "quantum-mutate")
@@ -70,7 +70,7 @@ var Analyzer = &framework.Analyzer{
 	Name: "barrierguard",
 	Doc: "prove the cycle-quantum LLC protocol: quantum-phase code reaches no mutating shared-LLC method\n\n" +
 		"Methods annotated //shsim:llc-read / //shsim:llc-mutate classify the shared surface; functions " +
-		"annotated //shsim:quantum-phase (core-goroutine roots) must not transitively reach a mutating " +
+		"annotated //shsim:quantum-phase (a core's quantum) must not transitively reach a mutating " +
 		"method, which only //shsim:commit-phase code (the barrier) may call.",
 	Run: run,
 }
