@@ -11,12 +11,18 @@
 // the cycle-domain counter registry, -trace-out writes the retained
 // scheduling events as Chrome trace-event JSON for Perfetto.
 //
+// With -cores N the whole many-core machine runs under the cycle-quantum
+// kernel, and every core observes into the same ring and registry:
+// -metrics prints machine-wide totals, -trace N keeps the last N events
+// across all cores, and -trace-out draws one process row per core.
+//
 // Usage:
 //
 //	shrun -workload hashjoin -mode symmetric -n 8
 //	shrun -workload hashjoin -image hashjoin.instrumented.img -mode dual -scavengers 4
 //	shrun -workload bst -mode dual -metrics -trace-out bst.trace.json
 //	shrun -workload bst -mode symmetric -n 8 -seeds 5 -parallel 4 -cache
+//	shrun -workload chase -mode symmetric -n 2 -cores 4 -metrics -trace-out chase.trace.json
 //
 // With -serve the tool switches to the open-loop service harness:
 // requests arrive on their own simulated clock (Poisson by default) and
@@ -82,7 +88,7 @@ func main() {
 	fs.IntVar(&o.n, "n", 1, "coroutines to run (solo/symmetric)")
 	fs.IntVar(&o.scavengers, "scavengers", 3, "scavenger coroutines (dual mode; instance 0 is the primary)")
 	fs.BoolVar(&o.hwAssist, "hwassist", false, "enable the §4.1 cache-presence probe at primary yields")
-	fs.IntVar(&o.traceN, "trace", 0, "retain and dump the last N scheduling events")
+	fs.IntVar(&o.traceN, "trace", 0, "retain and dump the last N scheduling events (across all cores with -cores)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write retained trace events as Chrome trace-event JSON to this file")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the cycle-domain observability counters after the run")
 	fs.IntVar(&o.seeds, "seeds", 1, "run the scenario under N seeds and summarize stability")
@@ -134,30 +140,33 @@ func (ob observe) finish(w io.Writer, o options, dumpEvents bool) error {
 			return err
 		}
 	}
-	if o.traceOut != "" {
-		return exportChromeTrace(w, o.traceOut, ob.ring, "")
+	if o.traceOut == "" {
+		return nil
 	}
-	return nil
-}
-
-// exportChromeTrace writes ring's retained events to path as Chrome
-// trace-event JSON and confirms the export on w; whose names the
-// events' owner in that line ("core 0's "), or is empty.
-func exportChromeTrace(w io.Writer, path string, ring *trace.Ring, whose string) error {
-	f, err := os.Create(path)
+	f, err := os.Create(o.traceOut)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteChromeTrace(f, ring.Events(), trace.ChromeTraceOptions{}); err != nil {
+	if err := trace.WriteChromeTrace(f, ob.ring.Events(), trace.ChromeTraceOptions{}); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "trace: %s%d event(s) exported to %s (load in Perfetto / chrome://tracing)\n",
-		whose, ring.Total(), path)
+	fmt.Fprintf(w, "trace: %d event(s) exported to %s (load in Perfetto / chrome://tracing)\n",
+		ob.ring.Total(), o.traceOut)
 	return nil
+}
+
+// config is the executor configuration every run builds on: -hwassist,
+// observing into ob.
+func (ob observe) config(o options) exec.Config {
+	cfg := exec.Config{HWAssist: o.hwAssist, Metrics: ob.reg}
+	if ob.ring != nil {
+		cfg.Tracer = ob.ring
+	}
+	return cfg
 }
 
 func run(w io.Writer, o options) error {
@@ -172,7 +181,7 @@ func run(w io.Writer, o options) error {
 	}
 	if o.tf.Cores > 1 {
 		// Upfront validation: many-core runs rebuild per-core baseline
-		// scenarios and keep observability per core.
+		// scenarios.
 		if o.imagePath != "" {
 			return fmt.Errorf("-image is a single-scenario binary; many-core runs rebuild per-core baselines, drop -cores or -image")
 		}
@@ -310,35 +319,18 @@ func machineMode(mode string) (machine.Mode, error) {
 
 // runMachine simulates the whole -cores topology under the
 // deterministic cycle-quantum kernel and reports per-core plus
-// machine-level statistics.
+// machine-level statistics. Every core observes into the one ring and
+// registry, so -metrics prints machine-wide totals and the trace holds
+// every core's events.
 func runMachine(w io.Writer, o options) error {
 	spec, err := cli.SpecByName(o.wf.Workload, o.wf.Instances)
 	if err != nil {
 		return err
 	}
-	md, err := machineMode(o.mode)
-	if err != nil {
-		return err
-	}
 	mach := core.DefaultMachine()
 	mach.Seed = o.wf.Seed
-	topo, err := o.tf.Topology(mach)
-	if err != nil {
-		return err
-	}
-	traceN := o.traceN
-	if traceN == 0 && o.traceOut != "" {
-		traceN = 1 << 16
-	}
-	rc := machine.RunConfig{
-		Spec:    spec,
-		Mode:    md,
-		Tasks:   o.n,
-		Exec:    exec.Config{HWAssist: o.hwAssist},
-		Metrics: o.metrics,
-		TraceN:  traceN,
-	}
-	m, err := machine.New(topo, rc)
+	ob := newObserve(o)
+	m, topo, err := newMachine(o, spec, mach, ob)
 	if err != nil {
 		return err
 	}
@@ -358,35 +350,28 @@ func runMachine(w io.Writer, o options) error {
 	fmt.Fprintf(w, "  shared llc: %d hits, %d misses, %d queued (+%d cycles), peak bank load %d/quantum\n",
 		st.LLC.Hits, st.LLC.Misses, st.LLC.Queued, st.LLC.QueueCycles, st.LLC.PeakBankLoad)
 	fmt.Fprintf(w, "  results validated against host reference: ok\n")
+	return ob.finish(w, o, true)
+}
 
-	if o.metrics {
-		var reg metrics.Registry
-		st.FillMetrics(&reg)
-		fmt.Fprint(w, reg.Snapshot().Table().String())
+// newMachine builds the -cores topology over mach, every core running
+// spec under -mode and observing into ob.
+func newMachine(o options, spec workloads.Spec, mach core.Machine, ob observe) (*machine.Machine, machine.Topology, error) {
+	md, err := machineMode(o.mode)
+	if err != nil {
+		return nil, machine.Topology{}, err
 	}
-	if ring := m.TraceRing(0); ring != nil {
-		if o.traceN > 0 {
-			fmt.Fprintf(w, "\ntrace (core 0): %s\n", ring.Summary())
-			if err := ring.Dump(w); err != nil {
-				return err
-			}
-		}
-		if o.traceOut != "" {
-			return exportChromeTrace(w, o.traceOut, ring, "core 0's ")
-		}
+	topo, err := o.tf.Topology(mach)
+	if err != nil {
+		return nil, topo, err
 	}
-	return nil
+	m, err := machine.New(topo, machine.RunConfig{Spec: spec, Mode: md, Tasks: o.n, Exec: ob.config(o)})
+	return m, topo, err
 }
 
 // execute runs one scenario under the selected discipline, observing
 // into ob, and validates results against the host reference.
 func execute(h *core.Harness, img *core.Image, part string, o options, ob observe) (exec.Stats, error) {
-	cfg := exec.Config{HWAssist: o.hwAssist}
-	if ob.ring != nil {
-		cfg.Tracer = ob.ring
-	}
-	cfg.Metrics = ob.reg
-	ex := h.NewExecutor(img, cfg)
+	ex := h.NewExecutor(img, ob.config(o))
 	defer ex.CaptureMetrics()
 
 	var st exec.Stats
@@ -423,12 +408,15 @@ func execute(h *core.Harness, img *core.Image, part string, o options, ob observ
 	}
 }
 
-// runSweep fans the scenario across seeds on the runner and summarizes.
-// With tracing or metrics on, the sweep is forced sequential and one
-// ring/registry pair is reused across jobs via Reset, so observation
-// costs a constant number of allocations total; observed jobs also skip
-// the result cache (a cached cell simulates nothing, so it would leave
-// the counters empty).
+// runSweep fans the scenario across seeds on the runner and summarizes;
+// with -cores N each seed runs the whole machine. With tracing or
+// metrics on, the sweep is forced sequential and one ring/registry pair
+// is reused across jobs via Reset, so observation costs a constant
+// number of allocations total; observed jobs also skip the result cache
+// (a cached cell simulates nothing, so it would leave the counters
+// empty). Many-core jobs carry their topology, so the cache never
+// confuses a many-core cell with a single-core one (or two topologies
+// with each other).
 func runSweep(w io.Writer, o options) error {
 	if o.mode == "dual" && o.scavengers+1 > o.wf.Instances {
 		return fmt.Errorf("dual mode needs %d instances (1 primary + %d scavengers); pass -instances", o.scavengers+1, o.scavengers)
@@ -438,14 +426,10 @@ func runSweep(w io.Writer, o options) error {
 	if observed {
 		o.parallel = 1
 	}
-	if o.tf.Cores > 1 && observed {
-		return fmt.Errorf("many-core observability is per core and not summarized across a sweep; drop -seeds or -metrics/-trace")
-	}
 	spec, err := cli.SpecByName(o.wf.Workload, o.wf.Instances)
 	if err != nil {
 		return err
 	}
-	part := spec.Name()
 
 	var cache *runner.Cache
 	if o.cache || o.cacheDir != "" {
@@ -463,62 +447,55 @@ func runSweep(w io.Writer, o options) error {
 		}
 	}
 
+	// The ID carries every knob the cell reads, so equal IDs really
+	// are the same computation and the cell is cacheable.
+	id := fmt.Sprintf("shrun/%s/%s/n=%d/scav=%d/hw=%t/inst=%d",
+		o.wf.Workload, o.mode, o.n, o.scavengers, o.hwAssist, o.wf.Instances)
+	cell := seedRun
+	where, cols := "", []string{"seed", "cycles", "efficiency", "IPC"}
 	if o.tf.Cores > 1 {
-		return runMachineSweep(w, o, spec, cache)
+		id = fmt.Sprintf("shrun/%s/%s/cores=%d/n=%d/hw=%t/inst=%d",
+			o.wf.Workload, o.mode, o.tf.Cores, o.n, o.hwAssist, o.wf.Instances)
+		cell = seedMachine
+		where, cols = fmt.Sprintf(" on %d cores", o.tf.Cores), append(cols, "llc misses")
 	}
-
 	var jobs []runner.Job
 	for i := 0; i < o.seeds; i++ {
 		mach := core.DefaultMachine()
 		mach.Seed = o.wf.Seed + int64(i)*7919
-		jobs = append(jobs, runner.Job{
-			// The ID carries every knob the closure reads, so equal IDs
-			// really are the same computation and the cell is cacheable.
-			ID: fmt.Sprintf("shrun/%s/%s/n=%d/scav=%d/hw=%t/inst=%d",
-				o.wf.Workload, o.mode, o.n, o.scavengers, o.hwAssist, o.wf.Instances),
-			Mach:      mach,
-			Cacheable: !observed,
+		job := runner.Job{ID: id, Mach: mach, Cacheable: !observed,
 			Run: func(m core.Machine) (*experiments.Result, error) {
-				h, err := core.NewHarness(m, spec)
-				if err != nil {
-					return nil, err
-				}
 				if ob.ring != nil {
 					ob.ring.Reset()
 				}
 				if ob.reg != nil {
 					ob.reg.Reset()
 				}
-				st, err := execute(h, h.Baseline(), part, o, ob)
-				if err != nil {
-					return nil, err
-				}
-				res := &experiments.Result{ID: "shrun", Metrics: map[string]float64{
-					"cycles":     float64(st.Cycles),
-					"efficiency": st.Efficiency(),
-					"stall_frac": st.StallFraction(),
-					"switches":   float64(st.Switches),
-					"ipc":        st.IPC(),
-				}}
-				if o.mode == "dual" {
-					res.Metrics["primary_latency"] = float64(st.PrimaryLatency)
-					res.Metrics["episodes"] = float64(st.Episodes)
-				}
-				return res, nil
-			},
-		})
+				return cell(o, spec, m, ob)
+			}}
+		if o.tf.Cores > 1 {
+			topo, err := o.tf.Topology(mach)
+			if err != nil {
+				return err
+			}
+			job.Topo = &topo
+		}
+		jobs = append(jobs, job)
 	}
 
 	results, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: o.parallel, Cache: cache})
 	if err != nil {
 		return err
 	}
-	tb := stats.NewTable(fmt.Sprintf("%s/%s over %d seeds", o.wf.Workload, o.mode, o.seeds),
-		"seed", "cycles", "efficiency", "IPC")
+	tb := stats.NewTable(fmt.Sprintf("%s/%s%s over %d seeds", o.wf.Workload, o.mode, where, o.seeds), cols...)
 	samples := map[string][]float64{}
 	for _, r := range results {
 		m := r.Res.Metrics
-		tb.Row(r.Job.Mach.Seed, uint64(m["cycles"]), m["efficiency"], m["ipc"])
+		row := []any{r.Job.Mach.Seed, uint64(m["cycles"]), m["efficiency"], m["ipc"]}
+		if o.tf.Cores > 1 {
+			row = append(row, uint64(m["llc_misses"]))
+		}
+		tb.Row(row...)
 		for k, v := range m {
 			samples[k] = append(samples[k], v)
 		}
@@ -538,74 +515,45 @@ func runSweep(w io.Writer, o options) error {
 	return ob.finish(w, o, false)
 }
 
-// runMachineSweep fans a many-core run across seeds. Jobs carry the
-// full topology, so the cache never confuses a many-core cell with a
-// single-core one (or two topologies with each other).
-func runMachineSweep(w io.Writer, o options, spec workloads.Spec, cache *runner.Cache) error {
-	md, err := machineMode(o.mode)
+// seedRun is one single-core sweep cell: the baseline scenario on m.
+func seedRun(o options, spec workloads.Spec, m core.Machine, ob observe) (*experiments.Result, error) {
+	h, err := core.NewHarness(m, spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	baseTopo, err := o.tf.Topology(core.DefaultMachine())
+	st, err := execute(h, h.Baseline(), spec.Name(), o, ob)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rc := machine.RunConfig{Spec: spec, Mode: md, Tasks: o.n,
-		Exec: exec.Config{HWAssist: o.hwAssist}}
+	res := &experiments.Result{ID: "shrun", Metrics: map[string]float64{
+		"cycles":     float64(st.Cycles),
+		"efficiency": st.Efficiency(),
+		"stall_frac": st.StallFraction(),
+		"switches":   float64(st.Switches),
+		"ipc":        st.IPC(),
+	}}
+	if o.mode == "dual" {
+		res.Metrics["primary_latency"] = float64(st.PrimaryLatency)
+		res.Metrics["episodes"] = float64(st.Episodes)
+	}
+	return res, nil
+}
 
-	var jobs []runner.Job
-	for i := 0; i < o.seeds; i++ {
-		topo := baseTopo // fresh copy per iteration; &topo below must not alias
-		topo.Machine.Seed = o.wf.Seed + int64(i)*7919
-		jobs = append(jobs, runner.Job{
-			ID: fmt.Sprintf("shrun/%s/%s/cores=%d/n=%d/hw=%t/inst=%d",
-				o.wf.Workload, o.mode, o.tf.Cores, o.n, o.hwAssist, o.wf.Instances),
-			Mach:      topo.Machine,
-			Topo:      &topo,
-			Cacheable: true,
-			Run: func(m core.Machine) (*experiments.Result, error) {
-				t := topo
-				t.Machine = m
-				mm, err := machine.New(t, rc)
-				if err != nil {
-					return nil, err
-				}
-				st, err := mm.Run()
-				if err != nil {
-					return nil, err
-				}
-				return &experiments.Result{ID: "shrun", Metrics: map[string]float64{
-					"cycles":     float64(st.Cycles),
-					"efficiency": float64(st.Aggregate.Busy) / float64(uint64(o.tf.Cores)*st.Cycles),
-					"ipc":        float64(st.Aggregate.Retired) / float64(st.Cycles),
-					"llc_misses": float64(st.LLC.Misses),
-					"llc_queued": float64(st.LLC.Queued),
-				}}, nil
-			},
-		})
-	}
-
-	results, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: o.parallel, Cache: cache})
+// seedMachine is one many-core sweep cell: the -cores machine over m.
+func seedMachine(o options, spec workloads.Spec, m core.Machine, ob observe) (*experiments.Result, error) {
+	mm, _, err := newMachine(o, spec, m, ob)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	tb := stats.NewTable(fmt.Sprintf("%s/%s on %d cores over %d seeds", o.wf.Workload, o.mode, o.tf.Cores, o.seeds),
-		"seed", "cycles", "efficiency", "machine IPC", "llc misses")
-	samples := map[string][]float64{}
-	for _, r := range results {
-		m := r.Res.Metrics
-		tb.Row(r.Job.Mach.Seed, uint64(m["cycles"]), m["efficiency"], m["ipc"], uint64(m["llc_misses"]))
-		for k, v := range m {
-			samples[k] = append(samples[k], v)
-		}
+	st, err := mm.Run()
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprint(w, tb.String())
-	cyc := stats.Summarize(samples["cycles"])
-	ipc := stats.Summarize(samples["ipc"])
-	fmt.Fprintf(w, "cycles %0.f ± %.0f, machine IPC %.3f ± %.3f (all results validated)\n",
-		cyc.Mean, cyc.Stddev, ipc.Mean, ipc.Stddev)
-	if cache != nil {
-		fmt.Fprintf(w, "cache: %d hit(s), %d miss(es) under %s\n", cache.Hits(), cache.Misses(), cache.Dir())
-	}
-	return nil
+	return &experiments.Result{ID: "shrun", Metrics: map[string]float64{
+		"cycles":     float64(st.Cycles),
+		"efficiency": float64(st.Aggregate.Busy) / float64(uint64(o.tf.Cores)*st.Cycles),
+		"ipc":        float64(st.Aggregate.Retired) / float64(st.Cycles),
+		"llc_misses": float64(st.LLC.Misses),
+		"llc_queued": float64(st.LLC.Queued),
+	}}, nil
 }

@@ -253,3 +253,101 @@ func TestServeFlagChecks(t *testing.T) {
 		t.Error("-serve with -metrics accepted")
 	}
 }
+
+// manyCore is a small 2-core symmetric run: 2 tasks per core.
+func manyCore() options {
+	o := defaults()
+	o.tf.Cores = 2
+	o.mode = "symmetric"
+	o.n = 2
+	return o
+}
+
+// tableValue returns the value column of the observability table row
+// "domain metric".
+func tableValue(t *testing.T, out, domain, metric string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == domain && f[1] == metric {
+			return f[2]
+		}
+	}
+	t.Fatalf("no %s %s row in:\n%s", domain, metric, out)
+	return ""
+}
+
+// Every core observes into the one registry: -metrics on many cores
+// prints machine-wide totals that match the run's own summary.
+func TestManyCoreMetricsTotals(t *testing.T) {
+	o := manyCore()
+	o.metrics = true
+	var out bytes.Buffer
+	if err := run(&out, o); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	var aggregate string
+	for _, line := range strings.Split(s, "\n") {
+		if rest, ok := strings.CutPrefix(line, "  aggregate: "); ok {
+			aggregate = strings.Fields(rest)[0]
+		}
+	}
+	if aggregate == "" || aggregate == "0" {
+		t.Fatalf("no aggregate retired count:\n%s", s)
+	}
+	if got := tableValue(t, s, "cpu", "retired"); got != aggregate {
+		t.Errorf("cpu retired = %s, aggregate retired = %s", got, aggregate)
+	}
+	if got := tableValue(t, s, "sched", "requests"); got != "4" {
+		t.Errorf("sched requests = %s, want 4 (2 cores × 2 tasks)", got)
+	}
+	if got := tableValue(t, s, "mem", "l1_hits"); got == "0" {
+		t.Errorf("mem l1_hits is 0 on a run that retired %s instructions", aggregate)
+	}
+}
+
+// -trace-out on many cores exports one process row per core.
+func TestManyCoreTraceOutHasProcessPerCore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mc.trace.json")
+	o := manyCore()
+	o.traceOut = path
+	var out bytes.Buffer
+	if err := run(&out, o); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(raw, &events); err != nil {
+		t.Fatalf("-trace-out invalid: %v", err)
+	}
+	pids := map[float64]bool{}
+	for _, ev := range events {
+		if ev["name"] == "process_name" {
+			pids[ev["pid"].(float64)] = true
+		}
+	}
+	if len(pids) != 2 || !pids[0] || !pids[1] {
+		t.Errorf("process rows %v, want pids 0 and 1", pids)
+	}
+}
+
+// An observed many-core sweep runs, reporting the last seed's totals.
+func TestManyCoreSweepMetrics(t *testing.T) {
+	o := manyCore()
+	o.seeds = 2
+	o.metrics = true
+	var out bytes.Buffer
+	if err := run(&out, o); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	if !strings.Contains(s, "on 2 cores over 2 seeds") {
+		t.Errorf("missing many-core sweep table:\n%s", s)
+	}
+	if got := tableValue(t, s, "sched", "requests"); got != "4" {
+		t.Errorf("sched requests = %s, want 4 (the last seed's 2 cores × 2 tasks)", got)
+	}
+}

@@ -85,6 +85,10 @@
 //	})
 //	// st.Cores[i] per-core, st.Aggregate + st.LLC machine-wide
 //
+// Every core observes through the session's one tracer and registry:
+// trace events carry their Core (ExportTrace draws a process row per
+// core) and the registry ends the run with machine-wide totals.
+//
 // Open-loop service simulation — the datacenter question the paper
 // opens with — is cut around Session.Serve: requests arrive on their
 // own clock (Poisson, uniform or bursty, in requests per simulated µs),

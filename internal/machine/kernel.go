@@ -7,7 +7,6 @@ import (
 	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/smt"
 	"repro/internal/trace"
 )
@@ -98,11 +97,11 @@ type Machine struct {
 	llc    *mem.SharedLLC
 	cores  []*coreRunner
 	k      *Kernel
-	folded bool // request latencies recorded in the per-core registries
+	folded bool // request latencies recorded in the shared registry
 }
 
-// coreRunner is one simulated core: its harness-built scenario, the
-// engine advancing it and per-core observability.
+// coreRunner is one simulated core: its harness-built scenario and the
+// engine advancing it.
 type coreRunner struct {
 	id   int
 	mach core.Machine
@@ -111,9 +110,19 @@ type coreRunner struct {
 	ex   *exec.Executor // owns the cpu.Core either engine drives
 	tick *exec.Ticker   // ModeSymmetric / ModeSolo
 	smt  *smt.Runner    // ModeSMT
+}
 
-	reg  *metrics.Registry
-	ring *trace.Ring
+// coreTracer stamps one core's index on the events it forwards to the
+// machine's shared tracer.
+type coreTracer struct {
+	core int
+	next trace.Tracer
+}
+
+// Emit implements trace.Tracer.
+func (t coreTracer) Emit(e trace.Event) {
+	e.Core = t.core
+	t.next.Emit(e)
 }
 
 // RunQuantum advances the core's engine to the deadline.
@@ -129,14 +138,15 @@ func (c *coreRunner) RunQuantum(deadline uint64) (bool, error) {
 
 // New builds a many-core machine: per-core harnesses (each core
 // composes the workload over its own memory with its strided seed),
-// per-core engines, and — for multi-core topologies — the shared LLC
-// attached to every core's hierarchy in core-index order.
+// per-core engines observing through rc.Exec's one tracer and registry,
+// and — for multi-core topologies — the shared LLC attached to every
+// core's hierarchy in core-index order.
 func New(topo Topology, rc RunConfig) (*Machine, error) {
 	topo = topo.withDefaults()
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	if err := rc.validate(topo.Cores); err != nil {
+	if err := rc.validate(); err != nil {
 		return nil, err
 	}
 	m := &Machine{topo: topo, rc: rc}
@@ -156,12 +166,6 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 			return nil, fmt.Errorf("machine: core %d: %w", i, err)
 		}
 		img := h.Baseline()
-		if rc.Metrics {
-			c.reg = &metrics.Registry{}
-		}
-		if rc.TraceN > 0 {
-			c.ring = trace.NewRing(rc.TraceN)
-		}
 		count := rc.Tasks
 		if rc.Mode == ModeSolo {
 			count = 1
@@ -173,11 +177,8 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 		c.ts = ts
 
 		cfg := rc.Exec
-		if cfg.Tracer == nil && c.ring != nil {
-			cfg.Tracer = c.ring
-		}
-		if cfg.Metrics == nil {
-			cfg.Metrics = c.reg
+		if cfg.Tracer != nil {
+			cfg.Tracer = coreTracer{core: i, next: cfg.Tracer}
 		}
 		c.ex = h.NewExecutor(img, cfg)
 		if m.llc != nil {
@@ -246,6 +247,3 @@ func (m *Machine) Close() { m.k.finished = true }
 
 // Quanta returns the number of quanta stepped so far.
 func (m *Machine) Quanta() uint64 { return m.k.Quanta() }
-
-// TraceRing returns core i's trace ring, or nil when tracing is off.
-func (m *Machine) TraceRing(i int) *trace.Ring { return m.cores[i].ring }

@@ -11,9 +11,9 @@
 // every core advances independently against a frozen snapshot of the
 // shared-LLC tag state, logging its LLC traffic; at the quantum barrier
 // the logs commit in fixed core-index order. Cores never observe each
-// other mid-quantum, so the simulation result — per-core stats, metrics
-// and traces included — is a pure function of the topology and seed,
-// byte-identical at any GOMAXPROCS.
+// other mid-quantum, so the simulation result — per-core stats, the
+// shared metrics registry and trace included — is a pure function of
+// the topology and seed, byte-identical at any GOMAXPROCS.
 package machine
 
 import (
@@ -179,22 +179,19 @@ type RunConfig struct {
 	// Tasks caps the instances run per core (0 = all of Spec's
 	// instances; ModeSolo always runs exactly one).
 	Tasks int
-	// Exec configures the executor for ModeSymmetric/ModeSolo. Tracer
-	// and Metrics must be nil for multi-core topologies — observability
-	// is per-core (see Metrics/TraceN), never shared across cores.
+	// Exec configures the executor for ModeSymmetric/ModeSolo. Its
+	// Tracer and Metrics observe the whole machine at any core count:
+	// every core emits into the one Tracer, each event stamped with its
+	// core index, and Run fills the one registry with machine-wide
+	// totals. Cores step in core-index order on the caller's goroutine,
+	// so both are deterministic. ModeSMT fills the registry too but
+	// emits no scheduling events.
 	Exec exec.Config
 	// SMT configures ModeSMT; a zero Contexts defaults to the task count.
-	// Observability comes from Exec/Metrics/TraceN in every mode.
 	SMT smt.Config
-	// Metrics allocates a private metrics registry per core, snapshot
-	// into CoreStats.Metrics after the run.
-	Metrics bool
-	// TraceN, when positive, attaches a private trace ring of that
-	// capacity to each core (ModeSymmetric/ModeSolo).
-	TraceN int
 }
 
-func (rc RunConfig) validate(cores int) error {
+func (rc RunConfig) validate() error {
 	if rc.Spec == nil {
 		return fmt.Errorf("machine: RunConfig.Spec must be set")
 	}
@@ -205,12 +202,6 @@ func (rc RunConfig) validate(cores int) error {
 	}
 	if rc.Tasks < 0 {
 		return fmt.Errorf("machine: negative task count %d", rc.Tasks)
-	}
-	if cores > 1 && (rc.Exec.Tracer != nil || rc.Exec.Metrics != nil) {
-		return fmt.Errorf("machine: Exec.Tracer/Exec.Metrics would be shared across %d cores; use RunConfig.TraceN/Metrics for per-core observability", cores)
-	}
-	if rc.TraceN < 0 {
-		return fmt.Errorf("machine: negative trace capacity %d", rc.TraceN)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/exec"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/smt"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -53,8 +54,10 @@ func TestSingleCoreMatchesEngine(t *testing.T) {
 		}
 		refMem := ex.Core.Hier.Stats
 
-		// Machine path, 1 core.
-		m, err := New(Topology{Cores: 1, Machine: core.DefaultMachine()}, RunConfig{Spec: chaseSpec(), Mode: mode, TraceN: 1 << 12})
+		// Machine path, 1 core, observed through rc.Exec.Tracer.
+		mring := trace.NewRing(1 << 12)
+		m, err := New(Topology{Cores: 1, Machine: core.DefaultMachine()},
+			RunConfig{Spec: chaseSpec(), Mode: mode, Exec: exec.Config{Tracer: mring}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +77,7 @@ func TestSingleCoreMatchesEngine(t *testing.T) {
 		if st.LLC != (mem.LLCStats{}) {
 			t.Errorf("mode %v: 1-core machine used the shared LLC: %+v", mode, st.LLC)
 		}
-		got, want := m.TraceRing(0).Events(), ring.Events()
+		got, want := mring.Events(), ring.Events()
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("mode %v: traces diverged (%d vs %d events)", mode, len(got), len(want))
 		}
@@ -127,17 +130,19 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Topology{Cores: 2}, RunConfig{Spec: chaseSpec(), Mode: Mode(99)}); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	topo := DefaultTopology(2)
-	rc := RunConfig{Spec: chaseSpec(), Exec: exec.Config{Tracer: trace.NewRing(8)}}
-	if _, err := New(topo, rc); err == nil {
-		t.Error("shared tracer across cores accepted")
+	// One tracer and one registry observe every core.
+	rc := RunConfig{Spec: chaseSpec(), Exec: exec.Config{Tracer: trace.NewRing(8), Metrics: &metrics.Registry{}}}
+	if _, err := New(DefaultTopology(2), rc); err != nil {
+		t.Errorf("shared tracer and registry across cores refused: %v", err)
 	}
 }
 
 // Multi-core runs make progress, produce per-core sections in index
-// order, and the shared LLC sees traffic.
+// order, the shared LLC sees traffic, and the shared registry holds
+// machine-wide totals that reconcile with the per-core sections.
 func TestMultiCoreRuns(t *testing.T) {
-	m, err := New(DefaultTopology(4), RunConfig{Spec: chaseSpec(), Mode: ModeSymmetric, Metrics: true})
+	reg := &metrics.Registry{}
+	m, err := New(DefaultTopology(4), RunConfig{Spec: chaseSpec(), Mode: ModeSymmetric, Exec: exec.Config{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +153,7 @@ func TestMultiCoreRuns(t *testing.T) {
 	if len(st.Cores) != 4 {
 		t.Fatalf("%d core sections, want 4", len(st.Cores))
 	}
+	var dram, peak uint64
 	for i, cs := range st.Cores {
 		if cs.Core != i {
 			t.Errorf("core section %d has id %d", i, cs.Core)
@@ -155,9 +161,15 @@ func TestMultiCoreRuns(t *testing.T) {
 		if cs.Exec.Retired == 0 {
 			t.Errorf("core %d retired nothing", i)
 		}
-		if cs.Metrics.CPU.Retired != cs.Exec.Retired {
-			t.Errorf("core %d: metrics retired %d != stats %d", i, cs.Metrics.CPU.Retired, cs.Exec.Retired)
-		}
+		dram += cs.Mem.Accesses[mem.LevelDRAM]
+		peak = max(peak, cs.Mem.MSHRPeak)
+	}
+	if reg.CPU.Retired != st.Aggregate.Retired || reg.Machine.Retired != st.Aggregate.Retired {
+		t.Errorf("registry retired cpu %d, machine %d; aggregate %d", reg.CPU.Retired, reg.Machine.Retired, st.Aggregate.Retired)
+	}
+	if reg.Mem.DRAMAccesses != dram || reg.Mem.MSHRHighWater != peak {
+		t.Errorf("registry mem dram %d, mshr peak %d; per-core sum %d, max %d",
+			reg.Mem.DRAMAccesses, reg.Mem.MSHRHighWater, dram, peak)
 	}
 	if st.LLC.Hits+st.LLC.Misses == 0 {
 		t.Error("shared LLC saw no traffic")
@@ -174,42 +186,41 @@ func TestMultiCoreRuns(t *testing.T) {
 	}
 }
 
-// Per-core registries must record request completion latencies under
-// the resumable engines — exec.Ticker for the coroutine modes and
-// smt.Runner for ModeSMT — so many-core service runs report latencies
-// exactly like the classic single-core paths do.
+// The shared registry must record every core's request completion
+// latencies under the resumable engines — exec.Ticker for the coroutine
+// modes and smt.Runner for ModeSMT — so many-core service runs report
+// latencies exactly like the classic single-core paths do.
 func TestManyCoreRequestLatencyMetrics(t *testing.T) {
 	for _, mode := range []Mode{ModeSymmetric, ModeSMT} {
-		m, err := New(DefaultTopology(2), RunConfig{Spec: chaseSpec(), Mode: mode, Metrics: true})
+		reg := &metrics.Registry{}
+		m, err := New(DefaultTopology(2), RunConfig{Spec: chaseSpec(), Mode: mode, Exec: exec.Config{Metrics: reg}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := m.Run()
-		if err != nil {
+		if _, err := m.Run(); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
-		for i, cs := range st.Cores {
-			want := uint64(4) // chaseSpec instances per core
-			if cs.Metrics.Sched.Requests != want {
-				t.Errorf("mode %v core %d: Sched.Requests = %d, want %d", mode, i, cs.Metrics.Sched.Requests, want)
-			}
-			if cs.Metrics.Sched.RequestLatency.Count != want {
-				t.Errorf("mode %v core %d: latency histogram has %d observations, want %d",
-					mode, i, cs.Metrics.Sched.RequestLatency.Count, want)
-			}
-			if cs.Metrics.Sched.RequestLatency.Max == 0 {
-				t.Errorf("mode %v core %d: zero max latency", mode, i)
-			}
+		const want = 2 * 4 // 2 cores × chaseSpec's 4 instances
+		if reg.Sched.Requests != want {
+			t.Errorf("mode %v: Sched.Requests = %d, want %d", mode, reg.Sched.Requests, want)
+		}
+		if reg.Sched.RequestLatency.Count != want {
+			t.Errorf("mode %v: latency histogram has %d observations, want %d",
+				mode, reg.Sched.RequestLatency.Count, want)
+		}
+		if reg.Sched.RequestLatency.Max == 0 {
+			t.Errorf("mode %v: zero max latency", mode)
 		}
 	}
 }
 
 // Run on a finished machine steps nothing and records nothing twice:
-// the step-then-Run pattern and a repeated Run return the same Stats,
-// request latencies counted once per task.
+// the step-then-Run pattern and a repeated Run return the same Stats
+// and leave the same registry, request latencies counted once per task.
 func TestRunIsIdempotent(t *testing.T) {
 	for _, mode := range []Mode{ModeSymmetric, ModeSMT} {
-		m, err := New(DefaultTopology(2), RunConfig{Spec: chaseSpec(), Mode: mode, Metrics: true})
+		reg := &metrics.Registry{}
+		m, err := New(DefaultTopology(2), RunConfig{Spec: chaseSpec(), Mode: mode, Exec: exec.Config{Metrics: reg}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,6 +233,7 @@ func TestRunIsIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		snap := reg.Snapshot()
 		second, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -229,10 +241,11 @@ func TestRunIsIdempotent(t *testing.T) {
 		if !reflect.DeepEqual(first, second) {
 			t.Errorf("mode %v: a second Run changed the Stats", mode)
 		}
-		for i, cs := range second.Cores {
-			if got := cs.Metrics.Sched.Requests; got != 4 {
-				t.Errorf("mode %v core %d: Sched.Requests = %d after two Runs, want 4", mode, i, got)
-			}
+		if reg.Snapshot() != snap {
+			t.Errorf("mode %v: a second Run changed the registry", mode)
+		}
+		if got := reg.Sched.Requests; got != 8 {
+			t.Errorf("mode %v: Sched.Requests = %d after two Runs, want 8 (4 per core)", mode, got)
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"repro/internal/smt"
 )
 
-// CoreStats is one core's view of the run.
+// CoreStats is one core's view of the run. Observation is
+// machine-wide (RunConfig.Exec's one tracer and registry); the per-core
+// breakdown lives here.
 type CoreStats struct {
 	// Core is the core index; Seed is the strided workload seed the
 	// core's scenario was composed with.
@@ -18,9 +20,6 @@ type CoreStats struct {
 	SMT  smt.Stats
 	// Mem is the private hierarchy's counter block.
 	Mem mem.Stats
-	// Metrics is the per-core registry snapshot (zero when RunConfig.
-	// Metrics was false).
-	Metrics metrics.Snapshot
 }
 
 // Cycles returns the core's wall-cycle count under either discipline.
@@ -49,15 +48,21 @@ type Stats struct {
 	Aggregate exec.Stats
 }
 
-// stats assembles the result after the run completes.
+// stats assembles the result after the run completes and, when the
+// run is observed, fills the shared registry with machine-wide totals:
+// Mem and CPU summed over cores, one Sched request per task and the
+// Machine section.
 func (m *Machine) stats() Stats {
 	st := Stats{Quanta: m.k.Quanta()}
 	if m.llc != nil {
 		st.LLC = m.llc.Stats
 	}
+	reg := m.rc.Exec.Metrics
+	if reg != nil {
+		reg.Mem, reg.CPU = metrics.Mem{}, metrics.CPU{}
+	}
 	for _, c := range m.cores {
 		cs := CoreStats{Core: c.id, Seed: c.mach.Seed}
-		c.ex.CaptureMetrics()
 		var latencies []uint64
 		if c.tick != nil {
 			cs.Exec = c.tick.Stats()
@@ -66,20 +71,25 @@ func (m *Machine) stats() Stats {
 			cs.SMT = c.smt.Stats()
 			latencies = cs.SMT.Latencies
 		}
-		if reg := c.ex.Cfg.Metrics; reg != nil && !m.folded {
-			// Many-core runs report request latencies: one request per
-			// task, its latency the halt time. Solo runs record none.
-			// Recorded once, however often Run is called.
-			for _, l := range latencies {
-				reg.Sched.Requests++
-				reg.Sched.RequestLatency.Observe(l)
+		cs.Mem = c.ex.Core.Hier.Stats
+		st.Cores = append(st.Cores, cs)
+		if reg != nil {
+			var mm metrics.Mem
+			var cm metrics.CPU
+			c.ex.Core.Hier.FillMetrics(&mm)
+			c.ex.Core.Counters.FillMetrics(&cm)
+			reg.Mem.Add(mm)
+			reg.CPU.Add(cm)
+			if !m.folded {
+				// Many-core runs report request latencies: one request
+				// per task, its latency the halt time. Solo runs record
+				// none. Recorded once, however often Run is called.
+				for _, l := range latencies {
+					reg.Sched.Requests++
+					reg.Sched.RequestLatency.Observe(l)
+				}
 			}
 		}
-		cs.Mem = c.ex.Core.Hier.Stats
-		if reg := c.reg; reg != nil {
-			cs.Metrics = reg.Snapshot()
-		}
-		st.Cores = append(st.Cores, cs)
 
 		if cy := cs.Cycles(); cy > st.Cycles {
 			st.Cycles = cy
@@ -92,17 +102,16 @@ func (m *Machine) stats() Stats {
 		st.Aggregate.Halted += cs.Exec.Halted
 	}
 	st.Aggregate.Cycles = st.Cycles
+	if reg != nil {
+		st.fillMetrics(&reg.Machine)
+	}
 	m.folded = true
 	return st
 }
 
-// FillMetrics rolls the machine-level accounting into a registry's
-// Machine section. A nil registry means observability is off.
-func (st *Stats) FillMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	mm := &reg.Machine
+// fillMetrics rolls the machine-level accounting into a registry's
+// Machine section.
+func (st *Stats) fillMetrics(mm *metrics.Machine) {
 	mm.Cores = uint64(len(st.Cores))
 	mm.Quanta = st.Quanta
 	mm.Cycles = st.Cycles

@@ -53,6 +53,25 @@ type Mem struct {
 	Writebacks    uint64 // dirty L1 victims written back
 }
 
+// Add folds another hierarchy's counters into m, as the many-core
+// machine does across its cores: every counter sums except
+// MSHRHighWater, which keeps the higher peak.
+func (m *Mem) Add(o Mem) {
+	m.L1Hits += o.L1Hits
+	m.L2Hits += o.L2Hits
+	m.L3Hits += o.L3Hits
+	m.DRAMAccesses += o.DRAMAccesses
+	m.InflightHits += o.InflightHits
+	m.InflightFull += o.InflightFull
+	m.L2Misses += o.L2Misses
+	m.Prefetches += o.Prefetches
+	m.PrefetchHits += o.PrefetchHits
+	m.HWPrefetches += o.HWPrefetches
+	m.MSHRDrops += o.MSHRDrops
+	m.MSHRHighWater = max(m.MSHRHighWater, o.MSHRHighWater)
+	m.Writebacks += o.Writebacks
+}
+
 // CPU aggregates core-level cycle accounting, filled from cpu.Counters
 // by (*cpu.Counters).FillMetrics.
 type CPU struct {
@@ -60,6 +79,14 @@ type CPU struct {
 	BusyCycles  uint64 // cycles doing work (incl. pipeline-absorbed latency)
 	StallCycles uint64 // exposed memory stall cycles
 	Faults      uint64 // execution faults (bad PC, memory fault, SFI trap)
+}
+
+// Add folds another core's counters into c.
+func (c *CPU) Add(o CPU) {
+	c.Retired += o.Retired
+	c.BusyCycles += o.BusyCycles
+	c.StallCycles += o.StallCycles
+	c.Faults += o.Faults
 }
 
 // Exec holds the hide-episode accounting the dual-mode executor bumps
@@ -107,7 +134,7 @@ func (x *Exec) NoteEpisode(away, target uint64) {
 // of each run: one request per task, its latency the halt time.
 type Sched struct {
 	Requests   uint64 // latency-sensitive requests completed
-	BatchTasks uint64 // batch tasks submitted alongside them (no run records any today)
+	BatchTasks uint64 // batch tasks submitted alongside them (a serve cell's batch-tier size)
 	// RequestLatency distributes request completion times (cycles from
 	// run start), log2-bucketed.
 	RequestLatency Hist
@@ -141,9 +168,10 @@ type Sampler struct {
 
 // Machine aggregates many-core kernel accounting, filled from
 // machine.Stats after a Run: quantum/barrier counts, shared-LLC traffic
-// and contention, plus aggregate work across all cores. Per-core detail
-// lives in the per-core registries the kernel allocates; this section
-// is the roll-up a session-level registry sees.
+// and contention, plus aggregate work across all cores. The machine's
+// cores share one registry, so Mem, CPU, Exec and Sched beside this
+// section hold machine-wide totals too; per-core detail is in
+// machine.Stats.
 type Machine struct {
 	Cores  uint64 // simulated cores in the topology
 	Quanta uint64 // cycle quanta (barrier commits) executed

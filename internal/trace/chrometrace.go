@@ -14,7 +14,8 @@ type ChromeTraceOptions struct {
 	// would span "seconds" of UI time per millisecond simulated.
 	CyclesPerMicro uint64
 	// Pid labels the process row in the viewer. Useful when merging
-	// exports from several runs into one file.
+	// exports from several runs into one file. Each core gets its own
+	// process row, pid Pid + Event.Core.
 	Pid int
 }
 
@@ -43,7 +44,9 @@ type chromeEvent struct {
 // "i" (instant) mark on its context's row, with the cycle-domain detail
 // (cycle stamp, PC, kind-specific arg) preserved under args. Metadata
 // ("M") records name the process and per-context threads so the viewer
-// shows "ctx N" rows instead of bare thread IDs.
+// shows "ctx N" rows instead of bare thread IDs. Events of core c land
+// in process row Pid + c, so a many-core trace shows one process per
+// core; core 0's row is always present.
 func WriteChromeTrace(w io.Writer, events []Event, opt ChromeTraceOptions) error {
 	cpm := opt.CyclesPerMicro
 	if cpm == 0 {
@@ -52,16 +55,29 @@ func WriteChromeTrace(w io.Writer, events []Event, opt ChromeTraceOptions) error
 	us := func(cycles uint64) float64 { return float64(cycles) / float64(cpm) }
 
 	out := make([]chromeEvent, 0, len(events)+8)
-	out = append(out, chromeEvent{
-		Name: "process_name", Phase: "M", Pid: opt.Pid,
-		Args: map[string]any{"name": "softhide sim"},
-	})
-	seenCtx := map[int]bool{}
+	process := func(core int) {
+		name := "softhide sim"
+		if core != 0 {
+			name = fmt.Sprintf("softhide sim core %d", core)
+		}
+		out = append(out, chromeEvent{
+			Name: "process_name", Phase: "M", Pid: opt.Pid + core,
+			Args: map[string]any{"name": name},
+		})
+	}
+	process(0)
+	seenCore := map[int]bool{0: true}
+	seenCtx := map[[2]int]bool{}
 	for _, e := range events {
-		if !seenCtx[e.Ctx] {
-			seenCtx[e.Ctx] = true
+		pid := opt.Pid + e.Core
+		if !seenCore[e.Core] {
+			seenCore[e.Core] = true
+			process(e.Core)
+		}
+		if row := [2]int{e.Core, e.Ctx}; !seenCtx[row] {
+			seenCtx[row] = true
 			out = append(out, chromeEvent{
-				Name: "thread_name", Phase: "M", Pid: opt.Pid, Tid: e.Ctx,
+				Name: "thread_name", Phase: "M", Pid: pid, Tid: e.Ctx,
 				Args: map[string]any{"name": fmt.Sprintf("ctx %d", e.Ctx)},
 			})
 		}
@@ -74,18 +90,18 @@ func WriteChromeTrace(w io.Writer, events []Event, opt ChromeTraceOptions) error
 			out = append(out, chromeEvent{
 				Name: "hide episode", Phase: "X",
 				TS: us(e.Now - e.Arg), Dur: us(e.Arg),
-				Pid: opt.Pid, Tid: e.Ctx, Args: args,
+				Pid: pid, Tid: e.Ctx, Args: args,
 			})
 		case EpisodeStart:
 			// The matching EpisodeEnd draws the slice; keep the start as
 			// an instant so the hide target stays visible.
 			args["hide_target"] = e.Arg
-			out = append(out, instant(e, us, opt.Pid, args))
+			out = append(out, instant(e, us, pid, args))
 		case SwitchOut:
 			args["switch_cost"] = e.Arg
-			out = append(out, instant(e, us, opt.Pid, args))
+			out = append(out, instant(e, us, pid, args))
 		default:
-			out = append(out, instant(e, us, opt.Pid, args))
+			out = append(out, instant(e, us, pid, args))
 		}
 	}
 	enc := json.NewEncoder(w)

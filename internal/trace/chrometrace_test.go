@@ -152,3 +152,43 @@ func TestChromeTraceEpisodeSlice(t *testing.T) {
 	}
 	t.Fatal("no complete episode slice in export")
 }
+
+// TestChromeTraceProcessPerCore: events of core c land in process row
+// Pid + c, each core's row and its context threads named once, while a
+// core-0-only export keeps its single "softhide sim" process.
+func TestChromeTraceProcessPerCore(t *testing.T) {
+	events := []Event{
+		{Kind: Resume, Now: 10, Ctx: 0},
+		{Kind: Resume, Now: 10, Ctx: 0, Core: 1},
+		{Kind: Halt, Now: 20, Ctx: 0, Core: 1},
+		{Kind: Halt, Now: 30, Ctx: 0},
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, events, ChromeTraceOptions{Pid: 5}); err != nil {
+		t.Fatal(err)
+	}
+	var decoded []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	procs := map[float64]string{}
+	threads, marks := map[float64]int{}, map[float64]int{}
+	for _, ev := range decoded {
+		pid := ev["pid"].(float64)
+		switch ev["name"] {
+		case "process_name":
+			procs[pid] = ev["args"].(map[string]any)["name"].(string)
+		case "thread_name":
+			threads[pid]++
+		default:
+			marks[pid]++
+		}
+	}
+	want := map[float64]string{5: "softhide sim", 6: "softhide sim core 1"}
+	if len(procs) != 2 || procs[5] != want[5] || procs[6] != want[6] {
+		t.Errorf("process rows %v, want %v", procs, want)
+	}
+	if threads[5] != 1 || threads[6] != 1 || marks[5] != 2 || marks[6] != 2 {
+		t.Errorf("per-pid threads %v and marks %v, want one thread and two marks per core", threads, marks)
+	}
+}

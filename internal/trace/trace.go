@@ -73,10 +73,20 @@ type Event struct {
 	// Arg carries kind-specific detail: hide target for EpisodeStart,
 	// away-time for EpisodeEnd, switch cost for SwitchOut.
 	Arg uint64
+	// Core is the simulated core that emitted the event; the many-core
+	// machine stamps it, single-core runs leave it 0.
+	Core int
 }
 
+// String renders the event as one dump line. Events from cores other
+// than 0 end in their core index, so single-core dumps carry no core
+// column while many-core dumps still tell the cores apart.
 func (e Event) String() string {
-	return fmt.Sprintf("[%10d] ctx%-3d pc=%-6d %-14s arg=%d", e.Now, e.Ctx, e.PC, e.Kind, e.Arg)
+	s := fmt.Sprintf("[%10d] ctx%-3d pc=%-6d %-14s arg=%d", e.Now, e.Ctx, e.PC, e.Kind, e.Arg)
+	if e.Core != 0 {
+		s = fmt.Sprintf("%s core=%d", s, e.Core)
+	}
+	return s
 }
 
 // Tracer receives events.

@@ -59,6 +59,12 @@ func TestDump(t *testing.T) {
 	if !strings.Contains(out, "chain") || !strings.Contains(out, "42") {
 		t.Errorf("dump: %s", out)
 	}
+	if strings.Contains(out, "core") {
+		t.Errorf("core-0 dump names a core: %s", out)
+	}
+	if s := (Event{Kind: Halt, Core: 3}).String(); !strings.HasSuffix(s, " core=3") {
+		t.Errorf("core-3 event %q does not end in its core", s)
+	}
 }
 
 func TestKindStrings(t *testing.T) {

@@ -102,7 +102,8 @@ type ObservabilityConfig struct {
 //	}))
 //
 // NewExecutor wires Tracer and Metrics into every executor the session
-// builds (unless the ExecConfig already carries its own).
+// builds, and RunMachine into every core of the machine (unless the
+// ExecConfig already carries its own).
 func WithObservability(o ObservabilityConfig) Option {
 	return func(c *sessionConfig) { c.obs = o }
 }
@@ -164,13 +165,19 @@ func (s *Session) NewHarness(specs ...workloads.Spec) (*Harness, error) {
 // tracer and metrics registry when the config does not already carry
 // its own.
 func (s *Session) NewExecutor(h *Harness, img *Image, cfg ExecConfig) *Executor {
+	return h.NewExecutor(img, s.observed(cfg))
+}
+
+// observed fills cfg's nil Tracer and Metrics from the session's
+// observability, the one rule NewExecutor and RunMachine share.
+func (s *Session) observed(cfg ExecConfig) ExecConfig {
 	if cfg.Tracer == nil {
 		cfg.Tracer = s.obs.Tracer
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = s.obs.Metrics
 	}
-	return h.NewExecutor(img, cfg)
+	return cfg
 }
 
 // ExperimentIDs lists every registered experiment in presentation order.

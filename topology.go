@@ -25,8 +25,8 @@ type (
 	// LLCStats is the shared LLC's counter block for one run.
 	LLCStats = mem.LLCStats
 	// MachineRun describes what every core of a machine executes: the
-	// workload spec, the per-core execution discipline, and the per-core
-	// observability (metrics registries, trace rings).
+	// workload spec, the per-core execution discipline, and the executor
+	// config whose one tracer and registry observe every core.
 	MachineRun = machine.RunConfig
 	// MachineMode selects the per-core execution discipline.
 	MachineMode = machine.Mode
@@ -68,18 +68,16 @@ func (s *Session) Topology() Topology { return s.topo }
 // returns per-core plus aggregate statistics. Every core executes rc's
 // workload over its own seeded memory; multi-core topologies contend
 // for the shared LLC under the deterministic cycle-quantum kernel, so
-// results are byte-identical across runs and GOMAXPROCS settings. When
-// the session has a metrics registry, the machine-level rollup is
-// recorded in its Machine section.
+// results are byte-identical across runs and GOMAXPROCS settings. Like
+// NewExecutor, it observes through the session's tracer and registry
+// unless rc.Exec carries its own: every core emits into the one tracer
+// (events stamped with their core, so ExportTrace draws a process row
+// per core), and the registry ends up holding machine-wide totals.
 func (s *Session) RunMachine(rc MachineRun) (MachineStats, error) {
+	rc.Exec = s.observed(rc.Exec)
 	m, err := machine.New(s.topo, rc)
 	if err != nil {
 		return MachineStats{}, err
 	}
-	st, err := m.Run()
-	if err != nil {
-		return MachineStats{}, err
-	}
-	st.FillMetrics(s.obs.Metrics)
-	return st, nil
+	return m.Run()
 }

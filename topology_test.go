@@ -1,10 +1,14 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/mem"
 )
 
 func TestWithTopology(t *testing.T) {
@@ -42,10 +46,74 @@ func TestSessionRunMachine(t *testing.T) {
 	if st.Aggregate.Retired == 0 {
 		t.Error("machine retired nothing")
 	}
-	// The session registry's Machine section carries the rollup.
+	// The session registry holds machine-wide totals that reconcile
+	// with the per-core sections.
 	snap := s.MetricsSnapshot()
 	if snap.Machine.Cores != 2 || snap.Machine.Retired != st.Aggregate.Retired {
 		t.Errorf("metrics rollup missing: %+v", snap.Machine)
+	}
+	if snap.CPU.Retired != st.Aggregate.Retired {
+		t.Errorf("CPU.Retired = %d, aggregate retired %d", snap.CPU.Retired, st.Aggregate.Retired)
+	}
+	if snap.Sched.Requests != 2*2 || snap.Sched.RequestLatency.Count != 2*2 {
+		t.Errorf("Sched requests %d, latencies %d; want one per task, 4",
+			snap.Sched.Requests, snap.Sched.RequestLatency.Count)
+	}
+	var l1, dram, hwPrefetches, writebacks, peak, episodes uint64
+	for _, cs := range st.Cores {
+		l1 += cs.Mem.Accesses[mem.LevelL1]
+		dram += cs.Mem.Accesses[mem.LevelDRAM]
+		hwPrefetches += cs.Mem.HWPrefetches
+		writebacks += cs.Mem.Writebacks
+		peak = max(peak, cs.Mem.MSHRPeak)
+		episodes += cs.Exec.Episodes
+	}
+	if l1 == 0 || dram == 0 {
+		t.Fatalf("cores saw no L1 hits (%d) or DRAM accesses (%d); the sums are vacuous", l1, dram)
+	}
+	m := snap.Mem
+	if m.L1Hits != l1 || m.DRAMAccesses != dram || m.HWPrefetches != hwPrefetches ||
+		m.Writebacks != writebacks || m.MSHRHighWater != peak {
+		t.Errorf("Mem %+v is not the per-core sum (l1 %d, dram %d, hw prefetches %d, writebacks %d, mshr peak %d)",
+			m, l1, dram, hwPrefetches, writebacks, peak)
+	}
+	// Hide episodes need dual mode, which machine cores do not run.
+	if snap.Exec.Episodes != episodes {
+		t.Errorf("Exec.Episodes = %d, per-core sum %d", snap.Exec.Episodes, episodes)
+	}
+}
+
+// A 2-core RunMachine traces through the session's ring, and
+// ExportTrace draws one process row per core.
+func TestSessionRunMachineExportTrace(t *testing.T) {
+	ring := NewTraceRing(1 << 12)
+	s, err := NewSession(WithTopology(DefaultTopology(2)),
+		WithObservability(ObservabilityConfig{Tracer: ring}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunMachine(MachineRun{
+		Spec: PointerChase{Nodes: 512, Hops: 100, Instances: 2},
+		Mode: MachineSymmetric,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.ExportTrace(&buf, ChromeTraceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	pids := map[float64]bool{}
+	for _, ev := range events {
+		if ev["name"] == "process_name" {
+			pids[ev["pid"].(float64)] = true
+		}
+	}
+	if len(pids) != 2 || !pids[0] || !pids[1] {
+		t.Errorf("process rows %v, want one per core (pids 0 and 1)", pids)
 	}
 }
 
