@@ -166,10 +166,18 @@ func TestSuperblockFaults(t *testing.T) {
 	diffSuperProgram(t, "sb-fault-store", sprog, rng, false, 0, Horizon{})
 }
 
+// coldHierarchy gives c a fresh, empty hierarchy of the same shape that
+// carries the old one's counters forward.
+func coldHierarchy(c *Core) {
+	h := mem.MustNewHierarchy(c.Hier.Config())
+	h.Stats = c.Hier.Stats
+	c.Hier = h
+}
+
 // TestSuperblockFlushInvalidation drives the reference and the trace
-// tier in lockstep with a hierarchy Flush injected at every pause: the
-// first access to each line after a flush must miss in both, never
-// replay a hit on a line the flush dropped.
+// tier in lockstep with a cold hierarchy swapped in at every pause: the
+// first access to each line after the swap must miss in both, never
+// replay a hit on a line the old hierarchy held.
 func TestSuperblockFlushInvalidation(t *testing.T) {
 	prog := isa.MustAssemble(`
         movi r1, 0
@@ -206,8 +214,8 @@ func TestSuperblockFlushInvalidation(t *testing.T) {
 		if ar != br {
 			t.Fatalf("calls diverge:\n scalar: %+v\n trace:  %+v", ar, br)
 		}
-		a.core.Hier.Flush()
-		b.core.Hier.Flush()
+		coldHierarchy(a.core)
+		coldHierarchy(b.core)
 	}
 	assertRigsEqual(t, "sb-flush", a, b)
 }

@@ -36,17 +36,27 @@ func (l Level) String() string {
 	return fmt.Sprintf("level(%d)", uint8(l))
 }
 
+// MaxWays is the widest associativity any cache level admits: a set's
+// whole recency order packs into one uint64 of 4-bit way indices.
+const MaxWays = 16
+
+// checkWays is the one associativity check every level shares
+// (Config.Validate, LLCConfig.Validate, newCache).
+func checkWays(level string, ways int) error {
+	if ways < 1 || ways > MaxWays {
+		return fmt.Errorf("mem: %s ways %d outside [1, %d]", level, ways, MaxWays)
+	}
+	return nil
+}
+
 // cache is one set-associative level with LRU replacement. Only tags are
 // tracked; data lives in the flat Memory (the hierarchy models timing, not
 // coherence).
 //
-// Replacement state is exact LRU. For up to 16 ways the full recency
-// order of a set packs into one uint64 in `order` (sixteen 4-bit way
-// indices, most-recent in the low nibble): victim selection reads one
-// nibble and a touch is a few register shifts, instead of scanning and
-// rewriting a per-way stamp array. Wider configurations fall back to
-// per-way stamps. Both encode the same total recency order, so they are
-// behaviorally identical.
+// Replacement state is exact LRU. The full recency order of a set packs
+// into one uint64 in `order` (up to sixteen 4-bit way indices,
+// most-recent in the low nibble): victim selection reads one nibble and a
+// touch is a few register shifts.
 type cache struct {
 	sets uint64
 	// setMask is sets-1: the set count is a power of two, so indexing is a
@@ -59,17 +69,13 @@ type cache struct {
 	tags []uint64
 	// dirty[set*ways+way] marks lines with unwritten-back stores.
 	dirty []bool
-	// used[set] counts occupied ways. Installs never invalidate and only
-	// flush clears, so occupied ways are always the prefix [0, used).
+	// used[set] counts occupied ways. Installs never invalidate, so
+	// occupied ways are always the prefix [0, used).
 	used []int32
-	// order[set] is the packed recency order (ways <= 16): nibble 0 holds
-	// the most-recently-used way index, nibble used-1 the LRU victim.
+	// order[set] is the packed recency order: nibble 0 holds the
+	// most-recently-used way index, nibble used-1 the LRU victim.
 	// Nibbles at positions >= used are stale and never read.
 	order []uint64
-	// lru/stamp are the fallback replacement state for ways > 16:
-	// lru[set*ways+way] holds the last-touch stamp.
-	lru   []uint64
-	stamp uint64
 }
 
 // setCount is the number of sets in a cache of sizeBytes with the given
@@ -79,8 +85,8 @@ func setCount(sizeBytes, lineSize uint64, ways int) uint64 {
 }
 
 func newCache(sizeBytes, lineSize uint64, ways int) *cache {
-	if ways <= 0 {
-		panic("mem: cache ways must be positive")
+	if err := checkWays("cache", ways); err != nil {
+		panic(err)
 	}
 	if lineSize == 0 || lineSize&(lineSize-1) != 0 {
 		panic("mem: line size must be a power of two")
@@ -93,7 +99,7 @@ func newCache(sizeBytes, lineSize uint64, ways int) *cache {
 	for s := lineSize; s > 1; s >>= 1 {
 		lb++
 	}
-	c := &cache{
+	return &cache{
 		sets:     sets,
 		setMask:  sets - 1,
 		ways:     ways,
@@ -101,16 +107,9 @@ func newCache(sizeBytes, lineSize uint64, ways int) *cache {
 		tags:     make([]uint64, sets*uint64(ways)),
 		dirty:    make([]bool, sets*uint64(ways)),
 		used:     make([]int32, sets),
+		order:    make([]uint64, sets),
 	}
-	if ways <= 16 {
-		c.order = make([]uint64, sets)
-	} else {
-		c.lru = make([]uint64, sets*uint64(ways))
-	}
-	return c
 }
-
-func (c *cache) line(addr uint64) uint64 { return addr >> c.lineBits }
 
 // promote moves the way at recency position p of the packed order word to
 // the front (nibble 0), preserving everything else.
@@ -137,9 +136,6 @@ func promote(word uint64, p int, way uint64) uint64 {
 // thing victim selection reads, is identical), free ways are claimed
 // first-ascending, and the victim is the unique least-recent way.
 func (c *cache) access(tag uint64, write bool) (hit, wasDirty bool) {
-	if c.order == nil {
-		return c.accessStamp(tag, write)
-	}
 	set := (tag - 1) & c.setMask
 	base := set * uint64(c.ways)
 	n := uint64(c.used[set])
@@ -197,91 +193,10 @@ func (c *cache) access(tag uint64, write bool) (hit, wasDirty bool) {
 	return false, wasDirty
 }
 
-// accessStamp is the access probe for ways > 16, using per-way stamps.
-func (c *cache) accessStamp(tag uint64, write bool) (hit, wasDirty bool) {
-	set := (tag - 1) & c.setMask
-	base := set * uint64(c.ways)
-	n := uint64(c.used[set])
-	occ := c.tags[base : base+n : base+n]
-	for i, t := range occ {
-		if t == tag {
-			c.stamp++
-			c.lru[base+uint64(i)] = c.stamp
-			if write {
-				c.dirty[base+uint64(i)] = true
-			}
-			return true, false
-		}
-	}
-	if int(n) < c.ways {
-		c.used[set] = int32(n) + 1
-		c.stamp++
-		c.tags[base+n] = tag
-		c.lru[base+n] = c.stamp
-		c.dirty[base+n] = write
-		return false, false
-	}
-	hi := base + uint64(c.ways)
-	lru := c.lru[base:hi:hi]
-	w := 0
-	victimStamp := lru[0]
-	for i := 1; i < len(lru); i++ {
-		if lru[i] < victimStamp {
-			victimStamp = lru[i]
-			w = i
-		}
-	}
-	wasDirty = c.dirty[base+uint64(w)]
-	c.stamp++
-	c.tags[base+uint64(w)] = tag
-	lru[w] = c.stamp
-	c.dirty[base+uint64(w)] = write
-	return false, wasDirty
-}
-
-// touch makes an occupied way the most recent in its set.
-func (c *cache) touch(set uint64, way int) {
-	if c.order != nil {
-		word := c.order[set]
-		wi := uint64(way)
-		p := 0
-		for (word>>uint(4*p))&0xF != wi {
-			p++
-		}
-		if p != 0 {
-			c.order[set] = promote(word, p, wi)
-		}
-		return
-	}
-	c.stamp++
-	c.lru[set*uint64(c.ways)+uint64(way)] = c.stamp
-}
-
-// lookup probes the cache; on hit it refreshes recency and returns true.
-func (c *cache) lookup(addr uint64) bool {
-	ln := c.line(addr) + 1
-	set := (ln - 1) & c.setMask
-	base := set * uint64(c.ways)
-	n := uint64(c.used[set])
-	for w := uint64(0); w < n; w++ {
-		if c.tags[base+w] == ln {
-			c.touch(set, int(w))
-			return true
-		}
-	}
-	return false
-}
-
-// contains probes without disturbing recency state (used by the §4.1
-// cache-presence probe, which must not behave like a touch).
-func (c *cache) contains(addr uint64) bool {
-	return c.containsTag(c.line(addr) + 1)
-}
-
-// containsTag is the tag-keyed form of contains, for callers (the
-// shared-LLC banks) whose key space is not a byte address. tag is a
-// line index plus one, as stored in the tag array. Read-only: no
-// recency update, safe for concurrent readers between commits.
+// containsTag reports whether the line with the given tag is resident.
+// tag is a line index plus one, as stored in the tag array. Read-only:
+// no recency update (the §4.1 cache-presence probe must not behave like
+// a touch), safe for concurrent readers between commits.
 func (c *cache) containsTag(tag uint64) bool {
 	base := ((tag - 1) & c.setMask) * uint64(c.ways)
 	tags := c.tags[base : base+uint64(c.ways)]
@@ -291,95 +206,4 @@ func (c *cache) containsTag(tag uint64) bool {
 		}
 	}
 	return false
-}
-
-// install fills the line, evicting the LRU way if needed. Returns the
-// evicted line address, whether an eviction happened, and whether the
-// victim was dirty (needs writing back). The hot path uses the fused
-// access probe instead; install remains for tests that assert on victim
-// identity.
-func (c *cache) install(addr uint64) (evicted uint64, didEvict, wasDirty bool) {
-	ln := c.line(addr) + 1
-	set := (ln - 1) & c.setMask
-	base := set * uint64(c.ways)
-	n := uint64(c.used[set])
-	for w := uint64(0); w < n; w++ {
-		if c.tags[base+w] == ln { // already present
-			c.touch(set, int(w))
-			return 0, false, false
-		}
-	}
-	if int(n) < c.ways { // free way
-		c.used[set] = int32(n) + 1
-		if c.order != nil {
-			c.order[set] = c.order[set]<<4 | n
-		} else {
-			c.stamp++
-			c.lru[base+n] = c.stamp
-		}
-		c.tags[base+n] = ln
-		c.dirty[base+n] = false
-		return 0, false, false
-	}
-	w := uint64(c.evictWay(set))
-	old := c.tags[base+w] - 1
-	d := c.dirty[base+w]
-	c.tags[base+w] = ln
-	c.dirty[base+w] = false
-	return old << c.lineBits, true, d
-}
-
-// evictWay selects the LRU victim of a full set and makes it the most
-// recent (the caller installs over it).
-func (c *cache) evictWay(set uint64) int {
-	if c.order != nil {
-		word := c.order[set]
-		p := c.ways - 1
-		w := (word >> uint(4*p)) & 0xF
-		c.order[set] = promote(word, p, w)
-		return int(w)
-	}
-	base := set * uint64(c.ways)
-	w := 0
-	victimStamp := c.lru[base]
-	for i := 1; i < c.ways; i++ {
-		if c.lru[base+uint64(i)] < victimStamp {
-			victimStamp = c.lru[base+uint64(i)]
-			w = i
-		}
-	}
-	c.stamp++
-	c.lru[base+uint64(w)] = c.stamp
-	return w
-}
-
-// markDirty flags a resident line as modified; no-op when absent.
-func (c *cache) markDirty(addr uint64) {
-	ln := c.line(addr) + 1
-	base := ((ln - 1) & c.setMask) * uint64(c.ways)
-	tags := c.tags[base : base+uint64(c.ways)]
-	for w, t := range tags {
-		if t == ln {
-			c.dirty[base+uint64(w)] = true
-			return
-		}
-	}
-}
-
-// flush invalidates every line.
-func (c *cache) flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.dirty[i] = false
-	}
-	for i := range c.used {
-		c.used[i] = 0
-	}
-	for i := range c.order {
-		c.order[i] = 0
-	}
-	for i := range c.lru {
-		c.lru[i] = 0
-	}
-	c.stamp = 0
 }

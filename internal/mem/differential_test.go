@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,10 +11,10 @@ import (
 // implementation: a map-keyed MSHR file with a sorted reclaim scratch, and
 // stamp-based LRU caches probed with a lookup walk followed by an install
 // walk. The reference below is that implementation, kept verbatim modulo
-// renames. The differential test drives both models with identical random
-// operation streams and demands identical observable behavior: every
-// AccessResult, every Prefetch/Residual/Contains return, and the final
-// Stats.
+// renames and without Touch/Flush. The differential test and
+// FuzzHierarchyVsReference drive both models with identical operation
+// streams and demand identical observable behavior: every AccessResult,
+// every Prefetch/Residual/Contains return, and the final Stats.
 
 type refInflight struct {
 	completion uint64
@@ -118,15 +119,6 @@ func (c *refCache) markDirty(addr uint64) {
 			return
 		}
 	}
-}
-
-func (c *refCache) flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.lru[i] = 0
-		c.dirty[i] = false
-	}
-	c.stamp = 0
 }
 
 type refHierarchy struct {
@@ -322,17 +314,6 @@ func (h *refHierarchy) Contains(addr, now uint64, level Level) bool {
 	return false
 }
 
-func (h *refHierarchy) Touch(addr uint64) { h.installAll(h.lineAddr(addr)) }
-
-func (h *refHierarchy) Flush() {
-	h.l1.flush()
-	h.l2.flush()
-	h.l3.flush()
-	h.fills = make(map[uint64]refInflight)
-	h.recent = [8]uint64{}
-	h.recentPos = 0
-}
-
 func (h *refHierarchy) installAll(ln uint64) uint64 {
 	_, _, dirty := h.l1.install(ln)
 	h.l2.install(ln)
@@ -346,8 +327,7 @@ func (h *refHierarchy) installAll(ln uint64) uint64 {
 
 // differentialConfigs are the machine shapes the random streams run
 // against: conflict-heavy tiny caches, the reference-machine way mix, a
-// tight MSHR budget, an unlimited one, a disabled stream prefetcher, and
-// a >16-way shape that exercises the stamp fallback path.
+// tight MSHR budget, an unlimited one, and a disabled stream prefetcher.
 func differentialConfigs() map[string]Config {
 	tiny := Config{
 		LineSize: 64,
@@ -373,24 +353,65 @@ func differentialConfigs() map[string]Config {
 	noStream := tiny
 	noStream.HWPrefetchDistance = 0
 
-	wide := Config{
-		LineSize: 64,
-		L1Size:   64 * 24 * 2, L1Ways: 24, // 24 ways > 16: stamp fallback
-		L2Size: 64 * 24 * 8, L2Ways: 24,
-		L3Size: 64 * 32 * 16, L3Ways: 32,
-		LatL1: 4, LatL2: 14, LatL3: 50, LatDRAM: 300,
-		WritebackPenalty:   12,
-		MaxInflight:        8,
-		HWPrefetchDistance: 4,
-	}
 	return map[string]Config{
 		"tiny":      tiny,
 		"deflike":   deflike,
 		"tightMSHR": tightMSHR,
 		"unlimited": unlimited,
 		"noStream":  noStream,
-		"wideWays":  wide,
 	}
+}
+
+// Differential stream operations.
+const (
+	opAccess   = iota // demand access, maybe a write
+	opScan            // three ascending lines: stream-prefetcher food
+	opPrefetch        // software prefetch
+	opResidual        // residual probe
+	opContains        // presence probe at a level
+	numOps
+)
+
+// diffOp is one step of a differential stream.
+type diffOp struct {
+	kind  int
+	addr  uint64
+	write bool
+	level Level
+}
+
+// stepBoth applies op at cycle now to the production hierarchy and the
+// reference and reports the first return on which they differ.
+func stepBoth(h *Hierarchy, ref *refHierarchy, op diffOp, now uint64) error {
+	switch op.kind {
+	case opAccess:
+		if got, want := h.AccessW(op.addr, now, op.write), ref.AccessW(op.addr, now, op.write); got != want {
+			return fmt.Errorf("AccessW(%#x, %d, %v) = %+v, ref %+v", op.addr, now, op.write, got, want)
+		}
+	case opScan:
+		base := op.addr &^ (h.cfg.LineSize - 1)
+		for j := uint64(0); j < 3; j++ {
+			a := base + j*h.cfg.LineSize
+			if got, want := h.AccessW(a, now, false), ref.AccessW(a, now, false); got != want {
+				return fmt.Errorf("scan AccessW(%#x, %d) = %+v, ref %+v", a, now, got, want)
+			}
+		}
+	case opPrefetch:
+		gl, gc := h.Prefetch(op.addr, now)
+		wl, wc := ref.Prefetch(op.addr, now)
+		if gl != wl || gc != wc {
+			return fmt.Errorf("Prefetch(%#x, %d) = (%v,%d), ref (%v,%d)", op.addr, now, gl, gc, wl, wc)
+		}
+	case opResidual:
+		if got, want := h.Residual(op.addr, now), ref.Residual(op.addr, now); got != want {
+			return fmt.Errorf("Residual(%#x, %d) = %d, ref %d", op.addr, now, got, want)
+		}
+	case opContains:
+		if got, want := h.Contains(op.addr, now, op.level), ref.Contains(op.addr, now, op.level); got != want {
+			return fmt.Errorf("Contains(%#x, %d, %v) = %v, ref %v", op.addr, now, op.level, got, want)
+		}
+	}
+	return nil
 }
 
 // TestDifferentialAgainstMapModel drives the production hierarchy and the
@@ -398,68 +419,31 @@ func differentialConfigs() map[string]Config {
 // identical outputs at every step.
 func TestDifferentialAgainstMapModel(t *testing.T) {
 	for name, cfg := range differentialConfigs() {
-		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				h := MustNewHierarchy(cfg)
 				ref := newRefHierarchy(cfg)
 				rng := rand.New(rand.NewSource(seed))
 				now := uint64(0)
-				// Address pool small enough to force conflicts and
-				// evictions; includes ascending runs to trigger the
-				// stream prefetcher.
-				addr := func() uint64 { return uint64(rng.Intn(1 << 14)) }
-				for op := 0; op < 20000; op++ {
+				for i := 0; i < 20000; i++ {
 					now += uint64(rng.Intn(40))
+					// Address pool small enough to force conflicts and
+					// evictions; scans trigger the stream prefetcher.
+					op := diffOp{addr: uint64(rng.Intn(1 << 14))}
 					switch k := rng.Intn(100); {
-					case k < 45: // demand access, some writes
-						a := addr()
-						write := rng.Intn(4) == 0
-						got := h.AccessW(a, now, write)
-						want := ref.AccessW(a, now, write)
-						if got != want {
-							t.Fatalf("seed %d op %d: AccessW(%#x, %d, %v) = %+v, ref %+v",
-								seed, op, a, now, write, got, want)
-						}
-					case k < 60: // short ascending run (stream food)
-						base := addr() &^ (cfg.LineSize - 1)
-						for j := uint64(0); j < 3; j++ {
-							a := base + j*cfg.LineSize
-							got := h.AccessW(a, now, false)
-							want := ref.AccessW(a, now, false)
-							if got != want {
-								t.Fatalf("seed %d op %d: scan AccessW(%#x) = %+v, ref %+v",
-									seed, op, a, got, want)
-							}
-						}
-					case k < 75: // software prefetch
-						a := addr()
-						gl, gc := h.Prefetch(a, now)
-						wl, wc := ref.Prefetch(a, now)
-						if gl != wl || gc != wc {
-							t.Fatalf("seed %d op %d: Prefetch(%#x, %d) = (%v,%d), ref (%v,%d)",
-								seed, op, a, now, gl, gc, wl, wc)
-						}
-					case k < 85: // residual probe
-						a := addr()
-						if got, want := h.Residual(a, now), ref.Residual(a, now); got != want {
-							t.Fatalf("seed %d op %d: Residual(%#x, %d) = %d, ref %d",
-								seed, op, a, now, got, want)
-						}
-					case k < 95: // presence probe
-						a := addr()
-						lvl := Level(rng.Intn(3))
-						if got, want := h.Contains(a, now, lvl), ref.Contains(a, now, lvl); got != want {
-							t.Fatalf("seed %d op %d: Contains(%#x, %d, %v) = %v, ref %v",
-								seed, op, a, now, lvl, got, want)
-						}
-					case k < 98: // warm a line
-						a := addr()
-						h.Touch(a)
-						ref.Touch(a)
-					default: // rare full flush
-						h.Flush()
-						ref.Flush()
+					case k < 45:
+						op.kind, op.write = opAccess, rng.Intn(4) == 0
+					case k < 60:
+						op.kind = opScan
+					case k < 75:
+						op.kind = opPrefetch
+					case k < 85:
+						op.kind = opResidual
+					default:
+						op.kind, op.level = opContains, Level(rng.Intn(3))
+					}
+					if err := stepBoth(h, ref, op, now); err != nil {
+						t.Fatalf("seed %d op %d: %v", seed, i, err)
 					}
 				}
 				if h.Stats != ref.Stats {
@@ -468,4 +452,58 @@ func TestDifferentialAgainstMapModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzHierarchyVsReference draws the machine shape as well as the
+// stream: 1–16 ways and a power-of-two set count per level, an MSHR
+// budget of 0 (unlimited) to 8, and a stream-prefetch distance of 0–4.
+// Each 4-byte chunk of ops is one operation: kind, write flag and probe
+// level from the first byte, a 14-bit address from the next two, and a
+// 0–39 cycle advance from the last. Every return and the final Stats
+// must match the reference.
+func FuzzHierarchyVsReference(f *testing.F) {
+	stream := func(seed int64, n int) []byte {
+		b := make([]byte, 4*n)
+		rand.New(rand.NewSource(seed)).Read(b)
+		return b
+	}
+	f.Add(uint8(1), uint8(3), uint8(3), uint8(1), uint8(2), uint8(3), uint8(8), uint8(4), stream(1, 1000))
+	f.Add(uint8(7), uint8(7), uint8(15), uint8(3), uint8(4), uint8(4), uint8(2), uint8(4), stream(2, 1000))
+	f.Add(uint8(15), uint8(15), uint8(15), uint8(0), uint8(1), uint8(2), uint8(0), uint8(1), stream(3, 1000))
+	f.Add(uint8(0), uint8(1), uint8(2), uint8(2), uint8(3), uint8(5), uint8(1), uint8(0), stream(4, 1000))
+	f.Fuzz(func(t *testing.T, w1, w2, w3, s1, s2, s3, inflight, dist uint8, ops []byte) {
+		size := func(w, s uint8) (uint64, int) {
+			ways := 1 + int(w%MaxWays)
+			return (uint64(1) << (s % 6)) * uint64(ways) * 64, ways
+		}
+		cfg := Config{
+			LineSize: 64,
+			LatL1:    4, LatL2: 14, LatL3: 50, LatDRAM: 300,
+			WritebackPenalty:   12,
+			MaxInflight:        int(inflight % 9),
+			HWPrefetchDistance: int(dist % 5),
+		}
+		cfg.L1Size, cfg.L1Ways = size(w1, s1)
+		cfg.L2Size, cfg.L2Ways = size(w2, s2)
+		cfg.L3Size, cfg.L3Ways = size(w3, s3)
+		h := MustNewHierarchy(cfg)
+		ref := newRefHierarchy(cfg)
+		now := uint64(0)
+		for i := 0; i+4 <= len(ops); i += 4 {
+			b := ops[i : i+4]
+			now += uint64(b[3] % 40)
+			op := diffOp{
+				kind:  int(b[0]&0xF) % numOps,
+				write: b[0]&0x80 != 0,
+				level: Level((b[0] >> 4 & 7) % 3),
+				addr:  (uint64(b[1])<<8 | uint64(b[2])) & (1<<14 - 1),
+			}
+			if err := stepBoth(h, ref, op, now); err != nil {
+				t.Fatalf("%+v op %d: %v", cfg, i/4, err)
+			}
+		}
+		if h.Stats != ref.Stats {
+			t.Fatalf("%+v: final stats diverged:\n got %+v\n ref %+v", cfg, h.Stats, ref.Stats)
+		}
+	})
 }

@@ -11,9 +11,9 @@ package mem
 // a per-call sort.
 //
 // With MaxInflight > 0 the backing array is allocated once at its fixed
-// capacity and never grows; Flush truncates in place. Steady-state
-// operation is therefore allocation-free. MaxInflight == 0 (unlimited)
-// falls back to amortized append growth.
+// capacity and never grows, so steady-state operation is
+// allocation-free. MaxInflight == 0 (unlimited) falls back to amortized
+// append growth.
 type fillEntry struct {
 	line       uint64 // line address (low lineBits clear)
 	completion uint64 // cycle at which the line arrives
@@ -79,13 +79,3 @@ func (t *fillTable) removeAt(i int) {
 	copy(t.entries[i:], t.entries[i+1:])
 	t.entries = t.entries[:len(t.entries)-1]
 }
-
-// remove frees the MSHR for line, if present.
-func (t *fillTable) remove(line uint64) {
-	if i, ok := t.search(line); ok {
-		t.removeAt(i)
-	}
-}
-
-// reset drops every entry, keeping the backing array.
-func (t *fillTable) reset() { t.entries = t.entries[:0] }

@@ -13,6 +13,9 @@ import (
 type Config struct {
 	LineSize uint64
 
+	// Per-level capacity in bytes and associativity. Each L*Ways must
+	// lie in [1, 16] (MaxWays): a set's recency order packs into one
+	// word.
 	L1Size uint64
 	L1Ways int
 	L2Size uint64
@@ -72,14 +75,14 @@ func (c Config) Validate() error {
 	if c.LineSize == 0 || c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("mem: line size %d must be a power of two", c.LineSize)
 	}
-	if c.L1Ways <= 0 || c.L2Ways <= 0 || c.L3Ways <= 0 {
-		return fmt.Errorf("mem: cache ways must be positive")
-	}
 	for _, l := range [...]struct {
 		name string
 		size uint64
 		ways int
 	}{{"L1", c.L1Size, c.L1Ways}, {"L2", c.L2Size, c.L2Ways}, {"L3", c.L3Size, c.L3Ways}} {
+		if err := checkWays(l.name, l.ways); err != nil {
+			return err
+		}
 		if sets := setCount(l.size, c.LineSize, l.ways); sets&(sets-1) != 0 {
 			return fmt.Errorf("mem: %s set count %d must be a power of two (size %d, line %d, ways %d)", l.name, sets, l.size, c.LineSize, l.ways)
 		}
@@ -194,9 +197,7 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 
 // AttachLLC replaces the private L3 with a per-core view of a shared
 // banked LLC (see llc.go). Attach before the first access: the private
-// l3 keeps whatever state it had and is never consulted again. Flush
-// still clears only the private levels — the shared LLC belongs to the
-// machine, not to any one core.
+// l3 keeps whatever state it had and is never consulted again.
 func (h *Hierarchy) AttachLLC(v *LLCView) { h.llc = v }
 
 // LLC returns the attached shared-LLC view, or nil when the hierarchy
@@ -206,6 +207,10 @@ func (h *Hierarchy) LLC() *LLCView { return h.llc }
 func (h *Hierarchy) lineAddr(addr uint64) uint64 {
 	return addr &^ (h.cfg.LineSize - 1)
 }
+
+// tag is the cache-probe key of line address ln: its line index plus
+// one, so zero means an invalid way.
+func (h *Hierarchy) tag(ln uint64) uint64 { return (ln >> h.lineShift) + 1 }
 
 // AccessResult describes one demand access.
 type AccessResult struct {
@@ -326,50 +331,53 @@ func (h *Hierarchy) Prefetch(addr, now uint64) (Level, uint64) {
 		h.Stats.PrefetchHits++
 		return LevelInflight, now
 	}
-	if h.l1.contains(ln) {
+	if tag := h.tag(ln); h.l1.containsTag(tag) {
 		h.Stats.PrefetchHits++
 		// Refresh LRU: a prefetch of a cached line is still a touch.
-		h.l1.lookup(ln)
+		h.l1.access(tag, false)
 		return LevelL1, now
 	}
-	if h.cfg.MaxInflight > 0 && h.fills.len() >= h.cfg.MaxInflight {
-		// MSHRs free at fill completion: reclaim finished entries before
-		// concluding the budget is exhausted.
+	lvl, completion, ok := h.startFill(ln, now)
+	if ok {
+		h.Stats.Prefetches++
+	}
+	return lvl, completion
+}
+
+// startFill is the one path by which a prefetch, software or hardware,
+// starts a fill of line ln at cycle now. With the MSHR budget full it
+// first reclaims completed fills; if that frees nothing the fill is
+// dropped (counted in MSHRDrops), as on real cores: ok is false and
+// the result reads (LevelDRAM, now).
+// Otherwise the fill is served by the closest level holding the line —
+// L2, then the shared LLC view or the private L3, then DRAM — and
+// enters the fill table.
+func (h *Hierarchy) startFill(ln, now uint64) (lvl Level, completion uint64, ok bool) {
+	if budget := h.cfg.MaxInflight; budget > 0 && h.fills.len() >= budget {
 		h.reclaim(now)
-	}
-	if h.cfg.MaxInflight > 0 && h.fills.len() >= h.cfg.MaxInflight {
-		// MSHRs genuinely exhausted: the prefetch is dropped, as on real
-		// cores.
-		h.Stats.MSHRDrops++
-		return LevelDRAM, now
-	}
-	var lvl Level
-	var completion uint64
-	if h.llc != nil {
-		if h.l2.contains(ln) {
-			lvl, completion = LevelL2, now+h.cfg.Latency(LevelL2)
-		} else {
-			var lat uint64
-			lvl, lat = h.llc.Demand(ln)
-			completion = now + lat
+		if h.fills.len() >= budget {
+			h.Stats.MSHRDrops++
+			return LevelDRAM, now, false
 		}
-	} else {
-		switch {
-		case h.l2.contains(ln):
-			lvl = LevelL2
-		case h.l3.contains(ln):
-			lvl = LevelL3
-		default:
-			lvl = LevelDRAM
-		}
-		completion = now + h.cfg.Latency(lvl)
+	}
+	tag := h.tag(ln)
+	switch {
+	case h.l2.containsTag(tag):
+		lvl, completion = LevelL2, now+h.lat[LevelL2]
+	case h.llc != nil:
+		var lat uint64
+		lvl, lat = h.llc.Demand(ln)
+		completion = now + lat
+	case h.l3.containsTag(tag):
+		lvl, completion = LevelL3, now+h.lat[LevelL3]
+	default:
+		lvl, completion = LevelDRAM, now+h.lat[LevelDRAM]
 	}
 	h.fills.insert(ln, completion, lvl)
 	if n := uint64(h.fills.len()); n > h.Stats.MSHRPeak {
 		h.Stats.MSHRPeak = n
 	}
-	h.Stats.Prefetches++
-	return lvl, completion
+	return lvl, completion, true
 }
 
 // reclaim installs completed fills into the caches and frees their MSHRs.
@@ -412,47 +420,15 @@ func (h *Hierarchy) streamDetect(ln, now uint64) {
 	h.recentPos = (h.recentPos + 1) & (len(h.recent) - 1)
 }
 
-// hwPrefetch starts a fill on behalf of the hardware prefetcher.
+// hwPrefetch starts a fill on behalf of the hardware prefetcher. Unlike
+// a software prefetch it leaves an L1-resident line's recency alone.
 func (h *Hierarchy) hwPrefetch(ln, now uint64) {
-	if h.fills.has(ln) {
+	if h.fills.has(ln) || h.l1.containsTag(h.tag(ln)) {
 		return
 	}
-	if h.l1.contains(ln) {
-		return
+	if _, _, ok := h.startFill(ln, now); ok {
+		h.Stats.HWPrefetches++
 	}
-	if h.cfg.MaxInflight > 0 && h.fills.len() >= h.cfg.MaxInflight {
-		h.reclaim(now)
-		if h.fills.len() >= h.cfg.MaxInflight {
-			h.Stats.MSHRDrops++
-			return
-		}
-	}
-	var lvl Level
-	var completion uint64
-	if h.llc != nil {
-		if h.l2.contains(ln) {
-			lvl, completion = LevelL2, now+h.cfg.Latency(LevelL2)
-		} else {
-			var lat uint64
-			lvl, lat = h.llc.Demand(ln)
-			completion = now + lat
-		}
-	} else {
-		switch {
-		case h.l2.contains(ln):
-			lvl = LevelL2
-		case h.l3.contains(ln):
-			lvl = LevelL3
-		default:
-			lvl = LevelDRAM
-		}
-		completion = now + h.cfg.Latency(lvl)
-	}
-	h.fills.insert(ln, completion, lvl)
-	if n := uint64(h.fills.len()); n > h.Stats.MSHRPeak {
-		h.Stats.MSHRPeak = n
-	}
-	h.Stats.HWPrefetches++
 }
 
 // Residual returns the cycles remaining until the in-flight fill of the
@@ -474,41 +450,21 @@ func (h *Hierarchy) Contains(addr, now uint64, level Level) bool {
 	if f, ok := h.fills.get(ln); ok && f.completion <= now {
 		return true
 	}
-	if h.l1.contains(ln) {
+	tag := h.tag(ln)
+	if h.l1.containsTag(tag) {
 		return true
 	}
-	if level >= LevelL2 && h.l2.contains(ln) {
+	if level >= LevelL2 && h.l2.containsTag(tag) {
 		return true
 	}
 	if level >= LevelL3 {
 		if h.llc != nil {
 			return h.llc.Contains(ln)
 		}
-		return h.l3.contains(ln)
+		return h.l3.containsTag(tag)
 	}
 	return false
 }
-
-// Touch installs the line containing addr in every level without timing
-// effects. Workload builders use it to pre-warm caches deterministically.
-func (h *Hierarchy) Touch(addr uint64) {
-	h.install(h.lineAddr(addr), false)
-}
-
-// Flush invalidates all cache levels and drops outstanding fills, e.g.
-// between the profiling run and the measurement run. Storage (tag arrays,
-// the MSHR file) is reset in place, never reallocated.
-func (h *Hierarchy) Flush() {
-	h.l1.flush()
-	h.l2.flush()
-	h.l3.flush()
-	h.fills.reset()
-	h.recent = [8]uint64{}
-	h.recentPos = 0
-}
-
-// ResetStats zeroes the counters without touching cache state.
-func (h *Hierarchy) ResetStats() { h.Stats = Stats{} }
 
 // FillMetrics harvests the hierarchy's always-on counters into an
 // observability registry section. The demand path never counts twice:
@@ -534,7 +490,7 @@ func (h *Hierarchy) FillMetrics(m *metrics.Mem) {
 // set) and returns the write-back penalty incurred if L1 had to evict a
 // dirty victim.
 func (h *Hierarchy) install(ln uint64, write bool) uint64 {
-	tag := (ln >> h.lineShift) + 1
+	tag := h.tag(ln)
 	_, dirty := h.l1.access(tag, write)
 	h.l2.access(tag, false)
 	if h.llc != nil {

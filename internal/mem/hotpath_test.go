@@ -121,10 +121,9 @@ func TestCacheMRUFastPathNoReorder(t *testing.T) {
 }
 
 // TestContainsLeavesStateUntouched checks the presence probes against a
-// byte-for-byte snapshot of the replacement state: contains/containsTag
-// must not move recency, occupancy, tags, or dirty bits, and a
-// subsequent miss must evict the same victim it would have without the
-// probes.
+// byte-for-byte snapshot of the replacement state: containsTag must not
+// move recency, occupancy, tags, or dirty bits, and a subsequent miss
+// must evict the same victim it would have without the probes.
 func TestContainsLeavesStateUntouched(t *testing.T) {
 	c := newCache(2*64, 64, 2) // single 2-way set
 	c.access(1, false)
@@ -134,10 +133,10 @@ func TestContainsLeavesStateUntouched(t *testing.T) {
 	snapTags := append([]uint64(nil), c.tags...)
 	snapDirty := append([]bool(nil), c.dirty...)
 	for i := 0; i < 10; i++ {
-		c.contains(0)      // hit on LRU line (line 0 → tag 1)
-		c.contains(5 * 64) // miss
-		c.containsTag(2)   // hit on MRU
-		c.containsTag(99)  // miss
+		c.containsTag(1)  // hit on LRU
+		c.containsTag(6)  // miss in the same set
+		c.containsTag(2)  // hit on MRU
+		c.containsTag(99) // miss
 	}
 	if c.order[0] != snapOrder || c.used[0] != snapUsed {
 		t.Fatalf("presence probes perturbed recency: order %#x->%#x used %d->%d",
@@ -193,14 +192,14 @@ func TestFillLandsMidWalk(t *testing.T) {
 	// completed fill — installing fillLine into the full set mid-call.
 	h.Prefetch(0x4000, completion+100)
 
-	if !h.l1.contains(fillLine) {
+	if !h.l1.containsTag(h.tag(fillLine)) {
 		t.Error("completed fill not installed in L1")
 	}
-	if h.l1.contains(0) {
+	if h.l1.containsTag(h.tag(0)) {
 		t.Error("fill install evicted the wrong way: LRU line 0 still resident means another line was lost")
 	}
 	for i := uint64(1); i < 8; i++ {
-		if !h.l1.contains(i * 64) {
+		if !h.l1.containsTag(h.tag(i * 64)) {
 			t.Errorf("fill install evicted non-LRU line %#x", i*64)
 		}
 	}

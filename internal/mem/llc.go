@@ -51,7 +51,7 @@ type LLCConfig struct {
 	Banks int
 	// Size is the total capacity in bytes across all banks.
 	Size uint64
-	// Ways is the associativity of each bank.
+	// Ways is the associativity of each bank, in [1, 16] (MaxWays).
 	Ways int
 	// LineSize must match the private hierarchies' line size.
 	LineSize uint64
@@ -105,8 +105,8 @@ func (c LLCConfig) Validate() error {
 	if c.LineSize == 0 || c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("mem: LLC line size %d must be a power of two", c.LineSize)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("mem: LLC ways must be positive")
+	if err := checkWays("LLC", c.Ways); err != nil {
+		return err
 	}
 	bankBytes := c.Size / uint64(c.Banks)
 	sets := bankBytes / c.LineSize / uint64(c.Ways)

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -74,44 +75,36 @@ func TestCacheLRU(t *testing.T) {
 	if c.sets != 2 {
 		t.Fatalf("sets = %d, want 2", c.sets)
 	}
-	// Three lines mapping to the same set (stride = sets*lineSize = 128).
-	a, b, d := uint64(0), uint64(256), uint64(512)
-	c.install(a)
-	c.install(b)
-	if !c.lookup(a) || !c.lookup(b) {
+	// Three tags mapping to the same set (set = (tag-1) & 1).
+	a, b, d := uint64(1), uint64(3), uint64(5)
+	c.access(a, false)
+	c.access(b, false)
+	if !c.containsTag(a) || !c.containsTag(b) {
 		t.Fatal("both lines should be resident")
 	}
 	// Touch a so b becomes LRU, then install d: b must be evicted.
-	c.lookup(a)
-	evicted, did, _ := c.install(d)
-	if !did {
-		t.Fatal("install into full set should evict")
+	if hit, _ := c.access(a, false); !hit {
+		t.Fatal("re-access of a missed")
 	}
-	if evicted != b {
-		t.Errorf("evicted %#x, want %#x", evicted, b)
+	if hit, _ := c.access(d, false); hit {
+		t.Fatal("d hit before it was installed")
 	}
-	if c.contains(b) {
+	if c.containsTag(b) {
 		t.Error("b should be gone")
 	}
-	if !c.contains(a) || !c.contains(d) {
+	if !c.containsTag(a) || !c.containsTag(d) {
 		t.Error("a and d should be resident")
 	}
 }
 
 func TestCacheInstallIdempotent(t *testing.T) {
 	c := newCache(256, 64, 2)
-	c.install(1)
-	if _, did, _ := c.install(1); did {
-		t.Error("reinstalling a resident line must not evict")
+	c.access(1, false)
+	if hit, wasDirty := c.access(1, false); !hit || wasDirty {
+		t.Errorf("re-accessing a resident line = (hit %v, dirty victim %v), want (true, false)", hit, wasDirty)
 	}
-}
-
-func TestCacheFlush(t *testing.T) {
-	c := newCache(256, 64, 2)
-	c.install(1)
-	c.flush()
-	if c.contains(1) {
-		t.Error("flush should invalidate")
+	if c.used[0] != 1 {
+		t.Errorf("set 0 holds %d ways after two accesses of one line, want 1", c.used[0])
 	}
 }
 
@@ -233,18 +226,6 @@ func TestContainsProbe(t *testing.T) {
 	}
 }
 
-func TestTouchAndFlush(t *testing.T) {
-	h := MustNewHierarchy(DefaultConfig())
-	h.Touch(0x3000)
-	if r := h.Access(0x3000, 0); r.Level != LevelL1 {
-		t.Errorf("touched line should hit L1, got %v", r.Level)
-	}
-	h.Flush()
-	if r := h.Access(0x3000, 10); r.Level != LevelDRAM {
-		t.Errorf("flushed line should miss, got %v", r.Level)
-	}
-}
-
 func TestStats(t *testing.T) {
 	h := MustNewHierarchy(DefaultConfig())
 	h.Access(0, 0)
@@ -256,10 +237,6 @@ func TestStats(t *testing.T) {
 	}
 	if s.Total() != 3 {
 		t.Errorf("Total = %d", s.Total())
-	}
-	h.ResetStats()
-	if h.Stats.Total() != 0 {
-		t.Error("ResetStats did not zero counters")
 	}
 }
 
@@ -278,6 +255,41 @@ func TestConfigValidation(t *testing.T) {
 	bad.L2Ways = 0
 	if _, err := NewHierarchy(bad); err == nil {
 		t.Error("zero ways accepted")
+	}
+}
+
+// TestWaysOutsideRangeRejected holds every level — L1, L2, L3 and the
+// shared LLC — to associativity in [1, MaxWays], with one error text.
+func TestWaysOutsideRangeRejected(t *testing.T) {
+	hier := func(set func(*Config, int)) func(int) error {
+		return func(ways int) error {
+			cfg := DefaultConfig()
+			set(&cfg, ways)
+			_, err := NewHierarchy(cfg)
+			return err
+		}
+	}
+	build := map[string]func(int) error{
+		"L1": hier(func(c *Config, w int) { c.L1Ways = w }),
+		"L2": hier(func(c *Config, w int) { c.L2Ways = w }),
+		"L3": hier(func(c *Config, w int) { c.L3Ways = w }),
+		"LLC": func(ways int) error {
+			cfg := DefaultLLCConfig(4)
+			cfg.Ways = ways
+			_, err := NewSharedLLC(cfg)
+			return err
+		},
+	}
+	for level, build := range build {
+		for _, ways := range []int{0, 17, 32} {
+			want := fmt.Sprintf("mem: %s ways %d outside [1, 16]", level, ways)
+			if err := build(ways); err == nil || err.Error() != want {
+				t.Errorf("%s ways %d: got %v, want %q", level, ways, err, want)
+			}
+		}
+		if err := build(MaxWays); err != nil {
+			t.Errorf("%s ways %d rejected: %v", level, MaxWays, err)
+		}
 	}
 }
 
@@ -521,6 +533,7 @@ func TestLevelString(t *testing.T) {
 func TestNewCachePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { newCache(256, 64, 0) },    // no ways
+		func() { newCache(64*17, 64, 17) }, // too many ways
 		func() { newCache(256, 48, 2) },    // bad line size
 		func() { newCache(64*3*2, 64, 2) }, // 3 sets: not a power of two
 	} {

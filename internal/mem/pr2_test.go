@@ -102,40 +102,35 @@ func TestDirtyVictimTargetsLRUWay(t *testing.T) {
 }
 
 // TestHierarchySteadyStateAllocFree guards the tentpole property: with a
-// bounded MSHR budget, the entire demand/prefetch/probe/flush surface
-// runs without allocating.
+// bounded MSHR budget, the entire demand/prefetch/probe surface runs
+// without allocating.
 func TestHierarchySteadyStateAllocFree(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxInflight = 8
 	h := MustNewHierarchy(cfg)
 
-	// Warm up: populate caches and cycle the MSHR file through growth,
-	// reclaim, and flush once so every buffer is at steady-state size.
+	// Warm up: populate caches and cycle the MSHR file through growth
+	// and reclaim so every buffer is at steady-state size.
 	now := uint64(0)
 	for i := uint64(0); i < 512; i++ {
 		h.AccessW(i*64, now, i%3 == 0)
 		h.Prefetch((i+100)*64, now)
 		now += 20
 	}
-	h.Flush()
 
 	allocs := testing.AllocsPerRun(200, func() {
 		h.AccessW(now%(1<<16), now, now%5 == 0)
 		h.Prefetch((now+4096)%(1<<16), now)
 		h.Residual(now%(1<<16), now)
 		h.Contains(now%(1<<16), now, LevelL3)
-		h.Touch((now + 8192) % (1 << 16))
 		now += 37
-		if now%4000 < 37 {
-			h.Flush() // includes the satellite fix: flush must not reallocate
-		}
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state hierarchy ops allocated %.1f times per run, want 0", allocs)
 	}
 }
 
-// fillTable unit tests: ordering, membership, removal, reset-in-place.
+// fillTable unit tests: ordering, membership, removal, storage reuse.
 
 func TestFillTableSortedInsert(t *testing.T) {
 	ft := newFillTable(8)
@@ -163,28 +158,32 @@ func TestFillTableRemove(t *testing.T) {
 	for _, ln := range []uint64{0x100, 0x200, 0x300} {
 		ft.insert(ln, 50, LevelL3)
 	}
-	ft.remove(0x200)
-	if ft.has(0x200) || !ft.has(0x100) || !ft.has(0x300) {
-		t.Error("remove(0x200) disturbed the wrong entries")
+	i, ok := ft.search(0x200)
+	if !ok {
+		t.Fatal("search missed an outstanding line")
 	}
-	ft.remove(0x999) // absent: no-op
+	ft.removeAt(i)
+	if ft.has(0x200) || !ft.has(0x100) || !ft.has(0x300) {
+		t.Error("removeAt(0x200's index) disturbed the wrong entries")
+	}
 	if ft.len() != 2 {
-		t.Errorf("len = %d after removals, want 2", ft.len())
+		t.Errorf("len = %d after removal, want 2", ft.len())
 	}
 }
 
-func TestFillTableResetKeepsCapacity(t *testing.T) {
+func TestFillTableDrainKeepsCapacity(t *testing.T) {
 	ft := newFillTable(16)
-	before := cap(ft.entries)
-	for i := uint64(0); i < 16; i++ {
-		ft.insert(i*64, 10, LevelDRAM)
+	before := &ft.entries[:1][0]
+	for round := 0; round < 2; round++ {
+		for i := uint64(0); i < 16; i++ {
+			ft.insert(i*64, 10, LevelDRAM)
+		}
+		for ft.len() > 0 {
+			ft.removeAt(ft.len() / 2)
+		}
 	}
-	ft.reset()
-	if ft.len() != 0 {
-		t.Errorf("len = %d after reset, want 0", ft.len())
-	}
-	if cap(ft.entries) != before {
-		t.Errorf("reset changed capacity %d -> %d; must reuse storage", before, cap(ft.entries))
+	if cap(ft.entries) != 16 || &ft.entries[:1][0] != before {
+		t.Error("filling and draining the table reallocated its storage; it must reuse it")
 	}
 }
 

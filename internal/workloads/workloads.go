@@ -87,7 +87,7 @@ func Compose(memBytes uint64, seed int64, specs ...Spec) (*Scenario, error) {
 	sc := &Scenario{Mem: m}
 
 	for _, spec := range specs {
-		built, err := safeBuild(spec, m, rng)
+		built, stackTops, err := safeBuild(spec, m, rng)
 		if err != nil {
 			return nil, fmt.Errorf("workloads: building %s: %w", spec.Name(), err)
 		}
@@ -105,12 +105,7 @@ func Compose(memBytes uint64, seed int64, specs ...Spec) (*Scenario, error) {
 				entry = idx + offset
 			}
 		}
-		part := Part{Name: spec.Name(), Entry: entry, Instances: built.Instances}
-		for range built.Instances {
-			base := m.Alloc(stackSize, 16)
-			part.StackTops = append(part.StackTops, base+stackSize)
-		}
-		sc.Parts = append(sc.Parts, part)
+		sc.Parts = append(sc.Parts, Part{Name: spec.Name(), Entry: entry, Instances: built.Instances, StackTops: stackTops})
 	}
 	if err := combined.Validate(); err != nil {
 		return nil, fmt.Errorf("workloads: linked program invalid: %w", err)
@@ -120,12 +115,20 @@ func Compose(memBytes uint64, seed int64, specs ...Spec) (*Scenario, error) {
 	return sc, nil
 }
 
-// safeBuild converts allocator exhaustion panics into errors.
-func safeBuild(spec Spec, m *mem.Memory, rng *rand.Rand) (b *Built, err error) {
+// safeBuild builds spec and reserves one stack per instance, converting
+// allocator exhaustion panics from either step into errors.
+func safeBuild(spec Spec, m *mem.Memory, rng *rand.Rand) (b *Built, stackTops []uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%v", r)
 		}
 	}()
-	return spec.Build(m, rng)
+	if b, err = spec.Build(m, rng); err != nil {
+		return nil, nil, err
+	}
+	for range b.Instances {
+		base := m.Alloc(stackSize, 16)
+		stackTops = append(stackTops, base+stackSize)
+	}
+	return b, stackTops, nil
 }

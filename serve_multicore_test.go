@@ -135,7 +135,7 @@ func TestServeInheritsSessionTopology(t *testing.T) {
 	}
 }
 
-// TestServeMulticoreTwoCoreAnomaly keeps ROADMAP item 3(b)'s acceptance
+// TestServeMulticoreTwoCoreAnomaly keeps ROADMAP item 4's acceptance
 // case runnable: one event-aware cell at 8 req/µs — past single-core
 // saturation — on 1, 2 and 4 cores. Every request is conserved, and the
 // outcome is deterministic, so it is pinned.
@@ -143,7 +143,7 @@ func TestServeInheritsSessionTopology(t *testing.T) {
 // The 2-core row is an unexplained anomaly: a load the 1-core cell
 // serves completely at p99 1.2 µs and the 4-core cell at 2.2 µs loses a
 // quarter of its requests on 2 cores — dropped at admission (queue
-// full), not shed at dispatch — at ten times the tail. ROADMAP item 3
+// full), not shed at dispatch — at ten times the tail. ROADMAP item 4
 // must name the mechanism and then either fix it (and re-pin this row)
 // or state the explanation here.
 func TestServeMulticoreTwoCoreAnomaly(t *testing.T) {

@@ -104,9 +104,11 @@ func TestInvalidMachineIsAnError(t *testing.T) {
 		spoil func(*Machine)
 		want  string
 	}{
-		{"zero L1 ways", func(m *Machine) { m.Mem.L1Ways = 0 }, "mem: cache ways must be positive"},
+		{"zero L1 ways", func(m *Machine) { m.Mem.L1Ways = 0 }, "mem: L1 ways 0 outside [1, 16]"},
 		{"L1 set count", func(m *Machine) { m.Mem.L1Size = 3 << 10 }, "mem: L1 set count 6 must be a power of two"},
 		{"zero ALU cost", func(m *Machine) { m.CPU.CostALU = 0 }, "cpu: instruction costs must be nonzero"},
+		// The harness spec's data fits in 16 512 bytes; its four stacks do not.
+		{"stacks beyond MemBytes", func(m *Machine) { m.MemBytes = 16512 }, "mem: out of simulated memory"},
 	} {
 		topo := DefaultTopology(1)
 		tc.spoil(&topo.Machine)
@@ -119,7 +121,7 @@ func TestInvalidMachineIsAnError(t *testing.T) {
 		cfg.Policies = []ServicePolicy{PolicyAgnostic}
 		_, serveErr := s.Serve(ctx, cfg)
 		_, runErr := s.Run(ctx, "E1")
-		_, harnessErr := s.NewHarness(PointerChase{Nodes: 64, Hops: 8, Instances: 1})
+		_, harnessErr := s.NewHarness(PointerChase{Nodes: 64, Hops: 8, Instances: 4})
 		for entry, err := range map[string]error{"Serve": serveErr, "Run(E1)": runErr, "NewHarness": harnessErr} {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s: %s returned %v, want an error containing %q", tc.name, entry, err, tc.want)
