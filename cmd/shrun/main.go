@@ -27,10 +27,13 @@
 // With -serve the tool switches to the open-loop service harness:
 // requests arrive on their own simulated clock (Poisson by default) and
 // the policy × offered-load grid renders throughput and p50/p99/p999
-// sojourn tables:
+// sojourn tables. -metrics and -trace observe the whole sweep like any
+// other run: the registry totals every cell, and -trace-out draws one
+// process row per core:
 //
 //	shrun -serve -workload bst -arrivals poisson -rate 0.05,0.1,0.2 \
 //	    -requests 2000 -policy agnostic,event-aware -parallel 4 -cache
+//	shrun -serve -workload bst -rate 8 -requests 400 -cores 2 -metrics -trace-out serve.trace.json
 package main
 
 import (
@@ -123,6 +126,19 @@ func newObserve(o options) observe {
 		ob.reg = &metrics.Registry{}
 	}
 	return ob
+}
+
+// observed reports whether the run observes anything.
+func (ob observe) observed() bool { return ob.ring != nil || ob.reg != nil }
+
+// refuseCache is every sweep's one check that -cache and observation
+// stay apart: a cached cell simulates nothing, so it would leave the
+// counters and the ring empty.
+func (ob observe) refuseCache(o options) error {
+	if ob.observed() && (o.cache || o.cacheDir != "") {
+		return fmt.Errorf("-cache serves results without simulating, which leaves -metrics/-trace empty; drop one of them")
+	}
+	return nil
 }
 
 // finish renders the observability tail of a run: metrics table, trace
@@ -261,7 +277,9 @@ func run(w io.Writer, o options) error {
 // runner's worker pool and are served from the content-addressed cache
 // when -cache is set. With -cores N each cell load-balances its one
 // arrival stream across N per-core policy engines contending for the
-// shared LLC under the cycle-quantum kernel.
+// shared LLC under the cycle-quantum kernel. -metrics and -trace observe
+// every core of every cell through the session's one registry and ring;
+// the observed sweep runs its cells in grid order, uncached.
 func runServe(w io.Writer, o options) error {
 	if o.imagePath != "" {
 		return fmt.Errorf("-serve rebuilds the request scenario per cell; drop -image")
@@ -269,8 +287,9 @@ func runServe(w io.Writer, o options) error {
 	if o.seeds > 1 {
 		return fmt.Errorf("-serve sweeps offered load, not seeds; drop -seeds")
 	}
-	if o.metrics || o.traceN > 0 || o.traceOut != "" {
-		return fmt.Errorf("service cells keep private per-cell registries; -metrics/-trace do not combine with -serve")
+	ob := newObserve(o)
+	if err := ob.refuseCache(o); err != nil {
+		return err
 	}
 	request, err := cli.SpecByName(o.wf.Workload, o.sf.Workers)
 	if err != nil {
@@ -284,7 +303,9 @@ func runServe(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	opts := []repro.Option{repro.WithTopology(topo), repro.WithSeed(o.wf.Seed), repro.WithParallelism(o.parallel)}
+	exCfg := ob.config(o)
+	opts := []repro.Option{repro.WithTopology(topo), repro.WithSeed(o.wf.Seed), repro.WithParallelism(o.parallel),
+		repro.WithObservability(repro.ObservabilityConfig{Tracer: exCfg.Tracer, Metrics: exCfg.Metrics})}
 	if o.cache || o.cacheDir != "" {
 		opts = append(opts, repro.WithCache(o.cacheDir))
 	}
@@ -301,7 +322,7 @@ func runServe(w io.Writer, o options) error {
 		hits, misses := s.CacheStats()
 		fmt.Fprintf(w, "cache: %d hit(s), %d miss(es) under %s\n", hits, misses, dir)
 	}
-	return nil
+	return ob.finish(w, o, true)
 }
 
 // machineMode maps shrun's -mode vocabulary onto the kernel's per-core
@@ -422,7 +443,10 @@ func runSweep(w io.Writer, o options) error {
 		return fmt.Errorf("dual mode needs %d instances (1 primary + %d scavengers); pass -instances", o.scavengers+1, o.scavengers)
 	}
 	ob := newObserve(o)
-	observed := ob.ring != nil || ob.reg != nil
+	if err := ob.refuseCache(o); err != nil {
+		return err
+	}
+	observed := ob.observed()
 	if observed {
 		o.parallel = 1
 	}
@@ -433,9 +457,6 @@ func runSweep(w io.Writer, o options) error {
 
 	var cache *runner.Cache
 	if o.cache || o.cacheDir != "" {
-		if observed {
-			return fmt.Errorf("-cache serves results without simulating, which leaves -metrics/-trace empty; drop one of them")
-		}
 		dir := o.cacheDir
 		if dir == "" {
 			if dir, err = runner.DefaultDir(); err != nil {

@@ -247,10 +247,52 @@ func TestServeFlagChecks(t *testing.T) {
 	if err := run(&bytes.Buffer{}, o); err == nil {
 		t.Error("-serve with -seeds accepted")
 	}
-	o.seeds = 1
+}
+
+// serveOptions is a small observed-ready serve sweep: one event-aware
+// cell at a load that keeps two cores busy.
+func serveOptions() options {
+	o := defaults()
+	o.sf = cli.ServiceFlags{Serve: true, Arrivals: "poisson", Rate: "8", Requests: 200,
+		Policy: "event-aware", Workers: 4, Queue: 64, Batch: 2, Burst: 8}
+	return o
+}
+
+// -serve observes like every other run: -metrics prints the sweep's
+// service rows, and -cache with observation is refused with the seed
+// sweep's own words.
+func TestServeMetrics(t *testing.T) {
+	o := serveOptions()
 	o.metrics = true
-	if err := run(&bytes.Buffer{}, o); err == nil {
-		t.Error("-serve with -metrics accepted")
+	var out bytes.Buffer
+	if err := run(&out, o); err != nil {
+		t.Fatal(err)
+	}
+	if got := tableValue(t, out.String(), "service", "completed"); got == "0" {
+		t.Errorf("service completed is 0 after an observed serve:\n%s", out.String())
+	}
+
+	o.cacheDir = t.TempDir()
+	err := run(&bytes.Buffer{}, o)
+	o = defaults()
+	o.seeds, o.metrics, o.cacheDir = 2, true, t.TempDir()
+	want := run(&bytes.Buffer{}, o)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("-serve -metrics -cache-dir refused with %v, the seed sweep with %v", err, want)
+	}
+}
+
+// -serve -cores 2 -trace-out exports one process row per core.
+func TestServeTraceOutHasProcessPerCore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.trace.json")
+	o := serveOptions()
+	o.tf.Cores = 2
+	o.traceOut = path
+	if err := run(&bytes.Buffer{}, o); err != nil {
+		t.Fatal(err)
+	}
+	if pids := processRows(t, path); len(pids) != 2 || !pids[0] || !pids[1] {
+		t.Errorf("process rows %v, want pids 0 and 1", pids)
 	}
 }
 
@@ -315,6 +357,15 @@ func TestManyCoreTraceOutHasProcessPerCore(t *testing.T) {
 	if err := run(&out, o); err != nil {
 		t.Fatal(err)
 	}
+	if pids := processRows(t, path); len(pids) != 2 || !pids[0] || !pids[1] {
+		t.Errorf("process rows %v, want pids 0 and 1", pids)
+	}
+}
+
+// processRows reads a -trace-out file and returns the pids of its
+// Perfetto process rows.
+func processRows(t *testing.T, path string) map[float64]bool {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -329,9 +380,7 @@ func TestManyCoreTraceOutHasProcessPerCore(t *testing.T) {
 			pids[ev["pid"].(float64)] = true
 		}
 	}
-	if len(pids) != 2 || !pids[0] || !pids[1] {
-		t.Errorf("process rows %v, want pids 0 and 1", pids)
-	}
+	return pids
 }
 
 // An observed many-core sweep runs, reporting the last seed's totals.

@@ -109,6 +109,9 @@
 // (repro.LoadSweep(ctx, cfg, opts...) is the one-call form.) Cells fan
 // out over the session's worker pool and result cache exactly like
 // experiment sweeps, and reports are byte-identical at any GOMAXPROCS.
+// Under WithObservability every core of every cell observes through the
+// session's tracer and registry; the sweep then runs its cells in grid
+// order, uncached, and its report is unchanged.
 //
 // cmd/shbench regenerates every table and figure of the evaluation (see
 // DESIGN.md and EXPERIMENTS.md); go run ./bench is the only timed

@@ -267,8 +267,9 @@ func (sf *ServiceFlags) rates() ([]float64, error) {
 
 // ServiceConfig assembles the serve-sweep configuration described by
 // the flags around the given request workload (typically built from the
-// -workload flag with Instances = sf.Workers). The background batch
-// tier is left to the service package's default compute filler.
+// -workload flag with Instances = sf.Workers), refusing what
+// service.Config.Validate refuses. The background batch tier is left to
+// the service package's default compute filler.
 func (sf *ServiceFlags) ServiceConfig(request workloads.Spec) (service.Config, error) {
 	if err := sf.Check(); err != nil {
 		return service.Config{}, err
@@ -288,7 +289,7 @@ func (sf *ServiceFlags) ServiceConfig(request workloads.Spec) (service.Config, e
 	if len(rates) == 0 {
 		rates = service.DefaultConfig().Rates
 	}
-	return service.Config{
+	cfg := service.Config{
 		Workload:  service.Workload{Request: request},
 		Arrivals:  service.ArrivalSpec{Kind: kind, Rate: rates[0], Burst: sf.Burst},
 		Rates:     rates,
@@ -298,7 +299,11 @@ func (sf *ServiceFlags) ServiceConfig(request workloads.Spec) (service.Config, e
 		ShedAfter: sf.Shed,
 		Batch:     sf.Batch,
 		Policies:  pols,
-	}, nil
+	}
+	if _, err := cfg.Normalized(); err != nil {
+		return service.Config{}, err
+	}
+	return cfg, nil
 }
 
 // InstallUsage wraps fs.Usage so that help output — including the

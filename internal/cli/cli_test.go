@@ -182,6 +182,16 @@ func TestServiceFlags(t *testing.T) {
 	if _, err := cfg.Normalized(); err != nil {
 		t.Errorf("flag-built config does not normalize: %v", err)
 	}
+
+	// What service.Config.Validate refuses, the flags refuse in its
+	// words: here an arrival clock that would leave the cycle range.
+	sf.Rate = "1e-300"
+	hostile := service.Config{Arrivals: service.ArrivalSpec{Kind: service.Bursty, Rate: 1e-300, Burst: 4},
+		Requests: 500, Workers: 2, Queue: 16, Batch: 1}
+	_, want := hostile.Normalized()
+	if _, err := sf.ServiceConfig(req); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("-rate 1e-300: ServiceConfig returned %v, Validate says %v", err, want)
+	}
 }
 
 // Service knobs without -serve are a hard error, not a silent no-op —

@@ -44,6 +44,10 @@ func (e *Executor) NewAsym(ring []*Task, src AsymSource) *Asym {
 	return &Asym{lane: lane{e: e, ring: ring, cur: -1}, src: src}
 }
 
+// Stats returns the loop's episode accounting so far: Episodes,
+// ChainSwitches, HWSkips and PrimaryDelay; the other fields are zero.
+func (l *Asym) Stats() Stats { return l.st }
+
 // Run advances until the core clock reaches deadline (done=false) or
 // the source has nothing pending (done=true).
 //

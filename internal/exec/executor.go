@@ -226,6 +226,23 @@ func (e *Executor) CaptureMetrics() {
 	e.Core.Counters.FillMetrics(&m.CPU)
 }
 
+// FoldMetrics adds the core and hierarchy counters into the configured
+// registry's Mem and CPU sections, so one registry totals the cores of
+// a machine or the cells of a serve sweep. Like CaptureMetrics it is a
+// no-op without a registry.
+func (e *Executor) FoldMetrics() {
+	m := e.Cfg.Metrics
+	if m == nil {
+		return
+	}
+	var mm metrics.Mem
+	var cm metrics.CPU
+	e.Core.Hier.FillMetrics(&mm)
+	e.Core.Counters.FillMetrics(&cm)
+	m.Mem.Add(mm)
+	m.CPU.Add(cm)
+}
+
 // collect aggregates task accounting into stats.
 func collect(st *Stats, tasks ...*Task) {
 	for _, t := range tasks {

@@ -112,19 +112,6 @@ type coreRunner struct {
 	smt  *smt.Runner    // ModeSMT
 }
 
-// coreTracer stamps one core's index on the events it forwards to the
-// machine's shared tracer.
-type coreTracer struct {
-	core int
-	next trace.Tracer
-}
-
-// Emit implements trace.Tracer.
-func (t coreTracer) Emit(e trace.Event) {
-	e.Core = t.core
-	t.next.Emit(e)
-}
-
 // RunQuantum advances the core's engine to the deadline.
 //
 //shsim:cycle-entry
@@ -177,9 +164,7 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 		c.ts = ts
 
 		cfg := rc.Exec
-		if cfg.Tracer != nil {
-			cfg.Tracer = coreTracer{core: i, next: cfg.Tracer}
-		}
+		cfg.Tracer = trace.OnCore(cfg.Tracer, i)
 		c.ex = h.NewExecutor(img, cfg)
 		if m.llc != nil {
 			c.ex.Core.Hier.AttachLLC(m.llc.NewView(i))

@@ -73,21 +73,14 @@ func (m *Machine) stats() Stats {
 		}
 		cs.Mem = c.ex.Core.Hier.Stats
 		st.Cores = append(st.Cores, cs)
-		if reg != nil {
-			var mm metrics.Mem
-			var cm metrics.CPU
-			c.ex.Core.Hier.FillMetrics(&mm)
-			c.ex.Core.Counters.FillMetrics(&cm)
-			reg.Mem.Add(mm)
-			reg.CPU.Add(cm)
-			if !m.folded {
-				// Many-core runs report request latencies: one request
-				// per task, its latency the halt time. Solo runs record
-				// none. Recorded once, however often Run is called.
-				for _, l := range latencies {
-					reg.Sched.Requests++
-					reg.Sched.RequestLatency.Observe(l)
-				}
+		c.ex.FoldMetrics()
+		if reg != nil && !m.folded {
+			// Many-core runs report request latencies: one request per
+			// task, its latency the halt time. Solo runs record none.
+			// Recorded once, however often Run is called.
+			for _, l := range latencies {
+				reg.Sched.Requests++
+				reg.Sched.RequestLatency.Observe(l)
 			}
 		}
 

@@ -20,7 +20,9 @@
 //
 //   - The Exec section is bumped inline by internal/exec during a run
 //     (episode boundaries); the Sched section by internal/machine at
-//     the end of one (request completions).
+//     the end of one (request completions); the Service section by
+//     internal/service at the end of each serve cell, folded from the
+//     request ledger (a Service value) the cell keeps for itself.
 //   - Mem, CPU and Sampler sections are harvested from counters those
 //     packages already maintain unconditionally (mem.Hierarchy.Stats,
 //     cpu.Counters, the pebs sampler) via their FillMetrics methods —
@@ -133,16 +135,17 @@ func (x *Exec) NoteEpisode(away, target uint64) {
 // Sched holds request accounting bumped by internal/machine at the end
 // of each run: one request per task, its latency the halt time.
 type Sched struct {
-	Requests   uint64 // latency-sensitive requests completed
-	BatchTasks uint64 // batch tasks submitted alongside them (a serve cell's batch-tier size)
+	Requests uint64 // latency-sensitive requests completed
 	// RequestLatency distributes request completion times (cycles from
 	// run start), log2-bucketed.
 	RequestLatency Hist
 }
 
-// Service holds the open-loop service-harness accounting bumped by
-// internal/service per request lifecycle event (arrival → admit →
-// dispatch → retire). The conservation invariant the tests pin:
+// Service holds the open-loop service-harness accounting: a serve
+// cell's request ledger, bumped by internal/service per request
+// lifecycle event (arrival → admit → dispatch → retire), and a
+// registry's fold of the ledgers of every cell it observed. The
+// conservation invariant the tests pin:
 // Arrivals = Admitted + Dropped, and Admitted = Completed + Shed once
 // a run drains.
 type Service struct {
@@ -155,6 +158,19 @@ type Service struct {
 	// Sojourn distributes request sojourn times (arrival to retire) in
 	// cycles with ~6% resolution — fine enough for p999 claims.
 	Sojourn FineHist
+}
+
+// Add folds another ledger into s, as a serve cell does across its
+// cores and an observed sweep across its cells: counters sum and the
+// sojourn histograms merge.
+func (s *Service) Add(o *Service) {
+	s.Arrivals += o.Arrivals
+	s.Admitted += o.Admitted
+	s.Dropped += o.Dropped
+	s.Shed += o.Shed
+	s.Completed += o.Completed
+	s.BatchOps += o.BatchOps
+	s.Sojourn.Merge(&o.Sojourn)
 }
 
 // Sampler aggregates profiling-overhead counters, filled from the PEBS
@@ -264,7 +280,6 @@ func (s *Snapshot) counters() []counter {
 		{"exec", "chains", s.Exec.Chains},
 		{"exec", "hw_skips", s.Exec.HWSkips},
 		{"sched", "requests", s.Sched.Requests},
-		{"sched", "batch_tasks", s.Sched.BatchTasks},
 		{"service", "arrivals", s.Service.Arrivals},
 		{"service", "admitted", s.Service.Admitted},
 		{"service", "dropped", s.Service.Dropped},

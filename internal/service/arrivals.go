@@ -12,7 +12,9 @@
 // stream, each (policy, rate) cell is a pure single-threaded function of
 // the machine and configuration, and sweeps fan cells through the runner
 // without sharing any simulator state, so reports are byte-identical
-// across GOMAXPROCS settings and repeated runs.
+// across GOMAXPROCS settings and repeated runs. Each cell keeps its own
+// request ledger; an observed sweep runs its cells one at a time, and
+// each folds its ledger into the one registry at cell end.
 package service
 
 import (
@@ -72,16 +74,27 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // ArrivalSpec describes the offered load.
+//
+// The arrival clock must stay inside 2^63 cycles for a whole cell, so
+// Config.Validate refuses a rate too low for its request count: n
+// arrivals must satisfy n · (CyclesPerMicro/Rate) · g < 2^63, where g
+// bounds one gap in mean gaps — 1 for Uniform, the largest exponential
+// draw −ln 2^-54 ≈ 37.4 for Poisson, and Burst times that for Bursty
+// (every arrival may open a burst).
 type ArrivalSpec struct {
 	// Kind is the arrival process.
 	Kind Kind
 	// Rate is the offered load in requests per simulated microsecond;
 	// the mean inter-arrival gap is CyclesPerMicro/Rate cycles.
 	Rate float64
-	// Burst is the mean burst size for Bursty arrivals (≥ 1; ignored
-	// otherwise).
+	// Burst is the mean burst size for Bursty arrivals (finite and ≥ 1;
+	// ignored otherwise, but never NaN or infinite).
 	Burst float64
 }
+
+// maxExpDraw is the largest unit exponential Arrivals.exp can draw:
+// −ln of splitmix.float's smallest value, 2^-54.
+const maxExpDraw = 54 * math.Ln2
 
 func (s ArrivalSpec) validate() error {
 	switch s.Kind {
@@ -92,10 +105,23 @@ func (s ArrivalSpec) validate() error {
 	if !(s.Rate > 0) || math.IsInf(s.Rate, 0) {
 		return fmt.Errorf("service: arrival rate %v must be a positive finite rate (requests/µs)", s.Rate)
 	}
-	if s.Kind == Bursty && !(s.Burst >= 1) {
-		return fmt.Errorf("service: burst size %v must be ≥ 1", s.Burst)
+	if math.IsNaN(s.Burst) || math.IsInf(s.Burst, 0) || s.Kind == Bursty && s.Burst < 1 {
+		return fmt.Errorf("service: burst size %v must be finite and ≥ 1", s.Burst)
 	}
 	return nil
+}
+
+// maxClock bounds the cycle at which the n-th arrival can fall (see
+// ArrivalSpec).
+func (s ArrivalSpec) maxClock(n int) float64 {
+	gap := CyclesPerMicro / s.Rate
+	switch s.Kind {
+	case Poisson:
+		gap *= maxExpDraw
+	case Bursty:
+		gap *= maxExpDraw * s.Burst
+	}
+	return float64(n) * gap
 }
 
 // splitmix is a private splitmix64 stream: the cycle-domain determinism

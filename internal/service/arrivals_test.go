@@ -145,6 +145,8 @@ func TestArrivalSpecValidate(t *testing.T) {
 		{Kind: Bursty, Rate: 1, Burst: 0.5},
 		{Kind: Kind(99), Rate: 1},
 		{Kind: Poisson, Rate: math.Inf(1)},
+		{Kind: Bursty, Rate: 1, Burst: math.Inf(1)},
+		{Kind: Poisson, Rate: 1, Burst: math.NaN()},
 	}
 	for _, spec := range bad {
 		if _, err := NewArrivals(spec, 1); err == nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // RunQuantum makes a dispatched cell — no arrival process of its own —
@@ -59,8 +60,9 @@ type dispatcher struct {
 
 // newDispatcher builds the per-core cells (each over its strided
 // CoreMachine, its view of the shared LLC attached in core-index
-// order) and the one shared arrival process.
-func newDispatcher(mach core.Machine, cfg Config, cl Cell) (*dispatcher, error) {
+// order, observing through obs with its core index stamped on every
+// event) and the one shared arrival process.
+func newDispatcher(mach core.Machine, cfg Config, cl Cell, obs exec.Config) (*dispatcher, error) {
 	topo := cfg.Topology
 	topo.Machine = mach
 	if err := topo.Validate(); err != nil {
@@ -73,7 +75,9 @@ func newDispatcher(mach core.Machine, cfg Config, cl Cell) (*dispatcher, error) 
 	d := &dispatcher{cfg: cfg, cl: cl, topo: topo, shared: newQueue(cfg.Queue)}
 	cores := make([]machine.Core, topo.Cores)
 	for i := range cores {
-		c, err := newCell(topo.CoreMachine(i), cfg, cl, false)
+		coreObs := obs
+		coreObs.Tracer = trace.OnCore(obs.Tracer, i)
+		c, err := newCell(topo.CoreMachine(i), cfg, cl, coreObs, false)
 		if err != nil {
 			return nil, fmt.Errorf("service: core %d: %w", i, err)
 		}
@@ -91,18 +95,6 @@ func newDispatcher(mach core.Machine, cfg Config, cl Cell) (*dispatcher, error) 
 		return nil, err
 	}
 	return d, nil
-}
-
-// runCellMulti serves one cell over cfg.Topology.Cores cores.
-func runCellMulti(mach core.Machine, cfg Config, cl Cell) (CellStats, error) {
-	d, err := newDispatcher(mach, cfg, cl)
-	if err != nil {
-		return CellStats{}, err
-	}
-	if err := d.serve(); err != nil {
-		return CellStats{}, err
-	}
-	return d.stats(), nil
 }
 
 // pump admits every arrival due at or before the committed barrier into
@@ -138,8 +130,8 @@ func (d *dispatcher) assign() {
 		}
 		req, _ := d.shared.pop()
 		c := d.cores[best]
-		c.reg.Service.Arrivals++
-		c.reg.Service.Admitted++
+		c.led.Arrivals++
+		c.led.Admitted++
 		c.q.push(req)
 	}
 }
@@ -182,8 +174,7 @@ func (d *dispatcher) drained() bool {
 func (d *dispatcher) reconcile() error {
 	done := d.dropped
 	for _, c := range d.cores {
-		s := &c.reg.Service
-		done += s.Completed + s.Shed
+		done += c.led.Completed + c.led.Shed
 	}
 	if done != d.arr.generated {
 		return fmt.Errorf("service: conservation violated — %d requests generated, %d accounted for", d.arr.generated, done)

@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/machine"
+	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 func multiConfig(t *testing.T, cores int, rate float64, requests int) (Config, Cell) {
@@ -27,7 +30,7 @@ func multiConfig(t *testing.T, cores int, rate float64, requests int) (Config, C
 // generated request ends as exactly one of completed, dropped or shed.
 func TestDispatcherPerCoreConservation(t *testing.T) {
 	cfg, cl := multiConfig(t, 4, 8, 1200)
-	d, err := newDispatcher(core.DefaultMachine(), cfg, cl)
+	d, err := newDispatcher(core.DefaultMachine(), cfg, cl, exec.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +40,7 @@ func TestDispatcherPerCoreConservation(t *testing.T) {
 
 	var assigned, done uint64
 	for i, c := range d.cores {
-		s := &c.reg.Service
+		s := &c.led
 		if s.Dropped != 0 {
 			t.Errorf("core %d dropped %d requests; local queues must never overflow", i, s.Dropped)
 		}
@@ -103,13 +106,25 @@ func TestRunCellMultiDeterministicRepeats(t *testing.T) {
 
 // TestDispatcherSteadyStateAllocs: once the first quanta have warmed
 // the slot/queue structures, a full admit → balance → quantum barrier
-// round performs zero allocations — the same gate internal/machine
-// holds its kernel to.
+// round performs zero allocations, observed or not — the same gate
+// internal/machine holds its kernel to.
 func TestDispatcherSteadyStateAllocs(t *testing.T) {
+	t.Run("unobserved", func(t *testing.T) { dispatcherAllocs(t, exec.Config{}) })
+	t.Run("ring+registry", func(t *testing.T) {
+		dispatcherAllocs(t, exec.Config{Tracer: trace.NewRing(1 << 10), Metrics: &metrics.Registry{}})
+	})
+}
+
+// dispatcherAllocs warms a 2-core cell observing through obs, then
+// requires zero allocations per dispatch round. A ring tracer must
+// receive events while measuring, or the observed case would prove
+// nothing.
+func dispatcherAllocs(t *testing.T, obs exec.Config) {
+	t.Helper()
 	// A request count the measured rounds cannot exhaust: the cell must
 	// stay mid-flight (arrivals pumping, cores serving) while we count.
 	cfg, cl := multiConfig(t, 2, 6, 1_000_000)
-	d, err := newDispatcher(core.DefaultMachine(), cfg, cl)
+	d, err := newDispatcher(core.DefaultMachine(), cfg, cl, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +138,15 @@ func TestDispatcherSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		round()
 	}
+	ring, _ := obs.Tracer.(*trace.Ring)
+	var before uint64
+	if ring != nil {
+		before = ring.Total()
+	}
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Errorf("dispatch round allocates %.1f objects per quantum in steady state, want 0", avg)
+	}
+	if ring != nil && ring.Total() == before {
+		t.Error("no event reached the shared ring while measuring; the observed case is vacuous")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/metrics"
 	"repro/internal/smt"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -22,10 +23,9 @@ type slot struct {
 	task  *exec.Task
 	stack uint64 // this slot's private stack top
 
-	id         uint64 // request id (selects the instance)
-	arrival    uint64 // cycle the request arrived (sojourn base)
-	dispatched uint64 // cycle the request took the slot
-	expected   uint64 // host-reference result for validation
+	id       uint64 // request id (selects the instance)
+	arrival  uint64 // cycle the request arrived (sojourn base)
+	expected uint64 // host-reference result for validation
 }
 
 // batchTask is one background task: re-armed with the next instance at
@@ -44,7 +44,7 @@ type engine interface {
 }
 
 // cell is one (policy, rate) point of the sweep: a pure single-threaded
-// simulation over its own harness, executor and metrics registry. It is
+// simulation over its own harness, executor and request ledger. It is
 // the open-loop source (exec.AsymSource) of its policy's scheduling
 // loop: an arrival-fed pool of worker slots plus batch tasks that never
 // run out. In a multi-core cell each core owns one of these (built from
@@ -58,10 +58,10 @@ type cell struct {
 	ex   *exec.Executor
 	loop engine
 
-	// reg is held by value: a serving cell always records (the sojourn
-	// histogram IS the output), so the registry is never nil. The
-	// executor observes through &c.reg.
-	reg metrics.Registry
+	// led is the cell's request ledger, kept whether or not anything
+	// observes the cell: the sojourn histogram IS the output. summarize
+	// folds it into an observing registry at cell end.
+	led metrics.Service
 
 	part   *workloads.Part // request part
 	entry  int             // request entry in the (possibly rewritten) image
@@ -87,19 +87,37 @@ type cell struct {
 // RunCell serves one sweep cell: cfg.Requests requests offered at
 // cell.Rate under cell.Policy. It is a pure function of its arguments —
 // sweeps may run cells concurrently (each builds its own scenario,
-// core and registry) and merge results in grid order. With
+// core and ledger) and merge results in grid order. With
 // cfg.Topology.Cores > 1 the cell spreads over a many-core machine:
 // one arrival stream, per-core policy engines, deterministic quantum
 // dispatch (see dispatch.go).
 func RunCell(mach core.Machine, cfg Config, cl Cell) (CellStats, error) {
+	return RunCellObserved(mach, cfg, cl, nil, nil)
+}
+
+// RunCellObserved is RunCell with every core of the cell observing
+// through tr and reg, as a machine's cores do: events carry their core
+// index, the Exec section is bumped inline, and at cell end the cell
+// adds its ledger to reg.Service and its cores' counters to reg.Mem and
+// reg.CPU. Observation never changes the CellStats. Cells sharing tr or
+// reg must run one at a time.
+func RunCellObserved(mach core.Machine, cfg Config, cl Cell, tr trace.Tracer, reg *metrics.Registry) (CellStats, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return CellStats{}, err
 	}
+	obs := exec.Config{Tracer: tr, Metrics: reg}
 	if cfg.Topology.Cores > 1 {
-		return runCellMulti(mach, cfg, cl)
+		d, err := newDispatcher(mach, cfg, cl, obs)
+		if err != nil {
+			return CellStats{}, err
+		}
+		if err := d.serve(); err != nil {
+			return CellStats{}, err
+		}
+		return d.stats(), nil
 	}
-	c, err := newCell(mach, cfg, cl, true)
+	c, err := newCell(mach, cfg, cl, obs, true)
 	if err != nil {
 		return CellStats{}, err
 	}
@@ -120,10 +138,11 @@ func (c *cell) run(deadline uint64) error {
 	return err
 }
 
-// newCell builds one serving cell over mach. withArrivals selects the
-// classic self-clocked form; a dispatched (multi-core) cell leaves arr
-// nil — its local queue is fed by the dispatcher at quantum barriers.
-func newCell(mach core.Machine, cfg Config, cl Cell, withArrivals bool) (*cell, error) {
+// newCell builds one serving cell over mach, its executor observing
+// through obs's Tracer and Metrics. withArrivals selects the classic
+// self-clocked form; a dispatched (multi-core) cell leaves arr nil —
+// its local queue is fed by the dispatcher at quantum barriers.
+func newCell(mach core.Machine, cfg Config, cl Cell, obs exec.Config, withArrivals bool) (*cell, error) {
 	workers := cfg.Workers
 	if cl.Policy == Sidecar {
 		workers = 1 // the dedicated lane serves strictly one at a time
@@ -166,7 +185,7 @@ func newCell(mach core.Machine, cfg Config, cl Cell, withArrivals bool) (*cell, 
 		entry: img.Entries[reqName],
 		q:     newQueue(cfg.Queue),
 	}
-	execCfg := exec.Config{Switch: mach.Switch, MaxSteps: cfg.MaxSteps, Metrics: &c.reg}
+	execCfg := exec.Config{Switch: mach.Switch, MaxSteps: cfg.MaxSteps, Tracer: obs.Tracer, Metrics: obs.Metrics}
 	if cl.Policy == OSThread {
 		execCfg.Switch = baselines.OSThreadCostModel()
 	}
@@ -196,7 +215,6 @@ func newCell(mach core.Machine, cfg Config, cl Cell, withArrivals bool) (*cell, 
 			c.armBatch(b)
 			c.batch = append(c.batch, b)
 		}
-		c.reg.Sched.BatchTasks = uint64(cfg.Batch)
 	}
 	ring := make([]*exec.Task, 0, len(c.slots)+len(c.batch))
 	for _, s := range c.slots {
@@ -250,7 +268,7 @@ func (c *cell) Pending() bool {
 	if c.arr == nil {
 		return true
 	}
-	s := &c.reg.Service
+	s := &c.led
 	return s.Completed+s.Dropped+s.Shed < uint64(c.cfg.Requests)
 }
 
@@ -268,9 +286,9 @@ func (c *cell) Poll() uint64 {
 	if a := c.arr; a != nil && !a.exhausted() {
 		if a.next <= c.ex.Core.Now {
 			arrived, dropped := a.offer(c.ex.Core.Now, &c.q)
-			c.reg.Service.Arrivals += arrived
-			c.reg.Service.Admitted += arrived - dropped
-			c.reg.Service.Dropped += dropped
+			c.led.Arrivals += arrived
+			c.led.Admitted += arrived - dropped
+			c.led.Dropped += dropped
 		}
 		if !a.exhausted() {
 			horizon = a.next
@@ -301,7 +319,6 @@ func (c *cell) arm(s *slot, req request) {
 	rearm(s.task, inst, s.stack, c.entry)
 	s.id = req.id
 	s.arrival = req.arrival
-	s.dispatched = c.ex.Core.Now
 	s.expected = inst.Expected
 }
 
@@ -336,7 +353,7 @@ func (c *cell) dispatch(s *slot) {
 			return
 		}
 		if c.cfg.ShedAfter > 0 && now-req.arrival > c.cfg.ShedAfter {
-			c.reg.Service.Shed++
+			c.led.Shed++
 			continue
 		}
 		c.arm(s, req)
@@ -346,17 +363,14 @@ func (c *cell) dispatch(s *slot) {
 }
 
 // complete validates and retires the request in s, recording its
-// sojourn (arrival → halt) and service (dispatch → halt) times.
+// sojourn (arrival → halt).
 func (c *cell) complete(s *slot) error {
 	ctx := s.task.Ctx
 	if ctx.Result != s.expected {
 		return fmt.Errorf("service: request %d computed %d, reference says %d", s.id, ctx.Result, s.expected)
 	}
-	now := c.ex.Core.Now
-	c.reg.Service.Completed++
-	c.reg.Service.Sojourn.Observe(now - s.arrival)
-	c.reg.Sched.Requests++
-	c.reg.Sched.RequestLatency.Observe(now - s.dispatched)
+	c.led.Completed++
+	c.led.Sojourn.Observe(c.ex.Core.Now - s.arrival)
 	for i, id := range c.fifo {
 		if id == ctx.ID {
 			c.fifo = append(c.fifo[:i], c.fifo[i+1:]...)
@@ -371,7 +385,7 @@ func (c *cell) completeBatch(b *batchTask) error {
 	if got, want := b.task.Ctx.Result, c.bpart.Instances[b.inst].Expected; got != want {
 		return fmt.Errorf("service: batch instance %d computed %d, reference says %d", b.inst, got, want)
 	}
-	c.reg.Service.BatchOps++
+	c.led.BatchOps++
 	c.armBatch(b)
 	return nil
 }

@@ -32,7 +32,7 @@ func TestServeSlicedEquivalence(t *testing.T) {
 	for _, pol := range []Policy{Agnostic, Sidecar, EventAware, OSThread, SMT} {
 		cl := Cell{Policy: pol, Rate: 4}
 		serve := func(slice uint64) (CellStats, *cell) {
-			c, err := newCell(core.DefaultMachine(), cfg, cl, true)
+			c, err := newCell(core.DefaultMachine(), cfg, cl, exec.Config{}, true)
 			if err != nil {
 				t.Fatalf("%s: %v", pol, err)
 			}
@@ -60,7 +60,7 @@ func TestServeSlicedEquivalence(t *testing.T) {
 			if got.Hist.String() != ref.Hist.String() {
 				t.Errorf("%s, slice %d: sojourn table diverged", pol, slice)
 			}
-			if !reflect.DeepEqual(c.reg.Service.Sojourn, refCell.reg.Service.Sojourn) {
+			if !reflect.DeepEqual(c.led.Sojourn, refCell.led.Sojourn) {
 				t.Errorf("%s, slice %d: sojourn histogram diverged", pol, slice)
 			}
 			a, b := got, ref
@@ -184,7 +184,7 @@ func TestKernelGoroutineLifetime(t *testing.T) {
 	cfg, cl := multiConfig(t, 2, 6, 300)
 	// serve runs a dispatched cell with a probe on every core.
 	serve := func(name string, cfg Config) error {
-		d, err := newDispatcher(core.DefaultMachine(), cfg, cl)
+		d, err := newDispatcher(core.DefaultMachine(), cfg, cl, exec.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,11 +217,11 @@ func TestKernelGoroutineLifetime(t *testing.T) {
 	}
 }
 
-// pollState is everything a Poll may touch: the registry, the admission
+// pollState is everything a Poll may touch: the ledger, the admission
 // queue, the in-flight order, every slot and its context, the arrival
 // process, the batch cursors.
 type pollState struct {
-	reg        metrics.Registry
+	led        metrics.Service
 	q          queue
 	fifo       []int
 	slots      []slot
@@ -231,7 +231,7 @@ type pollState struct {
 }
 
 func snapPoll(c *cell) pollState {
-	s := pollState{reg: c.reg, q: c.q, fifo: append([]int(nil), c.fifo...), next: c.arr.next, gen: c.arr.generated, bnext: c.bnext, idx: c.scavIdx}
+	s := pollState{led: c.led, q: c.q, fifo: append([]int(nil), c.fifo...), next: c.arr.next, gen: c.arr.generated, bnext: c.bnext, idx: c.scavIdx}
 	s.q.buf = append([]request(nil), c.q.buf...)
 	for _, sl := range c.slots {
 		s.slots = append(s.slots, *sl)
@@ -254,11 +254,11 @@ func TestCellPollIdempotent(t *testing.T) {
 	}
 	cfg.Requests = 120
 	for _, pol := range []Policy{Agnostic, Sidecar, EventAware, SMT} {
-		c, err := newCell(core.DefaultMachine(), cfg, Cell{Policy: pol, Rate: 4}, true)
+		c, err := newCell(core.DefaultMachine(), cfg, Cell{Policy: pol, Rate: 4}, exec.Config{}, true)
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
-		halts := func() uint64 { return c.reg.Service.Completed + c.reg.Service.BatchOps }
+		halts := func() uint64 { return c.led.Completed + c.led.BatchOps }
 		var (
 			due, haltsAtPoll uint64
 			carried, twice   int
@@ -325,7 +325,7 @@ func TestServeCellsSkipBatchLaps(t *testing.T) {
 		}
 		var cells []*cell
 		if tc.cores == 1 {
-			c, err := newCell(mach, cfg, tc.cl, true)
+			c, err := newCell(mach, cfg, tc.cl, exec.Config{}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,7 +334,7 @@ func TestServeCellsSkipBatchLaps(t *testing.T) {
 			}
 			cells = []*cell{c}
 		} else {
-			d, err := newDispatcher(mach, cfg, tc.cl)
+			d, err := newDispatcher(mach, cfg, tc.cl, exec.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,7 +385,7 @@ func TestServeSMTCellSkipsRounds(t *testing.T) {
 		rate     float64
 		minShare float64 // of all slices, retired in skipped rounds
 	}{{4, 0.7}, {8, 0.45}} {
-		c, err := newCell(mach, cfg, Cell{Policy: SMT, Rate: tc.rate}, true)
+		c, err := newCell(mach, cfg, Cell{Policy: SMT, Rate: tc.rate}, exec.Config{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -58,30 +59,23 @@ func (cs CellStats) P99Micros() float64  { return micros(cs.P99) }
 func (cs CellStats) P999Micros() float64 { return micros(cs.P999) }
 
 // summarize folds the per-core cells that served cl into one CellStats:
-// counters sum, per-core sojourn histograms fold together bucket-wise
-// (exactly equivalent to one histogram observing every request),
-// quantiles come from the merged histogram, and the cell's wall clock
-// is the furthest core clock. sharedDropped counts rejections at a
-// multi-core cell's shared admission queue, which no core ever saw.
+// the per-core ledgers sum and their sojourn histograms merge (exactly
+// equivalent to one histogram observing every request), quantiles come
+// from the merged histogram, episodes and chains from the asymmetric
+// loops, and the cell's wall clock is the furthest core clock.
+// sharedDropped counts rejections at a multi-core cell's shared
+// admission queue, which no core ever saw. When a registry observes the
+// cell, the merged ledger and the cores' counters fold into it too.
 func summarize(cl Cell, cells []*cell, sharedDropped uint64) CellStats {
-	var merged metrics.FineHist
-	cs := CellStats{
-		Policy:   cl.Policy,
-		Rate:     cl.Rate,
-		Cores:    len(cells),
-		Requests: sharedDropped,
-		Dropped:  sharedDropped,
-	}
+	led := metrics.Service{Arrivals: sharedDropped, Dropped: sharedDropped}
+	cs := CellStats{Policy: cl.Policy, Rate: cl.Rate, Cores: len(cells)}
 	for _, c := range cells {
-		s := &c.reg.Service
-		cs.Requests += s.Arrivals
-		cs.Completed += s.Completed
-		cs.Dropped += s.Dropped
-		cs.Shed += s.Shed
-		cs.BatchOps += s.BatchOps
-		cs.Episodes += c.reg.Exec.Episodes
-		cs.Chains += c.reg.Exec.Chains
-		merged.Merge(&s.Sojourn)
+		led.Add(&c.led)
+		if l, ok := c.loop.(*exec.Asym); ok {
+			st := l.Stats()
+			cs.Episodes += st.Episodes
+			cs.Chains += st.ChainSwitches
+		}
 		cs.Cycles = max(cs.Cycles, c.ex.Core.Now)
 		for _, sl := range c.slots {
 			cs.Switches += sl.task.Ctx.Switches
@@ -89,33 +83,25 @@ func summarize(cl Cell, cells []*cell, sharedDropped uint64) CellStats {
 		for _, b := range c.batch {
 			cs.Switches += b.task.Ctx.Switches
 		}
+		c.ex.FoldMetrics()
 	}
-	cs.P50 = merged.Quantile(0.50)
-	cs.P99 = merged.Quantile(0.99)
-	cs.P999 = merged.Quantile(0.999)
-	cs.MeanSojourn = merged.Mean()
-	cs.MaxSojourn = merged.Max
-	cs.Hist = sojournTable(&merged, cl.Policy, cl.Rate)
-	return cs
-}
-
-// sojournTable renders the non-empty fine buckets. A nil histogram
-// (metrics off) renders as an empty table.
-func sojournTable(h *metrics.FineHist, pol Policy, rate float64) *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("sojourn histogram: %s at %g req/µs (cycles)", pol, rate),
+	if reg := cells[0].ex.Cfg.Metrics; reg != nil {
+		reg.Service.Add(&led)
+	}
+	cs.Requests, cs.Completed, cs.Dropped, cs.Shed, cs.BatchOps =
+		led.Arrivals, led.Completed, led.Dropped, led.Shed, led.BatchOps
+	cs.P50, cs.P99, cs.P999 = led.Sojourn.Quantile(0.50), led.Sojourn.Quantile(0.99), led.Sojourn.Quantile(0.999)
+	cs.MeanSojourn, cs.MaxSojourn = led.Sojourn.Mean(), led.Sojourn.Max
+	cs.Hist = stats.NewTable(
+		fmt.Sprintf("sojourn histogram: %s at %g req/µs (cycles)", cl.Policy, cl.Rate),
 		"bucket_lo", "bucket_hi", "count")
-	if h == nil {
-		return t
-	}
-	for i := 0; i < metrics.NumFineBuckets; i++ {
-		if h.Buckets[i] == 0 {
-			continue
+	for i, n := range led.Sojourn.Buckets[:] {
+		if n > 0 {
+			lo, hi := metrics.FineBucketBounds(i)
+			cs.Hist.Row(lo, hi, n)
 		}
-		lo, hi := metrics.FineBucketBounds(i)
-		t.Row(lo, hi, h.Buckets[i])
 	}
-	return t
+	return cs
 }
 
 // ResultID is the canonical experiments.Result ID for a sweep cell.
@@ -123,26 +109,36 @@ func (cl Cell) ResultID() string {
 	return fmt.Sprintf("serve/%s/rate=%g", cl.Policy, cl.Rate)
 }
 
-// resultKeys are the CellStats scalars carried in Result.Metrics.
-const (
-	keyPolicy    = "policy_code"
-	keyRate      = "rate_per_us"
-	keyCores     = "cores"
-	keyRequests  = "requests"
-	keyCompleted = "completed"
-	keyDropped   = "dropped"
-	keyShed      = "shed"
-	keyBatchOps  = "batch_ops"
-	keyCycles    = "cycles"
-	keySwitches  = "switches"
-	keyEpisodes  = "episodes"
-	keyChains    = "chains"
-	keyP50       = "sojourn_p50_cycles"
-	keyP99       = "sojourn_p99_cycles"
-	keyP999      = "sojourn_p999_cycles"
-	keyMean      = "sojourn_mean_cycles"
-	keyMax       = "sojourn_max_cycles"
-)
+// field is one CellStats scalar under its Result.Metrics key; ptr is a
+// *Policy, *int, *uint64 or *float64 into the CellStats.
+type field struct {
+	key string
+	ptr any
+}
+
+// codec is the one key table of the CellStats ↔ experiments.Result
+// conversion, which Result and CellStatsFromResult both walk.
+func (cs *CellStats) codec() []field {
+	return []field{
+		{"policy_code", &cs.Policy},
+		{"rate_per_us", &cs.Rate},
+		{"cores", &cs.Cores},
+		{"requests", &cs.Requests},
+		{"completed", &cs.Completed},
+		{"dropped", &cs.Dropped},
+		{"shed", &cs.Shed},
+		{"batch_ops", &cs.BatchOps},
+		{"cycles", &cs.Cycles},
+		{"switches", &cs.Switches},
+		{"episodes", &cs.Episodes},
+		{"chains", &cs.Chains},
+		{"sojourn_p50_cycles", &cs.P50},
+		{"sojourn_p99_cycles", &cs.P99},
+		{"sojourn_p999_cycles", &cs.P999},
+		{"sojourn_max_cycles", &cs.MaxSojourn},
+		{"sojourn_mean_cycles", &cs.MeanSojourn},
+	}
+}
 
 // Result converts the cell summary to an experiments.Result so sweep
 // cells flow through the runner and its content-addressed cache like
@@ -150,27 +146,21 @@ const (
 // Tables[0].
 func (cs CellStats) Result() *experiments.Result {
 	res := &experiments.Result{
-		ID:    Cell{Policy: cs.Policy, Rate: cs.Rate}.ResultID(),
-		Title: fmt.Sprintf("open-loop service: %s at %g req/µs", cs.Policy, cs.Rate),
-		Metrics: map[string]float64{
-			keyPolicy:    float64(cs.Policy),
-			keyRate:      cs.Rate,
-			keyCores:     float64(cs.Cores),
-			keyRequests:  float64(cs.Requests),
-			keyCompleted: float64(cs.Completed),
-			keyDropped:   float64(cs.Dropped),
-			keyShed:      float64(cs.Shed),
-			keyBatchOps:  float64(cs.BatchOps),
-			keyCycles:    float64(cs.Cycles),
-			keySwitches:  float64(cs.Switches),
-			keyEpisodes:  float64(cs.Episodes),
-			keyChains:    float64(cs.Chains),
-			keyP50:       float64(cs.P50),
-			keyP99:       float64(cs.P99),
-			keyP999:      float64(cs.P999),
-			keyMean:      cs.MeanSojourn,
-			keyMax:       float64(cs.MaxSojourn),
-		},
+		ID:      Cell{Policy: cs.Policy, Rate: cs.Rate}.ResultID(),
+		Title:   fmt.Sprintf("open-loop service: %s at %g req/µs", cs.Policy, cs.Rate),
+		Metrics: map[string]float64{},
+	}
+	for _, f := range cs.codec() {
+		switch p := f.ptr.(type) {
+		case *Policy:
+			res.Metrics[f.key] = float64(*p)
+		case *int:
+			res.Metrics[f.key] = float64(*p)
+		case *uint64:
+			res.Metrics[f.key] = float64(*p)
+		case *float64:
+			res.Metrics[f.key] = *p
+		}
 	}
 	if cs.Hist != nil {
 		res.Tables = append(res.Tables, cs.Hist)
@@ -181,55 +171,22 @@ func (cs CellStats) Result() *experiments.Result {
 // CellStatsFromResult is the inverse of CellStats.Result, used when a
 // sweep cell is served from the result cache.
 func CellStatsFromResult(res *experiments.Result) (CellStats, error) {
-	get := func(key string) (float64, error) {
-		v, ok := res.Metrics[key]
-		if !ok {
-			return 0, fmt.Errorf("service: result %s lacks metric %q", res.ID, key)
-		}
-		return v, nil
-	}
 	var cs CellStats
-	var err error
-	read := func(dst *uint64, key string) {
-		if err != nil {
-			return
+	for _, f := range cs.codec() {
+		v, ok := res.Metrics[f.key]
+		if !ok {
+			return CellStats{}, fmt.Errorf("service: result %s lacks metric %q", res.ID, f.key)
 		}
-		var v float64
-		if v, err = get(key); err == nil {
-			*dst = uint64(v)
+		switch p := f.ptr.(type) {
+		case *Policy:
+			*p = Policy(v)
+		case *int:
+			*p = int(v)
+		case *uint64:
+			*p = uint64(v)
+		case *float64:
+			*p = v
 		}
-	}
-	var pol float64
-	if pol, err = get(keyPolicy); err != nil {
-		return CellStats{}, err
-	}
-	cs.Policy = Policy(pol)
-	if cs.Rate, err = get(keyRate); err != nil {
-		return CellStats{}, err
-	}
-	var cores float64
-	if cores, err = get(keyCores); err != nil {
-		return CellStats{}, err
-	}
-	cs.Cores = int(cores)
-	read(&cs.Requests, keyRequests)
-	read(&cs.Completed, keyCompleted)
-	read(&cs.Dropped, keyDropped)
-	read(&cs.Shed, keyShed)
-	read(&cs.BatchOps, keyBatchOps)
-	read(&cs.Cycles, keyCycles)
-	read(&cs.Switches, keySwitches)
-	read(&cs.Episodes, keyEpisodes)
-	read(&cs.Chains, keyChains)
-	read(&cs.P50, keyP50)
-	read(&cs.P99, keyP99)
-	read(&cs.P999, keyP999)
-	read(&cs.MaxSojourn, keyMax)
-	if err != nil {
-		return CellStats{}, err
-	}
-	if cs.MeanSojourn, err = get(keyMean); err != nil {
-		return CellStats{}, err
 	}
 	if len(res.Tables) > 0 {
 		cs.Hist = res.Tables[0]

@@ -249,6 +249,10 @@ func (cfg Config) Validate() error {
 		if err := spec.validate(); err != nil {
 			return err
 		}
+		if end := spec.maxClock(cfg.Requests); !(end < 1<<63) {
+			return fmt.Errorf("service: arrival rate %v cannot keep %d arrivals inside the 2^63-cycle clock (their last may fall at cycle %.3g)",
+				r, cfg.Requests, end)
+		}
 	}
 	for _, p := range cfg.Policies {
 		if p > SMT {
@@ -274,23 +278,4 @@ func (cfg Config) Cells() []Cell {
 		}
 	}
 	return cells
-}
-
-// Run serves the whole sweep sequentially and assembles the report.
-// Each cell is a pure function of (mach, cfg, cell); parallel sweeps go
-// through the runner instead (see the repro package's Session.Serve).
-func Run(mach core.Machine, cfg Config) (*Report, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	var cells []CellStats
-	for _, cell := range cfg.Cells() {
-		cs, err := RunCell(mach, cfg, cell)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, cs)
-	}
-	return &Report{Cells: cells}, nil
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -160,17 +161,21 @@ func TestCellStatsResultRoundTrip(t *testing.T) {
 	}
 }
 
-// Run serves the whole grid and the report renders one table per
-// policy plus the cross-policy p99 comparison.
+// RunCell over a grid, in grid order, renders one table per policy
+// plus the cross-policy p99 comparison.
 func TestRunReportShape(t *testing.T) {
 	mach := core.DefaultMachine()
 	cfg := testConfig()
 	cfg.Requests = 150
 	cfg.Rates = []float64{0.1, 0.3}
 	cfg.Policies = []Policy{Agnostic, EventAware}
-	rep, err := Run(mach, cfg)
-	if err != nil {
-		t.Fatal(err)
+	rep := &Report{}
+	for _, cl := range cfg.Cells() {
+		cs, err := RunCell(mach, cfg, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Cells = append(rep.Cells, cs)
 	}
 	if len(rep.Cells) != 4 {
 		t.Fatalf("got %d cells, want 4", len(rep.Cells))
@@ -220,5 +225,41 @@ func TestConfigValidate(t *testing.T) {
 	cfg.Batch = 5 // background spec only has 2 instances
 	if _, err := RunCell(core.DefaultMachine(), cfg, Cell{Policy: Agnostic, Rate: 0.1}); err == nil {
 		t.Fatal("want error for batch > background instances")
+	}
+
+	// Hostile arrival specs fail up front, with one error text whichever
+	// entry point meets them: a non-finite burst, and rates whose
+	// arrival clock would leave the cycle range (its float-to-uint64
+	// conversion saturates, and the cell would step toward an arrival it
+	// never reaches).
+	hostile := map[string]func(*Config){
+		"infinite burst": func(c *Config) { c.Arrivals = ArrivalSpec{Kind: Bursty, Rate: 0.2, Burst: math.Inf(1)} },
+		"NaN burst":      func(c *Config) { c.Arrivals.Burst = math.NaN() },
+		"vanishing rate": func(c *Config) { c.Rates = []float64{1e-300} },
+		"bursty clock":   func(c *Config) { c.Arrivals = ArrivalSpec{Kind: Bursty, Rate: 1e-6, Burst: 1e12} },
+		"poisson clock":  func(c *Config) { c.Rates = []float64{1e-9}; c.Requests = 1 << 30 },
+	}
+	for name, mutate := range hostile {
+		cfg := testConfig()
+		cfg.Requests = 2
+		mutate(&cfg)
+		err := cfg.withDefaults().Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, cfg.Arrivals)
+			continue
+		}
+		if _, nerr := cfg.Normalized(); nerr == nil || nerr.Error() != err.Error() {
+			t.Errorf("%s: Normalized says %v, Validate %v", name, nerr, err)
+		}
+		if _, rerr := RunCell(core.DefaultMachine(), cfg, Cell{Policy: Agnostic, Rate: 0.2}); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s: RunCell says %v, Validate %v", name, rerr, err)
+		}
+	}
+	// Slow but representable clocks stay legal.
+	cfg = testConfig()
+	cfg.Arrivals = ArrivalSpec{Kind: Uniform, Rate: 1e-9}
+	cfg.Requests = 1
+	if err := cfg.withDefaults().Validate(); err != nil {
+		t.Errorf("one uniform arrival at 1e-9 req/µs refused: %v", err)
 	}
 }

@@ -94,6 +94,28 @@ type Tracer interface {
 	Emit(Event)
 }
 
+// OnCore returns a tracer that stamps core on every event it forwards
+// to t, so the cores of one machine share a tracer and still draw their
+// own Perfetto rows. A nil t stays nil, keeping the untraced fast path.
+func OnCore(t Tracer, core int) Tracer {
+	if t == nil {
+		return nil
+	}
+	return coreTracer{core: core, next: t}
+}
+
+// coreTracer is OnCore's adapter.
+type coreTracer struct {
+	core int
+	next Tracer
+}
+
+// Emit implements Tracer.
+func (t coreTracer) Emit(e Event) {
+	e.Core = t.core
+	t.next.Emit(e)
+}
+
 // Ring is a bounded in-memory tracer keeping the most recent events.
 type Ring struct {
 	buf   []Event

@@ -5,7 +5,7 @@ package repro
 // requests arrive on their own clock and the server cannot push back?
 // Session.Serve sweeps a policy × offered-load grid through the
 // deterministic runner (parallel, cached, byte-identical at any
-// GOMAXPROCS); the closed-loop Harness.Tasks + RunSymmetric/RunDualMode
+// GOMAXPROCS, observed through WithObservability); the closed-loop Harness.Tasks + RunSymmetric/RunDualMode
 // surface remains as the low-level building block underneath it.
 
 import (
@@ -20,6 +20,8 @@ type (
 	// ServiceConfig describes one Serve call: the request/background
 	// workload pair, the arrival process, the offered-load sweep, the
 	// admission policy (queue bound, shedding) and the policy grid.
+	// What observes the sweep is the session's (WithObservability), not
+	// the config's.
 	ServiceConfig = service.Config
 	// ServiceReport is a served sweep: per-cell stats plus rendered
 	// per-policy and cross-policy tail-latency tables.
@@ -127,6 +129,12 @@ func serviceKey(cfg ServiceConfig, cl ServiceCell) serviceCellKey {
 // under the cycle-quantum kernel. Each cell is a pure function of
 // (machine, config, cell), so the rendered report is byte-identical
 // across GOMAXPROCS settings and repeated runs.
+//
+// Under WithObservability every core of every cell observes through
+// the session's tracer and registry, as RunMachine's cores do, and the
+// registry ends up holding the sweep's totals. An observed sweep runs
+// its cells in grid order on one goroutine and simulates every one
+// (a cached cell simulates nothing); its report is the unobserved one.
 func (s *Session) Serve(ctx context.Context, cfg ServiceConfig) (*ServiceReport, error) {
 	if cfg.Topology.Cores == 0 {
 		cfg.Topology = s.topo
@@ -136,6 +144,11 @@ func (s *Session) Serve(ctx context.Context, cfg ServiceConfig) (*ServiceReport,
 		return nil, err
 	}
 	mach := s.topo.Machine
+	obs := s.observed(ExecConfig{})
+	opts := runner.Options{Parallelism: s.parallelism, Cache: s.cache}
+	if obs.Tracer != nil || obs.Metrics != nil {
+		opts = runner.Options{Parallelism: 1}
+	}
 	cells := norm.Cells()
 	jobs := make([]runner.Job, len(cells))
 	for i, cl := range cells {
@@ -146,7 +159,7 @@ func (s *Session) Serve(ctx context.Context, cfg ServiceConfig) (*ServiceReport,
 			Service:   serviceKey(norm, cl),
 			Cacheable: true,
 			Run: func(m Machine) (*ExperimentResult, error) {
-				cs, err := service.RunCell(m, norm, cl)
+				cs, err := service.RunCellObserved(m, norm, cl, obs.Tracer, obs.Metrics)
 				if err != nil {
 					return nil, err
 				}
@@ -154,7 +167,7 @@ func (s *Session) Serve(ctx context.Context, cfg ServiceConfig) (*ServiceReport,
 			},
 		}
 	}
-	rs, err := runner.Run(ctx, jobs, runner.Options{Parallelism: s.parallelism, Cache: s.cache})
+	rs, err := runner.Run(ctx, jobs, opts)
 	if err != nil {
 		return nil, err
 	}

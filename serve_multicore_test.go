@@ -183,3 +183,100 @@ func TestServeMulticoreTwoCoreAnomaly(t *testing.T) {
 		}
 	}
 }
+
+// TestServeObservedIsPureObservation is TestMetricsDoNotPerturbRun's
+// contract for serve: under WithObservability a sweep renders the same
+// bytes as without, at 1, 2 and 4 cores, and the session's one registry
+// and ring account for it — the registry's service section sums the
+// report, its exec section reconciles with the cells' episode and chain
+// counts, and a multi-core cell's events carry every core's index. The
+// observed session shares a warm cache with the plain one, so a
+// registry that matches also proves the observed sweep simulated every
+// cell instead of replaying it.
+func TestServeObservedIsPureObservation(t *testing.T) {
+	cfg := multicoreConfig()
+	cfg.Requests = 300
+	cfg.Rates = []float64{4, 8}
+	dir := t.TempDir()
+	for _, cores := range []int{1, 2, 4} {
+		cfg.Topology = Topology{Cores: cores}
+		plain, err := LoadSweep(context.Background(), cfg, WithCache(dir), WithParallelism(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := NewTraceRing(1 << 20)
+		reg := &MetricsRegistry{}
+		s, err := NewSession(WithCache(dir), WithParallelism(2),
+			WithObservability(ObservabilityConfig{Tracer: ring, Metrics: reg}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		observed, err := s.Serve(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if observed.String() != plain.String() {
+			t.Fatalf("%d cores: observation perturbed the report:\n%s\n--- unobserved ---\n%s", cores, observed, plain)
+		}
+		for i := range plain.Cells {
+			a, b := plain.Cells[i], observed.Cells[i]
+			if a.Hist.String() != b.Hist.String() {
+				t.Errorf("%d cores, cell %d: sojourn histogram perturbed", cores, i)
+			}
+			a.Hist, b.Hist = nil, nil
+			if a != b {
+				t.Errorf("%d cores, cell %d: stats perturbed\n plain    %+v\n observed %+v", cores, i, a, b)
+			}
+		}
+		if hits, misses := s.CacheStats(); hits+misses != 0 {
+			t.Errorf("%d cores: observed sweep consulted the cache (%d hits, %d misses)", cores, hits, misses)
+		}
+
+		var sum ServiceCellStats
+		for _, c := range observed.Cells {
+			sum.Requests += c.Requests
+			sum.Completed += c.Completed
+			sum.Dropped += c.Dropped
+			sum.Shed += c.Shed
+			sum.BatchOps += c.BatchOps
+			sum.Episodes += c.Episodes
+			sum.Chains += c.Chains
+		}
+		svc := reg.Service
+		if svc.Arrivals != sum.Requests || svc.Completed != sum.Completed || svc.Dropped != sum.Dropped ||
+			svc.Shed != sum.Shed || svc.BatchOps != sum.BatchOps {
+			t.Errorf("%d cores: registry service %d/%d/%d/%d/%d (arrivals/completed/dropped/shed/batch) != report %d/%d/%d/%d/%d",
+				cores, svc.Arrivals, svc.Completed, svc.Dropped, svc.Shed, svc.BatchOps,
+				sum.Requests, sum.Completed, sum.Dropped, sum.Shed, sum.BatchOps)
+		}
+		if svc.Completed == 0 || svc.Sojourn.Count != svc.Completed {
+			t.Errorf("%d cores: %d sojourns for %d completions", cores, svc.Sojourn.Count, svc.Completed)
+		}
+		if reg.Exec.Episodes == 0 || reg.Exec.Episodes != sum.Episodes || reg.Exec.Chains != sum.Chains {
+			t.Errorf("%d cores: registry exec %d episodes / %d chains != cells' %d / %d",
+				cores, reg.Exec.Episodes, reg.Exec.Chains, sum.Episodes, sum.Chains)
+		}
+		if reg.Exec.EpisodeDur.Count != reg.Exec.Episodes {
+			t.Errorf("%d cores: %d episode durations for %d episodes", cores, reg.Exec.EpisodeDur.Count, reg.Exec.Episodes)
+		}
+		if reg.CPU.Retired == 0 || reg.Mem.L1Hits == 0 {
+			t.Errorf("%d cores: cell end folded no core counters (retired %d, L1 hits %d)", cores, reg.CPU.Retired, reg.Mem.L1Hits)
+		}
+
+		seen := map[int]bool{}
+		for _, e := range ring.Events() {
+			seen[e.Core] = true
+		}
+		if ring.Total() != uint64(len(ring.Events())) {
+			t.Fatalf("%d cores: ring overflowed (%d events); grow it", cores, ring.Total())
+		}
+		for c := 0; c < cores; c++ {
+			if !seen[c] {
+				t.Errorf("%d cores: no event stamped core %d", cores, c)
+			}
+		}
+		if len(seen) != cores {
+			t.Errorf("%d cores: events stamped %d distinct cores", cores, len(seen))
+		}
+	}
+}

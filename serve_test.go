@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -152,5 +153,18 @@ func TestServeValidates(t *testing.T) {
 	cfg.Rates = []float64{0}
 	if _, err := s.Serve(context.Background(), cfg); err == nil {
 		t.Error("zero offered rate accepted")
+	}
+	// A rate whose arrival clock leaves the cycle range, and a
+	// non-finite burst, fail with Config.Validate's own words.
+	for name, mutate := range map[string]func(*ServiceConfig){
+		"vanishing rate": func(c *ServiceConfig) { c.Rates, c.Requests = []float64{1e-300}, 2 },
+		"infinite burst": func(c *ServiceConfig) { c.Arrivals = ArrivalSpec{Kind: ArrivalBursty, Rate: 0.1, Burst: math.Inf(1)} },
+	} {
+		cfg = DefaultServiceConfig()
+		mutate(&cfg)
+		_, want := cfg.Normalized()
+		if _, err := s.Serve(context.Background(), cfg); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("%s: Serve returned %v, Normalized %v", name, err, want)
+		}
 	}
 }

@@ -102,8 +102,9 @@ type ObservabilityConfig struct {
 //	}))
 //
 // NewExecutor wires Tracer and Metrics into every executor the session
-// builds, and RunMachine into every core of the machine (unless the
-// ExecConfig already carries its own).
+// builds, RunMachine into every core of the machine (unless the
+// ExecConfig already carries its own), and Serve into every core of
+// every cell.
 func WithObservability(o ObservabilityConfig) Option {
 	return func(c *sessionConfig) { c.obs = o }
 }
