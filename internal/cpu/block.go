@@ -19,18 +19,21 @@ import (
 // halts, faults, fuel or busy-budget exhaustion, or — in SMT block mode —
 // exposed stalls.
 //
-// RunBlock's scalar dispatch is the simulator's one per-instruction
-// interpreter of the timed ISA; the fused segments and the superblock
-// traces above it are shortcuts that must be byte-identical to it:
-// registers, flags, the clock, every per-PC counter, hierarchy state,
-// fault surfaces and the observers' event stream. internal/cpu/block_test.go
-// pins this differentially over random programs against a test-only core
-// whose every instruction takes the scalar dispatch (tierScalar),
-// FuzzBlockVsScalar extends it to arbitrary seeds, and
-// differential_test.go holds every tier to isa.RefRun. Observers receive
-// events, not instructions (notify): a fused ALU segment carries none,
-// and a trace emits its memory steps' and taken branches' events inline,
-// so profiling runs keep both shortcuts.
+// NewCore decodes the program once into one per-PC table (uop), and every
+// retire path — the scalar dispatch, the fused segments and the
+// superblock traces above them — reads it and shares one implementation
+// of each op class: runALU for the ALU ops, memStep for loads and stores.
+// The paths differ only in how they batch the clock and the counters, and
+// must leave byte-identical results: registers, flags, the clock, every
+// per-PC counter, hierarchy state, fault surfaces and the observers'
+// event stream. internal/cpu/block_test.go pins this differentially over
+// random programs against a test-only core whose every instruction takes
+// the scalar dispatch (tierScalar), FuzzBlockVsScalar extends it to
+// arbitrary seeds, and differential_test.go holds every tier to the
+// independent isa.RefRun. Observers receive events, not instructions
+// (notify): a fused ALU segment carries none, and a trace emits its
+// memory steps' and taken branches' events inline, so profiling runs
+// keep both shortcuts.
 
 // fusableALU reports whether op can run inside a fused segment: it
 // writes only registers and flags, costs a statically known number of
@@ -39,34 +42,147 @@ func fusableALU(op isa.Op) bool {
 	return op <= isa.OpShrI || op == isa.OpCmp || op == isa.OpCmpI
 }
 
-// blockPlan is the block engine's per-PC table, built by NewCore from
-// the instructions and the cost table alone: aluEnd[pc] is one past the
-// last instruction of the maximal fused pure-ALU segment starting at pc
-// (pc itself when instrs[pc] is not fusable), aluCost[pc] the segment's
-// aggregate busy cost. Both carry a sentinel entry at len(instrs), so the
-// backward scan and the engine never bounds-branch separately.
-type blockPlan struct {
-	aluEnd  []int32
-	aluCost []uint64
+// uop is one decoded instruction. Register indices are masked to [0,16)
+// so the `&15` at each use proves in-bounds indexing to the compiler; imm
+// is the sign-extended immediate (a branch target, a live mask, an
+// address displacement), with shift immediates masked to [0,64). aluEnd,
+// in what would otherwise be padding, is one past the last instruction of
+// the maximal fused pure-ALU segment starting here (this pc when the
+// instruction is not fusable).
+type uop struct {
+	op           isa.Op
+	rd, rs1, rs2 uint8
+	aluEnd       int32
+	imm          uint64
 }
 
-// newBlockPlan builds the plan for instrs under costs.
-func newBlockPlan(instrs []isa.Instr, costs *[isa.NumOps]uint64) blockPlan {
+// decode builds a core's decoded table for instrs under costs, and
+// beside it aluCost[pc], the aggregate busy cost of the fused segment
+// [pc, aluEnd), in one backward scan.
+func decode(instrs []isa.Instr, costs *[isa.NumOps]uint64) ([]uop, []uint64) {
 	n := len(instrs)
-	p := blockPlan{aluEnd: make([]int32, n+1), aluCost: make([]uint64, n+1)}
-	// aluEnd[pc+1] is always >= pc+1 (non-fusable PCs map to themselves,
-	// the sentinel maps to n), so a fusable pc simply inherits its
-	// successor's segment end and adds its own cost.
-	p.aluEnd[n] = int32(n)
+	uops, aluCost := make([]uop, n), make([]uint64, n)
+	end, cost := int32(n), uint64(0)
 	for pc := n - 1; pc >= 0; pc-- {
-		if op := instrs[pc].Op; fusableALU(op) {
-			p.aluEnd[pc] = p.aluEnd[pc+1]
-			p.aluCost[pc] = costs[op] + p.aluCost[pc+1]
+		in := &instrs[pc]
+		if fusableALU(in.Op) {
+			cost += costs[in.Op]
 		} else {
-			p.aluEnd[pc] = int32(pc)
+			end, cost = int32(pc), 0
+		}
+		imm := uint64(in.Imm)
+		if in.Op == isa.OpShlI || in.Op == isa.OpShrI {
+			imm &= 63
+		}
+		uops[pc] = uop{op: in.Op, rd: uint8(in.Rd) & 15, rs1: uint8(in.Rs1) & 15, rs2: uint8(in.Rs2) & 15, aluEnd: end, imm: imm}
+		aluCost[pc] = cost
+	}
+	return uops, aluCost
+}
+
+// runALU executes fusable ALU ops on a register file and flags, and
+// touches nothing else: the one implementation of the ALU opcodes. The
+// fused segment runs it over [pc, aluEnd), a trace's ALU step over its
+// stretch, and the scalar dispatch over one instruction, at the fuel and
+// budget edges where a whole segment does not fit.
+//
+//shsim:noalloc
+func runALU(uops []uop, regs *[isa.NumRegs]uint64, flags *int) {
+	for i := range uops {
+		u := &uops[i]
+		switch u.op {
+		case isa.OpNop:
+		case isa.OpMovI:
+			regs[u.rd&15] = u.imm
+		case isa.OpMov:
+			regs[u.rd&15] = regs[u.rs1&15]
+		case isa.OpAdd:
+			regs[u.rd&15] = regs[u.rs1&15] + regs[u.rs2&15]
+		case isa.OpSub:
+			regs[u.rd&15] = regs[u.rs1&15] - regs[u.rs2&15]
+		case isa.OpMul:
+			regs[u.rd&15] = regs[u.rs1&15] * regs[u.rs2&15]
+		case isa.OpDiv:
+			if regs[u.rs2&15] == 0 {
+				regs[u.rd&15] = 0
+			} else {
+				regs[u.rd&15] = regs[u.rs1&15] / regs[u.rs2&15]
+			}
+		case isa.OpAnd:
+			regs[u.rd&15] = regs[u.rs1&15] & regs[u.rs2&15]
+		case isa.OpOr:
+			regs[u.rd&15] = regs[u.rs1&15] | regs[u.rs2&15]
+		case isa.OpXor:
+			regs[u.rd&15] = regs[u.rs1&15] ^ regs[u.rs2&15]
+		case isa.OpShl:
+			regs[u.rd&15] = regs[u.rs1&15] << (regs[u.rs2&15] & 63)
+		case isa.OpShr:
+			regs[u.rd&15] = regs[u.rs1&15] >> (regs[u.rs2&15] & 63)
+		case isa.OpAddI:
+			regs[u.rd&15] = regs[u.rs1&15] + u.imm
+		case isa.OpMulI:
+			regs[u.rd&15] = regs[u.rs1&15] * u.imm
+		case isa.OpAndI:
+			regs[u.rd&15] = regs[u.rs1&15] & u.imm
+		case isa.OpShlI:
+			regs[u.rd&15] = regs[u.rs1&15] << u.imm
+		case isa.OpShrI:
+			regs[u.rd&15] = regs[u.rs1&15] >> u.imm
+		case isa.OpCmp:
+			*flags = sign(int64(regs[u.rs1&15]), int64(regs[u.rs2&15]))
+		case isa.OpCmpI:
+			*flags = sign(int64(regs[u.rs1&15]), int64(u.imm))
 		}
 	}
-	return p
+}
+
+// charge adds an access's latency to an instruction's busy cycles up to
+// what the in-order pipeline absorbs, and returns the rest as its exposed
+// stall.
+//
+//shsim:noalloc inline
+func (c *Core) charge(busy uint64, acc mem.AccessResult) (uint64, uint64) {
+	if absorb := c.Cfg.PipelineAbsorb; acc.Latency > absorb {
+		return busy + absorb, acc.Latency - absorb
+	}
+	return busy + acc.Latency, 0
+}
+
+// memStep runs the load or store u at pc on ctxID's registers: the
+// hierarchy access at the current clock, the split of its latency into
+// busy cycles and exposed stall, the data move and the per-PC Loads,
+// Stores, MissL2 and MissL3 counters — the one implementation of both,
+// which the scalar dispatch and a trace's memory step call. The caller
+// owns the clock, the stall and the Exec accounting. A memory fault
+// leaves the instruction unretired.
+//
+//shsim:noalloc
+func (c *Core) memStep(ctxID, pc int, u *uop, regs *[isa.NumRegs]uint64) (busy, stall uint64, acc mem.AccessResult, err error) {
+	addr := regs[u.rs1&15] + u.imm
+	store := u.op == isa.OpStore
+	acc = c.Hier.AccessW(addr, c.Now, store)
+	busy, stall = c.charge(c.costs[u.op], acc)
+	counters := c.Counters
+	if store {
+		if err = c.Mem.Write64(addr, regs[u.rs2&15]); err != nil {
+			return busy, stall, acc, c.fault(ctxID, pc, err) //shsim:alloc-ok cold fault path; ends the run
+		}
+		counters.Stores[pc]++
+	} else {
+		var v uint64
+		if v, err = c.Mem.Read64(addr); err != nil {
+			return busy, stall, acc, c.fault(ctxID, pc, err) //shsim:alloc-ok cold fault path; ends the run
+		}
+		regs[u.rd&15] = v
+		counters.Loads[pc]++
+	}
+	if acc.MissedL2 {
+		counters.MissL2[pc]++
+	}
+	if acc.Level == mem.LevelDRAM {
+		counters.MissL3[pc]++
+	}
+	return busy, stall, acc, nil
 }
 
 // Horizon tells RunBlock which conditional yields its caller would act
@@ -144,10 +260,8 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 	var (
 		pc       = ctx.PC
 		regs     = &ctx.Regs
-		instrs   = c.instrs
+		uops     = c.uops
 		counters = c.Counters
-		plan     = &c.plan
-		absorb   = c.Cfg.PipelineAbsorb
 		steps    uint64
 		busyAcc  uint64
 		sbEntry  = c.sbEntry
@@ -164,7 +278,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 	}
 
 	for steps < fuel {
-		if pc < 0 || pc >= len(instrs) {
+		if pc < 0 || pc >= len(uops) {
 			finish()
 			return c.fault(ctx.ID, pc, fmt.Errorf("pc out of range")) //shsim:alloc-ok cold fault path; ends the run
 		}
@@ -193,60 +307,19 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			}
 		}
 
-		// Fused pure-ALU segment: registers and flags update in a tight
-		// loop, clock and bulk counters are bumped once with the
+		// Fused pure-ALU segment: runALU updates registers and flags, and
+		// the clock and bulk counters are bumped once with the
 		// precomputed aggregate cost. Falls through to scalar dispatch
 		// when fuel or the SMT busy budget could expire mid-segment.
-		if end := int(plan.aluEnd[pc]); end > pc {
+		u := &uops[pc]
+		if end := int(u.aluEnd); end > pc {
 			n := uint64(end - pc)
-			segCost := plan.aluCost[pc]
+			segCost := c.aluCost[pc]
 			if n <= fuel-steps && (busyBudget == 0 || busyAcc+segCost < busyBudget) {
-				for i := pc; i < end; i++ {
-					in := &instrs[i]
-					switch in.Op {
-					case isa.OpNop:
-					case isa.OpMovI:
-						regs[in.Rd] = uint64(in.Imm)
-					case isa.OpMov:
-						regs[in.Rd] = regs[in.Rs1]
-					case isa.OpAdd:
-						regs[in.Rd] = regs[in.Rs1] + regs[in.Rs2]
-					case isa.OpSub:
-						regs[in.Rd] = regs[in.Rs1] - regs[in.Rs2]
-					case isa.OpMul:
-						regs[in.Rd] = regs[in.Rs1] * regs[in.Rs2]
-					case isa.OpDiv:
-						if regs[in.Rs2] == 0 {
-							regs[in.Rd] = 0
-						} else {
-							regs[in.Rd] = regs[in.Rs1] / regs[in.Rs2]
-						}
-					case isa.OpAnd:
-						regs[in.Rd] = regs[in.Rs1] & regs[in.Rs2]
-					case isa.OpOr:
-						regs[in.Rd] = regs[in.Rs1] | regs[in.Rs2]
-					case isa.OpXor:
-						regs[in.Rd] = regs[in.Rs1] ^ regs[in.Rs2]
-					case isa.OpShl:
-						regs[in.Rd] = regs[in.Rs1] << (regs[in.Rs2] & 63)
-					case isa.OpShr:
-						regs[in.Rd] = regs[in.Rs1] >> (regs[in.Rs2] & 63)
-					case isa.OpAddI:
-						regs[in.Rd] = regs[in.Rs1] + uint64(in.Imm)
-					case isa.OpMulI:
-						regs[in.Rd] = regs[in.Rs1] * uint64(in.Imm)
-					case isa.OpAndI:
-						regs[in.Rd] = regs[in.Rs1] & uint64(in.Imm)
-					case isa.OpShlI:
-						regs[in.Rd] = regs[in.Rs1] << (uint64(in.Imm) & 63)
-					case isa.OpShrI:
-						regs[in.Rd] = regs[in.Rs1] >> (uint64(in.Imm) & 63)
-					case isa.OpCmp:
-						ctx.Flags = sign(int64(regs[in.Rs1]), int64(regs[in.Rs2]))
-					case isa.OpCmpI:
-						ctx.Flags = sign(int64(regs[in.Rs1]), in.Imm)
-					}
-					counters.Exec[i]++
+				runALU(uops[pc:end], regs, &ctx.Flags)
+				exec := counters.Exec[pc:end]
+				for i := range exec {
+					exec[i]++
 				}
 				c.Now += segCost
 				ctx.BusyCycles += segCost
@@ -262,8 +335,8 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 
 		// Scalar dispatch: one instruction. lat and level describe its
 		// memory access, for the observers' retire event.
-		in := &instrs[pc]
-		busy := c.costs[in.Op]
+		op := u.op
+		busy := c.costs[op]
 		var stall, lat uint64
 		var level mem.Level
 		next := pc + 1
@@ -272,87 +345,22 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		yield := false
 		condYield := false
 
-		switch in.Op {
-		case isa.OpNop:
-		case isa.OpMovI:
-			regs[in.Rd] = uint64(in.Imm)
-		case isa.OpMov:
-			regs[in.Rd] = regs[in.Rs1]
-		case isa.OpAdd:
-			regs[in.Rd] = regs[in.Rs1] + regs[in.Rs2]
-		case isa.OpSub:
-			regs[in.Rd] = regs[in.Rs1] - regs[in.Rs2]
-		case isa.OpMul:
-			regs[in.Rd] = regs[in.Rs1] * regs[in.Rs2]
-		case isa.OpDiv:
-			if regs[in.Rs2] == 0 {
-				regs[in.Rd] = 0
-			} else {
-				regs[in.Rd] = regs[in.Rs1] / regs[in.Rs2]
-			}
-		case isa.OpAnd:
-			regs[in.Rd] = regs[in.Rs1] & regs[in.Rs2]
-		case isa.OpOr:
-			regs[in.Rd] = regs[in.Rs1] | regs[in.Rs2]
-		case isa.OpXor:
-			regs[in.Rd] = regs[in.Rs1] ^ regs[in.Rs2]
-		case isa.OpShl:
-			regs[in.Rd] = regs[in.Rs1] << (regs[in.Rs2] & 63)
-		case isa.OpShr:
-			regs[in.Rd] = regs[in.Rs1] >> (regs[in.Rs2] & 63)
-		case isa.OpAddI:
-			regs[in.Rd] = regs[in.Rs1] + uint64(in.Imm)
-		case isa.OpMulI:
-			regs[in.Rd] = regs[in.Rs1] * uint64(in.Imm)
-		case isa.OpAndI:
-			regs[in.Rd] = regs[in.Rs1] & uint64(in.Imm)
-		case isa.OpShlI:
-			regs[in.Rd] = regs[in.Rs1] << (uint64(in.Imm) & 63)
-		case isa.OpShrI:
-			regs[in.Rd] = regs[in.Rs1] >> (uint64(in.Imm) & 63)
-		case isa.OpCmp:
-			ctx.Flags = sign(int64(regs[in.Rs1]), int64(regs[in.Rs2]))
-		case isa.OpCmpI:
-			ctx.Flags = sign(int64(regs[in.Rs1]), in.Imm)
-
+		switch op {
 		case isa.OpLoad, isa.OpStore:
-			addr := regs[in.Rs1] + uint64(in.Imm)
-			acc := c.Hier.AccessW(addr, c.Now, in.Op == isa.OpStore)
+			var acc mem.AccessResult
+			var err error
+			if busy, stall, acc, err = c.memStep(ctx.ID, pc, u, regs); err != nil {
+				finish()
+				return err
+			}
 			lat, level = acc.Latency, acc.Level
-			if acc.Latency > absorb {
-				stall += acc.Latency - absorb
-				busy += absorb
-			} else {
-				busy += acc.Latency
-			}
-			if in.Op == isa.OpLoad {
-				v, err := c.Mem.Read64(addr)
-				if err != nil {
-					finish()
-					return c.fault(ctx.ID, pc, err) //shsim:alloc-ok cold fault path; ends the run
-				}
-				regs[in.Rd] = v
-				counters.Loads[pc]++
-			} else {
-				if err := c.Mem.Write64(addr, regs[in.Rs2]); err != nil {
-					finish()
-					return c.fault(ctx.ID, pc, err) //shsim:alloc-ok cold fault path; ends the run
-				}
-				counters.Stores[pc]++
-			}
-			if acc.MissedL2 {
-				counters.MissL2[pc]++
-			}
-			if acc.Level == mem.LevelDRAM {
-				counters.MissL3[pc]++
-			}
 
 		case isa.OpJmp:
-			next = in.Target()
+			next = int(u.imm)
 			takenBranch = true
 		case isa.OpJeq, isa.OpJne, isa.OpJlt, isa.OpJle, isa.OpJgt, isa.OpJge:
-			if condHolds(in.Op, ctx.Flags) {
-				next = in.Target()
+			if condHolds(op, ctx.Flags) {
+				next = int(u.imm)
 				takenBranch = true
 			}
 		case isa.OpCall:
@@ -363,14 +371,9 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			}
 			acc := c.Hier.Access(sp, c.Now)
 			lat, level = acc.Latency, acc.Level
-			if acc.Latency > absorb {
-				stall += acc.Latency - absorb
-				busy += absorb
-			} else {
-				busy += acc.Latency
-			}
+			busy, stall = c.charge(busy, acc)
 			regs[isa.SP] = sp
-			next = in.Target()
+			next = int(u.imm)
 			takenBranch = true
 		case isa.OpRet:
 			sp := regs[isa.SP]
@@ -381,14 +384,9 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			}
 			acc := c.Hier.Access(sp, c.Now)
 			lat, level = acc.Latency, acc.Level
-			if acc.Latency > absorb {
-				stall += acc.Latency - absorb
-				busy += absorb
-			} else {
-				busy += acc.Latency
-			}
+			busy, stall = c.charge(busy, acc)
 			regs[isa.SP] = sp + 8
-			if ra >= uint64(len(instrs)) {
+			if ra >= uint64(len(uops)) {
 				finish()
 				return c.fault(ctx.ID, pc, fmt.Errorf("ret to invalid address %d", ra)) //shsim:alloc-ok cold fault path; ends the run
 			}
@@ -396,7 +394,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			takenBranch = true
 
 		case isa.OpPrefetch:
-			addr := regs[in.Rs1] + uint64(in.Imm)
+			addr := regs[u.rs1&15] + u.imm
 			c.Hier.Prefetch(addr, c.Now)
 			ctx.LastPrefetchAddr = addr
 			ctx.LastPrefetchValid = true
@@ -408,7 +406,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 
 		case isa.OpCheck:
 			if c.Cfg.SandboxHi > c.Cfg.SandboxLo {
-				addr := regs[in.Rs1] + uint64(in.Imm)
+				addr := regs[u.rs1&15] + u.imm
 				if outsideSandbox(addr, c.Cfg.SandboxLo, c.Cfg.SandboxHi) {
 					finish()
 					return c.fault(ctx.ID, pc, fmt.Errorf("SFI trap: %#x outside [%#x,%#x)", addr, c.Cfg.SandboxLo, c.Cfg.SandboxHi)) //shsim:alloc-ok cold fault path; ends the run
@@ -416,7 +414,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			}
 
 		case isa.OpAccel:
-			addr := regs[in.Rs1] + uint64(in.Imm)
+			addr := regs[u.rs1&15] + u.imm
 			v, err := isa.AccelChecksum(c.Mem, addr)
 			if err != nil {
 				finish()
@@ -429,7 +427,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			if ctx.AccelPending && ctx.AccelDone > c.Now {
 				stall += ctx.AccelDone - c.Now
 			}
-			regs[in.Rd] = ctx.AccelResult
+			regs[u.rd&15] = ctx.AccelResult
 			ctx.AccelPending = false
 			counters.AccWaits[pc]++
 
@@ -439,8 +437,9 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			ctx.Result = regs[1]
 
 		default:
-			finish()
-			return c.fault(ctx.ID, pc, fmt.Errorf("unimplemented opcode %v", in.Op)) //shsim:alloc-ok cold fault path; ends the run
+			// The fusable ALU ops, the only ones left in a validated
+			// program: here only where fuel or the budget cut a segment.
+			runALU(uops[pc:pc+1], regs, &ctx.Flags)
 		}
 
 		// Clock and accounting.
@@ -458,8 +457,8 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		ctx.Retired++
 		busyAcc += busy
 		steps++
-		if observed && (takenBranch || carriesEvent(in.Op, stall)) {
-			c.notify(ctx.ID, pc, in.Op, lat, level, stall, takenBranch, next)
+		if observed && (takenBranch || carriesEvent(op, stall)) {
+			c.notify(ctx.ID, pc, op, lat, level, stall, takenBranch, next)
 		}
 		pc = next
 		if takenBranch {
@@ -481,7 +480,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			res.Yield = yield
 			res.CondYield = condYield
 			if yield || condYield {
-				res.LiveMask = in.LiveMask()
+				res.LiveMask = isa.RegMask(u.imm)
 			}
 			return nil
 		}

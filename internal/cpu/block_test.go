@@ -63,7 +63,7 @@ func (r *engineRig) driveScalar(block bool, maxSteps int) {
 
 // superTier replaces the rig's traces with those derived at testMinLen.
 func (r *engineRig) superTier() error {
-	return r.core.installSuperblocks(deriveSuperblocks(r.core.instrs, testMinLen))
+	return r.core.installSuperblocks(deriveSuperblocks(r.core.Prog.Instrs, testMinLen))
 }
 
 // retireTier is a way RunBlock can retire a program.
@@ -82,13 +82,13 @@ func (t retireTier) String() string {
 	return [...]string{"scalar", "block", "superblock", "observed"}[t]
 }
 
-// scalarOnly clears c's traces and empties every fused segment
-// (aluEnd[pc] = pc), so each instruction takes the scalar dispatch: a
-// reference that needs no observer and no production knob.
+// scalarOnly clears c's traces and empties every fused segment in the
+// decoded table (aluEnd = pc), so each instruction takes the scalar
+// dispatch: a reference that needs no observer and no production knob.
 func scalarOnly(c *Core) {
 	c.ClearSuperblocks()
-	for pc := range c.plan.aluEnd {
-		c.plan.aluEnd[pc] = int32(pc)
+	for pc := range c.uops {
+		c.uops[pc].aluEnd = int32(pc)
 	}
 }
 
@@ -357,8 +357,9 @@ func TestRunBlockHaltedContextFaults(t *testing.T) {
 	}
 }
 
-// TestFusedSegmentTables checks the plan NewCore precomputes against a
-// hand-worked program: fused segment extents and aggregate costs.
+// TestFusedSegmentTables checks the fused-segment bounds NewCore decodes
+// against a hand-worked program: segment extents and aggregate costs, one
+// entry per instruction.
 func TestFusedSegmentTables(t *testing.T) {
 	prog := &isa.Program{Instrs: []isa.Instr{
 		{Op: isa.OpAddI, Rd: 1, Rs1: 1, Imm: 1}, // 0: fusable
@@ -370,12 +371,16 @@ func TestFusedSegmentTables(t *testing.T) {
 	}}
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
 	alu := rig.core.Cfg.CostALU
-	wantEnd := []int32{2, 2, 2, 4, 4, 5, 6}
-	wantCost := []uint64{2 * alu, alu, 0, alu, 0, 0, 0}
-	if got := rig.core.plan.aluEnd; !reflect.DeepEqual(got, wantEnd) {
-		t.Errorf("aluEnd = %v, want %v", got, wantEnd)
+	wantEnd := []int32{2, 2, 2, 4, 4, 5}
+	wantCost := []uint64{2 * alu, alu, 0, alu, 0, 0}
+	var gotEnd []int32
+	for _, u := range rig.core.uops {
+		gotEnd = append(gotEnd, u.aluEnd)
 	}
-	if got := rig.core.plan.aluCost; !reflect.DeepEqual(got, wantCost) {
+	if !reflect.DeepEqual(gotEnd, wantEnd) {
+		t.Errorf("aluEnd = %v, want %v", gotEnd, wantEnd)
+	}
+	if got := rig.core.aluCost; !reflect.DeepEqual(got, wantCost) {
 		t.Errorf("aluCost = %v, want %v", got, wantCost)
 	}
 }
@@ -465,7 +470,7 @@ func TestObserverKeepsFusedSegments(t *testing.T) {
 		rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
 		rig.core.ClearSuperblocks()
 		rig.core.Observe(nopObserver{})
-		rig.core.plan.aluCost[0] += extra
+		rig.core.aluCost[0] += extra
 		runToHalt(t, rig.core, rig.ctx, 10)
 		return rig.core.Now
 	}
@@ -540,7 +545,7 @@ func eventAt[E any](s []E, i int) string {
 func assertEventsMatchCounters(t *testing.T, label string, rig *engineRig, rec *recordingObserver) {
 	t.Helper()
 	cnt := rig.core.Counters
-	instrs := rig.core.instrs
+	instrs := rig.core.Prog.Instrs
 	got := NewCounters(len(instrs))
 	var now uint64
 	for _, e := range rec.retires {

@@ -19,9 +19,12 @@ import (
 // straight-line program for a counting loop (randCountingLoop) thousands
 // of laps long: the block engine is the oracle the superblock tier's
 // closed-form laps are held to, so it is itself held to the scalar
-// dispatch on that shape. The corpus seeds cover both modes, a spread of
-// program sizes, both shapes, and horizons that are zero, mid-run and
-// never reached; the fuzzer explores the seed space from there.
+// dispatch on that shape. Every tier shares one ALU routine and one memory
+// step, so comparing tiers cannot catch a defect in those; the reference
+// arm holds every tier to the independent isa.RefRun (diffAgainstReference)
+// as well. The corpus seeds cover both modes, a spread of program sizes,
+// both shapes, and horizons that are zero, mid-run and never reached; the
+// fuzzer explores the seed space from there.
 func FuzzBlockVsScalar(f *testing.F) {
 	f.Add(int64(1), uint8(20), false, uint8(0), uint8(0), false)
 	f.Add(int64(2), uint8(80), false, uint8(0), uint8(6), false)
@@ -50,5 +53,7 @@ func FuzzBlockVsScalar(f *testing.F) {
 		diffHorizon(t, "fuzz-scalar-horizon", prog, rng, tierScalar, block, uint64(budget)%16, hz)
 		diffHorizon(t, "fuzz-observed-horizon", prog, rng, tierObserved, block, uint64(budget)%16, hz)
 		diffEvents(t, "fuzz-events", prog, rng, block, b, hz)
+		initRegs, arena := randInitState(rng)
+		diffAgainstReference(t, "fuzz-reference", prog, initRegs, arena, rng)
 	})
 }

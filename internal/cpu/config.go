@@ -2,8 +2,9 @@
 // cycle-accurate accounting against the mem hierarchy.
 //
 // The core owns the global clock. Executors (internal/exec, internal/smt)
-// drive one Step at a time and decide what happens at yields; the core
-// decides what everything costs. Per-PC hardware counters (ground truth)
+// drive it one Core.RunBlock call at a time — a straight-line run up to
+// the next yield they would act on — and decide what happens at yields;
+// the core decides what everything costs. Per-PC hardware counters (ground truth)
 // and retire/branch observer hooks (consumed by the PEBS/LBR samplers) are
 // both maintained here.
 package cpu
@@ -12,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // Config fixes the instruction cost model and optional SFI sandbox.
@@ -63,10 +65,25 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate rejects nonsensical configurations.
+// Validate rejects nonsensical configurations: a zero ALU, branch or
+// load cost, any cost or AccelLatency above mem.MaxCycles, an inverted
+// sandbox.
 func (c Config) Validate() error {
 	if c.CostALU == 0 || c.CostBranch == 0 || c.CostLoad == 0 {
 		return fmt.Errorf("cpu: instruction costs must be nonzero")
+	}
+	for _, f := range [...]struct {
+		name string
+		v    uint64
+	}{
+		{"CostALU", c.CostALU}, {"CostMul", c.CostMul}, {"CostDiv", c.CostDiv},
+		{"CostBranch", c.CostBranch}, {"CostLoad", c.CostLoad}, {"CostStore", c.CostStore},
+		{"CostPrefetch", c.CostPrefetch}, {"CostYield", c.CostYield}, {"CostCheck", c.CostCheck},
+		{"CostAccel", c.CostAccel}, {"AccelLatency", c.AccelLatency},
+	} {
+		if err := mem.CheckCycles("cpu", f.name, f.v); err != nil {
+			return err
+		}
 	}
 	if c.SandboxHi < c.SandboxLo {
 		return fmt.Errorf("cpu: sandbox range inverted")

@@ -19,16 +19,15 @@ type Core struct {
 	Now      uint64
 	Counters *Counters
 
-	// instrs aliases Prog.Instrs; fetching through it saves a dependent
-	// pointer load per step.
-	instrs []isa.Instr
-
 	// costs caches Cfg's per-opcode busy cost so RunBlock indexes an
 	// array instead of running the cost-model switch on every instruction.
 	costs [isa.NumOps]uint64
 
-	// plan is the block engine's fused-segment table (block.go).
-	plan blockPlan
+	// uops is the program decoded once, the form every retire path reads;
+	// aluCost[pc] is the busy cost of the fused segment starting at pc
+	// (block.go).
+	uops    []uop
+	aluCost []uint64
 
 	// Superblock tier (superblock.go): sbEntry[pc] indexes sbs when pc
 	// heads an installed trace, -1 otherwise; nil disables the tier.
@@ -45,9 +44,8 @@ type Core struct {
 }
 
 // NewCore assembles a core over a program, backing memory and hierarchy,
-// ready to retire through every tier: it builds the block engine's
-// fused-segment table and installs the program's static superblock
-// traces.
+// ready to retire through every tier: it decodes the program, fused-segment
+// bounds included, and installs its static superblock traces.
 func NewCore(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -60,12 +58,11 @@ func NewCore(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy) (*C
 		Prog:     prog,
 		Mem:      m,
 		Hier:     h,
-		instrs:   prog.Instrs,
 		costs:    cfg.costTable(),
 		Counters: NewCounters(len(prog.Instrs)),
 	}
-	c.plan = newBlockPlan(c.instrs, &c.costs)
-	if err := c.installSuperblocks(deriveSuperblocks(c.instrs, sbMinLen)); err != nil {
+	c.uops, c.aluCost = decode(prog.Instrs, &c.costs)
+	if err := c.installSuperblocks(deriveSuperblocks(prog.Instrs, sbMinLen)); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/coro"
@@ -478,6 +479,31 @@ func TestConfigValidation(t *testing.T) {
 	cfg.SandboxHi = 5
 	if err := cfg.Validate(); err == nil {
 		t.Error("inverted sandbox accepted")
+	}
+	// Cycle counts past mem.MaxCycles would let the clock wrap: three
+	// divs at CostDiv = 2^63 used to leave Now at 2^63+4.
+	for _, f := range []struct {
+		name string
+		set  func(*Config, uint64)
+	}{
+		{"CostDiv", func(c *Config, v uint64) { c.CostDiv = v }},
+		{"CostALU", func(c *Config, v uint64) { c.CostALU = v }},
+		{"CostLoad", func(c *Config, v uint64) { c.CostLoad = v }},
+		{"CostAccel", func(c *Config, v uint64) { c.CostAccel = v }},
+		{"AccelLatency", func(c *Config, v uint64) { c.AccelLatency = v }},
+	} {
+		name, set := f.name, f.set
+		cfg = DefaultConfig()
+		set(&cfg, mem.MaxCycles)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s = mem.MaxCycles rejected: %v", name, err)
+		}
+		for _, v := range []uint64{mem.MaxCycles + 1, 1 << 63} {
+			set(&cfg, v)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %d: got %v, want the bound error naming it", name, v, err)
+			}
+		}
 	}
 }
 

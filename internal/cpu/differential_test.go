@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,11 +14,24 @@ import (
 // randRunnableProgram generates a random but guaranteed-terminating
 // program: straight-line ALU/memory/compare instructions with only
 // forward branches, all memory accesses confined to a valid arena
-// addressed through pinned register r13, ending in HALT.
+// addressed through pinned register r13, ending in HALT. ALU and compare
+// immediates include the values decoding must get right: negative ones,
+// shift counts of 64 and more, and the edges of the 32-bit immediate.
 func randRunnableProgram(rng *rand.Rand, n int, arenaSize int64) *isa.Program {
 	p := &isa.Program{}
 	reg := func() isa.Reg { return isa.Reg(rng.Intn(12)) } // r0..r11
 	off := func() int64 { return int64(rng.Intn(int(arenaSize/8)-1)) * 8 }
+	imm := func(small int) int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return -int64(1 + rng.Intn(1<<16))
+		case 1:
+			return int64(64 + rng.Intn(1<<10))
+		case 2:
+			return [...]int64{math.MinInt32, math.MinInt32 + 1, -1, 63, 64, math.MaxInt32}[rng.Intn(6)]
+		}
+		return int64(rng.Intn(small))
+	}
 	for i := 0; i < n; i++ {
 		switch rng.Intn(13) {
 		case 0:
@@ -35,7 +49,7 @@ func randRunnableProgram(rng *rand.Rand, n int, arenaSize int64) *isa.Program {
 			p.Instrs = append(p.Instrs, isa.Instr{Op: ops[rng.Intn(len(ops))], Rd: reg(), Rs1: reg(), Rs2: reg()})
 		case 6:
 			ops := []isa.Op{isa.OpAddI, isa.OpMulI, isa.OpAndI, isa.OpShlI, isa.OpShrI}
-			p.Instrs = append(p.Instrs, isa.Instr{Op: ops[rng.Intn(len(ops))], Rd: reg(), Rs1: reg(), Imm: int64(rng.Intn(64))})
+			p.Instrs = append(p.Instrs, isa.Instr{Op: ops[rng.Intn(len(ops))], Rd: reg(), Rs1: reg(), Imm: imm(64)})
 		case 7:
 			p.Instrs = append(p.Instrs, isa.Instr{Op: isa.OpLoad, Rd: reg(), Rs1: 13, Imm: off()})
 		case 8:
@@ -44,7 +58,7 @@ func randRunnableProgram(rng *rand.Rand, n int, arenaSize int64) *isa.Program {
 			if rng.Intn(2) == 0 {
 				p.Instrs = append(p.Instrs, isa.Instr{Op: isa.OpCmp, Rs1: reg(), Rs2: reg()})
 			} else {
-				p.Instrs = append(p.Instrs, isa.Instr{Op: isa.OpCmpI, Rs1: reg(), Imm: int64(rng.Intn(200) - 100)})
+				p.Instrs = append(p.Instrs, isa.Instr{Op: isa.OpCmpI, Rs1: reg(), Imm: imm(100)})
 			}
 		case 10:
 			// Forward conditional branch (guarantees termination).

@@ -633,14 +633,27 @@ func TestLapSummaryRefusals(t *testing.T) {
 			t.Errorf("%s: summarised = %v, want %v\n%s", tc.name, got, tc.want, isa.Disassemble(tc.prog))
 		}
 	}
-	// A cost table under which 2·(lap cost) could wrap is refused too.
-	huge := DefaultConfig()
-	huge.CostALU = 1 << 40
-	core := MustNewCore(huge, cases[0].prog, lapMem, lapHier)
-	if err := core.installSuperblocks([]sbSpec{{pcs: []int{0, 1, 2, 3, 4}, loop: true}}); err != nil {
-		t.Fatal(err)
+	// A lap that costs 2^32 cycles or more is refused too, keeping 2·(lap
+	// cost) from wrapping: with every ALU op at mem.MaxCycles, 2^12 of
+	// them reach it. The same lap under the default costs is summarised.
+	body := make([]isa.Instr, 1<<12, 1<<12+2)
+	for i := range body {
+		body[i] = addi
 	}
-	if core.sbs[0].lap.instrs != 0 {
-		t.Error("a lap costing 2^41 cycles was summarised")
+	long := lap(append(body, cmpi, jgt)...)
+	pcs := make([]int, len(long.Instrs)-1)
+	for i := range pcs {
+		pcs[i] = i
+	}
+	huge := DefaultConfig()
+	huge.CostALU = mem.MaxCycles
+	for _, cfg := range []Config{DefaultConfig(), huge} {
+		core := MustNewCore(cfg, long, lapMem, lapHier)
+		if err := core.installSuperblocks([]sbSpec{{pcs: pcs, loop: true}}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := core.sbs[0].lap.instrs != 0, cfg.CostALU == 1; got != want {
+			t.Errorf("a %d-instruction lap at CostALU %d: summarised = %v, want %v", len(pcs), cfg.CostALU, got, want)
+		}
 	}
 }

@@ -5,26 +5,23 @@ import (
 
 	"repro/internal/coro"
 	"repro/internal/isa"
-	"repro/internal/mem"
 )
 
 // This file is the superblock (trace) execution tier above the
 // basic-block engine. A superblock chains basic blocks across
 // predicted-taken branches — derived statically by deriveSuperblocks when
-// the core is built — into one pre-decoded trace with a specialized
-// retire loop:
+// the core is built — into one trace of steps over the core's decoded
+// table (uop, block.go) with a specialized retire loop:
 //
-//   - pure-ALU stretches are compiled to micro-ops with pre-extended
-//     immediates, pre-masked shift amounts and pre-masked register
-//     indices, so the retire loop runs with no bounds checks and no
-//     per-instruction operand decoding; homogeneous `addi r, r, imm`
-//     runs get their own switch-free loop;
+//   - a pure-ALU stretch is one step that runs runALU over its range of
+//     the decoded table, as the fused segment does; a homogeneous
+//     `addi r, r, imm` run is strength-reduced to per-register deltas,
+//     the only micro-ops a trace keeps of its own;
 //   - per-PC Exec counters are batched: the trace counts completed
 //     traversals and flushes the per-PC increments once on exit, instead
 //     of one read-modify-write per retired instruction;
-//   - memory steps call mem.Hierarchy.AccessW, as RunBlock's scalar
-//     dispatch does (its MRU-way check keeps a resident hit cheap), and
-//     write nothing back: a compiled trace is read-only once NewCore
+//   - memory steps call memStep, as RunBlock's scalar dispatch does, and
+//     nothing writes back: a compiled trace is read-only once NewCore
 //     built it;
 //   - every branch in the trace is a guarded side exit: the branch
 //     executes with full scalar semantics, and if its actual successor
@@ -141,7 +138,7 @@ func deriveSuperblocks(instrs []isa.Instr, minLen int) []sbSpec {
 
 // Superblock step kinds.
 const (
-	sbALU     uint8 = iota // fused ALU segment, generic micro-op loop
+	sbALU     uint8 = iota // fused ALU segment: runALU over the decoded table
 	sbALUAddI              // homogeneous `addi r, r, imm` segment, pre-aggregated
 	sbMem                  // one load or store
 	sbBranch               // one branch: guarded side exit
@@ -152,42 +149,34 @@ const (
 // split out of a generic ALU segment into the switch-free loop.
 const sbAddISelfMin = 8
 
-// sbUop is one pre-decoded ALU micro-op. Register indices are
-// pre-masked to [0,16) so the retire loop's `&15` proves in-bounds
-// indexing to the compiler; immediates are pre-sign-extended, and shift
-// immediates pre-masked to [0,64).
-type sbUop struct {
-	op           uint8
-	rd, rs1, rs2 uint8
-	imm          uint64
+// sbDelta is one strength-reduced micro-op: add d to register rd, whose
+// index is pre-masked to [0,16).
+type sbDelta struct {
+	rd uint8
+	d  uint64
 }
 
-// sbStep is one compiled superblock step. The fields form a tagged
-// union over kind; nothing writes them after compileSuperblock.
+// sbStep is one compiled superblock step. Its operands are those of the
+// decoded table at pc; nothing writes a step after compileSuperblock.
 type sbStep struct {
 	kind uint8
-	op   uint8 // isa.Op: mem (Load/Store) and branch steps
-	rd   uint8 // mem: load destination / store source register
-	rs1  uint8 // mem: base address register
 	pc   int32 // pc of the step's first instruction
 	n    int32 // ALU: instruction count
-	lo   int32 // ALU: micro-op range start in superblock.uops
-	nu   int32 // ALU: micro-op count (< n for aggregated addi segments)
+	lo   int32 // sbALUAddI: delta range start in superblock.deltas
+	nu   int32 // sbALUAddI: delta count
 
-	target   int32 // branch: taken target
 	predNext int32 // branch: successor pc on the predicted path (-1: none)
 	nextStep int32 // branch: step index on the predicted path (-1: exit)
 
-	cost uint64 // ALU: aggregate busy cost; mem/branch/cyield: base op cost
-	imm  uint64 // mem: address displacement (two's complement); cyield: live mask
+	cost uint64 // ALU: aggregate busy cost; branch/cyield: base op cost
 }
 
 // superblock is one compiled trace.
 type superblock struct {
-	entry int32
-	steps []sbStep
-	uops  []sbUop
-	lap   sbLap
+	entry  int32
+	steps  []sbStep
+	deltas []sbDelta
+	lap    sbLap
 }
 
 // sbLap summarises one lap of a counting loop: a loop trace whose lap is
@@ -198,7 +187,7 @@ type superblock struct {
 // one register, so how many laps run before anything else can happen has
 // a closed form (ahead). instrs == 0 marks a trace that is not one. The
 // summary is held by value and its register deltas live in
-// superblock.uops, as sbALUAddI's do: a trace allocates nothing for it.
+// superblock.deltas, as sbALUAddI's do: a trace allocates nothing for it.
 type sbLap struct {
 	cost uint64 // busy cycles per lap
 	tail uint64 // busy cycles a lap retires after its last CYIELD
@@ -216,7 +205,7 @@ type sbLap struct {
 
 	instrs uint32 // instructions per lap
 	yields uint32 // CYIELDs per lap
-	dlo    int32  // register deltas: uops[dlo : dlo+dnu]
+	dlo    int32  // register deltas: deltas[dlo : dlo+dnu]
 	dnu    int32
 	cmpReg uint8
 }
@@ -244,7 +233,7 @@ func (c *Core) SuperblockStats() SuperblockStats { return c.sbStats }
 // surfaces as an error from NewCore, never as wrong execution. A later
 // spec with the same entry pc replaces the earlier one.
 func (c *Core) installSuperblocks(specs []sbSpec) error {
-	entry := make([]int32, len(c.instrs))
+	entry := make([]int32, len(c.uops))
 	for i := range entry {
 		entry[i] = -1
 	}
@@ -263,7 +252,7 @@ func (c *Core) installSuperblocks(specs []sbSpec) error {
 	}
 	c.sbs = sbs
 	c.sbEntry = entry
-	c.sbQuiet = quietLaps(c.instrs, sbs)
+	c.sbQuiet = quietLaps(c.Prog.Instrs, sbs)
 	return nil
 }
 
@@ -289,18 +278,17 @@ func superblockTraceable(op isa.Op) bool {
 }
 
 // compileSuperblock validates one spec against the program and compiles
-// it into step/micro-op form.
+// it into steps over the decoded table.
 func (c *Core) compileSuperblock(spec *sbSpec) (*superblock, error) {
-	pcs := spec.pcs
+	pcs, instrs := spec.pcs, c.Prog.Instrs
 	if len(pcs) == 0 {
 		return nil, fmt.Errorf("cpu: empty superblock spec")
 	}
-	n := len(c.instrs)
 	for i, pc := range pcs {
-		if pc < 0 || pc >= n {
+		if pc < 0 || pc >= len(instrs) {
 			return nil, fmt.Errorf("cpu: superblock pc %d out of range", pc)
 		}
-		in := &c.instrs[pc]
+		in := &instrs[pc]
 		if !superblockTraceable(in.Op) {
 			return nil, fmt.Errorf("cpu: superblock pc %d: %v is not traceable", pc, in.Op)
 		}
@@ -324,7 +312,7 @@ func (c *Core) compileSuperblock(spec *sbSpec) (*superblock, error) {
 		}
 	}
 	if spec.loop {
-		lastOp := c.instrs[pcs[len(pcs)-1]].Op
+		lastOp := instrs[pcs[len(pcs)-1]].Op
 		if lastOp != isa.OpJmp && !lastOp.IsConditional() {
 			return nil, fmt.Errorf("cpu: loop superblock must close with a branch, got %v", lastOp)
 		}
@@ -334,48 +322,28 @@ func (c *Core) compileSuperblock(spec *sbSpec) (*superblock, error) {
 	i := 0
 	for i < len(pcs) {
 		pc := pcs[i]
-		in := &c.instrs[pc]
+		op := instrs[pc].Op
 		switch {
-		case fusableALU(in.Op):
+		case fusableALU(op):
 			j := i
-			for j < len(pcs) && fusableALU(c.instrs[pcs[j]].Op) {
+			for j < len(pcs) && fusableALU(instrs[pcs[j]].Op) {
 				j++
 			}
 			c.compileALURun(sb, pcs[i:j])
 			i = j
-		case in.Op == isa.OpLoad || in.Op == isa.OpStore:
-			st := sbStep{
-				kind: sbMem,
-				op:   uint8(in.Op),
-				rs1:  uint8(in.Rs1) & 15,
-				pc:   int32(pc),
-				cost: c.costs[in.Op],
-				imm:  uint64(in.Imm),
-			}
-			if in.Op == isa.OpLoad {
-				st.rd = uint8(in.Rd) & 15
-			} else {
-				st.rd = uint8(in.Rs2) & 15
-			}
-			sb.steps = append(sb.steps, st)
+		case op == isa.OpLoad || op == isa.OpStore:
+			sb.steps = append(sb.steps, sbStep{kind: sbMem, pc: int32(pc)})
 			i++
-		case in.Op == isa.OpCYield:
-			sb.steps = append(sb.steps, sbStep{
-				kind: sbCYield,
-				pc:   int32(pc),
-				cost: c.costs[in.Op],
-				imm:  uint64(in.LiveMask()),
-			})
+		case op == isa.OpCYield:
+			sb.steps = append(sb.steps, sbStep{kind: sbCYield, pc: int32(pc), cost: c.costs[op]})
 			i++
 		default: // branch
 			st := sbStep{
 				kind:     sbBranch,
-				op:       uint8(in.Op),
 				pc:       int32(pc),
-				target:   int32(in.Target()),
 				predNext: -1,
 				nextStep: -1,
-				cost:     c.costs[in.Op],
+				cost:     c.costs[op],
 			}
 			if i+1 < len(pcs) {
 				st.predNext = int32(pcs[i+1])
@@ -398,9 +366,10 @@ func (c *Core) compileSuperblock(spec *sbSpec) (*superblock, error) {
 // into ALU steps, splitting out homogeneous `addi r, r, imm` runs of at
 // least sbAddISelfMin instructions into the switch-free kind.
 func (c *Core) compileALURun(sb *superblock, pcs []int) {
+	instrs := c.Prog.Instrs
 	selfLen := make([]int, len(pcs)+1)
 	for k := len(pcs) - 1; k >= 0; k-- {
-		in := &c.instrs[pcs[k]]
+		in := &instrs[pcs[k]]
 		if in.Op == isa.OpAddI && in.Rd == in.Rs1 {
 			selfLen[k] = selfLen[k+1] + 1
 		}
@@ -417,7 +386,10 @@ func (c *Core) compileALURun(sb *superblock, pcs []int) {
 				j++
 			}
 		}
-		st := sbStep{kind: kind, pc: int32(pcs[k]), n: int32(j - k), lo: int32(len(sb.uops))}
+		st := sbStep{kind: kind, pc: int32(pcs[k]), n: int32(j - k)}
+		for _, pc := range pcs[k:j] {
+			st.cost += c.costs[instrs[pc].Op]
+		}
 		if kind == sbALUAddI {
 			// Strength-reduce the run to per-register deltas: a segment
 			// of `addi r, r, imm` only ever adds immediates into
@@ -431,7 +403,7 @@ func (c *Core) compileALURun(sb *superblock, pcs []int) {
 			var order [16]uint8
 			nu := 0
 			for _, pc := range pcs[k:j] {
-				in := &c.instrs[pc]
+				in := &instrs[pc]
 				rd := uint8(in.Rd) & 15
 				if !touched[rd] {
 					touched[rd] = true
@@ -439,29 +411,11 @@ func (c *Core) compileALURun(sb *superblock, pcs []int) {
 					nu++
 				}
 				sum[rd] += uint64(in.Imm)
-				st.cost += c.costs[in.Op]
 			}
+			st.lo, st.nu = int32(len(sb.deltas)), int32(nu)
 			for _, rd := range order[:nu] {
-				sb.uops = append(sb.uops, sbUop{op: uint8(isa.OpAddI), rd: rd, rs1: rd, imm: sum[rd]})
+				sb.deltas = append(sb.deltas, sbDelta{rd: rd, d: sum[rd]})
 			}
-			st.nu = int32(nu)
-		} else {
-			for _, pc := range pcs[k:j] {
-				in := &c.instrs[pc]
-				imm := uint64(in.Imm)
-				if in.Op == isa.OpShlI || in.Op == isa.OpShrI {
-					imm &= 63
-				}
-				sb.uops = append(sb.uops, sbUop{
-					op:  uint8(in.Op),
-					rd:  uint8(in.Rd) & 15,
-					rs1: uint8(in.Rs1) & 15,
-					rs2: uint8(in.Rs2) & 15,
-					imm: imm,
-				})
-				st.cost += c.costs[in.Op]
-			}
-			st.nu = st.n
 		}
 		sb.steps = append(sb.steps, st)
 		k = j
@@ -480,15 +434,16 @@ const sbSignBit = 1 << 63
 // the lap is not an affine step of the registers alone, and the trace
 // simply runs as before.
 func (c *Core) summariseLap(sb *superblock, pcs []int) {
-	body, latch := pcs[:len(pcs)-1], &c.instrs[pcs[len(pcs)-1]]
+	instrs := c.Prog.Instrs
+	body, latch := pcs[:len(pcs)-1], &instrs[pcs[len(pcs)-1]]
 	if latch.Target() != pcs[0] {
 		return
 	}
-	lap := sbLap{instrs: uint32(len(pcs)), dlo: int32(len(sb.uops))}
+	lap := sbLap{instrs: uint32(len(pcs)), dlo: int32(len(sb.deltas))}
 	var delta [16]uint64
 	compared := false
 	for _, pc := range body {
-		in := &c.instrs[pc]
+		in := &instrs[pc]
 		cost := c.costs[in.Op]
 		lap.cost += cost
 		lap.tail += cost
@@ -534,10 +489,10 @@ func (c *Core) summariseLap(sb *superblock, pcs []int) {
 	}
 	for rd, d := range delta {
 		if d != 0 {
-			sb.uops = append(sb.uops, sbUop{op: uint8(isa.OpAddI), rd: uint8(rd), rs1: uint8(rd), imm: d})
+			sb.deltas = append(sb.deltas, sbDelta{rd: uint8(rd), d: d})
 		}
 	}
-	lap.dnu = int32(len(sb.uops)) - lap.dlo
+	lap.dnu = int32(len(sb.deltas)) - lap.dlo
 	sb.lap = lap
 }
 
@@ -668,7 +623,7 @@ func (c *Core) QuietLaps(ctx *coro.Context) (cost, instrs, taken uint64) {
 	switch {
 	case at.cmpAhead:
 		taken = lap.taken(r)
-	case condHolds(c.instrs[int(sb.entry)+int(lap.instrs)-1].Op, ctx.Flags):
+	case condHolds(c.uops[int(sb.entry)+int(lap.instrs)-1].op, ctx.Flags):
 		taken = min(lap.taken(r+lap.cmpAdd), ^uint64(0)-1) + 1
 	}
 	return lap.cost, uint64(lap.instrs), taken
@@ -717,8 +672,8 @@ func (c *Core) flushSuperExec(sb *superblock, laps uint64, partial int) {
 func (c *Core) runSuper(sb *superblock, ctx *coro.Context, block bool, fuel uint64, hz Horizon, res *BlockResult, pcp *int, stepsp, busyAccp, busyBudgetp *uint64) (done, progressed bool, err error) {
 	var (
 		regs       = &ctx.Regs
+		uops       = c.uops
 		counters   = c.Counters
-		absorb     = c.Cfg.PipelineAbsorb
 		steps      = *stepsp
 		busyAcc    = *busyAccp
 		busyBudget = *busyBudgetp
@@ -761,8 +716,8 @@ head:
 			k = lap.ahead(regs, c.Now, fuel-steps, busyLeft, hz.Wake)
 		}
 		if k > 0 {
-			for _, u := range sb.uops[lap.dlo : lap.dlo+lap.dnu] {
-				regs[u.rd&15] += k * u.imm
+			for _, d := range sb.deltas[lap.dlo : lap.dlo+lap.dnu] {
+				regs[d.rd&15] += k * d.d
 			}
 			ctx.Flags = sign(int64(regs[lap.cmpReg&15]-lap.cmpAdd+lap.cmpOff), lap.cmpImm)
 			busy, n := k*lap.cost, k*uint64(lap.instrs)
@@ -789,7 +744,7 @@ head:
 		st := &stepsA[si]
 		switch st.kind {
 		case sbALU, sbALUAddI:
-			// Mirrors RunBlock's fused segment: all-or-nothing against
+			// As RunBlock's fused segment: all-or-nothing against
 			// fuel and the busy budget (strict <, so the budget can never
 			// expire mid-segment), bulk accounting afterwards.
 			nn := uint64(st.n)
@@ -797,59 +752,12 @@ head:
 				leave(int(st.pc), si)
 				return false, steps > start, nil
 			}
-			uops := sb.uops[st.lo : st.lo+st.nu]
 			if st.kind == sbALUAddI {
-				for j := range uops {
-					u := &uops[j]
-					regs[u.rd&15] += u.imm
+				for _, d := range sb.deltas[st.lo : st.lo+st.nu] {
+					regs[d.rd&15] += d.d
 				}
 			} else {
-				for j := range uops {
-					u := &uops[j]
-					switch isa.Op(u.op) {
-					case isa.OpNop:
-					case isa.OpMovI:
-						regs[u.rd&15] = u.imm
-					case isa.OpMov:
-						regs[u.rd&15] = regs[u.rs1&15]
-					case isa.OpAdd:
-						regs[u.rd&15] = regs[u.rs1&15] + regs[u.rs2&15]
-					case isa.OpSub:
-						regs[u.rd&15] = regs[u.rs1&15] - regs[u.rs2&15]
-					case isa.OpMul:
-						regs[u.rd&15] = regs[u.rs1&15] * regs[u.rs2&15]
-					case isa.OpDiv:
-						if regs[u.rs2&15] == 0 {
-							regs[u.rd&15] = 0
-						} else {
-							regs[u.rd&15] = regs[u.rs1&15] / regs[u.rs2&15]
-						}
-					case isa.OpAnd:
-						regs[u.rd&15] = regs[u.rs1&15] & regs[u.rs2&15]
-					case isa.OpOr:
-						regs[u.rd&15] = regs[u.rs1&15] | regs[u.rs2&15]
-					case isa.OpXor:
-						regs[u.rd&15] = regs[u.rs1&15] ^ regs[u.rs2&15]
-					case isa.OpShl:
-						regs[u.rd&15] = regs[u.rs1&15] << (regs[u.rs2&15] & 63)
-					case isa.OpShr:
-						regs[u.rd&15] = regs[u.rs1&15] >> (regs[u.rs2&15] & 63)
-					case isa.OpAddI:
-						regs[u.rd&15] = regs[u.rs1&15] + u.imm
-					case isa.OpMulI:
-						regs[u.rd&15] = regs[u.rs1&15] * u.imm
-					case isa.OpAndI:
-						regs[u.rd&15] = regs[u.rs1&15] & u.imm
-					case isa.OpShlI:
-						regs[u.rd&15] = regs[u.rs1&15] << u.imm
-					case isa.OpShrI:
-						regs[u.rd&15] = regs[u.rs1&15] >> u.imm
-					case isa.OpCmp:
-						ctx.Flags = sign(int64(regs[u.rs1&15]), int64(regs[u.rs2&15]))
-					case isa.OpCmpI:
-						ctx.Flags = sign(int64(regs[u.rs1&15]), int64(u.imm))
-					}
-				}
+				runALU(uops[st.pc:st.pc+st.n], regs, &ctx.Flags)
 			}
 			c.Now += st.cost
 			ctx.BusyCycles += st.cost
@@ -870,37 +778,11 @@ head:
 				return false, steps > start, nil
 			}
 			pc := int(st.pc)
-			isStore := isa.Op(st.op) == isa.OpStore
-			addr := regs[st.rs1&15] + st.imm
-			acc := c.Hier.AccessW(addr, c.Now, isStore)
-			busy := st.cost
-			var stall uint64
-			if acc.Latency > absorb {
-				stall = acc.Latency - absorb
-				busy += absorb
-			} else {
-				busy += acc.Latency
-			}
-			if !isStore {
-				v, rerr := c.Mem.Read64(addr)
-				if rerr != nil {
-					leave(pc, si)
-					return false, steps > start, c.fault(ctx.ID, pc, rerr) //shsim:alloc-ok cold fault path; ends the run
-				}
-				regs[st.rd&15] = v
-				counters.Loads[pc]++
-			} else {
-				if werr := c.Mem.Write64(addr, regs[st.rd&15]); werr != nil {
-					leave(pc, si)
-					return false, steps > start, c.fault(ctx.ID, pc, werr) //shsim:alloc-ok cold fault path; ends the run
-				}
-				counters.Stores[pc]++
-			}
-			if acc.MissedL2 {
-				counters.MissL2[pc]++
-			}
-			if acc.Level == mem.LevelDRAM {
-				counters.MissL3[pc]++
+			u := &uops[pc]
+			busy, stall, acc, err := c.memStep(ctx.ID, pc, u, regs)
+			if err != nil {
+				leave(pc, si)
+				return false, steps > start, err
 			}
 			c.Now += busy
 			ctx.BusyCycles += busy
@@ -917,7 +799,7 @@ head:
 			steps++
 			si++
 			if observed {
-				c.notify(ctx.ID, pc, isa.Op(st.op), acc.Latency, acc.Level, stall, false, pc+1)
+				c.notify(ctx.ID, pc, u.op, acc.Latency, acc.Level, stall, false, pc+1)
 			}
 			if block && stall > 0 {
 				leave(pc+1, si)
@@ -949,7 +831,7 @@ head:
 			if c.Now >= hz.Wake {
 				leave(int(st.pc)+1, si)
 				res.CondYield = true
-				res.LiveMask = isa.RegMask(st.imm)
+				res.LiveMask = isa.RegMask(uops[st.pc].imm)
 				return true, true, nil
 			}
 			// Dormant: what RunBlock's scalar dispatch does at one.
@@ -968,11 +850,11 @@ head:
 				return false, steps > start, nil
 			}
 			pc := int(st.pc)
-			op := isa.Op(st.op)
+			u := &uops[pc]
 			next := pc + 1
 			taken := false
-			if op == isa.OpJmp || condHolds(op, ctx.Flags) {
-				next = int(st.target)
+			if u.op == isa.OpJmp || condHolds(u.op, ctx.Flags) {
+				next = int(u.imm)
 				taken = true
 			}
 			busy := st.cost
@@ -985,7 +867,7 @@ head:
 			steps++
 			if taken {
 				if observed {
-					c.notify(ctx.ID, pc, op, 0, 0, 0, true, next)
+					c.notify(ctx.ID, pc, u.op, 0, 0, 0, true, next)
 				}
 				c.lastBranchAt = c.Now
 			}

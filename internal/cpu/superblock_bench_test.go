@@ -48,7 +48,7 @@ func TestRunSuperblockSteadyStateAllocFree(t *testing.T) {
 // BenchmarkCoreSuperblock measures the superblock tier on the identical
 // ALU-heavy loop BenchmarkCoreBlock runs: the 64-instruction body plus
 // latch compiles into one loop trace whose homogeneous addi run takes
-// the switch-free micro-op loop. The ns/instr metric against
+// the switch-free delta loop. The ns/instr metric against
 // BenchmarkCoreBlock's is the tier's speedup.
 func BenchmarkCoreSuperblock(b *testing.B) {
 	prog := aluLoopProgram(64)

@@ -221,9 +221,10 @@ func TestSuperblockFlushInvalidation(t *testing.T) {
 }
 
 // TestSuperblocksReadOnly pins that running a trace leaves the compiled
-// traces exactly as NewCore built them: a hot loop whose loads and stores
-// hit one resident line runs through its loop trace, and afterwards
-// c.sbs must deep-equal a copy taken before the first instruction.
+// traces and the decoded table they read exactly as NewCore built them: a
+// hot loop whose loads and stores hit one resident line runs through its
+// loop trace, and afterwards c.sbs and c.uops must deep-equal copies taken
+// before the first instruction.
 func TestSuperblocksReadOnly(t *testing.T) {
 	prog := isa.MustAssemble(`
         movi r1, 0
@@ -240,9 +241,10 @@ func TestSuperblocksReadOnly(t *testing.T) {
 	built := make([]superblock, len(rig.core.sbs))
 	for i, sb := range rig.core.sbs {
 		sb.steps = append([]sbStep(nil), sb.steps...)
-		sb.uops = append([]sbUop(nil), sb.uops...)
+		sb.deltas = append([]sbDelta(nil), sb.deltas...)
 		built[i] = sb
 	}
+	decoded := append([]uop(nil), rig.core.uops...)
 	var res BlockResult
 	for !rig.ctx.Halted {
 		if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, Horizon{}, &res); err != nil {
@@ -254,6 +256,9 @@ func TestSuperblocksReadOnly(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rig.core.sbs, built) {
 		t.Fatal("running the loop trace changed the compiled traces")
+	}
+	if !reflect.DeepEqual(rig.core.uops, decoded) {
+		t.Fatal("running the loop trace changed the decoded table")
 	}
 }
 
@@ -413,8 +418,8 @@ func TestDeriveSuperblocksChainConditionalYields(t *testing.T) {
 	}
 }
 
-// TestNewCoreIsBornReady pins what NewCore hands every caller: the block
-// plan and exactly the traces deriveSuperblocks finds at
+// TestNewCoreIsBornReady pins what NewCore hands every caller: the decoded
+// table and exactly the traces deriveSuperblocks finds at
 // sbMinLen, one per head, entered from their head pc and nowhere else —
 // over random programs full of yields of both kinds and closed into a
 // loop so heads beyond pc 0 exist. Both sides chain on
@@ -429,8 +434,8 @@ func TestNewCoreIsBornReady(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, isa.Disassemble(prog))
 		}
-		if p := c.plan; len(p.aluEnd) != len(prog.Instrs)+1 || len(p.aluCost) != len(prog.Instrs)+1 {
-			t.Fatalf("trial %d: fused-segment tables of %d and %d entries for %d instructions", trial, len(p.aluEnd), len(p.aluCost), len(prog.Instrs))
+		if len(c.uops) != len(prog.Instrs) || len(c.aluCost) != len(prog.Instrs) {
+			t.Fatalf("trial %d: decoded tables of %d and %d entries for %d instructions", trial, len(c.uops), len(c.aluCost), len(prog.Instrs))
 		}
 		specs := deriveSuperblocks(prog.Instrs, sbMinLen)
 		if len(c.sbs) != len(specs) {

@@ -70,7 +70,29 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration for structural problems.
+// MaxCycles bounds every configured cycle count: each cpu.Config cost and
+// its AccelLatency, each Config latency and the WritebackPenalty, and
+// LLCConfig's latencies and QueuePenalty. It is what keeps the simulated
+// clock from wrapping. A retired instruction moves the clock by its busy
+// cost plus one memory access — a level latency, a writeback penalty and
+// a queue penalty — or one accelerator wait: at most four bounded terms,
+// 4 · 2^20 = 2^22 cycles. 2^40 retired instructions, the MaxSteps of the
+// bench and of serve, times 2^22 is 2^62, below 2^63. (The LLC scales
+// QueuePenalty by the previous quantum's oversubscription, a count of
+// accesses, not a configured cycle count.)
+const MaxCycles = 1 << 20
+
+// CheckCycles is the one bound check every configuration applies to its
+// cycle counts: field, of package pkg, must not exceed MaxCycles.
+func CheckCycles(pkg, field string, v uint64) error {
+	if v > MaxCycles {
+		return fmt.Errorf("%s: %s %d exceeds the %d-cycle bound (mem.MaxCycles)", pkg, field, v, uint64(MaxCycles))
+	}
+	return nil
+}
+
+// Validate checks the configuration for structural problems and for
+// latencies or penalties above MaxCycles.
 func (c Config) Validate() error {
 	if c.LineSize == 0 || c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("mem: line size %d must be a power of two", c.LineSize)
@@ -89,6 +111,14 @@ func (c Config) Validate() error {
 	}
 	if !(c.LatL1 <= c.LatL2 && c.LatL2 <= c.LatL3 && c.LatL3 <= c.LatDRAM) {
 		return fmt.Errorf("mem: latencies must be monotone across levels")
+	}
+	for _, f := range [...]struct {
+		name string
+		v    uint64
+	}{{"LatL1", c.LatL1}, {"LatL2", c.LatL2}, {"LatL3", c.LatL3}, {"LatDRAM", c.LatDRAM}, {"WritebackPenalty", c.WritebackPenalty}} {
+		if err := CheckCycles("mem", f.name, f.v); err != nil {
+			return err
+		}
 	}
 	return nil
 }

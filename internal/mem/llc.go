@@ -97,7 +97,8 @@ func DefaultLLCConfig(cores int) LLCConfig {
 	}
 }
 
-// Validate checks the configuration for structural problems.
+// Validate checks the configuration for structural problems and for
+// latencies or a queue penalty above MaxCycles.
 func (c LLCConfig) Validate() error {
 	if c.Banks <= 0 || c.Banks&(c.Banks-1) != 0 {
 		return fmt.Errorf("mem: LLC bank count %d must be a positive power of two", c.Banks)
@@ -116,6 +117,14 @@ func (c LLCConfig) Validate() error {
 	}
 	if c.LatL3 > c.LatDRAM {
 		return fmt.Errorf("mem: LLC LatL3 %d must not exceed LatDRAM %d", c.LatL3, c.LatDRAM)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    uint64
+	}{{"LLC LatL3", c.LatL3}, {"LLC LatDRAM", c.LatDRAM}, {"LLC QueuePenalty", c.QueuePenalty}} {
+		if err := CheckCycles("mem", f.name, f.v); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -28,6 +28,9 @@ func TestLLCConfigValidate(t *testing.T) {
 		{"ways", func(c *LLCConfig) { c.Ways = 0 }},
 		{"sets not power of two", func(c *LLCConfig) { c.Size = 3 * (256 << 10) }},
 		{"latency order", func(c *LLCConfig) { c.LatL3 = 400 }},
+		{"LatDRAM past MaxCycles", func(c *LLCConfig) { c.LatDRAM = MaxCycles + 1 }},
+		{"LatL3 past MaxCycles", func(c *LLCConfig) { c.LatL3, c.LatDRAM = 1<<63, 1<<63 }},
+		{"QueuePenalty past MaxCycles", func(c *LLCConfig) { c.QueuePenalty = MaxCycles + 1 }},
 	}
 	for _, tc := range cases {
 		cfg := good

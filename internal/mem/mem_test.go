@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -255,6 +256,31 @@ func TestConfigValidation(t *testing.T) {
 	bad.L2Ways = 0
 	if _, err := NewHierarchy(bad); err == nil {
 		t.Error("zero ways accepted")
+	}
+	// Latencies past MaxCycles would let the clock wrap: three DRAM loads
+	// at LatDRAM = 2^63 used to leave the core's clock at 2^63+13.
+	for _, f := range []struct {
+		name string
+		set  func(*Config, uint64)
+	}{
+		{"LatL1", func(c *Config, v uint64) { c.LatL1, c.LatL2, c.LatL3, c.LatDRAM = v, v, v, v }},
+		{"LatL2", func(c *Config, v uint64) { c.LatL2, c.LatL3, c.LatDRAM = v, v, v }},
+		{"LatL3", func(c *Config, v uint64) { c.LatL3, c.LatDRAM = v, v }},
+		{"LatDRAM", func(c *Config, v uint64) { c.LatDRAM = v }},
+		{"WritebackPenalty", func(c *Config, v uint64) { c.WritebackPenalty = v }},
+	} {
+		ok := DefaultConfig()
+		f.set(&ok, MaxCycles)
+		if _, err := NewHierarchy(ok); err != nil {
+			t.Errorf("%s at MaxCycles rejected: %v", f.name, err)
+		}
+		for _, v := range []uint64{MaxCycles + 1, 1 << 63} {
+			bad = DefaultConfig()
+			f.set(&bad, v)
+			if _, err := NewHierarchy(bad); err == nil || !strings.Contains(err.Error(), f.name+" ") {
+				t.Errorf("%s = %d: got %v, want the bound error naming it", f.name, v, err)
+			}
+		}
 	}
 }
 
