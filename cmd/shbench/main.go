@@ -238,11 +238,17 @@ func runScaling(ctx context.Context, w, ew io.Writer, o options, mach core.Machi
 		tf := o.tf
 		tf.Cores = c
 		if c == 1 {
-			tf.LLCBanks, tf.LLCSize = 0, 0 // shared-LLC overrides do not apply single-core
+			// The topology flags refuse overrides at one core; the
+			// shared-LLC ones do not apply there, but the 1-core point
+			// still runs the quantum kernel at the sweep's quantum.
+			tf.LLCBanks, tf.LLCSize, tf.Quantum = 0, 0, 0
 		}
 		topo, err := tf.Topology(mach)
 		if err != nil {
 			return err
+		}
+		if o.tf.Quantum != 0 {
+			topo.Quantum = o.tf.Quantum
 		}
 		jobs = append(jobs, runner.Job{
 			ID:        fmt.Sprintf("machine-scaling/%s/symmetric/cores=%d", spec.Name(), c),

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 )
 
@@ -137,5 +138,17 @@ func TestRunMarkdownFormat(t *testing.T) {
 	}
 	if !strings.Contains(out, "| --- |") {
 		t.Errorf("markdown table missing:\n%s", out)
+	}
+}
+
+// The scaling report's 1-core point runs at the -quantum override,
+// though the topology flags refuse one at a single core.
+func TestRunScalingTakesQuantum(t *testing.T) {
+	out, _, err := bench(t, options{exp: "all", seeds: 1, format: "text", tf: cli.TopologyFlags{Cores: 2, Quantum: 4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "speedup at 2 cores") {
+		t.Errorf("scaling report missing:\n%s", out)
 	}
 }

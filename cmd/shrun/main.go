@@ -47,7 +47,6 @@ import (
 	"repro"
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/isa"
@@ -392,40 +391,16 @@ func newMachine(o options, spec workloads.Spec, mach core.Machine, ob observe) (
 // execute runs one scenario under the selected discipline, observing
 // into ob, and validates results against the host reference.
 func execute(h *core.Harness, img *core.Image, part string, o options, ob observe) (exec.Stats, error) {
-	ex := h.NewExecutor(img, ob.config(o))
-	defer ex.CaptureMetrics()
-
-	var st exec.Stats
+	cfg := ob.config(o)
 	switch o.mode {
 	case "solo":
-		ts, err := h.Tasks(img, part, coro.Primary, 1)
-		if err != nil {
-			return st, err
-		}
-		if st, err = ex.RunSolo(ts.Tasks[0]); err != nil {
-			return st, err
-		}
-		return st, ts.Validate()
+		return h.RunSolo(img, part, cfg)
 	case "symmetric":
-		ts, err := h.Tasks(img, part, coro.Primary, o.n)
-		if err != nil {
-			return st, err
-		}
-		if st, err = ex.RunSymmetric(ts.Tasks); err != nil {
-			return st, err
-		}
-		return st, ts.Validate()
+		return h.RunSymmetric(img, part, o.n, cfg)
 	case "dual":
-		ts, err := h.Tasks(img, part, coro.Primary, o.scavengers+1)
-		if err != nil {
-			return st, err
-		}
-		if st, err = ex.RunDualMode(ts.Tasks[0], ts.Tasks[1:]); err != nil {
-			return st, err
-		}
-		return st, ts.Validate()
+		return h.RunDualMode(img, part, part, o.scavengers, cfg)
 	default:
-		return st, fmt.Errorf("unknown mode %q", o.mode)
+		return exec.Stats{}, fmt.Errorf("unknown mode %q", o.mode)
 	}
 }
 

@@ -20,13 +20,17 @@
 //	s, _ := repro.NewSession()
 //	h, img, _ := s.Pipeline("chase", repro.DefaultPipelineOptions(), // steps (i)+(ii)
 //	    repro.PointerChase{Nodes: 8192, Hops: 3000, Instances: 8})
-//	ts, _ := h.Tasks(img, "chase", repro.Primary, 8)
-//	stats, _ := s.NewExecutor(h, img, repro.ExecConfig{}).RunSymmetric(ts.Tasks) // step (iii)
+//	stats, _ := h.RunSymmetric(img, "chase", 8, repro.ExecConfig{}) // step (iii)
 //
 // Dual-mode asymmetric concurrency (§3.3) runs one latency-sensitive
-// primary against scavenger coroutines:
+// primary (instance 0) against scavenger coroutines (here instances 1–7):
 //
-//	st, _ := s.NewExecutor(h, img, repro.ExecConfig{}).RunDualMode(primary, scavengers)
+//	st, _ := h.RunDualMode(img, "chase", "chase", 7, repro.ExecConfig{})
+//
+// Harness.RunSolo, RunSymmetric, RunDualMode and RunSMT each build the
+// tasks, run them on a fresh executor and check every halted task
+// against its host reference: a wrong result is an error. Harness.Tasks,
+// Session.NewExecutor and TaskSet.Validate are the low-level form.
 //
 // Experiment sweeps fan out over a deterministic parallel runner
 // (results return in presentation order at any parallelism, cached
@@ -96,8 +100,8 @@
 // served under a policy × offered-load grid whose per-cell sojourn
 // distributions (p50/p99/p999) render as throughput-vs-tail-latency
 // tables. Serve is the canonical way to measure tail latency; the
-// closed-loop Harness.Tasks + RunSymmetric/RunDualMode surface above is
-// the low-level building block it schedules on:
+// closed-loop Harness.Tasks + Executor surface above is the low-level
+// building block it schedules on:
 //
 //	rep, _ := s.Serve(ctx, repro.ServiceConfig{
 //	    Arrivals: repro.ArrivalSpec{Kind: repro.ArrivalPoisson},

@@ -153,14 +153,10 @@ func (tf *TopologyFlags) Check() error {
 // given per-core template, validating everything upfront so a bad flag
 // combination fails before any simulation starts.
 func (tf *TopologyFlags) Topology(mach core.Machine) (machine.Topology, error) {
-	var topo machine.Topology
-	if tf.Cores < 1 {
-		return topo, fmt.Errorf("-cores must be ≥ 1 (got %d)", tf.Cores)
+	if err := tf.Check(); err != nil {
+		return machine.Topology{}, err
 	}
-	if tf.Cores == 1 && (tf.LLCBanks != 0 || tf.LLCSize != 0) {
-		return topo, fmt.Errorf("-llc-banks/-llc-size configure the shared LLC, which needs -cores > 1")
-	}
-	topo = machine.DefaultTopology(tf.Cores)
+	topo := machine.DefaultTopology(tf.Cores)
 	topo.Machine = mach
 	if tf.LLCBanks != 0 {
 		topo.LLC.Banks = tf.LLCBanks
@@ -171,10 +167,7 @@ func (tf *TopologyFlags) Topology(mach core.Machine) (machine.Topology, error) {
 	if tf.Quantum != 0 {
 		topo.Quantum = tf.Quantum
 	}
-	if err := topo.Validate(); err != nil {
-		return topo, err
-	}
-	return topo, nil
+	return topo, topo.Validate()
 }
 
 // ServiceFlags is the open-loop service-harness flag set: tools that

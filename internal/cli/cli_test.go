@@ -128,9 +128,14 @@ func TestTopologyFlags(t *testing.T) {
 			t.Errorf("Check accepted %+v", bad)
 		}
 	}
-	badBanks := TopologyFlags{Cores: 4, LLCBanks: 3}
-	if _, err := badBanks.Topology(core.DefaultMachine()); err == nil {
-		t.Error("non-power-of-two bank count accepted")
+	for _, bad := range []TopologyFlags{
+		{Cores: 4, LLCBanks: 3},
+		{Cores: 1, Quantum: 512},
+		{Cores: 1, LLCBanks: 8},
+	} {
+		if _, err := bad.Topology(core.DefaultMachine()); err == nil {
+			t.Errorf("Topology accepted %+v", bad)
+		}
 	}
 }
 

@@ -11,16 +11,20 @@
 //     with primary prefetch+yield pairs and conditional scavenger yields
 //     (step ii), and the rewrite is statically verified (internal/check)
 //     before the image is returned.
-//  3. Build tasks over the instrumented Image and run them under one of
-//     the exec disciplines — solo, symmetric, or dual-mode asymmetric
-//     concurrency (step iii).
+//  3. Run the instrumented Image under one of the closed-loop
+//     disciplines — RunSolo, RunSymmetric, RunDualMode (asymmetric
+//     concurrency) or the RunSMT baseline (step iii).
 //
-// Every run can be validated against host-reference results via
-// TaskSet.Validate, so experiments measure correct executions only.
+// Each Run method builds its tasks, runs them to completion on a fresh
+// executor and checks every halted task against its host reference
+// (TaskSet.Validate): a wrong result is an error, so experiments measure
+// correct executions only. Tasks and NewExecutor remain the low-level
+// form for schedules the Run methods do not cover.
 package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/check"
 	"repro/internal/coro"
@@ -31,6 +35,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pebs"
 	"repro/internal/profile"
+	"repro/internal/smt"
 	"repro/internal/workloads"
 )
 
@@ -211,8 +216,90 @@ func (h *Harness) NewExecutor(img *Image, cfg exec.Config) *exec.Executor {
 	if cfg.Switch == (coro.CostModel{}) {
 		cfg.Switch = h.Mach.Switch
 	}
-	core := cpu.MustNewCore(h.Mach.CPU, img.Prog, h.Sc.Mem, mem.MustNewHierarchy(h.Mach.Mem))
-	return exec.New(core, cfg)
+	return exec.New(h.newCore(img), cfg)
+}
+
+// newCore builds a cold-cache core over an image.
+func (h *Harness) newCore(img *Image) *cpu.Core {
+	return cpu.MustNewCore(h.Mach.CPU, img.Prog, h.Sc.Mem, mem.MustNewHierarchy(h.Mach.Mem))
+}
+
+// RunSolo runs instance 0 of part alone on a fresh executor over img
+// and validates its result.
+func (h *Harness) RunSolo(img *Image, part string, cfg exec.Config) (exec.Stats, error) {
+	ts, err := h.Tasks(img, part, coro.Primary, 1)
+	if err != nil {
+		return exec.Stats{}, err
+	}
+	return h.closedLoop(img, cfg, func(ex *exec.Executor) (exec.Stats, error) { return ex.RunSolo(ts.Tasks[0]) }, ts)
+}
+
+// RunSymmetric interleaves the first n instances of part (all of them
+// when n<=0) as equals on a fresh executor over img and validates every
+// result.
+func (h *Harness) RunSymmetric(img *Image, part string, n int, cfg exec.Config) (exec.Stats, error) {
+	ts, err := h.Tasks(img, part, coro.Primary, n)
+	if err != nil {
+		return exec.Stats{}, err
+	}
+	return h.closedLoop(img, cfg, func(ex *exec.Executor) (exec.Stats, error) { return ex.RunSymmetric(ts.Tasks) }, ts)
+}
+
+// RunDualMode runs instance 0 of primary as the latency-sensitive
+// primary against n instances of scavenger (the instances after the
+// primary when both parts are one) on a fresh executor over img, and
+// validates every task that halted.
+func (h *Harness) RunDualMode(img *Image, primary, scavenger string, n int, cfg exec.Config) (exec.Stats, error) {
+	first := 0
+	if scavenger == primary {
+		first = 1
+	}
+	pts, err := h.tasks(img, primary, coro.Primary, 0, 1)
+	if err != nil {
+		return exec.Stats{}, err
+	}
+	sts, err := h.tasks(img, scavenger, coro.Scavenger, first, first+n)
+	if err != nil {
+		return exec.Stats{}, err
+	}
+	return h.closedLoop(img, cfg, func(ex *exec.Executor) (exec.Stats, error) { return ex.RunDualMode(pts.Tasks[0], sts.Tasks) }, pts, sts)
+}
+
+// RunSMT runs the first cfg.Contexts instances of part as the hardware
+// contexts of the SMT baseline on a fresh core over img and validates
+// every result.
+func (h *Harness) RunSMT(img *Image, part string, cfg smt.Config) (smt.Stats, error) {
+	ts, err := h.Tasks(img, part, coro.Primary, cfg.Contexts)
+	if err != nil {
+		return smt.Stats{}, err
+	}
+	ctxs := make([]*coro.Context, len(ts.Tasks))
+	for i, t := range ts.Tasks {
+		ctxs[i] = t.Ctx
+	}
+	st, err := smt.Run(h.newCore(img), cfg, ctxs)
+	if err != nil {
+		return st, err
+	}
+	return st, ts.Validate()
+}
+
+// closedLoop runs one discipline on a fresh executor over img, harvests
+// its counters into cfg.Metrics (a no-op without a registry) and
+// validates every halted task of sets.
+func (h *Harness) closedLoop(img *Image, cfg exec.Config, run func(*exec.Executor) (exec.Stats, error), sets ...*TaskSet) (exec.Stats, error) {
+	ex := h.NewExecutor(img, cfg)
+	st, err := run(ex)
+	ex.CaptureMetrics()
+	if err != nil {
+		return st, err
+	}
+	for _, ts := range sets {
+		if err := ts.Validate(); err != nil {
+			return st, err
+		}
+	}
+	return st, nil
 }
 
 // TaskSet couples executor tasks with their expected results.
@@ -251,15 +338,21 @@ func (ts *TaskSet) Merge(other *TaskSet) {
 // Tasks builds a TaskSet of count instances of the named part against an
 // image (entries already remapped). count<=0 means all instances.
 func (h *Harness) Tasks(img *Image, part string, mode coro.Mode, count int) (*TaskSet, error) {
+	if count <= 0 {
+		count = math.MaxInt
+	}
+	return h.tasks(img, part, mode, 0, count)
+}
+
+// tasks builds a TaskSet of the instances [first, end) of the named
+// part, end clamped to the instances there are.
+func (h *Harness) tasks(img *Image, part string, mode coro.Mode, first, end int) (*TaskSet, error) {
 	p := h.Sc.Part(part)
 	if p == nil {
 		return nil, fmt.Errorf("core: no part %q", part)
 	}
-	if count <= 0 || count > len(p.Instances) {
-		count = len(p.Instances)
-	}
 	ts := &TaskSet{}
-	for i := 0; i < count; i++ {
+	for i := first; i < min(end, len(p.Instances)); i++ {
 		inst := p.Instances[i]
 		ctx := coro.NewContext(i, img.Entries[part], p.StackTops[i])
 		ctx.Regs = inst.Regs

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -10,6 +13,8 @@ import (
 	"repro/internal/exec"
 	"repro/internal/instrument"
 	"repro/internal/isa"
+	"repro/internal/metrics"
+	"repro/internal/smt"
 	"repro/internal/workloads"
 )
 
@@ -129,6 +134,105 @@ func TestTasksCountSemantics(t *testing.T) {
 	}
 	if _, err := h.Tasks(base, "nope", coro.Primary, 1); err == nil {
 		t.Error("unknown part accepted")
+	}
+}
+
+// TestRunMethodsValidate: each closed-loop Run method returns exactly
+// the stats of the direct exec sequence it replaces, and refuses a run
+// in which one halted task computed other than its host reference,
+// naming that task.
+func TestRunMethodsValidate(t *testing.T) {
+	h, err := NewHarness(DefaultMachine(),
+		workloads.PointerChase{Nodes: 2048, Hops: 600, Instances: 4},
+		workloads.Compute{Iters: 50, Instances: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := h.Profile("chase")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := h.Instrument(prof, instrument.DefaultPipelineOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := func(part string, mode coro.Mode, n int) []*exec.Task {
+		ts, err := h.Tasks(img, part, mode, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts.Tasks
+	}
+	smtCfg := smt.Config{Contexts: 2, Quantum: 4, MaxSteps: 1 << 28}
+	cases := []struct {
+		name, part string
+		inst       int // the instance whose reference the case corrupts
+		run        func() (any, error)
+		direct     func() (any, error)
+	}{
+		{"solo", "chase", 0,
+			func() (any, error) { return h.RunSolo(img, "chase", exec.Config{}) },
+			func() (any, error) {
+				return h.NewExecutor(img, exec.Config{}).RunSolo(tasks("chase", coro.Primary, 1)[0])
+			}},
+		{"symmetric", "chase", 3,
+			func() (any, error) { return h.RunSymmetric(img, "chase", 4, exec.Config{}) },
+			func() (any, error) {
+				return h.NewExecutor(img, exec.Config{}).RunSymmetric(tasks("chase", coro.Primary, 4))
+			}},
+		{"dual, scavenger part", "compute", 1,
+			func() (any, error) { return h.RunDualMode(img, "chase", "compute", 2, exec.Config{}) },
+			func() (any, error) {
+				return h.NewExecutor(img, exec.Config{}).RunDualMode(
+					tasks("chase", coro.Primary, 1)[0], tasks("compute", coro.Scavenger, 2))
+			}},
+		{"dual, one part", "chase", 0,
+			func() (any, error) { return h.RunDualMode(img, "chase", "chase", 3, exec.Config{HWAssist: true}) },
+			func() (any, error) {
+				ts := tasks("chase", coro.Primary, 4)
+				return h.NewExecutor(img, exec.Config{HWAssist: true}).RunDualMode(ts[0], ts[1:])
+			}},
+		{"smt", "chase", 1,
+			func() (any, error) { return h.RunSMT(img, "chase", smtCfg) },
+			func() (any, error) {
+				var ctxs []*coro.Context
+				for _, task := range tasks("chase", coro.Primary, 2) {
+					ctxs = append(ctxs, task.Ctx)
+				}
+				return smt.Run(h.NewExecutor(img, exec.Config{}).Core, smtCfg, ctxs)
+			}},
+	}
+	for _, c := range cases {
+		got, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := c.direct()
+		if err != nil {
+			t.Fatalf("%s, direct: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stats %+v, the direct call gives %+v", c.name, got, want)
+		}
+
+		ref := &h.Sc.Part(c.part).Instances[c.inst].Expected
+		*ref++
+		_, err = c.run()
+		*ref--
+		name := fmt.Sprintf("%s[%d] computed", c.part, c.inst)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s with a wrong %s[%d]: err = %v, want one naming it", c.name, c.part, c.inst, err)
+		}
+	}
+
+	// A registry in the config receives the run's core counters.
+	reg := &metrics.Registry{}
+	st, err := h.RunSymmetric(img, "chase", 4, exec.Config{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg.CPU.Retired == 0 || reg.CPU.Retired != st.Retired {
+		t.Errorf("registry retired %d, the run %d", reg.CPU.Retired, st.Retired)
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -30,19 +29,7 @@ func E16Accelerator(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		run := func(img *Image) (exec.Stats, error) {
-			ts, err := h.Tasks(img, "accelstream", coro.Primary, n)
-			if err != nil {
-				return exec.Stats{}, err
-			}
-			st, err := h.NewExecutor(img, exec.Config{}).RunSymmetric(ts.Tasks)
-			if err != nil {
-				return exec.Stats{}, err
-			}
-			return st, ts.Validate()
-		}
-
-		base, err := run(h.Baseline())
+		base, err := h.RunSymmetric(h.Baseline(), "accelstream", n, exec.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +41,7 @@ func E16Accelerator(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pg, err := run(img)
+		pg, err := h.RunSymmetric(img, "accelstream", n, exec.Config{})
 		if err != nil {
 			return nil, err
 		}

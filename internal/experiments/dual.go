@@ -40,16 +40,8 @@ func E7DualMode(mach Machine) (*Result, error) {
 	}
 
 	// Solo baseline latency (uninstrumented).
-	base := h.Baseline()
-	bts, err := h.Tasks(base, "hashjoin", coro.Primary, 1)
+	baseStats, err := h.RunSolo(h.Baseline(), "hashjoin", exec.Config{})
 	if err != nil {
-		return nil, err
-	}
-	baseStats, err := h.NewExecutor(base, exec.Config{}).RunSolo(bts.Tasks[0])
-	if err != nil {
-		return nil, err
-	}
-	if err := bts.Validate(); err != nil {
 		return nil, err
 	}
 	solo := baseStats.Cycles
@@ -62,25 +54,15 @@ func E7DualMode(mach Machine) (*Result, error) {
 		return nil, err
 	}
 
-	newTasks := func() (*TaskSet, *TaskSet, error) {
-		pts, err := h.Tasks(img, "hashjoin", coro.Primary, 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		sts, err := h.Tasks(img, "compute", coro.Scavenger, 4)
-		if err != nil {
-			return nil, nil, err
-		}
-		return pts, sts, nil
-	}
-
 	// Symmetric interleaving: throughput discipline, no priorities.
-	pts, sts, err := newTasks()
+	all, err := h.Tasks(img, "hashjoin", coro.Primary, 1)
 	if err != nil {
 		return nil, err
 	}
-	all := &TaskSet{}
-	all.Merge(pts)
+	sts, err := h.Tasks(img, "compute", coro.Scavenger, 4)
+	if err != nil {
+		return nil, err
+	}
 	all.Merge(sts)
 	symStats, err := h.NewExecutor(img, exec.Config{}).RunSymmetric(all.Tasks)
 	if err != nil {
@@ -96,15 +78,8 @@ func E7DualMode(mach Machine) (*Result, error) {
 	res.Metrics["sym_eff"] = symStats.Efficiency()
 
 	// Dual mode: primary + scavengers.
-	pts, sts, err = newTasks()
+	dualStats, err := h.RunDualMode(img, "hashjoin", "compute", 4, exec.Config{})
 	if err != nil {
-		return nil, err
-	}
-	dualStats, err := h.NewExecutor(img, exec.Config{}).RunDualMode(pts.Tasks[0], sts.Tasks)
-	if err != nil {
-		return nil, err
-	}
-	if err := pts.Validate(); err != nil {
 		return nil, err
 	}
 	tbl.Row("dual-mode (1 primary + 4 scavengers)", dualStats.PrimaryLatency,
@@ -158,19 +133,8 @@ func E8ScavengerScaling(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pts, err := h.Tasks(img, "hashjoin", coro.Primary, 1)
+		st, err := h.RunDualMode(img, "hashjoin", kind.spec.Name(), 4, exec.Config{})
 		if err != nil {
-			return nil, err
-		}
-		sts, err := h.Tasks(img, kind.spec.Name(), coro.Scavenger, 4)
-		if err != nil {
-			return nil, err
-		}
-		st, err := h.NewExecutor(img, exec.Config{}).RunDualMode(pts.Tasks[0], sts.Tasks)
-		if err != nil {
-			return nil, err
-		}
-		if err := pts.Validate(); err != nil {
 			return nil, err
 		}
 		chains := 0.0
@@ -213,19 +177,8 @@ func E9IntervalSweep(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pts, err := h.Tasks(img, "hashjoin", coro.Primary, 1)
+		st, err := h.RunDualMode(img, "hashjoin", "unrolled", 2, exec.Config{})
 		if err != nil {
-			return nil, err
-		}
-		sts, err := h.Tasks(img, "unrolled", coro.Scavenger, 2)
-		if err != nil {
-			return nil, err
-		}
-		st, err := h.NewExecutor(img, exec.Config{}).RunDualMode(pts.Tasks[0], sts.Tasks)
-		if err != nil {
-			return nil, err
-		}
-		if err := pts.Validate(); err != nil {
 			return nil, err
 		}
 		overshoot := 0.0

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -37,18 +36,7 @@ func E17PrefetcherInteraction(mach Machine) (*Result, error) {
 				return nil, err
 			}
 			name := spec.Name()
-			run := func(img *Image) (exec.Stats, error) {
-				ts, err := h.Tasks(img, name, coro.Primary, n)
-				if err != nil {
-					return exec.Stats{}, err
-				}
-				st, err := h.NewExecutor(img, exec.Config{}).RunSymmetric(ts.Tasks)
-				if err != nil {
-					return exec.Stats{}, err
-				}
-				return st, ts.Validate()
-			}
-			base, err := run(h.Baseline())
+			base, err := h.RunSymmetric(h.Baseline(), name, n, exec.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -60,7 +48,7 @@ func E17PrefetcherInteraction(mach Machine) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			pg, err := run(img)
+			pg, err := h.RunSymmetric(img, name, n, exec.Config{})
 			if err != nil {
 				return nil, err
 			}

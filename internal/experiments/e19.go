@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -25,18 +24,6 @@ func E19SamplingPrecision(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(img *Image) (exec.Stats, error) {
-		ts, err := h.Tasks(img, "chase", coro.Primary, n)
-		if err != nil {
-			return exec.Stats{}, err
-		}
-		st, err := h.NewExecutor(img, exec.Config{}).RunSymmetric(ts.Tasks)
-		if err != nil {
-			return exec.Stats{}, err
-		}
-		return st, ts.Validate()
-	}
-
 	for _, precise := range []bool{true, false} {
 		smpCfg := mach.Sampling
 		smpCfg.Precise = precise
@@ -48,7 +35,7 @@ func E19SamplingPrecision(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := run(img)
+		st, err := h.RunSymmetric(img, "chase", n, exec.Config{})
 		if err != nil {
 			return nil, err
 		}

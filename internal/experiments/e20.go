@@ -25,15 +25,8 @@ func E20SwitchCostSensitivity(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bts, err := h.Tasks(h.Baseline(), "chase", coro.Primary, n)
+	baseStats, err := h.RunSymmetric(h.Baseline(), "chase", n, exec.Config{})
 	if err != nil {
-		return nil, err
-	}
-	baseStats, err := h.NewExecutor(h.Baseline(), exec.Config{}).RunSymmetric(bts.Tasks)
-	if err != nil {
-		return nil, err
-	}
-	if err := bts.Validate(); err != nil {
 		return nil, err
 	}
 
@@ -63,15 +56,8 @@ func E20SwitchCostSensitivity(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ts, err := h.Tasks(img, "chase", coro.Primary, n)
+		st, err := h.RunSymmetric(img, "chase", n, exec.Config{Switch: mdl.model})
 		if err != nil {
-			return nil, err
-		}
-		st, err := h.NewExecutor(img, exec.Config{Switch: mdl.model}).RunSymmetric(ts.Tasks)
-		if err != nil {
-			return nil, err
-		}
-		if err := ts.Validate(); err != nil {
 			return nil, err
 		}
 		ns := NS(float64(mdl.model.FullCost()))

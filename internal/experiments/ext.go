@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/bincfg"
-	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/instrument"
 	"repro/internal/isa"
@@ -46,20 +45,8 @@ func E11HWAssist(mach Machine) (*Result, error) {
 	}
 
 	for _, hw := range []bool{false, true} {
-		pts, err := h.Tasks(img, "binsearch", coro.Primary, 1)
+		st, err := h.RunDualMode(img, "binsearch", "compute", 2, exec.Config{HWAssist: hw})
 		if err != nil {
-			return nil, err
-		}
-		sts, err := h.Tasks(img, "compute", coro.Scavenger, 2)
-		if err != nil {
-			return nil, err
-		}
-		cfg := exec.Config{HWAssist: hw}
-		st, err := h.NewExecutor(img, cfg).RunDualMode(pts.Tasks[0], sts.Tasks)
-		if err != nil {
-			return nil, err
-		}
-		if err := pts.Validate(); err != nil {
 			return nil, err
 		}
 		name := "static yields"
@@ -102,17 +89,6 @@ func E12SFI(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(img *Image) (exec.Stats, error) {
-		ts, err := h.Tasks(img, "hashjoin", coro.Primary, n)
-		if err != nil {
-			return exec.Stats{}, err
-		}
-		st, err := h.NewExecutor(img, exec.Config{}).RunSymmetric(ts.Tasks)
-		if err != nil {
-			return exec.Stats{}, err
-		}
-		return st, ts.Validate()
-	}
 	harden := func(img *Image, codesign bool) (*Image, *sfi.Result, error) {
 		prog, sres, err := sfi.Harden(img.Prog, sfi.Options{CoDesign: codesign, GuardStores: true})
 		if err != nil {
@@ -126,7 +102,7 @@ func E12SFI(mach Machine) (*Result, error) {
 	}
 
 	base := h.Baseline()
-	baseStats, err := run(base)
+	baseStats, err := h.RunSymmetric(base, "hashjoin", n, exec.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +112,7 @@ func E12SFI(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sfiStats, err := run(sfiImg)
+	sfiStats, err := h.RunSymmetric(sfiImg, "hashjoin", n, exec.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +128,7 @@ func E12SFI(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pgoStats, err := run(pgoImg)
+	pgoStats, err := h.RunSymmetric(pgoImg, "hashjoin", n, exec.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +139,7 @@ func E12SFI(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	naiveStats, err := run(naiveImg)
+	naiveStats, err := h.RunSymmetric(naiveImg, "hashjoin", n, exec.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +151,7 @@ func E12SFI(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	coStats, err := run(coImg)
+	coStats, err := h.RunSymmetric(coImg, "hashjoin", n, exec.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -276,20 +252,8 @@ func E13InlineAccuracy(mach Machine) (*Result, error) {
 		return nil, err
 	}
 
-	run := func(img *Image) (exec.Stats, error) {
-		ts, err := h.Tasks(img, "inline", coro.Primary, n)
-		if err != nil {
-			return exec.Stats{}, err
-		}
-		st, err := h.NewExecutor(img, exec.Config{}).RunSymmetric(ts.Tasks)
-		if err != nil {
-			return exec.Stats{}, err
-		}
-		return st, ts.Validate()
-	}
-
 	base := h.Baseline()
-	baseStats, err := run(base)
+	baseStats, err := h.RunSymmetric(base, "inline", n, exec.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +266,7 @@ func E13InlineAccuracy(mach Machine) (*Result, error) {
 		return nil, err
 	}
 	srcImg := h.FromRewrite(srcProg, oldToNew)
-	srcStats, err := run(srcImg)
+	srcStats, err := h.RunSymmetric(srcImg, "inline", n, exec.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +284,7 @@ func E13InlineAccuracy(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	binStats, err := run(img)
+	binStats, err := h.RunSymmetric(img, "inline", n, exec.Config{})
 	if err != nil {
 		return nil, err
 	}

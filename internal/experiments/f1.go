@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/baselines"
-	"repro/internal/coro"
 	"repro/internal/exec"
-	"repro/internal/smt"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -57,9 +55,9 @@ func F1Spectrum(mach Machine) (*Result, error) {
 
 		m := mach
 		m.Mem.LatDRAM = d
-		m.Mem.LatL3 = minU64(m.Mem.LatL3, d)
-		m.Mem.LatL2 = minU64(m.Mem.LatL2, m.Mem.LatL3)
-		m.Mem.LatL1 = minU64(m.Mem.LatL1, m.Mem.LatL2)
+		m.Mem.LatL3 = min(m.Mem.LatL3, d)
+		m.Mem.LatL2 = min(m.Mem.LatL2, m.Mem.LatL3)
+		m.Mem.LatL1 = min(m.Mem.LatL1, m.Mem.LatL2)
 		m.CPU.PipelineAbsorb = m.Mem.LatL1
 
 		h, err := NewHarness(m, spec)
@@ -69,29 +67,29 @@ func F1Spectrum(mach Machine) (*Result, error) {
 		base := h.Baseline()
 
 		// Mechanism: nothing.
-		effNone, err := f1Solo(h, base)
+		none, err := h.RunSolo(base, "padchase", exec.Config{})
 		if err != nil {
 			return nil, err
 		}
 
 		// Mechanism: out-of-order window (absorbs up to ~10 ns of latency).
 		mOoO := m
-		mOoO.CPU.PipelineAbsorb = maxU64(oooWindowCycles, m.CPU.PipelineAbsorb)
+		mOoO.CPU.PipelineAbsorb = max(oooWindowCycles, m.CPU.PipelineAbsorb)
 		hOoO, err := NewHarness(mOoO, spec)
 		if err != nil {
 			return nil, err
 		}
-		effOoO, err := f1Solo(hOoO, hOoO.Baseline())
+		ooo, err := hOoO.RunSolo(hOoO.Baseline(), "padchase", exec.Config{})
 		if err != nil {
 			return nil, err
 		}
 
 		// Mechanism: SMT with 2 and 8 hardware contexts.
-		effSMT2, err := f1SMT(h, base, 2)
+		smt2, err := h.RunSMT(base, "padchase", smtContexts(2))
 		if err != nil {
 			return nil, err
 		}
-		effSMT8, err := f1SMT(h, base, 8)
+		smt8, err := h.RunSMT(base, "padchase", smtContexts(8))
 		if err != nil {
 			return nil, err
 		}
@@ -105,106 +103,38 @@ func F1Spectrum(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		effCoro, err := f1Symmetric(h, img, nInstances, h.Mach.Switch)
+		coro16, err := h.RunSymmetric(img, "padchase", nInstances, exec.Config{})
 		if err != nil {
 			return nil, err
 		}
 
 		// Mechanism: the same interleaving priced at OS-thread switches.
-		effOS, err := f1Symmetric(h, img, nInstances, baselines.OSThreadCostModel())
+		os16, err := h.RunSymmetric(img, "padchase", nInstances, exec.Config{Switch: baselines.OSThreadCostModel()})
 		if err != nil {
 			return nil, err
 		}
 
-		winner := "none"
-		best := effNone
-		for _, c := range []struct {
-			name string
-			eff  float64
-		}{{"OoOE", effOoO}, {"SMT-2", effSMT2}, {"SMT-8", effSMT8}, {"coro-16", effCoro}, {"OS-16", effOS}} {
-			if c.eff > best {
-				best = c.eff
-				winner = c.name
-			}
-		}
 		ns := NS(float64(d))
-		tbl.Row(fmt.Sprintf("%.0f", ns), effNone, effOoO, effSMT2, effSMT8, effCoro, effOS, winner)
 		key := fmt.Sprintf("d%dns", int(ns))
-		res.Metrics[key+"_none"] = effNone
-		res.Metrics[key+"_ooo"] = effOoO
-		res.Metrics[key+"_smt2"] = effSMT2
-		res.Metrics[key+"_smt8"] = effSMT8
-		res.Metrics[key+"_coro"] = effCoro
-		res.Metrics[key+"_os"] = effOS
+		row, winner, best := []any{fmt.Sprintf("%.0f", ns)}, "none", none.Efficiency()
+		for _, c := range []struct {
+			name, key string
+			eff       float64
+		}{
+			{"none", "none", none.Efficiency()}, {"OoOE", "ooo", ooo.Efficiency()},
+			{"SMT-2", "smt2", smt2.Efficiency()}, {"SMT-8", "smt8", smt8.Efficiency()},
+			{"coro-16", "coro", coro16.Efficiency()}, {"OS-16", "os", os16.Efficiency()},
+		} {
+			if c.eff > best {
+				best, winner = c.eff, c.name
+			}
+			row = append(row, c.eff)
+			res.Metrics[key+"_"+c.key] = c.eff
+		}
+		tbl.Row(append(row, winner)...)
 	}
 	res.Notes = append(res.Notes,
 		"event = dependent-load service latency; all mechanisms run the same 16-instance pointer-chase work",
 		fmt.Sprintf("OoOE modelled as a %d-cycle absorb window; SMT switches on stall with zero overhead", oooWindowCycles))
 	return res, nil
-}
-
-func f1Solo(h *Harness, img *Image) (float64, error) {
-	ts, err := h.Tasks(img, "padchase", coro.Primary, 1)
-	if err != nil {
-		return 0, err
-	}
-	ex := h.NewExecutor(img, exec.Config{})
-	st, err := ex.RunSolo(ts.Tasks[0])
-	if err != nil {
-		return 0, err
-	}
-	if err := ts.Validate(); err != nil {
-		return 0, err
-	}
-	return st.Efficiency(), nil
-}
-
-func f1Symmetric(h *Harness, img *Image, n int, switchModel coro.CostModel) (float64, error) {
-	ts, err := h.Tasks(img, "padchase", coro.Primary, n)
-	if err != nil {
-		return 0, err
-	}
-	ex := h.NewExecutor(img, exec.Config{Switch: switchModel})
-	st, err := ex.RunSymmetric(ts.Tasks)
-	if err != nil {
-		return 0, err
-	}
-	if err := ts.Validate(); err != nil {
-		return 0, err
-	}
-	return st.Efficiency(), nil
-}
-
-func f1SMT(h *Harness, img *Image, k int) (float64, error) {
-	ts, err := h.Tasks(img, "padchase", coro.Primary, k)
-	if err != nil {
-		return 0, err
-	}
-	core := h.NewExecutor(img, exec.Config{}).Core
-	var ctxs []*coro.Context
-	for _, t := range ts.Tasks {
-		ctxs = append(ctxs, t.Ctx)
-	}
-	st, err := smt.Run(core, smt.Config{Contexts: k, Quantum: 4, MaxSteps: 1 << 28}, ctxs)
-	if err != nil {
-		return 0, err
-	}
-	if err := ts.Validate(); err != nil {
-		return 0, err
-	}
-	return st.Efficiency(), nil
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

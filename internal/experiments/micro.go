@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/baselines"
-	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/instrument"
 	"repro/internal/isa"
@@ -39,15 +38,8 @@ func E1SwitchCost(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ts, err := h.Tasks(img, "chase", coro.Primary, 4)
+	st, err := h.RunSymmetric(img, "chase", 4, exec.Config{})
 	if err != nil {
-		return nil, err
-	}
-	st, err := h.NewExecutor(img, exec.Config{}).RunSymmetric(ts.Tasks)
-	if err != nil {
-		return nil, err
-	}
-	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
 	if st.Switches == 0 {
@@ -91,16 +83,8 @@ func E2StallFraction(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		img := h.Baseline()
-		ts, err := h.Tasks(img, spec.Name(), coro.Primary, 1)
+		st, err := h.RunSolo(h.Baseline(), spec.Name(), exec.Config{})
 		if err != nil {
-			return nil, err
-		}
-		st, err := h.NewExecutor(img, exec.Config{}).RunSolo(ts.Tasks[0])
-		if err != nil {
-			return nil, err
-		}
-		if err := ts.Validate(); err != nil {
 			return nil, err
 		}
 		frac := st.StallFraction()

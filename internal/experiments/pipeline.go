@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/baselines"
-	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/instrument"
 	"repro/internal/stats"
@@ -39,20 +38,8 @@ func E4PipelineThroughput(mach Machine) (*Result, error) {
 		}
 		name := spec.Name()
 
-		run := func(img *Image) (exec.Stats, error) {
-			ts, err := h.Tasks(img, name, coro.Primary, n)
-			if err != nil {
-				return exec.Stats{}, err
-			}
-			st, err := h.NewExecutor(img, exec.Config{}).RunSymmetric(ts.Tasks)
-			if err != nil {
-				return exec.Stats{}, err
-			}
-			return st, ts.Validate()
-		}
-
 		base := h.Baseline()
-		baseStats, err := run(base)
+		baseStats, err := h.RunSymmetric(base, name, n, exec.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("E4 %s baseline: %w", name, err)
 		}
@@ -64,7 +51,7 @@ func E4PipelineThroughput(mach Machine) (*Result, error) {
 			return nil, err
 		}
 		manualImg := h.FromRewrite(manualProg, oldToNew)
-		manualStats, err := run(manualImg)
+		manualStats, err := h.RunSymmetric(manualImg, name, n, exec.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("E4 %s manual: %w", name, err)
 		}
@@ -81,7 +68,7 @@ func E4PipelineThroughput(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pgStats, err := run(img)
+		pgStats, err := h.RunSymmetric(img, name, n, exec.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("E4 %s pgo: %w", name, err)
 		}
@@ -129,15 +116,8 @@ func E5ThresholdSweep(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ts, err := h.Tasks(img, "mixedchase", coro.Primary, n)
+		st, err := h.RunSymmetric(img, "mixedchase", n, exec.Config{})
 		if err != nil {
-			return nil, err
-		}
-		st, err := h.NewExecutor(img, exec.Config{}).RunSymmetric(ts.Tasks)
-		if err != nil {
-			return nil, err
-		}
-		if err := ts.Validate(); err != nil {
 			return nil, err
 		}
 		eff := st.Efficiency()
@@ -191,15 +171,8 @@ func E6Ablations(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ts, err := h.Tasks(img, "multichase", coro.Primary, n)
+		st, err := h.RunSymmetric(img, "multichase", n, exec.Config{})
 		if err != nil {
-			return nil, err
-		}
-		st, err := h.NewExecutor(img, exec.Config{}).RunSymmetric(ts.Tasks)
-		if err != nil {
-			return nil, err
-		}
-		if err := ts.Validate(); err != nil {
 			return nil, err
 		}
 		y, _ := yieldCount(img.Prog)

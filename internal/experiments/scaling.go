@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/smt"
 	"repro/internal/stats"
@@ -29,20 +28,8 @@ func E3SMTvsCoro(mach Machine) (*Result, error) {
 	base := h.Baseline()
 
 	for _, k := range []int{1, 2, 4, 8} {
-		ts, err := h.Tasks(base, "chase", coro.Primary, k)
+		st, err := h.RunSMT(base, "chase", smtContexts(k))
 		if err != nil {
-			return nil, err
-		}
-		core := h.NewExecutor(base, exec.Config{}).Core
-		var ctxs []*coro.Context
-		for _, t := range ts.Tasks {
-			ctxs = append(ctxs, t.Ctx)
-		}
-		st, err := smt.Run(core, smt.Config{Contexts: k, Quantum: 4, MaxSteps: 1 << 28}, ctxs)
-		if err != nil {
-			return nil, err
-		}
-		if err := ts.Validate(); err != nil {
 			return nil, err
 		}
 		tbl.Row("SMT", k, st.Efficiency(), float64(st.Retired)/float64(st.Cycles))
@@ -58,15 +45,8 @@ func E3SMTvsCoro(mach Machine) (*Result, error) {
 		return nil, err
 	}
 	for _, n := range []int{1, 2, 4, 8, 16, 32} {
-		ts, err := h.Tasks(img, "chase", coro.Primary, n)
+		st, err := h.RunSymmetric(img, "chase", n, exec.Config{})
 		if err != nil {
-			return nil, err
-		}
-		st, err := h.NewExecutor(img, exec.Config{}).RunSymmetric(ts.Tasks)
-		if err != nil {
-			return nil, err
-		}
-		if err := ts.Validate(); err != nil {
 			return nil, err
 		}
 		tbl.Row("coroutines", n, st.Efficiency(), st.IPC())
@@ -76,4 +56,9 @@ func E3SMTvsCoro(mach Machine) (*Result, error) {
 		"hardware caps SMT at 2–8 contexts; the chase needs latency/compute ≈ 30 concurrent streams",
 		"coroutine counts beyond the hardware limit keep improving efficiency — the paper's flexibility argument")
 	return res, nil
+}
+
+// smtContexts is the SMT baseline with k hardware contexts.
+func smtContexts(k int) smt.Config {
+	return smt.Config{Contexts: k, Quantum: 4, MaxSteps: 1 << 28}
 }

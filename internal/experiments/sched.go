@@ -141,19 +141,7 @@ func E15ProfilePortability(mach Machine) (*Result, error) {
 		return nil, err
 	}
 
-	run := func(img *Image) (exec.Stats, error) {
-		ts, err := hTarget.Tasks(img, "hashjoin", coro.Primary, n)
-		if err != nil {
-			return exec.Stats{}, err
-		}
-		st, err := hTarget.NewExecutor(img, exec.Config{}).RunSymmetric(ts.Tasks)
-		if err != nil {
-			return exec.Stats{}, err
-		}
-		return st, ts.Validate()
-	}
-
-	base, err := run(hTarget.Baseline())
+	base, err := hTarget.RunSymmetric(hTarget.Baseline(), "hashjoin", n, exec.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +157,7 @@ func E15ProfilePortability(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fresh, err := run(freshImg)
+	fresh, err := hTarget.RunSymmetric(freshImg, "hashjoin", n, exec.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +181,7 @@ func E15ProfilePortability(mach Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	stale, err := run(staleImg)
+	stale, err := hTarget.RunSymmetric(staleImg, "hashjoin", n, exec.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -605,50 +605,6 @@ func TestPrimaryRejectsNilPolicy(t *testing.T) {
 	}
 }
 
-func TestBudgetPolicy(t *testing.T) {
-	// Site A: huge benefit, no waste. Site B: good benefit, expensive
-	// waste. Site C: negative gain.
-	a := Site{PC: 1, MissRate: 0.95, Execs: 1000, StallCycles: 250000, ExpectedMissLat: 300, SwitchCost: 48, Absorb: 4}
-	bSite := Site{PC: 2, MissRate: 0.5, Execs: 1000, StallCycles: 100000, ExpectedMissLat: 300, SwitchCost: 48, Absorb: 4}
-	c := Site{PC: 3, MissRate: 0.01, Execs: 1000, StallCycles: 10, ExpectedMissLat: 300, SwitchCost: 48, Absorb: 4}
-	sites := []Site{a, bSite, c}
-
-	// Generous budget: A and B selected, C never (negative gain).
-	p := NewBudgetPolicy(1e9, sites)
-	if !p.Decide(a) || !p.Decide(bSite) || p.Decide(c) {
-		t.Error("generous budget selection wrong")
-	}
-	// Tight budget: only A fits (its waste is 0.05*1000*48 = 2400).
-	p = NewBudgetPolicy(3000, sites)
-	if !p.Decide(a) || p.Decide(bSite) {
-		t.Error("tight budget selection wrong")
-	}
-	// Zero budget with zero-waste site: A still selected.
-	aa := a
-	aa.MissRate = 1.0
-	p = NewBudgetPolicy(0, []Site{aa})
-	if !p.Decide(aa) {
-		t.Error("free site should fit any budget")
-	}
-	if p.Name() == "" {
-		t.Error("empty name")
-	}
-}
-
-func TestBudgetPolicyEndToEnd(t *testing.T) {
-	prog := isa.MustAssemble(chaseSrc)
-	prof := chaseProfile(len(prog.Instrs), 1)
-	opts := DefaultOptions()
-	opts.Policy = NewBudgetPolicy(1e9, BuildSites(prog, prof, opts))
-	_, res, err := Primary(prog, prof, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Yields != 1 {
-		t.Errorf("yields = %d", res.Yields)
-	}
-}
-
 func TestStoreInstrumentation(t *testing.T) {
 	// A store-heavy kernel: the store at pc=2 should get an RFO prefetch
 	// plus yield when the profile marks it hot.

@@ -138,54 +138,3 @@ func (AlwaysPolicy) Name() string { return "always" }
 func blendedMissLatency(dramFraction float64, m mem.Config) float64 {
 	return dramFraction*float64(m.LatDRAM) + (1-dramFraction)*float64(m.LatL3)
 }
-
-// BudgetPolicy instruments sites in order of decreasing total expected
-// benefit (per-execution gain × executions) while the cumulative expected
-// wasted switch cost — executions that hit anyway — stays within
-// MaxWasteCycles. It is the production-deployment shape of the gain/cost
-// model: "spend at most this much overhead on instrumentation".
-type BudgetPolicy struct {
-	MaxWasteCycles float64
-	chosen         map[int]bool
-}
-
-// NewBudgetPolicy greedily selects sites under the waste budget.
-func NewBudgetPolicy(maxWasteCycles float64, sites []Site) *BudgetPolicy {
-	idx := make([]int, len(sites))
-	for i := range idx {
-		idx[i] = i
-	}
-	total := func(s Site) float64 { return s.Gain() * s.Execs }
-	for i := 0; i < len(idx); i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if total(sites[idx[j]]) > total(sites[idx[best]]) {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	p := &BudgetPolicy{MaxWasteCycles: maxWasteCycles, chosen: map[int]bool{}}
-	var spent float64
-	for _, i := range idx {
-		s := sites[i]
-		if total(s) <= 0 {
-			break
-		}
-		waste := s.Execs * (1 - s.MissRate) * s.SwitchCost
-		if spent+waste > maxWasteCycles {
-			continue
-		}
-		spent += waste
-		p.chosen[s.PC] = true
-	}
-	return p
-}
-
-// Decide implements Policy.
-func (p *BudgetPolicy) Decide(s Site) bool { return p.chosen[s.PC] }
-
-// Name implements Policy.
-func (p *BudgetPolicy) Name() string {
-	return fmt.Sprintf("budget(%.0f)", p.MaxWasteCycles)
-}

@@ -39,9 +39,6 @@ func (r *Rewriter) InsertBefore(i int, ins ...isa.Instr) {
 	r.inserts[i] = append(r.inserts[i], ins...)
 }
 
-// PendingAt returns how many instructions are scheduled before index i.
-func (r *Rewriter) PendingAt(i int) int { return len(r.inserts[i]) }
-
 // Apply produces the rewritten program and the old-to-new index mapping
 // for the original instructions.
 func (r *Rewriter) Apply() (*isa.Program, []int, error) {
