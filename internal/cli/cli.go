@@ -236,8 +236,13 @@ func (sf *ServiceFlags) Check() error {
 	if _, err := sf.rates(); err != nil {
 		return err
 	}
-	if sf.Requests < 1 {
-		return fmt.Errorf("-requests must be ≥ 1 (got %d)", sf.Requests)
+	for _, size := range []struct {
+		flag string
+		v    int
+	}{{"requests", sf.Requests}, {"workers", sf.Workers}, {"queue", sf.Queue}, {"batch", sf.Batch}} {
+		if size.v < 1 {
+			return fmt.Errorf("-%s must be ≥ 1 (got %d)", size.flag, size.v)
+		}
 	}
 	return nil
 }

@@ -234,6 +234,26 @@ func TestServiceFlagsNeedServe(t *testing.T) {
 	if err := bad.Check(); err == nil {
 		t.Error("unknown policy accepted")
 	}
+
+	// Every size is refused below 1, in one text form.
+	for _, c := range []struct {
+		flag string
+		set  func(*ServiceFlags)
+	}{
+		{"requests", func(sf *ServiceFlags) { sf.Requests = 0 }},
+		{"workers", func(sf *ServiceFlags) { sf.Workers = 0 }},
+		{"queue", func(sf *ServiceFlags) { sf.Queue = 0 }},
+		{"batch", func(sf *ServiceFlags) { sf.Batch = 0 }},
+		{"queue", func(sf *ServiceFlags) { sf.Queue = -3 }},
+	} {
+		bad = serviceDefaults
+		bad.Serve = true
+		c.set(&bad)
+		want := "-" + c.flag + " must be ≥ 1 (got "
+		if err := bad.Check(); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("-%s below 1: Check returned %v, want %q…", c.flag, err, want)
+		}
+	}
 }
 
 // Every service flag is part of the canonical cross-tool vocabulary.

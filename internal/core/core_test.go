@@ -236,6 +236,51 @@ func TestRunMethodsValidate(t *testing.T) {
 	}
 }
 
+// TestRegistryTotalsAcrossRuns: a registry observing two closed-loop
+// dual-mode runs holds the sums of what each run harvests alone.
+func TestRegistryTotalsAcrossRuns(t *testing.T) {
+	h, err := NewHarness(DefaultMachine(),
+		workloads.PointerChase{Nodes: 2048, Hops: 600, Instances: 1},
+		workloads.Compute{Iters: 50, Instances: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := h.Profile("chase")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := h.Instrument(prof, instrument.DefaultPipelineOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []exec.Config{{}, {HWAssist: true}}
+	var retired, dram, episodes uint64
+	for _, cfg := range runs {
+		var alone metrics.Registry
+		cfg.Metrics = &alone
+		if _, err := h.RunDualMode(img, "chase", "compute", 2, cfg); err != nil {
+			t.Fatal(err)
+		}
+		retired += alone.CPU.Retired
+		dram += alone.Mem.DRAMAccesses
+		episodes += alone.Exec.Episodes
+	}
+	if episodes == 0 {
+		t.Fatal("the runs opened no hide episodes; test is vacuous")
+	}
+	var shared metrics.Registry
+	for _, cfg := range runs {
+		cfg.Metrics = &shared
+		if _, err := h.RunDualMode(img, "chase", "compute", 2, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if shared.CPU.Retired != retired || shared.Mem.DRAMAccesses != dram || shared.Exec.Episodes != episodes {
+		t.Errorf("shared registry retired/dram/episodes = %d/%d/%d, the runs sum to %d/%d/%d",
+			shared.CPU.Retired, shared.Mem.DRAMAccesses, shared.Exec.Episodes, retired, dram, episodes)
+	}
+}
+
 func TestValidateCatchesWrongResults(t *testing.T) {
 	h := testHarness(t)
 	ts, err := h.Tasks(h.Baseline(), "chase", coro.Primary, 1)

@@ -3,6 +3,7 @@ package exec
 import (
 	"repro/internal/coro"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -33,20 +34,37 @@ type Asym struct {
 
 	inEpisode         bool
 	epStart, epTarget uint64
+	episodes          uint64 // episodes opened
 
-	// st accumulates the episode accounting (Episodes, ChainSwitches,
-	// HWSkips, PrimaryDelay); the other Stats fields stay zero.
-	st Stats
+	// base holds the Stats counters of the executor's hide-episode
+	// accounting as this loop found them, so Stats reports this loop's
+	// share.
+	base struct{ chains, skips, overshoot uint64 }
 }
 
-// NewAsym prepares a dual-mode loop over ring, fed by src.
+// NewAsym prepares a dual-mode loop over ring, fed by src. The first
+// loop an executor builds allocates its hide-episode accounting, which
+// every later loop on the executor extends.
 func (e *Executor) NewAsym(ring []*Task, src AsymSource) *Asym {
-	return &Asym{lane: lane{e: e, ring: ring, cur: -1}, src: src}
+	if e.hide == nil {
+		e.hide = new(metrics.Exec)
+	}
+	l := &Asym{lane: lane{e: e, ring: ring, cur: -1}, src: src}
+	l.base.chains, l.base.skips, l.base.overshoot = e.hide.Chains, e.hide.HWSkips, e.hide.OvershootCycles
+	return l
 }
 
 // Stats returns the loop's episode accounting so far: Episodes,
 // ChainSwitches, HWSkips and PrimaryDelay; the other fields are zero.
-func (l *Asym) Stats() Stats { return l.st }
+func (l *Asym) Stats() Stats {
+	h := l.e.hide
+	return Stats{
+		Episodes:      l.episodes,
+		ChainSwitches: h.Chains - l.base.chains,
+		HWSkips:       h.HWSkips - l.base.skips,
+		PrimaryDelay:  h.OvershootCycles - l.base.overshoot,
+	}
+}
 
 // Run advances until the core clock reaches deadline (done=false) or
 // the source has nothing pending (done=true).
@@ -137,7 +155,7 @@ func (l *Asym) Run(deadline uint64) (bool, error) {
 			if skip {
 				continue
 			}
-			l.st.Episodes++
+			l.episodes++
 			l.inEpisode = true
 			l.epStart = e.Core.Now
 			l.epTarget = target
@@ -189,23 +207,13 @@ func (l *Asym) endEpisode() {
 	p := l.src.Primary()
 	l.inEpisode = false
 	away := e.Core.Now - l.epStart
-	if away > l.epTarget {
-		l.st.PrimaryDelay += away - l.epTarget
-	}
-	if m := e.Cfg.Metrics; m != nil {
-		m.Exec.NoteEpisode(away, l.epTarget)
-	}
+	e.hide.NoteEpisode(away, l.epTarget)
 	e.emit(trace.EpisodeEnd, l.ring[p], away)
 	l.switchTo(p)
 }
 
 // noteChain counts a scavenger-to-scavenger hand-off.
-func (l *Asym) noteChain() {
-	l.st.ChainSwitches++
-	if m := l.e.Cfg.Metrics; m != nil {
-		m.Exec.Chains++
-	}
-}
+func (l *Asym) noteChain() { l.e.hide.Chains++ }
 
 // hideWindow sizes the hide episode for a primary that just yielded:
 // the residual fill time of its prefetch or pending accelerator call,
@@ -228,10 +236,7 @@ func (l *Asym) hideWindow(t *Task) (target uint64, skip bool) {
 			satisfied = e.Core.Hier.Contains(ctx.LastPrefetchAddr, e.Core.Now, mem.LevelL2)
 		}
 		if satisfied {
-			l.st.HWSkips++
-			if m := e.Cfg.Metrics; m != nil {
-				m.Exec.HWSkips++
-			}
+			e.hide.HWSkips++
 			e.emit(trace.Skip, t, 0)
 			return 0, true
 		}
@@ -257,7 +262,7 @@ func (e *Executor) RunDualMode(primary *Task, scavengers []*Task) (Stats, error)
 	if _, err := l.Run(NoDeadline); err != nil {
 		return Stats{}, err
 	}
-	st := l.st
+	st := l.Stats()
 	st.PrimaryLatency = set.primaryLatency
 	st.Cycles = e.Core.Now - set.start
 	collect(&st, ring...)

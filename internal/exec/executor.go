@@ -54,12 +54,9 @@ type Config struct {
 	// Tracer, when non-nil, receives scheduling events (switches, hide
 	// episodes, chains, halts) for debugging.
 	Tracer trace.Tracer
-	// Metrics, when non-nil, receives cycle-domain observability
-	// counters: the executor bumps hide-episode histograms inline at
-	// episode boundaries, and CaptureMetrics harvests the core- and
-	// hierarchy-level counters on demand. The nil check per emission
-	// site is the whole disabled-path cost — the same contract as
-	// Tracer.
+	// Metrics, when non-nil, is the registry CaptureMetrics adds the
+	// executor's counters into at run end. Nothing reads it during a
+	// run.
 	Metrics *metrics.Registry
 }
 
@@ -159,6 +156,8 @@ func (s Stats) IPC() float64 {
 type Executor struct {
 	Core *cpu.Core
 	Cfg  Config
+
+	hide *metrics.Exec // hide-episode accounting of its Asym loops; nil until the first
 }
 
 // New creates an executor over core, clearing its superblock traces when
@@ -212,25 +211,14 @@ func (e *Executor) emit(kind trace.Kind, t *Task, arg uint64) {
 	})
 }
 
-// CaptureMetrics harvests the always-on core and hierarchy counters
-// into the configured registry's Mem and CPU sections. The executor's
-// own histogram sections are bumped inline during runs and need no
-// harvest. A nil-metrics executor makes this a no-op, so callers can
-// invoke it unconditionally after a run.
+// CaptureMetrics is the registry's harvest: it adds the executor's
+// always-on counters — the hierarchy's, the core's and its Asym loops'
+// hide-episode accounting — into the configured registry's Mem, CPU
+// and Exec sections, so one registry totals every executor it observed
+// (the runs of a session, the cores of a machine, the cells of a serve
+// sweep). Call it once per executor, after its last run; without a
+// registry it is a no-op.
 func (e *Executor) CaptureMetrics() {
-	m := e.Cfg.Metrics
-	if m == nil {
-		return
-	}
-	e.Core.Hier.FillMetrics(&m.Mem)
-	e.Core.Counters.FillMetrics(&m.CPU)
-}
-
-// FoldMetrics adds the core and hierarchy counters into the configured
-// registry's Mem and CPU sections, so one registry totals the cores of
-// a machine or the cells of a serve sweep. Like CaptureMetrics it is a
-// no-op without a registry.
-func (e *Executor) FoldMetrics() {
 	m := e.Cfg.Metrics
 	if m == nil {
 		return
@@ -241,6 +229,9 @@ func (e *Executor) FoldMetrics() {
 	e.Core.Counters.FillMetrics(&cm)
 	m.Mem.Add(mm)
 	m.CPU.Add(cm)
+	if e.hide != nil {
+		m.Exec.Add(e.hide)
+	}
 }
 
 // collect aggregates task accounting into stats.

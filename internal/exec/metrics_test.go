@@ -24,15 +24,16 @@ func dualModeRun(t *testing.T, cfg Config) (Stats, *Executor) {
 	return st, e
 }
 
-// TestMetricsReconcileWithStats pins the tentpole's reconciliation
-// invariant: the registry counters bumped inline at episode boundaries
-// must agree exactly with the Stats the run returns, and the harvested
-// Mem/CPU sections must mirror the always-on core counters.
+// TestMetricsReconcileWithStats pins the reconciliation invariant: the
+// harvested Exec section must agree exactly with the Stats the run
+// returns, and the Mem/CPU sections must mirror the always-on core
+// counters.
 func TestMetricsReconcileWithStats(t *testing.T) {
 	var reg metrics.Registry
 	cfg := DefaultConfig()
 	cfg.Metrics = &reg
 	st, e := dualModeRun(t, cfg)
+	e.CaptureMetrics()
 
 	if st.Episodes == 0 {
 		t.Fatal("run produced no episodes; test is vacuous")
@@ -64,7 +65,6 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 			reg.Exec.EpisodeDur.Sum, reg.Exec.EpisodeCycles)
 	}
 
-	e.CaptureMetrics()
 	if reg.CPU.Retired != e.Core.Counters.TotalRetired {
 		t.Errorf("CPU.Retired = %d, core retired %d", reg.CPU.Retired, e.Core.Counters.TotalRetired)
 	}
@@ -83,9 +83,65 @@ func TestMetricsHWSkipsReconcile(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HWAssist = true
 	cfg.Metrics = &reg
-	st, _ := dualModeRun(t, cfg)
+	st, e := dualModeRun(t, cfg)
+	e.CaptureMetrics()
 	if reg.Exec.HWSkips != st.HWSkips {
 		t.Errorf("Exec.HWSkips = %d, Stats.HWSkips = %d", reg.Exec.HWSkips, st.HWSkips)
+	}
+}
+
+// TestEpisodeAccountingAlwaysOn: the hide-episode accounting is counted
+// whether or not a registry is attached, so a registry attached only for
+// the harvest receives the whole run.
+func TestEpisodeAccountingAlwaysOn(t *testing.T) {
+	st, e := dualModeRun(t, DefaultConfig())
+	if st.Episodes == 0 || st.ChainSwitches == 0 {
+		t.Fatalf("run produced %d episodes and %d chains; test is vacuous", st.Episodes, st.ChainSwitches)
+	}
+	var reg metrics.Registry
+	e.Cfg.Metrics = &reg
+	e.CaptureMetrics()
+	if reg.Exec.Episodes != st.Episodes || reg.Exec.EpisodeDur.Count != st.Episodes {
+		t.Errorf("Exec.Episodes = %d, EpisodeDur.Count = %d, Stats.Episodes = %d",
+			reg.Exec.Episodes, reg.Exec.EpisodeDur.Count, st.Episodes)
+	}
+	if reg.Exec.Chains != st.ChainSwitches {
+		t.Errorf("Exec.Chains = %d, Stats.ChainSwitches = %d", reg.Exec.Chains, st.ChainSwitches)
+	}
+	if reg.Exec.OvershootCycles != st.PrimaryDelay {
+		t.Errorf("Exec.OvershootCycles = %d, Stats.PrimaryDelay = %d", reg.Exec.OvershootCycles, st.PrimaryDelay)
+	}
+}
+
+// TestEpisodeAccountingSpansLoops: an executor that builds several Asym
+// loops keeps one accounting for all of them. Each run's Stats reports
+// only its own loop's share; the harvest adds them all.
+func TestEpisodeAccountingSpansLoops(t *testing.T) {
+	core, m := newMachine(t, testImage, 1<<20)
+	var reg metrics.Registry
+	cfg := DefaultConfig()
+	cfg.Metrics = &reg
+	e := New(core, cfg)
+	var sum Stats
+	for i := 0; i < 2; i++ {
+		p := chaseTask(core, m, 3*i, 400, buildChain(m, 256, int64(7+i)))
+		scavs := []*Task{scavTask(core, m, 3*i+1, 4000), scavTask(core, m, 3*i+2, 4000)}
+		st, err := e.RunDualMode(p, scavs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Episodes == 0 {
+			t.Fatalf("run %d produced no episodes; test is vacuous", i)
+		}
+		sum.Episodes += st.Episodes
+		sum.ChainSwitches += st.ChainSwitches
+		sum.PrimaryDelay += st.PrimaryDelay
+	}
+	e.CaptureMetrics()
+	if reg.Exec.Episodes != sum.Episodes || reg.Exec.Chains != sum.ChainSwitches || reg.Exec.OvershootCycles != sum.PrimaryDelay {
+		t.Errorf("harvest episodes/chains/overshoot = %d/%d/%d, runs sum to %d/%d/%d",
+			reg.Exec.Episodes, reg.Exec.Chains, reg.Exec.OvershootCycles,
+			sum.Episodes, sum.ChainSwitches, sum.PrimaryDelay)
 	}
 }
 

@@ -97,7 +97,7 @@ type Machine struct {
 	llc    *mem.SharedLLC
 	cores  []*coreRunner
 	k      *Kernel
-	folded bool // request latencies recorded in the shared registry
+	folded bool // run folded into the shared registry
 }
 
 // coreRunner is one simulated core: its harness-built scenario and the

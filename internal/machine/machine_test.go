@@ -249,3 +249,41 @@ func TestRunIsIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// One registry observing two machines holds running totals: Mem, CPU,
+// Exec and Sched add up over both runs, while the Machine section
+// describes the most recent machine.
+func TestRegistryTotalsAcrossMachines(t *testing.T) {
+	reg := &metrics.Registry{}
+	var retired, dram, episodes uint64
+	var last Stats
+	for _, mode := range []Mode{ModeSymmetric, ModeSMT} {
+		m, err := New(DefaultTopology(2), RunConfig{Spec: chaseSpec(), Mode: mode, Exec: exec.Config{Metrics: reg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last, err = m.Run(); err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+		retired += last.Aggregate.Retired
+		for _, cs := range last.Cores {
+			dram += cs.Mem.Accesses[mem.LevelDRAM]
+			episodes += cs.Exec.Episodes
+		}
+	}
+	if reg.CPU.Retired != retired {
+		t.Errorf("CPU.Retired = %d, want the sum over both runs %d", reg.CPU.Retired, retired)
+	}
+	if reg.Mem.DRAMAccesses != dram {
+		t.Errorf("Mem.DRAMAccesses = %d, want the sum over both runs %d", reg.Mem.DRAMAccesses, dram)
+	}
+	if reg.Exec.Episodes != episodes {
+		t.Errorf("Exec.Episodes = %d, want the sum over both runs %d", reg.Exec.Episodes, episodes)
+	}
+	if reg.Sched.Requests != 16 {
+		t.Errorf("Sched.Requests = %d, want 16 (2 runs × 2 cores × 4 tasks)", reg.Sched.Requests)
+	}
+	if reg.Machine.Retired != last.Aggregate.Retired {
+		t.Errorf("Machine.Retired = %d, want the last run's %d", reg.Machine.Retired, last.Aggregate.Retired)
+	}
+}

@@ -49,18 +49,14 @@ type Stats struct {
 }
 
 // stats assembles the result after the run completes and, when the
-// run is observed, fills the shared registry with machine-wide totals:
-// Mem and CPU summed over cores, one Sched request per task and the
-// Machine section.
+// run is observed, folds the machine into the shared registry: every
+// core's counters, one Sched request per task and the Machine section.
 func (m *Machine) stats() Stats {
 	st := Stats{Quanta: m.k.Quanta()}
 	if m.llc != nil {
 		st.LLC = m.llc.Stats
 	}
 	reg := m.rc.Exec.Metrics
-	if reg != nil {
-		reg.Mem, reg.CPU = metrics.Mem{}, metrics.CPU{}
-	}
 	for _, c := range m.cores {
 		cs := CoreStats{Core: c.id, Seed: c.mach.Seed}
 		var latencies []uint64
@@ -73,11 +69,11 @@ func (m *Machine) stats() Stats {
 		}
 		cs.Mem = c.ex.Core.Hier.Stats
 		st.Cores = append(st.Cores, cs)
-		c.ex.FoldMetrics()
 		if reg != nil && !m.folded {
-			// Many-core runs report request latencies: one request per
-			// task, its latency the halt time. Solo runs record none.
-			// Recorded once, however often Run is called.
+			// Folded once, however often Run is called. Many-core runs
+			// report request latencies: one request per task, its
+			// latency the halt time. Solo runs record none.
+			c.ex.CaptureMetrics()
 			for _, l := range latencies {
 				reg.Sched.Requests++
 				reg.Sched.RequestLatency.Observe(l)
@@ -96,24 +92,21 @@ func (m *Machine) stats() Stats {
 	}
 	st.Aggregate.Cycles = st.Cycles
 	if reg != nil {
-		st.fillMetrics(&reg.Machine)
+		// The Machine section describes the most recent machine.
+		reg.Machine = metrics.Machine{
+			Cores:          uint64(len(st.Cores)),
+			Quanta:         st.Quanta,
+			Cycles:         st.Cycles,
+			LLCHits:        st.LLC.Hits,
+			LLCMisses:      st.LLC.Misses,
+			LLCQueued:      st.LLC.Queued,
+			LLCQueueCycles: st.LLC.QueueCycles,
+			LLCPeakBank:    st.LLC.PeakBankLoad,
+			Retired:        st.Aggregate.Retired,
+			BusyCycles:     st.Aggregate.Busy,
+			StallCycles:    st.Aggregate.Stall,
+		}
 	}
 	m.folded = true
 	return st
-}
-
-// fillMetrics rolls the machine-level accounting into a registry's
-// Machine section.
-func (st *Stats) fillMetrics(mm *metrics.Machine) {
-	mm.Cores = uint64(len(st.Cores))
-	mm.Quanta = st.Quanta
-	mm.Cycles = st.Cycles
-	mm.LLCHits = st.LLC.Hits
-	mm.LLCMisses = st.LLC.Misses
-	mm.LLCQueued = st.LLC.Queued
-	mm.LLCQueueCycles = st.LLC.QueueCycles
-	mm.LLCPeakBank = st.LLC.PeakBankLoad
-	mm.Retired = st.Aggregate.Retired
-	mm.BusyCycles = st.Aggregate.Busy
-	mm.StallCycles = st.Aggregate.Stall
 }

@@ -18,14 +18,7 @@ const NumFineBuckets = 16 + 60*16
 // per-request completion paths in the cycle domain.
 type FineHist struct {
 	Buckets [NumFineBuckets]uint64
-	// Count and Sum summarize all observations; Count equals the sum of
-	// Buckets and is kept inline so totals reconcile without a walk.
-	Count uint64
-	Sum   uint64
-	// Min and Max track the observed range (Min is meaningful only when
-	// Count > 0).
-	Min uint64
-	Max uint64
+	Tally
 }
 
 // fineIndex maps a value to its bucket.
@@ -35,7 +28,7 @@ func fineIndex(v uint64) int {
 	}
 	b := bits.Len64(v) - 1 // v in [2^b, 2^(b+1)), b ≥ 4
 	sub := (v >> (uint(b) - 4)) & 15
-	return 16 + (b-4)*16 + int(sub)
+	return (b-3)*16 + int(sub) // 16 exact buckets, then 16 per power of two from 2^4
 }
 
 // FineBucketBounds returns the half-open value range [lo, hi) covered
@@ -57,22 +50,7 @@ func FineBucketBounds(i int) (lo, hi uint64) {
 // Observe records one value.
 func (h *FineHist) Observe(v uint64) {
 	h.Buckets[fineIndex(v)]++
-	if h.Count == 0 || v < h.Min {
-		h.Min = v
-	}
-	if v > h.Max {
-		h.Max = v
-	}
-	h.Count++
-	h.Sum += v
-}
-
-// Mean returns the average observed value, or 0 when empty.
-func (h *FineHist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
+	h.note(v)
 }
 
 // Reset zeroes the histogram in place.
@@ -85,20 +63,10 @@ func (h *FineHist) Reset() { *h = FineHist{} }
 // per-core sojourn histograms collapse into one service report without
 // re-observing a single request.
 func (h *FineHist) Merge(o *FineHist) {
-	if o.Count == 0 {
-		return
-	}
-	if h.Count == 0 || o.Min < h.Min {
-		h.Min = o.Min
-	}
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
 	for i := range h.Buckets {
 		h.Buckets[i] += o.Buckets[i]
 	}
-	h.Count += o.Count
-	h.Sum += o.Sum
+	h.merge(o.Tally)
 }
 
 // Quantile returns an upper bound for the q-th quantile (0 < q ≤ 1):

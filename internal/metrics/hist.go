@@ -15,8 +15,13 @@ const NumBuckets = 65
 // domain, and allocation-free by construction.
 type Hist struct {
 	Buckets [NumBuckets]uint64
+	Tally
+}
+
+// Tally is what Hist and FineHist keep beside their buckets.
+type Tally struct {
 	// Count and Sum summarize all observations; Count equals the sum of
-	// Buckets and is kept inline so totals reconcile without a walk.
+	// the buckets and is kept inline so totals reconcile without a walk.
 	Count uint64
 	Sum   uint64
 	// Min and Max track the observed range (Min is meaningful only when
@@ -25,29 +30,54 @@ type Hist struct {
 	Max uint64
 }
 
-// Observe records one value.
-func (h *Hist) Observe(v uint64) {
-	h.Buckets[bits.Len64(v)]++
-	if h.Count == 0 || v < h.Min {
-		h.Min = v
+// note records one value.
+func (t *Tally) note(v uint64) {
+	if t.Count == 0 || v < t.Min {
+		t.Min = v
 	}
-	if v > h.Max {
-		h.Max = v
+	t.Max = max(t.Max, v)
+	t.Count++
+	t.Sum += v
+}
+
+// merge folds o's observations into t.
+func (t *Tally) merge(o Tally) {
+	if o.Count == 0 {
+		return
 	}
-	h.Count++
-	h.Sum += v
+	if t.Count == 0 || o.Min < t.Min {
+		t.Min = o.Min
+	}
+	t.Max = max(t.Max, o.Max)
+	t.Count += o.Count
+	t.Sum += o.Sum
 }
 
 // Mean returns the average observed value, or 0 when empty.
-func (h *Hist) Mean() float64 {
-	if h.Count == 0 {
+func (t *Tally) Mean() float64 {
+	if t.Count == 0 {
 		return 0
 	}
-	return float64(h.Sum) / float64(h.Count)
+	return float64(t.Sum) / float64(t.Count)
+}
+
+// Observe records one value.
+func (h *Hist) Observe(v uint64) {
+	h.Buckets[bits.Len64(v)]++
+	h.note(v)
 }
 
 // Reset zeroes the histogram in place.
 func (h *Hist) Reset() { *h = Hist{} }
+
+// Merge folds o's observations into h, exactly as if h had observed
+// them itself (see FineHist.Merge).
+func (h *Hist) Merge(o *Hist) {
+	for i := range h.Buckets {
+		h.Buckets[i] += o.Buckets[i]
+	}
+	h.merge(o.Tally)
+}
 
 // BucketBounds returns the half-open value range [lo, hi) covered by
 // bucket i.

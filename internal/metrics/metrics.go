@@ -1,35 +1,30 @@
 // Package metrics is the cycle-domain observability registry: plain
-// uint64 counters and fixed-array histograms that the simulator's hot
-// layers (internal/mem, internal/cpu, internal/exec, internal/machine,
-// internal/pebs) bump inline, plus a Snapshot copy that renders the
-// whole registry as a stats.Table or a flat metric map.
+// uint64 counters and fixed-array histograms, plus a Snapshot copy that
+// renders the whole registry as a stats.Table or a flat metric map.
 //
-// # The inline-uint64 rule
+// # Filled by harvest
+//
+// Nothing in the cycle domain holds a Registry. Every layer counts into
+// state it owns and keeps unconditionally — mem.Hierarchy.Stats,
+// cpu.Counters, an executor's Exec value, a serve cell's Service
+// ledger, the pebs sampler — and the registry is filled from those at
+// run end:
+//
+//   - Mem, CPU and Exec by exec.Executor.CaptureMetrics, once per
+//     executor;
+//   - Sched and Machine by internal/machine, once per machine;
+//   - Service by internal/service, once per serve cell;
+//   - Sampler by pebs.Sampler.FillMetrics, once per profile.
+//
+// Mem, CPU, Exec, Sched and Service are running totals: every fold
+// adds, so one registry observing two runs holds their sums. Machine
+// and Sampler describe the most recent machine or profile.
 //
 // Everything in a Registry is a plain uint64 field or a fixed array of
-// them. There are no maps, no interfaces, no mutexes and no
-// allocations anywhere on a bump path — the same contract the
-// nil-tracer fast path establishes for trace events (see
-// internal/trace): a disabled registry costs one nil check per
-// emission site, an enabled one costs a handful of inline integer
-// writes. This is what lets metrics stay on during performance work
-// without perturbing the ~22 ns/step, 0 allocs/op hot path that PR 2
-// established.
-//
-// Ownership is split by domain:
-//
-//   - The Exec section is bumped inline by internal/exec during a run
-//     (episode boundaries); the Sched section by internal/machine at
-//     the end of one (request completions); the Service section by
-//     internal/service at the end of each serve cell, folded from the
-//     request ledger (a Service value) the cell keeps for itself.
-//   - Mem, CPU and Sampler sections are harvested from counters those
-//     packages already maintain unconditionally (mem.Hierarchy.Stats,
-//     cpu.Counters, the pebs sampler) via their FillMetrics methods —
-//     counting twice on the demand path would be pure overhead.
-//
-// A Registry is not safe for concurrent use; give each worker its own
-// and merge snapshots, exactly as the parallel runner does for tracers.
+// them — no maps, no interfaces, no mutexes — so counting and folding
+// never allocate. A Registry is not safe for concurrent use; give each
+// worker its own and merge snapshots, exactly as the parallel runner
+// does for tracers.
 package metrics
 
 import "repro/internal/stats"
@@ -91,8 +86,8 @@ func (c *CPU) Add(o CPU) {
 	c.Faults += o.Faults
 }
 
-// Exec holds the hide-episode accounting the dual-mode executor bumps
-// inline at episode boundaries.
+// Exec holds the hide-episode accounting of the dual-mode loop, which
+// counts it unconditionally at episode boundaries.
 type Exec struct {
 	// Episodes counts closed hide episodes; EpisodeDur.Count equals it
 	// by construction, which is the reconciliation invariant the tests
@@ -117,8 +112,8 @@ type Exec struct {
 }
 
 // NoteEpisode records one closed hide episode: the away time and the
-// hide target it was meant to cover. Called inline by the dual-mode
-// executor; must stay allocation-free.
+// hide target it was meant to cover. The dual-mode loop calls it on
+// every episode; it must stay allocation-free.
 func (x *Exec) NoteEpisode(away, target uint64) {
 	covered := away
 	if covered > target {
@@ -130,6 +125,19 @@ func (x *Exec) NoteEpisode(away, target uint64) {
 	x.HiddenCycles += covered
 	x.EpisodeDur.Observe(away)
 	x.EpisodeCover.Observe(covered)
+}
+
+// Add folds another executor's accounting into x: counters sum and the
+// histograms merge.
+func (x *Exec) Add(o *Exec) {
+	x.Episodes += o.Episodes
+	x.EpisodeCycles += o.EpisodeCycles
+	x.HiddenCycles += o.HiddenCycles
+	x.OvershootCycles += o.OvershootCycles
+	x.EpisodeDur.Merge(&o.EpisodeDur)
+	x.EpisodeCover.Merge(&o.EpisodeCover)
+	x.Chains += o.Chains
+	x.HWSkips += o.HWSkips
 }
 
 // Sched holds request accounting bumped by internal/machine at the end
@@ -184,9 +192,9 @@ type Sampler struct {
 
 // Machine aggregates many-core kernel accounting, filled from
 // machine.Stats after a Run: quantum/barrier counts, shared-LLC traffic
-// and contention, plus aggregate work across all cores. The machine's
-// cores share one registry, so Mem, CPU, Exec and Sched beside this
-// section hold machine-wide totals too; per-core detail is in
+// and contention, plus aggregate work across all cores, for the most
+// recent machine. Its cores share one registry, so Mem, CPU, Exec and
+// Sched beside this section add up every core; per-core detail is in
 // machine.Stats.
 type Machine struct {
 	Cores  uint64 // simulated cores in the topology

@@ -97,10 +97,10 @@ func RunCell(mach core.Machine, cfg Config, cl Cell) (CellStats, error) {
 
 // RunCellObserved is RunCell with every core of the cell observing
 // through tr and reg, as a machine's cores do: events carry their core
-// index, the Exec section is bumped inline, and at cell end the cell
-// adds its ledger to reg.Service and its cores' counters to reg.Mem and
-// reg.CPU. Observation never changes the CellStats. Cells sharing tr or
-// reg must run one at a time.
+// index, and at cell end the cell adds its ledger to reg.Service and
+// its cores' counters to reg.Mem, reg.CPU and reg.Exec. Observation
+// never changes the CellStats. Cells sharing tr or reg must run one at
+// a time.
 func RunCellObserved(mach core.Machine, cfg Config, cl Cell, tr trace.Tracer, reg *metrics.Registry) (CellStats, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {

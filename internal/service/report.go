@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/exec"
@@ -83,7 +84,7 @@ func summarize(cl Cell, cells []*cell, sharedDropped uint64) CellStats {
 		for _, b := range c.batch {
 			cs.Switches += b.task.Ctx.Switches
 		}
-		c.ex.FoldMetrics()
+		c.ex.CaptureMetrics()
 	}
 	if reg := cells[0].ex.Cfg.Metrics; reg != nil {
 		reg.Service.Add(&led)
@@ -214,14 +215,7 @@ func (r *Report) Cell(p Policy, rate float64) *CellStats {
 func (r *Report) policies() []Policy {
 	var out []Policy
 	for _, cs := range r.Cells {
-		seen := false
-		for _, p := range out {
-			if p == cs.Policy {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(out, cs.Policy) {
 			out = append(out, cs.Policy)
 		}
 	}
@@ -232,14 +226,7 @@ func (r *Report) policies() []Policy {
 func (r *Report) rates() []float64 {
 	var out []float64
 	for _, cs := range r.Cells {
-		seen := false
-		for _, v := range out {
-			if v == cs.Rate {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(out, cs.Rate) {
 			out = append(out, cs.Rate)
 		}
 	}

@@ -2,10 +2,10 @@
 # lint.sh — gating static-analysis entry point.
 #
 # Builds the repository's custom vet tool (shlint: detflow,
-# barrierguard, allocguard, metricsguard — see tools/analyzers/) and
-# runs two layers over every package:
+# barrierguard, allocguard — see tools/analyzers/) and runs two layers
+# over every package:
 #
-#   1. `go vet -vettool=bin/shlint ./...` — the four analyzers, each
+#   1. `go vet -vettool=bin/shlint ./...` — the three analyzers, each
 #      package fully type-checked against the same export data the
 #      build uses, with cross-package facts (detflow taint,
 #      barrierguard reachability) flowing through the go command's

@@ -26,12 +26,12 @@ func multicoreConfig() ServiceConfig {
 	}
 }
 
-// TestServeMulticoreDeterministic: a multi-core Serve — per-core
-// engines on their own goroutines behind the quantum dispatcher —
-// renders byte-identically at GOMAXPROCS 1, 2 and 8 and on a repeated
-// run, and conserves every request. Run under -race this is also the
-// proof the dispatcher's channel handshake is the only synchronization
-// the cell needs.
+// TestServeMulticoreDeterministic: a multi-core Serve — each cell's
+// per-core engines stepped in core order on the cell's one goroutine by
+// the quantum dispatcher — renders byte-identically at GOMAXPROCS 1, 2
+// and 8 and on a repeated run, and conserves every request. The session
+// serves two cells at a time on the runner's workers, so under -race
+// this also proves that concurrent cells share no mutable state.
 func TestServeMulticoreDeterministic(t *testing.T) {
 	cfg := multicoreConfig()
 	s, err := NewSession(WithParallelism(2))

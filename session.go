@@ -75,15 +75,15 @@ func WithCache(dir string) Option {
 // ObservabilityConfig bundles the session's whole observation surface:
 // scheduling-event tracing, the cycle-domain metrics registry, and the
 // sink trace exports are written to. Every field is optional; the zero
-// value observes nothing and costs one nil check per emission site.
+// value observes nothing.
 type ObservabilityConfig struct {
 	// Tracer receives executor scheduling events; a *TraceRing here also
 	// feeds ExportTrace.
 	Tracer Tracer
 	// Metrics, when non-nil, is threaded into every executor the session
-	// builds: the runtime bumps hide-episode histograms inline and
-	// harvests cache/core/sampler counters after runs. Inspect it with
-	// Session.MetricsSnapshot.
+	// builds, and run ends add the cache, core, hide-episode and sampler
+	// counters into it (Executor.CaptureMetrics for executors built by
+	// hand). Inspect it with Session.MetricsSnapshot.
 	Metrics *MetricsRegistry
 	// TraceSink, when non-nil, is where Session.ExportTrace writes
 	// Chrome trace-event JSON when called with a nil writer (e.g. a file
@@ -329,8 +329,8 @@ type (
 
 type (
 	// MetricsRegistry is the cycle-domain observability registry: plain
-	// uint64 counters and fixed-array histograms bumped inline by the
-	// runtime. The zero value is ready to use.
+	// uint64 counters and fixed-array histograms, filled at run end.
+	// The zero value is ready to use.
 	MetricsRegistry = metrics.Registry
 	// MetricsSnapshot is a point-in-time copy of a registry, renderable
 	// as a stats.Table or a flat metric map.

@@ -82,15 +82,12 @@ func TestVettoolFlagsFixtureModule(t *testing.T) {
 		"barrierguard(conflict)", "(*Probe).Sample",
 		// allocguard vet layer.
 		"allocguard(make)", "allocguard(goroutine)", "allocguard(fmtcall)",
-		// metricsguard, including the FineHist extension.
-		"unguarded use of metrics pointer t.Reg",
-		"unguarded use of metrics pointer t.Hist",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("vet output missing %q:\n%s", want, out)
 		}
 	}
-	for _, clean := range []string{"ok.go", "profile", "Barrier", "Guarded", "fillutil/ready.go"} {
+	for _, clean := range []string{"ok.go", "profile", "Barrier", "fillutil/ready.go"} {
 		if strings.Contains(out, clean) {
 			t.Errorf("control %q was flagged:\n%s", clean, out)
 		}

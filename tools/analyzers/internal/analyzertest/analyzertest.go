@@ -230,36 +230,6 @@ func Reflect() *types.Package {
 	return pkg
 }
 
-// Metrics stubs repro/internal/metrics with the two pointer-dereferenced
-// observability types metricsguard proves nil guards for: Registry and
-// the PR-8 FineHist.
-func Metrics() *types.Package {
-	pkg := types.NewPackage("repro/internal/metrics", "metrics")
-
-	fhObj := types.NewTypeName(token.NoPos, pkg, "FineHist", nil)
-	fhFields := []*types.Var{
-		types.NewField(token.NoPos, pkg, "Count", types.Typ[types.Uint64], false),
-		types.NewField(token.NoPos, pkg, "Max", types.Typ[types.Uint64], false),
-	}
-	fhT := types.NewNamed(fhObj, types.NewStruct(fhFields, nil), nil)
-	fhRecv := types.NewVar(token.NoPos, pkg, "h", types.NewPointer(fhT))
-	fhT.AddMethod(types.NewFunc(token.NoPos, pkg, "Observe",
-		types.NewSignatureType(fhRecv, nil, nil,
-			types.NewTuple(types.NewVar(token.NoPos, pkg, "v", types.Typ[types.Uint64])), nil, false)))
-	pkg.Scope().Insert(fhObj)
-
-	obj := types.NewTypeName(token.NoPos, pkg, "Registry", nil)
-	fields := []*types.Var{
-		types.NewField(token.NoPos, pkg, "Hides", types.Typ[types.Uint64], false),
-		types.NewField(token.NoPos, pkg, "Faults", types.Typ[types.Uint64], false),
-		types.NewField(token.NoPos, pkg, "Sojourn", fhT, false),
-	}
-	types.NewNamed(obj, types.NewStruct(fields, nil), nil)
-	pkg.Scope().Insert(obj)
-	pkg.MarkComplete()
-	return pkg
-}
-
 // Messages flattens diagnostics to "analyzer: message" strings for
 // simple substring assertions (rule attributions included when set).
 func Messages(diags []framework.Diagnostic) []string {

@@ -1,5 +1,5 @@
 // Command shlint is the repository's custom vet tool. It bundles the
-// four project-specific analyzers behind the `go vet -vettool`
+// three project-specific analyzers behind the `go vet -vettool`
 // protocol:
 //
 //	detflow       determinism contract: cycle-domain entry points reach
@@ -9,7 +9,6 @@
 //	              method reachable from quantum-phase code
 //	allocguard    always-allocating constructs in //shsim:noalloc
 //	              functions (AST layer)
-//	metricsguard  nil-guarded *metrics.Registry / *metrics.FineHist uses
 //
 //	go build -o bin/shlint repro/tools/analyzers/shlint
 //	go vet -vettool=$(pwd)/bin/shlint ./...
@@ -35,7 +34,6 @@ import (
 	"repro/tools/analyzers/barrierguard"
 	"repro/tools/analyzers/detflow"
 	"repro/tools/analyzers/framework"
-	"repro/tools/analyzers/metricsguard"
 )
 
 func main() {
@@ -60,6 +58,5 @@ func main() {
 		detflow.Analyzer,
 		barrierguard.Analyzer,
 		allocguard.Analyzer,
-		metricsguard.Analyzer,
 	)
 }
