@@ -8,10 +8,10 @@
 // instrumentation pipeline's register-liveness optimization (paper §3.2)
 // reduces the preserved set, which directly reduces the charged cost.
 //
-// Correctness of that optimization is enforced, not assumed: RestoreFrom
-// poisons every register outside the saved mask, so a program resumed with
-// an unsound live mask computes wrong results and fails the semantics
-// tests.
+// Correctness of that optimization is enforced, not assumed: the
+// executor's resume poisons every register outside the live mask (see
+// Context.Poison), so a program resumed with an unsound live mask
+// computes wrong results and fails the semantics tests.
 package coro
 
 import (
@@ -21,7 +21,7 @@ import (
 )
 
 // PoisonValue is written to every non-preserved register when a context is
-// resumed from a partial (live-mask) save. The value is chosen to make
+// resumed after a partial (live-mask) switch. The value is chosen to make
 // accidental use fail loudly: as an address it faults, as a counter it is
 // absurd.
 const PoisonValue uint64 = 0xDEAD_BEEF_DEAD_BEEF
@@ -92,41 +92,17 @@ func NewContext(id int, entry int, sp uint64) *Context {
 	return c
 }
 
-// Saved is a partial register save produced by SaveLive.
-type Saved struct {
-	Mask  isa.RegMask
-	Regs  [isa.NumRegs]uint64
-	PC    int
-	Flags int
-}
-
-// SaveLive captures the registers in mask (plus PC and flags). The stack
-// pointer is always preserved regardless of the mask, mirroring the ISA
-// calling convention.
-func (c *Context) SaveLive(mask isa.RegMask) Saved {
-	mask = mask.With(isa.SP)
-	s := Saved{Mask: mask, PC: c.PC, Flags: c.Flags}
+// Poison writes PoisonValue into every register outside live, the
+// registers a switch preserved. The stack pointer is always preserved
+// regardless of the mask, mirroring the ISA calling convention. PC and
+// flags are untouched: a switched-out context owns them.
+func (c *Context) Poison(live isa.RegMask) {
+	live = live.With(isa.SP)
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if mask.Has(r) {
-			s.Regs[r] = c.Regs[r]
-		}
-	}
-	return s
-}
-
-// RestoreFrom reinstates a partial save: saved registers come back, every
-// other register is poisoned. This is what makes liveness analysis
-// load-bearing (see the package comment).
-func (c *Context) RestoreFrom(s Saved) {
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if s.Mask.Has(r) {
-			c.Regs[r] = s.Regs[r]
-		} else {
+		if !live.Has(r) {
 			c.Regs[r] = PoisonValue
 		}
 	}
-	c.PC = s.PC
-	c.Flags = s.Flags
 }
 
 // TotalCycles returns all cycles attributed to this context.

@@ -7,21 +7,16 @@ import (
 	"repro/internal/isa"
 )
 
-func TestSaveRestoreFull(t *testing.T) {
+func TestPoisonFullMaskKeepsAll(t *testing.T) {
 	c := NewContext(0, 10, 0x1000)
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
 		c.Regs[r] = uint64(r) * 7
 	}
 	c.Regs[isa.SP] = 0x1000
 	c.Flags = -1
-	s := c.SaveLive(isa.AllRegs)
-	for r := range c.Regs {
-		c.Regs[r] = 0
-	}
-	c.PC = 99
-	c.RestoreFrom(s)
+	c.Poison(isa.AllRegs)
 	if c.PC != 10 || c.Flags != -1 {
-		t.Errorf("PC/flags not restored: pc=%d flags=%d", c.PC, c.Flags)
+		t.Errorf("PC/flags changed: pc=%d flags=%d", c.PC, c.Flags)
 	}
 	for r := isa.Reg(0); r < isa.SP; r++ {
 		if c.Regs[r] != uint64(r)*7 {
@@ -30,20 +25,22 @@ func TestSaveRestoreFull(t *testing.T) {
 	}
 }
 
-func TestRestorePoisonsDeadRegisters(t *testing.T) {
-	c := NewContext(0, 0, 0x2000)
+func TestPoisonDeadRegisters(t *testing.T) {
+	c := NewContext(0, 5, 0x2000)
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
 		c.Regs[r] = 1000 + uint64(r)
 	}
 	c.Regs[isa.SP] = 0x2000
-	mask := isa.RegMask(0).With(1).With(3)
-	s := c.SaveLive(mask)
-	c.RestoreFrom(s)
+	c.Flags = 1
+	c.Poison(isa.RegMask(0).With(1).With(3))
 	if c.Regs[1] != 1001 || c.Regs[3] != 1003 {
 		t.Error("live registers not preserved")
 	}
 	if c.Regs[isa.SP] != 0x2000 {
 		t.Error("SP must always be preserved")
+	}
+	if c.PC != 5 || c.Flags != 1 {
+		t.Errorf("PC/flags changed: pc=%d flags=%d", c.PC, c.Flags)
 	}
 	for _, r := range []isa.Reg{0, 2, 4, 5, 14} {
 		if c.Regs[r] != PoisonValue {
@@ -52,11 +49,10 @@ func TestRestorePoisonsDeadRegisters(t *testing.T) {
 	}
 }
 
-func TestSaveLiveAlwaysKeepsSP(t *testing.T) {
+func TestPoisonAlwaysKeepsSP(t *testing.T) {
 	f := func(mask uint16) bool {
 		c := NewContext(0, 0, 0xABCD)
-		s := c.SaveLive(isa.RegMask(mask))
-		c.RestoreFrom(s)
+		c.Poison(isa.RegMask(mask))
 		return c.Regs[isa.SP] == 0xABCD
 	}
 	if err := quick.Check(f, nil); err != nil {

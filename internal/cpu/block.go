@@ -395,6 +395,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 
 		case isa.OpPrefetch:
 			addr := regs[u.rs1&15] + u.imm
+			c.Mem.HostPrefetch(addr)
 			c.Hier.Prefetch(addr, c.Now)
 			ctx.LastPrefetchAddr = addr
 			ctx.LastPrefetchValid = true

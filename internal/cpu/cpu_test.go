@@ -333,6 +333,36 @@ func TestPrefetchThenLoadHidesStall(t *testing.T) {
 	}
 }
 
+// TestPrefetchOutsideImageRetires holds PREFETCH to a hint: null, the
+// end of the image, bit 63 and the top of the address space retire
+// without a fault and leave memory as it was.
+func TestPrefetchOutsideImageRetires(t *testing.T) {
+	core, ctx, m := testRig(t, `
+        movi r2, 0
+        prefetch [r2]
+        movi r2, 1048576
+        prefetch [r2]
+        movi r2, 1
+        shli r2, r2, 63
+        prefetch [r2]
+        movi r2, -1
+        prefetch [r2]
+        movi r1, 7
+        halt
+    `)
+	brk, snap := m.Brk(), m.Snapshot()
+	runToHalt(t, core, ctx, 100)
+	if ctx.Result != 7 || ctx.Retired != 11 {
+		t.Errorf("result %d after %d instructions, want 7 after 11", ctx.Result, ctx.Retired)
+	}
+	if !ctx.LastPrefetchValid || ctx.LastPrefetchAddr != ^uint64(0) {
+		t.Errorf("last prefetch %#x (valid %v), want %#x", ctx.LastPrefetchAddr, ctx.LastPrefetchValid, ^uint64(0))
+	}
+	if m.Brk() != brk || string(m.Snapshot()) != string(snap) {
+		t.Error("an out-of-image PREFETCH changed memory")
+	}
+}
+
 func TestYieldResults(t *testing.T) {
 	core, ctx, _ := testRig(t, `
         yield 0x0006

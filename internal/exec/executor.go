@@ -75,8 +75,7 @@ func DefaultConfig() Config {
 type Task struct {
 	Ctx *coro.Context
 
-	saved    coro.Saved
-	hasSaved bool
+	live isa.RegMask // registers the pending switch preserved; 0 when none is pending
 }
 
 // NewTask wraps a context, putting it in mode.
@@ -85,16 +84,14 @@ func NewTask(ctx *coro.Context, mode coro.Mode) *Task {
 	return &Task{Ctx: ctx}
 }
 
-// Reset discards any pending switched-out register save, so the task's
-// context can be re-armed for fresh work (the open-loop service harness
-// re-points a bounded pool of tasks at millions of requests). A task
-// that ran to halt has no pending save — the executor only saves at
-// yields — so this is defensive bookkeeping, but it makes re-arming
-// correct even for a task abandoned mid-run.
-func (t *Task) Reset() {
-	t.saved = coro.Saved{}
-	t.hasSaved = false
-}
+// Reset discards any pending switch, so the task's context can be
+// re-armed for fresh work (the open-loop service harness re-points a
+// bounded pool of tasks at millions of requests) without its fresh
+// registers being poisoned on the next resume. A task that ran to halt
+// has no pending switch — the executor only switches out at yields — so
+// this is defensive bookkeeping, but it makes re-arming correct even for
+// a task abandoned mid-run.
+func (t *Task) Reset() { t.live = 0 }
 
 // Stats summarizes one run.
 type Stats struct {
@@ -177,22 +174,22 @@ func New(core *cpu.Core, cfg Config) *Executor {
 var ErrFuelExhausted = errors.New("exec: MaxSteps exceeded (likely livelock)")
 
 // switchFrom enacts a context switch away from t at a yield with the given
-// live mask: save the live set, charge the cost, and mark for poisoned
-// restore.
+// live mask: record the live set, charge the cost, and mark for poisoned
+// resume. Nothing is copied: the task owns its context, and nothing
+// writes a switched-out context's registers, PC or flags.
 func (e *Executor) switchFrom(t *Task, mask isa.RegMask) {
-	t.saved = t.Ctx.SaveLive(mask)
-	t.hasSaved = true
+	t.live = mask.With(isa.SP) // never 0, so it marks the switch pending
 	cost := e.Cfg.Switch.Cost(mask)
 	e.Core.ChargeSwitch(t.Ctx, cost)
 	e.emit(trace.SwitchOut, t, cost)
 }
 
 // resume reinstates a previously switched-out task, poisoning registers
-// outside its saved mask.
+// outside the mask its switch preserved.
 func (e *Executor) resume(t *Task) {
-	if t.hasSaved {
-		t.Ctx.RestoreFrom(t.saved)
-		t.hasSaved = false
+	if t.live != 0 {
+		t.Ctx.Poison(t.live)
+		t.live = 0
 	}
 	e.emit(trace.Resume, t, 0)
 }

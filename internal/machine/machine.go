@@ -115,7 +115,7 @@ func (t Topology) ValidateShape() error {
 		return fmt.Errorf("machine: core count %d must be at least 1", t.Cores)
 	}
 	if t.Quantum > MaxQuantum {
-		return fmt.Errorf("machine: quantum of %d cycles exceeds the %d-cycle bound", t.Quantum, MaxQuantum)
+		return fmt.Errorf("machine: quantum of %d cycles exceeds the %d-cycle bound", t.Quantum, uint64(MaxQuantum))
 	}
 	if t.Cores == 1 {
 		return nil

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -67,6 +68,24 @@ func TestMemorySnapshot(t *testing.T) {
 	snap2 := m.Snapshot()
 	if snap[a] == snap2[a] {
 		t.Error("snapshot should be a copy, not a view")
+	}
+}
+
+// TestHostPrefetchIsOnlyAHint prefetches at the edges of the backing,
+// the image and the address space: nothing panics, faults or changes.
+func TestHostPrefetchIsOnlyAHint(t *testing.T) {
+	m := NewMemory(1 << 16)
+	a := m.Alloc(256, 8)
+	m.MustWrite64(a, 42)
+	brk, size, backing, snap := m.Brk(), m.Size(), len(m.data), m.Snapshot()
+	for _, addr := range []uint64{0, 8, uint64(backing) - 1, uint64(backing), size, 1 << 63, ^uint64(0)} {
+		m.HostPrefetch(addr)
+	}
+	if m.Brk() != brk || m.Size() != size || len(m.data) != backing {
+		t.Errorf("brk/size/backing moved: %d/%d/%d, want %d/%d/%d", m.Brk(), m.Size(), len(m.data), brk, size, backing)
+	}
+	if !bytes.Equal(m.Snapshot(), snap) {
+		t.Error("HostPrefetch changed the image")
 	}
 }
 

@@ -112,6 +112,18 @@ func (m *Memory) Write64(addr, v uint64) error {
 	return m.storeSlow(addr, v)
 }
 
+// HostPrefetch starts the host's load of the line backing addr, so the
+// simulated PREFETCH that names addr hides the host miss of the later
+// Read64 as it hides the simulated one. It changes no simulated state,
+// and an address outside the backing is ignored, not faulted.
+//
+//shsim:noalloc inline
+func (m *Memory) HostPrefetch(addr uint64) {
+	if addr < uint64(len(m.data)) {
+		hostPrefetch(&m.data[addr])
+	}
+}
+
 // loadSlow serves a load the backing does not wholly cover: a fault if it
 // is out of bounds, otherwise the word with its unbacked bytes zero.
 //
