@@ -44,14 +44,11 @@ import (
 type options struct {
 	exp      string
 	tf       cli.TopologyFlags
+	sw       cli.SweepFlags
 	metrics  bool
 	seed     int64
 	format   string
-	seeds    int
-	parallel int
 	progress bool
-	cache    bool
-	cacheDir string
 }
 
 func main() {
@@ -64,11 +61,8 @@ func main() {
 	fs.BoolVar(&o.metrics, "metrics", false, "dump flat metrics after each table")
 	fs.Int64Var(&o.seed, "seed", 0, "override the scenario seed (0 keeps the default)")
 	fs.StringVar(&o.format, "format", "text", "text | md (markdown tables for reports)")
-	fs.IntVar(&o.seeds, "seeds", 1, "repeat each experiment across N seeds and summarize metric stability")
-	fs.IntVar(&o.parallel, "parallel", 1, "worker goroutines for the sweep (0 = GOMAXPROCS)")
+	o.sw.Register(fs)
 	fs.BoolVar(&o.progress, "progress", false, "report per-job completion on stderr")
-	fs.BoolVar(&o.cache, "cache", false, "serve and store results in the content-addressed cache")
-	fs.StringVar(&o.cacheDir, "cache-dir", "", "cache directory (implies -cache; default ~/.cache/softhide)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with `go tool pprof`)")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fs.Parse(os.Args[1:])
@@ -120,11 +114,8 @@ func run(ctx context.Context, w, ew io.Writer, o options) error {
 	if o.format != "text" && o.format != "md" {
 		return fmt.Errorf("unknown format %q (want text or md)", o.format)
 	}
-	if o.seeds < 1 {
-		return fmt.Errorf("-seeds must be ≥ 1 (got %d)", o.seeds)
-	}
-	if o.parallel < 0 {
-		return fmt.Errorf("-parallel must be ≥ 0 (got %d)", o.parallel)
+	if err := o.sw.Check(); err != nil {
+		return err
 	}
 	if err := o.tf.Check(); err != nil {
 		return err
@@ -139,12 +130,28 @@ func run(ctx context.Context, w, ew io.Writer, o options) error {
 		if o.exp != "all" {
 			return fmt.Errorf("-cores runs the many-core scaling report; the single-core experiments of -exp do not take a topology")
 		}
-		if o.seeds > 1 {
+		if o.sw.Seeds > 1 {
 			return fmt.Errorf("-seeds is not summarized for the scaling report; drop one of -cores/-seeds")
 		}
-		return runScaling(ctx, w, ew, o, mach)
 	}
+	cache, err := o.sw.OpenCache()
+	if err != nil {
+		return err
+	}
+	if o.tf.Cores > 1 {
+		err = runScaling(ctx, w, o, mach, cache)
+	} else {
+		err = runSweep(ctx, w, ew, o, mach, cache)
+	}
+	if err == nil && cache != nil {
+		fmt.Fprintf(ew, "cache: %d hit(s), %d miss(es) under %s\n", cache.Hits(), cache.Misses(), cache.Dir())
+	}
+	return err
+}
 
+// runSweep runs the registered experiments across -seeds seeds and
+// renders each experiment's seed group as soon as it completes.
+func runSweep(ctx context.Context, w, ew io.Writer, o options, mach core.Machine, cache *runner.Cache) error {
 	var ids []string
 	if o.exp == "all" {
 		ids = experiments.IDs()
@@ -156,22 +163,9 @@ func run(ctx context.Context, w, ew io.Writer, o options) error {
 
 	// Expand experiment × seed jobs upfront: a mistyped ID fails here,
 	// before any simulation starts, naming every valid choice.
-	jobs, err := runner.Jobs(ids, mach, o.seeds)
+	jobs, err := runner.Jobs(ids, mach, o.sw.Seeds)
 	if err != nil {
 		return err
-	}
-
-	var cache *runner.Cache
-	if o.cache || o.cacheDir != "" {
-		dir := o.cacheDir
-		if dir == "" {
-			if dir, err = runner.DefaultDir(); err != nil {
-				return err
-			}
-		}
-		if cache, err = runner.OpenCache(dir); err != nil {
-			return err
-		}
 	}
 
 	fmt.Fprintf(w, "softhide evaluation — %d experiment(s), seed %d\n", len(ids), mach.Seed)
@@ -180,7 +174,7 @@ func run(ctx context.Context, w, ew io.Writer, o options) error {
 		mach.Mem.LatL1, mach.Mem.LatL2, mach.Mem.LatL3, mach.Mem.LatDRAM,
 		mach.Switch.FullCost())
 
-	opts := runner.Options{Parallelism: o.parallel, Cache: cache}
+	opts := runner.Options{Parallelism: o.sw.Parallel, Cache: cache}
 	if o.progress {
 		opts.Progress = func(done, total int, r runner.Result) {
 			state := r.Wall.Round(time.Millisecond).String()
@@ -194,14 +188,14 @@ func run(ctx context.Context, w, ew io.Writer, o options) error {
 		}
 	}
 
-	// Jobs arrive in presentation order, experiment-major: the o.seeds
+	// Jobs arrive in presentation order, experiment-major: the -seeds
 	// results for one experiment are consecutive. Accumulate each group
 	// and render it when its last seed lands, so output streams while
 	// later experiments are still running.
 	var group []runner.Result
-	err = runner.Stream(ctx, jobs, opts, func(r runner.Result) error {
+	return runner.Stream(ctx, jobs, opts, func(r runner.Result) error {
 		group = append(group, r)
-		if len(group) < o.seeds {
+		if len(group) < o.sw.Seeds {
 			return nil
 		}
 		if err := present(w, o, group); err != nil {
@@ -210,20 +204,13 @@ func run(ctx context.Context, w, ew io.Writer, o options) error {
 		group = group[:0]
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	if cache != nil {
-		fmt.Fprintf(ew, "cache: %d hit(s), %d miss(es) under %s\n", cache.Hits(), cache.Misses(), cache.Dir())
-	}
-	return nil
 }
 
 // runScaling runs the many-core scaling report: the canonical pointer
 // chase on 1, 2, 4, … up to -cores cores over the shared LLC, fanned
 // out on the runner (each core count is one cacheable job whose key
 // carries the full topology).
-func runScaling(ctx context.Context, w, ew io.Writer, o options, mach core.Machine) error {
+func runScaling(ctx context.Context, w io.Writer, o options, mach core.Machine, cache *runner.Cache) error {
 	var counts []int
 	for c := 1; c < o.tf.Cores; c *= 2 {
 		counts = append(counts, c)
@@ -251,10 +238,9 @@ func runScaling(ctx context.Context, w, ew io.Writer, o options, mach core.Machi
 			topo.Quantum = o.tf.Quantum
 		}
 		jobs = append(jobs, runner.Job{
-			ID:        fmt.Sprintf("machine-scaling/%s/symmetric/cores=%d", spec.Name(), c),
-			Mach:      mach,
-			Topo:      &topo,
-			Cacheable: true,
+			ID:   fmt.Sprintf("machine-scaling/%s/symmetric/cores=%d", spec.Name(), c),
+			Mach: mach,
+			Key:  topo,
 			Run: func(m core.Machine) (*experiments.Result, error) {
 				t := topo
 				t.Machine = m
@@ -277,23 +263,8 @@ func runScaling(ctx context.Context, w, ew io.Writer, o options, mach core.Machi
 		})
 	}
 
-	var cache *runner.Cache
-	if o.cache || o.cacheDir != "" {
-		dir := o.cacheDir
-		if dir == "" {
-			var err error
-			if dir, err = runner.DefaultDir(); err != nil {
-				return err
-			}
-		}
-		var err error
-		if cache, err = runner.OpenCache(dir); err != nil {
-			return err
-		}
-	}
-
 	fmt.Fprintf(w, "softhide many-core scaling — %s, symmetric, seed %d\n\n", spec.Name(), mach.Seed)
-	results, err := runner.Run(ctx, jobs, runner.Options{Parallelism: o.parallel, Cache: cache})
+	results, err := runner.Run(ctx, jobs, runner.Options{Parallelism: o.sw.Parallel, Cache: cache})
 	if err != nil {
 		return err
 	}
@@ -308,9 +279,6 @@ func runScaling(ctx context.Context, w, ew io.Writer, o options, mach core.Machi
 	last := results[len(results)-1].Res.Metrics["ipc"]
 	fmt.Fprintf(w, "speedup at %d cores: %.2fx aggregate throughput over 1 core\n",
 		o.tf.Cores, last/base)
-	if cache != nil {
-		fmt.Fprintf(ew, "cache: %d hit(s), %d miss(es) under %s\n", cache.Hits(), cache.Misses(), cache.Dir())
-	}
 	return nil
 }
 
@@ -326,7 +294,7 @@ func present(w io.Writer, o options, group []runner.Result) error {
 	if o.metrics {
 		fmt.Fprint(w, first.MetricsString())
 	}
-	if o.seeds > 1 {
+	if o.sw.Seeds > 1 {
 		stability(w, group)
 	}
 	var wall time.Duration

@@ -23,7 +23,7 @@ func bench(t *testing.T, o options) (string, string, error) {
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	out, _, err := bench(t, options{exp: "E1,BOGUS", seeds: 1, format: "text"})
+	out, _, err := bench(t, options{exp: "E1,BOGUS", sw: cli.SweepFlags{Seeds: 1}, format: "text"})
 	var unknown *experiments.UnknownIDError
 	if !errors.As(err, &unknown) || unknown.ID != "BOGUS" {
 		t.Fatalf("err = %v, want UnknownIDError for BOGUS", err)
@@ -39,9 +39,9 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := []options{
-		{exp: "E1", seeds: 1, format: "html"},
-		{exp: "E1", seeds: 0, format: "text"},
-		{exp: "E1", seeds: 1, format: "text", parallel: -1},
+		{exp: "E1", sw: cli.SweepFlags{Seeds: 1}, format: "html"},
+		{exp: "E1", sw: cli.SweepFlags{Seeds: 0}, format: "text"},
+		{exp: "E1", sw: cli.SweepFlags{Seeds: 1, Parallel: -1}, format: "text"},
 	}
 	for _, o := range cases {
 		if _, _, err := bench(t, o); err == nil {
@@ -51,7 +51,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 func TestRunSingleExperimentOutput(t *testing.T) {
-	out, _, err := bench(t, options{exp: "E1", seeds: 1, format: "text", metrics: true})
+	out, _, err := bench(t, options{exp: "E1", sw: cli.SweepFlags{Seeds: 1}, format: "text", metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunSingleExperimentOutput(t *testing.T) {
 }
 
 func TestRunSeedOverrideAppearsInHeader(t *testing.T) {
-	out, _, err := bench(t, options{exp: "E1", seeds: 1, format: "text", seed: 42})
+	out, _, err := bench(t, options{exp: "E1", sw: cli.SweepFlags{Seeds: 1}, format: "text", seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,10 @@ func strip(out string) string {
 // The acceptance property at the CLI layer: a multi-seed sweep renders
 // identical tables, stability summaries and metrics at -parallel 1 and 8.
 func TestRunParallelOutputMatchesSequential(t *testing.T) {
-	base := options{exp: "E1,E13", seeds: 2, format: "text", metrics: true}
+	base := options{exp: "E1,E13", sw: cli.SweepFlags{Seeds: 2}, format: "text", metrics: true}
 	seqOpts, parOpts := base, base
-	seqOpts.parallel = 1
-	parOpts.parallel = 8
+	seqOpts.sw.Parallel = 1
+	parOpts.sw.Parallel = 8
 	seq, _, err := bench(t, seqOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestRunParallelOutputMatchesSequential(t *testing.T) {
 // A warm cache must serve the whole sweep ("(cached)" wall lines) and
 // render the same tables as the cold run.
 func TestRunWarmCacheServesSweep(t *testing.T) {
-	o := options{exp: "E1", seeds: 2, format: "text", cacheDir: t.TempDir(), parallel: 2, progress: true}
+	o := options{exp: "E1", sw: cli.SweepFlags{Seeds: 2, Parallel: 2, CacheDir: t.TempDir()}, format: "text", progress: true}
 	cold, _, err := bench(t, o)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestRunWarmCacheServesSweep(t *testing.T) {
 }
 
 func TestRunMarkdownFormat(t *testing.T) {
-	out, _, err := bench(t, options{exp: "E1", seeds: 1, format: "md"})
+	out, _, err := bench(t, options{exp: "E1", sw: cli.SweepFlags{Seeds: 1}, format: "md"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRunMarkdownFormat(t *testing.T) {
 // The scaling report's 1-core point runs at the -quantum override,
 // though the topology flags refuse one at a single core.
 func TestRunScalingTakesQuantum(t *testing.T) {
-	out, _, err := bench(t, options{exp: "all", seeds: 1, format: "text", tf: cli.TopologyFlags{Cores: 2, Quantum: 4096}})
+	out, _, err := bench(t, options{exp: "all", sw: cli.SweepFlags{Seeds: 1}, format: "text", tf: cli.TopologyFlags{Cores: 2, Quantum: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}

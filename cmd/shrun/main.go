@@ -64,6 +64,7 @@ type options struct {
 	wf         cli.WorkloadFlags
 	tf         cli.TopologyFlags
 	sf         cli.ServiceFlags
+	sw         cli.SweepFlags
 	imagePath  string
 	mode       string
 	n          int
@@ -72,10 +73,6 @@ type options struct {
 	traceN     int
 	traceOut   string
 	metrics    bool
-	seeds      int
-	parallel   int
-	cache      bool
-	cacheDir   string
 }
 
 func main() {
@@ -85,6 +82,7 @@ func main() {
 	o.wf.Register(fs)
 	o.tf.Register(fs)
 	o.sf.Register(fs)
+	o.sw.Register(fs)
 	fs.StringVar(&o.imagePath, "image", "", "instrumented image from shinstr (default: uninstrumented baseline)")
 	fs.StringVar(&o.mode, "mode", "solo", "solo | symmetric | dual")
 	fs.IntVar(&o.n, "n", 1, "coroutines to run (solo/symmetric)")
@@ -93,10 +91,6 @@ func main() {
 	fs.IntVar(&o.traceN, "trace", 0, "retain and dump the last N scheduling events (across all cores with -cores)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write retained trace events as Chrome trace-event JSON to this file")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the cycle-domain observability counters after the run")
-	fs.IntVar(&o.seeds, "seeds", 1, "run the scenario under N seeds and summarize stability")
-	fs.IntVar(&o.parallel, "parallel", 1, "worker goroutines for the seed sweep (0 = GOMAXPROCS)")
-	fs.BoolVar(&o.cache, "cache", false, "serve and store sweep results in the content-addressed cache")
-	fs.StringVar(&o.cacheDir, "cache-dir", "", "cache directory (implies -cache; default ~/.cache/softhide)")
 	fs.Parse(os.Args[1:])
 	cli.NoArgs(fs)
 
@@ -134,7 +128,7 @@ func (ob observe) observed() bool { return ob.ring != nil || ob.reg != nil }
 // stay apart: a cached cell simulates nothing, so it would leave the
 // counters and the ring empty.
 func (ob observe) refuseCache(o options) error {
-	if ob.observed() && (o.cache || o.cacheDir != "") {
+	if ob.observed() && o.sw.Cached() {
 		return fmt.Errorf("-cache serves results without simulating, which leaves -metrics/-trace empty; drop one of them")
 	}
 	return nil
@@ -191,6 +185,15 @@ func run(w io.Writer, o options) error {
 	if err := o.sf.Check(); err != nil {
 		return err
 	}
+	if err := o.sw.Check(); err != nil {
+		return err
+	}
+	if o.n < 1 {
+		return fmt.Errorf("-n must be ≥ 1 (got %d)", o.n)
+	}
+	if o.scavengers < 0 {
+		return fmt.Errorf("-scavengers must be ≥ 0 (got %d)", o.scavengers)
+	}
 	if o.sf.Serve {
 		return runServe(w, o)
 	}
@@ -204,7 +207,10 @@ func run(w io.Writer, o options) error {
 			return fmt.Errorf("dual mode is a single-core discipline; use -mode solo or symmetric with -cores")
 		}
 	}
-	if o.seeds > 1 {
+	if o.mode == "dual" && o.scavengers+1 > o.wf.Instances {
+		return fmt.Errorf("dual mode needs %d instances (1 primary + %d scavengers); pass -instances", o.scavengers+1, o.scavengers)
+	}
+	if o.sw.Seeds > 1 {
 		if o.imagePath != "" {
 			return fmt.Errorf("-seeds rebuilds the scenario per seed, which invalidates a fixed -image; drop one of them")
 		}
@@ -212,9 +218,6 @@ func run(w io.Writer, o options) error {
 	}
 	if o.tf.Cores > 1 {
 		return runMachine(w, o)
-	}
-	if o.mode == "dual" && o.scavengers+1 > o.wf.Instances {
-		return fmt.Errorf("dual mode needs %d instances (1 primary + %d scavengers); pass -instances", o.scavengers+1, o.scavengers)
 	}
 	h, part, err := o.wf.Harness()
 	if err != nil {
@@ -283,7 +286,7 @@ func runServe(w io.Writer, o options) error {
 	if o.imagePath != "" {
 		return fmt.Errorf("-serve rebuilds the request scenario per cell; drop -image")
 	}
-	if o.seeds > 1 {
+	if o.sw.Seeds > 1 {
 		return fmt.Errorf("-serve sweeps offered load, not seeds; drop -seeds")
 	}
 	ob := newObserve(o)
@@ -303,10 +306,10 @@ func runServe(w io.Writer, o options) error {
 		return err
 	}
 	exCfg := ob.config(o)
-	opts := []repro.Option{repro.WithTopology(topo), repro.WithSeed(o.wf.Seed), repro.WithParallelism(o.parallel),
+	opts := []repro.Option{repro.WithTopology(topo), repro.WithSeed(o.wf.Seed), repro.WithParallelism(o.sw.Parallel),
 		repro.WithObservability(repro.ObservabilityConfig{Tracer: exCfg.Tracer, Metrics: exCfg.Metrics})}
-	if o.cache || o.cacheDir != "" {
-		opts = append(opts, repro.WithCache(o.cacheDir))
+	if o.sw.Cached() {
+		opts = append(opts, repro.WithCache(o.sw.CacheDir))
 	}
 	s, err := repro.NewSession(opts...)
 	if err != nil {
@@ -408,39 +411,26 @@ func execute(h *core.Harness, img *core.Image, part string, o options, ob observ
 // with -cores N each seed runs the whole machine. With tracing or
 // metrics on, the sweep is forced sequential and one ring/registry pair
 // is reused across jobs via Reset, so observation costs a constant
-// number of allocations total; observed jobs also skip the result cache
-// (a cached cell simulates nothing, so it would leave the counters
-// empty). Many-core jobs carry their topology, so the cache never
-// confuses a many-core cell with a single-core one (or two topologies
-// with each other).
+// number of allocations total; refuseCache keeps the result cache
+// closed then (a cached cell simulates nothing, so it would leave the
+// counters empty). Many-core jobs key on their topology, so the cache
+// never confuses a many-core cell with a single-core one (or two
+// topologies with each other).
 func runSweep(w io.Writer, o options) error {
-	if o.mode == "dual" && o.scavengers+1 > o.wf.Instances {
-		return fmt.Errorf("dual mode needs %d instances (1 primary + %d scavengers); pass -instances", o.scavengers+1, o.scavengers)
-	}
 	ob := newObserve(o)
 	if err := ob.refuseCache(o); err != nil {
 		return err
 	}
-	observed := ob.observed()
-	if observed {
-		o.parallel = 1
+	if ob.observed() {
+		o.sw.Parallel = 1
 	}
 	spec, err := cli.SpecByName(o.wf.Workload, o.wf.Instances)
 	if err != nil {
 		return err
 	}
-
-	var cache *runner.Cache
-	if o.cache || o.cacheDir != "" {
-		dir := o.cacheDir
-		if dir == "" {
-			if dir, err = runner.DefaultDir(); err != nil {
-				return err
-			}
-		}
-		if cache, err = runner.OpenCache(dir); err != nil {
-			return err
-		}
+	cache, err := o.sw.OpenCache()
+	if err != nil {
+		return err
 	}
 
 	// The ID carries every knob the cell reads, so equal IDs really
@@ -456,10 +446,10 @@ func runSweep(w io.Writer, o options) error {
 		where, cols = fmt.Sprintf(" on %d cores", o.tf.Cores), append(cols, "llc misses")
 	}
 	var jobs []runner.Job
-	for i := 0; i < o.seeds; i++ {
+	for i := 0; i < o.sw.Seeds; i++ {
 		mach := core.DefaultMachine()
 		mach.Seed = o.wf.Seed + int64(i)*7919
-		job := runner.Job{ID: id, Mach: mach, Cacheable: !observed,
+		job := runner.Job{ID: id, Mach: mach,
 			Run: func(m core.Machine) (*experiments.Result, error) {
 				if ob.ring != nil {
 					ob.ring.Reset()
@@ -474,16 +464,16 @@ func runSweep(w io.Writer, o options) error {
 			if err != nil {
 				return err
 			}
-			job.Topo = &topo
+			job.Key = topo
 		}
 		jobs = append(jobs, job)
 	}
 
-	results, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: o.parallel, Cache: cache})
+	results, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: o.sw.Parallel, Cache: cache})
 	if err != nil {
 		return err
 	}
-	tb := stats.NewTable(fmt.Sprintf("%s/%s%s over %d seeds", o.wf.Workload, o.mode, where, o.seeds), cols...)
+	tb := stats.NewTable(fmt.Sprintf("%s/%s%s over %d seeds", o.wf.Workload, o.mode, where, o.sw.Seeds), cols...)
 	samples := map[string][]float64{}
 	for _, r := range results {
 		m := r.Res.Metrics

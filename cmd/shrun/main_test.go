@@ -18,8 +18,7 @@ func defaults() options {
 		mode:       "solo",
 		n:          1,
 		scavengers: 3,
-		seeds:      1,
-		parallel:   1,
+		sw:         cli.SweepFlags{Seeds: 1, Parallel: 1},
 	}
 }
 
@@ -31,6 +30,32 @@ func TestRunSoloText(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "validated against host reference: ok") {
 		t.Errorf("missing validation line:\n%s", out.String())
+	}
+}
+
+// Sizes no run can use are refused before anything is simulated, the
+// sweep sizes with shbench's own texts.
+func TestRunRejectsBadSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*options)
+		want string
+	}{
+		{"seeds 0", func(o *options) { o.sw.Seeds = 0 }, "-seeds must be ≥ 1 (got 0)"},
+		{"parallel -3", func(o *options) { o.sw.Parallel = -3 }, "-parallel must be ≥ 0 (got -3)"},
+		{"n -2", func(o *options) { o.mode, o.n = "symmetric", -2 }, "-n must be ≥ 1 (got -2)"},
+		{"n 0", func(o *options) { o.n = 0 }, "-n must be ≥ 1 (got 0)"},
+		{"scavengers -4", func(o *options) { o.mode, o.scavengers = "dual", -4 }, "-scavengers must be ≥ 0 (got -4)"},
+	} {
+		o := defaults()
+		tc.set(&o)
+		var out bytes.Buffer
+		if err := run(&out, o); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: output before the refusal:\n%s", tc.name, out.String())
+		}
 	}
 }
 
@@ -111,8 +136,8 @@ func TestSweepCachedAndIdentified(t *testing.T) {
 	o := defaults()
 	o.mode = "symmetric"
 	o.n = 4
-	o.seeds = 2
-	o.cacheDir = dir
+	o.sw.Seeds = 2
+	o.sw.CacheDir = dir
 	var cold, warm bytes.Buffer
 	if err := run(&cold, o); err != nil {
 		t.Fatal(err)
@@ -139,8 +164,8 @@ func TestSweepCachedAndIdentified(t *testing.T) {
 
 func TestSweepRejectsCachePlusObservation(t *testing.T) {
 	o := defaults()
-	o.seeds = 2
-	o.cache = true
+	o.sw.Seeds = 2
+	o.sw.Cache = true
 	o.metrics = true
 	var out bytes.Buffer
 	if err := run(&out, o); err == nil || !strings.Contains(err.Error(), "-metrics") {
@@ -153,7 +178,7 @@ func TestSweepMetricsAndTrace(t *testing.T) {
 	o := defaults()
 	o.mode = "symmetric"
 	o.n = 4
-	o.seeds = 2
+	o.sw.Seeds = 2
 	o.metrics = true
 	o.traceOut = path
 	var out bytes.Buffer
@@ -203,8 +228,8 @@ func TestServeRendersTables(t *testing.T) {
 		Batch:    1,
 		Burst:    8,
 	}
-	o.parallel = 4
-	o.cacheDir = t.TempDir()
+	o.sw.Parallel = 4
+	o.sw.CacheDir = t.TempDir()
 
 	var first bytes.Buffer
 	if err := run(&first, o); err != nil {
@@ -218,7 +243,7 @@ func TestServeRendersTables(t *testing.T) {
 	}
 
 	var second bytes.Buffer
-	o.parallel = 1
+	o.sw.Parallel = 1
 	if err := run(&second, o); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +268,7 @@ func TestServeFlagChecks(t *testing.T) {
 	o = defaults()
 	o.sf = cli.ServiceFlags{Serve: true, Arrivals: "poisson", Requests: 10,
 		Policy: "agnostic", Workers: 2, Queue: 8, Batch: 1, Burst: 8}
-	o.seeds = 3
+	o.sw.Seeds = 3
 	if err := run(&bytes.Buffer{}, o); err == nil {
 		t.Error("-serve with -seeds accepted")
 	}
@@ -272,10 +297,10 @@ func TestServeMetrics(t *testing.T) {
 		t.Errorf("service completed is 0 after an observed serve:\n%s", out.String())
 	}
 
-	o.cacheDir = t.TempDir()
+	o.sw.CacheDir = t.TempDir()
 	err := run(&bytes.Buffer{}, o)
 	o = defaults()
-	o.seeds, o.metrics, o.cacheDir = 2, true, t.TempDir()
+	o.sw.Seeds, o.metrics, o.sw.CacheDir = 2, true, t.TempDir()
 	want := run(&bytes.Buffer{}, o)
 	if err == nil || want == nil || err.Error() != want.Error() {
 		t.Errorf("-serve -metrics -cache-dir refused with %v, the seed sweep with %v", err, want)
@@ -386,7 +411,7 @@ func processRows(t *testing.T, path string) map[float64]bool {
 // An observed many-core sweep runs, reporting the last seed's totals.
 func TestManyCoreSweepMetrics(t *testing.T) {
 	o := manyCore()
-	o.seeds = 2
+	o.sw.Seeds = 2
 	o.metrics = true
 	var out bytes.Buffer
 	if err := run(&out, o); err != nil {

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/runner"
 	"repro/internal/service"
 	"repro/internal/workloads"
 )
@@ -102,11 +103,11 @@ func (w *WorkloadFlags) Register(fs *flag.FlagSet) {
 // flag learned on shbench works unchanged on shrun.
 var CanonicalFlags = []struct{ Name, Meaning string }{
 	{"seed", "deterministic scenario seed"},
-	{"seeds", "sweep the scenario across N seeds"},
-	{"parallel", "worker goroutines for sweeps (0 = GOMAXPROCS)"},
+	{"seeds", seedsUsage},
+	{"parallel", parallelUsage},
 	{"metrics", "print the cycle-domain observability counters"},
-	{"cache", "serve and store results in the content-addressed cache"},
-	{"cache-dir", "cache directory (implies -cache; default ~/.cache/softhide)"},
+	{"cache", cacheUsage},
+	{"cache-dir", cacheDirUsage},
 	{"trace-out", "write retained trace events as Chrome trace-event JSON"},
 	{"cores", "simulated cores sharing the banked LLC (1 = classic single-core engine)"},
 	{"llc-banks", "shared-LLC bank count override (power of two; needs -cores > 1)"},
@@ -117,6 +118,57 @@ var CanonicalFlags = []struct{ Name, Meaning string }{
 	{"rate", "offered load sweep in requests/µs, comma-separated (needs -serve)"},
 	{"requests", "requests offered per sweep cell (needs -serve)"},
 	{"policy", "serving policies, comma-separated: agnostic,sidecar,event-aware,os-thread,smt"},
+}
+
+// The sweep flags' help texts, shared by CanonicalFlags and
+// SweepFlags.Register.
+const (
+	seedsUsage    = "sweep the scenario across N seeds"
+	parallelUsage = "worker goroutines for sweeps (0 = GOMAXPROCS)"
+	cacheUsage    = "serve and store results in the content-addressed cache"
+	cacheDirUsage = "cache directory (implies -cache; default ~/.cache/softhide)"
+)
+
+// SweepFlags is the sweep flag set shbench and shrun share: seed
+// count, worker pool and the result cache.
+type SweepFlags struct {
+	Seeds    int
+	Parallel int
+	Cache    bool
+	CacheDir string
+}
+
+// Register installs the sweep flags into fs.
+func (sw *SweepFlags) Register(fs *flag.FlagSet) {
+	fs.IntVar(&sw.Seeds, "seeds", 1, seedsUsage)
+	fs.IntVar(&sw.Parallel, "parallel", 1, parallelUsage)
+	fs.BoolVar(&sw.Cache, "cache", false, cacheUsage)
+	fs.StringVar(&sw.CacheDir, "cache-dir", "", cacheDirUsage)
+}
+
+// Check refuses sweep sizes no sweep can run.
+func (sw *SweepFlags) Check() error {
+	if sw.Seeds < 1 {
+		return fmt.Errorf("-seeds must be ≥ 1 (got %d)", sw.Seeds)
+	}
+	if sw.Parallel < 0 {
+		return fmt.Errorf("-parallel must be ≥ 0 (got %d)", sw.Parallel)
+	}
+	return nil
+}
+
+// Cached reports whether -cache or -cache-dir asks for the result
+// cache.
+func (sw *SweepFlags) Cached() bool { return sw.Cache || sw.CacheDir != "" }
+
+// OpenCache opens the result cache the flags ask for (-cache alone
+// selects the default directory), or returns nil when they ask for
+// none.
+func (sw *SweepFlags) OpenCache() (*runner.Cache, error) {
+	if !sw.Cached() {
+		return nil, nil
+	}
+	return runner.OpenCache(sw.CacheDir)
 }
 
 // TopologyFlags is the common many-core flag set: core count plus

@@ -9,42 +9,45 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
 // cacheSchema versions the on-disk entry format. Bump it whenever the
-// serialized Result shape or the simulator's observable behaviour
-// changes, so stale entries miss instead of lying. Schema 2: the key
-// preimage gained the job's machine topology (many-core runs). Schema
-// 3: the preimage gained the job's service-sweep configuration and the
-// resumable many-core engines started recording request latencies, so
-// every pre-service entry deliberately misses. Schema 4: the service
-// key gained the cell's core count, shared-LLC shape and quantum
-// (multi-core serving), and cell results gained the cores metric.
-const cacheSchema = 4
+// key preimage, the serialized Result shape or the simulator's
+// observable behaviour changes, so stale entries miss instead of lying.
+// Schema 2: the key preimage gained the job's machine topology
+// (many-core runs). Schema 3: the preimage gained the job's
+// service-sweep configuration and the resumable many-core engines
+// started recording request latencies, so every pre-service entry
+// deliberately misses. Schema 4: the service key gained the cell's core
+// count, shared-LLC shape and quantum (multi-core serving), and cell
+// results gained the cores metric. Schema 5: the topology and service
+// fields merged into the job's one Key, and a serve cell keys on its
+// normalized config narrowed to the cell.
+const cacheSchema = 5
 
-// Cache is a content-addressed store of experiment results keyed by
-// (schema, experiment ID, machine). Entries are immutable JSON files
-// named by the key hash, so concurrent readers and writers — including
-// separate processes sharing a directory — never see partial state:
-// writes go to a temp file and are renamed into place atomically.
+// Cache is a content-addressed store of job results keyed by (schema,
+// ID, machine, key). Entries are immutable JSON files named by the key
+// hash, so concurrent readers and writers — including separate
+// processes sharing a directory — never see partial state: writes go to
+// a temp file and are renamed into place atomically.
 type Cache struct {
 	dir          string
 	hits, misses atomic.Uint64
 }
 
-// DefaultDir returns the conventional cache location,
-// $XDG_CACHE_HOME/softhide (via os.UserCacheDir).
-func DefaultDir() (string, error) {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return "", fmt.Errorf("runner: no user cache dir: %w", err)
-	}
-	return filepath.Join(base, "softhide"), nil
-}
-
-// OpenCache creates (if needed) and opens a cache directory.
+// OpenCache creates (if needed) and opens a cache directory; an empty
+// dir selects the conventional location, $XDG_CACHE_HOME/softhide (via
+// os.UserCacheDir).
 func OpenCache(dir string) (*Cache, error) {
+	if dir == "" {
+		base, err := os.UserCacheDir()
+		if err != nil {
+			return nil, fmt.Errorf("runner: no user cache dir: %w", err)
+		}
+		dir = filepath.Join(base, "softhide")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: cache dir: %w", err)
 	}
@@ -59,18 +62,16 @@ func (c *Cache) Hits() uint64   { return c.hits.Load() }
 func (c *Cache) Misses() uint64 { return c.misses.Load() }
 
 // Key derives the content address of a job: a SHA-256 over the schema
-// version, the experiment ID, the complete machine description (which
-// embeds the seed), for many-core jobs the full topology, and for
-// service-sweep jobs the full serve configuration. Two jobs share a key
-// exactly when the simulator would be handed identical inputs.
+// version, the ID, the complete machine description (which embeds the
+// seed) and the job's Key. Two jobs share a key exactly when the
+// simulator would be handed identical inputs.
 func (c *Cache) Key(j Job) (string, error) {
 	payload, err := json.Marshal(struct {
-		Schema  int
-		ID      string
-		Mach    interface{}
-		Topo    interface{} `json:",omitempty"`
-		Service interface{} `json:",omitempty"`
-	}{cacheSchema, j.ID, j.Mach, j.Topo, j.Service})
+		Schema int
+		ID     string
+		Mach   core.Machine
+		Key    any `json:",omitempty"`
+	}{cacheSchema, j.ID, j.Mach, j.Key})
 	if err != nil {
 		return "", err
 	}

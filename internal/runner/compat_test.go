@@ -20,15 +20,16 @@ import (
 // simulator's observable behaviour changed and cacheSchema should have
 // been bumped.
 //
-// History: the fixture was regenerated at schema 4, when the service
-// key gained the cell's core count, shared-LLC shape and quantum
-// (multi-core serving) and cell results gained the cores metric; at
-// schema 3, when the key preimage gained the job's service-sweep
-// configuration and the resumable engines started recording request
-// latencies; and at schema 2, when the preimage gained the job
-// topology (many-core machines). Entries from prior schemas
-// deliberately miss (see TestCacheSchemaBump,
-// TestCacheSchema2EntriesMiss and TestCacheSchema3EntriesMiss).
+// History: the fixture was regenerated at schema 5, when the topology
+// and service key fields merged into Job.Key (the schema-4 entry is kept
+// under testdata/stale); at schema 4, when the service key gained the
+// cell's core count, shared-LLC shape and quantum (multi-core serving)
+// and cell results gained the cores metric; at schema 3, when the key
+// preimage gained the job's service-sweep configuration and the
+// resumable engines started recording request latencies; and at
+// schema 2, when the preimage gained the job topology (many-core
+// machines). Entries from prior schemas deliberately miss (see
+// TestCacheSchemaBump and TestCacheSchema{2,3,4}EntriesMiss).
 //
 // Regenerate deliberately with:
 //
@@ -36,7 +37,7 @@ import (
 const fixtureDir = "testdata/cachefixture"
 
 func compatJob() Job {
-	return Job{ID: "E1", Mach: core.DefaultMachine(), Cacheable: true}
+	return Job{ID: "E1", Mach: core.DefaultMachine()}
 }
 
 func TestCacheCompatFixture(t *testing.T) {
@@ -113,7 +114,7 @@ func TestCacheRoundTripWithObservabilityTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, res := range []*experiments.Result{with, without} {
-		j := Job{ID: res.ID, Mach: core.DefaultMachine(), Cacheable: true}
+		j := Job{ID: res.ID, Mach: core.DefaultMachine()}
 		if err := c.Put(j, res); err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestCacheRoundTripWithObservabilityTable(t *testing.T) {
 
 	// The observability histogram rows survived: episode total equals the
 	// two episodes recorded, visible in the decoded table text.
-	got, _ := c.Get(Job{ID: "obs-on", Mach: core.DefaultMachine(), Cacheable: true})
+	got, _ := c.Get(Job{ID: "obs-on", Mach: core.DefaultMachine()})
 	if !strings.Contains(got.String(), "episode_dur_total") {
 		t.Errorf("decoded result lost observability rows:\n%s", got.String())
 	}

@@ -13,7 +13,7 @@
 // -parallel N is byte-identical to -parallel 1.
 //
 // An optional content-addressed cache (see Cache) short-circuits jobs
-// whose (experiment ID, machine) cell has been computed before.
+// whose (ID, machine, key) cell has been computed before.
 package runner
 
 import (
@@ -25,38 +25,27 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/machine"
 )
 
-// Job is one executable cell of a sweep: an experiment applied to a
+// Job is one executable cell of a sweep: a computation applied to a
 // fully specified machine (the machine embeds the seed).
 type Job struct {
-	// ID names the experiment ("E7"). It is both a display label and a
+	// ID names the computation ("E7"). It is both a display label and a
 	// cache key component, so custom Run functions must use IDs distinct
 	// from the registry's.
 	ID string
-	// Mach is the machine the experiment runs on. Each job gets the
-	// value by copy, so workers can never share simulator state.
+	// Mach is the machine the job runs on. Each job gets the value by
+	// copy, so workers can never share simulator state.
 	Mach core.Machine
-	// Topo, when non-nil, is the many-core topology the job simulates;
-	// it is part of the cache key, so single-core (nil) and topology
-	// jobs never collide. Classic registry experiments leave it nil.
-	Topo *machine.Topology
-	// Service, when non-nil, is the open-loop service-sweep
-	// configuration the job runs (a JSON-serializable value; the repro
-	// package passes the full cell description). Like Topo it is part
-	// of the cache key, so two serve cells collide exactly when their
-	// configurations are identical. Declared as any to keep the runner
-	// decoupled from the service package.
-	Service any
-	// Run produces the result. When nil, the ID is resolved through the
-	// experiment registry at execution time.
+	// Key is every input Run reads beyond ID and Mach (a many-core
+	// topology, a serve cell's configuration), as a JSON-serializable
+	// value; nil when there is none. ID, Mach and Key together are the
+	// cache key, so two jobs share a cached result exactly when they
+	// agree on all three.
+	Key any
+	// Run produces the result. It is required: a job without one is
+	// refused before any job starts.
 	Run experiments.Runner
-	// Cacheable marks the job's result as safe to serve from and store
-	// into the content-addressed cache. Registry experiments are pure
-	// functions of the machine and set this; ad-hoc Run closures should
-	// leave it false unless the ID fully identifies the computation.
-	Cacheable bool
 }
 
 // Result is the outcome of one job, tagged with execution metadata.
@@ -81,7 +70,7 @@ type Options struct {
 	// Parallelism bounds the worker pool. Values < 1 select
 	// runtime.GOMAXPROCS(0). 1 reproduces fully sequential execution.
 	Parallelism int
-	// Cache, when non-nil, serves and stores cacheable jobs.
+	// Cache, when non-nil, serves and stores every job.
 	Cache *Cache
 	// Progress, when non-nil, is invoked after every job completes
 	// (in completion order, serialized) with the number of finished
@@ -122,8 +111,14 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Result, error) {
 // jobs are still executing, and the rendered bytes are independent of
 // Parallelism. emit runs on the caller's goroutine. A job error or a
 // non-nil emit return cancels outstanding work and is returned after
-// in-flight jobs drain.
+// in-flight jobs drain. A job without a Run fails the call before any
+// job starts.
 func Stream(ctx context.Context, jobs []Job, opts Options, emit func(Result) error) error {
+	for i, j := range jobs {
+		if j.Run == nil {
+			return fmt.Errorf("runner: job %d (%s) has no Run", i, j.ID)
+		}
+	}
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -227,29 +222,20 @@ func execute(ctx context.Context, j Job, seq int, cache *Cache) Result {
 		r.Err = err
 		return r
 	}
-	if cache != nil && j.Cacheable {
+	if cache != nil {
 		if res, ok := cache.Get(j); ok {
 			r.Res, r.CacheHit = res, true
 			return r
 		}
 	}
-	run := j.Run
-	if run == nil {
-		var err error
-		run, err = experiments.MustLookup(j.ID)
-		if err != nil {
-			r.Err = err
-			return r
-		}
-	}
-	res, wall, err := timedRun(run, j.Mach)
+	res, wall, err := timedRun(j.Run, j.Mach)
 	r.Wall = wall
 	if err != nil {
 		r.Err = err
 		return r
 	}
 	r.Res = res
-	if cache != nil && j.Cacheable {
+	if cache != nil {
 		// A write failure degrades to a cold cache; the result stands.
 		_ = cache.Put(j, res)
 	}
@@ -273,7 +259,7 @@ func Jobs(ids []string, base core.Machine, seeds int) ([]Job, error) {
 		for i := 0; i < seeds; i++ {
 			m := base
 			m.Seed = base.Seed + int64(i)*7919
-			jobs = append(jobs, Job{ID: id, Mach: m, Run: run, Cacheable: true})
+			jobs = append(jobs, Job{ID: id, Mach: m, Run: run})
 		}
 	}
 	return jobs, nil

@@ -128,27 +128,6 @@ func TestCacheKeySeparatesCells(t *testing.T) {
 	}
 }
 
-// Non-cacheable jobs must bypass the cache entirely.
-func TestNonCacheableJobsBypassCache(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls atomic.Int64
-	job := Job{ID: "custom", Mach: core.DefaultMachine(), Run: func(core.Machine) (*experiments.Result, error) {
-		calls.Add(1)
-		return &experiments.Result{ID: "custom", Metrics: map[string]float64{"x": 1}}, nil
-	}}
-	for i := 0; i < 2; i++ {
-		if _, err := Run(context.Background(), []Job{job}, Options{Cache: cache}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls.Load() != 2 {
-		t.Errorf("non-cacheable job ran %d times, want 2", calls.Load())
-	}
-}
-
 // Stream must deliver results in submission order even when completion
 // order is scrambled, and progress must count every job.
 func TestStreamOrderAndProgress(t *testing.T) {
@@ -217,9 +196,30 @@ func TestJobsRejectsUnknownIDs(t *testing.T) {
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	jobs := []Job{{ID: "E1", Mach: core.DefaultMachine(), Cacheable: true}}
-	_, err := Run(ctx, jobs, Options{})
-	if err == nil {
-		t.Error("cancelled context should surface an error")
+	jobs, err := Jobs([]string{"E1"}, core.DefaultMachine(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(ctx, jobs, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// A job without a Run fails the whole call before any job starts.
+func TestJobWithoutRunIsRefused(t *testing.T) {
+	var ran atomic.Int64
+	jobs := []Job{
+		{ID: "ok", Run: func(core.Machine) (*experiments.Result, error) {
+			ran.Add(1)
+			return &experiments.Result{ID: "ok"}, nil
+		}},
+		{ID: "E1", Mach: core.DefaultMachine()},
+	}
+	_, err := Run(context.Background(), jobs, Options{})
+	if err == nil || !strings.Contains(err.Error(), "E1") || !strings.Contains(err.Error(), "no Run") {
+		t.Errorf("err = %v, want a refusal naming E1", err)
+	}
+	if ran.Load() != 0 {
+		t.Errorf("%d job(s) ran before the refusal", ran.Load())
 	}
 }

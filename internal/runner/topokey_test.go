@@ -10,86 +10,67 @@ import (
 	"repro/internal/machine"
 )
 
-// A schema-1 entry (pre-topology key preimage) must miss under the
-// current schema even if a file with the current key's name exists on
-// disk with old-schema contents.
-func TestCacheSchemaBump(t *testing.T) {
+// staleEntryMisses writes data at the current key's path of an E1 job
+// and requires Get to miss: an entry from an older schema must never be
+// served, even when a file with the current key's name exists on disk.
+func staleEntryMisses(t *testing.T, data []byte) {
+	t.Helper()
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := Job{ID: "E1", Mach: core.DefaultMachine(), Cacheable: true}
+	j := Job{ID: "E1", Mach: core.DefaultMachine()}
 	key, err := c.Key(j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, _ := json.Marshal(entry{Schema: 1, ID: j.ID, Result: &experiments.Result{ID: j.ID}})
-	if err := os.WriteFile(c.path(key), stale, 0o644); err != nil {
+	if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(j); ok {
-		t.Fatal("schema-1 entry served under the current schema")
+		t.Fatalf("stale entry served under schema %d", cacheSchema)
 	}
 }
 
-// A schema-2 entry (pre-service key preimage) must likewise miss under
-// schema 3, even when it sits at the current key's path.
-func TestCacheSchema2EntriesMiss(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := Job{ID: "E1", Mach: core.DefaultMachine(), Cacheable: true}
-	key, err := c.Key(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale, _ := json.Marshal(entry{Schema: 2, ID: j.ID, Result: &experiments.Result{ID: j.ID}})
-	if err := os.WriteFile(c.path(key), stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(j); ok {
-		t.Fatal("schema-2 entry served under schema 3")
-	}
+// staleEntry is an E1 entry stamped with an older schema.
+func staleEntry(schema int) []byte {
+	data, _ := json.Marshal(entry{Schema: schema, ID: "E1", Result: &experiments.Result{ID: "E1"}})
+	return data
 }
 
-// A schema-3 entry (pre-multi-core-serving key preimage) must likewise
-// miss under schema 4, even when it sits at the current key's path.
-func TestCacheSchema3EntriesMiss(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
+// A schema-1 entry (pre-topology key preimage) must miss.
+func TestCacheSchemaBump(t *testing.T) { staleEntryMisses(t, staleEntry(1)) }
+
+// A schema-2 entry (pre-service key preimage) must miss.
+func TestCacheSchema2EntriesMiss(t *testing.T) { staleEntryMisses(t, staleEntry(2)) }
+
+// A schema-3 entry (pre-multi-core-serving key preimage) must miss.
+func TestCacheSchema3EntriesMiss(t *testing.T) { staleEntryMisses(t, staleEntry(3)) }
+
+// The schema-4 compatibility fixture (the last entry written before
+// the topology and service key fields merged into Job.Key) must miss.
+func TestCacheSchema4EntriesMiss(t *testing.T) {
+	data, err := os.ReadFile("testdata/stale/schema4-E1.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := Job{ID: "E1", Mach: core.DefaultMachine(), Cacheable: true}
-	key, err := c.Key(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale, _ := json.Marshal(entry{Schema: 3, ID: j.ID, Result: &experiments.Result{ID: j.ID}})
-	if err := os.WriteFile(c.path(key), stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(j); ok {
-		t.Fatal("schema-3 entry served under schema 4")
-	}
+	staleEntryMisses(t, data)
 }
 
-// Topology participates in the key: a nil-topology job, a 1-core
+// Topology participates in the key: a job without a Key, a 1-core
 // topology job and an 8-core topology job are three distinct cells.
 func TestCacheKeyIncludesTopology(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Job{ID: "E1", Mach: core.DefaultMachine(), Cacheable: true}
-	topo1 := machine.DefaultTopology(1)
-	topo8 := machine.DefaultTopology(8)
+	base := Job{ID: "E1", Mach: core.DefaultMachine()}
 
 	keys := map[string]string{}
 	for name, j := range map[string]Job{
 		"classic": base,
-		"cores1":  {ID: base.ID, Mach: base.Mach, Topo: &topo1, Cacheable: true},
-		"cores8":  {ID: base.ID, Mach: base.Mach, Topo: &topo8, Cacheable: true},
+		"cores1":  {ID: base.ID, Mach: base.Mach, Key: machine.DefaultTopology(1)},
+		"cores8":  {ID: base.ID, Mach: base.Mach, Key: machine.DefaultTopology(8)},
 	} {
 		k, err := c.Key(j)
 		if err != nil {
@@ -104,18 +85,18 @@ func TestCacheKeyIncludesTopology(t *testing.T) {
 	}
 
 	// Same topology value → same key (pointer identity must not leak in).
-	topo8b := machine.DefaultTopology(8)
-	ka, _ := c.Key(Job{ID: base.ID, Mach: base.Mach, Topo: &topo8})
-	kb, _ := c.Key(Job{ID: base.ID, Mach: base.Mach, Topo: &topo8b})
-	if ka != kb {
+	topo8, topo8b := machine.DefaultTopology(8), machine.DefaultTopology(8)
+	ka, _ := c.Key(Job{ID: base.ID, Mach: base.Mach, Key: &topo8})
+	kb, _ := c.Key(Job{ID: base.ID, Mach: base.Mach, Key: &topo8b})
+	if ka != kb || ka != keys["cores8"] {
 		t.Error("identical topologies hash to different keys")
 	}
 }
 
-// Service participates in the key: two serve jobs that differ only in
-// their service configuration are distinct cells, identical
-// configurations collide, and a nil Service marshals away (omitempty)
-// so non-serve jobs keep their schema-stable keys.
+// A serve configuration participates in the key: two jobs that differ
+// only in it are distinct cells, identical configurations collide, and
+// a nil Key marshals away (omitempty) so jobs without one keep their
+// schema-stable keys.
 func TestCacheKeyIncludesService(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -125,13 +106,13 @@ func TestCacheKeyIncludesService(t *testing.T) {
 		Policy string
 		Rate   float64
 	}
-	base := Job{ID: "serve/agnostic/rate=0.2", Mach: core.DefaultMachine(), Cacheable: true}
+	base := Job{ID: "serve/agnostic/rate=0.2", Mach: core.DefaultMachine()}
 	withA := base
-	withA.Service = svc{Policy: "agnostic", Rate: 0.2}
+	withA.Key = svc{Policy: "agnostic", Rate: 0.2}
 	withB := base
-	withB.Service = svc{Policy: "agnostic", Rate: 0.4}
+	withB.Key = svc{Policy: "agnostic", Rate: 0.4}
 	withA2 := base
-	withA2.Service = svc{Policy: "agnostic", Rate: 0.2}
+	withA2.Key = svc{Policy: "agnostic", Rate: 0.2}
 
 	kNil, err := c.Key(base)
 	if err != nil {

@@ -58,7 +58,6 @@ type Part struct {
 type Scenario struct {
 	Mem   *mem.Memory
 	Prog  *isa.Program
-	Image *isa.Image
 	Parts []Part
 }
 
@@ -111,7 +110,6 @@ func Compose(memBytes uint64, seed int64, specs ...Spec) (*Scenario, error) {
 		return nil, fmt.Errorf("workloads: linked program invalid: %w", err)
 	}
 	sc.Prog = combined
-	sc.Image = isa.Encode(combined)
 	return sc, nil
 }
 

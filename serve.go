@@ -73,50 +73,24 @@ var ParseServicePolicies = service.ParsePolicies
 // "uniform", "bursty").
 var ParseArrivalKind = service.ParseKind
 
-// serviceCellKey is the cache-key preimage for one serve cell: the
-// normalized configuration plus the cell coordinates, with workload
-// specs tagged by concrete type (a bare interface value marshals its
-// fields but not its identity, so PointerChase{} and BST{} with equal
-// field sets must not collide).
-type serviceCellKey struct {
-	Cell           ServiceCell
-	Arrivals       ArrivalSpec
-	Requests       int
-	Workers        int
-	Queue          int
-	ShedAfter      uint64
-	Batch          int
-	MaxSteps       uint64
-	Cores          int
-	LLC            LLCConfig
-	Quantum        uint64
-	RequestType    string
-	Request        WorkloadSpec
-	BackgroundType string       `json:",omitempty"`
-	Background     WorkloadSpec `json:",omitempty"`
+// cellConfig narrows the normalized sweep config to one cell: the
+// exact configuration the cell runs.
+func cellConfig(norm ServiceConfig, cl ServiceCell) ServiceConfig {
+	norm.Rates = []float64{cl.Rate}
+	norm.Policies = []ServicePolicy{cl.Policy}
+	norm.Arrivals.Rate = cl.Rate
+	return norm
 }
 
-func serviceKey(cfg ServiceConfig, cl ServiceCell) serviceCellKey {
-	k := serviceCellKey{
-		Cell:        cl,
-		Arrivals:    cfg.Arrivals,
-		Requests:    cfg.Requests,
-		Workers:     cfg.Workers,
-		Queue:       cfg.Queue,
-		ShedAfter:   cfg.ShedAfter,
-		Batch:       cfg.Batch,
-		MaxSteps:    cfg.MaxSteps,
-		Cores:       cfg.Topology.Cores,
-		LLC:         cfg.Topology.LLC,
-		Quantum:     cfg.Topology.Quantum,
-		RequestType: fmt.Sprintf("%T", cfg.Workload.Request),
-		Request:     cfg.Workload.Request,
-	}
-	if cfg.Workload.Background != nil {
-		k.BackgroundType = fmt.Sprintf("%T", cfg.Workload.Background)
-		k.Background = cfg.Workload.Background
-	}
-	return k
+// cellKey is a serve cell's cache key: its config plus the concrete
+// types of the two workload specs (an interface value marshals its
+// fields but not its identity, so PointerChase{} and BST{} with equal
+// field sets must not collide).
+func cellKey(cfg ServiceConfig) any {
+	return struct {
+		Config              ServiceConfig
+		Request, Background string
+	}{cfg, fmt.Sprintf("%T", cfg.Workload.Request), fmt.Sprintf("%T", cfg.Workload.Background)}
 }
 
 // Serve runs the open-loop service sweep on the session's machine:
@@ -152,14 +126,13 @@ func (s *Session) Serve(ctx context.Context, cfg ServiceConfig) (*ServiceReport,
 	cells := norm.Cells()
 	jobs := make([]runner.Job, len(cells))
 	for i, cl := range cells {
-		cl := cl
+		cell := cellConfig(norm, cl)
 		jobs[i] = runner.Job{
-			ID:        cl.ResultID(),
-			Mach:      mach,
-			Service:   serviceKey(norm, cl),
-			Cacheable: true,
+			ID:   cl.ResultID(),
+			Mach: mach,
+			Key:  cellKey(cell),
 			Run: func(m Machine) (*ExperimentResult, error) {
-				cs, err := service.RunCellObserved(m, norm, cl, obs.Tracer, obs.Metrics)
+				cs, err := service.RunCellObserved(m, cell, cl, obs.Tracer, obs.Metrics)
 				if err != nil {
 					return nil, err
 				}

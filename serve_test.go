@@ -104,7 +104,7 @@ func TestServeMillionRequestsDeterministic(t *testing.T) {
 
 // TestServeCacheReplayIdentity: a cell replayed from the result cache
 // renders byte-identically to one served fresh — the property the
-// runner cache's Service key exists for.
+// cell's cache Key exists for.
 func TestServeCacheReplayIdentity(t *testing.T) {
 	cfg := DefaultServiceConfig()
 	cfg.Workload = Workload{

@@ -73,9 +73,8 @@ func WithCache(dir string) Option {
 }
 
 // ObservabilityConfig bundles the session's whole observation surface:
-// scheduling-event tracing, the cycle-domain metrics registry, and the
-// sink trace exports are written to. Every field is optional; the zero
-// value observes nothing.
+// scheduling-event tracing and the cycle-domain metrics registry. Every
+// field is optional; the zero value observes nothing.
 type ObservabilityConfig struct {
 	// Tracer receives executor scheduling events; a *TraceRing here also
 	// feeds ExportTrace.
@@ -85,14 +84,10 @@ type ObservabilityConfig struct {
 	// counters into it (Executor.CaptureMetrics for executors built by
 	// hand). Inspect it with Session.MetricsSnapshot.
 	Metrics *MetricsRegistry
-	// TraceSink, when non-nil, is where Session.ExportTrace writes
-	// Chrome trace-event JSON when called with a nil writer (e.g. a file
-	// the CLI opened for -trace-out).
-	TraceSink io.Writer
 }
 
-// WithObservability installs the session's observation surface — tracer,
-// metrics registry and trace-export sink — in one option:
+// WithObservability installs the session's observation surface — tracer
+// and metrics registry — in one option:
 //
 //	ring := repro.NewTraceRing(4096)
 //	reg := &repro.MetricsRegistry{}
@@ -121,18 +116,10 @@ func NewSession(opts ...Option) (*Session, error) {
 	}
 	s := &Session{topo: cfg.topo, parallelism: cfg.parallelism, obs: cfg.obs}
 	if cfg.cacheDir != nil {
-		dir := *cfg.cacheDir
-		if dir == "" {
-			var err error
-			if dir, err = runner.DefaultDir(); err != nil {
-				return nil, err
-			}
-		}
-		cache, err := runner.OpenCache(dir)
-		if err != nil {
+		var err error
+		if s.cache, err = runner.OpenCache(*cfg.cacheDir); err != nil {
 			return nil, err
 		}
-		s.cache = cache
 	}
 	return s, nil
 }
@@ -252,10 +239,6 @@ func (s *Session) Pipeline(part string, opts PipelineOptions, specs ...workloads
 	return h, img, nil
 }
 
-// Observability returns the session's observation surface as
-// configured by WithObservability.
-func (s *Session) Observability() ObservabilityConfig { return s.obs }
-
 // MetricsSnapshot copies the current state of the session's metrics
 // registry. It returns a zero snapshot when no registry is configured,
 // so callers can render unconditionally.
@@ -267,16 +250,12 @@ func (s *Session) MetricsSnapshot() MetricsSnapshot {
 }
 
 // ExportTrace writes the session tracer's retained events as Chrome
-// trace-event JSON (loadable in Perfetto / chrome://tracing) to w,
-// falling back to the configured TraceSink when w is nil. It errors
-// when there is nowhere to write or the session's tracer is not a
-// *TraceRing (only rings retain events to export).
+// trace-event JSON (loadable in Perfetto / chrome://tracing) to w. It
+// errors when w is nil or the session's tracer is not a *TraceRing
+// (only rings retain events to export).
 func (s *Session) ExportTrace(w io.Writer, opt ChromeTraceOptions) error {
 	if w == nil {
-		w = s.obs.TraceSink
-	}
-	if w == nil {
-		return fmt.Errorf("repro: ExportTrace needs a writer (none passed, no TraceSink configured)")
+		return fmt.Errorf("repro: ExportTrace needs a writer")
 	}
 	ring, ok := s.obs.Tracer.(*TraceRing)
 	if !ok {

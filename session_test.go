@@ -220,7 +220,7 @@ func TestSessionObservability(t *testing.T) {
 func TestSessionExportTrace(t *testing.T) {
 	ring := NewTraceRing(256)
 	var sink bytes.Buffer
-	s, err := NewSession(WithObservability(ObservabilityConfig{Tracer: ring, TraceSink: &sink}))
+	s, err := NewSession(WithObservability(ObservabilityConfig{Tracer: ring}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +236,7 @@ func TestSessionExportTrace(t *testing.T) {
 	if _, err := s.NewExecutor(h, img, ExecConfig{}).RunSymmetric(ts.Tasks); err != nil {
 		t.Fatal(err)
 	}
-	// nil writer falls back to the configured sink.
-	if err := s.ExportTrace(nil, ChromeTraceOptions{}); err != nil {
+	if err := s.ExportTrace(&sink, ChromeTraceOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
@@ -248,14 +247,13 @@ func TestSessionExportTrace(t *testing.T) {
 		t.Fatal("empty trace export")
 	}
 
-	// No sink and no writer is an error; so is a non-ring tracer.
-	s2, _ := NewSession(WithObservability(ObservabilityConfig{Tracer: ring}))
-	if err := s2.ExportTrace(nil, ChromeTraceOptions{}); err == nil {
+	// A nil writer is an error; so is a non-ring tracer.
+	if err := s.ExportTrace(nil, ChromeTraceOptions{}); err == nil {
 		t.Error("ExportTrace with nowhere to write must error")
 	}
-	s3, _ := NewSession()
+	s2, _ := NewSession()
 	var buf bytes.Buffer
-	if err := s3.ExportTrace(&buf, ChromeTraceOptions{}); err == nil {
+	if err := s2.ExportTrace(&buf, ChromeTraceOptions{}); err == nil {
 		t.Error("ExportTrace without a ring tracer must error")
 	}
 }
