@@ -85,7 +85,7 @@ func main() {
 	o.sw.Register(fs)
 	fs.StringVar(&o.imagePath, "image", "", "instrumented image from shinstr (default: uninstrumented baseline)")
 	fs.StringVar(&o.mode, "mode", "solo", "solo | symmetric | dual")
-	fs.IntVar(&o.n, "n", 1, "coroutines to run (solo/symmetric)")
+	fs.IntVar(&o.n, "n", 1, "coroutines to run (symmetric)")
 	fs.IntVar(&o.scavengers, "scavengers", 3, "scavenger coroutines (dual mode; instance 0 is the primary)")
 	fs.BoolVar(&o.hwAssist, "hwassist", false, "enable the §4.1 cache-presence probe at primary yields")
 	fs.IntVar(&o.traceN, "trace", 0, "retain and dump the last N scheduling events (across all cores with -cores)")
@@ -196,6 +196,9 @@ func run(w io.Writer, o options) error {
 	}
 	if o.sf.Serve {
 		return runServe(w, o)
+	}
+	if o.mode == "solo" && o.n != 1 {
+		return fmt.Errorf("-mode solo runs one coroutine; -n %d needs -mode symmetric", o.n)
 	}
 	if o.tf.Cores > 1 {
 		// Upfront validation: many-core runs rebuild per-core baseline

@@ -45,6 +45,8 @@ func TestRunRejectsBadSizes(t *testing.T) {
 		{"parallel -3", func(o *options) { o.sw.Parallel = -3 }, "-parallel must be ≥ 0 (got -3)"},
 		{"n -2", func(o *options) { o.mode, o.n = "symmetric", -2 }, "-n must be ≥ 1 (got -2)"},
 		{"n 0", func(o *options) { o.n = 0 }, "-n must be ≥ 1 (got 0)"},
+		{"solo n 4", func(o *options) { o.n = 4 }, "-mode solo runs one coroutine; -n 4 needs -mode symmetric"},
+		{"solo n 2 on 2 cores", func(o *options) { o.n, o.tf.Cores = 2, 2 }, "-mode solo runs one coroutine; -n 2 needs -mode symmetric"},
 		{"scavengers -4", func(o *options) { o.mode, o.scavengers = "dual", -4 }, "-scavengers must be ≥ 0 (got -4)"},
 	} {
 		o := defaults()

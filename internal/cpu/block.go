@@ -156,13 +156,21 @@ func (c *Core) charge(busy uint64, acc mem.AccessResult) (uint64, uint64) {
 // owns the clock, the stall and the Exec accounting. A memory fault
 // leaves the instruction unretired.
 //
+// An access that has missed L2 before is likely to miss the host's
+// caches too, so its host line is prefetched before the simulated walk
+// and the two overlap; an L1-resident access skips the hint. Neither
+// simulated state nor fault order depends on it.
+//
 //shsim:noalloc
 func (c *Core) memStep(ctxID, pc int, u *uop, regs *[isa.NumRegs]uint64) (busy, stall uint64, acc mem.AccessResult, err error) {
 	addr := regs[u.rs1&15] + u.imm
 	store := u.op == isa.OpStore
+	counters := c.Counters
+	if counters.MissL2[pc] != 0 {
+		c.Mem.HostPrefetch(addr)
+	}
 	acc = c.Hier.AccessW(addr, c.Now, store)
 	busy, stall = c.charge(c.costs[u.op], acc)
-	counters := c.Counters
 	if store {
 		if err = c.Mem.Write64(addr, regs[u.rs2&15]); err != nil {
 			return busy, stall, acc, c.fault(ctxID, pc, err) //shsim:alloc-ok cold fault path; ends the run

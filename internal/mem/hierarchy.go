@@ -200,13 +200,13 @@ func NewHierarchy(cfg Config) (*Hierarchy, error) {
 		return nil, err
 	}
 	h := &Hierarchy{
-		cfg:   cfg,
-		l1:    newCache(cfg.L1Size, cfg.LineSize, cfg.L1Ways),
-		l2:    newCache(cfg.L2Size, cfg.LineSize, cfg.L2Ways),
-		l3:    newCache(cfg.L3Size, cfg.LineSize, cfg.L3Ways),
-		fills: newFillTable(cfg.MaxInflight),
+		cfg: cfg,
+		l1:  newCache(cfg.L1Size, cfg.LineSize, cfg.L1Ways),
+		l2:  newCache(cfg.L2Size, cfg.LineSize, cfg.L2Ways),
+		l3:  newCache(cfg.L3Size, cfg.LineSize, cfg.L3Ways),
 	}
 	h.lineShift = h.l1.lineBits
+	h.fills = newFillTable(cfg.MaxInflight, h.lineShift)
 	for l := LevelL1; l < Level(NumLevels); l++ {
 		h.lat[l] = cfg.Latency(l)
 	}
@@ -272,26 +272,24 @@ func (h *Hierarchy) AccessW(addr, now uint64, write bool) AccessResult {
 	ln := h.lineAddr(addr)
 	h.streamDetect(ln, now)
 
-	if len(h.fills.entries) > 0 {
-		if i, ok := h.fills.search(ln); ok {
-			f := h.fills.entries[i]
-			h.fills.removeAt(i)
-			wb := h.install(ln, write)
-			res := AccessResult{Level: LevelInflight, MissedL2: f.level == LevelL3 || f.level == LevelDRAM}
-			if f.completion <= now {
-				// Fill already completed; the access behaves like an L1 hit.
+	if i := h.fills.search(ln); i >= 0 {
+		f := h.fills.entries[i]
+		h.fills.removeAt(i)
+		wb := h.install(ln, write)
+		res := AccessResult{Level: LevelInflight, MissedL2: f.level == LevelL3 || f.level == LevelDRAM}
+		if f.completion <= now {
+			// Fill already completed; the access behaves like an L1 hit.
+			res.Latency = h.cfg.LatL1
+			h.Stats.InflightFull++
+		} else {
+			res.Latency = f.completion - now
+			if res.Latency < h.cfg.LatL1 {
 				res.Latency = h.cfg.LatL1
-				h.Stats.InflightFull++
-			} else {
-				res.Latency = f.completion - now
-				if res.Latency < h.cfg.LatL1 {
-					res.Latency = h.cfg.LatL1
-				}
 			}
-			res.Latency += wb
-			h.Stats.Accesses[LevelInflight]++
-			return res
 		}
+		res.Latency += wb
+		h.Stats.Accesses[LevelInflight]++
+		return res
 	}
 
 	// One fused probe per level: hit detection and install/LRU-refresh in
@@ -357,7 +355,7 @@ func (h *Hierarchy) AccessW(addr, now uint64, write bool) AccessResult {
 // no-op.
 func (h *Hierarchy) Prefetch(addr, now uint64) (Level, uint64) {
 	ln := h.lineAddr(addr)
-	if h.fills.has(ln) {
+	if h.fills.search(ln) >= 0 {
 		h.Stats.PrefetchHits++
 		return LevelInflight, now
 	}
@@ -415,13 +413,15 @@ func (h *Hierarchy) startFill(ln, now uint64) (lvl Level, completion uint64, ok 
 // evictions, so it must not depend on anything run-varying (this was the
 // PR 1 nondeterminism fix, which sorted a scratch slice of due lines on
 // every call). The fill table is sorted by line address, so a single
-// in-place compaction walk installs in exactly that order for free.
+// in-place compaction walk installs in exactly that order for free; each
+// installed fill leaves the presence filter as it leaves the table.
 func (h *Hierarchy) reclaim(now uint64) {
 	w := 0
 	for i := range h.fills.entries {
 		e := h.fills.entries[i]
 		if e.completion <= now {
 			h.install(e.line, false)
+			h.fills.present[h.fills.bucket(e.line)]--
 			continue
 		}
 		h.fills.entries[w] = e
@@ -453,7 +453,7 @@ func (h *Hierarchy) streamDetect(ln, now uint64) {
 // hwPrefetch starts a fill on behalf of the hardware prefetcher. Unlike
 // a software prefetch it leaves an L1-resident line's recency alone.
 func (h *Hierarchy) hwPrefetch(ln, now uint64) {
-	if h.fills.has(ln) || h.l1.containsTag(h.tag(ln)) {
+	if h.fills.search(ln) >= 0 || h.l1.containsTag(h.tag(ln)) {
 		return
 	}
 	if _, _, ok := h.startFill(ln, now); ok {

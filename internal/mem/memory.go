@@ -112,10 +112,13 @@ func (m *Memory) Write64(addr, v uint64) error {
 	return m.storeSlow(addr, v)
 }
 
-// HostPrefetch starts the host's load of the line backing addr, so the
-// simulated PREFETCH that names addr hides the host miss of the later
-// Read64 as it hides the simulated one. It changes no simulated state,
-// and an address outside the backing is ignored, not faulted.
+// HostPrefetch starts the host's load of the line backing addr. It has
+// two callers: a simulated PREFETCH, so the prefetch hides the host
+// miss of the later Read64 as it hides the simulated one, and a load or
+// store that has missed L2 before, so its host miss overlaps the
+// simulated cache walk ahead of its Read64 or Write64. It changes no
+// simulated state, and an address outside the backing is ignored, not
+// faulted.
 //
 //shsim:noalloc inline
 func (m *Memory) HostPrefetch(addr uint64) {

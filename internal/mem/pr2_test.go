@@ -133,7 +133,7 @@ func TestHierarchySteadyStateAllocFree(t *testing.T) {
 // fillTable unit tests: ordering, membership, removal, storage reuse.
 
 func TestFillTableSortedInsert(t *testing.T) {
-	ft := newFillTable(8)
+	ft := newFillTable(8, 6)
 	for _, ln := range []uint64{0x500, 0x100, 0x300, 0x200, 0x400} {
 		ft.insert(ln, ln+1000, LevelDRAM)
 	}
@@ -148,22 +148,22 @@ func TestFillTableSortedInsert(t *testing.T) {
 	if f, ok := ft.get(0x300); !ok || f.completion != 0x300+1000 || f.level != LevelDRAM {
 		t.Errorf("get(0x300) = %+v, %v", f, ok)
 	}
-	if ft.has(0x250) {
+	if ft.search(0x250) >= 0 {
 		t.Error("has reported an absent line")
 	}
 }
 
 func TestFillTableRemove(t *testing.T) {
-	ft := newFillTable(8)
+	ft := newFillTable(8, 6)
 	for _, ln := range []uint64{0x100, 0x200, 0x300} {
 		ft.insert(ln, 50, LevelL3)
 	}
-	i, ok := ft.search(0x200)
-	if !ok {
+	i := ft.search(0x200)
+	if i < 0 {
 		t.Fatal("search missed an outstanding line")
 	}
 	ft.removeAt(i)
-	if ft.has(0x200) || !ft.has(0x100) || !ft.has(0x300) {
+	if ft.search(0x200) >= 0 || ft.search(0x100) < 0 || ft.search(0x300) < 0 {
 		t.Error("removeAt(0x200's index) disturbed the wrong entries")
 	}
 	if ft.len() != 2 {
@@ -172,7 +172,7 @@ func TestFillTableRemove(t *testing.T) {
 }
 
 func TestFillTableDrainKeepsCapacity(t *testing.T) {
-	ft := newFillTable(16)
+	ft := newFillTable(16, 6)
 	before := &ft.entries[:1][0]
 	for round := 0; round < 2; round++ {
 		for i := uint64(0); i < 16; i++ {
@@ -188,7 +188,7 @@ func TestFillTableDrainKeepsCapacity(t *testing.T) {
 }
 
 func TestFillTableUnlimitedGrowth(t *testing.T) {
-	ft := newFillTable(0) // unlimited budget: table grows on demand
+	ft := newFillTable(0, 6) // unlimited budget: table grows on demand
 	for i := uint64(0); i < 200; i++ {
 		ft.insert(i*64, 10, LevelDRAM)
 	}
@@ -196,7 +196,7 @@ func TestFillTableUnlimitedGrowth(t *testing.T) {
 		t.Fatalf("len = %d, want 200", ft.len())
 	}
 	for i := uint64(0); i < 200; i++ {
-		if !ft.has(i * 64) {
+		if ft.search(i*64) < 0 {
 			t.Fatalf("line %#x lost during growth", i*64)
 		}
 	}

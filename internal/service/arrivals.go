@@ -88,7 +88,8 @@ type ArrivalSpec struct {
 	// the mean inter-arrival gap is CyclesPerMicro/Rate cycles.
 	Rate float64
 	// Burst is the mean burst size for Bursty arrivals (finite and ≥ 1;
-	// ignored otherwise, but never NaN or infinite).
+	// ignored otherwise, and zeroed by normalization, but never NaN or
+	// infinite).
 	Burst float64
 }
 

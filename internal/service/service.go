@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -178,6 +179,12 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Arrivals.Kind == Poisson && cfg.Arrivals.Rate == 0 {
 		cfg.Arrivals = DefaultConfig().Arrivals
+	}
+	// Only Bursty arrivals read Burst: zeroing it elsewhere keeps the
+	// normalized config independent of it, as Topology.Machine below.
+	// A NaN or infinite one stays for Validate to refuse.
+	if b := cfg.Arrivals.Burst; cfg.Arrivals.Kind != Bursty && !math.IsNaN(b) && !math.IsInf(b, 0) {
+		cfg.Arrivals.Burst = 0
 	}
 	if len(cfg.Rates) == 0 {
 		cfg.Rates = []float64{cfg.Arrivals.Rate}

@@ -86,6 +86,7 @@ func TestServeCellKeyCoversConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultServiceConfig()
+	cfg.Arrivals.Kind = ArrivalBursty // the one kind that reads Burst
 	cfg.Topology = Topology{Cores: 2}
 	cfg.ShedAfter = 5000
 	norm, err := cfg.Normalized()
@@ -139,29 +140,31 @@ func TestServeCellKeyCoversConfig(t *testing.T) {
 	}
 }
 
-// TestServeSubsweepHitsCache: a cell computed inside a wider sweep is
-// served to a later sweep that asks for it alone. Both configs are
-// built the way cli.ServiceFlags.ServiceConfig builds them, with
-// Arrivals.Rate set to the first rate of the sweep.
-func TestServeSubsweepHitsCache(t *testing.T) {
-	sweep := func(rates ...float64) ServiceConfig {
-		return ServiceConfig{
-			Workload: Workload{Request: PointerChase{Nodes: 512, Hops: 4, Instances: 2}},
-			Arrivals: ArrivalSpec{Kind: ArrivalPoisson, Rate: rates[0], Burst: 8},
-			Rates:    rates,
-			Requests: 100,
-			Workers:  2,
-			Queue:    16,
-			Batch:    1,
-			Policies: []ServicePolicy{PolicyEventAware},
-		}
+// smallSweep is a quick Poisson serve sweep over rates, built the way
+// cli.ServiceFlags.ServiceConfig builds one, with Arrivals.Rate set to
+// the first rate of the sweep.
+func smallSweep(rates ...float64) ServiceConfig {
+	return ServiceConfig{
+		Workload: Workload{Request: PointerChase{Nodes: 512, Hops: 4, Instances: 2}},
+		Arrivals: ArrivalSpec{Kind: ArrivalPoisson, Rate: rates[0], Burst: 8},
+		Rates:    rates,
+		Requests: 100,
+		Workers:  2,
+		Queue:    16,
+		Batch:    1,
+		Policies: []ServicePolicy{PolicyEventAware},
 	}
+}
+
+// TestServeSubsweepHitsCache: a cell computed inside a wider sweep is
+// served to a later sweep that asks for it alone.
+func TestServeSubsweepHitsCache(t *testing.T) {
 	dir := t.TempDir()
 	wide, err := NewSession(WithCache(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := wide.Serve(context.Background(), sweep(0.1, 0.2))
+	full, err := wide.Serve(context.Background(), smallSweep(0.1, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +172,7 @@ func TestServeSubsweepHitsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := narrow.Serve(context.Background(), sweep(0.2))
+	sub, err := narrow.Serve(context.Background(), smallSweep(0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,5 +181,39 @@ func TestServeSubsweepHitsCache(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sub.Cells[0], full.Cells[1]) {
 		t.Errorf("served cell differs from the one computed in the wide sweep:\n%+v\n%+v", sub.Cells[0], full.Cells[1])
+	}
+}
+
+// TestServeUnreadBurstHitsCache: only bursty arrivals read Burst, so a
+// Poisson sweep is served from the cache whatever burst size it names,
+// while a bursty one keys on it.
+func TestServeUnreadBurstHitsCache(t *testing.T) {
+	dir := t.TempDir()
+	serve := func(kind ArrivalKind, burst float64) (*ServiceReport, uint64, uint64) {
+		t.Helper()
+		s, err := NewSession(WithCache(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := smallSweep(0.1)
+		cfg.Arrivals.Kind, cfg.Arrivals.Burst = kind, burst
+		rep, err := s.Serve(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := s.CacheStats()
+		return rep, hits, misses
+	}
+	first, _, _ := serve(ArrivalPoisson, 8)
+	again, hits, misses := serve(ArrivalPoisson, 4)
+	if hits != 1 || misses != 0 {
+		t.Errorf("Poisson sweep at burst 4 after burst 8: %d hit(s), %d miss(es), want 1 and 0", hits, misses)
+	}
+	if !reflect.DeepEqual(first.Cells, again.Cells) {
+		t.Errorf("served cells differ:\n%+v\n%+v", first.Cells, again.Cells)
+	}
+	serve(ArrivalBursty, 8)
+	if _, hits, misses := serve(ArrivalBursty, 4); hits != 0 || misses != 1 {
+		t.Errorf("bursty sweep at burst 4 after burst 8: %d hit(s), %d miss(es), want 0 and 1", hits, misses)
 	}
 }
