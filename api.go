@@ -120,15 +120,14 @@ type (
 	CPUConfig = cpu.Config
 	// SMTConfig tunes the SMT baseline.
 	SMTConfig = smt.Config
-	// SMTStats summarizes an SMT run.
-	SMTStats = smt.Stats
 	// SFIOptions configures software-fault-isolation hardening.
 	SFIOptions = sfi.Options
 	// SFIResult reports what the SFI pass inserted.
 	SFIResult = sfi.Result
 )
 
-// SMTRun multiplexes contexts on a core under the SMT baseline model.
+// SMTRun multiplexes contexts on a core under the SMT baseline model;
+// its ExecStats' Stall is the time every context sat blocked.
 var SMTRun = smt.Run
 
 // SFIHarden inserts software-fault-isolation guards into a program.

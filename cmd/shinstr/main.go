@@ -15,6 +15,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -96,30 +97,25 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 		opts.Scavenger.LiveMasks = liveMasks
 	}
 
-	bin := isa.Encode(h.Sc.Prog)
-	img, res, err := instrument.InstrumentImage(bin, &prof, opts)
-	if err != nil {
-		return err
-	}
-
-	// The rewritten entry points root shcheck's reachability analyses.
-	var entries []int
-	for _, p := range h.Sc.Parts {
-		entries = append(entries, res.OldToNew[p.Entry])
-	}
-
-	rep, err := check.Image(bin, img, res.OldToNew, check.Options{Entries: entries})
-	if err != nil {
-		return err
-	}
-	if err := rep.Err(); err != nil {
+	inst, err := h.Instrument(&prof, opts)
+	var unsound *check.ReportError
+	if errors.As(err, &unsound) {
 		return fmt.Errorf("refusing to write unsound image: %w", err)
 	}
+	if err != nil {
+		return err
+	}
+	res, img := inst.Pipe, isa.Encode(inst.Prog)
 
 	if report != "" {
 		f, err := os.Create(report)
 		if err != nil {
 			return err
+		}
+		// The rewritten entry points root shcheck's reachability analyses.
+		var entries []int
+		for _, p := range h.Sc.Parts {
+			entries = append(entries, inst.Entries[p.Name])
 		}
 		m := check.MapFile{OldToNew: res.OldToNew, Entries: entries}
 		if err := m.Save(f); err != nil {
@@ -135,7 +131,7 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 		if err != nil {
 			return err
 		}
-		if err := isa.SaveImage(f, bin); err != nil {
+		if err := isa.SaveImage(f, isa.Encode(h.Sc.Prog)); err != nil {
 			f.Close()
 			return err
 		}

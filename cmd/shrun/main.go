@@ -61,19 +61,30 @@ import (
 // options collects everything run needs, so tests can drive it without
 // a process-global flag set.
 type options struct {
-	wf         cli.WorkloadFlags
-	tf         cli.TopologyFlags
-	sf         cli.ServiceFlags
-	sw         cli.SweepFlags
-	imagePath  string
+	wf        cli.WorkloadFlags
+	tf        cli.TopologyFlags
+	sf        cli.ServiceFlags
+	sw        cli.SweepFlags
+	imagePath string
+	shape
+	traceN   int
+	traceOut string
+	metrics  bool
+}
+
+// shape is the run-shape flag set: the closed-loop discipline, its
+// coroutine count, and the dual-mode knobs. Each flag shapes some runs
+// only (see checkShape).
+type shape struct {
 	mode       string
 	n          int
 	scavengers int
 	hwAssist   bool
-	traceN     int
-	traceOut   string
-	metrics    bool
 }
+
+// shapeDefaults mirrors Register's defaults so checkShape can tell an
+// untouched flag from a misused one.
+var shapeDefaults = shape{mode: "solo", n: 1, scavengers: 3}
 
 func main() {
 	fs := flag.NewFlagSet("shrun", flag.ExitOnError)
@@ -84,10 +95,11 @@ func main() {
 	o.sf.Register(fs)
 	o.sw.Register(fs)
 	fs.StringVar(&o.imagePath, "image", "", "instrumented image from shinstr (default: uninstrumented baseline)")
-	fs.StringVar(&o.mode, "mode", "solo", "solo | symmetric | dual")
-	fs.IntVar(&o.n, "n", 1, "coroutines to run (symmetric)")
-	fs.IntVar(&o.scavengers, "scavengers", 3, "scavenger coroutines (dual mode; instance 0 is the primary)")
-	fs.BoolVar(&o.hwAssist, "hwassist", false, "enable the §4.1 cache-presence probe at primary yields")
+	d := shapeDefaults
+	fs.StringVar(&o.mode, "mode", d.mode, "solo | symmetric | dual")
+	fs.IntVar(&o.n, "n", d.n, "coroutines to run (symmetric)")
+	fs.IntVar(&o.scavengers, "scavengers", d.scavengers, "scavenger coroutines (dual mode; instance 0 is the primary)")
+	fs.BoolVar(&o.hwAssist, "hwassist", d.hwAssist, "enable the §4.1 cache-presence probe at primary yields")
 	fs.IntVar(&o.traceN, "trace", 0, "retain and dump the last N scheduling events (across all cores with -cores)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write retained trace events as Chrome trace-event JSON to this file")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the cycle-domain observability counters after the run")
@@ -194,11 +206,11 @@ func run(w io.Writer, o options) error {
 	if o.scavengers < 0 {
 		return fmt.Errorf("-scavengers must be ≥ 0 (got %d)", o.scavengers)
 	}
+	if err := o.checkShape(); err != nil {
+		return err
+	}
 	if o.sf.Serve {
 		return runServe(w, o)
-	}
-	if o.mode == "solo" && o.n != 1 {
-		return fmt.Errorf("-mode solo runs one coroutine; -n %d needs -mode symmetric", o.n)
 	}
 	if o.tf.Cores > 1 {
 		// Upfront validation: many-core runs rebuild per-core baseline
@@ -273,6 +285,34 @@ func run(w io.Writer, o options) error {
 	fmt.Fprintf(w, "  retired:    %d instructions, IPC %.2f\n", st.Retired, st.IPC())
 	fmt.Fprintf(w, "  results validated against host reference: ok\n")
 	return ob.finish(w, o, true)
+}
+
+// checkShape refuses a run-shape flag the run never reads: -mode
+// outside closed-loop runs, -n outside -mode symmetric, -scavengers and
+// -hwassist outside -mode dual. Like cli.ServiceFlags.Check it counts
+// both the registered default and the zero value (programmatic callers
+// that never touch the flag) as untouched.
+func (o options) checkShape() error {
+	run, closed := "-mode "+o.mode, !o.sf.Serve
+	if !closed {
+		run = "-serve"
+	}
+	for _, f := range []struct {
+		flag           string
+		val, def, zero any
+		read           bool
+		readers        string
+	}{
+		{"mode", o.mode, shapeDefaults.mode, "", closed, "closed-loop"},
+		{"n", o.n, shapeDefaults.n, 0, closed && o.mode == "symmetric", "-mode symmetric"},
+		{"scavengers", o.scavengers, shapeDefaults.scavengers, 0, closed && o.mode == "dual", "-mode dual"},
+		{"hwassist", o.hwAssist, shapeDefaults.hwAssist, false, closed && o.mode == "dual", "-mode dual"},
+	} {
+		if !f.read && f.val != f.def && f.val != f.zero {
+			return fmt.Errorf("-%s %v shapes %s runs only, not this %s run", f.flag, f.val, f.readers, run)
+		}
+	}
+	return nil
 }
 
 // runServe drives the open-loop service harness: requests built from

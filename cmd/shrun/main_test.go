@@ -13,12 +13,10 @@ import (
 
 func defaults() options {
 	return options{
-		wf:         cli.WorkloadFlags{Workload: "chase", Instances: 4, Seed: 20230626},
-		tf:         cli.TopologyFlags{Cores: 1},
-		mode:       "solo",
-		n:          1,
-		scavengers: 3,
-		sw:         cli.SweepFlags{Seeds: 1, Parallel: 1},
+		wf:    cli.WorkloadFlags{Workload: "chase", Instances: 4, Seed: 20230626},
+		tf:    cli.TopologyFlags{Cores: 1},
+		shape: shapeDefaults,
+		sw:    cli.SweepFlags{Seeds: 1, Parallel: 1},
 	}
 }
 
@@ -33,8 +31,9 @@ func TestRunSoloText(t *testing.T) {
 	}
 }
 
-// Sizes no run can use are refused before anything is simulated, the
-// sweep sizes with shbench's own texts.
+// Sizes no run can use, and run-shape flags the run never reads, are
+// refused before anything is simulated, the sweep sizes with shbench's
+// own texts.
 func TestRunRejectsBadSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -45,9 +44,17 @@ func TestRunRejectsBadSizes(t *testing.T) {
 		{"parallel -3", func(o *options) { o.sw.Parallel = -3 }, "-parallel must be ≥ 0 (got -3)"},
 		{"n -2", func(o *options) { o.mode, o.n = "symmetric", -2 }, "-n must be ≥ 1 (got -2)"},
 		{"n 0", func(o *options) { o.n = 0 }, "-n must be ≥ 1 (got 0)"},
-		{"solo n 4", func(o *options) { o.n = 4 }, "-mode solo runs one coroutine; -n 4 needs -mode symmetric"},
-		{"solo n 2 on 2 cores", func(o *options) { o.n, o.tf.Cores = 2, 2 }, "-mode solo runs one coroutine; -n 2 needs -mode symmetric"},
+		{"solo n 4", func(o *options) { o.n = 4 }, "-n 4 shapes -mode symmetric runs only, not this -mode solo run"},
+		{"solo n 2 on 2 cores", func(o *options) { o.n, o.tf.Cores = 2, 2 }, "-n 2 shapes -mode symmetric runs only, not this -mode solo run"},
 		{"scavengers -4", func(o *options) { o.mode, o.scavengers = "dual", -4 }, "-scavengers must be ≥ 0 (got -4)"},
+		{"dual n 4", func(o *options) { o.mode, o.n = "dual", 4 }, "-n 4 shapes -mode symmetric runs only, not this -mode dual run"},
+		{"symmetric scavengers 9", func(o *options) { o.mode, o.scavengers = "symmetric", 9 }, "-scavengers 9 shapes -mode dual runs only, not this -mode symmetric run"},
+		{"solo hwassist", func(o *options) { o.hwAssist = true }, "-hwassist true shapes -mode dual runs only, not this -mode solo run"},
+		{"symmetric hwassist on 2 cores", func(o *options) { o.mode, o.hwAssist, o.tf.Cores = "symmetric", true, 2 }, "-hwassist true shapes -mode dual runs only, not this -mode symmetric run"},
+		{"serve mode", func(o *options) { *o = serveOptions(); o.mode = "dual" }, "-mode dual shapes closed-loop runs only, not this -serve run"},
+		{"serve n 7", func(o *options) { *o = serveOptions(); o.n = 7 }, "-n 7 shapes -mode symmetric runs only, not this -serve run"},
+		{"serve scavengers 9", func(o *options) { *o = serveOptions(); o.scavengers = 9 }, "-scavengers 9 shapes -mode dual runs only, not this -serve run"},
+		{"serve hwassist", func(o *options) { *o = serveOptions(); o.hwAssist = true }, "-hwassist true shapes -mode dual runs only, not this -serve run"},
 	} {
 		o := defaults()
 		tc.set(&o)

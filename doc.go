@@ -28,8 +28,9 @@
 //	st, _ := h.RunDualMode(img, "chase", "chase", 7, repro.ExecConfig{})
 //
 // Harness.RunSolo, RunSymmetric, RunDualMode and RunSMT each build the
-// tasks, run them on a fresh executor and check every halted task
-// against its host reference: a wrong result is an error. Harness.Tasks,
+// tasks, run them on a fresh executor — SMT is its third scheduling
+// loop, reporting ExecStats like the coroutine loops — and check every
+// halted task against its host reference: a wrong result is an error. Harness.Tasks,
 // Session.NewExecutor and TaskSet.Validate are the low-level form.
 //
 // Experiment sweeps fan out over a deterministic parallel runner

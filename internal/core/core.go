@@ -266,22 +266,17 @@ func (h *Harness) RunDualMode(img *Image, primary, scavenger string, n int, cfg 
 }
 
 // RunSMT runs the first cfg.Contexts instances of part as the hardware
-// contexts of the SMT baseline on a fresh core over img and validates
-// every result.
-func (h *Harness) RunSMT(img *Image, part string, cfg smt.Config) (smt.Stats, error) {
+// contexts of the SMT baseline on a fresh executor over img and
+// validates every result.
+func (h *Harness) RunSMT(img *Image, part string, cfg smt.Config) (exec.Stats, error) {
 	ts, err := h.Tasks(img, part, coro.Primary, cfg.Contexts)
 	if err != nil {
-		return smt.Stats{}, err
+		return exec.Stats{}, err
 	}
-	ctxs := make([]*coro.Context, len(ts.Tasks))
-	for i, t := range ts.Tasks {
-		ctxs[i] = t.Ctx
+	if cfg, err = cfg.Fit(len(ts.Tasks)); err != nil {
+		return exec.Stats{}, err
 	}
-	st, err := smt.Run(h.newCore(img), cfg, ctxs)
-	if err != nil {
-		return st, err
-	}
-	return st, ts.Validate()
+	return h.closedLoop(img, exec.Config{MaxSteps: cfg.MaxSteps}, func(ex *exec.Executor) (exec.Stats, error) { return ex.RunSMT(ts.Tasks, cfg.Quantum) }, ts)
 }
 
 // closedLoop runs one discipline on a fresh executor over img, harvests

@@ -1,9 +1,11 @@
 // Package exec is the runtime half of the paper's proposal: it interleaves
 // instrumented coroutines on the simulated core.
 //
-// Two scheduling loops do all of it, each fed by a Source that is either
-// a fixed task set (the closed-loop Run* entry points here) or an
-// arrival-fed slot pool (internal/service):
+// Three scheduling loops do all of it, each an exec.Loop fed by a
+// Source: a fixed task set (Ticker, the one closed-loop runner behind
+// RunSolo, RunSymmetric, RunSMT and the many-core kernel), a window or
+// a primary with scavengers (RunWindowed, RunDualMode), or an
+// arrival-fed slot pool (internal/service). Every run reports Stats:
 //
 //   - Flat: N equal coroutines round-robin at primary yields — the
 //     CoroBase-style throughput mode the paper's §2 describes for
@@ -15,9 +17,8 @@
 //     misses; scavengers run in the shadow of those misses and hand the
 //     CPU back at a conditional yield once the miss is hidden, chaining
 //     to more scavengers on demand when they hit misses of their own.
-//
-// internal/smt adds the third loop, hardware threads, over the same
-// Source.
+//   - SMT: hardware threads switching on stalls at zero cost, blind to
+//     yields and priority — the baseline of internal/smt (RunSMT).
 //
 // Context switches are physically enacted: the outgoing coroutine's
 // registers are saved per the yield's live mask and every register outside
@@ -97,7 +98,9 @@ func (t *Task) Reset() { t.live = 0 }
 type Stats struct {
 	// Cycles is the wall-clock duration of the run.
 	Cycles uint64
-	// Busy, Stall and Switch are aggregated over all tasks.
+	// Busy, Stall and Switch are aggregated over all tasks. Hardware
+	// threads overlap their stalls, so an SMT run's Stall is the time
+	// every context sat blocked: Busy + Stall == Cycles.
 	Busy, Stall, Switch uint64
 	// Retired counts instructions retired by all tasks.
 	Retired uint64
@@ -118,7 +121,7 @@ type Stats struct {
 	// HWSkips counts primary yields skipped by the §4.1 presence probe.
 	HWSkips uint64
 	// Latencies[i] is the wall time from run start to task i's halt
-	// (symmetric runs only; zero for tasks still running).
+	// (symmetric and SMT runs only; zero for tasks still running).
 	Latencies []uint64
 	// Halted counts tasks that ran to completion.
 	Halted int

@@ -7,8 +7,9 @@ import (
 	"repro/internal/cpu"
 )
 
-// lane is what the coroutine loops (Flat, Asym) share: a ring of tasks
-// on one executor, who holds the CPU, and the block-retire step. The
+// lane is what the scheduling loops (Flat, Asym, SMT) share: a ring of
+// tasks on one executor, who holds the CPU, and the block-retire step
+// (retire, idle and the poll quota serve the coroutine loops). The
 // loops are resumable — Run(deadline) advances until the core clock
 // reaches the deadline, and a later call picks up exactly where it
 // stopped. Slicing a run at arbitrary deadlines is byte-identical to
@@ -170,82 +171,6 @@ func nextRunnable(ring []*Task, cur int) int {
 		}
 	}
 	return -1
-}
-
-// Ticker is the closed-loop flat run the cycle-quantum kernel
-// (internal/machine) steps: a Flat loop over a fixed task set.
-type Ticker struct {
-	Flat
-	set *FixedSet
-}
-
-// NewTicker prepares a resumable run of the tasks to completion. solo
-// is the uninstrumented-baseline discipline: exactly one task, borrowed
-// as it is (no mode forcing) and already holding the CPU (no resume
-// event); with nobody to rotate to, its yields retire as no-ops.
-// Otherwise all tasks enter primary mode and per-task halt times are
-// recorded.
-func (e *Executor) NewTicker(tasks []*Task, solo bool) (*Ticker, error) {
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("exec: no tasks")
-	}
-	if solo && len(tasks) != 1 {
-		return nil, fmt.Errorf("exec: solo ticker takes exactly one task, got %d", len(tasks))
-	}
-	running := 0
-	for _, tk := range tasks {
-		if !tk.Ctx.Halted {
-			running++
-		}
-	}
-	var latencies []uint64
-	if !solo {
-		forceMode(coro.Primary, tasks...)
-		latencies = make([]uint64, len(tasks))
-	}
-	set := NewFixedSet(e.Core, running, latencies)
-	t := &Ticker{Flat: *e.NewFlat(tasks, set), set: set}
-	if solo {
-		t.cur = 0
-	}
-	return t, nil
-}
-
-// Stats assembles the run statistics; complete once Run reported done.
-func (t *Ticker) Stats() Stats {
-	st := Stats{Cycles: t.e.Core.Now - t.set.Start, Latencies: t.set.Latencies}
-	collect(&st, t.ring...)
-	return st
-}
-
-// runFlat runs a closed task set to completion.
-func (e *Executor) runFlat(tasks []*Task, solo bool) (Stats, error) {
-	t, err := e.NewTicker(tasks, solo)
-	if err != nil {
-		return Stats{}, err
-	}
-	if _, err := t.Run(NoDeadline); err != nil {
-		return Stats{}, err
-	}
-	return t.Stats(), nil
-}
-
-// RunSolo executes a single task to completion. Yields retire but never
-// switch (there is nobody to switch to) — this measures both the baseline
-// and the pure overhead of instrumentation on an otherwise idle runtime.
-//
-//shsim:cycle-entry
-func (e *Executor) RunSolo(t *Task) (Stats, error) {
-	return e.runFlat([]*Task{t}, true)
-}
-
-// RunSymmetric interleaves equal-priority tasks: every primary-phase yield
-// rotates to the next runnable task. This is the batch/throughput
-// discipline of CoroBase-style systems.
-//
-//shsim:cycle-entry
-func (e *Executor) RunSymmetric(tasks []*Task) (Stats, error) {
-	return e.runFlat(tasks, false)
 }
 
 // RunWindowed processes a stream of tasks through a bounded window of W

@@ -5,119 +5,111 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/mem"
 )
 
-// runTicker drives a ticker in fixed cycle quanta until completion and
-// returns its stats plus the quanta consumed.
-func runTicker(t *testing.T, tk *Ticker, quantum uint64) (Stats, int) {
+// drive runs l to completion in cycle quanta of the given length (0:
+// unsliced, one Run to NoDeadline) and returns the quanta consumed.
+func drive(t *testing.T, l Loop, core *cpu.Core, quantum uint64) int {
 	t.Helper()
-	deadline := tk.e.Core.Now
-	quanta := 0
-	for {
+	deadline := core.Now
+	for quanta := 1; ; quanta++ {
 		deadline += quantum
-		done, err := tk.Run(deadline)
+		if quantum == 0 {
+			deadline = NoDeadline
+		}
+		done, err := l.Run(deadline)
 		if err != nil {
 			t.Fatal(err)
 		}
-		quanta++
 		if done {
-			return tk.Stats(), quanta
+			return quanta
 		}
 		if quanta > 1<<22 {
-			t.Fatal("ticker did not converge")
+			t.Fatal("loop did not converge")
 		}
 	}
 }
 
-// A ticker sliced at arbitrary cycle deadlines must be byte-identical
-// to the unsliced RunSolo: same stats, same final clock, same memory
-// hierarchy counters, same architectural result.
-func TestTickerSoloEquivalence(t *testing.T) {
-	ref := func() (Stats, uint64, mem.Stats, uint64) {
-		core, m := newMachine(t, testImage, 1<<20)
-		task := chaseTask(core, m, 0, 400, buildChain(m, 256, 7))
-		st, err := New(core, DefaultConfig()).RunSolo(task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, core.Now, core.Hier.Stats, task.Ctx.Result
-	}
-	refSt, refNow, refMem, refRes := ref()
+// slicedCase is a closed run of n chasers, each hops long over its own
+// chain, driven through a ticker at every quantum in quanta (the first
+// must slice the run).
+type slicedCase struct {
+	n      int
+	hops   int64
+	mem    uint64
+	seed   func(i int) int64
+	ticker func(*Executor, []*Task) (*Ticker, error)
+	quanta []uint64
+}
 
-	for _, quantum := range []uint64{64, 257, 1000, 1 << 20} {
-		core, m := newMachine(t, testImage, 1<<20)
-		task := chaseTask(core, m, 0, 400, buildChain(m, 256, 7))
-		e := New(core, DefaultConfig())
-		tk, err := e.NewTicker([]*Task{task}, true)
+// checkSliced checks that the case's ticker sliced at each quantum is
+// byte-identical to the same run unsliced: same stats, same final
+// clock, same memory hierarchy counters, same architectural results.
+// The SMT loop's twin is smt's TestRunnerSlicedEquivalence.
+func checkSliced(t *testing.T, tc slicedCase) {
+	t.Helper()
+	run := func(quantum uint64) (Stats, uint64, mem.Stats, []uint64, int) {
+		core, m := newMachine(t, testImage, tc.mem)
+		var heads []uint64
+		for i := 0; i < tc.n; i++ {
+			heads = append(heads, buildChain(m, 256, tc.seed(i)))
+		}
+		var tasks []*Task
+		for i, head := range heads {
+			tasks = append(tasks, chaseTask(core, m, i, tc.hops, head))
+		}
+		tk, err := tc.ticker(New(core, DefaultConfig()), tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, quanta := runTicker(t, tk, quantum)
+		quanta := drive(t, tk, core, quantum)
+		var results []uint64
+		for _, task := range tasks {
+			results = append(results, task.Ctx.Result)
+		}
+		return tk.Stats(), core.Now, core.Hier.Stats, results, quanta
+	}
+	refSt, refNow, refMem, refRes, _ := run(0)
+	for i, quantum := range tc.quanta {
+		st, now, memSt, res, quanta := run(quantum)
 		if !reflect.DeepEqual(st, refSt) {
 			t.Errorf("quantum %d: stats diverged\n got %+v\nwant %+v", quantum, st, refSt)
 		}
-		if core.Now != refNow || task.Ctx.Result != refRes {
-			t.Errorf("quantum %d: clock/result diverged", quantum)
+		if now != refNow {
+			t.Errorf("quantum %d: clock diverged: %d vs %d", quantum, now, refNow)
 		}
-		if core.Hier.Stats != refMem {
+		if memSt != refMem {
 			t.Errorf("quantum %d: memory stats diverged", quantum)
 		}
-		if quantum == 64 && quanta < 2 {
+		if !reflect.DeepEqual(res, refRes) {
+			t.Errorf("quantum %d: results diverged: %v vs %v", quantum, res, refRes)
+		}
+		if i == 0 && quanta < 2 {
 			t.Errorf("quantum %d: run finished in %d quanta; slicing untested", quantum, quanta)
 		}
 	}
 }
 
+// A ticker sliced at arbitrary cycle deadlines must be byte-identical
+// to the unsliced solo run: the flat loop's budget stop is a fuel split.
+func TestTickerSoloEquivalence(t *testing.T) {
+	checkSliced(t, slicedCase{
+		n: 1, hops: 400, mem: 1 << 20, seed: func(int) int64 { return 7 },
+		ticker: func(e *Executor, ts []*Task) (*Ticker, error) { return e.NewTicker(ts, true) },
+		quanta: []uint64{64, 257, 1000, 1 << 20},
+	})
+}
+
 // Same property for the symmetric discipline, where slicing interacts
 // with yields, context switches, and the rotation order.
 func TestTickerSymmetricEquivalence(t *testing.T) {
-	build := func() (*Executor, []*Task) {
-		core, m := newMachine(t, testImage, 4<<20)
-		var tasks []*Task
-		var heads []uint64
-		for i := 0; i < 6; i++ {
-			heads = append(heads, buildChain(m, 256, 3))
-		}
-		for i := 0; i < 6; i++ {
-			tasks = append(tasks, chaseTask(core, m, i, 300, heads[i]))
-		}
-		return New(core, DefaultConfig()), tasks
-	}
-
-	eRef, refTasks := build()
-	refSt, err := eRef.RunSymmetric(refTasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refNow := eRef.Core.Now
-	refMem := eRef.Core.Hier.Stats
-
-	for _, quantum := range []uint64{64, 509, 4096, 1 << 24} {
-		e, tasks := build()
-		tk, err := e.NewTicker(tasks, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, quanta := runTicker(t, tk, quantum)
-		if !reflect.DeepEqual(st, refSt) {
-			t.Errorf("quantum %d: stats diverged\n got %+v\nwant %+v", quantum, st, refSt)
-		}
-		if e.Core.Now != refNow {
-			t.Errorf("quantum %d: clock diverged: %d vs %d", quantum, e.Core.Now, refNow)
-		}
-		if e.Core.Hier.Stats != refMem {
-			t.Errorf("quantum %d: memory stats diverged", quantum)
-		}
-		for i := range tasks {
-			if tasks[i].Ctx.Result != refTasks[i].Ctx.Result {
-				t.Errorf("quantum %d: task %d result diverged", quantum, i)
-			}
-		}
-		if quantum == 64 && quanta < 2 {
-			t.Error("slicing untested: one quantum sufficed")
-		}
-	}
+	checkSliced(t, slicedCase{
+		n: 6, hops: 300, mem: 4 << 20, seed: func(int) int64 { return 3 },
+		ticker: func(e *Executor, ts []*Task) (*Ticker, error) { return e.NewTicker(ts, false) },
+		quanta: []uint64{64, 509, 4096, 1 << 24},
+	})
 }
 
 func TestTickerValidation(t *testing.T) {
@@ -132,6 +124,12 @@ func TestTickerValidation(t *testing.T) {
 	t1 := chaseTask(core2, m, 1, 1, buildChain(m, 16, 1))
 	if _, err := e2.NewTicker([]*Task{t0, t1}, true); err == nil {
 		t.Error("solo ticker accepted two tasks")
+	}
+	if _, err := e2.NewSMTTicker(nil, 4); err == nil {
+		t.Error("empty SMT task set accepted")
+	}
+	if _, err := e2.NewSMTTicker([]*Task{t0, t1}, 0); err == nil {
+		t.Error("SMT ticker accepted a zero quantum")
 	}
 }
 

@@ -12,6 +12,17 @@ const (
 	NoHorizon  = ^uint64(0)
 )
 
+// Loop is what every scheduling loop — Flat, Asym, SMT — offers its
+// driver. Run advances until the core clock reaches deadline (done=false:
+// call again with a later one) or the source has nothing pending
+// (done=true); a later call picks up exactly where the last stopped, so
+// slicing a run at any deadlines is byte-identical to running it
+// unsliced. Steps is the instructions retired so far.
+type Loop interface {
+	Run(deadline uint64) (done bool, err error)
+	Steps() uint64
+}
+
 // Source is what a scheduling loop asks of whoever feeds it. The loop
 // owns the discipline — who holds the CPU, when to switch — over a ring
 // of entities in which an entity is runnable iff its context has not
@@ -62,8 +73,8 @@ type AsymSource interface {
 	IdleFill() int
 }
 
-// FixedSet is the closed-loop source of the flat and SMT loops: the
-// ring's entities run to halt and the set shrinks to nothing.
+// FixedSet is a Ticker's closed-loop source: the ring's entities run to
+// halt and the set shrinks to nothing.
 type FixedSet struct {
 	// Start is the cycle the run began at; Latencies[i] is how long
 	// after it ring entity i halted (nil = not recorded).

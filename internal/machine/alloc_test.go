@@ -25,6 +25,13 @@ func TestMachineSteadyStateAllocs(t *testing.T) {
 		cfg := exec.Config{Tracer: trace.NewRing(1 << 10), Metrics: &metrics.Registry{}}
 		steadyStateAllocs(t, RunConfig{Spec: spec, Mode: ModeSymmetric, Exec: cfg})
 	})
+	t.Run("smt", func(t *testing.T) {
+		// Two chasers per core: stalls block one context while the
+		// other runs, and the core idles when both wait on memory. SMT
+		// emits no events, so no ring here.
+		spec := workloads.PointerChase{Nodes: 8192, Hops: 1 << 20, Instances: 2}
+		steadyStateAllocs(t, RunConfig{Spec: spec, Mode: ModeSMT, Exec: exec.Config{Metrics: &metrics.Registry{}}})
+	})
 }
 
 // steadyStateAllocs warms a 2-core machine running rc, then requires

@@ -7,7 +7,6 @@ import (
 	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/mem"
-	"repro/internal/smt"
 	"repro/internal/trace"
 )
 
@@ -101,26 +100,22 @@ type Machine struct {
 }
 
 // coreRunner is one simulated core: its harness-built scenario and the
-// engine advancing it.
+// closed-loop run advancing it.
 type coreRunner struct {
 	id   int
 	mach core.Machine
 
 	ts   *core.TaskSet
-	ex   *exec.Executor // owns the cpu.Core either engine drives
-	tick *exec.Ticker   // ModeSymmetric / ModeSolo
-	smt  *smt.Runner    // ModeSMT
+	ex   *exec.Executor // owns the cpu.Core the run drives
+	tick *exec.Ticker
 }
 
-// RunQuantum advances the core's engine to the deadline.
+// RunQuantum advances the core's run to the deadline.
 //
 //shsim:cycle-entry
 //shsim:quantum-phase
 func (c *coreRunner) RunQuantum(deadline uint64) (bool, error) {
-	if c.tick != nil {
-		return c.tick.Run(deadline)
-	}
-	return c.smt.Run(deadline)
+	return c.tick.Run(deadline)
 }
 
 // New builds a many-core machine: per-core harnesses (each core
@@ -165,20 +160,22 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 
 		cfg := rc.Exec
 		cfg.Tracer = trace.OnCore(cfg.Tracer, i)
+		sc := rc.SMT
+		if rc.Mode == ModeSMT {
+			if sc.Contexts == 0 {
+				sc.Contexts = len(ts.Tasks)
+			}
+			if sc, err = sc.Fit(len(ts.Tasks)); err != nil {
+				return nil, fmt.Errorf("machine: core %d: %w", i, err)
+			}
+			cfg.MaxSteps = sc.MaxSteps
+		}
 		c.ex = h.NewExecutor(img, cfg)
 		if m.llc != nil {
 			c.ex.Core.Hier.AttachLLC(m.llc.NewView(i))
 		}
 		if rc.Mode == ModeSMT {
-			ctxs := make([]*coro.Context, len(ts.Tasks))
-			for j, t := range ts.Tasks {
-				ctxs[j] = t.Ctx
-			}
-			smtCfg := rc.SMT
-			if smtCfg.Contexts == 0 {
-				smtCfg.Contexts = len(ctxs)
-			}
-			c.smt, err = smt.NewRunner(c.ex.Core, smtCfg, ctxs)
+			c.tick, err = c.ex.NewSMTTicker(ts.Tasks, sc.Quantum)
 		} else {
 			c.tick, err = c.ex.NewTicker(ts.Tasks, rc.Mode == ModeSolo)
 		}

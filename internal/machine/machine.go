@@ -151,7 +151,7 @@ const (
 	// baseline for scaling measurements.
 	ModeSolo
 	// ModeSMT multiplexes the instances as hardware threads: the
-	// smt.Loop, as smt.Run runs it.
+	// exec.SMT loop, as smt.Run runs it.
 	ModeSMT
 )
 
@@ -179,15 +179,15 @@ type RunConfig struct {
 	// Tasks caps the instances run per core (0 = all of Spec's
 	// instances; ModeSolo always runs exactly one).
 	Tasks int
-	// Exec configures the executor for ModeSymmetric/ModeSolo. Its
-	// Tracer and Metrics observe the whole machine at any core count:
-	// every core emits into the one Tracer, each event stamped with its
-	// core index, and Run fills the one registry with machine-wide
-	// totals. Cores step in core-index order on the caller's goroutine,
-	// so both are deterministic. ModeSMT fills the registry too but
-	// emits no scheduling events.
+	// Exec configures every core's executor. Its Tracer and Metrics
+	// observe the whole machine at any core count: every core emits
+	// into the one Tracer, each event stamped with its core index, and
+	// Run fills the one registry with machine-wide totals. Cores step in
+	// core-index order on the caller's goroutine, so both are
+	// deterministic. ModeSMT emits no scheduling events.
 	Exec exec.Config
-	// SMT configures ModeSMT; a zero Contexts defaults to the task count.
+	// SMT configures ModeSMT, its MaxSteps (not Exec's) the fuel; a zero
+	// Contexts defaults to the task count.
 	SMT smt.Config
 }
 

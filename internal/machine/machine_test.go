@@ -25,67 +25,70 @@ func newSMTCore(t *testing.T, mach core.Machine, h *core.Harness, img *core.Imag
 	return cpu.MustNewCore(mach.CPU, img.Prog, h.Sc.Mem, mem.MustNewHierarchy(mach.Mem))
 }
 
-// A 1-core machine must reproduce the existing single-core engine
-// bit-for-bit: same stats, same hierarchy counters, same trace — the
-// "golden tables still hold" guarantee of the API re-cut.
+// A 1-core machine must reproduce the single-core engine bit-for-bit
+// under every discipline: core 0's stats equal the Harness run's on the
+// same machine, and so do the trace and the registry's core counters —
+// the "golden tables still hold" guarantee of the API re-cut.
 func TestSingleCoreMatchesEngine(t *testing.T) {
-	for _, mode := range []Mode{ModeSymmetric, ModeSolo} {
-		// Reference: the classic harness path, run to completion.
+	for _, tc := range []struct {
+		mode Mode
+		run  func(h *core.Harness, img *core.Image, cfg exec.Config) (exec.Stats, error)
+	}{
+		{ModeSolo, func(h *core.Harness, img *core.Image, cfg exec.Config) (exec.Stats, error) {
+			return h.RunSolo(img, "chase", cfg)
+		}},
+		{ModeSymmetric, func(h *core.Harness, img *core.Image, cfg exec.Config) (exec.Stats, error) {
+			return h.RunSymmetric(img, "chase", 0, cfg)
+		}},
+		// RunSMT observes nothing; SMT emits no events, and
+		// TestSingleCoreSMTMatchesEngine holds its counters.
+		{ModeSMT, func(h *core.Harness, img *core.Image, _ exec.Config) (exec.Stats, error) {
+			return h.RunSMT(img, "chase", smt.Config{Contexts: 4}) // chaseSpec's instances
+		}},
+	} {
 		mach := core.DefaultMachine()
 		h, err := core.NewHarness(mach, chaseSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
-		img := h.Baseline()
-		ring := trace.NewRing(1 << 12)
-		ex := h.NewExecutor(img, exec.Config{Tracer: ring})
-		ts, err := h.Tasks(img, "chase", coro.Primary, map[Mode]int{ModeSymmetric: 0, ModeSolo: 1}[mode])
+		ring, reg := trace.NewRing(1<<12), &metrics.Registry{}
+		refSt, err := tc.run(h, h.Baseline(), exec.Config{Tracer: ring, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var refSt exec.Stats
-		if mode == ModeSolo {
-			refSt, err = ex.RunSolo(ts.Tasks[0])
-		} else {
-			refSt, err = ex.RunSymmetric(ts.Tasks)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		refMem := ex.Core.Hier.Stats
 
-		// Machine path, 1 core, observed through rc.Exec.Tracer.
-		mring := trace.NewRing(1 << 12)
-		m, err := New(Topology{Cores: 1, Machine: core.DefaultMachine()},
-			RunConfig{Spec: chaseSpec(), Mode: mode, Exec: exec.Config{Tracer: mring}})
+		mring, mreg := trace.NewRing(1<<12), &metrics.Registry{}
+		m, err := New(Topology{Cores: 1, Machine: mach},
+			RunConfig{Spec: chaseSpec(), Mode: tc.mode, Exec: exec.Config{Tracer: mring, Metrics: mreg}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st, err := m.Run()
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("mode %v: %v", tc.mode, err)
 		}
 		if len(st.Cores) != 1 {
-			t.Fatalf("mode %v: %d core sections", mode, len(st.Cores))
+			t.Fatalf("mode %v: %d core sections", tc.mode, len(st.Cores))
 		}
 		if !reflect.DeepEqual(st.Cores[0].Exec, refSt) {
-			t.Errorf("mode %v: stats diverged from engine\n got %+v\nwant %+v", mode, st.Cores[0].Exec, refSt)
+			t.Errorf("mode %v: stats diverged from engine\n got %+v\nwant %+v", tc.mode, st.Cores[0].Exec, refSt)
 		}
-		if st.Cores[0].Mem != refMem {
-			t.Errorf("mode %v: hierarchy counters diverged", mode)
+		if tc.mode != ModeSMT && (mreg.Mem != reg.Mem || mreg.CPU != reg.CPU) {
+			t.Errorf("mode %v: core counters diverged", tc.mode)
 		}
 		if st.LLC != (mem.LLCStats{}) {
-			t.Errorf("mode %v: 1-core machine used the shared LLC: %+v", mode, st.LLC)
+			t.Errorf("mode %v: 1-core machine used the shared LLC: %+v", tc.mode, st.LLC)
 		}
 		got, want := mring.Events(), ring.Events()
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("mode %v: traces diverged (%d vs %d events)", mode, len(got), len(want))
+			t.Errorf("mode %v: traces diverged (%d vs %d events)", tc.mode, len(got), len(want))
 		}
 	}
 }
 
-// ModeSMT under the kernel must match the classic smt.Run discipline on
-// a single core.
+// ModeSMT under the kernel must match smt.Run on a single core, down to
+// the hierarchy's counters, and keep the SMT accounting law: every
+// cycle is busy or every context sat blocked, Busy + Stall == Cycles.
 func TestSingleCoreSMTMatchesEngine(t *testing.T) {
 	mach := core.DefaultMachine()
 	h, err := core.NewHarness(mach, chaseSpec())
@@ -115,8 +118,15 @@ func TestSingleCoreSMTMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(st.Cores[0].SMT, refSt) {
-		t.Errorf("SMT stats diverged\n got %+v\nwant %+v", st.Cores[0].SMT, refSt)
+	cs := st.Cores[0]
+	if !reflect.DeepEqual(cs.Exec, refSt) {
+		t.Errorf("SMT stats diverged\n got %+v\nwant %+v", cs.Exec, refSt)
+	}
+	if cs.Mem != cpuCore.Hier.Stats {
+		t.Error("SMT hierarchy counters diverged")
+	}
+	if cs.Exec.Stall == 0 || cs.Exec.Busy+cs.Exec.Stall != cs.Exec.Cycles {
+		t.Errorf("SMT accounting: busy %d + stall %d != %d cycles", cs.Exec.Busy, cs.Exec.Stall, cs.Exec.Cycles)
 	}
 }
 
@@ -187,8 +197,8 @@ func TestMultiCoreRuns(t *testing.T) {
 }
 
 // The shared registry must record every core's request completion
-// latencies under the resumable engines — exec.Ticker for the coroutine
-// modes and smt.Runner for ModeSMT — so many-core service runs report
+// latencies under the one resumable closed-loop run, exec.Ticker, in
+// every mode — so many-core service runs report
 // latencies exactly like the classic single-core paths do.
 func TestManyCoreRequestLatencyMetrics(t *testing.T) {
 	for _, mode := range []Mode{ModeSymmetric, ModeSMT} {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/mem"
 	"repro/internal/metrics"
-	"repro/internal/smt"
 )
 
 // CoreStats is one core's view of the run. Observation is
@@ -15,19 +14,10 @@ type CoreStats struct {
 	// core's scenario was composed with.
 	Core int
 	Seed int64
-	// Exec is filled for ModeSymmetric/ModeSolo, SMT for ModeSMT.
+	// Exec is the core's run statistics under any discipline.
 	Exec exec.Stats
-	SMT  smt.Stats
 	// Mem is the private hierarchy's counter block.
 	Mem mem.Stats
-}
-
-// Cycles returns the core's wall-cycle count under either discipline.
-func (cs *CoreStats) Cycles() uint64 {
-	if cs.SMT.Cycles > cs.Exec.Cycles {
-		return cs.SMT.Cycles
-	}
-	return cs.Exec.Cycles
 }
 
 // Stats aggregates a many-core run: per-core sections in core-index
@@ -43,8 +33,7 @@ type Stats struct {
 	// which run the private three-level hierarchy).
 	LLC mem.LLCStats
 	// Aggregate sums the per-core work: Busy/Stall/Retired/Switches/
-	// Halted are totals, Cycles mirrors the machine-level maximum, and
-	// SMT idle time is folded into Stall.
+	// Halted are totals and Cycles mirrors the machine-level maximum.
 	Aggregate exec.Stats
 }
 
@@ -58,35 +47,24 @@ func (m *Machine) stats() Stats {
 	}
 	reg := m.rc.Exec.Metrics
 	for _, c := range m.cores {
-		cs := CoreStats{Core: c.id, Seed: c.mach.Seed}
-		var latencies []uint64
-		if c.tick != nil {
-			cs.Exec = c.tick.Stats()
-			latencies = cs.Exec.Latencies
-		} else {
-			cs.SMT = c.smt.Stats()
-			latencies = cs.SMT.Latencies
-		}
-		cs.Mem = c.ex.Core.Hier.Stats
+		cs := CoreStats{Core: c.id, Seed: c.mach.Seed, Exec: c.tick.Stats(), Mem: c.ex.Core.Hier.Stats}
 		st.Cores = append(st.Cores, cs)
 		if reg != nil && !m.folded {
 			// Folded once, however often Run is called. Many-core runs
 			// report request latencies: one request per task, its
 			// latency the halt time. Solo runs record none.
 			c.ex.CaptureMetrics()
-			for _, l := range latencies {
+			for _, l := range cs.Exec.Latencies {
 				reg.Sched.Requests++
 				reg.Sched.RequestLatency.Observe(l)
 			}
 		}
 
-		if cy := cs.Cycles(); cy > st.Cycles {
-			st.Cycles = cy
-		}
-		st.Aggregate.Busy += cs.Exec.Busy + cs.SMT.Busy
-		st.Aggregate.Stall += cs.Exec.Stall + cs.SMT.Idle
+		st.Cycles = max(st.Cycles, cs.Exec.Cycles)
+		st.Aggregate.Busy += cs.Exec.Busy
+		st.Aggregate.Stall += cs.Exec.Stall
 		st.Aggregate.Switch += cs.Exec.Switch
-		st.Aggregate.Retired += cs.Exec.Retired + cs.SMT.Retired
+		st.Aggregate.Retired += cs.Exec.Retired
 		st.Aggregate.Switches += cs.Exec.Switches
 		st.Aggregate.Halted += cs.Exec.Halted
 	}

@@ -36,13 +36,6 @@ type batchTask struct {
 	inst  int // instance currently armed
 }
 
-// engine is the scheduling loop a cell's policy selects: exec.Flat,
-// exec.Asym or smt.Loop.
-type engine interface {
-	Run(deadline uint64) (done bool, err error)
-	Steps() uint64
-}
-
 // cell is one (policy, rate) point of the sweep: a pure single-threaded
 // simulation over its own harness, executor and request ledger. It is
 // the open-loop source (exec.AsymSource) of its policy's scheduling
@@ -56,7 +49,7 @@ type cell struct {
 	rate float64
 
 	ex   *exec.Executor
-	loop engine
+	loop exec.Loop // exec.Flat, exec.Asym or exec.SMT, as the policy selects
 
 	// led is the cell's request ledger, kept whether or not anything
 	// observes the cell: the sojourn histogram IS the output. summarize
@@ -237,13 +230,7 @@ func newCell(mach core.Machine, cfg Config, cl Cell, obs exec.Config, withArriva
 		// Slots and batch contexts multiplex the core as hardware threads
 		// with zero software cost and zero notion of request priority
 		// (the paper's §1 critique).
-		ctxs := make([]*coro.Context, len(ring))
-		for i, t := range ring {
-			ctxs[i] = t.Ctx
-		}
-		if c.loop, err = smt.NewLoop(c.ex.Core, smt.Config{Contexts: len(ctxs), MaxSteps: cfg.MaxSteps}, ctxs, c); err != nil {
-			return nil, err
-		}
+		c.loop = c.ex.NewSMT(ring, smt.DefaultConfig().Quantum, c)
 	default:
 		return nil, fmt.Errorf("service: unknown policy %d", uint8(cl.Policy))
 	}

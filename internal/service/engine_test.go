@@ -21,7 +21,7 @@ import (
 // to the same cell run unsliced, for every policy: the loops' budget
 // stop is a fuel split and everything that must survive the cut (CPU
 // holder, open episode, SMT slice and wake-ups) lives on the loop. The
-// closed-loop twins are exec's TestTickerSymmetricEquivalence and smt's
+// closed-loop twins are exec's TestTicker*Equivalence and smt's
 // TestRunnerSlicedEquivalence.
 func TestServeSlicedEquivalence(t *testing.T) {
 	cfg, err := testConfig().Normalized()
@@ -363,7 +363,7 @@ func TestServeCellsSkipBatchLaps(t *testing.T) {
 	}
 }
 
-// The same for the smt loop (smt.RoundStats): on the benchmark's two
+// The same for the SMT loop (exec.RoundStats): on the benchmark's two
 // serve-1core smt cells, 4 and 8 req/µs, the rounds in which only the two
 // batch loops are runnable — taking turns a 4-cycle lap at a time — are
 // retired in closed form, not slice by slice. The counts are logged (go
@@ -392,7 +392,7 @@ func TestServeSMTCellSkipsRounds(t *testing.T) {
 		if err := c.run(exec.NoDeadline); err != nil {
 			t.Fatal(err)
 		}
-		rs := c.loop.(*smt.Loop).RoundStats()
+		rs := c.loop.(*exec.SMT).RoundStats()
 		t.Logf("smt@%g, %d requests: %d instructions, %d single slices, %d skips retiring %d rounds (%d slices)",
 			tc.rate, cfg.Requests, c.loop.Steps(), rs.Slices, rs.Skips, rs.Rounds, rs.SkippedSlices)
 		if share := float64(rs.SkippedSlices) / float64(rs.Slices+rs.SkippedSlices); share < tc.minShare {

@@ -16,13 +16,13 @@ import (
 )
 
 // This file is the differential proof for whole rounds retired in closed
-// form (Loop.skipRounds). A scenario — hardware threads in counting loops
+// form (exec.SMT's skipRounds). A scenario — hardware threads in counting loops
 // and pointer chasers, started anywhere in their laps, under one quantum
 // and one cost table — runs on two cores: one with the superblock tier,
 // whose counting loops carry lap summaries, so quiet rounds are skipped;
 // one with its traces cleared, which has no summaries and so no skip: the
 // per-slice reference. Both must end identical: the run's
-// error, Stats and clock, every context (pc, registers, flags, busy
+// error, exec.Stats and clock, every context (pc, registers, flags, busy
 // cycles, retired instructions), every per-PC counter and, under the
 // serve-style source, the cycle of every halt.
 
@@ -174,16 +174,16 @@ func (r *recorder) OnBranch(e cpu.BranchEvent) { r.branches = append(r.branches,
 // and what the loop counted.
 type roundRun struct {
 	err      string
-	st       Stats
+	st       exec.Stats
 	now      uint64
 	ctxs     []coro.Context
 	counters cpu.Counters
 	halts    []uint64
 	events   *recorder
-	rounds   RoundStats
+	rounds   exec.RoundStats
 }
 
-func outcome(core *cpu.Core, ctxs []*coro.Context, err error, st Stats, halts []uint64, events *recorder, l *Loop) roundRun {
+func outcome(core *cpu.Core, ctxs []*coro.Context, err error, st exec.Stats, halts []uint64, events *recorder, l *exec.SMT) roundRun {
 	r := roundRun{st: st, now: core.Now, counters: *core.Counters, halts: halts, events: events, rounds: l.RoundStats()}
 	if err != nil {
 		r.err = err.Error()
@@ -219,7 +219,7 @@ func (r roundRun) diff(ref roundRun) string {
 }
 
 // drive runs l to the end: in one call, or cut at deadlines cuts draws.
-func drive(l *Loop, core *cpu.Core, cuts *rand.Rand) error {
+func drive(l exec.Loop, core *cpu.Core, cuts *rand.Rand) error {
 	if cuts == nil {
 		_, err := l.Run(exec.NoDeadline)
 		return err
@@ -232,22 +232,31 @@ func drive(l *Loop, core *cpu.Core, cuts *rand.Rand) error {
 	}
 }
 
-// runFixed runs the threads to their halts as a Runner over a FixedSet.
+// runFixed runs the threads to their halts as a Ticker over a FixedSet.
 func (s *roundScenario) runFixed(t *testing.T, super bool, cuts *rand.Rand) roundRun {
 	t.Helper()
 	core, ctxs, arm, rec := s.machine(super)
 	for i, th := range s.threads {
 		arm(ctxs[i], th)
 	}
-	rn, err := NewRunner(core, Config{Contexts: len(ctxs), Quantum: s.quantum, MaxSteps: s.fuel}, ctxs)
+	tk, err := exec.New(core, exec.Config{MaxSteps: s.fuel}).NewSMTTicker(tasks(ctxs), s.quantum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = drive(&rn.Loop, core, cuts)
-	return outcome(core, ctxs, err, rn.Stats(), nil, rec, &rn.Loop)
+	err = drive(tk, core, cuts)
+	return outcome(core, ctxs, err, tk.Stats(), nil, rec, tk.Loop.(*exec.SMT))
 }
 
-// runServe runs a Loop fed by rearming until every request has halted.
+// tasks wraps contexts as exec tasks, leaving their modes alone.
+func tasks(ctxs []*coro.Context) []*exec.Task {
+	var ts []*exec.Task
+	for _, ctx := range ctxs {
+		ts = append(ts, &exec.Task{Ctx: ctx})
+	}
+	return ts
+}
+
+// runServe runs an SMT loop fed by rearming until every request has halted.
 func (s *roundScenario) runServe(t *testing.T, super bool, cuts *rand.Rand) roundRun {
 	t.Helper()
 	core, ctxs, arm, rec := s.machine(super)
@@ -259,12 +268,9 @@ func (s *roundScenario) runServe(t *testing.T, super bool, cuts *rand.Rand) roun
 			arm(ctx, s.threads[i])
 		}
 	}
-	l, err := NewLoop(core, Config{Contexts: len(ctxs), Quantum: s.quantum, MaxSteps: s.fuel}, ctxs, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = drive(l, core, cuts)
-	return outcome(core, ctxs, err, Stats{}, src.halts, rec, l)
+	l := exec.New(core, exec.Config{MaxSteps: s.fuel}).NewSMT(tasks(ctxs), s.quantum, src)
+	err := drive(l, core, cuts)
+	return outcome(core, ctxs, err, exec.Stats{}, src.halts, rec, l)
 }
 
 // rearming is a serve-style source, internal/service's cell in miniature:
@@ -442,7 +448,7 @@ func drawRoundScenario(rng *rand.Rand) *roundScenario {
 // core and, unsliced and cut at drawn deadlines, on the core under test,
 // and returns what the latter counted: whole[0] over the unsliced runs,
 // whole[1] over the cut ones.
-func (s *roundScenario) check(t *testing.T, label string, cutSeed int64) (whole [2]RoundStats) {
+func (s *roundScenario) check(t *testing.T, label string, cutSeed int64) (whole [2]exec.RoundStats) {
 	t.Helper()
 	for _, serve := range []bool{false, true} {
 		run := s.runFixed
@@ -458,13 +464,13 @@ func (s *roundScenario) check(t *testing.T, label string, cutSeed int64) (whole 
 			if d := got.diff(ref); d != "" {
 				t.Fatalf("%s (serve-style %v, cut %v): %s\n%v", label, serve, cuts != nil, d, s)
 			}
-			whole[cut].add(got.rounds)
+			addRounds(&whole[cut], got.rounds)
 		}
 	}
 	return whole
 }
 
-func (a *RoundStats) add(b RoundStats) {
+func addRounds(a *exec.RoundStats, b exec.RoundStats) {
 	a.Slices += b.Slices
 	a.Skips += b.Skips
 	a.Rounds += b.Rounds
@@ -483,11 +489,11 @@ func TestRoundsMatchPerSliceReference(t *testing.T) {
 	if testing.Short() {
 		n = 50
 	}
-	var total [2]RoundStats
+	var total [2]exec.RoundStats
 	for i := 0; i < n; i++ {
 		st := drawRoundScenario(rng).check(t, fmt.Sprintf("scenario %d", i), int64(i))
-		total[0].add(st[0])
-		total[1].add(st[1])
+		addRounds(&total[0], st[0])
+		addRounds(&total[1], st[1])
 	}
 	for cut, st := range total {
 		if st.Skips == 0 {
@@ -575,7 +581,7 @@ func TestRoundsLastLapBeforeTheWrap(t *testing.T) {
 	}
 }
 
-// TestRoundsSliceCarry pins the slice carry the Loop doc describes. A
+// TestRoundsSliceCarry pins the slice carry the exec.SMT doc describes. A
 // batch loop holds the core alone; an arrival at cycle 13 clips its
 // second 8-cycle slice after 5 cycles, and the slot it arms — ahead of the
 // batch loop in scan order — inherits the 3 cycles left of that slice, not

@@ -5,38 +5,40 @@ import (
 	"testing"
 
 	"repro/internal/coro"
+	"repro/internal/exec"
 )
 
-// A Runner driven in fixed cycle quanta must be byte-identical to the
-// run-to-completion Run: same stats, same final clock, same memory
-// counters, same architectural results — the block engine's busy-budget
-// stop is a fuel split, and the idle advance splits losslessly because
-// the remaining wait is re-derived from blockedUntil.
+// The SMT loop driven in fixed cycle quanta through the closed-loop
+// runner (exec.Ticker) must be byte-identical to the run-to-completion
+// Run: same stats, same final clock, same memory counters, same
+// architectural results — the block engine's busy-budget stop is a fuel
+// split, and the idle advance splits losslessly because the remaining
+// wait is re-derived from the wake-ups. The flat loops' twins are
+// exec's TestTickerSoloEquivalence and TestTickerSymmetricEquivalence.
 func TestRunnerSlicedEquivalence(t *testing.T) {
-	build := func() (st Stats, now uint64, results []uint64) {
-		core, m := machine(t)
-		var ctxs []*coro.Context
-		for i := 0; i < 4; i++ {
-			ctxs = append(ctxs, chaser(m, i, 300, buildChain(m, 256, int64(30+i))))
-		}
-		st, err := Run(core, Config{Contexts: 4, MaxSteps: 1 << 24}, ctxs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range ctxs {
-			results = append(results, c.Result)
-		}
-		return st, core.Now, results
+	cfg := Config{Contexts: 4, MaxSteps: 1 << 24}
+	refCore, refM := machine(t)
+	var refCtxs []*coro.Context
+	for i := 0; i < 4; i++ {
+		refCtxs = append(refCtxs, chaser(refM, i, 300, buildChain(refM, 256, int64(30+i))))
 	}
-	refSt, refNow, refRes := build()
+	refSt, err := Run(refCore, cfg, refCtxs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refMem := refCore.Hier.Stats
 
 	for _, quantum := range []uint64{32, 257, 2048, 1 << 24} {
 		core, m := machine(t)
-		var ctxs []*coro.Context
+		var tasks []*exec.Task
 		for i := 0; i < 4; i++ {
-			ctxs = append(ctxs, chaser(m, i, 300, buildChain(m, 256, int64(30+i))))
+			tasks = append(tasks, &exec.Task{Ctx: chaser(m, i, 300, buildChain(m, 256, int64(30+i)))})
 		}
-		rn, err := NewRunner(core, Config{Contexts: 4, MaxSteps: 1 << 24}, ctxs)
+		fit, err := cfg.Fit(len(tasks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := exec.New(core, exec.Config{MaxSteps: fit.MaxSteps}).NewSMTTicker(tasks, fit.Quantum)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +46,7 @@ func TestRunnerSlicedEquivalence(t *testing.T) {
 		quanta := 0
 		for {
 			deadline += quantum
-			done, err := rn.Run(deadline)
+			done, err := tk.Run(deadline)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,18 +58,17 @@ func TestRunnerSlicedEquivalence(t *testing.T) {
 				t.Fatal("runner did not converge")
 			}
 		}
-		if !rn.Done() {
-			t.Fatal("Done() false after completion")
-		}
-		st := rn.Stats()
-		if !reflect.DeepEqual(st, refSt) {
+		if st := tk.Stats(); !reflect.DeepEqual(st, refSt) {
 			t.Errorf("quantum %d: stats diverged\n got %+v\nwant %+v", quantum, st, refSt)
 		}
-		if core.Now != refNow {
-			t.Errorf("quantum %d: clock diverged: %d vs %d", quantum, core.Now, refNow)
+		if core.Now != refCore.Now {
+			t.Errorf("quantum %d: clock diverged: %d vs %d", quantum, core.Now, refCore.Now)
 		}
-		for i, c := range ctxs {
-			if c.Result != refRes[i] {
+		if core.Hier.Stats != refMem {
+			t.Errorf("quantum %d: memory stats diverged", quantum)
+		}
+		for i, task := range tasks {
+			if task.Ctx.Result != refCtxs[i].Result {
 				t.Errorf("quantum %d: context %d result diverged", quantum, i)
 			}
 		}
@@ -77,16 +78,28 @@ func TestRunnerSlicedEquivalence(t *testing.T) {
 	}
 }
 
+// Config.Fit is the check every SMT runner's caller makes before
+// building the loop: it refuses what NewSMTTicker cannot run as
+// hardware threads and fills the zero knobs with DefaultConfig's.
 func TestRunnerValidation(t *testing.T) {
-	core, m := machine(t)
-	ctx := chaser(m, 0, 1, buildChain(m, 16, 1))
-	if _, err := NewRunner(core, Config{Contexts: 0}, []*coro.Context{ctx}); err == nil {
+	if _, err := (Config{Contexts: 0}).Fit(1); err == nil {
 		t.Error("zero contexts accepted")
 	}
-	if _, err := NewRunner(core, Config{Contexts: 2}, nil); err == nil {
+	if _, err := (Config{Contexts: 2}).Fit(0); err == nil {
 		t.Error("empty context list accepted")
 	}
-	if _, err := NewRunner(core, Config{Contexts: 1}, []*coro.Context{ctx, ctx}); err == nil {
+	if _, err := (Config{Contexts: 1}).Fit(2); err == nil {
 		t.Error("oversubscription accepted")
+	}
+	def := DefaultConfig()
+	got, err := (Config{Contexts: 4}).Fit(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Config{Contexts: 4, Quantum: def.Quantum, MaxSteps: def.MaxSteps}); got != want {
+		t.Errorf("defaults not filled: got %+v, want %+v", got, want)
+	}
+	if got, _ := (Config{Contexts: 2, Quantum: 9, MaxSteps: 100}).Fit(1); got.Quantum != 9 || got.MaxSteps != 100 {
+		t.Errorf("explicit knobs overridden: %+v", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/coro"
 	"repro/internal/cpu"
+	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -54,7 +55,7 @@ func chaser(m *mem.Memory, id int, iters int64, head uint64) *coro.Context {
 	return ctx
 }
 
-func run(t *testing.T, k int, nthreads int) Stats {
+func run(t *testing.T, k int, nthreads int) exec.Stats {
 	t.Helper()
 	core, m := machine(t)
 	var ctxs []*coro.Context
@@ -78,7 +79,7 @@ func TestSingleContextExposesStalls(t *testing.T) {
 	if st.Efficiency() > 0.3 {
 		t.Errorf("1-context chase efficiency %.2f, want low", st.Efficiency())
 	}
-	if st.Idle == 0 {
+	if st.Stall == 0 {
 		t.Error("single context should idle on every miss")
 	}
 }
@@ -112,7 +113,7 @@ func TestLatencyInflationForComputeBoundPeers(t *testing.T) {
         jgt main
         halt
     `)
-	runCompute := func(n int) Stats {
+	runCompute := func(n int) exec.Stats {
 		m := mem.NewMemory(1 << 20)
 		core := cpu.MustNewCore(cpu.DefaultConfig(), prog, m, mem.MustNewHierarchy(tinyCaches()))
 		var ctxs []*coro.Context
