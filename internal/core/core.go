@@ -97,21 +97,45 @@ type Harness struct {
 	Sc   *workloads.Scenario
 }
 
-// NewHarness composes the specs on the machine. It rejects a machine
-// whose hierarchy or core configuration is invalid, so that every core
-// the harness builds later can be built.
-func NewHarness(mach Machine, specs ...workloads.Spec) (*Harness, error) {
-	if err := mach.Mem.Validate(); err != nil {
-		return nil, fmt.Errorf("core: machine: %w", err)
+// Validate rejects a machine whose hierarchy or core configuration is
+// invalid, so that every core a harness builds on it can be built.
+func (m Machine) Validate() error {
+	if err := m.Mem.Validate(); err != nil {
+		return fmt.Errorf("core: machine: %w", err)
 	}
-	if err := mach.CPU.Validate(); err != nil {
-		return nil, fmt.Errorf("core: machine: %w", err)
+	if err := m.CPU.Validate(); err != nil {
+		return fmt.Errorf("core: machine: %w", err)
+	}
+	return nil
+}
+
+// NewHarness composes the specs on the machine, which must be valid
+// (Machine.Validate).
+func NewHarness(mach Machine, specs ...workloads.Spec) (*Harness, error) {
+	if err := mach.Validate(); err != nil {
+		return nil, err
 	}
 	sc, err := workloads.Compose(mach.MemBytes, mach.Seed, specs...)
 	if err != nil {
 		return nil, err
 	}
 	return &Harness{Mach: mach, Sc: sc}, nil
+}
+
+// On returns a harness over the same scenario on another machine, so a
+// job that varies the platform composes its image once. Runs on either
+// harness share the scenario's memory image, as runs on one harness
+// always do. The machine must be valid and keep MemBytes and Seed, the
+// two fields that fix the composed image.
+func (h *Harness) On(m Machine) (*Harness, error) {
+	if m.MemBytes != h.Mach.MemBytes || m.Seed != h.Mach.Seed {
+		return nil, fmt.Errorf("core: harness composed at MemBytes %d, Seed %d cannot run on MemBytes %d, Seed %d",
+			h.Mach.MemBytes, h.Mach.Seed, m.MemBytes, m.Seed)
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return &Harness{Mach: m, Sc: h.Sc}, nil
 }
 
 // Image is a (possibly instrumented) executable program over the

@@ -170,7 +170,7 @@ func assertRigsEqual(t *testing.T, label string, a, b *engineRig) {
 	if ma != mb {
 		t.Fatalf("%s: hierarchy metrics divergence:\n %+v\n %+v", label, ma, mb)
 	}
-	sa, sb := a.m.Snapshot(), b.m.Snapshot()
+	sa, sb := memImage(a.m), memImage(b.m)
 	for i := range sa {
 		if sa[i] != sb[i] {
 			t.Fatalf("%s: memory divergence at %#x", label, i)

@@ -104,7 +104,7 @@ func diffAgainstReference(t *testing.T, label string, prog *isa.Program, initReg
 	if err := isa.RefRun(prog, want, ref.m, 1<<20); err != nil {
 		t.Fatalf("%s: reference: %v\n%s", label, err, isa.Disassemble(prog))
 	}
-	wantMem := ref.m.Snapshot()
+	wantMem := memImage(ref.m)
 	var rigs []*engineRig
 	for _, tier := range allTiers {
 		r := newEngineRig(prog, initRegs, arena)
@@ -121,7 +121,7 @@ func diffAgainstReference(t *testing.T, label string, prog *isa.Program, initReg
 		case r.ctx.Flags != want.Flags:
 			t.Fatalf("%s on the %v tier: flags %d != reference %d", label, tier, r.ctx.Flags, want.Flags)
 		}
-		for i, b := range r.m.Snapshot() {
+		for i, b := range memImage(r.m) {
 			if b != wantMem[i] {
 				t.Fatalf("%s on the %v tier: memory diverges at %#x", label, tier, i)
 			}

@@ -22,10 +22,16 @@ func E16Accelerator(mach Machine) (*Result, error) {
 	res.Tables = append(res.Tables, tbl)
 
 	const n = 8
+	// The latency is the core's, not the image's: one composition serves
+	// every latency.
+	composed, err := NewHarness(mach, workloads.AccelStream{Blocks: 1500, Pad: 8, Instances: n})
+	if err != nil {
+		return nil, err
+	}
 	for _, lat := range []uint64{150, 450, 1500} {
 		m := mach
 		m.CPU.AccelLatency = lat
-		h, err := NewHarness(m, workloads.AccelStream{Blocks: 1500, Pad: 8, Instances: n})
+		h, err := composed.On(m)
 		if err != nil {
 			return nil, err
 		}

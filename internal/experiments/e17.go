@@ -26,12 +26,18 @@ func E17PrefetcherInteraction(mach Machine) (*Result, error) {
 		workloads.PointerChase{Nodes: 8192, Hops: 1500, Instances: n}, // irregular: software territory
 	}
 	for _, spec := range kinds {
+		// The prefetcher is the hierarchy's, not the image's: one
+		// composition per kind serves both settings.
+		composed, err := NewHarness(mach, spec)
+		if err != nil {
+			return nil, err
+		}
 		for _, hw := range []bool{true, false} {
 			m := mach
 			if !hw {
 				m.Mem.HWPrefetchDistance = 0
 			}
-			h, err := NewHarness(m, spec)
+			h, err := composed.On(m)
 			if err != nil {
 				return nil, err
 			}

@@ -56,35 +56,23 @@ func TestMemoryAllocExhaustionPanics(t *testing.T) {
 	m.Alloc(1<<20, 8)
 }
 
-func TestMemorySnapshot(t *testing.T) {
-	m := NewMemory(1 << 12)
-	a := m.Alloc(16, 8)
-	m.MustWrite64(a, 42)
-	snap := m.Snapshot()
-	m.MustWrite64(a, 99)
-	if uint64(len(snap)) != m.Brk() {
-		t.Errorf("snapshot length %d != brk %d", len(snap), m.Brk())
-	}
-	snap2 := m.Snapshot()
-	if snap[a] == snap2[a] {
-		t.Error("snapshot should be a copy, not a view")
-	}
-}
-
 // TestHostPrefetchIsOnlyAHint prefetches at the edges of the backing,
-// the image and the address space: nothing panics, faults or changes.
+// the pages, the image and the address space: nothing panics, faults or
+// changes.
 func TestHostPrefetchIsOnlyAHint(t *testing.T) {
-	m := NewMemory(1 << 16)
+	m := NewMemory(1 << 20)
 	a := m.Alloc(256, 8)
 	m.MustWrite64(a, 42)
-	brk, size, backing, snap := m.Brk(), m.Size(), len(m.data), m.Snapshot()
-	for _, addr := range []uint64{0, 8, uint64(backing) - 1, uint64(backing), size, 1 << 63, ^uint64(0)} {
+	m.MustWrite64(1<<18, 7)
+	brk, size, backing, snap := m.Brk(), m.Size(), backedBytes(m), snapshot(m)
+	end := uint64(len(m.pages[0]))
+	for _, addr := range []uint64{0, 7, 8, end - 1, end, pageSize - 8, pageSize - 1, pageSize, 1 << 18, size, 1 << 63, ^uint64(0)} {
 		m.HostPrefetch(addr)
 	}
-	if m.Brk() != brk || m.Size() != size || len(m.data) != backing {
-		t.Errorf("brk/size/backing moved: %d/%d/%d, want %d/%d/%d", m.Brk(), m.Size(), len(m.data), brk, size, backing)
+	if m.Brk() != brk || m.Size() != size || backedBytes(m) != backing {
+		t.Errorf("brk/size/backing moved: %d/%d/%d, want %d/%d/%d", m.Brk(), m.Size(), backedBytes(m), brk, size, backing)
 	}
-	if !bytes.Equal(m.Snapshot(), snap) {
+	if !bytes.Equal(snapshot(m), snap) {
 		t.Error("HostPrefetch changed the image")
 	}
 }
