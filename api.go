@@ -21,6 +21,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pebs"
 	"repro/internal/profile"
+	"repro/internal/service"
 	"repro/internal/sfi"
 	"repro/internal/smt"
 	"repro/internal/workloads"
@@ -129,6 +130,12 @@ type (
 // SMTRun multiplexes contexts on a core under the SMT baseline model;
 // its ExecStats' Stall is the time every context sat blocked.
 var SMTRun = smt.Run
+
+// DrainRequests runs requests and batch tasks on an executor under one
+// §4.2 software policy (agnostic, sidecar or event-aware) until every
+// request has completed; ExecStats.Latencies[i] is request i's
+// completion cycle.
+var DrainRequests = service.Drain
 
 // SFIHarden inserts software-fault-isolation guards into a program.
 var SFIHarden = sfi.Harden

@@ -34,7 +34,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/runner"
-	_ "repro/internal/service" // registers E21 (open-loop multi-core serving)
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )

@@ -491,7 +491,7 @@ func runSweep(w io.Writer, o options) error {
 	var jobs []runner.Job
 	for i := 0; i < o.sw.Seeds; i++ {
 		mach := core.DefaultMachine()
-		mach.Seed = o.wf.Seed + int64(i)*7919
+		mach.Seed = o.wf.Seed + int64(i)*runner.SeedStride
 		job := runner.Job{ID: id, Mach: mach,
 			Run: func(m core.Machine) (*experiments.Result, error) {
 				if ob.ring != nil {

@@ -18,7 +18,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"slices"
 	"sort"
 
 	"repro"
@@ -67,7 +66,7 @@ func main() {
 	fmt.Printf("%-12s %14s %14s %14s %12s\n",
 		"policy", "mean_latency", "p95_latency", "drain_cycles", "efficiency")
 
-	for _, policy := range []string{"agnostic", "sidecar", "event-aware"} {
+	for _, policy := range []repro.ServicePolicy{repro.PolicyAgnostic, repro.PolicySidecar, repro.PolicyEventAware} {
 		reqs, err := h.Tasks(img, "skiplist", repro.Primary, nRequests)
 		if err != nil {
 			log.Fatal(err)
@@ -76,7 +75,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := runPolicy(h.NewExecutor(img, repro.ExecConfig{}), policy, reqs.Tasks, batch.Tasks)
+		st, err := repro.DrainRequests(h.NewExecutor(img, repro.ExecConfig{}), policy, reqs.Tasks, batch.Tasks)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -100,43 +99,4 @@ func main() {
 
 	fmt.Println("\nall three policies served byte-identical results; only the scheduling")
 	fmt.Println("of miss shadows differs — the paper's §4.2 integration question")
-}
-
-// runPolicy serves the requests and runs the analytics on ex under one
-// policy until every request has completed. Latencies[i] is request
-// i's completion cycle from the start; Cycles and Busy cover the whole
-// drain. Under sidecar and event-aware a request already finished in
-// an earlier request's shadows completes at the end of that run.
-func runPolicy(ex *repro.Executor, policy string, reqs, batch []*repro.Task) (repro.ExecStats, error) {
-	start := ex.Core.Now
-	st := repro.ExecStats{Latencies: make([]uint64, len(reqs))}
-	if policy == "agnostic" {
-		sym, err := ex.RunSymmetric(slices.Concat(reqs, batch))
-		if err != nil {
-			return st, err
-		}
-		copy(st.Latencies, sym.Latencies)
-	}
-	for i, req := range reqs {
-		if policy != "agnostic" && !req.Ctx.Halted {
-			pool := slices.Clone(batch)
-			if policy == "event-aware" {
-				pool = slices.Concat(reqs[i+1:], batch)
-			}
-			pool = slices.DeleteFunc(pool, func(t *repro.Task) bool { return t.Ctx.Halted })
-			if _, err := ex.RunDualMode(req, pool); err != nil {
-				return st, err
-			}
-		}
-		for j, r := range reqs {
-			if r.Ctx.Halted && st.Latencies[j] == 0 {
-				st.Latencies[j] = ex.Core.Now - start
-			}
-		}
-	}
-	st.Cycles = ex.Core.Now - start
-	for _, t := range slices.Concat(reqs, batch) {
-		st.Busy += t.Ctx.BusyCycles
-	}
-	return st, nil
 }

@@ -1,19 +1,12 @@
-package service
+package experiments
 
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/machine"
+	"repro/internal/service"
 	"repro/internal/stats"
 )
-
-// E21 lives here rather than in internal/experiments because the
-// experiment harness cannot import the service package (service
-// imports experiments for the Result type); the registry hook runs the
-// dependency the other way.
-func init() { experiments.Register("E21", E21OpenLoopScaling) }
 
 // E21 sweep shape: offered loads spanning under- to over-saturation of
 // one core serving the default memory-bound request mix, core counts
@@ -35,13 +28,9 @@ const e21Requests = 800
 // p99 at a fixed offered load improves monotonically with cores. The
 // class-blind agnostic baseline rides along to show software
 // event-awareness still matters once a load balancer is in front.
-func E21OpenLoopScaling(mach core.Machine) (*experiments.Result, error) {
-	res := &experiments.Result{
-		ID:      "E21",
-		Title:   "open-loop serving across cores: p99 sojourn vs offered load per core count",
-		Metrics: map[string]float64{},
-	}
-	for _, pol := range []Policy{Agnostic, EventAware} {
+func E21OpenLoopScaling(mach Machine) (*Result, error) {
+	res := newResult("E21", "open-loop serving across cores: p99 sojourn vs offered load per core count")
+	for _, pol := range []service.Policy{service.Agnostic, service.EventAware} {
 		headers := []string{"rate_per_us"}
 		for _, n := range e21Cores {
 			headers = append(headers, fmt.Sprintf("p99_us_%dc", n))
@@ -52,22 +41,22 @@ func E21OpenLoopScaling(mach core.Machine) (*experiments.Result, error) {
 		for _, rate := range e21Rates {
 			row := []interface{}{rate}
 			for _, n := range e21Cores {
-				cfg, err := Config{
+				cfg, err := service.Config{
 					Requests: e21Requests,
 					Rates:    []float64{rate},
-					Policies: []Policy{pol},
+					Policies: []service.Policy{pol},
 					Topology: machine.Topology{Cores: n},
 				}.Normalized()
 				if err != nil {
 					return nil, err
 				}
-				cs, err := RunCell(mach, cfg, Cell{Policy: pol, Rate: rate})
+				cs, err := service.RunCell(mach, cfg, service.Cell{Policy: pol, Rate: rate})
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, micros(cs.P99))
+				row = append(row, cs.P99Micros())
 				prefix := fmt.Sprintf("e21.%s.rate%g.cores%d.", pol, rate, n)
-				res.Metrics[prefix+"p99_us"] = micros(cs.P99)
+				res.Metrics[prefix+"p99_us"] = cs.P99Micros()
 				res.Metrics[prefix+"completed"] = float64(cs.Completed)
 				res.Metrics[prefix+"dropped"] = float64(cs.Dropped)
 			}

@@ -1,17 +1,22 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/service"
 )
 
 // runExp executes one experiment on the default machine and sanity-checks
 // the result envelope.
 func runExp(t *testing.T, id string) *Result {
 	t.Helper()
-	run, ok := Lookup(id)
-	if !ok {
-		t.Fatalf("experiment %s not registered", id)
+	run, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := run(Default())
 	if err != nil {
@@ -30,15 +35,16 @@ func runExp(t *testing.T, id string) *Result {
 }
 
 func TestRegistry(t *testing.T) {
-	ids := IDs()
-	if len(ids) != 21 {
-		t.Fatalf("registry has %d experiments, want 21", len(ids))
+	want := []string{"F1"}
+	for i := 1; i <= 21; i++ {
+		want = append(want, fmt.Sprintf("E%d", i))
 	}
-	if _, ok := Lookup("F1"); !ok {
-		t.Error("F1 missing")
+	if ids := IDs(); !slices.Equal(ids, want) {
+		t.Fatalf("registry = %v, want %v", ids, want)
 	}
-	if _, ok := Lookup("nope"); ok {
-		t.Error("bogus lookup succeeded")
+	var unknown *UnknownIDError
+	if _, err := Lookup("nope"); !errors.As(err, &unknown) {
+		t.Errorf("bogus lookup: err = %v, want an *UnknownIDError", err)
 	}
 }
 
@@ -510,6 +516,30 @@ func TestE20SwitchCostSensitivity(t *testing.T) {
 	if m["cost1500_speedup"] > m["cost24_speedup"]*0.8 {
 		t.Errorf("µs-class switches should forfeit the benefit (%.2fx vs %.2fx)",
 			m["cost1500_speedup"], m["cost24_speedup"])
+	}
+}
+
+// TestE21P99ImprovesWithCores pins E21's scaling claim: for the
+// event-aware policy at the highest offered load (well past one core's
+// saturation), p99 sojourn improves strictly as cores double 1 → 2 → 4.
+func TestE21P99ImprovesWithCores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("E21 serves 18 sweep cells; skipped under -short")
+	}
+	res := runExp(t, "E21")
+	rate := e21Rates[len(e21Rates)-1]
+	var prev float64
+	for i, n := range e21Cores {
+		key := fmt.Sprintf("e21.%s.rate%g.cores%d.p99_us", service.EventAware, rate, n)
+		p99, ok := res.Metrics[key]
+		if !ok {
+			t.Fatalf("E21 result lacks metric %q", key)
+		}
+		if i > 0 && p99 >= prev {
+			t.Errorf("event-aware p99 at rate %g did not improve: %d cores %.3fµs, previous %.3fµs",
+				rate, n, p99, prev)
+		}
+		prev = p99
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package experiments regenerates every display item of the reproduction:
-// Figure 1 and experiments E1–E20 from DESIGN.md §3. Each experiment is a
+// Figure 1 and experiments E1–E21 from DESIGN.md §3. Each experiment is a
 // pure function of a machine description, returns a formatted table plus
 // flat metrics for assertions, and validates every simulated run against
 // the workloads' host-reference results.
@@ -90,36 +90,12 @@ func (r *Result) MetricsString() string {
 // Runner produces one experiment result.
 type Runner func(Machine) (*Result, error)
 
-// registered holds experiments contributed by higher layers via
-// Register, appended to the built-in registry in registration order.
-var registered []struct {
-	ID  string
-	Run Runner
-}
-
-// Register adds an experiment to the registry. It exists for packages
-// the experiment harness cannot import without a cycle (internal/
-// service registers E21 here from an init function: service imports
-// experiments for the Result type, so the open-loop experiments must
-// flow in this direction). Register panics on a duplicate ID — that is
-// a programming error, not an input error.
-func Register(id string, run Runner) {
-	if _, ok := Lookup(id); ok {
-		panic(fmt.Sprintf("experiments: duplicate registration of %q", id))
-	}
-	registered = append(registered, struct {
-		ID  string
-		Run Runner
-	}{id, run})
-}
-
-// All returns the experiment registry in presentation order: the
-// built-in experiments, then registered ones in registration order.
+// All returns the experiment registry in presentation order.
 func All() []struct {
 	ID  string
 	Run Runner
 } {
-	all := []struct {
+	return []struct {
 		ID  string
 		Run Runner
 	}{
@@ -144,18 +120,8 @@ func All() []struct {
 		{"E18", E18WindowWidth},
 		{"E19", E19SamplingPrecision},
 		{"E20", E20SwitchCostSensitivity},
+		{"E21", E21OpenLoopScaling},
 	}
-	return append(all, registered...)
-}
-
-// Lookup finds a runner by (case-sensitive) ID.
-func Lookup(id string) (Runner, bool) {
-	for _, e := range All() {
-		if e.ID == id {
-			return e.Run, true
-		}
-	}
-	return nil, false
 }
 
 // UnknownIDError reports a failed experiment lookup. Its message lists
@@ -169,14 +135,15 @@ func (e *UnknownIDError) Error() string {
 		e.ID, strings.Join(IDs(), ", "))
 }
 
-// MustLookup resolves an ID or returns an *UnknownIDError naming every
-// valid choice.
-func MustLookup(id string) (Runner, error) {
-	r, ok := Lookup(id)
-	if !ok {
-		return nil, &UnknownIDError{ID: id}
+// Lookup resolves a (case-sensitive) ID or returns an *UnknownIDError
+// naming every valid choice.
+func Lookup(id string) (Runner, error) {
+	for _, e := range All() {
+		if e.ID == id {
+			return e.Run, nil
+		}
 	}
-	return r, nil
+	return nil, &UnknownIDError{ID: id}
 }
 
 // IDs lists all experiment IDs in order.

@@ -222,7 +222,7 @@ type SpacingReport struct {
 // CheckScavengerSpacing audits an (instrumented) program against the
 // scavenger-phase placement rules, using the same latency estimates the
 // instrumenter used. It is the static verifier for the §3.3 interval
-// guarantee, the counterpart of Verify for the primary phase.
+// guarantee, the counterpart of check.Program for the primary phase.
 func CheckScavengerSpacing(prog *isa.Program, prof *profile.Profile, opts ScavengerOptions) (*SpacingReport, error) {
 	g, err := bincfg.Build(prog)
 	if err != nil {

@@ -30,8 +30,8 @@ import (
 // scenario with seed Machine.Seed + i*CoreSeedStride, so core 0 of a
 // 1-core topology reproduces the single-core engine exactly while other
 // cores get decorrelated data layouts. The stride is a prime far from
-// the experiment sweep's seed stride (7919) so sweep seeds and core
-// seeds never collide.
+// the experiment sweep's seed stride (runner.SeedStride) so sweep seeds
+// and core seeds never collide.
 const CoreSeedStride = 100003
 
 // DefaultQuantum is the cycle-quantum length: long enough to amortize

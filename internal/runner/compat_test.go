@@ -42,7 +42,7 @@ func compatJob() Job {
 
 func TestCacheCompatFixture(t *testing.T) {
 	j := compatJob()
-	run, err := experiments.MustLookup(j.ID)
+	run, err := experiments.Lookup(j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

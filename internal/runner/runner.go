@@ -242,23 +242,26 @@ func execute(ctx context.Context, j Job, seq int, cache *Cache) Result {
 	return r
 }
 
-// Jobs expands experiment IDs × seed repetitions into the job list for
-// a sweep, in presentation order (experiment-major). Repetition i>0
-// runs on base.Seed + i*7919, matching shbench's historical seed
-// schedule. Unknown IDs fail upfront with an *experiments.UnknownIDError.
+// SeedStride separates a sweep's seed repetitions: repetition i runs
+// on base.Seed + i*SeedStride, shbench's historical seed schedule.
+const SeedStride = 7919
+
+// Jobs expands experiment IDs × seed repetitions (seeds ≥ 1) into the
+// job list for a sweep, in presentation order (experiment-major).
+// Unknown IDs fail upfront with an *experiments.UnknownIDError.
 func Jobs(ids []string, base core.Machine, seeds int) ([]Job, error) {
 	if seeds < 1 {
-		seeds = 1
+		return nil, fmt.Errorf("runner: seeds must be ≥ 1 (got %d)", seeds)
 	}
 	var jobs []Job
 	for _, id := range ids {
-		run, err := experiments.MustLookup(id)
+		run, err := experiments.Lookup(id)
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < seeds; i++ {
 			m := base
-			m.Seed = base.Seed + int64(i)*7919
+			m.Seed = base.Seed + int64(i)*SeedStride
 			jobs = append(jobs, Job{ID: id, Mach: m, Run: run})
 		}
 	}

@@ -1,7 +1,8 @@
-package experiments
+package service
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/coro"
@@ -53,9 +54,9 @@ func schedChain(m *mem.Memory, n int, seed int64) uint64 {
 }
 
 // runSched builds a fresh machine with nReq chase requests and nBatch
-// compute tasks, runs them under policy, and checks that every request
-// completed with a recorded latency.
-func runSched(t *testing.T, policy string, nReq, nBatch int, batchIters uint64) exec.Stats {
+// compute tasks, drains them under policy, and checks that every
+// request completed with a recorded latency.
+func runSched(t *testing.T, policy Policy, nReq, nBatch int, batchIters uint64) exec.Stats {
 	t.Helper()
 	prog := isa.MustAssemble(schedImage)
 	m := mem.NewMemory(4 << 20)
@@ -73,7 +74,7 @@ func runSched(t *testing.T, policy string, nReq, nBatch int, batchIters uint64) 
 		ctx.Regs[4] = batchIters
 		batch = append(batch, exec.NewTask(ctx, coro.Scavenger))
 	}
-	st, err := runPolicy(ex, policy, reqs, batch)
+	st, err := Drain(ex, policy, reqs, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func meanLatency(st exec.Stats) float64 {
 }
 
 func TestPoliciesCompleteAllRequests(t *testing.T) {
-	for _, p := range []string{"agnostic", "sidecar", "event-aware"} {
+	for _, p := range []Policy{Agnostic, Sidecar, EventAware} {
 		st := runSched(t, p, 3, 2, 20000)
 		if st.Cycles == 0 || meanLatency(st) == 0 {
 			t.Errorf("%s: empty stats", p)
@@ -110,8 +111,8 @@ func TestSidecarBeatsAgnosticLatency(t *testing.T) {
 	// every yield; under sidecar they run FIFO with batch only filling
 	// their miss shadows. Batch work is sized so the agnostic queueing
 	// penalty is visible.
-	agnostic := runSched(t, "agnostic", 2, 2, 30000)
-	sidecar := runSched(t, "sidecar", 2, 2, 30000)
+	agnostic := runSched(t, Agnostic, 2, 2, 30000)
+	sidecar := runSched(t, Sidecar, 2, 2, 30000)
 	if meanLatency(sidecar) >= meanLatency(agnostic) {
 		t.Errorf("sidecar mean latency %.0f should beat agnostic %.0f",
 			meanLatency(sidecar), meanLatency(agnostic))
@@ -121,8 +122,8 @@ func TestSidecarBeatsAgnosticLatency(t *testing.T) {
 func TestEventAwareCoSchedulesRequests(t *testing.T) {
 	// With several requests queued and no batch work, sidecar leaves miss
 	// shadows empty while event-aware fills them with pending requests.
-	sidecar := runSched(t, "sidecar", 4, 0, 0)
-	aware := runSched(t, "event-aware", 4, 0, 0)
+	sidecar := runSched(t, Sidecar, 4, 0, 0)
+	aware := runSched(t, EventAware, 4, 0, 0)
 	if aware.Cycles >= sidecar.Cycles {
 		t.Errorf("event-aware total %d should beat sidecar %d (requests hide each other)",
 			aware.Cycles, sidecar.Cycles)
@@ -130,5 +131,16 @@ func TestEventAwareCoSchedulesRequests(t *testing.T) {
 	if meanLatency(aware) >= meanLatency(sidecar) {
 		t.Errorf("event-aware mean latency %.0f should beat sidecar %.0f",
 			meanLatency(aware), meanLatency(sidecar))
+	}
+}
+
+// TestDrainRefusesHardwareBaselines pins that the hardware baselines,
+// which have no closed-loop form, are refused before the executor is
+// touched (a nil one would panic), not run as a software policy.
+func TestDrainRefusesHardwareBaselines(t *testing.T) {
+	for _, p := range []Policy{OSThread, SMT} {
+		if _, err := Drain(nil, p, nil, nil); err == nil || !strings.Contains(err.Error(), p.String()) {
+			t.Errorf("Drain(%s) = %v, want an error naming the policy", p, err)
+		}
 	}
 }

@@ -6,15 +6,13 @@ import (
 	"strings"
 
 	"repro/internal/exec"
-	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 )
 
-// CellStats summarizes one served sweep cell. All fields round-trip
-// through experiments.Result (Result / CellStatsFromResult), so a cell
-// replayed from the result cache renders byte-identically to one served
-// fresh.
+// CellStats summarizes one served sweep cell. Every field round-trips
+// through the result cache (Session.Serve's codec), so a cell replayed
+// from the cache renders byte-identically to one served fresh.
 type CellStats struct {
 	Policy Policy
 	Rate   float64 // offered load, requests/µs
@@ -105,94 +103,9 @@ func summarize(cl Cell, cells []*cell, sharedDropped uint64) CellStats {
 	return cs
 }
 
-// ResultID is the canonical experiments.Result ID for a sweep cell.
+// ResultID is a sweep cell's runner job and result ID.
 func (cl Cell) ResultID() string {
 	return fmt.Sprintf("serve/%s/rate=%g", cl.Policy, cl.Rate)
-}
-
-// field is one CellStats scalar under its Result.Metrics key; ptr is a
-// *Policy, *int, *uint64 or *float64 into the CellStats.
-type field struct {
-	key string
-	ptr any
-}
-
-// codec is the one key table of the CellStats ↔ experiments.Result
-// conversion, which Result and CellStatsFromResult both walk.
-func (cs *CellStats) codec() []field {
-	return []field{
-		{"policy_code", &cs.Policy},
-		{"rate_per_us", &cs.Rate},
-		{"cores", &cs.Cores},
-		{"requests", &cs.Requests},
-		{"completed", &cs.Completed},
-		{"dropped", &cs.Dropped},
-		{"shed", &cs.Shed},
-		{"batch_ops", &cs.BatchOps},
-		{"cycles", &cs.Cycles},
-		{"switches", &cs.Switches},
-		{"episodes", &cs.Episodes},
-		{"chains", &cs.Chains},
-		{"sojourn_p50_cycles", &cs.P50},
-		{"sojourn_p99_cycles", &cs.P99},
-		{"sojourn_p999_cycles", &cs.P999},
-		{"sojourn_max_cycles", &cs.MaxSojourn},
-		{"sojourn_mean_cycles", &cs.MeanSojourn},
-	}
-}
-
-// Result converts the cell summary to an experiments.Result so sweep
-// cells flow through the runner and its content-addressed cache like
-// any experiment. The scalars ride in Metrics, the sojourn histogram in
-// Tables[0].
-func (cs CellStats) Result() *experiments.Result {
-	res := &experiments.Result{
-		ID:      Cell{Policy: cs.Policy, Rate: cs.Rate}.ResultID(),
-		Title:   fmt.Sprintf("open-loop service: %s at %g req/µs", cs.Policy, cs.Rate),
-		Metrics: map[string]float64{},
-	}
-	for _, f := range cs.codec() {
-		switch p := f.ptr.(type) {
-		case *Policy:
-			res.Metrics[f.key] = float64(*p)
-		case *int:
-			res.Metrics[f.key] = float64(*p)
-		case *uint64:
-			res.Metrics[f.key] = float64(*p)
-		case *float64:
-			res.Metrics[f.key] = *p
-		}
-	}
-	if cs.Hist != nil {
-		res.Tables = append(res.Tables, cs.Hist)
-	}
-	return res
-}
-
-// CellStatsFromResult is the inverse of CellStats.Result, used when a
-// sweep cell is served from the result cache.
-func CellStatsFromResult(res *experiments.Result) (CellStats, error) {
-	var cs CellStats
-	for _, f := range cs.codec() {
-		v, ok := res.Metrics[f.key]
-		if !ok {
-			return CellStats{}, fmt.Errorf("service: result %s lacks metric %q", res.ID, f.key)
-		}
-		switch p := f.ptr.(type) {
-		case *Policy:
-			*p = Policy(v)
-		case *int:
-			*p = int(v)
-		case *uint64:
-			*p = uint64(v)
-		case *float64:
-			*p = v
-		}
-	}
-	if len(res.Tables) > 0 {
-		cs.Hist = res.Tables[0]
-	}
-	return cs, nil
 }
 
 // Report is a served sweep: one CellStats per (policy, rate) grid

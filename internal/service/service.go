@@ -12,8 +12,8 @@ import (
 )
 
 // Policy selects the serving discipline for one sweep cell. The first
-// three mirror the closed-loop integration policies of experiment E14
-// (§4.2); the last two are the hardware baselines the paper argues
+// three are the §4.2 software integration policies, which Drain also
+// runs closed-loop (experiment E14); the last two are the hardware baselines the paper argues
 // against.
 type Policy uint8
 

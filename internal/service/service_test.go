@@ -139,28 +139,6 @@ func TestRunCellDeterministic(t *testing.T) {
 	}
 }
 
-// CellStats must survive the experiments.Result round-trip (the result
-// cache path) exactly.
-func TestCellStatsResultRoundTrip(t *testing.T) {
-	mach := core.DefaultMachine()
-	cs, err := RunCell(mach, testConfig(), Cell{Policy: Sidecar, Rate: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := CellStatsFromResult(cs.Result())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ha, hb := cs.Hist, back.Hist
-	cs.Hist, back.Hist = nil, nil
-	if cs != back {
-		t.Fatalf("round trip changed stats:\n%+v\n%+v", cs, back)
-	}
-	if ha.String() != hb.String() {
-		t.Fatal("round trip changed histogram")
-	}
-}
-
 // RunCell over a grid, in grid order, renders one table per policy
 // plus the cross-policy p99 comparison.
 func TestRunReportShape(t *testing.T) {

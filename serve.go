@@ -136,7 +136,7 @@ func (s *Session) Serve(ctx context.Context, cfg ServiceConfig) (*ServiceReport,
 				if err != nil {
 					return nil, err
 				}
-				return cs.Result(), nil
+				return cellResult(cs), nil
 			},
 		}
 	}
@@ -146,13 +146,100 @@ func (s *Session) Serve(ctx context.Context, cfg ServiceConfig) (*ServiceReport,
 	}
 	rep := &ServiceReport{Cells: make([]ServiceCellStats, len(rs))}
 	for i, r := range rs {
-		cs, err := service.CellStatsFromResult(r.Res)
+		cs, err := cellStatsFromResult(r.Res)
 		if err != nil {
 			return nil, fmt.Errorf("repro: %s: %w", r.Job.ID, err)
 		}
 		rep.Cells[i] = cs
 	}
 	return rep, nil
+}
+
+// cellField is one ServiceCellStats scalar under its result Metrics
+// key; ptr is a *ServicePolicy, *int, *uint64 or *float64 into the
+// stats.
+type cellField struct {
+	key string
+	ptr any
+}
+
+// cellCodec is the one key table of the ServiceCellStats ↔
+// ExperimentResult conversion, which cellResult and cellStatsFromResult
+// both walk. The keys are part of the result cache's entry bytes.
+func cellCodec(cs *ServiceCellStats) []cellField {
+	return []cellField{
+		{"policy_code", &cs.Policy},
+		{"rate_per_us", &cs.Rate},
+		{"cores", &cs.Cores},
+		{"requests", &cs.Requests},
+		{"completed", &cs.Completed},
+		{"dropped", &cs.Dropped},
+		{"shed", &cs.Shed},
+		{"batch_ops", &cs.BatchOps},
+		{"cycles", &cs.Cycles},
+		{"switches", &cs.Switches},
+		{"episodes", &cs.Episodes},
+		{"chains", &cs.Chains},
+		{"sojourn_p50_cycles", &cs.P50},
+		{"sojourn_p99_cycles", &cs.P99},
+		{"sojourn_p999_cycles", &cs.P999},
+		{"sojourn_max_cycles", &cs.MaxSojourn},
+		{"sojourn_mean_cycles", &cs.MeanSojourn},
+	}
+}
+
+// cellResult converts a cell summary to an ExperimentResult so serve
+// cells flow through the runner and its content-addressed cache like
+// any experiment. The scalars ride in Metrics, the sojourn histogram in
+// Tables[0].
+func cellResult(cs ServiceCellStats) *ExperimentResult {
+	res := &ExperimentResult{
+		ID:      ServiceCell{Policy: cs.Policy, Rate: cs.Rate}.ResultID(),
+		Title:   fmt.Sprintf("open-loop service: %s at %g req/µs", cs.Policy, cs.Rate),
+		Metrics: map[string]float64{},
+	}
+	for _, f := range cellCodec(&cs) {
+		switch p := f.ptr.(type) {
+		case *ServicePolicy:
+			res.Metrics[f.key] = float64(*p)
+		case *int:
+			res.Metrics[f.key] = float64(*p)
+		case *uint64:
+			res.Metrics[f.key] = float64(*p)
+		case *float64:
+			res.Metrics[f.key] = *p
+		}
+	}
+	if cs.Hist != nil {
+		res.Tables = append(res.Tables, cs.Hist)
+	}
+	return res
+}
+
+// cellStatsFromResult is the inverse of cellResult, used when a serve
+// cell is replayed from the result cache.
+func cellStatsFromResult(res *ExperimentResult) (ServiceCellStats, error) {
+	var cs ServiceCellStats
+	for _, f := range cellCodec(&cs) {
+		v, ok := res.Metrics[f.key]
+		if !ok {
+			return ServiceCellStats{}, fmt.Errorf("result %s lacks metric %q", res.ID, f.key)
+		}
+		switch p := f.ptr.(type) {
+		case *ServicePolicy:
+			*p = ServicePolicy(v)
+		case *int:
+			*p = int(v)
+		case *uint64:
+			*p = uint64(v)
+		case *float64:
+			*p = v
+		}
+	}
+	if len(res.Tables) > 0 {
+		cs.Hist = res.Tables[0]
+	}
+	return cs, nil
 }
 
 // LoadSweep is the one-call form of the paper's tail-latency

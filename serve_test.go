@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/service"
 )
 
 // acceptanceConfig is the PR's headline sweep: one Session.Serve call
@@ -135,6 +137,38 @@ func TestServeCacheReplayIdentity(t *testing.T) {
 	}
 	if other.String() == fresh.String() {
 		t.Fatal("different offered load served identical (cache key ignored the service config)")
+	}
+}
+
+// TestCellStatsResultRoundTrip: a cell's stats survive the
+// ExperimentResult round trip (the result cache path) exactly.
+func TestCellStatsResultRoundTrip(t *testing.T) {
+	cfg := ServiceConfig{
+		Workload: Workload{
+			Request:    PointerChase{Nodes: 1024, Hops: 8, Instances: 4},
+			Background: Compute{Iters: 1500, Instances: 2},
+		},
+		Arrivals: ArrivalSpec{Kind: ArrivalPoisson, Rate: 0.2},
+		Requests: 400,
+		Workers:  4,
+		Queue:    32,
+		Batch:    2,
+	}
+	cs, err := service.RunCell(DefaultTopology(1).Machine, cfg, ServiceCell{Policy: PolicySidecar, Rate: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := cellStatsFromResult(cellResult(cs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ha, hb := cs.Hist, back.Hist
+	cs.Hist, back.Hist = nil, nil
+	if cs != back {
+		t.Fatalf("round trip changed stats:\n%+v\n%+v", cs, back)
+	}
+	if ha.String() != hb.String() {
+		t.Fatal("round trip changed histogram")
 	}
 }
 

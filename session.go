@@ -202,7 +202,7 @@ func (s *Session) RunAll(ctx context.Context, ids ...string) ([]*ExperimentResul
 type RunReport = runner.Result
 
 // Sweep runs every experiment × seed cell (seeds ≥ 1; seed i runs on
-// Seed + i*7919) and returns per-job reports in deterministic
+// Seed + i*runner.SeedStride) and returns per-job reports in deterministic
 // presentation order.
 func (s *Session) Sweep(ctx context.Context, ids []string, seeds int) ([]RunReport, error) {
 	if len(ids) == 0 {

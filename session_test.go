@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -91,6 +92,22 @@ func TestSessionRunUnknownID(t *testing.T) {
 	_, err = s.Run(context.Background(), "Z9")
 	if err == nil || !strings.Contains(err.Error(), "valid IDs") {
 		t.Errorf("unknown ID error unhelpful: %v", err)
+	}
+}
+
+// TestSweepRefusesNoSeeds pins that a sweep over fewer than one seed is
+// an error, not a silent one-seed sweep.
+func TestSweepRefusesNoSeeds(t *testing.T) {
+	s, err := NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seeds := range []int{0, -3} {
+		reports, err := s.Sweep(context.Background(), []string{"E1"}, seeds)
+		want := fmt.Sprintf("seeds must be ≥ 1 (got %d)", seeds)
+		if err == nil || !strings.Contains(err.Error(), want) || reports != nil {
+			t.Errorf("Sweep(seeds=%d) = %d report(s), %v; want an error containing %q", seeds, len(reports), err, want)
+		}
 	}
 }
 

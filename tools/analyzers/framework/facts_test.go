@@ -135,8 +135,8 @@ func TestObjectKey(t *testing.T) {
 	}
 }
 
-// TestSelectAnalyzers covers the -run filter used by both the vet
-// protocol flag and the SHLINT_RUN fallback.
+// TestSelectAnalyzers covers the -run filter the vet protocol flag
+// selects with.
 func TestSelectAnalyzers(t *testing.T) {
 	a := &Analyzer{Name: "alpha"}
 	b := &Analyzer{Name: "beta"}

@@ -54,19 +54,14 @@ var toolFlags = []jsonFlag{
 	{Name: "json", Bool: true, Usage: "emit diagnostics as one JSON object per package on stdout"},
 }
 
-// options are the per-invocation settings parsed from forwarded flags,
-// with SHLINT_RUN / SHLINT_JSON environment fallbacks for drivers that
-// cannot forward flags through `go vet`.
+// options are the per-invocation settings parsed from forwarded flags.
 type options struct {
 	run  string
 	json bool
 }
 
 func parseOptions(args []string) (options, string) {
-	opts := options{run: os.Getenv("SHLINT_RUN")}
-	if v := os.Getenv("SHLINT_JSON"); v != "" && v != "0" && v != "false" {
-		opts.json = true
-	}
+	var opts options
 	var cfgPath string
 	for _, a := range args {
 		switch {
