@@ -523,3 +523,65 @@ func TestCountingLoopInterpretsBoundedLaps(t *testing.T) {
 		t.Errorf("over-long loop: %v after %d instructions, want ErrFuelExhausted after exactly %d", err, ts.Tasks[0].Ctx.Retired, maxSteps)
 	}
 }
+
+// TestPaddedChaseSkipsPadLaps pins F1's fast path in integers, on a
+// reduced F1 scenario (the 3 µs column's pad, 450 laps a hop): the
+// filler loop between hops is top-tested — `cmpi; jle out; addi; jmp` —
+// and its laps must retire in closed form, not one at a time. Unobserved,
+// the 16-way symmetric run of the instrumented image skips at least 90 %
+// of the pad laps, and the SMT-8 run of the baseline retires whole rounds
+// of them in closed form.
+func TestPaddedChaseSkipsPadLaps(t *testing.T) {
+	const pad, hops, n = 450, 20, 16
+	h, err := NewHarness(DefaultMachine(), workloads.PaddedChase{Nodes: 1024, Hops: hops, Pad: pad, Instances: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := h.Profile("padchase")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := h.Instrument(prof, h.Mach.PipelineOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := h.Tasks(img, "padchase", coro.Primary, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := h.NewExecutor(img, exec.Config{})
+	if _, err := ex.RunSymmetric(ts.Tasks); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	padLaps := uint64(n * hops * pad)
+	if sb := ex.Core.SuperblockStats(); 10*sb.LapsSkipped < 9*padLaps {
+		t.Errorf("symmetric: %d of %d pad laps skipped (%d interpreted over %d trace entries), want ≥ 90%%",
+			sb.LapsSkipped, padLaps, sb.LapsInterpreted, sb.Activations)
+	}
+
+	const contexts = 8
+	ts, err = h.Tasks(h.Baseline(), "padchase", coro.Primary, contexts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := smt.Config{Contexts: contexts}.Fit(contexts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := h.NewExecutor(h.Baseline(), exec.Config{MaxSteps: cfg.MaxSteps}).NewSMTTicker(ts.Tasks, cfg.Quantum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Run(exec.NoDeadline); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if rs := tk.Loop.(*exec.SMT).RoundStats(); rs.Skips == 0 {
+		t.Errorf("SMT-%d: no round skipped (%d single slices)", contexts, rs.Slices)
+	}
+}

@@ -17,7 +17,7 @@ import (
 // stream an observer receives on the block and superblock tiers to the
 // scalar dispatch's, event for event (diffEvents). counting swaps the
 // straight-line program for a counting loop (randCountingLoop) thousands
-// of laps long: the block engine is the oracle the superblock tier's
+// of laps long, top-tested for seeds with bit 1 set: the block engine is the oracle the superblock tier's
 // closed-form laps are held to, so it is itself held to the scalar
 // dispatch on that shape. Every tier shares one ALU routine and one memory
 // step, so comparing tiers cannot catch a defect in those; the reference
@@ -39,7 +39,7 @@ func FuzzBlockVsScalar(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		var prog *isa.Program
 		if counting {
-			prog = randCountingLoop(rng, n, int64(1<<19/(n+4)), seed&1 == 1)
+			prog = randCountingLoop(rng, n, int64(1<<19/(n+4)), seed&1 == 1, seed&2 == 2)
 		} else {
 			prog = randRunnableProgram(rng, n, 4096)
 		}

@@ -158,7 +158,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		prog := randLoopProgram(rng, 5+rng.Intn(40), int64(2+rng.Intn(6)), 4096, trial%2 == 0)
 		if trial%4 == 3 {
-			prog = randCountingLoop(rng, 5+rng.Intn(20), int64(2+rng.Intn(200)), rng.Intn(2) == 0)
+			prog = randCountingLoop(rng, 5+rng.Intn(20), int64(2+rng.Intn(200)), rng.Intn(2) == 0, trial%8 == 7)
 		}
 		diffEvents(t, fmt.Sprintf("loop trial %d", trial), prog, rng, rng.Intn(2) == 0, uint64(rng.Intn(16)), horizonFromByte(uint8(rng.Intn(256))))
 	}

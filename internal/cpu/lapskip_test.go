@@ -32,25 +32,47 @@ import (
 //	[addi r5, r5, 1]           preamble
 //	head: <slot 0> pair[0] <slot 1> pair[1] <slot 2>
 //	      latch head
-//	      mov r1, r2
+//	exit: mov r1, r2
 //	      halt
+//
+// A top-tested loop decides on an exit instead: the cmpi is followed by
+// `latch exit`, and `jmp head` closes the lap.
 type countingLoop struct {
-	latch    isa.Op
-	delta    int64 // what a lap adds to the counter, r3
-	cmpFirst bool  // the cmpi ahead of the increment it decides on
-	yieldAt  []int // one CYIELD in each listed slot
-	unroll   int   // extra `addi r2, r2, 1`s ahead of slot 0 (≥ sbAddISelfMin: an sbALUAddI step)
-	preamble bool  // one instruction ahead of the head: the loop is entered out of another trace
-	start    int64 // r3 on entry
-	imm      int64 // what the cmpi compares r3 with
+	latch     isa.Op
+	topTested bool  // latch is an exit right after the cmpi, and a jmp closes the lap
+	delta     int64 // what a lap adds to the counter, r3
+	cmpFirst  bool  // the cmpi ahead of the increment it decides on
+	yieldAt   []int // one CYIELD in each listed slot
+	unroll    int   // extra `addi r2, r2, 1`s ahead of slot 0 (≥ sbAddISelfMin: an sbALUAddI step)
+	preamble  bool  // one instruction ahead of the head: the loop is entered out of another trace
+	start     int64 // r3 on entry
+	imm       int64 // what the cmpi compares r3 with
 }
 
 func (l countingLoop) String() string {
-	return fmt.Sprintf("%v delta=%d cmpFirst=%v yields=%v unroll=%d preamble=%v start=%d imm=%d",
-		l.latch, l.delta, l.cmpFirst, l.yieldAt, l.unroll, l.preamble, l.start, l.imm)
+	return fmt.Sprintf("%v topTested=%v delta=%d cmpFirst=%v yields=%v unroll=%d preamble=%v start=%d imm=%d",
+		l.latch, l.topTested, l.delta, l.cmpFirst, l.yieldAt, l.unroll, l.preamble, l.start, l.imm)
 }
 
-// program assembles the loop; head is the latch's target.
+// opposite maps a conditional branch to the one taken exactly when it is
+// not.
+var opposite = map[isa.Op]isa.Op{
+	isa.OpJgt: isa.OpJle, isa.OpJle: isa.OpJgt,
+	isa.OpJge: isa.OpJlt, isa.OpJlt: isa.OpJge,
+	isa.OpJeq: isa.OpJne, isa.OpJne: isa.OpJeq,
+}
+
+// repeats is the latch taken exactly when the loop goes round again: its
+// latch, or the opposite of its exit.
+func (l countingLoop) repeats() isa.Op {
+	if l.topTested {
+		return opposite[l.latch]
+	}
+	return l.latch
+}
+
+// program assembles the loop; head is the target of the branch that
+// closes the lap.
 func (l countingLoop) program() (prog *isa.Program, head int) {
 	var ins []isa.Instr
 	if l.preamble {
@@ -66,6 +88,9 @@ func (l countingLoop) program() (prog *isa.Program, head int) {
 		{Op: isa.OpAddI, Rd: 3, Rs1: 3, Imm: l.delta},
 	}
 	cmp := []isa.Instr{{Op: isa.OpCmpI, Rs1: 3, Imm: l.imm}}
+	if l.topTested {
+		cmp = append(cmp, isa.Instr{Op: l.latch}) // its target, exit, is patched below
+	}
 	pair := [2][]isa.Instr{inc, cmp}
 	if l.cmpFirst {
 		pair = [2][]isa.Instr{cmp, inc}
@@ -80,12 +105,35 @@ func (l countingLoop) program() (prog *isa.Program, head int) {
 			ins = append(ins, pair[slot]...)
 		}
 	}
+	closing := l.latch
+	if l.topTested {
+		closing = isa.OpJmp
+		for i := head; i < len(ins); i++ {
+			if ins[i].Op == l.latch {
+				ins[i].Imm = int64(len(ins) + 1)
+			}
+		}
+	}
 	ins = append(ins,
-		isa.Instr{Op: l.latch, Imm: int64(head)},
+		isa.Instr{Op: closing, Imm: int64(head)},
 		isa.Instr{Op: isa.OpMov, Rd: 1, Rs1: 2},
 		isa.Instr{Op: isa.OpHalt},
 	)
 	return &isa.Program{Instrs: ins}, head
+}
+
+// lastLap returns the instructions and busy cycles the lap that leaves
+// the loop retires under r's costs: the whole lap, or a top-tested one's
+// up to its exit.
+func (l countingLoop) lastLap(r *engineRig, head int) (instrs, cost uint64) {
+	ins := r.core.Prog.Instrs
+	for pc := head; ; pc++ {
+		instrs++
+		cost += r.core.costs[ins[pc].Op]
+		if ins[pc].Op.IsConditional() || ins[pc].Op == isa.OpJmp {
+			return instrs, cost
+		}
+	}
 }
 
 // lapCosts is the cost table the lap rigs run under: no two classes in a
@@ -244,7 +292,8 @@ func affine(x int64, n uint64, d int64) (int64, bool) {
 // lapImmFor returns the immediate under which the latch is taken exactly
 // trips times from a first compared value of first, when the latch and
 // the counter's direction allow one: a loop counting up ends on jlt, jle
-// or jne, one counting down on jgt, jge or jne.
+// or jne, one counting down on jgt, jge or jne. A top-tested loop asks
+// with the latch it repeats on (countingLoop.repeats).
 func lapImmFor(latch isa.Op, delta, first int64, trips uint64) (int64, bool) {
 	end, ok := affine(first, trips, delta) // what the last, falling-through compare sees
 	if !ok {
@@ -262,15 +311,16 @@ func lapImmFor(latch isa.Op, delta, first int64, trips uint64) (int64, bool) {
 }
 
 // TestHorizonLapSkipLatches is the arithmetic half of the proof: the
-// closed form for how long the latch stays taken. Every latch × counter
-// delta × compare position, at trip counts from 0 to 10⁹ from start
-// values around 0 and ±2⁶¹, and — where the latch and the direction make
-// a loop that only a wrap can end — at start values and immediates on
-// the int64 edges, so the wrap falls inside the window the references
-// can interpret. Yield placement, mode, horizon, budget and fuel rotate
-// through the population (TestHorizonLapSkipStops crosses them
-// exhaustively); every loop also runs once cut at each instruction
-// boundary of its first laps.
+// closed form for how long the deciding branch keeps the loop going.
+// Every latch and every top-tested exit × counter delta × compare
+// position, at trip counts from 0 to 10⁹ from start values around 0 and
+// ±2⁶¹, and — where the latch and the direction make a loop that only a
+// wrap can end — at start values and immediates on the int64 edges, so
+// the wrap falls inside the window the references can interpret. Yield
+// placement, mode, horizon, budget and fuel rotate through the
+// population (TestHorizonLapSkipStops crosses them exhaustively); every
+// loop also runs once cut at each instruction boundary of its first
+// laps.
 func TestHorizonLapSkipLatches(t *testing.T) {
 	const (
 		maxI = math.MaxInt64
@@ -280,113 +330,116 @@ func TestHorizonLapSkipLatches(t *testing.T) {
 	cfg := lapCosts()
 	var loops, summarised int
 	var total SuperblockStats
-	for _, latch := range lapLatches {
-		for _, delta := range []int64{1, -1, 3, -3, 1 << 40, -(1 << 40), minI} {
-			for _, cmpFirst := range []bool{false, true} {
-				off := delta // what the first compare sees beyond the start value
-				if cmpFirst {
-					off = 0
-				}
-				type point struct {
-					start, imm int64
-					trips      uint64 // for the closed-form check; ^0: unknown
-				}
-				var points []point
-				for _, trips := range []uint64{0, 1, 2, 3, 1000, 1_000_000_000} {
-					for _, start := range []int64{0, 1 << 61, -(1 << 61), 12345} {
-						first, ok := affine(start, 1, off)
+	for _, shape := range []countingLoop{{}, {topTested: true}} {
+		for _, latch := range lapLatches {
+			shape.latch = latch
+			repeats := shape.repeats()
+			for _, delta := range []int64{1, -1, 3, -3, 1 << 40, -(1 << 40), minI} {
+				for _, cmpFirst := range []bool{false, true} {
+					off := delta // what the first compare sees beyond the start value
+					if cmpFirst {
+						off = 0
+					}
+					type point struct {
+						start, imm int64
+						trips      uint64 // for the closed-form check; ^0: unknown
+					}
+					var points []point
+					for _, trips := range []uint64{0, 1, 2, 3, 1000, 1_000_000_000} {
+						for _, start := range []int64{0, 1 << 61, -(1 << 61), 12345} {
+							first, ok := affine(start, 1, off)
+							if !ok {
+								continue
+							}
+							if imm, ok := lapImmFor(repeats, delta, first, trips); ok {
+								points = append(points, point{start, imm, trips})
+							}
+						}
+					}
+					// The int64 edges: a counter a few laps from wrapping in its
+					// direction of travel (and one about to wrap the other way),
+					// against immediates at and next to both ends and its own
+					// neighbourhood. Whatever these loops do, they do it within
+					// a few laps or run away; the window compares either.
+					edge := int64(maxI)
+					if delta < 0 {
+						edge = minI
+					}
+					for _, lapsToWrap := range []uint64{0, 1, 2, 5} {
+						start, ok := affine(edge, lapsToWrap, -delta)
 						if !ok {
 							continue
 						}
-						if imm, ok := lapImmFor(latch, delta, first, trips); ok {
-							points = append(points, point{start, imm, trips})
+						for _, imm := range []int64{minI, minI + 1, maxI - 1, maxI, 0, start, start + delta, start - delta} {
+							points = append(points, point{start, imm, ^uint64(0)})
 						}
 					}
-				}
-				// The int64 edges: a counter a few laps from wrapping in its
-				// direction of travel (and one about to wrap the other way),
-				// against immediates at and next to both ends and its own
-				// neighbourhood. Whatever these loops do, they do it within
-				// a few laps or run away; the window compares either.
-				edge := int64(maxI)
-				if delta < 0 {
-					edge = minI
-				}
-				for _, lapsToWrap := range []uint64{0, 1, 2, 5} {
-					start, ok := affine(edge, lapsToWrap, -delta)
-					if !ok {
-						continue
+					for _, nudge := range []int64{-1, 0, 1} {
+						points = append(points, point{nudge - edge, nudge, ^uint64(0)}, point{0, edge - nudge, ^uint64(0)})
 					}
-					for _, imm := range []int64{minI, minI + 1, maxI - 1, maxI, 0, start, start + delta, start - delta} {
-						points = append(points, point{start, imm, ^uint64(0)})
-					}
-				}
-				for _, nudge := range []int64{-1, 0, 1} {
-					points = append(points, point{nudge - edge, nudge, ^uint64(0)}, point{0, edge - nudge, ^uint64(0)})
-				}
-				// Far from every edge: taken from the first lap or never,
-				// whichever the latch and direction make of it.
-				points = append(points, point{0, -7, ^uint64(0)}, point{0, 7, ^uint64(0)}, point{5, 5, ^uint64(0)})
+					// Far from every edge: taken from the first lap or never,
+					// whichever the latch and direction make of it.
+					points = append(points, point{0, -7, ^uint64(0)}, point{0, 7, ^uint64(0)}, point{5, 5, ^uint64(0)})
 
-				for _, p := range points {
-					l := countingLoop{
-						latch: latch, delta: delta, cmpFirst: cmpFirst,
-						yieldAt:  lapYieldPlacements[loops%len(lapYieldPlacements)],
-						preamble: loops%3 == 0,
-						start:    p.start, imm: p.imm,
-					}
-					loops++
-					d, head, lap := l.diff(t, cfg)
-					if want := latch != isa.OpJeq && latch != isa.OpJne &&
-						!(latch == isa.OpJgt && p.imm == maxI) && !(latch == isa.OpJlt && p.imm == minI); (lap.instrs != 0) != want {
-						t.Fatalf("%v: summarised = %v, want %v", l, lap.instrs != 0, want)
-					}
-					if lap.instrs != 0 {
-						summarised++
-					}
-					lapLen := uint64(len(d.prog.Instrs) - 2 - head)
-
-					// One free run: nothing but the latch (or the window) ends it.
-					// The references walk to the exit of a 1 000-trip loop;
-					// everything else shows what it will within 2 048 steps.
-					window := uint64(1 << 11)
-					if p.trips == 1000 {
-						window = 1 << 13
-					}
-					free := lapSchedule{block: loops%2 == 0, hz: horizonFromByte(255), fuels: []uint64{0}, cap: window}
-					st := d.run(t, free)
-					total.LapsSkipped += st.LapsSkipped
-					if lap.instrs != 0 && p.trips != ^uint64(0) && p.trips >= 1000 {
-						// All but the last few laps inside the window must have
-						// been skipped, not interpreted.
-						if st.LapsInterpreted > 4*st.Activations || st.LapsSkipped == 0 {
-							t.Fatalf("%v: free run interpreted %d laps in %d activations, skipped %d",
-								l, st.LapsInterpreted, st.Activations, st.LapsSkipped)
+					for _, p := range points {
+						l := shape
+						l.delta, l.cmpFirst = delta, cmpFirst
+						l.yieldAt = lapYieldPlacements[loops%len(lapYieldPlacements)]
+						l.preamble = loops%3 == 0
+						l.start, l.imm = p.start, p.imm
+						loops++
+						d, head, lap := l.diff(t, cfg)
+						if want := repeats != isa.OpJeq && repeats != isa.OpJne &&
+							!(repeats == isa.OpJgt && p.imm == maxI) && !(repeats == isa.OpJlt && p.imm == minI); (lap.instrs != 0) != want {
+							t.Fatalf("%v: summarised = %v, want %v", l, lap.instrs != 0, want)
 						}
-					}
-					// The same under a drawn horizon, budget and fuel rhythm.
-					drawn := lapSchedule{
-						block: rng.Intn(2) == 0,
-						hz:    horizonFromByte(uint8(rng.Intn(256))),
-						fuels: []uint64{uint64(1 + rng.Intn(int(6*lapLen))), uint64(rng.Intn(int(40 * lapLen)))},
-						cap:   window,
-					}
-					if rng.Intn(2) == 0 {
-						drawn.budget = uint64(1 + rng.Intn(200))
-					}
-					d.run(t, drawn)
-					// And cut at every instruction boundary of the first laps:
-					// every call gets the same small fuel, so the cuts precess
-					// through the lap and the skip restarts from each.
-					for fuel := uint64(1); fuel <= 3*lapLen+1; fuel += 1 + uint64(rng.Intn(3)) {
-						d.run(t, lapSchedule{block: drawn.block, hz: free.hz, fuels: []uint64{fuel}, cap: 12 * lapLen})
-					}
+						if lap.instrs != 0 {
+							summarised++
+						}
+						lapLen := uint64(len(d.prog.Instrs) - 2 - head)
 
-					// A trip count the references cannot walk is held to its
-					// closed form instead: run the tier under test alone to the
-					// halt and compare with what trips+1 laps must leave.
-					if p.trips == 1_000_000_000 && lap.instrs != 0 {
-						l.finish(t, d.skip, head, lap.cost, p.trips)
+						// One free run: nothing but the latch (or the window) ends it.
+						// The references walk to the exit of a 1 000-trip loop;
+						// everything else shows what it will within 2 048 steps.
+						window := uint64(1 << 11)
+						if p.trips == 1000 {
+							window = 1 << 13
+						}
+						free := lapSchedule{block: loops%2 == 0, hz: horizonFromByte(255), fuels: []uint64{0}, cap: window}
+						st := d.run(t, free)
+						total.LapsSkipped += st.LapsSkipped
+						if lap.instrs != 0 && p.trips != ^uint64(0) && p.trips >= 1000 {
+							// All but the last few laps inside the window must have
+							// been skipped, not interpreted.
+							if st.LapsInterpreted > 4*st.Activations || st.LapsSkipped == 0 {
+								t.Fatalf("%v: free run interpreted %d laps in %d activations, skipped %d",
+									l, st.LapsInterpreted, st.Activations, st.LapsSkipped)
+							}
+						}
+						// The same under a drawn horizon, budget and fuel rhythm.
+						drawn := lapSchedule{
+							block: rng.Intn(2) == 0,
+							hz:    horizonFromByte(uint8(rng.Intn(256))),
+							fuels: []uint64{uint64(1 + rng.Intn(int(6*lapLen))), uint64(rng.Intn(int(40 * lapLen)))},
+							cap:   window,
+						}
+						if rng.Intn(2) == 0 {
+							drawn.budget = uint64(1 + rng.Intn(200))
+						}
+						d.run(t, drawn)
+						// And cut at every instruction boundary of the first laps:
+						// every call gets the same small fuel, so the cuts precess
+						// through the lap and the skip restarts from each.
+						for fuel := uint64(1); fuel <= 3*lapLen+1; fuel += 1 + uint64(rng.Intn(3)) {
+							d.run(t, lapSchedule{block: drawn.block, hz: free.hz, fuels: []uint64{fuel}, cap: 12 * lapLen})
+						}
+
+						// A trip count the references cannot walk is held to its
+						// closed form instead: run the tier under test alone to the
+						// halt and compare with what trips+1 laps must leave.
+						if p.trips == 1_000_000_000 && lap.instrs != 0 {
+							l.finish(t, d.skip, head, lap.cost, p.trips)
+						}
 					}
 				}
 			}
@@ -400,8 +453,9 @@ func TestHorizonLapSkipLatches(t *testing.T) {
 
 // finish runs r, the tier under test, from wherever the last schedule
 // left it to the halt, under a horizon that never wakes, and checks the
-// end state against the closed form for a loop whose latch is taken trips
-// times: trips+1 laps of every register delta, cost and per-PC count.
+// end state against the closed form for a loop that goes round again
+// trips times: trips whole laps and the last one (lastLap) of every
+// register delta, cost and per-PC count.
 func (l countingLoop) finish(t *testing.T, r *engineRig, head int, lapCost, trips uint64) {
 	t.Helper()
 	r.core.sbStats = SuperblockStats{}
@@ -411,21 +465,34 @@ func (l countingLoop) finish(t *testing.T, r *engineRig, head int, lapCost, trip
 			t.Fatalf("%v: %v", l, err)
 		}
 	}
-	laps := trips + 1
 	lapLen := uint64(len(r.core.Prog.Instrs) - 2 - head)
+	last, lastCost := l.lastLap(r, head)
 	pre := uint64(head)
-	wantRetired := pre + laps*lapLen + 2
-	wantNow := pre*r.core.Cfg.CostALU + laps*lapCost + r.core.Cfg.CostALU + 1 // preamble, laps, mov, halt
-	wantR3 := uint64(l.start) + laps*uint64(l.delta)
-	wantR2 := laps * uint64(7+l.unroll)
+	wantRetired := pre + trips*lapLen + last + 2
+	wantNow := pre*r.core.Cfg.CostALU + trips*lapCost + lastCost + r.core.Cfg.CostALU + 1 // preamble, laps, mov, halt
+	// The registers after trips whole laps, then the last lap's increments.
+	wantR3 := uint64(l.start) + trips*uint64(l.delta)
+	wantR2 := trips * uint64(7+l.unroll)
+	for _, in := range r.core.Prog.Instrs[head : head+int(last)] {
+		switch {
+		case in.Op == isa.OpAddI && in.Rd == 3:
+			wantR3 += uint64(in.Imm)
+		case in.Op == isa.OpAddI && in.Rd == 2:
+			wantR2 += uint64(in.Imm)
+		}
+	}
 	switch {
 	case r.ctx.Retired != wantRetired, r.core.Now != wantNow, r.ctx.Regs[3] != wantR3, r.ctx.Regs[2] != wantR2, r.ctx.Result != wantR2:
-		t.Fatalf("%v: after %d laps: retired %d (want %d), clock %d (want %d), r3 %#x (want %#x), r2 %d, result %d (want %d)",
-			l, laps, r.ctx.Retired, wantRetired, r.core.Now, wantNow, r.ctx.Regs[3], wantR3, r.ctx.Regs[2], r.ctx.Result, wantR2)
+		t.Fatalf("%v: after %d laps and %d instructions: retired %d (want %d), clock %d (want %d), r3 %#x (want %#x), r2 %d, result %d (want %d)",
+			l, trips, last, r.ctx.Retired, wantRetired, r.core.Now, wantNow, r.ctx.Regs[3], wantR3, r.ctx.Regs[2], r.ctx.Result, wantR2)
 	}
 	for pc := head; pc < head+int(lapLen); pc++ {
-		if got := r.core.Counters.Exec[pc]; got != laps {
-			t.Fatalf("%v: Exec[%d] = %d after %d laps", l, pc, got, laps)
+		want := trips
+		if pc < head+int(last) {
+			want++
+		}
+		if got := r.core.Counters.Exec[pc]; got != want {
+			t.Fatalf("%v: Exec[%d] = %d after %d laps, want %d", l, pc, got, trips, want)
 		}
 	}
 	if st := r.core.sbStats; st.LapsInterpreted > 4*st.Activations {
@@ -436,8 +503,9 @@ func (l countingLoop) finish(t *testing.T, r *engineRig, head int, lapCost, trip
 // TestHorizonLapSkipStops is the other half: everything that can end a
 // skip short of the latch. Every placement of zero, one or two CYIELDs ×
 // coroutine and block mode, on a loop counting down to a jgt and one
-// counting up by threes to a jle — compare before and after the
-// increment, 1 000 and 10⁹ trips long, entered directly and out of a
+// counting up by threes to a jle, and top-tested ones leaving on each of
+// jle and jlt counting down and jge and jgt counting up — compare before
+// and after the increment, 1 000 and 10⁹ trips long, entered directly and out of a
 // preamble trace, with and without an sbALUAddI step in the lap, all
 // rotating against the placements — each with
 //
@@ -462,7 +530,7 @@ func TestHorizonLapSkipStops(t *testing.T) {
 			first = l.start
 		}
 		var ok bool
-		if l.imm, ok = lapImmFor(l.latch, l.delta, first, trips); !ok {
+		if l.imm, ok = lapImmFor(l.repeats(), l.delta, first, trips); !ok {
 			t.Fatalf("%v: no immediate for %d trips", l, trips)
 		}
 		d, head, lap := l.diff(t, cfg)
@@ -470,6 +538,7 @@ func TestHorizonLapSkipStops(t *testing.T) {
 			t.Fatalf("%v: not summarised", l)
 		}
 		lapLen, lapCost := uint64(lap.instrs), lap.cost
+		last, lastCost := l.lastLap(d.skip, head)
 		pre := uint64(head) * cfg.CostALU // clock at the first trace head
 		window := 46 * lapLen             // what a sweep that must reach forty laps out walks
 		short := 10 * lapLen              // and one whose stops all fall in the first laps
@@ -535,13 +604,13 @@ func TestHorizonLapSkipStops(t *testing.T) {
 		}
 		if walkable {
 			// Fuel: the first call cut inside the two laps before the end.
-			end := uint64(head) + (trips+1)*lapLen
+			end := uint64(head) + trips*lapLen + last
 			for fuel := end - 2*lapLen - 1; fuel <= end+2; fuel++ {
 				run(lapSchedule{block: fuel%2 == 0, hz: never, fuels: []uint64{fuel, 0}, cap: toEnd})
 			}
 			// Budget: one call's, ending inside the two laps before the end
 			// (a lap that yields re-bases it long before).
-			if end := pre + (trips+1)*lapCost; lap.yields == 0 {
+			if end := pre + trips*lapCost + lastCost; lap.yields == 0 {
 				for budget := end - 2*lapCost - 1; budget <= end+2; budget++ {
 					run(lapSchedule{block: budget%2 == 0, budget: budget, hz: Horizon{}, fuels: []uint64{0}, cap: toEnd})
 				}
@@ -553,6 +622,10 @@ func TestHorizonLapSkipStops(t *testing.T) {
 	shapes := []countingLoop{
 		{latch: isa.OpJgt, delta: -1},
 		{latch: isa.OpJle, delta: 3, start: -(1 << 61)},
+		{latch: isa.OpJle, topTested: true, delta: -1}, // workloads.PaddedChase's filler loop
+		{latch: isa.OpJlt, topTested: true, delta: -1},
+		{latch: isa.OpJge, topTested: true, delta: 3, start: -(1 << 61)},
+		{latch: isa.OpJgt, topTested: true, delta: 3, start: 1 << 61},
 	}
 	for si, shape := range shapes {
 		for pi, yieldAt := range lapYieldPlacements {
@@ -588,14 +661,28 @@ func TestHorizonLapSkipStops(t *testing.T) {
 }
 
 // TestLapSummaryRefusals pins what summariseLap must not summarise: a
-// lap that is not an affine step of the registers alone, or a latch whose
-// outcome is not a threshold on one of them. Each runs (unskipped) as
-// before, which the differentials above and the fuzzers cover; here only
-// the structural test is checked, against the one shape it must accept.
+// lap that is not an affine step of the registers alone, or a deciding
+// branch whose outcome is not a threshold on one of them. Each runs
+// (unskipped) as before, which the differentials above and the fuzzers
+// cover; here only the structural test is checked, against the shapes it
+// must accept: a latch, or a top-tested exit.
 func TestLapSummaryRefusals(t *testing.T) {
 	lap := func(body ...isa.Instr) *isa.Program {
 		return &isa.Program{Instrs: append(body, isa.Instr{Op: isa.OpHalt})}
 	}
+	// top closes body with a jmp back to the head; its exits leave for
+	// the halt after that.
+	const out = -1
+	top := func(body ...isa.Instr) *isa.Program {
+		body = append(body, isa.Instr{Op: isa.OpJmp})
+		for i := range body {
+			if body[i].Op.IsConditional() && body[i].Imm == out {
+				body[i].Imm = int64(len(body))
+			}
+		}
+		return lap(body...)
+	}
+	exit := func(op isa.Op) isa.Instr { return isa.Instr{Op: op, Imm: out} }
 	addi := isa.Instr{Op: isa.OpAddI, Rd: 3, Rs1: 3, Imm: -1}
 	cmpi := isa.Instr{Op: isa.OpCmpI, Rs1: 3}
 	jgt := isa.Instr{Op: isa.OpJgt}
@@ -619,6 +706,16 @@ func TestLapSummaryRefusals(t *testing.T) {
 		{"jmp latch", lap(addi, cmpi, isa.Instr{Op: isa.OpJmp}), false},
 		{"jgt no value can take", lap(addi, isa.Instr{Op: isa.OpCmpI, Rs1: 3, Imm: math.MaxInt64}, jgt), false},
 		{"jlt no value can take", lap(addi, isa.Instr{Op: isa.OpCmpI, Rs1: 3, Imm: math.MinInt64}, isa.Instr{Op: isa.OpJlt}), false},
+		{"top-tested loop", top(cmpi, exit(isa.OpJle), isa.Instr{Op: isa.OpCYield}, addi, isa.Instr{Op: isa.OpNop}), true},
+		{"top-tested, compare after the increment", top(addi, cmpi, exit(isa.OpJlt)), true},
+		{"jeq exit", top(cmpi, exit(isa.OpJeq), addi), false},
+		{"jne exit", top(cmpi, exit(isa.OpJne), addi), false},
+		{"two exits", top(cmpi, exit(isa.OpJle), addi, exit(isa.OpJgt)), false},
+		{"exit before any compare", top(exit(isa.OpJle), cmpi, addi), false},
+		{"exit at the head and one after the compare", top(exit(isa.OpJgt), cmpi, exit(isa.OpJle), addi), false},
+		{"compare after the exit", top(cmpi, exit(isa.OpJle), addi, isa.Instr{Op: isa.OpCmpI, Rs1: 2, Imm: 9}), false},
+		{"exit and a conditional latch", lap(cmpi, isa.Instr{Op: isa.OpJle, Imm: 4}, addi, jgt), false},
+		{"exit no value can leave the loop on", top(isa.Instr{Op: isa.OpCmpI, Rs1: 3, Imm: math.MaxInt64}, exit(isa.OpJle), addi), false},
 	}
 	for _, tc := range cases {
 		core := MustNewCore(DefaultConfig(), tc.prog, lapMem, lapHier)
@@ -633,6 +730,17 @@ func TestLapSummaryRefusals(t *testing.T) {
 			t.Errorf("%s: summarised = %v, want %v\n%s", tc.name, got, tc.want, isa.Disassemble(tc.prog))
 		}
 	}
+	// An exit the trace predicts taken is no exit: here it skips a nop
+	// inside the lap.
+	skip := lap(cmpi, isa.Instr{Op: isa.OpJle, Imm: 3}, isa.Instr{Op: isa.OpNop}, addi, isa.Instr{Op: isa.OpJmp})
+	core := MustNewCore(DefaultConfig(), skip, lapMem, lapHier)
+	if err := core.installSuperblocks([]sbSpec{{pcs: []int{0, 1, 3, 4}, loop: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if core.sbs[0].lap.instrs != 0 {
+		t.Errorf("exit predicted taken: summarised\n%s", isa.Disassemble(skip))
+	}
+
 	// A lap that costs 2^32 cycles or more is refused too, keeping 2·(lap
 	// cost) from wrapping: with every ALU op at mem.MaxCycles, 2^12 of
 	// them reach it. The same lap under the default costs is summarised.

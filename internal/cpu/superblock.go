@@ -34,24 +34,25 @@ import (
 //     every few instructions — still runs as one loop superblock;
 //   - a counting loop — a loop trace whose lap only increments registers,
 //     compares one of them with an immediate, yields conditionally and
-//     branches back on the comparison — carries a lap summary (sbLap),
-//     and at its head runSuper retires in closed form every lap in which
-//     it can prove the interpreter would have changed nothing but
-//     counters: the same strength reduction sbALUAddI applies within a
-//     lap, applied to whole laps. The laps where anything can happen —
-//     the latch falling through, a yield waking, fuel or the busy budget
-//     running out — are left to the interpreter below.
+//     decides on the comparison, either branching back on it (a latch) or
+//     leaving on it ahead of a `jmp` back (a top-tested exit) — carries a
+//     lap summary (sbLap), and at its head runSuper retires in closed form
+//     every lap in which it can prove the interpreter would have changed
+//     nothing but counters: the same strength reduction sbALUAddI applies
+//     within a lap, applied to whole laps. The laps where anything can
+//     happen — the deciding branch leaving the trace, a yield waking, fuel
+//     or the busy budget running out — are left to the interpreter below.
 //
 // The fallback ladder is literal: a superblock step that cannot proceed
 // (fuel, busy budget, side exit) drops to RunBlock's block dispatch at an
 // exact instruction boundary. With observers attached a trace runs as
 // usual and emits its events inline — a memory step's retire event, a
-// taken branch's branch event — but walks every lap: each latch is a
-// branch event, so there is no closed form to skip. Every stop condition,
-// fault surface, counter, clock movement and event is byte-identical to
-// RunBlock's scalar dispatch retiring the same instructions;
-// internal/cpu/superblock_test.go pins this differentially and
-// FuzzSuperblockVsBlock extends it to arbitrary seeds.
+// taken branch's branch event — but walks every lap: each lap's closing
+// branch is a branch event, so there is no closed form to skip. Every
+// stop condition, fault surface, counter, clock movement and event is
+// byte-identical to RunBlock's scalar dispatch retiring the same
+// instructions; internal/cpu/superblock_test.go pins this differentially
+// and FuzzSuperblockVsBlock extends it to arbitrary seeds.
 
 // sbSpec describes one trace to compile: the chained program counters
 // in predicted execution order. Consecutive entries must be connected —
@@ -180,14 +181,16 @@ type superblock struct {
 }
 
 // sbLap summarises one lap of a counting loop: a loop trace whose lap is
-// only self-increments (`addi r, r, imm`), nops, `cmpi`s, CYIELDs and a
-// closing jgt/jge/jlt/jle back to the head. Every lap of such a loop is
-// the same affine step — each register moves by a fixed delta, the clock
-// by a fixed cost — and whether the latch is taken is a threshold test on
-// one register, so how many laps run before anything else can happen has
-// a closed form (ahead). instrs == 0 marks a trace that is not one. The
-// summary is held by value and its register deltas live in
-// superblock.deltas, as sbALUAddI's do: a trace allocates nothing for it.
+// only self-increments (`addi r, r, imm`), nops, `cmpi`s, CYIELDs and one
+// deciding jgt/jge/jlt/jle — the latch back to the head, or an exit
+// predicted to fall through ahead of a closing `jmp` to the head. Every
+// lap of such a loop is the same affine step — each register moves by a
+// fixed delta, the clock by a fixed cost — and whether the deciding
+// branch goes the predicted way is a threshold test on one register, so
+// how many laps run before anything else can happen has a closed form
+// (ahead). instrs == 0 marks a trace that is not one. The summary is held
+// by value and its register deltas live in superblock.deltas, as
+// sbALUAddI's do: a trace allocates nothing for it.
 type sbLap struct {
 	cost uint64 // busy cycles per lap
 	tail uint64 // busy cycles a lap retires after its last CYIELD
@@ -197,10 +200,10 @@ type sbLap struct {
 	// what a whole lap adds to the register (both two's complement).
 	cmpOff, cmpAdd uint64
 	cmpImm         int64
-	// The latch is taken exactly while the compared value lies in
-	// [lo, hi], in the order-preserving image of int64 in uint64 (sign
-	// bit flipped): a bound that is 0 or MaxUint64 is where the signed
-	// value would wrap.
+	// The deciding branch goes the predicted way (the lap repeats) exactly
+	// while the compared value lies in [lo, hi], in the order-preserving
+	// image of int64 in uint64 (sign bit flipped): a bound that is 0 or
+	// MaxUint64 is where the signed value would wrap.
 	lo, hi uint64
 
 	instrs uint32 // instructions per lap
@@ -208,6 +211,10 @@ type sbLap struct {
 	dlo    int32  // register deltas: deltas[dlo : dlo+dnu]
 	dnu    int32
 	cmpReg uint8
+	// exit is the offset from the head of the deciding branch when it is
+	// an exit; 0 when the latch decides (a compare always precedes an
+	// exit, so none sits at the head).
+	exit uint32
 }
 
 // SuperblockStats counts what the superblock tier did on the host's
@@ -429,20 +436,25 @@ const sbSignBit = 1 << 63
 
 // summariseLap fills sb.lap when the validated loop trace over pcs is a
 // counting loop, and leaves it zero otherwise. The test is structural
-// and total: any load, store, interior branch, jeq/jne/jmp latch,
-// register-register compare or ALU op other than a self-increment means
-// the lap is not an affine step of the registers alone, and the trace
-// simply runs as before.
+// and total: any load, store, jmp, second conditional branch, jeq/jne
+// deciding branch, exit predicted taken or decided by no `cmpi` ahead of
+// it, `cmpi` past an exit, register-register compare or ALU op other
+// than a self-increment means the lap is not an affine step of the
+// registers alone, and the trace simply runs as before. A lap the latch
+// decides ends with the deciding compare's flags; so does one an exit
+// decides, since no compare follows the exit — runSuper's closed-form
+// flags rely on it.
 func (c *Core) summariseLap(sb *superblock, pcs []int) {
 	instrs := c.Prog.Instrs
 	body, latch := pcs[:len(pcs)-1], &instrs[pcs[len(pcs)-1]]
 	if latch.Target() != pcs[0] {
 		return
 	}
+	jmpLatch := latch.Op == isa.OpJmp
 	lap := sbLap{instrs: uint32(len(pcs)), dlo: int32(len(sb.deltas))}
 	var delta [16]uint64
 	compared := false
-	for _, pc := range body {
+	for i, pc := range body {
 		in := &instrs[pc]
 		cost := c.costs[in.Op]
 		lap.cost += cost
@@ -451,7 +463,7 @@ func (c *Core) summariseLap(sb *superblock, pcs []int) {
 		case in.Op == isa.OpNop:
 		case in.Op == isa.OpAddI && in.Rd == in.Rs1:
 			delta[in.Rd&15] += uint64(in.Imm)
-		case in.Op == isa.OpCmpI:
+		case in.Op == isa.OpCmpI && lap.exit == 0:
 			compared = true
 			lap.cmpReg = uint8(in.Rs1) & 15
 			lap.cmpImm = in.Imm
@@ -459,6 +471,10 @@ func (c *Core) summariseLap(sb *superblock, pcs []int) {
 		case in.Op == isa.OpCYield:
 			lap.yields++
 			lap.tail = 0
+		case jmpLatch && in.Op.IsConditional() && lap.exit == 0 && compared && pcs[i+1] == pc+1:
+			// compared keeps an exit off the head, where lap.exit would not
+			// record it.
+			lap.exit = uint32(i)
 		default:
 			return
 		}
@@ -466,23 +482,42 @@ func (c *Core) summariseLap(sb *superblock, pcs []int) {
 	lap.cost += c.costs[latch.Op]
 	lap.tail += c.costs[latch.Op]
 	lap.cmpAdd = delta[lap.cmpReg]
-	if !compared || lap.cost >= 1<<32 {
-		// No compare in the lap leaves the latch to flags from outside it;
-		// and a lap that long is a cost table nothing meaningful runs
-		// under — refusing it keeps runSuper's 2·cost from wrapping.
+	if !compared || (jmpLatch && lap.exit == 0) || lap.cost >= 1<<32 {
+		// No compare in the lap leaves the latch to flags from outside it,
+		// and a jmp with no exit ahead of it leaves nothing to decide; a
+		// lap that long is a cost table nothing meaningful runs under —
+		// refusing it keeps runSuper's 2·cost from wrapping.
 		return
+	}
+	// An exit goes the predicted way on the complement of its taken
+	// interval, which is the taken interval of the opposite latch; jeq and
+	// jne have no interval complement to offer.
+	op := latch.Op
+	if lap.exit != 0 {
+		switch instrs[pcs[lap.exit]].Op {
+		case isa.OpJle:
+			op = isa.OpJgt
+		case isa.OpJlt:
+			op = isa.OpJge
+		case isa.OpJge:
+			op = isa.OpJlt
+		case isa.OpJgt:
+			op = isa.OpJle
+		default:
+			return
+		}
 	}
 	// The interval the latch is taken on. A latch no value can take (jgt
 	// against MaxInt64, jlt against MinInt64) has none.
 	at := uint64(lap.cmpImm) ^ sbSignBit
 	switch {
-	case latch.Op == isa.OpJgt && at != ^uint64(0):
+	case op == isa.OpJgt && at != ^uint64(0):
 		lap.lo, lap.hi = at+1, ^uint64(0)
-	case latch.Op == isa.OpJge:
+	case op == isa.OpJge:
 		lap.lo, lap.hi = at, ^uint64(0)
-	case latch.Op == isa.OpJlt && at != 0:
+	case op == isa.OpJlt && at != 0:
 		lap.lo, lap.hi = 0, at-1
-	case latch.Op == isa.OpJle:
+	case op == isa.OpJle:
 		lap.lo, lap.hi = 0, at
 	default:
 		return
@@ -500,8 +535,8 @@ func (c *Core) summariseLap(sb *superblock, pcs []int) {
 // in closed form from the trace head, with the registers, the clock, the
 // fuel left and the busy budget left (MaxUint64: no budget) as they stand
 // there. It is the largest k such that k whole laps fit in the fuel, k+1
-// fit in the budget and in the cycles below wake, and the latch is taken
-// in each of the k (taken):
+// fit in the budget and in the cycles below wake, and the deciding branch
+// goes the predicted way in each of the k (taken):
 //
 //   - fuel is counted in instructions and checked before each step, so k
 //     laps that fit retire exactly as they would one step at a time;
@@ -528,10 +563,10 @@ func (l *sbLap) ahead(regs *[isa.NumRegs]uint64, now, fuelLeft, busyLeft, wake u
 }
 
 // taken returns how many laps in a row, entered at the head with the
-// compared register holding r, take the latch: 0 if the first does not,
-// MaxUint64 if more than that many do. The compared value moves by cmpAdd
-// a lap, so how long it stays in the taken interval [lo, hi] is a
-// quotient; the interval ends where the signed value would wrap, so a
+// compared register holding r, see the deciding branch go the predicted
+// way: 0 if the first does not, MaxUint64 if more than that many do. The
+// compared value moves by cmpAdd a lap, so how long it stays in [lo, hi]
+// is a quotient; the interval ends where the signed value would wrap, so a
 // register is never carried across its wrap — that lap, like every other
 // doubt, is the interpreter's.
 func (l *sbLap) taken(r uint64) uint64 {
@@ -539,7 +574,7 @@ func (l *sbLap) taken(r uint64) uint64 {
 	if v < l.lo || v > l.hi {
 		return 0
 	}
-	more := ^uint64(0) // laps after the first that keep the latch taken
+	more := ^uint64(0) // laps after the first that repeat too
 	if d := l.cmpAdd; int64(d) > 0 {
 		more = (l.hi - v) / d
 	} else if d != 0 {
@@ -576,7 +611,8 @@ func quietLaps(instrs []isa.Instr, sbs []superblock) []sbQuietPC {
 			}
 		}
 		// A summarised lap is straight-line code from the head to the
-		// latch: any interior branch would have refused the summary.
+		// latch: its one interior branch, an exit, is predicted to fall
+		// through, and no compare follows it.
 		head, end := int(sb.entry), int(sb.entry)+int(lap.instrs)
 		lastCmp := head
 		for pc := head; pc < end; pc++ {
@@ -595,16 +631,16 @@ func quietLaps(instrs []isa.Instr, sbs []superblock) []sbQuietPC {
 	return at
 }
 
-// QuietLaps answers the SMT loop's question (internal/smt) about a
-// hardware thread: how long does ctx provably stay inside a counting loop
-// that never yields? Such a lap touches no memory, cannot stall and reads
-// nothing but ctx's own registers and flags, so what it does depends
-// neither on the clock nor on any other context. If ctx's next
-// instruction lies in one, QuietLaps returns the lap's busy cost and
-// instruction count and how many of the latch executions from here on are
-// provably taken (MaxUint64: at least that many), from wherever in the
-// lap ctx stands. cost 0 means ctx is in no such lap, or RunBlock would
-// walk every lap (an observer is attached: each latch is a branch event).
+// QuietLaps answers exec.SMT's question about a hardware thread: how long
+// does ctx provably stay inside a counting loop that never yields? Such a
+// lap touches no memory, cannot stall and reads nothing but ctx's own
+// registers and flags, so what it does depends neither on the clock nor
+// on any other context. If ctx's next instruction lies in one, QuietLaps
+// returns the lap's busy cost and instruction count and how many of the
+// deciding branch's executions from here on provably go the predicted way
+// (MaxUint64: at least that many), from wherever in the lap ctx stands.
+// cost 0 means ctx is in no such lap, or RunBlock would walk every lap
+// (an observer is attached: each lap's closing branch is a branch event).
 // A pc outside every such lap costs one table lookup; inside, O(1).
 //
 //shsim:noalloc
@@ -616,14 +652,22 @@ func (c *Core) QuietLaps(ctx *coro.Context) (cost, instrs, taken uint64) {
 	at := &c.sbQuiet[pc]
 	sb := &c.sbs[at.sb]
 	lap := &sb.lap
-	// The compared register as it stood at the head of this lap. The next
-	// latch sees it through the lap's compare if that is still to come,
-	// and through ctx's flags, already set, if not.
+	// The compared register as it stood at the head of this lap. This
+	// lap's deciding branch sees it through the lap's compare if that is
+	// still to come, and through ctx's flags, already set, if not — the
+	// latch repeats the lap when they hold, an exit when they do not; past
+	// an exit, the lap completes and the next lap's compare decides.
 	r := ctx.Regs[lap.cmpReg&15] - at.pre
+	decide := int(sb.entry) + int(lap.instrs) - 1
+	if lap.exit != 0 {
+		decide = int(sb.entry) + int(lap.exit)
+	}
 	switch {
 	case at.cmpAhead:
 		taken = lap.taken(r)
-	case condHolds(c.uops[int(sb.entry)+int(lap.instrs)-1].op, ctx.Flags):
+	case pc > decide:
+		taken = lap.taken(r + lap.cmpAdd)
+	case condHolds(c.uops[decide].op, ctx.Flags) == (lap.exit == 0):
 		taken = min(lap.taken(r+lap.cmpAdd), ^uint64(0)-1) + 1
 	}
 	return lap.cost, uint64(lap.instrs), taken
@@ -704,8 +748,8 @@ head:
 	// re-based it on the way — the budget as that lap's last one left
 	// it. The per-PC Exec counts ride on laps like any other lap's.
 	// The test against two laps' cost is all a caller whose budget is
-	// shorter pays (an SMT slice). Under an observer every lap's latch is
-	// a branch event, so every lap is walked.
+	// shorter pays (an SMT slice). Under an observer every lap's closing
+	// branch is a branch event, so every lap is walked.
 	if lap.instrs != 0 && !observed {
 		busyLeft := ^uint64(0)
 		if busyBudget != 0 {

@@ -40,8 +40,9 @@ func randLoopProgram(rng *rand.Rand, n int, iters int64, arenaSize int64, latchY
 // self-increments, nops and CYIELDs, which with the latch makes a
 // counting loop: the shape whose laps the superblock tier retires in
 // closed form (sbLap). iters may be large — only a tier that walks every
-// lap pays for it.
-func randCountingLoop(rng *rand.Rand, n int, iters int64, latchYield bool) *isa.Program {
+// lap pays for it. topTested decides each lap at its head instead
+// (topTestLoop).
+func randCountingLoop(rng *rand.Rand, n int, iters int64, latchYield, topTested bool) *isa.Program {
 	p := &isa.Program{}
 	for i := 0; i < n; i++ {
 		switch r := isa.Reg(rng.Intn(16)); {
@@ -53,7 +54,31 @@ func randCountingLoop(rng *rand.Rand, n int, iters int64, latchYield bool) *isa.
 			p.Instrs = append(p.Instrs, isa.Instr{Op: isa.OpCYield, Imm: int64(isa.AllRegs)})
 		}
 	}
+	if topTested {
+		return topTestLoop(p, iters, latchYield)
+	}
 	return closeLoop(p, iters, latchYield)
+}
+
+// topTestLoop wraps a branch-free body in a top-tested loop of iters laps,
+// counted on r12 — the shape of workloads.PaddedChase's filler loop:
+//
+//	head: cmpi r12, iters
+//	      jge exit
+//	      body
+//	      [cyield]            (latchYield)
+//	      addi r12, r12, 1
+//	      jmp head
+//	exit: halt
+func topTestLoop(body *isa.Program, iters int64, latchYield bool) *isa.Program {
+	ins := []isa.Instr{{Op: isa.OpCmpI, Rs1: 12, Imm: iters}, {Op: isa.OpJge}}
+	ins = append(ins, body.Instrs...)
+	if latchYield {
+		ins = append(ins, isa.Instr{Op: isa.OpCYield, Imm: int64(isa.AllRegs)})
+	}
+	ins = append(ins, isa.Instr{Op: isa.OpAddI, Rd: 12, Rs1: 12, Imm: 1}, isa.Instr{Op: isa.OpJmp, Imm: 0})
+	ins[1].Imm = int64(len(ins))
+	return &isa.Program{Instrs: append(ins, isa.Instr{Op: isa.OpHalt})}
 }
 
 // closeLoop appends the latch — iters laps, counted on r12 — and a HALT.

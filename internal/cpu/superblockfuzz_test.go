@@ -18,7 +18,8 @@ import (
 // trace re-entry, resident memory steps across iterations, lap-batched
 // counter flushes — not just one-shot traces; 2 a counting loop (randCountingLoop)
 // a few thousand to tens of thousands of laps long, whose laps the tier
-// retires in closed form wherever fuel, budget and horizon leave it room.
+// retires in closed form wherever fuel, budget and horizon leave it room;
+// seeds with bit 1 set draw it top-tested, leaving on an exit at its head.
 // Odd seeds put a CYIELD ahead of the latch, so the trace laps through a
 // yield the way an instrumented scavenger loop does. The last byte
 // selects the wake horizon (horizonFromByte), and each program is also
@@ -55,7 +56,7 @@ func FuzzSuperblockVsBlock(f *testing.F) {
 			prog, label = randLoopProgram(rng, n, int64(2+seed%5), 4096, seed&1 == 1), "fuzz-loop"
 		case 2:
 			// As many laps as the scalar reference's cap lets it walk.
-			prog, label = randCountingLoop(rng, n, int64(1<<19/(n+4)), seed&1 == 1), "fuzz-counting"
+			prog, label = randCountingLoop(rng, n, int64(1<<19/(n+4)), seed&1 == 1, seed&2 == 2), "fuzz-counting"
 			var regs [isa.NumRegs]uint64
 			for r := 0; r < 12; r++ {
 				regs[r] = rng.Uint64()

@@ -5,20 +5,44 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/service"
 )
 
-// runExp executes one experiment on the default machine and sanity-checks
-// the result envelope.
+// defaultRuns holds each experiment's one run on the default machine per
+// test binary, by ID: TestGoldenTables and every per-experiment test read
+// the same *defaultRun, and none of them writes to its result.
+var defaultRuns sync.Map
+
+type defaultRun struct {
+	once sync.Once
+	res  *Result
+	err  error
+}
+
+// defaultResult runs experiment id on the default machine the first time
+// it is asked for, and returns that run's result every time.
+func defaultResult(id string) (*Result, error) {
+	v, _ := defaultRuns.LoadOrStore(id, new(defaultRun))
+	r := v.(*defaultRun)
+	r.once.Do(func() {
+		run, err := Lookup(id)
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.res, r.err = run(Default())
+	})
+	return r.res, r.err
+}
+
+// runExp returns one experiment's result on the default machine
+// (defaultResult) and sanity-checks the result envelope.
 func runExp(t *testing.T, id string) *Result {
 	t.Helper()
-	run, err := Lookup(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := run(Default())
+	res, err := defaultResult(id)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

@@ -31,11 +31,10 @@ func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation regeneration is slow; skipped under -short")
 	}
-	mach := Default()
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "golden evaluation tables — seed %d\n\n", mach.Seed)
+	fmt.Fprintf(&buf, "golden evaluation tables — seed %d\n\n", Default().Seed)
 	for _, e := range All() {
-		res, err := e.Run(mach)
+		res, err := defaultResult(e.ID)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}

@@ -35,16 +35,20 @@ import (
 //	      cmpi r3, imm
 //	      [cyield]              (yield: a lap no round may contain)
 //	      latch head
-//	      mov r1, r2
+//	exit: mov r1, r2
 //	      halt
+//
+// A top-tested loop leaves on `latch exit` right after the compare, and
+// `jmp head` closes its lap.
 type roundLoop struct {
-	latch    isa.Op
-	delta    int64
-	imm      int64
-	pad      int
-	cmpFirst bool
-	decoy    bool
-	yield    bool
+	latch     isa.Op
+	delta     int64
+	imm       int64
+	pad       int
+	cmpFirst  bool
+	decoy     bool
+	yield     bool
+	topTested bool
 }
 
 func (l roundLoop) lapLen() int {
@@ -55,7 +59,34 @@ func (l roundLoop) lapLen() int {
 	if l.yield {
 		n++
 	}
+	if l.topTested {
+		n++
+	}
 	return n
+}
+
+// opposite maps a conditional branch to the one taken exactly when it is
+// not.
+var opposite = map[isa.Op]isa.Op{
+	isa.OpJgt: isa.OpJle, isa.OpJle: isa.OpJgt,
+	isa.OpJge: isa.OpJlt, isa.OpJlt: isa.OpJge,
+	isa.OpJeq: isa.OpJne, isa.OpJne: isa.OpJeq,
+}
+
+// repeats is the latch taken exactly when the loop goes round again: its
+// latch, or the opposite of its exit.
+func (l roundLoop) repeats() isa.Op {
+	if l.topTested {
+		return opposite[l.latch]
+	}
+	return l.latch
+}
+
+// topTest returns l leaving on an exit where it would have fallen
+// through its latch: the same laps, one instruction longer.
+func (l roundLoop) topTest() roundLoop {
+	l.topTested, l.latch = true, opposite[l.latch]
+	return l
 }
 
 // roundThread is where one hardware thread starts: in loop (-1: the
@@ -101,17 +132,22 @@ func (s *roundScenario) program() (prog *isa.Program, heads []int, chase int) {
 			ins = append(ins, isa.Instr{Op: isa.OpCmpI, Rs1: 2, Imm: 7})
 		}
 		inc := []isa.Instr{{Op: isa.OpAddI, Rd: 2, Rs1: 2, Imm: 1}, {Op: isa.OpAddI, Rd: 3, Rs1: 3, Imm: l.delta}}
-		cmp := isa.Instr{Op: isa.OpCmpI, Rs1: 3, Imm: l.imm}
+		cmp := []isa.Instr{{Op: isa.OpCmpI, Rs1: 3, Imm: l.imm}}
+		closing := isa.Instr{Op: l.latch, Imm: int64(head)}
+		if l.topTested {
+			cmp = append(cmp, isa.Instr{Op: l.latch, Imm: int64(head + l.lapLen())})
+			closing.Op = isa.OpJmp
+		}
 		if l.cmpFirst {
-			ins = append(append(ins, cmp), inc...)
+			ins = append(append(ins, cmp...), inc...)
 		} else {
-			ins = append(append(ins, inc...), cmp)
+			ins = append(append(ins, inc...), cmp...)
 		}
 		if l.yield {
 			ins = append(ins, isa.Instr{Op: isa.OpCYield, Imm: int64(isa.AllRegs)})
 		}
 		ins = append(ins,
-			isa.Instr{Op: l.latch, Imm: int64(head)},
+			closing,
 			isa.Instr{Op: isa.OpMov, Rd: 1, Rs1: 2},
 			isa.Instr{Op: isa.OpHalt})
 	}
@@ -343,6 +379,9 @@ func (l roundLoop) lapCost(c cpu.Config) uint64 {
 	if l.yield {
 		cost += c.CostYield
 	}
+	if l.topTested {
+		cost += c.CostBranch
+	}
 	return cost
 }
 
@@ -392,23 +431,31 @@ func (s *roundScenario) drawThread(rng *rand.Rand) roundThread {
 	case 1:
 		trips = int64(rng.Intn(5000))
 	}
-	above := l.latch == isa.OpJgt || l.latch == isa.OpJge // taken above imm
-	switch {
-	case l.latch == isa.OpJne, (l.delta < 0) == above: // heading for imm
-		th.r3 = l.imm - trips*l.delta
-	case l.delta > 0:
-		th.r3 = math.MaxInt64 - trips
-	default:
-		th.r3 = math.MinInt64 + trips
-	}
+	th.r3 = l.counter(trips)
 	return th
+}
+
+// counter returns the r3 that leaves l going round trips more times from
+// its head: trips laps from its immediate, or from the int64 wrap for the
+// loops only it ends.
+func (l roundLoop) counter(trips int64) int64 {
+	repeats := l.repeats()
+	above := repeats == isa.OpJgt || repeats == isa.OpJge // repeats above imm
+	switch {
+	case repeats == isa.OpJne, (l.delta < 0) == above: // heading for imm
+		return l.imm - trips*l.delta
+	case l.delta > 0:
+		return math.MaxInt64 - trips
+	default:
+		return math.MinInt64 + trips
+	}
 }
 
 // drawRoundScenario draws one to three loops, one to six threads and a
 // serve-style run of up to a dozen requests over them. Half the scenarios
 // get a quantum the first loop's lap cost divides, where one does; one in
-// four runs out of fuel early.
-func drawRoundScenario(rng *rand.Rand) *roundScenario {
+// four runs out of fuel early. Bit i of top makes loop i top-tested.
+func drawRoundScenario(rng *rand.Rand, top uint8) *roundScenario {
 	s := &roundScenario{
 		cost:    roundCosts[rng.Intn(len(roundCosts))],
 		quantum: roundQuanta[rng.Intn(len(roundQuanta))],
@@ -418,7 +465,11 @@ func drawRoundScenario(rng *rand.Rand) *roundScenario {
 		s.fuel = uint64(100 + rng.Intn(1<<14))
 	}
 	for n := 1 + rng.Intn(3); len(s.loops) < n; {
-		s.loops = append(s.loops, drawRoundLoop(rng))
+		l := drawRoundLoop(rng)
+		if top>>len(s.loops)&1 == 1 {
+			l = l.topTest()
+		}
+		s.loops = append(s.loops, l)
 	}
 	if rng.Intn(2) == 0 {
 		var fit []uint64
@@ -491,7 +542,7 @@ func TestRoundsMatchPerSliceReference(t *testing.T) {
 	}
 	var total [2]exec.RoundStats
 	for i := 0; i < n; i++ {
-		st := drawRoundScenario(rng).check(t, fmt.Sprintf("scenario %d", i), int64(i))
+		st := drawRoundScenario(rng, 0).check(t, fmt.Sprintf("scenario %d", i), int64(i))
 		addRounds(&total[0], st[0])
 		addRounds(&total[1], st[1])
 	}
