@@ -23,7 +23,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/service"
 	"repro/internal/sfi"
-	"repro/internal/smt"
 	"repro/internal/workloads"
 )
 
@@ -119,17 +118,11 @@ type (
 	MemConfig = mem.Config
 	// CPUConfig fixes instruction costs and the SFI sandbox.
 	CPUConfig = cpu.Config
-	// SMTConfig tunes the SMT baseline.
-	SMTConfig = smt.Config
 	// SFIOptions configures software-fault-isolation hardening.
 	SFIOptions = sfi.Options
 	// SFIResult reports what the SFI pass inserted.
 	SFIResult = sfi.Result
 )
-
-// SMTRun multiplexes contexts on a core under the SMT baseline model;
-// its ExecStats' Stall is the time every context sat blocked.
-var SMTRun = smt.Run
 
 // DrainRequests runs requests and batch tasks on an executor under one
 // §4.2 software policy (agnostic, sidecar or event-aware) until every

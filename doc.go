@@ -27,6 +27,11 @@
 //
 //	st, _ := h.RunDualMode(img, "chase", "chase", 7, repro.ExecConfig{})
 //
+// The SMT baseline takes the same ExecConfig: its first n instances run
+// as hardware threads, rotating every 4 busy cycles (exec.SMTSlice):
+//
+//	st, _ = h.RunSMT(img, "chase", 4, repro.ExecConfig{})
+//
 // Harness.RunSolo, RunSymmetric, RunDualMode and RunSMT each build the
 // tasks, run them on a fresh executor — SMT is its third scheduling
 // loop, reporting ExecStats like the coroutine loops — and check every
@@ -128,4 +133,6 @@
 //	Experiments()           → Session.ExperimentIDs() + Session.RunAll(ctx) (removed)
 //	LookupExperiment(id)    → Session.Run(ctx, id) (removed)
 //	ExperimentIDs()         → Session.ExperimentIDs() (removed)
+//	SMTConfig, SMTRun       → Harness.RunSMT(img, part, n, ExecConfig) (removed)
+//	MachineRun.SMT          → MachineRun.Tasks and MachineRun.Exec (removed)
 package repro

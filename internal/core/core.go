@@ -35,7 +35,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pebs"
 	"repro/internal/profile"
-	"repro/internal/smt"
 	"repro/internal/workloads"
 )
 
@@ -289,18 +288,16 @@ func (h *Harness) RunDualMode(img *Image, primary, scavenger string, n int, cfg 
 	return h.closedLoop(img, cfg, func(ex *exec.Executor) (exec.Stats, error) { return ex.RunDualMode(pts.Tasks[0], sts.Tasks) }, pts, sts)
 }
 
-// RunSMT runs the first cfg.Contexts instances of part as the hardware
-// contexts of the SMT baseline on a fresh executor over img and
-// validates every result.
-func (h *Harness) RunSMT(img *Image, part string, cfg smt.Config) (exec.Stats, error) {
-	ts, err := h.Tasks(img, part, coro.Primary, cfg.Contexts)
+// RunSMT runs the first n instances of part (all of them when n<=0) as
+// the hardware threads of the SMT baseline, rotating every
+// exec.SMTSlice busy cycles, on a fresh executor over img and validates
+// every result.
+func (h *Harness) RunSMT(img *Image, part string, n int, cfg exec.Config) (exec.Stats, error) {
+	ts, err := h.Tasks(img, part, coro.Primary, n)
 	if err != nil {
 		return exec.Stats{}, err
 	}
-	if cfg, err = cfg.Fit(len(ts.Tasks)); err != nil {
-		return exec.Stats{}, err
-	}
-	return h.closedLoop(img, exec.Config{MaxSteps: cfg.MaxSteps}, func(ex *exec.Executor) (exec.Stats, error) { return ex.RunSMT(ts.Tasks, cfg.Quantum) }, ts)
+	return h.closedLoop(img, cfg, func(ex *exec.Executor) (exec.Stats, error) { return ex.RunSMT(ts.Tasks, exec.SMTSlice) }, ts)
 }
 
 // closedLoop runs one discipline on a fresh executor over img, harvests

@@ -14,7 +14,6 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/metrics"
-	"repro/internal/smt"
 	"repro/internal/workloads"
 )
 
@@ -163,7 +162,6 @@ func TestRunMethodsValidate(t *testing.T) {
 		}
 		return ts.Tasks
 	}
-	smtCfg := smt.Config{Contexts: 2, Quantum: 4, MaxSteps: 1 << 28}
 	cases := []struct {
 		name, part string
 		inst       int // the instance whose reference the case corrupts
@@ -193,13 +191,9 @@ func TestRunMethodsValidate(t *testing.T) {
 				return h.NewExecutor(img, exec.Config{HWAssist: true}).RunDualMode(ts[0], ts[1:])
 			}},
 		{"smt", "chase", 1,
-			func() (any, error) { return h.RunSMT(img, "chase", smtCfg) },
+			func() (any, error) { return h.RunSMT(img, "chase", 2, exec.Config{MaxSteps: 1 << 28}) },
 			func() (any, error) {
-				var ctxs []*coro.Context
-				for _, task := range tasks("chase", coro.Primary, 2) {
-					ctxs = append(ctxs, task.Ctx)
-				}
-				return smt.Run(h.NewExecutor(img, exec.Config{}).Core, smtCfg, ctxs)
+				return h.NewExecutor(img, exec.Config{MaxSteps: 1 << 28}).RunSMT(tasks("chase", coro.Primary, 2), exec.SMTSlice)
 			}},
 	}
 	for _, c := range cases {
@@ -567,11 +561,7 @@ func TestPaddedChaseSkipsPadLaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := smt.Config{Contexts: contexts}.Fit(contexts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk, err := h.NewExecutor(h.Baseline(), exec.Config{MaxSteps: cfg.MaxSteps}).NewSMTTicker(ts.Tasks, cfg.Quantum)
+	tk, err := h.NewExecutor(h.Baseline(), exec.Config{}).NewSMTTicker(ts.Tasks, exec.SMTSlice)
 	if err != nil {
 		t.Fatal(err)
 	}

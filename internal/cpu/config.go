@@ -1,7 +1,7 @@
 // Package cpu simulates an in-order core executing the virtual ISA with
 // cycle-accurate accounting against the mem hierarchy.
 //
-// The core owns the global clock. Executors (internal/exec, internal/smt)
+// The core owns the global clock. Executors (internal/exec's loops)
 // drive it one Core.RunBlock call at a time — a straight-line run up to
 // the next yield they would act on — and decide what happens at yields;
 // the core decides what everything costs. Per-PC hardware counters (ground truth)

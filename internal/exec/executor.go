@@ -18,7 +18,7 @@
 //     CPU back at a conditional yield once the miss is hidden, chaining
 //     to more scavengers on demand when they hit misses of their own.
 //   - SMT: hardware threads switching on stalls at zero cost, blind to
-//     yields and priority — the baseline of internal/smt (RunSMT).
+//     yields and priority — the SMT baseline (RunSMT).
 //
 // Context switches are physically enacted: the outgoing coroutine's
 // registers are saved per the yield's live mask and every register outside

@@ -17,10 +17,10 @@ var errFuel = fmt.Errorf("smt: %w", ErrFuelExhausted)
 var errRound = errors.New("smt: a context in a skipped round stopped short of its slices")
 
 // SMT is the stall-switch scheduling loop, the hardware-threads
-// baseline (internal/smt): ring tasks multiplex the core as hardware
-// threads, rotating every quantum busy cycles and switching for free
-// whenever one exposes a memory stall. Software yields retire as no-ops
-// and the loop emits no trace events: the hardware sees neither. Like
+// baseline: ring tasks multiplex the core as hardware threads, rotating
+// every quantum busy cycles and switching for free whenever one exposes
+// a memory stall. Software yields retire as no-ops and the loop emits
+// no trace events: the hardware sees neither. Like
 // Flat it is fed by a source (a task is runnable iff it has not halted
 // and is not blocked on a fill) and resumable: the slice, rotation
 // cursor and wake-ups live on the loop.
@@ -79,6 +79,14 @@ type RoundStats struct {
 	// retired and SkippedSlices their slices: rounds × runnable contexts.
 	Skips, Rounds, SkippedSlices uint64
 }
+
+// SMTSlice is the hardware-thread slice in busy cycles, the one quantum
+// every SMT run passes to NewSMT (closed runs, machine cores, serve
+// cells). Rotating at this fine grain approximates per-cycle issue-slot
+// sharing, which is what makes SMT inflate the latency of a thread
+// sharing the core with compute-bound peers: the hardware cannot
+// prioritize.
+const SMTSlice = 4
 
 // NewSMT prepares a stall-switch loop over ring, rotating every quantum
 // (> 0) busy cycles, fed by src. Its fuel is the executor's MaxSteps.

@@ -95,11 +95,11 @@ func F1Spectrum(mach Machine) (*Result, error) {
 		}
 
 		// Mechanism: SMT with 2 and 8 hardware contexts.
-		smt2, err := h.RunSMT(base, "padchase", smtContexts(2))
+		smt2, err := h.RunSMT(base, "padchase", 2, exec.Config{MaxSteps: 1 << 28})
 		if err != nil {
 			return nil, err
 		}
-		smt8, err := h.RunSMT(base, "padchase", smtContexts(8))
+		smt8, err := h.RunSMT(base, "padchase", 8, exec.Config{MaxSteps: 1 << 28})
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
-	"repro/internal/smt"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -28,7 +27,7 @@ func E3SMTvsCoro(mach Machine) (*Result, error) {
 	base := h.Baseline()
 
 	for _, k := range []int{1, 2, 4, 8} {
-		st, err := h.RunSMT(base, "chase", smtContexts(k))
+		st, err := h.RunSMT(base, "chase", k, exec.Config{MaxSteps: 1 << 28})
 		if err != nil {
 			return nil, err
 		}
@@ -56,9 +55,4 @@ func E3SMTvsCoro(mach Machine) (*Result, error) {
 		"hardware caps SMT at 2–8 contexts; the chase needs latency/compute ≈ 30 concurrent streams",
 		"coroutine counts beyond the hardware limit keep improving efficiency — the paper's flexibility argument")
 	return res, nil
-}
-
-// smtContexts is the SMT baseline with k hardware contexts.
-func smtContexts(k int) smt.Config {
-	return smt.Config{Contexts: k, Quantum: 4, MaxSteps: 1 << 28}
 }

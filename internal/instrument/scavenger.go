@@ -79,28 +79,6 @@ func Scavenger(prog *isa.Program, prof *profile.Profile, opts ScavengerOptions) 
 		return isa.AllRegs
 	}
 
-	// est estimates the latency of one instruction: base cost plus, for
-	// profiled loads, the expected exposed memory latency.
-	est := func(pc int) float64 {
-		in := prog.Instrs[pc]
-		c := float64(opts.CPU.BusyCost(in.Op))
-		if in.Op == isa.OpAccWait && prof != nil {
-			if ls := prof.Site(pc); ls != nil && ls.Execs > 0 {
-				c += ls.StallCycles / ls.Execs
-			}
-		}
-		if in.Op == isa.OpLoad || in.Op == isa.OpStore {
-			c += float64(opts.Machine.LatL1)
-			if prof != nil {
-				if ls := prof.Site(pc); ls != nil {
-					blend := blendedMissLatency(ls.DRAMFraction(), opts.Machine)
-					c += ls.MissRate() * (blend - float64(opts.Machine.LatL1))
-				}
-			}
-		}
-		return c
-	}
-
 	// blockScale calibrates static estimates against LBR-observed block
 	// latencies where available: if LBR saw the region entered at the
 	// block's start run longer than the static sum, scale estimates up.
@@ -114,7 +92,7 @@ func Scavenger(prog *isa.Program, prof *profile.Profile, opts ScavengerOptions) 
 		}
 		var static float64
 		for i := b.Start; i < b.End; i++ {
-			static += est(i)
+			static += estimate(prog, prof, opts, i)
 		}
 		if static <= 0 || obs <= static {
 			return 1
@@ -128,18 +106,7 @@ func Scavenger(prog *isa.Program, prof *profile.Profile, opts ScavengerOptions) 
 	// Pass 1 — static loop guarantee: every natural loop must contain a
 	// yield (existing or planned).
 	for _, l := range loops {
-		hasYield := false
-	scan:
-		for _, id := range l.Blocks() {
-			b := g.Blocks[id]
-			for i := b.Start; i < b.End; i++ {
-				if prog.Instrs[i].Op.IsYield() {
-					hasYield = true
-					break scan
-				}
-			}
-		}
-		if !hasYield {
+		if !loopYields(prog, g, &l) {
 			h := g.Blocks[l.Header]
 			if !planned[h.Start] {
 				planned[h.Start] = true
@@ -172,7 +139,7 @@ func Scavenger(prog *isa.Program, prof *profile.Profile, opts ScavengerOptions) 
 			if planned[i] {
 				dist = 0
 			}
-			step := est(i) * scale
+			step := estimate(prog, prof, opts, i) * scale
 			if dist > 0 && dist+step > target {
 				if !planned[i] {
 					planned[i] = true
@@ -231,37 +198,8 @@ func CheckScavengerSpacing(prog *isa.Program, prof *profile.Profile, opts Scaven
 	dom := bincfg.ComputeDominators(g)
 	rep := &SpacingReport{}
 
-	est := func(pc int) float64 {
-		in := prog.Instrs[pc]
-		c := float64(opts.CPU.BusyCost(in.Op))
-		if in.Op == isa.OpAccWait && prof != nil {
-			if ls := prof.Site(pc); ls != nil && ls.Execs > 0 {
-				c += ls.StallCycles / ls.Execs
-			}
-		}
-		if in.Op == isa.OpLoad || in.Op == isa.OpStore {
-			c += float64(opts.Machine.LatL1)
-			if prof != nil {
-				if ls := prof.Site(pc); ls != nil {
-					blend := blendedMissLatency(ls.DRAMFraction(), opts.Machine)
-					c += ls.MissRate() * (blend - float64(opts.Machine.LatL1))
-				}
-			}
-		}
-		return c
-	}
-
 	for _, l := range bincfg.NaturalLoops(g, dom) {
-		has := false
-		for _, id := range l.Blocks() {
-			b := g.Blocks[id]
-			for i := b.Start; i < b.End; i++ {
-				if prog.Instrs[i].Op.IsYield() {
-					has = true
-				}
-			}
-		}
-		if !has {
+		if !loopYields(prog, g, &l) {
 			rep.LoopsWithoutYield++
 		}
 	}
@@ -279,7 +217,7 @@ func CheckScavengerSpacing(prog *isa.Program, prof *profile.Profile, opts Scaven
 			}
 		}
 		for i := b.Start; i < b.End; i++ {
-			step := est(i)
+			step := estimate(prog, prof, opts, i)
 			if step > rep.MaxStep {
 				rep.MaxStep = step
 			}
@@ -294,4 +232,43 @@ func CheckScavengerSpacing(prog *isa.Program, prof *profile.Profile, opts Scaven
 		distOut[id] = dist
 	}
 	return rep, nil
+}
+
+// estimate is the scavenger phase's latency estimate for the instruction
+// at pc, shared by placement and its audit: the busy cost plus, for
+// loads and stores, the L1 latency and the profiled miss rate's share of
+// the blended miss latency, and for ACCWAIT the profiled stall per
+// execution.
+func estimate(prog *isa.Program, prof *profile.Profile, opts ScavengerOptions, pc int) float64 {
+	in := prog.Instrs[pc]
+	c := float64(opts.CPU.BusyCost(in.Op))
+	if in.Op == isa.OpAccWait && prof != nil {
+		if ls := prof.Site(pc); ls != nil && ls.Execs > 0 {
+			c += ls.StallCycles / ls.Execs
+		}
+	}
+	if in.Op == isa.OpLoad || in.Op == isa.OpStore {
+		c += float64(opts.Machine.LatL1)
+		if prof != nil {
+			if ls := prof.Site(pc); ls != nil {
+				blend := blendedMissLatency(ls.DRAMFraction(), opts.Machine)
+				c += ls.MissRate() * (blend - float64(opts.Machine.LatL1))
+			}
+		}
+	}
+	return c
+}
+
+// loopYields reports whether any instruction of loop l's body yields
+// (either phase).
+func loopYields(prog *isa.Program, g *bincfg.CFG, l *bincfg.Loop) bool {
+	for _, id := range l.Blocks() {
+		b := g.Blocks[id]
+		for i := b.Start; i < b.End; i++ {
+			if prog.Instrs[i].Op.IsYield() {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -160,22 +160,12 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 
 		cfg := rc.Exec
 		cfg.Tracer = trace.OnCore(cfg.Tracer, i)
-		sc := rc.SMT
-		if rc.Mode == ModeSMT {
-			if sc.Contexts == 0 {
-				sc.Contexts = len(ts.Tasks)
-			}
-			if sc, err = sc.Fit(len(ts.Tasks)); err != nil {
-				return nil, fmt.Errorf("machine: core %d: %w", i, err)
-			}
-			cfg.MaxSteps = sc.MaxSteps
-		}
 		c.ex = h.NewExecutor(img, cfg)
 		if m.llc != nil {
 			c.ex.Core.Hier.AttachLLC(m.llc.NewView(i))
 		}
 		if rc.Mode == ModeSMT {
-			c.tick, err = c.ex.NewSMTTicker(ts.Tasks, sc.Quantum)
+			c.tick, err = c.ex.NewSMTTicker(ts.Tasks, exec.SMTSlice)
 		} else {
 			c.tick, err = c.ex.NewTicker(ts.Tasks, rc.Mode == ModeSolo)
 		}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/mem"
-	"repro/internal/smt"
 	"repro/internal/workloads"
 )
 
@@ -151,7 +150,7 @@ const (
 	// baseline for scaling measurements.
 	ModeSolo
 	// ModeSMT multiplexes the instances as hardware threads: the
-	// exec.SMT loop, as smt.Run runs it.
+	// exec.SMT loop at exec.SMTSlice, as Harness.RunSMT runs it.
 	ModeSMT
 )
 
@@ -177,18 +176,16 @@ type RunConfig struct {
 	// Mode is the per-core execution discipline.
 	Mode Mode
 	// Tasks caps the instances run per core (0 = all of Spec's
-	// instances; ModeSolo always runs exactly one).
+	// instances). ModeSolo runs exactly one, so it refuses more.
 	Tasks int
-	// Exec configures every core's executor. Its Tracer and Metrics
-	// observe the whole machine at any core count: every core emits
-	// into the one Tracer, each event stamped with its core index, and
-	// Run fills the one registry with machine-wide totals. Cores step in
-	// core-index order on the caller's goroutine, so both are
-	// deterministic. ModeSMT emits no scheduling events.
+	// Exec configures every core's executor; its MaxSteps is each core's
+	// fuel in every mode. Its Tracer and Metrics observe the whole
+	// machine at any core count: every core emits into the one Tracer,
+	// each event stamped with its core index, and Run fills the one
+	// registry with machine-wide totals. Cores step in core-index order
+	// on the caller's goroutine, so both are deterministic. ModeSMT
+	// emits no scheduling events.
 	Exec exec.Config
-	// SMT configures ModeSMT, its MaxSteps (not Exec's) the fuel; a zero
-	// Contexts defaults to the task count.
-	SMT smt.Config
 }
 
 func (rc RunConfig) validate() error {
@@ -202,6 +199,9 @@ func (rc RunConfig) validate() error {
 	}
 	if rc.Tasks < 0 {
 		return fmt.Errorf("machine: negative task count %d", rc.Tasks)
+	}
+	if rc.Mode == ModeSolo && rc.Tasks > 1 {
+		return fmt.Errorf("machine: RunConfig.Tasks %d with RunConfig.Mode %v: a solo core runs one instance", rc.Tasks, rc.Mode)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -40,10 +42,8 @@ func TestSingleCoreMatchesEngine(t *testing.T) {
 		{ModeSymmetric, func(h *core.Harness, img *core.Image, cfg exec.Config) (exec.Stats, error) {
 			return h.RunSymmetric(img, "chase", 0, cfg)
 		}},
-		// RunSMT observes nothing; SMT emits no events, and
-		// TestSingleCoreSMTMatchesEngine holds its counters.
-		{ModeSMT, func(h *core.Harness, img *core.Image, _ exec.Config) (exec.Stats, error) {
-			return h.RunSMT(img, "chase", smt.Config{Contexts: 4}) // chaseSpec's instances
+		{ModeSMT, func(h *core.Harness, img *core.Image, cfg exec.Config) (exec.Stats, error) {
+			return h.RunSMT(img, "chase", 0, cfg)
 		}},
 	} {
 		mach := core.DefaultMachine()
@@ -73,7 +73,7 @@ func TestSingleCoreMatchesEngine(t *testing.T) {
 		if !reflect.DeepEqual(st.Cores[0].Exec, refSt) {
 			t.Errorf("mode %v: stats diverged from engine\n got %+v\nwant %+v", tc.mode, st.Cores[0].Exec, refSt)
 		}
-		if tc.mode != ModeSMT && (mreg.Mem != reg.Mem || mreg.CPU != reg.CPU) {
+		if mreg.Mem != reg.Mem || mreg.CPU != reg.CPU {
 			t.Errorf("mode %v: core counters diverged", tc.mode)
 		}
 		if st.LLC != (mem.LLCStats{}) {
@@ -130,6 +130,20 @@ func TestSingleCoreSMTMatchesEngine(t *testing.T) {
 	}
 }
 
+// Exec.MaxSteps is every mode's fuel: a budget too small for the run
+// stops it with exec.ErrFuelExhausted whatever the discipline.
+func TestEveryModeTakesExecFuel(t *testing.T) {
+	for _, mode := range []Mode{ModeSolo, ModeSymmetric, ModeSMT} {
+		m, err := New(Topology{Cores: 1}, RunConfig{Spec: chaseSpec(), Mode: mode, Exec: exec.Config{MaxSteps: 100}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); !errors.Is(err, exec.ErrFuelExhausted) {
+			t.Errorf("mode %v with 100 steps of fuel: err = %v, want exec.ErrFuelExhausted", mode, err)
+		}
+	}
+}
+
 func TestValidation(t *testing.T) {
 	if _, err := New(Topology{Cores: 0}, RunConfig{Spec: chaseSpec()}); err == nil {
 		t.Error("zero cores accepted")
@@ -139,6 +153,15 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := New(Topology{Cores: 2}, RunConfig{Spec: chaseSpec(), Mode: Mode(99)}); err == nil {
 		t.Error("unknown mode accepted")
+	}
+	// A solo core runs one instance; a larger task count would be
+	// silently ignored, so it is refused naming both fields.
+	_, err := New(Topology{Cores: 1}, RunConfig{Spec: chaseSpec(), Mode: ModeSolo, Tasks: 2})
+	if err == nil || !strings.Contains(err.Error(), "Tasks") || !strings.Contains(err.Error(), "Mode") {
+		t.Errorf("ModeSolo with Tasks 2: err = %v, want a refusal naming Tasks and Mode", err)
+	}
+	if _, err := New(Topology{Cores: 1}, RunConfig{Spec: chaseSpec(), Mode: ModeSolo, Tasks: 1}); err != nil {
+		t.Errorf("ModeSolo with Tasks 1 refused: %v", err)
 	}
 	// One tracer and one registry observe every core.
 	rc := RunConfig{Spec: chaseSpec(), Exec: exec.Config{Tracer: trace.NewRing(8), Metrics: &metrics.Registry{}}}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/metrics"
-	"repro/internal/smt"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -230,7 +229,7 @@ func newCell(mach core.Machine, cfg Config, cl Cell, obs exec.Config, withArriva
 		// Slots and batch contexts multiplex the core as hardware threads
 		// with zero software cost and zero notion of request priority
 		// (the paper's §1 critique).
-		c.loop = c.ex.NewSMT(ring, smt.DefaultConfig().Quantum, c)
+		c.loop = c.ex.NewSMT(ring, exec.SMTSlice, c)
 	default:
 		return nil, fmt.Errorf("service: unknown policy %d", uint8(cl.Policy))
 	}

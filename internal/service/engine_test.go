@@ -11,9 +11,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/exec"
 	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/metrics"
-	"repro/internal/smt"
 	"repro/internal/workloads"
 )
 
@@ -103,9 +101,8 @@ func TestFuelExhaustionIsOneError(t *testing.T) {
 			_, err := h.NewExecutor(img, exec.Config{MaxSteps: 50}).RunSolo(ts.Tasks[0])
 			return err
 		})},
-		{"smt run", closed(func(h *core.Harness, img *core.Image, ts *core.TaskSet) error {
-			c := cpu.MustNewCore(mach.CPU, img.Prog, h.Sc.Mem, mem.MustNewHierarchy(mach.Mem))
-			_, err := smt.Run(c, smt.Config{Contexts: 2, MaxSteps: 50}, []*coro.Context{ts.Tasks[0].Ctx, ts.Tasks[1].Ctx})
+		{"smt run", closed(func(h *core.Harness, img *core.Image, _ *core.TaskSet) error {
+			_, err := h.RunSMT(img, "chase", 2, exec.Config{MaxSteps: 50})
 			return err
 		})},
 		{"1-core serve cell", serve(1)},

@@ -51,11 +51,8 @@ func (cs CellStats) Throughput() float64 {
 // micros converts cycles to simulated microseconds.
 func micros(cycles uint64) float64 { return float64(cycles) / CyclesPerMicro }
 
-// P50Micros, P99Micros and P999Micros report the sojourn quantiles in
-// simulated microseconds.
-func (cs CellStats) P50Micros() float64  { return micros(cs.P50) }
-func (cs CellStats) P99Micros() float64  { return micros(cs.P99) }
-func (cs CellStats) P999Micros() float64 { return micros(cs.P999) }
+// P99Micros reports the p99 sojourn in simulated microseconds.
+func (cs CellStats) P99Micros() float64 { return micros(cs.P99) }
 
 // summarize folds the per-core cells that served cl into one CellStats:
 // the per-core ledgers sum and their sojourn histograms merge (exactly

@@ -98,9 +98,11 @@ type Workload struct {
 	// j mod instances, so the spec needs at least Workers instances
 	// (each concurrent slot owns one instance's stack).
 	Request workloads.Spec
-	// Background is the batch work (nil or Batch == 0 disables it).
-	// Batch tasks never finish: each halt validates the result, counts
-	// a batch op, and re-arms the task with the next instance.
+	// Background is the batch work. Nil selects Batch compute tasks (2
+	// when Batch is 0 too); a set Background with Batch == 0 runs no
+	// batch work. Batch tasks never finish: each halt validates the
+	// result, counts a batch op, and re-arms the task with the next
+	// instance.
 	Background workloads.Spec
 }
 

@@ -192,6 +192,35 @@ func TestParsePolicies(t *testing.T) {
 	}
 }
 
+// Normalized's batch rule over Background nil/set × Batch 0/3: a nil
+// Background becomes Batch compute tasks (two when Batch is 0 too), and
+// only a set Background with Batch 0 runs no batch work.
+func TestNormalizedBackgroundBatch(t *testing.T) {
+	set := workloads.Compute{Iters: 1500, Instances: 3}
+	for _, tc := range []struct {
+		bg        workloads.Spec
+		batch     int
+		wantBatch int
+		wantBg    workloads.Spec
+	}{
+		{nil, 0, 2, workloads.Compute{Iters: 3000, Instances: 2}},
+		{nil, 3, 3, workloads.Compute{Iters: 3000, Instances: 3}},
+		{set, 0, 0, set},
+		{set, 3, 3, set},
+	} {
+		cfg := testConfig()
+		cfg.Workload.Background, cfg.Batch = tc.bg, tc.batch
+		n, err := cfg.Normalized()
+		if err != nil {
+			t.Fatalf("Background %v, Batch %d: %v", tc.bg, tc.batch, err)
+		}
+		if n.Batch != tc.wantBatch || n.Workload.Background != tc.wantBg {
+			t.Errorf("Background %v, Batch %d normalized to Background %v, Batch %d; want %v, %d",
+				tc.bg, tc.batch, n.Workload.Background, n.Batch, tc.wantBg, tc.wantBatch)
+		}
+	}
+}
+
 // Config validation catches the structural mistakes.
 func TestConfigValidate(t *testing.T) {
 	cfg := testConfig()

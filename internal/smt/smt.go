@@ -9,8 +9,12 @@
 // inflates with the number of co-runners.
 //
 // The stall-switch loop itself is exec.SMT, on the exec contract beside
-// the coroutine loops; this package holds the model's configuration and
-// Run, the loop over a bare core.
+// the coroutine loops, configured like every other discipline: product
+// code runs it through core.Harness.RunSMT, machine.ModeSMT and the
+// serve cell's SMT policy, each at exec.SMTSlice. Config, DefaultConfig,
+// Fit and Run remain only as the shim the benchmark (bench/layers.go)
+// names; ROADMAP item 1(g) deletes them once bench moves onto the
+// harness.
 package smt
 
 import (
@@ -25,11 +29,8 @@ import (
 type Config struct {
 	// Contexts is the number of hardware threads (2-8 on real parts).
 	Contexts int
-	// Quantum is the fine-grained multiplexing grain in cycles: the model
-	// rotates runnable contexts every Quantum busy cycles, approximating
-	// per-cycle issue-slot sharing. This is what makes SMT inflate the
-	// latency of a thread sharing the core with compute-bound peers —
-	// the hardware cannot prioritize. Zero selects DefaultConfig's.
+	// Quantum is the multiplexing grain in busy cycles (exec.SMTSlice).
+	// Zero selects DefaultConfig's.
 	Quantum uint64
 	// MaxSteps bounds total retired instructions (runaway guard). Zero
 	// selects DefaultConfig's.
@@ -39,7 +40,7 @@ type Config struct {
 // DefaultConfig models 2-way SMT (Intel Hyper-Threading) with a fine
 // multiplexing grain.
 func DefaultConfig() Config {
-	return Config{Contexts: 2, Quantum: 4, MaxSteps: 200_000_000}
+	return Config{Contexts: 2, Quantum: exec.SMTSlice, MaxSteps: 200_000_000}
 }
 
 // Fit checks that threads software threads fit cfg's hardware contexts
