@@ -4,14 +4,16 @@
 // should start from NewSession + WithTopology, which own the machine
 // description, experiment lookup/run, instrumentation and execution
 // policy in one place. The aliases that name simulator building blocks
-// (Harness, workloads, configs) are not deprecated; the free functions
-// Session subsumed — DefaultMachine, Experiments, LookupExperiment,
-// ExperimentIDs — have been removed (see the migration table in
-// doc.go).
+// (Harness, workloads, configs) are not deprecated, and each names the
+// defining package's type directly (Harness is core.Harness); the free
+// functions Session subsumed — DefaultMachine, Experiments,
+// LookupExperiment, ExperimentIDs — have been removed (see the
+// migration table in doc.go).
 package repro
 
 import (
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/coro"
 	"repro/internal/cpu"
 	"repro/internal/exec"
@@ -33,17 +35,17 @@ type (
 	// core cost model, sampler configuration and coroutine switch
 	// pricing. It is the type of Topology.Machine, the per-core template;
 	// a single-core machine is Topology{Cores: 1, Machine: m}.
-	Machine = experiments.Machine
+	Machine = core.Machine
 	// Harness owns a composed workload scenario and builds executors.
-	Harness = experiments.Harness
+	Harness = core.Harness
 	// Image is a (possibly instrumented) executable program.
-	Image = experiments.Image
+	Image = core.Image
 	// TaskSet couples coroutine tasks with host-reference results.
-	TaskSet = experiments.TaskSet
+	TaskSet = core.TaskSet
 )
 
 // NS converts simulated cycles to nanoseconds (3 GHz clock).
-func NS(cycles float64) float64 { return experiments.NS(cycles) }
+func NS(cycles float64) float64 { return core.NS(cycles) }
 
 // ---- Coroutines & execution (internal/coro, internal/exec) ----
 

@@ -483,8 +483,8 @@ func runSweep(w io.Writer, o options) error {
 	cell := seedRun
 	where, cols := "", []string{"seed", "cycles", "efficiency", "IPC"}
 	if o.tf.Cores > 1 {
-		id = fmt.Sprintf("shrun/%s/%s/cores=%d/n=%d/hw=%t/inst=%d",
-			o.wf.Workload, o.mode, o.tf.Cores, o.n, o.hwAssist, o.wf.Instances)
+		id = fmt.Sprintf("shrun/%s/%s/cores=%d/n=%d/inst=%d",
+			o.wf.Workload, o.mode, o.tf.Cores, o.n, o.wf.Instances)
 		cell = seedMachine
 		where, cols = fmt.Sprintf(" on %d cores", o.tf.Cores), append(cols, "llc misses")
 	}

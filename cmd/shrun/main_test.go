@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cli"
+	"repro/internal/exec"
+	"repro/internal/isa"
 )
 
 func defaults() options {
@@ -432,5 +435,51 @@ func TestManyCoreSweepMetrics(t *testing.T) {
 	}
 	if got := tableValue(t, s, "sched", "requests"); got != "4" {
 		t.Errorf("sched requests = %s, want 4 (the last seed's 2 cores × 2 tasks)", got)
+	}
+}
+
+// An image shinstr saves runs under -image exactly as the library runs
+// the instrumented image it came from: both enter each part where the
+// library's remap put it, so the cycle counts agree.
+func TestImageRunsWhatTheLibraryRuns(t *testing.T) {
+	for _, workload := range []string{"chase", "mixedchase"} {
+		o := defaults()
+		o.wf.Workload, o.mode = workload, "symmetric"
+		o.n = o.wf.Instances
+		h, part, err := o.wf.Harness()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, _, err := h.Profile(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := h.Instrument(prof, h.Mach.PipelineOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib, err := h.RunSymmetric(img, part, o.n, exec.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.imagePath = filepath.Join(t.TempDir(), workload+".img")
+		f, err := os.Create(o.imagePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := isa.SaveImage(f, isa.Encode(img.Prog)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run(&out, o); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%s/symmetric: %d cycles", workload, lib.Cycles)
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("library run: %q; shrun -image:\n%s", want, out.String())
+		}
 	}
 }

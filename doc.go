@@ -56,6 +56,10 @@
 //	// err is a *repro.CheckError listing every diagnostic if the
 //	// rewritten binary is unsound.
 //
+// A rewritten image's Entries and its program's "<part>.main" symbols
+// name the same pcs (Image.Remap writes both), so an image saved from
+// img.Prog runs under cmd/shrun -image exactly as it runs in process.
+//
 // Observability — tracing, the cycle-domain metrics registry and Chrome
 // trace export — is configured in one option and threaded into every
 // executor the session builds:

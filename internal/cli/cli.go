@@ -271,58 +271,21 @@ func (sf *ServiceFlags) Register(fs *flag.FlagSet) {
 // must parse; without it, touching a service knob is an error rather
 // than a silent no-op.
 func (sf *ServiceFlags) Check() error {
+	_, err := sf.parse()
+	return err
+}
+
+// parse is Check's one reading of the flags. With -serve it returns the
+// sweep they describe, without its request workload; without -serve,
+// the zero Config.
+func (sf *ServiceFlags) parse() (service.Config, error) {
 	if !sf.Serve {
 		// Both the registered defaults and the zero value (programmatic
 		// callers that never touch the service surface) are "untouched".
 		if *sf != serviceDefaults && *sf != (ServiceFlags{}) {
-			return fmt.Errorf("-arrivals/-rate/-requests/-policy/-workers/-queue/-shed/-batch/-burst tune the service harness, which needs -serve")
+			return service.Config{}, fmt.Errorf("-arrivals/-rate/-requests/-policy/-workers/-queue/-shed/-batch/-burst tune the service harness, which needs -serve")
 		}
-		return nil
-	}
-	if _, err := service.ParseKind(sf.Arrivals); err != nil {
-		return err
-	}
-	if _, err := service.ParsePolicies(sf.Policy); err != nil {
-		return err
-	}
-	if _, err := sf.rates(); err != nil {
-		return err
-	}
-	for _, size := range []struct {
-		flag string
-		v    int
-	}{{"requests", sf.Requests}, {"workers", sf.Workers}, {"queue", sf.Queue}, {"batch", sf.Batch}} {
-		if size.v < 1 {
-			return fmt.Errorf("-%s must be ≥ 1 (got %d)", size.flag, size.v)
-		}
-	}
-	return nil
-}
-
-// rates parses the -rate list.
-func (sf *ServiceFlags) rates() ([]float64, error) {
-	if sf.Rate == "" {
-		return nil, nil // service.Config defaults apply
-	}
-	var out []float64
-	for _, s := range strings.Split(sf.Rate, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return nil, fmt.Errorf("-rate: %q is not a number", s)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// ServiceConfig assembles the serve-sweep configuration described by
-// the flags around the given request workload (typically built from the
-// -workload flag with Instances = sf.Workers), refusing what
-// service.Config.Validate refuses. The background batch tier is left to
-// the service package's default compute filler.
-func (sf *ServiceFlags) ServiceConfig(request workloads.Spec) (service.Config, error) {
-	if err := sf.Check(); err != nil {
-		return service.Config{}, err
+		return service.Config{}, nil
 	}
 	kind, err := service.ParseKind(sf.Arrivals)
 	if err != nil {
@@ -332,15 +295,26 @@ func (sf *ServiceFlags) ServiceConfig(request workloads.Spec) (service.Config, e
 	if err != nil {
 		return service.Config{}, err
 	}
-	rates, err := sf.rates()
-	if err != nil {
-		return service.Config{}, err
+	rates := service.DefaultConfig().Rates
+	if sf.Rate != "" {
+		rates = nil
+		for _, s := range strings.Split(sf.Rate, ",") {
+			r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+			if err != nil {
+				return service.Config{}, fmt.Errorf("-rate: %q is not a number", s)
+			}
+			rates = append(rates, r)
+		}
 	}
-	if len(rates) == 0 {
-		rates = service.DefaultConfig().Rates
+	for _, size := range []struct {
+		flag string
+		v    int
+	}{{"requests", sf.Requests}, {"workers", sf.Workers}, {"queue", sf.Queue}, {"batch", sf.Batch}} {
+		if size.v < 1 {
+			return service.Config{}, fmt.Errorf("-%s must be ≥ 1 (got %d)", size.flag, size.v)
+		}
 	}
-	cfg := service.Config{
-		Workload:  service.Workload{Request: request},
+	return service.Config{
 		Arrivals:  service.ArrivalSpec{Kind: kind, Rate: rates[0], Burst: sf.Burst},
 		Rates:     rates,
 		Requests:  sf.Requests,
@@ -349,7 +323,20 @@ func (sf *ServiceFlags) ServiceConfig(request workloads.Spec) (service.Config, e
 		ShedAfter: sf.Shed,
 		Batch:     sf.Batch,
 		Policies:  pols,
+	}, nil
+}
+
+// ServiceConfig assembles the serve-sweep configuration the -serve
+// flags describe around the given request workload (typically built
+// from the -workload flag with Instances = sf.Workers), refusing what
+// service.Config.Validate refuses. The background batch tier is left to
+// the service package's default compute filler.
+func (sf *ServiceFlags) ServiceConfig(request workloads.Spec) (service.Config, error) {
+	cfg, err := sf.parse()
+	if err != nil {
+		return service.Config{}, err
 	}
+	cfg.Workload.Request = request
 	if _, err := cfg.Normalized(); err != nil {
 		return service.Config{}, err
 	}

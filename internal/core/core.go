@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"repro/internal/check"
@@ -157,14 +158,26 @@ func (h *Harness) Baseline() *Image {
 	return &Image{Prog: h.Sc.Prog, Entries: entries}
 }
 
-// FromRewrite wraps an externally rewritten program (manual annotation,
-// SFI hardening) whose oldToNew mapping remaps part entries.
+// FromRewrite wraps an externally rewritten scenario program (manual
+// annotation, SFI hardening): the baseline image remapped onto it.
 func (h *Harness) FromRewrite(prog *isa.Program, oldToNew []int) *Image {
-	entries := map[string]int{}
-	for _, p := range h.Sc.Parts {
-		entries[p.Name] = oldToNew[p.Entry]
+	return h.Baseline().Remap(prog, oldToNew)
+}
+
+// Remap returns the image of prog, a rewrite of img.Prog whose oldToNew
+// maps img's pcs to prog's. Each part's entry moves through oldToNew and
+// is written as the part's "<part>.main" symbol, in a copy of prog's
+// symbol table, so an image saved from the result enters each part where
+// the library does.
+func (img *Image) Remap(prog *isa.Program, oldToNew []int) *Image {
+	syms := make(map[string]int, len(prog.Symbols)+len(img.Entries))
+	maps.Copy(syms, prog.Symbols)
+	out := &Image{Prog: &isa.Program{Instrs: prog.Instrs, Symbols: syms}, Entries: make(map[string]int, len(img.Entries))}
+	for name, e := range img.Entries {
+		out.Entries[name] = oldToNew[e]
+		out.Prog.Symbols[name+".main"] = oldToNew[e]
 	}
-	return &Image{Prog: prog, Entries: entries}
+	return out
 }
 
 // Profile runs every instance of the named part solo under the machine's
@@ -224,12 +237,12 @@ func (h *Harness) Instrument(prof *profile.Profile, opts instrument.PipelineOpti
 }
 
 // verify statically checks an image Instrument built against the
-// scenario's original binary, rooting reachability at the rewritten
-// part entries.
+// scenario's original binary, rooting reachability at the image's part
+// entries.
 func (h *Harness) verify(img *Image) error {
 	var entries []int
 	for _, p := range h.Sc.Parts {
-		entries = append(entries, img.Pipe.OldToNew[p.Entry])
+		entries = append(entries, img.Entries[p.Name])
 	}
 	return check.Program(h.Sc.Prog, img.Prog, img.Pipe.OldToNew, check.Options{Entries: entries}).Err()
 }

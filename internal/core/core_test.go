@@ -316,6 +316,28 @@ func TestFromRewriteRemapsEntries(t *testing.T) {
 	if img.Entries["chase"] != h.Sc.Parts[0].Entry+1 {
 		t.Errorf("entry not remapped: %d", img.Entries["chase"])
 	}
+	// The rewriter puts the label at the inserted nop; the image's own
+	// symbol table carries the entry the image runs, and the rewrite's
+	// table is left as it was.
+	if got := img.Prog.Symbols["chase.main"]; got != img.Entries["chase"] {
+		t.Errorf("chase.main symbol at %d, entry at %d", got, img.Entries["chase"])
+	}
+	if got := prog.Symbols["chase.main"]; got != h.Sc.Parts[0].Entry {
+		t.Errorf("rewritten program's own chase.main moved to %d", got)
+	}
+
+	// Remapping again composes: a second rewrite of the image (as E12
+	// hardens an instrumented image) moves the entry once more.
+	rw = instrument.NewRewriter(img.Prog)
+	rw.InsertBefore(img.Entries["chase"], isa.Instr{Op: isa.OpNop})
+	prog2, oldToNew2, err := rw.Apply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img2 := img.Remap(prog2, oldToNew2)
+	if want := h.Sc.Parts[0].Entry + 2; img2.Entries["chase"] != want || img2.Prog.Symbols["chase.main"] != want {
+		t.Errorf("second remap: entry %d, symbol %d, want %d", img2.Entries["chase"], img2.Prog.Symbols["chase.main"], want)
+	}
 }
 
 func TestProfilePartsValidates(t *testing.T) {

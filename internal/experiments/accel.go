@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -15,7 +16,7 @@ import (
 // misses hide these too — the profiler attributes the stalls to the
 // ACCWAIT site and the instrumenter places a yield there, with the hide
 // window sized from the operation's actual residual time.
-func E16Accelerator(mach Machine) (*Result, error) {
+func E16Accelerator(mach core.Machine) (*Result, error) {
 	res := newResult("E16", "hiding onboard-accelerator waits (§1 motivation)")
 	tbl := stats.NewTable("accelerator stream, 8-way interleaving",
 		"accel_latency_ns", "variant", "cycles", "efficiency", "speedup")
@@ -24,7 +25,7 @@ func E16Accelerator(mach Machine) (*Result, error) {
 	const n = 8
 	// The latency is the core's, not the image's: one composition serves
 	// every latency.
-	composed, err := NewHarness(mach, workloads.AccelStream{Blocks: 1500, Pad: 8, Instances: n})
+	composed, err := core.NewHarness(mach, workloads.AccelStream{Blocks: 1500, Pad: 8, Instances: n})
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +53,7 @@ func E16Accelerator(mach Machine) (*Result, error) {
 			return nil, err
 		}
 
-		ns := fmt.Sprintf("%.0f", NS(float64(lat)))
+		ns := fmt.Sprintf("%.0f", core.NS(float64(lat)))
 		tbl.Row(ns, "baseline", base.Cycles, base.Efficiency(), "1.00x")
 		tbl.Row(ns, "profile-guided", pg.Cycles, pg.Efficiency(),
 			stats.Ratio(float64(base.Cycles), float64(pg.Cycles)))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/stats"
@@ -11,8 +12,8 @@ import (
 
 // dualScenario composes the latency-sensitive request (a hash-join probe
 // batch) with the given background workload in one image.
-func dualScenario(mach Machine, scavSpec workloads.Spec) (*Harness, error) {
-	return NewHarness(mach,
+func dualScenario(mach core.Machine, scavSpec workloads.Spec) (*core.Harness, error) {
+	return core.NewHarness(mach,
 		workloads.HashJoin{BuildRows: 8192, Buckets: 4096, Probes: 250, MatchFraction: 0.7, Instances: 1},
 		scavSpec,
 	)
@@ -21,7 +22,7 @@ func dualScenario(mach Machine, scavSpec workloads.Spec) (*Harness, error) {
 // E7DualMode reproduces §3.3's central claim: asymmetric concurrency
 // achieves near-solo latency for the primary *and* high CPU efficiency,
 // where symmetric interleaving trades one for the other.
-func E7DualMode(mach Machine) (*Result, error) {
+func E7DualMode(mach core.Machine) (*Result, error) {
 	res := newResult("E7", "asymmetric concurrency: primary latency vs CPU efficiency (§3.3)")
 	tbl := stats.NewTable("hash-join primary + 4 batch-compute scavengers",
 		"discipline", "primary_cycles", "latency_vs_solo", "efficiency", "episodes")
@@ -98,7 +99,7 @@ func E7DualMode(mach Machine) (*Result, error) {
 // E8ScavengerScaling reproduces §3.3's on-demand scaling: a pointer-chasing
 // scavenger hits its own misses and must chain to further scavengers,
 // whereas a compute-bound scavenger hides a miss alone.
-func E8ScavengerScaling(mach Machine) (*Result, error) {
+func E8ScavengerScaling(mach core.Machine) (*Result, error) {
 	res := newResult("E8", "scavenger chaining on demand (§3.3)")
 	tbl := stats.NewTable("chained scavengers per primary miss episode",
 		"scavenger_kind", "episodes", "chain_switches", "chains_per_episode", "efficiency")
@@ -153,7 +154,7 @@ func E8ScavengerScaling(mach Machine) (*Result, error) {
 // E9IntervalSweep reproduces §3.3's scavenger-instrumentation knob: the
 // target inter-yield interval trades yield-check overhead (too small)
 // against primary-visible delay (too large). The paper suggests ~100 ns.
-func E9IntervalSweep(mach Machine) (*Result, error) {
+func E9IntervalSweep(mach core.Machine) (*Result, error) {
 	res := newResult("E9", "scavenger inter-yield interval sweep (§3.3)")
 	tbl := stats.NewTable("hash-join primary + compute scavengers",
 		"interval_ns", "primary_cycles", "avg_overshoot", "efficiency", "switches")
@@ -185,7 +186,7 @@ func E9IntervalSweep(mach Machine) (*Result, error) {
 		if st.Episodes > 0 {
 			overshoot = float64(st.PrimaryDelay) / float64(st.Episodes)
 		}
-		tbl.Row(fmt.Sprintf("%.0f", NS(float64(interval))), st.PrimaryLatency, overshoot,
+		tbl.Row(fmt.Sprintf("%.0f", core.NS(float64(interval))), st.PrimaryLatency, overshoot,
 			st.Efficiency(), st.Switches)
 		res.Metrics[fmt.Sprintf("interval_%d_latency", interval)] = float64(st.PrimaryLatency)
 		res.Metrics[fmt.Sprintf("interval_%d_overshoot", interval)] = overshoot

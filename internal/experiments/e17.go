@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -14,7 +15,7 @@ import (
 // and nothing else; the software mechanism must pick up exactly the
 // irregular remainder — and must not double-instrument what the hardware
 // already handles.
-func E17PrefetcherInteraction(mach Machine) (*Result, error) {
+func E17PrefetcherInteraction(mach core.Machine) (*Result, error) {
 	res := newResult("E17", "hardware stream prefetcher vs software yields (substrate ablation)")
 	tbl := stats.NewTable("8-way interleaving, solo-profiled per configuration",
 		"workload", "hw_prefetch", "variant", "cycles", "efficiency", "yields")
@@ -28,7 +29,7 @@ func E17PrefetcherInteraction(mach Machine) (*Result, error) {
 	for _, spec := range kinds {
 		// The prefetcher is the hierarchy's, not the image's: one
 		// composition per kind serves both settings.
-		composed, err := NewHarness(mach, spec)
+		composed, err := core.NewHarness(mach, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/stats"
@@ -16,14 +17,14 @@ import (
 // efficiency climbs with the width until the concurrency matches the
 // latency/compute ratio, then flattens at the switch-overhead bound —
 // no hardware redesign involved at any point.
-func E18WindowWidth(mach Machine) (*Result, error) {
+func E18WindowWidth(mach core.Machine) (*Result, error) {
 	res := newResult("E18", "on-demand concurrency scaling: request-window width (§1)")
 	tbl := stats.NewTable("48 hash-join requests streamed through a W-wide window",
 		"width", "cycles", "efficiency", "ipc", "switches")
 	res.Tables = append(res.Tables, tbl)
 
 	const nReq = 48
-	h, err := NewHarness(mach, workloads.HashJoin{
+	h, err := core.NewHarness(mach, workloads.HashJoin{
 		BuildRows: 8192, Buckets: 4096, Probes: 60, MatchFraction: 0.7, Instances: nReq,
 	})
 	if err != nil {

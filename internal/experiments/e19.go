@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -13,14 +14,14 @@ import (
 // candidates, and the whole pipeline silently degrades to the baseline.
 // This is §3.2's accuracy argument at the sampling layer (the companion
 // to E13's mapping-level argument).
-func E19SamplingPrecision(mach Machine) (*Result, error) {
+func E19SamplingPrecision(mach core.Machine) (*Result, error) {
 	res := newResult("E19", "precise vs skidded sample attribution (§2/§3.2, PEBS [1])")
 	tbl := stats.NewTable("pointer chase, 8-way interleaving",
 		"attribution", "profiled_load_sites", "yields", "cycles", "efficiency")
 	res.Tables = append(res.Tables, tbl)
 
 	const n = 8
-	h, err := NewHarness(mach, workloads.PointerChase{Nodes: 8192, Hops: 1500, Instances: n})
+	h, err := core.NewHarness(mach, workloads.PointerChase{Nodes: 8192, Hops: 1500, Instances: n})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/stats"
@@ -14,14 +15,14 @@ import (
 // overhead of coroutine switching is acceptable" for events of 10s–100s
 // of ns. We sweep the full-context switch cost across two orders of
 // magnitude and measure how much of the mechanism's benefit survives.
-func E20SwitchCostSensitivity(mach Machine) (*Result, error) {
+func E20SwitchCostSensitivity(mach core.Machine) (*Result, error) {
 	res := newResult("E20", "switch-cost sensitivity: is sub-10 ns overhead the bottleneck? (§4.1)")
 	tbl := stats.NewTable("instrumented pointer chase, 16-way symmetric",
 		"switch_cost_ns", "model", "cycles", "efficiency", "vs_baseline")
 	res.Tables = append(res.Tables, tbl)
 
 	const n = 16
-	h, err := NewHarness(mach, workloads.PointerChase{Nodes: 8192, Hops: 1200, Instances: n})
+	h, err := core.NewHarness(mach, workloads.PointerChase{Nodes: 8192, Hops: 1200, Instances: n})
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +61,7 @@ func E20SwitchCostSensitivity(mach Machine) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ns := NS(float64(mdl.model.FullCost()))
+		ns := core.NS(float64(mdl.model.FullCost()))
 		tbl.Row(fmt.Sprintf("%.1f", ns), mdl.label, st.Cycles, st.Efficiency(),
 			stats.Ratio(float64(baseStats.Cycles), float64(st.Cycles)))
 		res.Metrics[fmt.Sprintf("cost%d_eff", mdl.model.FullCost())] = st.Efficiency()

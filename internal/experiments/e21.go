@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/service"
 	"repro/internal/stats"
@@ -28,7 +29,7 @@ const e21Requests = 800
 // p99 at a fixed offered load improves monotonically with cores. The
 // class-blind agnostic baseline rides along to show software
 // event-awareness still matters once a load balancer is in front.
-func E21OpenLoopScaling(mach Machine) (*Result, error) {
+func E21OpenLoopScaling(mach core.Machine) (*Result, error) {
 	res := newResult("E21", "open-loop serving across cores: p99 sojourn vs offered load per core count")
 	for _, pol := range []service.Policy{service.Agnostic, service.EventAware} {
 		headers := []string{"rate_per_us"}

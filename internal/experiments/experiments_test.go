@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/service"
 )
 
@@ -33,7 +34,7 @@ func defaultResult(id string) (*Result, error) {
 			r.err = err
 			return
 		}
-		r.res, r.err = run(Default())
+		r.res, r.err = run(core.DefaultMachine())
 	})
 	return r.res, r.err
 }
@@ -575,7 +576,7 @@ func TestSeedRobustness(t *testing.T) {
 		t.Skip("long")
 	}
 	for _, seed := range []int64{1, 424242, 987654321} {
-		mach := Default()
+		mach := core.DefaultMachine()
 		mach.Seed = seed
 		res, err := E7DualMode(mach)
 		if err != nil {
@@ -595,7 +596,7 @@ func TestSeedRobustness(t *testing.T) {
 }
 
 func TestResultMarkdown(t *testing.T) {
-	res, err := E1SwitchCost(Default())
+	res, err := E1SwitchCost(core.DefaultMachine())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/bincfg"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/instrument"
 	"repro/internal/isa"
@@ -20,13 +21,13 @@ import (
 // switches that static instrumentation pays on cache hits. Binary search
 // is the mixed-locality stressor: upper levels hit, leaves miss, and the
 // aggressive policy instruments everything.
-func E11HWAssist(mach Machine) (*Result, error) {
+func E11HWAssist(mach core.Machine) (*Result, error) {
 	res := newResult("E11", "hardware-assisted conditional yields (§4.1)")
 	tbl := stats.NewTable("aggressively instrumented binary search, dual-mode",
 		"variant", "primary_cycles", "episodes", "hw_skips", "efficiency")
 	res.Tables = append(res.Tables, tbl)
 
-	h, err := NewHarness(mach,
+	h, err := core.NewHarness(mach,
 		workloads.BinarySearch{N: 131072, Lookups: 400, Instances: 1},
 		workloads.Compute{Iters: 100_000_000, Instances: 2},
 	)
@@ -71,7 +72,7 @@ func E11HWAssist(mach Machine) (*Result, error) {
 // instrumentation each cost instruction slots; folding guards into the
 // shadow of adjacent context switches makes the combination cheaper than
 // the sum.
-func E12SFI(mach Machine) (*Result, error) {
+func E12SFI(mach core.Machine) (*Result, error) {
 	res := newResult("E12", "SFI isolation overhead and yield co-design (§4.2)")
 	tbl := stats.NewTable("hash join, 8-way symmetric",
 		"variant", "checks", "folded", "cycles", "efficiency", "overhead_vs_peer")
@@ -83,22 +84,18 @@ func E12SFI(mach Machine) (*Result, error) {
 	mach.CPU.SandboxHi = mach.MemBytes
 
 	const n = 8
-	h, err := NewHarness(mach, workloads.HashJoin{
+	h, err := core.NewHarness(mach, workloads.HashJoin{
 		BuildRows: 8192, Buckets: 4096, Probes: 300, MatchFraction: 0.7, Instances: n,
 	})
 	if err != nil {
 		return nil, err
 	}
-	harden := func(img *Image, codesign bool) (*Image, *sfi.Result, error) {
+	harden := func(img *core.Image, codesign bool) (*core.Image, *sfi.Result, error) {
 		prog, sres, err := sfi.Harden(img.Prog, sfi.Options{CoDesign: codesign, GuardStores: true})
 		if err != nil {
 			return nil, nil, err
 		}
-		entries := map[string]int{}
-		for name, e := range img.Entries {
-			entries[name] = sres.OldToNew[e]
-		}
-		return &Image{Prog: prog, Entries: entries}, sres, nil
+		return img.Remap(prog, sres.OldToNew), sres, nil
 	}
 
 	base := h.Baseline()
@@ -203,19 +200,9 @@ func (w inlineChase) Build(m *mem.Memory, rng *rand.Rand) (*workloads.Built, err
 		return nil, fmt.Errorf("inline chase: bad config")
 	}
 	b := &workloads.Built{Prog: isa.MustAssemble(inlineChaseAsm)}
-	mkChain := func(n int) uint64 {
-		base := m.Alloc(uint64(n)*64, 64)
-		perm := rng.Perm(n)
-		for i := 0; i < n; i++ {
-			from := base + uint64(perm[i])*64
-			to := base + uint64(perm[(i+1)%n])*64
-			m.MustWrite64(from, to)
-		}
-		return base + uint64(perm[0])*64
-	}
 	for inst := 0; inst < w.Instances; inst++ {
-		headA := mkChain(w.BigNodes)
-		headB := mkChain(w.SmallNodes)
+		headA := workloads.Chain(m, rng, w.BigNodes, 0)
+		headB := workloads.Chain(m, rng, w.SmallNodes, 0)
 		// Host reference walk, over the nodes just written.
 		curA, curB := headA, headB
 		for i := 0; i < w.HopsA; i++ {
@@ -239,7 +226,7 @@ func (w inlineChase) Build(m *mem.Memory, rng *rand.Rand) (*workloads.Built, err
 // function inlined at several sites needs instrumentation at only some of
 // them, and profile data maps back to the binary exactly, whereas a
 // source-level decision is forced to treat all inline sites alike.
-func E13InlineAccuracy(mach Machine) (*Result, error) {
+func E13InlineAccuracy(mach core.Machine) (*Result, error) {
 	res := newResult("E13", "binary-level vs source-level instrumentation accuracy (§3.2)")
 	tbl := stats.NewTable("inlined lookup loop: hot site A, cache-resident site B (8-way)",
 		"variant", "yields", "switches", "cycles", "efficiency")
@@ -247,7 +234,7 @@ func E13InlineAccuracy(mach Machine) (*Result, error) {
 
 	const n = 8
 	spec := inlineChase{BigNodes: 8192, SmallNodes: 32, HopsA: 1200, HopsB: 1200, Instances: n}
-	h, err := NewHarness(mach, spec)
+	h, err := core.NewHarness(mach, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -26,7 +27,7 @@ const oooWindowCycles = 30
 // plateaus (2–8 contexts) in the 10–100 ns band; coroutines + PGO own
 // 10 ns–1 µs; OS scheduling becomes viable only at µs scale, where its
 // switch cost amortizes.
-func F1Spectrum(mach Machine) (*Result, error) {
+func F1Spectrum(mach core.Machine) (*Result, error) {
 	res := newResult("F1", "event-duration spectrum: efficiency by hiding mechanism (Figure 1)")
 	tbl := stats.NewTable("CPU efficiency vs event duration",
 		"event_ns", "none", "OoOE", "SMT-2", "SMT-8", "coro-16", "OS-16", "winner")
@@ -35,7 +36,7 @@ func F1Spectrum(mach Machine) (*Result, error) {
 	const nInstances = 16
 	// The pad-0 durations share one spec: compose each spec once and run
 	// every duration's machines over it.
-	composed := map[workloads.PaddedChase]*Harness{}
+	composed := map[workloads.PaddedChase]*core.Harness{}
 	for _, d := range f1Durations {
 		// Short events (cache misses) arrive densely — ~10 cycles of
 		// compute per event, so full hiding needs tens of concurrent
@@ -66,7 +67,7 @@ func F1Spectrum(mach Machine) (*Result, error) {
 		h := composed[spec]
 		var err error
 		if h == nil {
-			h, err = NewHarness(m, spec)
+			h, err = core.NewHarness(m, spec)
 			composed[spec] = h
 		} else {
 			h, err = h.On(m)
@@ -124,7 +125,7 @@ func F1Spectrum(mach Machine) (*Result, error) {
 			return nil, err
 		}
 
-		ns := NS(float64(d))
+		ns := core.NS(float64(d))
 		key := fmt.Sprintf("d%dns", int(ns))
 		row, winner, best := []any{fmt.Sprintf("%.0f", ns)}, "none", none.Efficiency()
 		for _, c := range []struct {

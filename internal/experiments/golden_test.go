@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // goldenPath is the committed fixture holding every experiment's rendered
@@ -32,7 +34,7 @@ func TestGoldenTables(t *testing.T) {
 		t.Skip("full evaluation regeneration is slow; skipped under -short")
 	}
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "golden evaluation tables — seed %d\n\n", Default().Seed)
+	fmt.Fprintf(&buf, "golden evaluation tables — seed %d\n\n", core.DefaultMachine().Seed)
 	for _, e := range All() {
 		res, err := defaultResult(e.ID)
 		if err != nil {

@@ -14,28 +14,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Aliases into internal/core: the experiments are written against the
-// library's own end-to-end API.
-type (
-	// Machine is the simulated platform description.
-	Machine = core.Machine
-	// Harness owns one composed scenario.
-	Harness = core.Harness
-	// Image is a (possibly instrumented) executable program.
-	Image = core.Image
-	// TaskSet couples tasks with expected results.
-	TaskSet = core.TaskSet
-)
-
-// Default returns the reference experiment machine.
-func Default() Machine { return core.DefaultMachine() }
-
-// NewHarness composes workload specs on a machine.
-var NewHarness = core.NewHarness
-
-// NS converts simulated cycles to nanoseconds.
-func NS(cycles float64) float64 { return core.NS(cycles) }
-
 // Result is one experiment's output.
 type Result struct {
 	ID      string
@@ -88,7 +66,7 @@ func (r *Result) MetricsString() string {
 }
 
 // Runner produces one experiment result.
-type Runner func(Machine) (*Result, error)
+type Runner func(core.Machine) (*Result, error)
 
 // All returns the experiment registry in presentation order.
 func All() []struct {

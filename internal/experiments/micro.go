@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/instrument"
 	"repro/internal/isa"
@@ -15,18 +16,18 @@ import (
 // switches land under 10 ns (9 ns for Boost fcontext [6]) while
 // process/kernel-thread switches take hundreds of ns to µs [14, 38], and
 // liveness-optimized saves go below the full-save cost.
-func E1SwitchCost(mach Machine) (*Result, error) {
+func E1SwitchCost(mach core.Machine) (*Result, error) {
 	res := newResult("E1", "context-switch cost: coroutines vs threads (§2)")
 	tbl := stats.NewTable("switch cost", "mechanism", "cycles", "ns")
 	res.Tables = append(res.Tables, tbl)
 
 	full := mach.Switch.FullCost()
-	tbl.Row("coroutine (full save)", full, NS(float64(full)))
-	res.Metrics["coro_full_ns"] = NS(float64(full))
+	tbl.Row("coroutine (full save)", full, core.NS(float64(full)))
+	res.Metrics["coro_full_ns"] = core.NS(float64(full))
 
 	// Measured liveness-optimized switches: instrument the chase and
 	// observe the actual per-switch charge in a symmetric run.
-	h, err := NewHarness(mach, workloads.PointerChase{Nodes: 4096, Hops: 1500, Instances: 4})
+	h, err := core.NewHarness(mach, workloads.PointerChase{Nodes: 4096, Hops: 1500, Instances: 4})
 	if err != nil {
 		return nil, err
 	}
@@ -46,12 +47,12 @@ func E1SwitchCost(mach Machine) (*Result, error) {
 		return nil, fmt.Errorf("E1: no switches measured")
 	}
 	avg := float64(st.Switch) / float64(st.Switches)
-	tbl.Row("coroutine (live-mask save, measured)", fmt.Sprintf("%.1f", avg), NS(avg))
-	res.Metrics["coro_live_ns"] = NS(avg)
+	tbl.Row("coroutine (live-mask save, measured)", fmt.Sprintf("%.1f", avg), core.NS(avg))
+	res.Metrics["coro_live_ns"] = core.NS(avg)
 
 	osCost := baselines.OSThreadCostModel().FullCost()
-	tbl.Row("kernel thread / process", osCost, NS(float64(osCost)))
-	res.Metrics["thread_ns"] = NS(float64(osCost))
+	tbl.Row("kernel thread / process", osCost, core.NS(float64(osCost)))
+	res.Metrics["thread_ns"] = core.NS(float64(osCost))
 	res.Metrics["ratio_thread_over_coro"] = float64(osCost) / float64(full)
 
 	res.Notes = append(res.Notes,
@@ -62,7 +63,7 @@ func E1SwitchCost(mach Machine) (*Result, error) {
 // E2StallFraction reproduces the §1 claim that memory-bound applications
 // lose more than 60% of processor cycles to stalls [3, 13, 31, 62]: solo,
 // uninstrumented runs of each workload on the reference machine.
-func E2StallFraction(mach Machine) (*Result, error) {
+func E2StallFraction(mach core.Machine) (*Result, error) {
 	res := newResult("E2", "memory-bound CPU stall fractions (§1)")
 	tbl := stats.NewTable("stall fraction, solo uninstrumented run",
 		"workload", "cycles", "stall_frac", "ipc", "memory_bound")
@@ -79,7 +80,7 @@ func E2StallFraction(mach Machine) (*Result, error) {
 		workloads.ArrayScan{N: 65536, Instances: 1},
 	}
 	for _, spec := range specs {
-		h, err := NewHarness(mach, spec)
+		h, err := core.NewHarness(mach, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +103,7 @@ func E2StallFraction(mach Machine) (*Result, error) {
 }
 
 // primaryOnlyOpts disables the scavenger phase (throughput-only runs).
-func primaryOnlyOpts(mach Machine) instrument.PipelineOptions {
+func primaryOnlyOpts(mach core.Machine) instrument.PipelineOptions {
 	opts := mach.PipelineOptions()
 	opts.Scavenger = nil
 	return opts

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/instrument"
 	"repro/internal/stats"
@@ -14,7 +15,7 @@ import (
 // profile → instrument → interleave pipeline recovers stall cycles on
 // every memory-bound workload with zero manual annotation, matching or
 // beating CoroBase-style hand annotation (§3.2).
-func E4PipelineThroughput(mach Machine) (*Result, error) {
+func E4PipelineThroughput(mach core.Machine) (*Result, error) {
 	res := newResult("E4", "end-to-end pipeline: throughput recovery without manual annotation (§3.2)")
 	tbl := stats.NewTable("8-way interleaving, same total work",
 		"workload", "variant", "cycles", "efficiency", "speedup", "yields")
@@ -32,7 +33,7 @@ func E4PipelineThroughput(mach Machine) (*Result, error) {
 		workloads.ArrayScan{N: 65536, Instances: n},
 	}
 	for _, spec := range specs {
-		h, err := NewHarness(mach, spec)
+		h, err := core.NewHarness(mach, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -93,14 +94,14 @@ func E4PipelineThroughput(mach Machine) (*Result, error) {
 // aggressive yields waste switches on hits, conservative yields leave
 // stalls exposed. The mixed chase puts one missing load next to two
 // cache-hot loads, so the threshold must discriminate per site.
-func E5ThresholdSweep(mach Machine) (*Result, error) {
+func E5ThresholdSweep(mach core.Machine) (*Result, error) {
 	res := newResult("E5", "yield-insertion threshold trade-off (§3.2)")
 	tbl := stats.NewTable("threshold policy θ on the mixed chase (8-way)",
 		"theta", "sites", "cycles", "efficiency", "switches")
 	res.Tables = append(res.Tables, tbl)
 
 	const n = 8
-	h, err := NewHarness(mach, workloads.MixedChase{ColdNodes: 8192, HotNodes: 16, Hops: 1500, Instances: n})
+	h, err := core.NewHarness(mach, workloads.MixedChase{ColdNodes: 8192, HotNodes: 16, Hops: 1500, Instances: n})
 	if err != nil {
 		return nil, err
 	}
@@ -138,14 +139,14 @@ func E5ThresholdSweep(mach Machine) (*Result, error) {
 // masks (cheaper switches) and yield coalescing across independent
 // adjacent loads (fewer switches). The multi-stream chase has three
 // independent adjacent misses per iteration — the coalescing target.
-func E6Ablations(mach Machine) (*Result, error) {
+func E6Ablations(mach core.Machine) (*Result, error) {
 	res := newResult("E6", "optimization ablations: live-mask saves and yield coalescing (§3.2)")
 	tbl := stats.NewTable("multi-stream chase (8-way)",
 		"variant", "static_yields", "switches", "switch_cycles", "cycles", "efficiency")
 	res.Tables = append(res.Tables, tbl)
 
 	const n = 8
-	h, err := NewHarness(mach, workloads.MultiChase{Nodes: 4096, Hops: 800, Instances: n})
+	h, err := core.NewHarness(mach, workloads.MultiChase{Nodes: 4096, Hops: 800, Instances: n})
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -12,13 +13,13 @@ import (
 // sampling converges faster to the ground-truth miss rates at higher
 // (modelled) overhead; sparse sampling is nearly free but noisy. This is
 // the knob production PGO pipelines tune [1, 47, 50].
-func E10SamplingPeriod(mach Machine) (*Result, error) {
+func E10SamplingPeriod(mach core.Machine) (*Result, error) {
 	res := newResult("E10", "sampling-period trade-off: profile fidelity vs overhead (§3.2)")
 	tbl := stats.NewTable("pointer-chase + binary-search profiling run",
 		"period_scale", "samples", "dropped", "overhead_frac", "missrate_mae", "stall_err")
 	res.Tables = append(res.Tables, tbl)
 
-	h, err := NewHarness(mach,
+	h, err := core.NewHarness(mach,
 		workloads.PointerChase{Nodes: 8192, Hops: 3000, Instances: 1},
 		workloads.BinarySearch{N: 65536, Lookups: 300, Instances: 1},
 	)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -12,7 +13,7 @@ import (
 // are insufficient to hide memory latency [28, 31, 53], while software
 // coroutines scale concurrency to whatever the latency/compute ratio
 // demands.
-func E3SMTvsCoro(mach Machine) (*Result, error) {
+func E3SMTvsCoro(mach core.Machine) (*Result, error) {
 	res := newResult("E3", "SMT contexts vs software coroutines on DRAM-bound pointer chasing (§1)")
 	tbl := stats.NewTable("CPU efficiency by concurrency degree",
 		"mechanism", "degree", "efficiency", "ipc")
@@ -20,7 +21,7 @@ func E3SMTvsCoro(mach Machine) (*Result, error) {
 
 	const maxN = 32
 	spec := workloads.PointerChase{Nodes: 8192, Hops: 1200, Instances: maxN}
-	h, err := NewHarness(mach, spec)
+	h, err := core.NewHarness(mach, spec)
 	if err != nil {
 		return nil, err
 	}

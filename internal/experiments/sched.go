@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/coro"
 	"repro/internal/exec"
 	"repro/internal/service"
@@ -16,14 +17,14 @@ import (
 // scheduler's ready queue during miss shadows, and an event-aware
 // scheduler that additionally co-schedules pending requests into each
 // other's shadows.
-func E14SchedulerIntegration(mach Machine) (*Result, error) {
+func E14SchedulerIntegration(mach core.Machine) (*Result, error) {
 	res := newResult("E14", "scheduler integration: agnostic vs sidecar vs event-aware (§4.2)")
 	tbl := stats.NewTable("6 hash-join requests + 4 batch-compute tasks",
 		"policy", "mean_latency", "p95_latency", "drain_cycles", "efficiency")
 	res.Tables = append(res.Tables, tbl)
 
 	const nReq, nBatch = 6, 4
-	h, err := NewHarness(mach,
+	h, err := core.NewHarness(mach,
 		workloads.HashJoin{BuildRows: 8192, Buckets: 4096, Probes: 150, MatchFraction: 0.7, Instances: nReq},
 		workloads.Compute{Iters: 60000, Instances: nBatch},
 	)
@@ -80,7 +81,7 @@ func E14SchedulerIntegration(mach Machine) (*Result, error) {
 // serving different data. Instrumentation decisions must survive both a
 // different data seed and a moderate workload shift (probe match fraction
 // 0.7 → 0.4).
-func E15ProfilePortability(mach Machine) (*Result, error) {
+func E15ProfilePortability(mach core.Machine) (*Result, error) {
 	res := newResult("E15", "profile portability: stale and shifted profiles (§3.2 deployment)")
 	tbl := stats.NewTable("hash join, 8-way symmetric",
 		"profile_source", "cycles", "efficiency", "vs_fresh")
@@ -93,7 +94,7 @@ func E15ProfilePortability(mach Machine) (*Result, error) {
 	// profiled run.
 	machB := mach
 	machB.Seed = mach.Seed + 777
-	hTarget, err := NewHarness(machB, target)
+	hTarget, err := core.NewHarness(machB, target)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +126,7 @@ func E15ProfilePortability(mach Machine) (*Result, error) {
 	// data (seed) and a different probe mix (match fraction 0.7).
 	profSpec := target
 	profSpec.MatchFraction = 0.7
-	hProf, err := NewHarness(mach, profSpec)
+	hProf, err := core.NewHarness(mach, profSpec)
 	if err != nil {
 		return nil, err
 	}

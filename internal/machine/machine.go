@@ -184,7 +184,8 @@ type RunConfig struct {
 	// each event stamped with its core index, and Run fills the one
 	// registry with machine-wide totals. Cores step in core-index order
 	// on the caller's goroutine, so both are deterministic. ModeSMT
-	// emits no scheduling events.
+	// emits no scheduling events. HWAssist is refused: only the
+	// asymmetric discipline reads it, and no machine mode runs that.
 	Exec exec.Config
 }
 
@@ -202,6 +203,9 @@ func (rc RunConfig) validate() error {
 	}
 	if rc.Mode == ModeSolo && rc.Tasks > 1 {
 		return fmt.Errorf("machine: RunConfig.Tasks %d with RunConfig.Mode %v: a solo core runs one instance", rc.Tasks, rc.Mode)
+	}
+	if rc.Exec.HWAssist {
+		return fmt.Errorf("machine: RunConfig.Exec.HWAssist with RunConfig.Mode %v: only the dual-mode discipline reads it, and no machine mode runs that", rc.Mode)
 	}
 	return nil
 }

@@ -163,6 +163,15 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Topology{Cores: 1}, RunConfig{Spec: chaseSpec(), Mode: ModeSolo, Tasks: 1}); err != nil {
 		t.Errorf("ModeSolo with Tasks 1 refused: %v", err)
 	}
+	// No machine mode runs the asymmetric discipline, the one reader of
+	// HWAssist, so setting it is refused in every mode, naming the field
+	// and the mode.
+	for _, md := range []Mode{ModeSolo, ModeSymmetric, ModeSMT} {
+		_, err := New(Topology{Cores: 1}, RunConfig{Spec: chaseSpec(), Mode: md, Exec: exec.Config{HWAssist: true}})
+		if err == nil || !strings.Contains(err.Error(), "Exec.HWAssist") || !strings.Contains(err.Error(), md.String()) {
+			t.Errorf("%v with HWAssist: err = %v, want a refusal naming Exec.HWAssist and the mode", md, err)
+		}
+	}
 	// One tracer and one registry observe every core.
 	rc := RunConfig{Spec: chaseSpec(), Exec: exec.Config{Tracer: trace.NewRing(8), Metrics: &metrics.Registry{}}}
 	if _, err := New(DefaultTopology(2), rc); err != nil {

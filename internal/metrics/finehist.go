@@ -71,27 +71,13 @@ func (h *FineHist) Merge(o *FineHist) {
 
 // Quantile returns an upper bound for the q-th quantile (0 < q ≤ 1):
 // the exclusive upper edge of the bucket containing the q·Count-th
-// observation, accurate to the bucket width (≤ 6% above 16).
+// observation, accurate to the bucket width (≤ 6% above 16). The
+// bucket's edge can overshoot the true maximum; the answer is never
+// above the largest observation.
 func (h *FineHist) Quantile(q float64) uint64 {
-	if h.Count == 0 {
-		return 0
+	hi := h.quantile(h.Buckets[:], FineBucketBounds, q)
+	if hi > h.Max {
+		hi = h.Max + 1
 	}
-	rank := uint64(q * float64(h.Count))
-	if rank == 0 {
-		rank = 1
-	}
-	var seen uint64
-	for i := 0; i < NumFineBuckets; i++ {
-		seen += h.Buckets[i]
-		if seen >= rank {
-			_, hi := FineBucketBounds(i)
-			if hi > h.Max+1 {
-				// The bucket's edge can overshoot the true maximum; the
-				// answer is never above the largest observation.
-				hi = h.Max + 1
-			}
-			return hi
-		}
-	}
-	return h.Max
+	return hi
 }

@@ -53,6 +53,24 @@ func (t *Tally) merge(o Tally) {
 	t.Sum += o.Sum
 }
 
+// quantile is the rank walk both histograms share: the exclusive upper
+// edge, by bounds, of the bucket holding the q·Count-th observation (at
+// least the first), or 0 when empty.
+func (t *Tally) quantile(buckets []uint64, bounds func(int) (lo, hi uint64), q float64) uint64 {
+	if t.Count == 0 {
+		return 0
+	}
+	rank := max(uint64(q*float64(t.Count)), 1)
+	var seen uint64
+	for i, n := range buckets {
+		if seen += n; seen >= rank {
+			_, hi := bounds(i)
+			return hi
+		}
+	}
+	return t.Max
+}
+
 // Mean returns the average observed value, or 0 when empty.
 func (t *Tally) Mean() float64 {
 	if t.Count == 0 {
@@ -96,21 +114,4 @@ func BucketBounds(i int) (lo, hi uint64) {
 // observation. With log2 buckets this is accurate to a factor of two,
 // which is the resolution the hide-episode analysis needs (is the tail
 // 100 ns or 1 µs?).
-func (h *Hist) Quantile(q float64) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(h.Count))
-	if rank == 0 {
-		rank = 1
-	}
-	var seen uint64
-	for i := 0; i < NumBuckets; i++ {
-		seen += h.Buckets[i]
-		if seen >= rank {
-			_, hi := BucketBounds(i)
-			return hi
-		}
-	}
-	return h.Max
-}
+func (h *Hist) Quantile(q float64) uint64 { return h.quantile(h.Buckets[:], BucketBounds, q) }

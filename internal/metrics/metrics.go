@@ -27,7 +27,11 @@
 // does for tracers.
 package metrics
 
-import "repro/internal/stats"
+import (
+	"strconv"
+
+	"repro/internal/stats"
+)
 
 // Mem aggregates cache-hierarchy counters, filled from
 // mem.Hierarchy.Stats by (*mem.Hierarchy).FillMetrics.
@@ -315,75 +319,42 @@ func (s *Snapshot) counters() []counter {
 // domainHists appends the histogram rows that close a domain's block of
 // the table, after its counters.
 func (s *Snapshot) domainHists(t *stats.Table, domain string) {
+	hist := func(name string, h *Hist) {
+		histRows(t, domain, name, &h.Tally, h.Buckets[:], BucketBounds, h.Quantile, "50", "99")
+	}
 	switch domain {
 	case "exec":
-		histRows(t, domain, "episode_dur", &s.Exec.EpisodeDur)
-		histRows(t, domain, "episode_cover", &s.Exec.EpisodeCover)
+		hist("episode_dur", &s.Exec.EpisodeDur)
+		hist("episode_cover", &s.Exec.EpisodeCover)
 	case "sched":
-		histRows(t, domain, "request_latency", &s.Sched.RequestLatency)
+		hist("request_latency", &s.Sched.RequestLatency)
 	case "service":
-		fineHistRows(t, domain, "sojourn", &s.Service.Sojourn)
+		// The fine buckets resolve p999 to ~6%.
+		h := &s.Service.Sojourn
+		histRows(t, domain, "sojourn", &h.Tally, h.Buckets[:], FineBucketBounds, h.Quantile, "50", "99", "999")
 	}
 }
 
-// histRows appends one summary block for a histogram: total, mean,
-// p50/p99 bounds, then each non-empty bucket as "name[lo,hi)".
-func histRows(t *stats.Table, domain, name string, h *Hist) {
-	t.Row(domain, name+"_total", h.Count)
-	if h.Count == 0 {
+// histRows appends one summary block for a Hist or FineHist: total,
+// mean, a bound per tail ("99" is p99_le, the 0.99 quantile), then each
+// non-empty bucket as "name[lo,hi)".
+func histRows(t *stats.Table, domain, name string, tl *Tally, buckets []uint64,
+	bounds func(int) (lo, hi uint64), quantile func(float64) uint64, tails ...string) {
+	t.Row(domain, name+"_total", tl.Count)
+	if tl.Count == 0 {
 		return
 	}
-	t.Row(domain, name+"_mean", h.Mean())
-	t.Row(domain, name+"_p50_le", h.Quantile(0.50))
-	t.Row(domain, name+"_p99_le", h.Quantile(0.99))
-	for i := 0; i < NumBuckets; i++ {
-		if h.Buckets[i] == 0 {
-			continue
+	t.Row(domain, name+"_mean", tl.Mean())
+	for _, p := range tails {
+		q, _ := strconv.ParseFloat("0."+p, 64)
+		t.Row(domain, name+"_p"+p+"_le", quantile(q))
+	}
+	for i, n := range buckets {
+		if n != 0 {
+			lo, hi := bounds(i)
+			t.Row(domain, name+"["+strconv.FormatUint(lo, 10)+","+strconv.FormatUint(hi, 10)+")", n)
 		}
-		lo, hi := BucketBounds(i)
-		t.Row(domain, bucketLabel(name, lo, hi), h.Buckets[i])
 	}
-}
-
-// fineHistRows is histRows for a FineHist: total, mean, tail bounds
-// (including p999, which the fine buckets resolve to ~6%), then each
-// non-empty bucket.
-func fineHistRows(t *stats.Table, domain, name string, h *FineHist) {
-	t.Row(domain, name+"_total", h.Count)
-	if h.Count == 0 {
-		return
-	}
-	t.Row(domain, name+"_mean", h.Mean())
-	t.Row(domain, name+"_p50_le", h.Quantile(0.50))
-	t.Row(domain, name+"_p99_le", h.Quantile(0.99))
-	t.Row(domain, name+"_p999_le", h.Quantile(0.999))
-	for i := 0; i < NumFineBuckets; i++ {
-		if h.Buckets[i] == 0 {
-			continue
-		}
-		lo, hi := FineBucketBounds(i)
-		t.Row(domain, bucketLabel(name, lo, hi), h.Buckets[i])
-	}
-}
-
-func bucketLabel(name string, lo, hi uint64) string {
-	return name + "[" + utoa(lo) + "," + utoa(hi) + ")"
-}
-
-// utoa is strconv.FormatUint without the import — the package stays
-// dependency-light so every cycle-domain layer can import it.
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // Metrics flattens the snapshot into dst under "obs."-prefixed keys,

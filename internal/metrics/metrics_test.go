@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,10 @@ func TestHistMeanAndQuantile(t *testing.T) {
 	if q := h.Quantile(0.5); q != 128 {
 		t.Errorf("Quantile(0.5) = %d, want bucket upper bound 128", q)
 	}
+	// A rank below one is the first observation, not the empty bucket 0.
+	if q := h.Quantile(0.001); q != 128 {
+		t.Errorf("Quantile(0.001) = %d, want bucket upper bound 128", q)
+	}
 	h.Reset()
 	if h.Count != 0 || h.Sum != 0 {
 		t.Error("Reset did not zero the hist")
@@ -92,10 +97,33 @@ func TestSnapshotTableAndMetrics(t *testing.T) {
 		t.Fatalf("snapshot aliases the registry: episodes = %d", snap.Exec.Episodes)
 	}
 
+	for v := uint64(1); v <= 1000; v++ {
+		snap.Service.Sojourn.Observe(v)
+	}
+	for range 10 {
+		snap.Service.Sojourn.Observe(1_000_000) // p999 lands out here
+	}
 	tbl := snap.Table().String()
 	for _, want := range []string{"episodes", "mshr_high_water", "dram_accesses", "episode_dur_total", "request_latency_total"} {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("snapshot table missing %q:\n%s", want, tbl)
+		}
+	}
+	// Each tail row holds its own quantile's bound.
+	for _, row := range []struct {
+		domain, name string
+		want         uint64
+	}{
+		{"exec", "episode_dur_p50_le", snap.Exec.EpisodeDur.Quantile(0.50)},
+		{"exec", "episode_dur_p99_le", snap.Exec.EpisodeDur.Quantile(0.99)},
+		{"service", "sojourn_p50_le", snap.Service.Sojourn.Quantile(0.50)},
+		{"service", "sojourn_p99_le", snap.Service.Sojourn.Quantile(0.99)},
+		{"service", "sojourn_p999_le", snap.Service.Sojourn.Quantile(0.999)},
+		{"service", "sojourn[960,992)", 32},
+	} {
+		want := fmt.Sprint(" ", row.domain, " ", row.name, " ", row.want, " ")
+		if !strings.Contains(" "+strings.Join(strings.Fields(tbl), " ")+" ", want) {
+			t.Errorf("snapshot table lacks row %q:\n%s", want, tbl)
 		}
 	}
 

@@ -246,16 +246,13 @@ func (p *Profile) BlockLatencyAt(pc int) (float64, bool) {
 	return 0, false
 }
 
-// MarshalJSON/UnmarshalJSON use the plain exported fields; the alias type
-// avoids recursion while keeping the lazy index private.
+// profileJSON is Profile without its methods, so UnmarshalJSON can
+// decode the exported fields without recursing.
 type profileJSON Profile
 
-// MarshalJSON implements json.Marshaler.
-func (p *Profile) MarshalJSON() ([]byte, error) {
-	return json.Marshal((*profileJSON)(p))
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler: it decodes the exported
+// fields and drops the lazy site index, which a decode into a used
+// Profile would otherwise leave stale.
 func (p *Profile) UnmarshalJSON(data []byte) error {
 	p.siteIdx = nil
 	return json.Unmarshal(data, (*profileJSON)(p))

@@ -196,22 +196,18 @@ func (w BTree) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 			}
 		}
 
-		// Lookup keys (mixed present/absent) and host-reference search.
-		lkBase := m.Alloc(uint64(w.Lookups)*8, 64)
-		var expected uint64
-		for i := 0; i < w.Lookups; i++ {
-			var key uint64
-			if rng.Intn(2) == 0 {
-				key = keys[rng.Intn(len(keys))]
-			} else {
-				key = uint64(1+rng.Intn(1<<30)) | 1<<30
+		// Lookup keys (mixed present/absent) and host-reference search,
+		// checked against the entries the tree was built from.
+		consistent := true
+		lkBase, expected := lookupKeys(m, rng, w.Lookups, keys, func(k uint64) (uint64, bool) {
+			v, ok := hostSearch(root, k)
+			if hv, hok := values[k]; !ok && hok && hv != v {
+				consistent = false
 			}
-			m.MustWrite64(lkBase+uint64(i)*8, key)
-			if v, ok := hostSearch(root, key); ok {
-				expected += v
-			} else if hv, hok := values[key]; hok && hv != v {
-				return nil, fmt.Errorf("btree: host search inconsistent")
-			}
+			return v, ok
+		})
+		if !consistent {
+			return nil, fmt.Errorf("btree: host search inconsistent")
 		}
 		var in Instance
 		in.Regs[1] = root.addr

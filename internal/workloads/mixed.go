@@ -49,20 +49,9 @@ func (w MixedChase) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 		return nil, fmt.Errorf("mixed chase: need ≥2 nodes per chain, ≥1 hops and instances")
 	}
 	b := &Built{Prog: isa.MustAssemble(mixedChaseAsm)}
-	mkChain := func(n int) uint64 {
-		base := m.Alloc(uint64(n)*64, 64)
-		perm := rng.Perm(n)
-		for i := 0; i < n; i++ {
-			from := base + uint64(perm[i])*64
-			to := base + uint64(perm[(i+1)%n])*64
-			m.MustWrite64(from, to)
-			m.MustWrite64(from+8, uint64(rng.Intn(1<<16)))
-		}
-		return base + uint64(perm[0])*64
-	}
 	for inst := 0; inst < w.Instances; inst++ {
-		coldHead := mkChain(w.ColdNodes)
-		hotHead := mkChain(w.HotNodes)
+		coldHead := Chain(m, rng, w.ColdNodes, 1<<16)
+		hotHead := Chain(m, rng, w.HotNodes, 1<<16)
 		// Host reference walk, over the nodes just written.
 		cold, hot := coldHead, hotHead
 		var acc uint64

@@ -52,16 +52,8 @@ func (w MultiChase) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 	b := &Built{Prog: isa.MustAssemble(multiChaseAsm)}
 	for inst := 0; inst < w.Instances; inst++ {
 		var heads [3]uint64
-		for c := 0; c < 3; c++ {
-			base := m.Alloc(uint64(w.Nodes)*64, 64)
-			perm := rng.Perm(w.Nodes)
-			for i := 0; i < w.Nodes; i++ {
-				from := base + uint64(perm[i])*64
-				to := base + uint64(perm[(i+1)%w.Nodes])*64
-				m.MustWrite64(from, to)
-				m.MustWrite64(from+8, uint64(rng.Intn(1<<16)))
-			}
-			heads[c] = base + uint64(perm[0])*64
+		for c := range heads {
+			heads[c] = Chain(m, rng, w.Nodes, 1<<16)
 		}
 		// Host reference, over the nodes just written: advance all three,
 		// then sum the payloads of the new positions, exactly as the

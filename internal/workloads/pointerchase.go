@@ -46,16 +46,7 @@ func (w PointerChase) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 	}
 	b := &Built{Prog: isa.MustAssemble(chaseAsm)}
 	for inst := 0; inst < w.Instances; inst++ {
-		base := m.Alloc(uint64(w.Nodes)*64, 64)
-		perm := rng.Perm(w.Nodes)
-		for i := 0; i < w.Nodes; i++ {
-			from := base + uint64(perm[i])*64
-			to := base + uint64(perm[(i+1)%w.Nodes])*64
-			m.MustWrite64(from, to)
-			m.MustWrite64(from+8, uint64(rng.Intn(1<<20)))
-		}
-		head := base + uint64(perm[0])*64
-
+		head := Chain(m, rng, w.Nodes, 1<<20)
 		// Host reference walk, over the nodes just written.
 		var sum uint64
 		cur := head
@@ -70,6 +61,23 @@ func (w PointerChase) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 		b.Instances = append(b.Instances, in)
 	}
 	return b, nil
+}
+
+// Chain lays out a circular list of n 64-byte nodes in a fresh
+// allocation, linked in the order of one rng.Perm(n), and returns its
+// head. Word 0 of each node points to the next; with payload > 0, word 1
+// holds rng.Intn(payload), drawn node by node in link order.
+func Chain(m *mem.Memory, rng *rand.Rand, n, payload int) uint64 {
+	base := m.Alloc(uint64(n)*64, 64)
+	perm := rng.Perm(n)
+	for i := range n {
+		from := base + uint64(perm[i])*64
+		m.MustWrite64(from, base+uint64(perm[(i+1)%n])*64)
+		if payload > 0 {
+			m.MustWrite64(from+8, uint64(rng.Intn(payload)))
+		}
+	}
+	return base + uint64(perm[0])*64
 }
 
 // Compute is a pure-ALU loop: the cache-resident foil (and the default

@@ -100,6 +100,28 @@ func (w BinarySearch) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 	return b, nil
 }
 
+// lookupKeys writes n lookup keys into a fresh array, each on a fair
+// coin either one of keys or a random key with bit 30 set (so absent
+// from keys drawn from [1, 1<<30], bar 1<<30 itself), and returns the
+// array's base and the sum of the values find reports for the keys it
+// finds.
+func lookupKeys(m *mem.Memory, rng *rand.Rand, n int, keys []uint64, find func(uint64) (uint64, bool)) (base, expected uint64) {
+	base = m.Alloc(uint64(n)*8, 64)
+	for i := range n {
+		var key uint64
+		if rng.Intn(2) == 0 {
+			key = keys[rng.Intn(len(keys))]
+		} else {
+			key = uint64(1+rng.Intn(1<<30)) | 1<<30
+		}
+		m.MustWrite64(base+uint64(i)*8, key)
+		if v, ok := find(key); ok {
+			expected += v
+		}
+	}
+	return base, expected
+}
+
 // BST looks up keys in an unbalanced binary search tree built from random
 // insertions: the pointer-chasing index structure from the paper's §2
 // database motivation, with data-dependent branch structure.
@@ -192,20 +214,10 @@ func (w BST) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 				cur = child
 			}
 		}
-		lkBase := m.Alloc(uint64(w.Lookups)*8, 64)
-		var expected uint64
-		for i := 0; i < w.Lookups; i++ {
-			var key uint64
-			if rng.Intn(2) == 0 {
-				key = keys[rng.Intn(len(keys))]
-			} else {
-				key = uint64(1+rng.Intn(1<<30)) | 1<<30
-			}
-			m.MustWrite64(lkBase+uint64(i)*8, key)
-			if v, ok := values[key]; ok {
-				expected += v
-			}
-		}
+		lkBase, expected := lookupKeys(m, rng, w.Lookups, keys, func(k uint64) (uint64, bool) {
+			v, ok := values[k]
+			return v, ok
+		})
 		var in Instance
 		in.Regs[1] = root
 		in.Regs[3] = lkBase

@@ -130,20 +130,10 @@ func (w SkipList) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 			}
 		}
 
-		lkBase := m.Alloc(uint64(w.Lookups)*8, 64)
-		var expected uint64
-		for i := 0; i < w.Lookups; i++ {
-			var key uint64
-			if rng.Intn(2) == 0 {
-				key = keys[rng.Intn(len(keys))]
-			} else {
-				key = uint64(1+rng.Intn(1<<30)) | 1<<30
-			}
-			m.MustWrite64(lkBase+uint64(i)*8, key)
-			if v, ok := values[key]; ok {
-				expected += v
-			}
-		}
+		lkBase, expected := lookupKeys(m, rng, w.Lookups, keys, func(k uint64) (uint64, bool) {
+			v, ok := values[k]
+			return v, ok
+		})
 		var in Instance
 		in.Regs[1] = head
 		in.Regs[3] = lkBase
