@@ -173,9 +173,9 @@ func runSweep(ctx context.Context, w, ew io.Writer, o options, mach core.Machine
 		mach.Mem.LatL1, mach.Mem.LatL2, mach.Mem.LatL3, mach.Mem.LatDRAM,
 		mach.Switch.FullCost())
 
-	opts := runner.Options{Parallelism: o.sw.Parallel, Cache: cache}
+	opts := runner.Options[*experiments.Result]{Parallelism: o.sw.Parallel, Cache: cache}
 	if o.progress {
-		opts.Progress = func(done, total int, r runner.Result) {
+		opts.Progress = func(done, total int, r runner.Result[*experiments.Result]) {
 			state := r.Wall.Round(time.Millisecond).String()
 			if r.CacheHit {
 				state = "cached"
@@ -191,8 +191,8 @@ func runSweep(ctx context.Context, w, ew io.Writer, o options, mach core.Machine
 	// results for one experiment are consecutive. Accumulate each group
 	// and render it when its last seed lands, so output streams while
 	// later experiments are still running.
-	var group []runner.Result
-	return runner.Stream(ctx, jobs, opts, func(r runner.Result) error {
+	var group []runner.Result[*experiments.Result]
+	return runner.Stream(ctx, jobs, opts, func(r runner.Result[*experiments.Result]) error {
 		group = append(group, r)
 		if len(group) < o.sw.Seeds {
 			return nil
@@ -219,7 +219,7 @@ func runScaling(ctx context.Context, w io.Writer, o options, mach core.Machine, 
 	spec := workloads.PointerChase{Nodes: 8192, Hops: 3000, Instances: 4}
 	rc := machine.RunConfig{Spec: spec, Mode: machine.ModeSymmetric, Exec: exec.Config{}}
 
-	var jobs []runner.Job
+	var jobs []runner.Job[machine.Stats]
 	for _, c := range counts {
 		tf := o.tf
 		tf.Cores = c
@@ -236,54 +236,43 @@ func runScaling(ctx context.Context, w io.Writer, o options, mach core.Machine, 
 		if o.tf.Quantum != 0 {
 			topo.Quantum = o.tf.Quantum
 		}
-		jobs = append(jobs, runner.Job{
+		jobs = append(jobs, runner.Job[machine.Stats]{
 			ID:   fmt.Sprintf("machine-scaling/%s/symmetric/cores=%d", spec.Name(), c),
 			Mach: mach,
 			Key:  topo,
-			Run: func(m core.Machine) (*experiments.Result, error) {
+			Run: func(m core.Machine) (machine.Stats, error) {
 				t := topo
 				t.Machine = m
 				mm, err := machine.New(t, rc)
 				if err != nil {
-					return nil, err
+					return machine.Stats{}, err
 				}
-				st, err := mm.Run()
-				if err != nil {
-					return nil, err
-				}
-				return &experiments.Result{ID: "machine-scaling", Metrics: map[string]float64{
-					"cycles":     float64(st.Cycles),
-					"retired":    float64(st.Aggregate.Retired),
-					"ipc":        float64(st.Aggregate.Retired) / float64(st.Cycles),
-					"llc_misses": float64(st.LLC.Misses),
-					"llc_queued": float64(st.LLC.Queued),
-				}}, nil
+				return mm.Run()
 			},
 		})
 	}
 
 	fmt.Fprintf(w, "softhide many-core scaling — %s, symmetric, seed %d\n\n", spec.Name(), mach.Seed)
-	results, err := runner.Run(ctx, jobs, runner.Options{Parallelism: o.sw.Parallel, Cache: cache})
+	results, err := runner.Run(ctx, jobs, runner.Options[machine.Stats]{Parallelism: o.sw.Parallel, Cache: cache})
 	if err != nil {
 		return err
 	}
+	ipc := func(st machine.Stats) float64 { return float64(st.Aggregate.Retired) / float64(st.Cycles) }
 	tb := stats.NewTable("aggregate throughput vs core count",
 		"cores", "cycles", "retired", "machine IPC", "llc misses", "llc queued")
-	base := results[0].Res.Metrics["ipc"]
 	for i, r := range results {
-		m := r.Res.Metrics
-		tb.Row(counts[i], uint64(m["cycles"]), uint64(m["retired"]), m["ipc"], uint64(m["llc_misses"]), uint64(m["llc_queued"]))
+		st := r.Res
+		tb.Row(counts[i], st.Cycles, st.Aggregate.Retired, ipc(st), st.LLC.Misses, st.LLC.Queued)
 	}
 	fmt.Fprint(w, tb.String())
-	last := results[len(results)-1].Res.Metrics["ipc"]
 	fmt.Fprintf(w, "speedup at %d cores: %.2fx aggregate throughput over 1 core\n",
-		o.tf.Cores, last/base)
+		o.tf.Cores, ipc(results[len(results)-1].Res)/ipc(results[0].Res))
 	return nil
 }
 
 // present renders one experiment's seed group: the first seed's tables,
 // optional metrics, optional cross-seed stability, and the wall line.
-func present(w io.Writer, o options, group []runner.Result) error {
+func present(w io.Writer, o options, group []runner.Result[*experiments.Result]) error {
 	first := group[0].Res
 	if o.format == "md" {
 		fmt.Fprint(w, first.Markdown())
@@ -312,7 +301,7 @@ func present(w io.Writer, o options, group []runner.Result) error {
 
 // stability summarizes the spread of each metric across the group's
 // seeds, exposing any seed-overfit conclusions.
-func stability(w io.Writer, group []runner.Result) {
+func stability(w io.Writer, group []runner.Result[*experiments.Result]) {
 	samples := map[string][]float64{}
 	for _, r := range group {
 		for k, v := range r.Res.Metrics {

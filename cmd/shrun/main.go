@@ -48,7 +48,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -488,12 +487,12 @@ func runSweep(w io.Writer, o options) error {
 		cell = seedMachine
 		where, cols = fmt.Sprintf(" on %d cores", o.tf.Cores), append(cols, "llc misses")
 	}
-	var jobs []runner.Job
+	var jobs []runner.Job[seedRow]
 	for i := 0; i < o.sw.Seeds; i++ {
 		mach := core.DefaultMachine()
 		mach.Seed = o.wf.Seed + int64(i)*runner.SeedStride
-		job := runner.Job{ID: id, Mach: mach,
-			Run: func(m core.Machine) (*experiments.Result, error) {
+		job := runner.Job[seedRow]{ID: id, Mach: mach,
+			Run: func(m core.Machine) (seedRow, error) {
 				if ob.ring != nil {
 					ob.ring.Reset()
 				}
@@ -512,26 +511,23 @@ func runSweep(w io.Writer, o options) error {
 		jobs = append(jobs, job)
 	}
 
-	results, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: o.sw.Parallel, Cache: cache})
+	results, err := runner.Run(context.Background(), jobs, runner.Options[seedRow]{Parallelism: o.sw.Parallel, Cache: cache})
 	if err != nil {
 		return err
 	}
 	tb := stats.NewTable(fmt.Sprintf("%s/%s%s over %d seeds", o.wf.Workload, o.mode, where, o.sw.Seeds), cols...)
-	samples := map[string][]float64{}
+	var cycles, effs []float64
 	for _, r := range results {
-		m := r.Res.Metrics
-		row := []any{r.Job.Mach.Seed, uint64(m["cycles"]), m["efficiency"], m["ipc"]}
+		row := []any{r.Job.Mach.Seed, r.Res.Cycles, r.Res.Efficiency, r.Res.IPC}
 		if o.tf.Cores > 1 {
-			row = append(row, uint64(m["llc_misses"]))
+			row = append(row, r.Res.LLCMisses)
 		}
 		tb.Row(row...)
-		for k, v := range m {
-			samples[k] = append(samples[k], v)
-		}
+		cycles = append(cycles, float64(r.Res.Cycles))
+		effs = append(effs, r.Res.Efficiency)
 	}
 	fmt.Fprint(w, tb.String())
-	cyc := stats.Summarize(samples["cycles"])
-	eff := stats.Summarize(samples["efficiency"])
+	cyc, eff := stats.Summarize(cycles), stats.Summarize(effs)
 	fmt.Fprintf(w, "cycles %0.f ± %.0f, efficiency %.3f ± %.3f (all results validated)\n",
 		cyc.Mean, cyc.Stddev, eff.Mean, eff.Stddev)
 	if cache != nil {
@@ -544,45 +540,41 @@ func runSweep(w io.Writer, o options) error {
 	return ob.finish(w, o, false)
 }
 
+// seedRow is one sweep cell's outcome: the columns the seed table and
+// its summary print (LLCMisses on many-core cells only).
+type seedRow struct {
+	Cycles          uint64
+	Efficiency, IPC float64
+	LLCMisses       uint64
+}
+
 // seedRun is one single-core sweep cell: the baseline scenario on m.
-func seedRun(o options, spec workloads.Spec, m core.Machine, ob observe) (*experiments.Result, error) {
+func seedRun(o options, spec workloads.Spec, m core.Machine, ob observe) (seedRow, error) {
 	h, err := core.NewHarness(m, spec)
 	if err != nil {
-		return nil, err
+		return seedRow{}, err
 	}
 	st, err := execute(h, h.Baseline(), spec.Name(), o, ob)
 	if err != nil {
-		return nil, err
+		return seedRow{}, err
 	}
-	res := &experiments.Result{ID: "shrun", Metrics: map[string]float64{
-		"cycles":     float64(st.Cycles),
-		"efficiency": st.Efficiency(),
-		"stall_frac": st.StallFraction(),
-		"switches":   float64(st.Switches),
-		"ipc":        st.IPC(),
-	}}
-	if o.mode == "dual" {
-		res.Metrics["primary_latency"] = float64(st.PrimaryLatency)
-		res.Metrics["episodes"] = float64(st.Episodes)
-	}
-	return res, nil
+	return seedRow{Cycles: st.Cycles, Efficiency: st.Efficiency(), IPC: st.IPC()}, nil
 }
 
 // seedMachine is one many-core sweep cell: the -cores machine over m.
-func seedMachine(o options, spec workloads.Spec, m core.Machine, ob observe) (*experiments.Result, error) {
+func seedMachine(o options, spec workloads.Spec, m core.Machine, ob observe) (seedRow, error) {
 	mm, _, err := newMachine(o, spec, m, ob)
 	if err != nil {
-		return nil, err
+		return seedRow{}, err
 	}
 	st, err := mm.Run()
 	if err != nil {
-		return nil, err
+		return seedRow{}, err
 	}
-	return &experiments.Result{ID: "shrun", Metrics: map[string]float64{
-		"cycles":     float64(st.Cycles),
-		"efficiency": float64(st.Aggregate.Busy) / float64(uint64(o.tf.Cores)*st.Cycles),
-		"ipc":        float64(st.Aggregate.Retired) / float64(st.Cycles),
-		"llc_misses": float64(st.LLC.Misses),
-		"llc_queued": float64(st.LLC.Queued),
-	}}, nil
+	return seedRow{
+		Cycles:     st.Cycles,
+		Efficiency: float64(st.Aggregate.Busy) / float64(uint64(o.tf.Cores)*st.Cycles),
+		IPC:        float64(st.Aggregate.Retired) / float64(st.Cycles),
+		LLCMisses:  st.LLC.Misses,
+	}, nil
 }

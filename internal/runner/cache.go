@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,11 +11,10 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 )
 
 // cacheSchema versions the on-disk entry format. Bump it whenever the
-// key preimage, the serialized Result shape or the simulator's
+// key preimage, a serialized result's shape or the simulator's
 // observable behaviour changes, so stale entries miss instead of lying.
 // Schema 2: the key preimage gained the job's machine topology
 // (many-core runs). Schema 3: the preimage gained the job's
@@ -24,8 +24,10 @@ import (
 // count, shared-LLC shape and quantum (multi-core serving), and cell
 // results gained the cores metric. Schema 5: the topology and service
 // fields merged into the job's one Key, and a serve cell keys on its
-// normalized config narrowed to the cell.
-const cacheSchema = 5
+// normalized config narrowed to the cell. Schema 6: a serve cell's
+// entry holds its CellStats as they are, not recoded as an experiment
+// Result (experiment entries keep their bytes).
+const cacheSchema = 6
 
 // Cache is a content-addressed store of job results keyed by (schema,
 // ID, machine, key). Entries are immutable JSON files named by the key
@@ -61,17 +63,42 @@ func (c *Cache) Dir() string { return c.dir }
 func (c *Cache) Hits() uint64   { return c.hits.Load() }
 func (c *Cache) Misses() uint64 { return c.misses.Load() }
 
+// cell is what the cache reads of a Job of any result type: its key
+// preimage and the hit rule for its stored entry.
+type cell interface {
+	preimage() (id string, mach core.Machine, key any)
+	decode(data []byte) (any, bool)
+}
+
+func (j Job[R]) preimage() (string, core.Machine, any) { return j.ID, j.Mach, j.Key }
+
+// decode is the hit rule: a stored entry is served only if it decodes,
+// with a non-null result of type R, into exactly the entry Put writes
+// for this job — current schema, the job's ID, and bytes that re-encode
+// unchanged. A hollow, truncated, foreign or differently shaped entry
+// is a miss, never a zero value. The result decodes through a *R so
+// that null stays distinguishable for every R.
+func (j Job[R]) decode(data []byte) (any, bool) {
+	var e entry[*R]
+	if json.Unmarshal(data, &e) != nil || e.Schema != cacheSchema || e.ID != j.ID || e.Result == nil {
+		return nil, false
+	}
+	back, err := json.Marshal(e)
+	return *e.Result, err == nil && bytes.Equal(back, data)
+}
+
 // Key derives the content address of a job: a SHA-256 over the schema
 // version, the ID, the complete machine description (which embeds the
 // seed) and the job's Key. Two jobs share a key exactly when the
 // simulator would be handed identical inputs.
-func (c *Cache) Key(j Job) (string, error) {
+func (c *Cache) Key(j cell) (string, error) {
+	id, mach, key := j.preimage()
 	payload, err := json.Marshal(struct {
 		Schema int
 		ID     string
 		Mach   core.Machine
 		Key    any `json:",omitempty"`
-	}{cacheSchema, j.ID, j.Mach, j.Key})
+	}{cacheSchema, id, mach, key})
 	if err != nil {
 		return "", err
 	}
@@ -80,50 +107,45 @@ func (c *Cache) Key(j Job) (string, error) {
 }
 
 // entry is the on-disk representation: the key's preimage fields for
-// debuggability plus the full result.
-type entry struct {
-	Schema int                 `json:"schema"`
-	ID     string              `json:"id"`
-	Result *experiments.Result `json:"result"`
+// debuggability plus the job's result.
+type entry[R any] struct {
+	Schema int    `json:"schema"`
+	ID     string `json:"id"`
+	Result R      `json:"result"`
 }
 
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// Get returns the cached result for a job, if present and readable. An
-// entry is served only if it is what Put writes for this job: current
-// schema, the job's ID, and a result that carries an ID of its own (so
-// a hollow `"result":{}` is damage, not an empty table). Anything else
-// — truncated, unparsable, foreign — is a miss the next Put overwrites.
-func (c *Cache) Get(j Job) (*experiments.Result, bool) {
+// Get returns the cached result of a Job[R], as an R, if its entry is
+// present, readable and passes the hit rule. Anything else is a miss
+// the next Put overwrites.
+func (c *Cache) Get(j cell) (any, bool) {
 	key, err := c.Key(j)
-	if err != nil {
-		c.misses.Add(1)
-		return nil, false
+	var data []byte
+	if err == nil {
+		data, err = os.ReadFile(c.path(key))
 	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		c.misses.Add(1)
-		return nil, false
+	if err == nil {
+		if res, ok := j.decode(data); ok {
+			c.hits.Add(1)
+			return res, true
+		}
 	}
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil ||
-		e.Schema != cacheSchema || e.ID != j.ID || e.Result == nil || e.Result.ID == "" {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return e.Result, true
+	c.misses.Add(1)
+	return nil, false
 }
 
-// Put stores a job's result under its content address.
-func (c *Cache) Put(j Job, res *experiments.Result) error {
+// Put stores a job's result, of the job's result type, under its
+// content address.
+func (c *Cache) Put(j cell, res any) error {
 	key, err := c.Key(j)
 	if err != nil {
 		return err
 	}
-	data, err := json.Marshal(entry{Schema: cacheSchema, ID: j.ID, Result: res})
+	id, _, _ := j.preimage()
+	data, err := json.Marshal(entry[any]{Schema: cacheSchema, ID: id, Result: res})
 	if err != nil {
 		return err
 	}

@@ -4,76 +4,96 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/service"
 )
 
-// fixtureDir holds a cache entry written at the current cacheSchema.
-// Later changes that claim observational equivalence must keep serving
-// this entry — and the served bytes must match what the current
-// implementation computes. If the entry misses, the cache key (schema,
-// ID, machine or topology shape) drifted; if the bytes differ, the
-// simulator's observable behaviour changed and cacheSchema should have
-// been bumped.
+// fixtureDir holds cache entries written at the current cacheSchema:
+// E1's and one served cell's. Later changes that claim observational
+// equivalence must keep serving these entries — and the served bytes
+// must match what the current implementation computes. If an entry
+// misses, the cache key (schema, ID, machine or key shape) drifted; if
+// the bytes differ, the simulator's observable behaviour changed and
+// cacheSchema should have been bumped.
 //
-// History: the fixture was regenerated at schema 5, when the topology
-// and service key fields merged into Job.Key (the schema-4 entry is kept
-// under testdata/stale); at schema 4, when the service key gained the
-// cell's core count, shared-LLC shape and quantum (multi-core serving)
-// and cell results gained the cores metric; at schema 3, when the key
-// preimage gained the job's service-sweep configuration and the
-// resumable engines started recording request latencies; and at
-// schema 2, when the preimage gained the job topology (many-core
-// machines). Entries from prior schemas deliberately miss (see
-// TestCacheSchemaBump and TestCacheSchema{2,3,4}EntriesMiss).
+// History: the fixture was regenerated at schema 6, when a served
+// cell's entry started holding its CellStats as they are (the schema-5
+// E1 entry is kept under testdata/stale); at schema 5, when the
+// topology and service key fields merged into Job.Key; at schema 4,
+// when the service key gained the cell's core count, shared-LLC shape
+// and quantum (multi-core serving) and cell results gained the cores
+// metric; at schema 3, when the key preimage gained the job's
+// service-sweep configuration and the resumable engines started
+// recording request latencies; and at schema 2, when the preimage
+// gained the job topology (many-core machines). Entries from prior
+// schemas deliberately miss (see TestCacheSchemaBump and
+// TestCacheSchema{2,3,4,5}EntriesMiss).
 //
 // Regenerate deliberately with:
 //
 //	UPDATE_GOLDEN=1 go test ./internal/runner -run TestCacheCompat
 const fixtureDir = "testdata/cachefixture"
 
-func compatJob() Job {
-	return Job{ID: "E1", Mach: core.DefaultMachine()}
+func compatJob() expJob {
+	run, _ := experiments.Lookup("E1")
+	return expJob{ID: "E1", Mach: core.DefaultMachine(), Run: run}
+}
+
+// serveJob is a served cell as a job: its result is the cell's
+// CellStats, stored as they are.
+func serveJob() Job[service.CellStats] {
+	cfg := service.DefaultConfig()
+	cfg.Requests = 200
+	cl := service.Cell{Policy: service.EventAware, Rate: 0.2}
+	return Job[service.CellStats]{ID: cl.ResultID(), Mach: core.DefaultMachine(), Key: cfg,
+		Run: func(m core.Machine) (service.CellStats, error) { return service.RunCell(m, cfg, cl) }}
+}
+
+// get is Cache.Get typed as the job's result.
+func get[R any](c *Cache, j Job[R]) (R, bool) {
+	v, ok := c.Get(j)
+	res, _ := v.(R)
+	return res, ok
 }
 
 func TestCacheCompatFixture(t *testing.T) {
-	j := compatJob()
-	run, err := experiments.Lookup(j.ID)
+	compatFixture(t, compatJob())
+	compatFixture(t, serveJob())
+}
+
+// compatFixture requires the fixture to serve j a result equal to, and
+// encoding exactly like, a fresh run of j (or, under UPDATE_GOLDEN,
+// writes that run into the fixture).
+func compatFixture[R any](t *testing.T, j Job[R]) {
+	fresh, err := j.Run(j.Mach)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := run(j.Mach)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		c, err := OpenCache(fixtureDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Put(j, fresh); err != nil {
-			t.Fatal(err)
-		}
-		key, _ := c.Key(j)
-		t.Logf("wrote fixture entry %s", key)
-		return
-	}
-
 	c, err := OpenCache(fixtureDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, ok := c.Get(j)
-	if !ok {
-		key, _ := c.Key(j)
-		t.Fatalf("pre-change cache entry missed (key %s): schema or machine shape drifted without a cacheSchema bump", key)
+	key, err := c.Key(j)
+	if err != nil {
+		t.Fatal(err)
 	}
-
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := c.Put(j, fresh); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote fixture entry %s (%s)", key, j.ID)
+		return
+	}
+	cached, ok := get(c, j)
+	if !ok {
+		t.Fatalf("%s: pre-change cache entry missed (key %s): schema or key shape drifted without a cacheSchema bump", j.ID, key)
+	}
 	wantJSON, err := json.Marshal(cached)
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +106,8 @@ func TestCacheCompatFixture(t *testing.T) {
 		t.Fatalf("freshly computed %s result differs from pre-change cached fixture:\n got: %s\nwant: %s",
 			j.ID, gotJSON, wantJSON)
 	}
-	if fresh.String() != cached.String() {
-		t.Fatalf("rendered table differs from pre-change cached fixture")
+	if !reflect.DeepEqual(fresh, cached) {
+		t.Fatalf("%s: served result differs from a fresh run", j.ID)
 	}
 }
 
@@ -114,11 +134,11 @@ func TestCacheRoundTripWithObservabilityTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, res := range []*experiments.Result{with, without} {
-		j := Job{ID: res.ID, Mach: core.DefaultMachine()}
+		j := expJob{ID: res.ID, Mach: core.DefaultMachine()}
 		if err := c.Put(j, res); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := c.Get(j)
+		got, ok := get(c, j)
 		if !ok {
 			t.Fatalf("%s: cache miss after put", res.ID)
 		}
@@ -134,7 +154,7 @@ func TestCacheRoundTripWithObservabilityTable(t *testing.T) {
 
 	// The observability histogram rows survived: episode total equals the
 	// two episodes recorded, visible in the decoded table text.
-	got, _ := c.Get(Job{ID: "obs-on", Mach: core.DefaultMachine()})
+	got, _ := get(c, expJob{ID: "obs-on", Mach: core.DefaultMachine()})
 	if !strings.Contains(got.String(), "episode_dur_total") {
 		t.Errorf("decoded result lost observability rows:\n%s", got.String())
 	}
@@ -143,33 +163,17 @@ func TestCacheRoundTripWithObservabilityTable(t *testing.T) {
 	}
 }
 
-// TestCacheDamagedEntriesMiss damages a copy of the fixture entry in
-// the ways a shared cache directory gets damaged and holds each to the
-// same contract: Get misses without panicking, nothing is served, and
-// the next Put heals the slot. The entry carries no checksum, so a flip
-// that turns one digit of a metric into another digit is out of reach;
-// the two flips here are the detectable kinds (a number the entry is
-// checked against, and a byte that stops being a digit).
+// TestCacheDamagedEntriesMiss damages a copy of each fixture entry (E1's
+// and the served cell's) in the ways a shared cache directory gets
+// damaged and holds each to the same contract: Get misses without
+// panicking, nothing is served, and the next Put heals the slot. The
+// entry carries no checksum, so a flip that turns one digit of a metric
+// into another digit is out of reach; the two flips here are the
+// detectable kinds (a number the entry is checked against, and a byte
+// that stops being a digit).
 func TestCacheDamagedEntriesMiss(t *testing.T) {
-	j := compatJob()
-	fix, err := OpenCache(fixtureDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, ok := fix.Get(j)
-	if !ok {
-		t.Fatal("fixture entry missed")
-	}
-	key, err := fix.Key(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := os.ReadFile(fix.path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// flip XORs mask into the byte after the first occurrence of marker.
-	flip := func(marker string, mask byte) []byte {
+	flip := func(t *testing.T, good []byte, marker string, mask byte) []byte {
 		i := strings.Index(string(good), marker)
 		if i < 0 {
 			t.Fatalf("fixture has no %q", marker)
@@ -178,49 +182,99 @@ func TestCacheDamagedEntriesMiss(t *testing.T) {
 		out[i+len(marker)] ^= mask
 		return out
 	}
-	replace := func(old, new string) []byte {
+	replace := func(t *testing.T, good []byte, old, new string) []byte {
 		if !strings.Contains(string(good), old) {
 			t.Fatalf("fixture has no %q", old)
 		}
 		return []byte(strings.Replace(string(good), old, new, 1))
 	}
 	schema := fmt.Sprintf(`"schema":%d`, cacheSchema)
+	// Each case damages an entry's good bytes; id is its job's ID and
+	// digit a marker that a metric's first digit follows.
 	cases := []struct {
-		name string
-		data []byte
+		name   string
+		damage damage
 	}{
-		{"truncated", good[:len(good)/2]},
-		{"schema digit flipped", flip(`"schema":`, 0x01)},
-		{"metric digit flipped to a non-digit", flip(`"coro_full_ns":`, 0x80)},
-		{"hollow result", []byte(fmt.Sprintf(`{%s,"id":%q,"result":{}}`, schema, j.ID))},
-		{"foreign id", replace(`"id":"E1"`, `"id":"E2"`)},
-		{"older schema", replace(schema, fmt.Sprintf(`"schema":%d`, cacheSchema-1))},
+		{"truncated", func(_ *testing.T, good []byte, _, _ string) []byte { return good[:len(good)/2] }},
+		{"schema digit flipped", func(t *testing.T, good []byte, _, _ string) []byte {
+			return flip(t, good, `"schema":`, 0x01)
+		}},
+		{"metric digit flipped to a non-digit", func(t *testing.T, good []byte, _, digit string) []byte {
+			return flip(t, good, digit, 0x80)
+		}},
+		{"hollow result", func(_ *testing.T, _ []byte, id, _ string) []byte {
+			return []byte(fmt.Sprintf(`{%s,"id":%q,"result":{}}`, schema, id))
+		}},
+		{"null result", func(_ *testing.T, _ []byte, id, _ string) []byte {
+			return []byte(fmt.Sprintf(`{%s,"id":%q,"result":null}`, schema, id))
+		}},
+		{"foreign id", func(t *testing.T, good []byte, id, _ string) []byte {
+			return replace(t, good, fmt.Sprintf(`"id":%q`, id), `"id":"E2"`)
+		}},
+		{"older schema", func(t *testing.T, good []byte, _, _ string) []byte {
+			return replace(t, good, schema, fmt.Sprintf(`"schema":%d`, cacheSchema-1))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := OpenCache(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(c.path(key), tc.data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if res, ok := c.Get(j); ok || res != nil {
-				t.Fatalf("damaged entry served: %+v", res)
-			}
-			if c.Hits() != 0 || c.Misses() != 1 {
-				t.Fatalf("hits/misses = %d/%d, want 0/1", c.Hits(), c.Misses())
-			}
-			if err := c.Put(j, want); err != nil {
-				t.Fatal(err)
-			}
-			got, ok := c.Get(j)
-			if !ok {
-				t.Fatal("Put did not heal the damaged slot")
-			}
-			if got.String() != want.String() {
-				t.Fatalf("healed entry differs from the fixture:\n%s", got.String())
-			}
+			damagedEntryMisses(t, compatJob(), `"coro_full_ns":`, tc.damage)
+			damagedEntryMisses(t, serveJob(), `"P99":`, tc.damage)
 		})
+	}
+}
+
+// fixtureEntry returns j's cache key and the bytes of its fixture entry.
+func fixtureEntry[R any](t *testing.T, j Job[R]) (string, []byte) {
+	t.Helper()
+	fix, err := OpenCache(fixtureDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := fix.Key(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(fix.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key, data
+}
+
+// damage returns a damaged copy of an entry's good bytes.
+type damage func(t *testing.T, good []byte, id, digit string) []byte
+
+// damagedEntryMisses writes j's fixture entry, damaged, into a fresh
+// cache; Get must miss it and count one miss, and Put must heal it.
+func damagedEntryMisses[R any](t *testing.T, j Job[R], digit string, d damage) {
+	t.Helper()
+	key, good := fixtureEntry(t, j)
+	v, ok := j.decode(good)
+	if !ok {
+		t.Fatalf("%s: fixture entry missed", j.ID)
+	}
+	want := v.(R)
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.path(key), d(t, good, j.ID, digit), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := c.Get(j); ok || res != nil {
+		t.Fatalf("%s: damaged entry served: %+v", j.ID, res)
+	}
+	if c.Hits() != 0 || c.Misses() != 1 {
+		t.Fatalf("%s: hits/misses = %d/%d, want 0/1", j.ID, c.Hits(), c.Misses())
+	}
+	if err := c.Put(j, want); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := get(c, j)
+	if !ok {
+		t.Fatalf("%s: Put did not heal the damaged slot", j.ID)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: healed entry differs from the fixture: %+v", j.ID, got)
 	}
 }

@@ -1,9 +1,10 @@
-// Package runner is the parallel experiment execution engine: it fans
-// jobs (experiment × seed × machine configuration) out over a bounded
-// pool of goroutines and merges the results back in deterministic
-// presentation order.
+// Package runner is the parallel execution engine: it fans jobs (an
+// experiment, a serve cell or a tool's cell × seed × machine
+// configuration, each returning its own result type) out over a
+// bounded pool of goroutines and merges the results back in
+// deterministic presentation order.
 //
-// Determinism argument: every experiment is a pure function of its
+// Determinism argument: every job is a pure function of its
 // Machine value — scenarios are built from a seeded rand.Source, the
 // simulated core and cache hierarchy are private to the job, and no
 // package-level state is mutated during a run. Jobs therefore commute,
@@ -28,8 +29,9 @@ import (
 )
 
 // Job is one executable cell of a sweep: a computation applied to a
-// fully specified machine (the machine embeds the seed).
-type Job struct {
+// fully specified machine (the machine embeds the seed), producing a
+// result of type R.
+type Job[R any] struct {
 	// ID names the computation ("E7"). It is both a display label and a
 	// cache key component, so custom Run functions must use IDs distinct
 	// from the registry's.
@@ -45,17 +47,17 @@ type Job struct {
 	Key any
 	// Run produces the result. It is required: a job without one is
 	// refused before any job starts.
-	Run experiments.Runner
+	Run func(core.Machine) (R, error)
 }
 
 // Result is the outcome of one job, tagged with execution metadata.
-type Result struct {
-	Job Job
+type Result[R any] struct {
+	Job Job[R]
 	// Seq is the job's index in the submitted slice: its deterministic
 	// presentation position.
 	Seq int
-	// Res is the experiment result; nil when Err is set.
-	Res *experiments.Result
+	// Res is the job's result; the zero R when Err is set.
+	Res R
 	// Err is the job's failure, if any.
 	Err error
 	// Wall is the job's wall-clock duration (zero for cache hits).
@@ -65,8 +67,8 @@ type Result struct {
 	CacheHit bool
 }
 
-// Options tunes a Run/Stream call.
-type Options struct {
+// Options tunes a Run/Stream call over jobs of result type R.
+type Options[R any] struct {
 	// Parallelism bounds the worker pool. Values < 1 select
 	// runtime.GOMAXPROCS(0). 1 reproduces fully sequential execution.
 	Parallelism int
@@ -76,10 +78,10 @@ type Options struct {
 	// (in completion order, serialized) with the number of finished
 	// jobs, the total, and the just-finished result. It must not block
 	// for long: it holds up result delivery.
-	Progress func(done, total int, r Result)
+	Progress func(done, total int, r Result[R])
 }
 
-func (o Options) workers(jobs int) int {
+func (o Options[R]) workers(jobs int) int {
 	n := o.Parallelism
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
@@ -96,9 +98,9 @@ func (o Options) workers(jobs int) int {
 // Run executes all jobs and returns their results indexed exactly like
 // the input slice. The first job error cancels the sweep; results
 // computed before cancellation are still returned.
-func Run(ctx context.Context, jobs []Job, opts Options) ([]Result, error) {
-	out := make([]Result, len(jobs))
-	err := Stream(ctx, jobs, opts, func(r Result) error {
+func Run[R any](ctx context.Context, jobs []Job[R], opts Options[R]) ([]Result[R], error) {
+	out := make([]Result[R], len(jobs))
+	err := Stream(ctx, jobs, opts, func(r Result[R]) error {
 		out[r.Seq] = r
 		return nil
 	})
@@ -113,7 +115,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Result, error) {
 // non-nil emit return cancels outstanding work and is returned after
 // in-flight jobs drain. A job without a Run fails the call before any
 // job starts.
-func Stream(ctx context.Context, jobs []Job, opts Options, emit func(Result) error) error {
+func Stream[R any](ctx context.Context, jobs []Job[R], opts Options[R], emit func(Result[R]) error) error {
 	for i, j := range jobs {
 		if j.Run == nil {
 			return fmt.Errorf("runner: job %d (%s) has no Run", i, j.ID)
@@ -126,7 +128,7 @@ func Stream(ctx context.Context, jobs []Job, opts Options, emit func(Result) err
 	defer cancel()
 
 	idx := make(chan int)
-	results := make(chan Result)
+	results := make(chan Result[R])
 	var wg sync.WaitGroup
 	for w := 0; w < opts.workers(len(jobs)); w++ {
 		wg.Add(1)
@@ -159,7 +161,7 @@ func Stream(ctx context.Context, jobs []Job, opts Options, emit func(Result) err
 
 	// Reorder completion order into submission order, emitting each
 	// result the moment its turn comes up.
-	pending := make(map[int]Result)
+	pending := make(map[int]Result[R])
 	next, done := 0, 0
 	var firstErr error
 	for r := range results {
@@ -197,13 +199,13 @@ func Stream(ctx context.Context, jobs []Job, opts Options, emit func(Result) err
 	return ctx.Err()
 }
 
-// timedRun invokes one experiment body and measures its host wall
+// timedRun invokes one job body and measures its host wall
 // time. Wall time here is harness telemetry (the per-job column in
 // sweep tables), never an input to simulated state: every simulated
 // duration derives from the core clock.
 //
 //shsim:nondeterministic-ok host wall-time telemetry; never feeds simulated state
-func timedRun(run experiments.Runner, m core.Machine) (*experiments.Result, time.Duration, error) {
+func timedRun[R any](run func(core.Machine) (R, error), m core.Machine) (R, time.Duration, error) {
 	start := time.Now()
 	res, err := run(m)
 	return res, time.Since(start), err
@@ -216,15 +218,15 @@ func timedRun(run experiments.Runner, m core.Machine) (*experiments.Result, time
 // telemetry is outlined and suppressed in timedRun).
 //
 //shsim:cycle-entry
-func execute(ctx context.Context, j Job, seq int, cache *Cache) Result {
-	r := Result{Job: j, Seq: seq}
+func execute[R any](ctx context.Context, j Job[R], seq int, cache *Cache) Result[R] {
+	r := Result[R]{Job: j, Seq: seq}
 	if err := ctx.Err(); err != nil {
 		r.Err = err
 		return r
 	}
 	if cache != nil {
 		if res, ok := cache.Get(j); ok {
-			r.Res, r.CacheHit = res, true
+			r.Res, r.CacheHit = res.(R), true
 			return r
 		}
 	}
@@ -249,11 +251,11 @@ const SeedStride = 7919
 // Jobs expands experiment IDs × seed repetitions (seeds ≥ 1) into the
 // job list for a sweep, in presentation order (experiment-major).
 // Unknown IDs fail upfront with an *experiments.UnknownIDError.
-func Jobs(ids []string, base core.Machine, seeds int) ([]Job, error) {
+func Jobs(ids []string, base core.Machine, seeds int) ([]Job[*experiments.Result], error) {
 	if seeds < 1 {
 		return nil, fmt.Errorf("runner: seeds must be ≥ 1 (got %d)", seeds)
 	}
-	var jobs []Job
+	var jobs []Job[*experiments.Result]
 	for _, id := range ids {
 		run, err := experiments.Lookup(id)
 		if err != nil {
@@ -262,7 +264,7 @@ func Jobs(ids []string, base core.Machine, seeds int) ([]Job, error) {
 		for i := 0; i < seeds; i++ {
 			m := base
 			m.Seed = base.Seed + int64(i)*SeedStride
-			jobs = append(jobs, Job{ID: id, Mach: m, Run: run})
+			jobs = append(jobs, Job[*experiments.Result]{ID: id, Mach: m, Run: run})
 		}
 	}
 	return jobs, nil

@@ -4,17 +4,25 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
+// expJob and expResult are an experiment sweep's job and result.
+type (
+	expJob    = Job[*experiments.Result]
+	expResult = Result[*experiments.Result]
+)
+
 // render produces the caller-visible bytes of a sweep: tables, notes and
 // metrics in presentation order — exactly what shbench prints.
-func render(results []Result) string {
+func render(results []expResult) string {
 	var b strings.Builder
 	for _, r := range results {
 		b.WriteString(r.Res.String())
@@ -23,7 +31,7 @@ func render(results []Result) string {
 	return b.String()
 }
 
-func sweep(t *testing.T, parallelism int, cache *Cache) []Result {
+func sweep(t *testing.T, parallelism int, cache *Cache) []expResult {
 	t.Helper()
 	jobs, err := Jobs([]string{"E1", "E12", "E13"}, core.DefaultMachine(), 3)
 	if err != nil {
@@ -32,7 +40,7 @@ func sweep(t *testing.T, parallelism int, cache *Cache) []Result {
 	if len(jobs) != 9 {
 		t.Fatalf("expanded %d jobs, want 9", len(jobs))
 	}
-	results, err := Run(context.Background(), jobs, Options{Parallelism: parallelism, Cache: cache})
+	results, err := Run(context.Background(), jobs, Options[*experiments.Result]{Parallelism: parallelism, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +87,7 @@ func TestWarmCacheSkipsSimulation(t *testing.T) {
 			return inner(m)
 		}
 	}
-	warm, err := Run(context.Background(), jobs, Options{Parallelism: 4, Cache: cache})
+	warm, err := Run(context.Background(), jobs, Options[*experiments.Result]{Parallelism: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,23 +114,23 @@ func TestCacheKeySeparatesCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := core.DefaultMachine()
-	k1, err := cache.Key(Job{ID: "E1", Mach: base})
+	k1, err := cache.Key(expJob{ID: "E1", Mach: base})
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := base
 	other.Seed++
-	k2, _ := cache.Key(Job{ID: "E1", Mach: other})
-	k3, _ := cache.Key(Job{ID: "E2", Mach: base})
+	k2, _ := cache.Key(expJob{ID: "E1", Mach: other})
+	k3, _ := cache.Key(expJob{ID: "E2", Mach: base})
 	shrunk := base
 	shrunk.Mem.L1Size /= 2
-	k4, _ := cache.Key(Job{ID: "E1", Mach: shrunk})
+	k4, _ := cache.Key(expJob{ID: "E1", Mach: shrunk})
 	seen := map[string]bool{k1: true, k2: true, k3: true, k4: true}
 	if len(seen) != 4 {
 		t.Errorf("cache keys collide: %v %v %v %v", k1, k2, k3, k4)
 	}
 	// Same cell, same key.
-	again, _ := cache.Key(Job{ID: "E1", Mach: core.DefaultMachine()})
+	again, _ := cache.Key(expJob{ID: "E1", Mach: core.DefaultMachine()})
 	if again != k1 {
 		t.Error("identical jobs produced different keys")
 	}
@@ -131,20 +139,20 @@ func TestCacheKeySeparatesCells(t *testing.T) {
 // Stream must deliver results in submission order even when completion
 // order is scrambled, and progress must count every job.
 func TestStreamOrderAndProgress(t *testing.T) {
-	var jobs []Job
+	var jobs []expJob
 	for i := 0; i < 16; i++ {
 		i := i
-		jobs = append(jobs, Job{ID: fmt.Sprintf("J%02d", i), Mach: core.Machine{Seed: int64(i)},
+		jobs = append(jobs, expJob{ID: fmt.Sprintf("J%02d", i), Mach: core.Machine{Seed: int64(i)},
 			Run: func(core.Machine) (*experiments.Result, error) {
 				return &experiments.Result{ID: fmt.Sprintf("J%02d", i)}, nil
 			}})
 	}
 	var order []int
 	var progressed atomic.Int64
-	err := Stream(context.Background(), jobs, Options{
+	err := Stream(context.Background(), jobs, Options[*experiments.Result]{
 		Parallelism: 8,
-		Progress:    func(done, total int, r Result) { progressed.Add(1) },
-	}, func(r Result) error {
+		Progress:    func(done, total int, r expResult) { progressed.Add(1) },
+	}, func(r expResult) error {
 		order = append(order, r.Seq)
 		return nil
 	})
@@ -163,17 +171,17 @@ func TestStreamOrderAndProgress(t *testing.T) {
 
 func TestJobErrorCancelsSweep(t *testing.T) {
 	boom := errors.New("boom")
-	var jobs []Job
+	var jobs []expJob
 	for i := 0; i < 8; i++ {
 		i := i
-		jobs = append(jobs, Job{ID: fmt.Sprintf("J%d", i), Run: func(core.Machine) (*experiments.Result, error) {
+		jobs = append(jobs, expJob{ID: fmt.Sprintf("J%d", i), Run: func(core.Machine) (*experiments.Result, error) {
 			if i == 3 {
 				return nil, boom
 			}
 			return &experiments.Result{}, nil
 		}})
 	}
-	_, err := Run(context.Background(), jobs, Options{Parallelism: 2})
+	_, err := Run(context.Background(), jobs, Options[*experiments.Result]{Parallelism: 2})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
@@ -200,22 +208,76 @@ func TestContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(ctx, jobs, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, jobs, Options[*experiments.Result]{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// Cancelling a Stream after its first emitted result drains the jobs in
+// flight, starts none after the cancel, returns context.Canceled and
+// leaves no goroutine behind. Job 0 returns once jobs 1–3 are running;
+// the emit of its result waits for job 4, which takes job 0's worker,
+// and every job but 0 blocks until the cancel has happened. So all
+// four workers are busy when it happens, and exactly five jobs start.
+func TestStreamCancelLeavesNothingRunning(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started, finished, late atomic.Int64
+	// in has a slot per job: each job but 0 sends once as it starts.
+	in, gate := make(chan struct{}, 16), make(chan struct{})
+	var jobs []expJob
+	for i := 0; i < 16; i++ {
+		jobs = append(jobs, expJob{ID: fmt.Sprintf("J%02d", i), Run: func(core.Machine) (*experiments.Result, error) {
+			if ctx.Err() != nil {
+				late.Add(1)
+			}
+			started.Add(1)
+			defer finished.Add(1)
+			if i == 0 {
+				<-in
+				<-in
+				<-in
+			} else {
+				in <- struct{}{}
+				<-gate
+			}
+			return &experiments.Result{ID: fmt.Sprintf("J%02d", i)}, nil
+		}})
+	}
+	emitted := 0
+	err := Stream(ctx, jobs, Options[*experiments.Result]{Parallelism: 4}, func(expResult) error {
+		if emitted++; emitted == 1 {
+			<-in
+			cancel()
+			close(gate)
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if s, f := started.Load(), finished.Load(); s != 5 || f != s || late.Load() != 0 {
+		t.Errorf("started %d, finished %d, started after the cancel %d; want 5, 5, 0", s, f, late.Load())
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stream returned, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }
 
 // A job without a Run fails the whole call before any job starts.
 func TestJobWithoutRunIsRefused(t *testing.T) {
 	var ran atomic.Int64
-	jobs := []Job{
+	jobs := []expJob{
 		{ID: "ok", Run: func(core.Machine) (*experiments.Result, error) {
 			ran.Add(1)
 			return &experiments.Result{ID: "ok"}, nil
 		}},
 		{ID: "E1", Mach: core.DefaultMachine()},
 	}
-	_, err := Run(context.Background(), jobs, Options{})
+	_, err := Run(context.Background(), jobs, Options[*experiments.Result]{})
 	if err == nil || !strings.Contains(err.Error(), "E1") || !strings.Contains(err.Error(), "no Run") {
 		t.Errorf("err = %v, want a refusal naming E1", err)
 	}

@@ -1,12 +1,12 @@
 package runner
 
 import (
-	"encoding/json"
+	"bytes"
+	"fmt"
 	"os"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/machine"
 )
 
@@ -19,7 +19,7 @@ func staleEntryMisses(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := Job{ID: "E1", Mach: core.DefaultMachine()}
+	j := expJob{ID: "E1", Mach: core.DefaultMachine()}
 	key, err := c.Key(j)
 	if err != nil {
 		t.Fatal(err)
@@ -32,25 +32,36 @@ func staleEntryMisses(t *testing.T, data []byte) {
 	}
 }
 
-// staleEntry is an E1 entry stamped with an older schema.
-func staleEntry(schema int) []byte {
-	data, _ := json.Marshal(entry{Schema: schema, ID: "E1", Result: &experiments.Result{ID: "E1"}})
-	return data
+// staleEntry is the fixture's E1 entry stamped with an older schema, so
+// the stamp is all that stands between it and a hit.
+func staleEntry(t *testing.T, schema int) []byte {
+	_, data := fixtureEntry(t, compatJob())
+	return bytes.Replace(data, []byte(fmt.Sprintf(`"schema":%d`, cacheSchema)), []byte(fmt.Sprintf(`"schema":%d`, schema)), 1)
 }
 
 // A schema-1 entry (pre-topology key preimage) must miss.
-func TestCacheSchemaBump(t *testing.T) { staleEntryMisses(t, staleEntry(1)) }
+func TestCacheSchemaBump(t *testing.T) { staleEntryMisses(t, staleEntry(t, 1)) }
 
 // A schema-2 entry (pre-service key preimage) must miss.
-func TestCacheSchema2EntriesMiss(t *testing.T) { staleEntryMisses(t, staleEntry(2)) }
+func TestCacheSchema2EntriesMiss(t *testing.T) { staleEntryMisses(t, staleEntry(t, 2)) }
 
 // A schema-3 entry (pre-multi-core-serving key preimage) must miss.
-func TestCacheSchema3EntriesMiss(t *testing.T) { staleEntryMisses(t, staleEntry(3)) }
+func TestCacheSchema3EntriesMiss(t *testing.T) { staleEntryMisses(t, staleEntry(t, 3)) }
 
 // The schema-4 compatibility fixture (the last entry written before
 // the topology and service key fields merged into Job.Key) must miss.
 func TestCacheSchema4EntriesMiss(t *testing.T) {
 	data, err := os.ReadFile("testdata/stale/schema4-E1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	staleEntryMisses(t, data)
+}
+
+// The schema-5 compatibility fixture (the last entry written before a
+// served cell's entry held its CellStats as they are) must miss.
+func TestCacheSchema5EntriesMiss(t *testing.T) {
+	data, err := os.ReadFile("testdata/stale/schema5-E1.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +75,10 @@ func TestCacheKeyIncludesTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Job{ID: "E1", Mach: core.DefaultMachine()}
+	base := expJob{ID: "E1", Mach: core.DefaultMachine()}
 
 	keys := map[string]string{}
-	for name, j := range map[string]Job{
+	for name, j := range map[string]expJob{
 		"classic": base,
 		"cores1":  {ID: base.ID, Mach: base.Mach, Key: machine.DefaultTopology(1)},
 		"cores8":  {ID: base.ID, Mach: base.Mach, Key: machine.DefaultTopology(8)},
@@ -86,8 +97,8 @@ func TestCacheKeyIncludesTopology(t *testing.T) {
 
 	// Same topology value → same key (pointer identity must not leak in).
 	topo8, topo8b := machine.DefaultTopology(8), machine.DefaultTopology(8)
-	ka, _ := c.Key(Job{ID: base.ID, Mach: base.Mach, Key: &topo8})
-	kb, _ := c.Key(Job{ID: base.ID, Mach: base.Mach, Key: &topo8b})
+	ka, _ := c.Key(expJob{ID: base.ID, Mach: base.Mach, Key: &topo8})
+	kb, _ := c.Key(expJob{ID: base.ID, Mach: base.Mach, Key: &topo8b})
 	if ka != kb || ka != keys["cores8"] {
 		t.Error("identical topologies hash to different keys")
 	}
@@ -106,7 +117,7 @@ func TestCacheKeyIncludesService(t *testing.T) {
 		Policy string
 		Rate   float64
 	}
-	base := Job{ID: "serve/agnostic/rate=0.2", Mach: core.DefaultMachine()}
+	base := expJob{ID: "serve/agnostic/rate=0.2", Mach: core.DefaultMachine()}
 	withA := base
 	withA.Key = svc{Policy: "agnostic", Rate: 0.2}
 	withB := base

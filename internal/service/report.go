@@ -100,7 +100,7 @@ func summarize(cl Cell, cells []*cell, sharedDropped uint64) CellStats {
 	return cs
 }
 
-// ResultID is a sweep cell's runner job and result ID.
+// ResultID is a sweep cell's runner job ID.
 func (cl Cell) ResultID() string {
 	return fmt.Sprintf("serve/%s/rate=%g", cl.Policy, cl.Rate)
 }

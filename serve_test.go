@@ -2,11 +2,14 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"math"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/service"
 )
 
@@ -140,8 +143,9 @@ func TestServeCacheReplayIdentity(t *testing.T) {
 	}
 }
 
-// TestCellStatsResultRoundTrip: a cell's stats survive the
-// ExperimentResult round trip (the result cache path) exactly.
+// TestCellStatsResultRoundTrip: a served cell's stats survive the
+// result cache's Put/Get round trip exactly — every field, and the
+// rendered sojourn histogram.
 func TestCellStatsResultRoundTrip(t *testing.T) {
 	cfg := ServiceConfig{
 		Workload: Workload{
@@ -154,21 +158,54 @@ func TestCellStatsResultRoundTrip(t *testing.T) {
 		Queue:    32,
 		Batch:    2,
 	}
-	cs, err := service.RunCell(DefaultTopology(1).Machine, cfg, ServiceCell{Policy: PolicySidecar, Rate: 0.25})
+	cl := ServiceCell{Policy: PolicySidecar, Rate: 0.25}
+	mach := DefaultTopology(1).Machine
+	cs, err := service.RunCell(mach, cfg, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := cellStatsFromResult(cellResult(cs))
+	c, err := runner.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ha, hb := cs.Hist, back.Hist
+	j := runner.Job[ServiceCellStats]{ID: cl.ResultID(), Mach: mach, Key: cellKey(cellConfig(cfg, cl))}
+	if err := c.Put(j, cs); err != nil {
+		t.Fatal(err)
+	}
+	v, ok := c.Get(j)
+	back, isCell := v.(ServiceCellStats)
+	if !ok || !isCell {
+		t.Fatalf("served cell missed the cache after Put (hit %t, %T)", ok, v)
+	}
+	if cs.Hist == nil || back.Hist == nil || cs.Hist.String() != back.Hist.String() {
+		t.Fatal("round trip changed histogram")
+	}
 	cs.Hist, back.Hist = nil, nil
 	if cs != back {
 		t.Fatalf("round trip changed stats:\n%+v\n%+v", cs, back)
 	}
-	if ha.String() != hb.String() {
-		t.Fatal("round trip changed histogram")
+}
+
+// TestServeCancelledServesNothing: Serve under a cancelled context
+// returns context.Canceled and serves no cell — nothing simulated,
+// nothing looked up in or written to the cache.
+func TestServeCancelledServesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewSession(WithCache(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := s.Serve(ctx, DefaultServiceConfig())
+	if !errors.Is(err, context.Canceled) || rep != nil {
+		t.Fatalf("Serve = %v, %v; want nil, context.Canceled", rep, err)
+	}
+	if s.cache.Hits()+s.cache.Misses() != 0 {
+		t.Errorf("cancelled Serve looked up %d cell(s)", s.cache.Hits()+s.cache.Misses())
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("cancelled Serve wrote %d cache entries (%v)", len(entries), err)
 	}
 }
 

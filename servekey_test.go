@@ -13,7 +13,7 @@ import (
 // keyOf hashes a serve cell's job the way Session.Serve submits it.
 func keyOf(t *testing.T, c *runner.Cache, cfg ServiceConfig, cl ServiceCell) string {
 	t.Helper()
-	k, err := c.Key(runner.Job{ID: cl.ResultID(), Mach: core.DefaultMachine(), Key: cellKey(cfg)})
+	k, err := c.Key(runner.Job[ServiceCellStats]{ID: cl.ResultID(), Mach: core.DefaultMachine(), Key: cellKey(cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}

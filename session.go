@@ -199,7 +199,7 @@ func (s *Session) RunAll(ctx context.Context, ids ...string) ([]*ExperimentResul
 
 // RunReport is one job's outcome in a Sweep: the experiment result plus
 // execution metadata (wall clock, cache hit).
-type RunReport = runner.Result
+type RunReport = runner.Result[*ExperimentResult]
 
 // Sweep runs every experiment × seed cell (seeds ≥ 1; seed i runs on
 // Seed + i*runner.SeedStride) and returns per-job reports in deterministic
@@ -212,7 +212,7 @@ func (s *Session) Sweep(ctx context.Context, ids []string, seeds int) ([]RunRepo
 	if err != nil {
 		return nil, err
 	}
-	return runner.Run(ctx, jobs, runner.Options{Parallelism: s.parallelism, Cache: s.cache})
+	return runner.Run(ctx, jobs, runner.Options[*ExperimentResult]{Parallelism: s.parallelism, Cache: s.cache})
 }
 
 // Pipeline is the session-level convenience for the paper's three-step
