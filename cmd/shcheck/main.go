@@ -11,6 +11,9 @@
 //	        -map hashjoin.map.json
 //	shcheck -json -orig a.img -inst b.img        # mapping inferred
 //
+// Reachability is rooted at the instrumented image's entry symbols
+// ("<part>.main", or "main"), at instruction 0 when it has none.
+//
 // Exit status: 0 when the image is clean, 1 when verification found
 // diagnostics, 2 on usage or I/O errors. Findings go to stdout, one per
 // line (or one JSON report with -json); nothing is printed for a clean
@@ -23,8 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/check"
 	"repro/internal/cli"
@@ -37,7 +38,6 @@ func main() {
 	origPath := fs.String("orig", "", "original image (required)")
 	instPath := fs.String("inst", "", "instrumented image to verify (required)")
 	mapPath := fs.String("map", "", "mapping report JSON from shinstr -report (default: infer the mapping)")
-	entriesFlag := fs.String("entries", "", "comma-separated entry-point indices in the instrumented image (overrides -map; default 0)")
 	sfiMode := fs.Bool("sfi", false, "enforce SFI guard discipline (every load/store CHECKed)")
 	codesign := fs.Bool("codesign", false, "with -sfi: accept guards folded into yield shadows")
 	guardStores := fs.Bool("guardstores", true, "with -sfi: require guards on stores too")
@@ -46,7 +46,7 @@ func main() {
 	fs.Parse(os.Args[1:])
 	cli.NoArgs(fs)
 
-	code, err := run(os.Stdout, *origPath, *instPath, *mapPath, *entriesFlag, *sfiMode, *codesign, *guardStores, *jsonOut, *verbose)
+	code, err := run(os.Stdout, *origPath, *instPath, *mapPath, *sfiMode, *codesign, *guardStores, *jsonOut, *verbose)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shcheck:", err)
 		os.Exit(2)
@@ -54,7 +54,7 @@ func main() {
 	os.Exit(code)
 }
 
-func run(out io.Writer, origPath, instPath, mapPath, entriesFlag string,
+func run(out io.Writer, origPath, instPath, mapPath string,
 	sfiMode, codesign, guardStores, jsonOut, verbose bool) (int, error) {
 	if origPath == "" || instPath == "" {
 		return 0, fmt.Errorf("-orig and -inst are required")
@@ -81,13 +81,6 @@ func run(out io.Writer, origPath, instPath, mapPath, entriesFlag string,
 			return 0, err
 		}
 		oldToNew = m.OldToNew
-		opts.Entries = m.Entries
-	}
-	if entriesFlag != "" {
-		opts.Entries, err = parseEntries(entriesFlag)
-		if err != nil {
-			return 0, err
-		}
 	}
 	if sfiMode {
 		opts.SFI = &sfi.Options{CoDesign: codesign, GuardStores: guardStores}
@@ -120,20 +113,4 @@ func loadImage(path string) (*isa.Image, error) {
 	}
 	defer f.Close()
 	return isa.LoadImage(f)
-}
-
-func parseEntries(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad entry %q: %w", part, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -9,10 +9,12 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/core"
 	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/pebs"
 	"repro/internal/profile"
+	"repro/internal/workloads"
 )
 
 const chaseSrc = `
@@ -49,7 +51,7 @@ func fixture(t *testing.T, dir string) (origPath, instPath, mapPath string, fina
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := check.MapFile{OldToNew: res.OldToNew, Entries: []int{0}}
+	m := check.MapFile{OldToNew: res.OldToNew}
 	if err := m.Save(f); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestCleanImageExitsZero(t *testing.T) {
 	dir := t.TempDir()
 	origPath, instPath, mapPath, _, _ := fixture(t, dir)
 	var out bytes.Buffer
-	code, err := run(&out, origPath, instPath, mapPath, "", false, false, true, false, false)
+	code, err := run(&out, origPath, instPath, mapPath, false, false, true, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestCleanImageExitsZero(t *testing.T) {
 	}
 	// -v prints the summary.
 	out.Reset()
-	if _, err := run(&out, origPath, instPath, mapPath, "", false, false, true, false, true); err != nil {
+	if _, err := run(&out, origPath, instPath, mapPath, false, false, true, false, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "0 errors, 0 warnings") {
@@ -98,7 +100,7 @@ func TestInferredMappingWorksWithoutMapFile(t *testing.T) {
 	dir := t.TempDir()
 	origPath, instPath, _, _, _ := fixture(t, dir)
 	var out bytes.Buffer
-	code, err := run(&out, origPath, instPath, "", "0", false, false, true, false, false)
+	code, err := run(&out, origPath, instPath, "", false, false, true, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestTamperedImageExitsOneWithRule(t *testing.T) {
 	_ = oldToNew
 	badPath := writeImage(t, filepath.Join(dir, "bad.img"), isa.Encode(bad))
 	var out bytes.Buffer
-	code, err := run(&out, origPath, badPath, mapPath, "", false, false, true, false, false)
+	code, err := run(&out, origPath, badPath, mapPath, false, false, true, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +147,7 @@ func TestJSONReport(t *testing.T) {
 	}
 	badPath := writeImage(t, filepath.Join(dir, "bad.img"), isa.Encode(bad))
 	var out bytes.Buffer
-	code, err := run(&out, origPath, badPath, mapPath, "", false, false, true, true, false)
+	code, err := run(&out, origPath, badPath, mapPath, false, false, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,22 +165,53 @@ func TestJSONReport(t *testing.T) {
 
 func TestUsageAndIOErrors(t *testing.T) {
 	var out bytes.Buffer
-	if _, err := run(&out, "", "", "", "", false, false, true, false, false); err == nil {
+	if _, err := run(&out, "", "", "", false, false, true, false, false); err == nil {
 		t.Error("missing required flags must error")
 	}
-	if _, err := run(&out, "/nonexistent.img", "/nonexistent.img", "", "", false, false, true, false, false); err == nil {
+	if _, err := run(&out, "/nonexistent.img", "/nonexistent.img", "", false, false, true, false, false); err == nil {
 		t.Error("unreadable image must error")
 	}
 	dir := t.TempDir()
 	origPath, instPath, _, _, _ := fixture(t, dir)
-	if _, err := run(&out, origPath, instPath, "", "zap", false, false, true, false, false); err == nil {
-		t.Error("malformed -entries must error")
-	}
 	badMap := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(badMap, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run(&out, origPath, instPath, badMap, "", false, false, true, false, false); err == nil {
+	if _, err := run(&out, origPath, instPath, badMap, false, false, true, false, false); err == nil {
 		t.Error("malformed map file must error")
+	}
+}
+
+// A two-part image Harness.Instrument built verifies clean without a
+// map: reachability roots at both parts' "<part>.main" symbols, so the
+// compute part's scavenger yields are reachable.
+func TestTwoPartImageVerifiesWithoutMap(t *testing.T) {
+	h, err := core.NewHarness(core.DefaultMachine(),
+		workloads.PointerChase{Nodes: 2048, Hops: 300, Instances: 2},
+		workloads.Compute{Iters: 300, Instances: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := h.Profile("chase")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := h.Instrument(prof, h.Mach.PipelineOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.Pipe.Scavenger == nil || len(img.Pipe.Scavenger.CondYieldPCs) == 0 {
+		t.Fatal("no scavenger yields to reach")
+	}
+	dir := t.TempDir()
+	origPath := writeImage(t, filepath.Join(dir, "orig.img"), isa.Encode(h.Sc.Prog))
+	instPath := writeImage(t, filepath.Join(dir, "inst.img"), isa.Encode(img.Prog))
+	var out bytes.Buffer
+	code, err := run(&out, origPath, instPath, "", false, false, true, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0:\n%s", code, out.String())
 	}
 }

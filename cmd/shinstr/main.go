@@ -112,12 +112,7 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 		if err != nil {
 			return err
 		}
-		// The rewritten entry points root shcheck's reachability analyses.
-		var entries []int
-		for _, p := range h.Sc.Parts {
-			entries = append(entries, inst.Entries[p.Name])
-		}
-		m := check.MapFile{OldToNew: res.OldToNew, Entries: entries}
+		m := check.MapFile{OldToNew: res.OldToNew}
 		if err := m.Save(f); err != nil {
 			f.Close()
 			return err

@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro"
 	"repro/internal/cli"
@@ -253,12 +252,7 @@ func run(w io.Writer, o options) error {
 			return err
 		}
 		// Entry points travel in the symbol table ("<part>.main").
-		entries := map[string]int{}
-		for name, idx := range prog.Symbols {
-			if strings.HasSuffix(name, ".main") {
-				entries[strings.TrimSuffix(name, ".main")] = idx
-			}
-		}
+		entries := prog.Entries()
 		if _, ok := entries[part]; !ok {
 			return fmt.Errorf("image has no entry symbol %s.main", part)
 		}

@@ -120,9 +120,9 @@
 //	})
 //	fmt.Print(rep) // per-policy tables + cross-policy p99 comparison
 //
-// (repro.LoadSweep(ctx, cfg, opts...) is the one-call form.) Cells fan
-// out over the session's worker pool and result cache exactly like
-// experiment sweeps, and reports are byte-identical at any GOMAXPROCS.
+// Cells fan out over the session's worker pool and result cache exactly
+// like experiment sweeps, and reports are byte-identical at any
+// GOMAXPROCS.
 // Under WithObservability every core of every cell observes through the
 // session's tracer and registry; the sweep then runs its cells in grid
 // order, uncached, and its report is unchanged.

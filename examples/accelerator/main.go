@@ -39,16 +39,9 @@ func main() {
 		}
 
 		run := func(img *repro.Image) repro.ExecStats {
-			ts, err := h.Tasks(img, "accelstream", repro.Primary, 8)
+			st, err := h.RunSymmetric(img, "accelstream", 8, repro.ExecConfig{})
 			if err != nil {
 				log.Fatal(err)
-			}
-			st, err := h.NewExecutor(img, repro.ExecConfig{}).RunSymmetric(ts.Tasks)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := ts.Validate(); err != nil {
-				log.Fatalf("checksums diverged from the host reference: %v", err)
 			}
 			return st
 		}

@@ -71,16 +71,9 @@ func measure(h *repro.Harness, img *repro.Image, name string, yields int) uint64
 }
 
 func measureWithBase(h *repro.Harness, img *repro.Image, name string, yields int, base uint64) uint64 {
-	ts, err := h.Tasks(img, "hashjoin", repro.Primary, nWay)
+	st, err := h.RunSymmetric(img, "hashjoin", nWay, repro.ExecConfig{})
 	if err != nil {
-		log.Fatal(err)
-	}
-	st, err := h.NewExecutor(img, repro.ExecConfig{}).RunSymmetric(ts.Tasks)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := ts.Validate(); err != nil {
-		log.Fatalf("%s produced wrong join results: %v", name, err)
+		log.Fatalf("%s: %v", name, err)
 	}
 	speedup := "1.00x"
 	if base > 0 {

@@ -7,16 +7,14 @@ import (
 )
 
 // MapFile is the JSON interchange format tying an instrumented image
-// back to its original: the rewrite mapping plus the rewritten entry
-// points. shinstr -report writes one; shcheck -map consumes it so
-// verification runs on ground truth instead of InferMap's heuristic.
+// back to its original: the rewrite mapping. (The rewritten entry
+// points travel in the image's own symbols.) shinstr -report writes
+// one; shcheck -map consumes it so verification runs on ground truth
+// instead of InferMap's heuristic.
 type MapFile struct {
 	// OldToNew maps original instruction indices to their positions in
 	// the rewritten program.
 	OldToNew []int `json:"old_to_new"`
-	// Entries are rewritten-program entry points (coroutine starts),
-	// already remapped. Optional; empty means entry 0.
-	Entries []int `json:"entries,omitempty"`
 }
 
 // Save writes the map file as indented JSON.

@@ -13,7 +13,8 @@ type Options struct {
 	// Entries are the rewritten-program indices execution can start from
 	// (coroutine entry points). They root the reachability analyses:
 	// call/ret discipline and insertion-group reachability. Empty
-	// defaults to instruction 0.
+	// defaults to the program's own entries (isa.Program.Entries), or
+	// to instruction 0 when it names none.
 	Entries []int
 	// SFI, when non-nil, additionally enforces guard discipline: every
 	// LOAD (and STORE when GuardStores) must be preceded by a CHECK of
@@ -178,6 +179,11 @@ func Program(orig, rewritten *isa.Program, oldToNew []int, opts Options) *Report
 	}
 
 	entries := opts.Entries
+	if len(entries) == 0 {
+		for _, e := range rewritten.Entries() {
+			entries = append(entries, e)
+		}
+	}
 	if len(entries) == 0 && len(rewritten.Instrs) > 0 {
 		entries = []int{0}
 	}

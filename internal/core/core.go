@@ -237,14 +237,10 @@ func (h *Harness) Instrument(prof *profile.Profile, opts instrument.PipelineOpti
 }
 
 // verify statically checks an image Instrument built against the
-// scenario's original binary, rooting reachability at the image's part
-// entries.
+// scenario's original binary, rooting reachability at the image's
+// "<part>.main" symbols, which Remap wrote at the part entries.
 func (h *Harness) verify(img *Image) error {
-	var entries []int
-	for _, p := range h.Sc.Parts {
-		entries = append(entries, img.Entries[p.Name])
-	}
-	return check.Program(h.Sc.Prog, img.Prog, img.Pipe.OldToNew, check.Options{Entries: entries}).Err()
+	return check.Program(h.Sc.Prog, img.Prog, img.Pipe.OldToNew, check.Options{}).Err()
 }
 
 // NewExecutor builds a fresh cold-cache executor over an image.

@@ -18,7 +18,10 @@
 // instead of silently costing cycles.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Reg identifies one of the 16 general-purpose registers R0..R15.
 //
@@ -379,6 +382,21 @@ func (in Instr) String() string {
 type Program struct {
 	Instrs  []Instr
 	Symbols map[string]int
+}
+
+// Entries returns the program's entry points by part: each
+// "<part>.main" symbol under its part's name, and a bare "main" (an
+// uncomposed program's entry) under "".
+func (p *Program) Entries() map[string]int {
+	out := map[string]int{}
+	for name, idx := range p.Symbols {
+		if part, ok := strings.CutSuffix(name, ".main"); ok {
+			out[part] = idx
+		} else if name == "main" {
+			out[""] = idx
+		}
+	}
+	return out
 }
 
 // Clone returns a deep copy of the program.

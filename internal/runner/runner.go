@@ -10,8 +10,9 @@
 // package-level state is mutated during a run. Jobs therefore commute,
 // and the only ordering the caller can observe is the order in which
 // results are delivered. Run and Stream deliver strictly in job-slice
-// order regardless of completion order, so the output of a run at
-// -parallel N is byte-identical to -parallel 1.
+// order regardless of completion order, and a failing sweep stops at
+// its lowest-index failure, so the output of a run at -parallel N —
+// results and error alike — is byte-identical to -parallel 1.
 //
 // An optional content-addressed cache (see Cache) short-circuits jobs
 // whose (ID, machine, key) cell has been computed before.
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -76,8 +78,9 @@ type Options[R any] struct {
 	Cache *Cache
 	// Progress, when non-nil, is invoked after every job completes
 	// (in completion order, serialized) with the number of finished
-	// jobs, the total, and the just-finished result. It must not block
-	// for long: it holds up result delivery.
+	// jobs, the total, and the just-finished result. It runs on the
+	// worker that ran the job, under a lock, so it must not block for
+	// long: it holds up every worker that finishes meanwhile.
 	Progress func(done, total int, r Result[R])
 }
 
@@ -96,8 +99,8 @@ func (o Options[R]) workers(jobs int) int {
 }
 
 // Run executes all jobs and returns their results indexed exactly like
-// the input slice. The first job error cancels the sweep; results
-// computed before cancellation are still returned.
+// the input slice. On an error (see Stream) the results Stream
+// emitted before it are still returned; the rest are zero.
 func Run[R any](ctx context.Context, jobs []Job[R], opts Options[R]) ([]Result[R], error) {
 	out := make([]Result[R], len(jobs))
 	err := Stream(ctx, jobs, opts, func(r Result[R]) error {
@@ -111,92 +114,73 @@ func Run[R any](ctx context.Context, jobs []Job[R], opts Options[R]) ([]Result[R
 // job-slice order, each as soon as it and all its predecessors are
 // done — so a consumer can render output incrementally while later
 // jobs are still executing, and the rendered bytes are independent of
-// Parallelism. emit runs on the caller's goroutine. A job error or a
-// non-nil emit return cancels outstanding work and is returned after
-// in-flight jobs drain. A job without a Run fails the call before any
-// job starts.
+// Parallelism. emit runs on the caller's goroutine. Workers start jobs
+// in index order; once a job fails, no job past it starts, every
+// earlier job runs to completion and is emitted, and the failure is
+// returned naming its job — the lowest-index failure, whatever the
+// completion order. A cancelled ctx or a non-nil emit return stops
+// the delivery and is returned. Either way Stream returns once the
+// jobs in flight have finished. A job without a Run fails the call
+// before any job starts.
 func Stream[R any](ctx context.Context, jobs []Job[R], opts Options[R], emit func(Result[R]) error) error {
 	for i, j := range jobs {
 		if j.Run == nil {
 			return fmt.Errorf("runner: job %d (%s) has no Run", i, j.ID)
 		}
 	}
-	if len(jobs) == 0 {
-		return nil
-	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	idx := make(chan int)
-	results := make(chan Result[R])
-	var wg sync.WaitGroup
-	for w := 0; w < opts.workers(len(jobs)); w++ {
+	// One slot per job, filled once by the worker that runs it.
+	slots := make([]chan Result[R], len(jobs))
+	for i := range slots {
+		slots[i] = make(chan Result[R], 1)
+	}
+	// next is the next job to start; no job starts at or past limit,
+	// which a failed job lowers to just past itself.
+	var next, limit atomic.Int64
+	limit.Store(int64(len(jobs)))
+	var mu sync.Mutex // serializes Progress
+	done := 0
+	for range opts.workers(len(jobs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				r := execute(ctx, jobs[i], i, opts.Cache)
-				select {
-				case results <- r:
-				case <-ctx.Done():
-					return
+			for i := next.Add(1) - 1; i < limit.Load(); i = next.Add(1) - 1 {
+				r := execute(ctx, jobs[i], int(i), opts.Cache)
+				for l := limit.Load(); r.Err != nil && i+1 < l; l = limit.Load() {
+					if limit.CompareAndSwap(l, i+1) {
+						break
+					}
 				}
+				if opts.Progress != nil {
+					mu.Lock()
+					done++
+					opts.Progress(done, len(jobs), r)
+					mu.Unlock()
+				}
+				slots[i] <- r
 			}
 		}()
 	}
-	go func() {
-		defer close(idx)
-		for i := range jobs {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
-	// Reorder completion order into submission order, emitting each
-	// result the moment its turn comes up.
-	pending := make(map[int]Result[R])
-	next, done := 0, 0
-	var firstErr error
-	for r := range results {
-		done++
-		if opts.Progress != nil {
-			opts.Progress(done, len(jobs), r)
+	// Every job below the first failed slot has started, so each
+	// receive here ends.
+	for _, slot := range slots {
+		r := <-slot
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if r.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", r.Job.ID, r.Err)
-			cancel()
+		if r.Err != nil {
+			return fmt.Errorf("%s: %w", r.Job.ID, r.Err)
 		}
-		pending[r.Seq] = r
-		for {
-			nr, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if firstErr == nil {
-				if err := emit(nr); err != nil {
-					firstErr = err
-					cancel()
-				}
-			}
-		}
-		if done == len(jobs) {
-			break
+		if err := emit(r); err != nil {
+			return err
 		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
+	return nil
 }
 
 // timedRun invokes one job body and measures its host wall

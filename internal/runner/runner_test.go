@@ -190,6 +190,59 @@ func TestJobErrorCancelsSweep(t *testing.T) {
 	}
 }
 
+// A failing sweep has one outcome at every parallelism: J2 fails late
+// and J5 at once, yet every trial emits J0 and J1, returns J2's error
+// and starts no job past J2 once J2's failure is reported (at
+// Parallelism 1, none at all).
+func TestStreamFailureIsDeterministic(t *testing.T) {
+	errJ2, errJ5 := errors.New("J2 failed"), errors.New("J5 failed")
+	for _, par := range []int{1, 2, 4, 8} {
+		for trial := 0; trial < 50; trial++ {
+			var failed atomic.Bool
+			var started, late atomic.Int64
+			var jobs []expJob
+			for i := 0; i < 8; i++ {
+				jobs = append(jobs, expJob{ID: fmt.Sprintf("J%d", i), Run: func(core.Machine) (*experiments.Result, error) {
+					started.Add(1)
+					if i > 2 && failed.Load() {
+						late.Add(1)
+					}
+					switch i {
+					case 2:
+						time.Sleep(time.Millisecond)
+						return nil, errJ2
+					case 5:
+						return nil, errJ5
+					}
+					return &experiments.Result{}, nil
+				}})
+			}
+			var emitted []string
+			err := Stream(context.Background(), jobs, Options[*experiments.Result]{
+				Parallelism: par,
+				Progress: func(_, _ int, r expResult) {
+					if r.Job.ID == "J2" {
+						failed.Store(true)
+					}
+				},
+			}, func(r expResult) error {
+				emitted = append(emitted, r.Job.ID)
+				return nil
+			})
+			if !errors.Is(err, errJ2) || !strings.Contains(err.Error(), "J2") {
+				t.Fatalf("parallelism %d, trial %d: err = %v, want J2's error naming J2", par, trial, err)
+			}
+			if strings.Join(emitted, ",") != "J0,J1" {
+				t.Fatalf("parallelism %d, trial %d: emitted %v, want [J0 J1]", par, trial, emitted)
+			}
+			if late.Load() != 0 || (par == 1 && started.Load() != 3) {
+				t.Fatalf("parallelism %d, trial %d: %d job(s) past J2 started after it failed, %d started in all",
+					par, trial, late.Load(), started.Load())
+			}
+		}
+	}
+}
+
 func TestJobsRejectsUnknownIDs(t *testing.T) {
 	_, err := Jobs([]string{"E1", "Z9"}, core.DefaultMachine(), 1)
 	var unknown *experiments.UnknownIDError
@@ -214,11 +267,12 @@ func TestContextCancellation(t *testing.T) {
 }
 
 // Cancelling a Stream after its first emitted result drains the jobs in
-// flight, starts none after the cancel, returns context.Canceled and
-// leaves no goroutine behind. Job 0 returns once jobs 1–3 are running;
-// the emit of its result waits for job 4, which takes job 0's worker,
-// and every job but 0 blocks until the cancel has happened. So all
-// four workers are busy when it happens, and exactly five jobs start.
+// flight, starts none after the cancel, emits nothing more, returns
+// context.Canceled and leaves no goroutine behind. Job 0 returns once
+// jobs 1–3 are running; the emit of its result waits for job 4, which
+// takes job 0's worker, and every job but 0 blocks until the cancel has
+// happened. So all four workers are busy when it happens, and exactly
+// five jobs start.
 func TestStreamCancelLeavesNothingRunning(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -254,8 +308,8 @@ func TestStreamCancelLeavesNothingRunning(t *testing.T) {
 		}
 		return nil
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
+	if !errors.Is(err, context.Canceled) || emitted != 1 {
+		t.Errorf("err = %v after %d emit(s), want context.Canceled after 1", err, emitted)
 	}
 	if s, f := started.Load(), finished.Load(); s != 5 || f != s || late.Load() != 0 {
 		t.Errorf("started %d, finished %d, started after the cancel %d; want 5, 5, 0", s, f, late.Load())

@@ -10,9 +10,10 @@ import (
 	"repro/internal/stats"
 )
 
-// CellStats summarizes one served sweep cell. Every field round-trips
-// through the result cache (Session.Serve's codec), so a cell replayed
-// from the cache renders byte-identically to one served fresh.
+// CellStats summarizes one served sweep cell. Session.Serve caches the
+// value itself as JSON, and a cache hit must re-encode to exactly the
+// stored bytes, so every field round-trips and a cell replayed from the
+// cache renders byte-identically to one served fresh.
 type CellStats struct {
 	Policy Policy
 	Rate   float64 // offered load, requests/µs
@@ -36,7 +37,8 @@ type CellStats struct {
 	MaxSojourn     uint64
 
 	// Hist is the full sojourn histogram (non-empty fine buckets), kept
-	// as a rendered table so it survives the JSON result cache.
+	// as a rendered table so it round-trips through the JSON result
+	// cache.
 	Hist *stats.Table
 }
 

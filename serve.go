@@ -65,14 +65,6 @@ const (
 // software policies plus the OS-thread baseline.
 func DefaultServiceConfig() ServiceConfig { return service.DefaultConfig() }
 
-// ParseServicePolicies parses a comma-separated policy list as printed
-// by ServicePolicy.String ("agnostic,event-aware,smt").
-var ParseServicePolicies = service.ParsePolicies
-
-// ParseArrivalKind parses an arrival-process name ("poisson",
-// "uniform", "bursty").
-var ParseArrivalKind = service.ParseKind
-
 // cellConfig narrows the normalized sweep config to one cell: the
 // exact configuration the cell runs.
 func cellConfig(norm ServiceConfig, cl ServiceCell) ServiceConfig {
@@ -145,19 +137,4 @@ func (s *Session) Serve(ctx context.Context, cfg ServiceConfig) (*ServiceReport,
 		rep.Cells[i] = r.Res
 	}
 	return rep, nil
-}
-
-// LoadSweep is the one-call form of the paper's tail-latency
-// experiment: build a session from opts (seed, parallelism, cache) and
-// serve cfg's whole policy × rate grid through it.
-//
-//	rep, _ := repro.LoadSweep(ctx, repro.DefaultServiceConfig(),
-//	    repro.WithParallelism(8), repro.WithCache(""))
-//	fmt.Print(rep)
-func LoadSweep(ctx context.Context, cfg ServiceConfig, opts ...Option) (*ServiceReport, error) {
-	s, err := NewSession(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Serve(ctx, cfg)
 }

@@ -82,12 +82,15 @@ func TestServeMulticoreCacheReplay(t *testing.T) {
 	cfg.Requests = 600
 	cfg.Policies = []ServicePolicy{PolicyEventAware}
 
-	dir := t.TempDir()
-	fresh, err := LoadSweep(context.Background(), cfg, WithCache(dir))
+	s, err := NewSession(WithCache(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := LoadSweep(context.Background(), cfg, WithCache(dir))
+	fresh, err := s.Serve(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := s.Serve(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func TestServeMulticoreCacheReplay(t *testing.T) {
 
 	single := cfg
 	single.Topology = Topology{Cores: 1}
-	srep, err := LoadSweep(context.Background(), single, WithCache(dir))
+	srep, err := s.Serve(context.Background(), single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,9 +205,13 @@ func TestServeObservedIsPureObservation(t *testing.T) {
 	cfg.Requests = 300
 	cfg.Rates = []float64{4, 8}
 	dir := t.TempDir()
+	ps, err := NewSession(WithCache(dir), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cores := range []int{1, 2, 4} {
 		cfg.Topology = Topology{Cores: cores}
-		plain, err := LoadSweep(context.Background(), cfg, WithCache(dir), WithParallelism(2))
+		plain, err := ps.Serve(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

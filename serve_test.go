@@ -120,12 +120,15 @@ func TestServeCacheReplayIdentity(t *testing.T) {
 	cfg.Rates = []float64{0.2}
 	cfg.Policies = []ServicePolicy{PolicySidecar, PolicySMT}
 
-	dir := t.TempDir()
-	fresh, err := LoadSweep(context.Background(), cfg, WithCache(dir))
+	s, err := NewSession(WithCache(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := LoadSweep(context.Background(), cfg, WithCache(dir))
+	fresh, err := s.Serve(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := s.Serve(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestServeCacheReplayIdentity(t *testing.T) {
 	}
 	// A different grid must not collide with the cached cells.
 	cfg.Rates = []float64{0.4}
-	other, err := LoadSweep(context.Background(), cfg, WithCache(dir))
+	other, err := s.Serve(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
