@@ -13,10 +13,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"repro/internal/bincfg"
+	"repro/internal/cli"
 	"repro/internal/isa"
 )
 
@@ -29,20 +31,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: shasm [-d|-stats|-o out.img] file")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *out, *disasm, *statsMode); err != nil {
+	if err := run(os.Stdout, flag.Arg(0), *out, *disasm, *statsMode); err != nil {
 		fmt.Fprintln(os.Stderr, "shasm:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path, out string, disasm, statsMode bool) error {
+func run(w io.Writer, path, out string, disasm, statsMode bool) error {
 	if disasm || statsMode {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		img, err := isa.LoadImage(f)
+		img, err := cli.ReadImage(path)
 		if err != nil {
 			return err
 		}
@@ -51,10 +48,10 @@ func run(path, out string, disasm, statsMode bool) error {
 			return err
 		}
 		if disasm {
-			fmt.Print(isa.Disassemble(prog))
+			fmt.Fprint(w, isa.Disassemble(prog))
 			return nil
 		}
-		return printStats(prog)
+		return printStats(w, prog)
 	}
 
 	src, err := os.ReadFile(path)
@@ -68,20 +65,15 @@ func run(path, out string, disasm, statsMode bool) error {
 	if out == "" {
 		out = path + ".img"
 	}
-	f, err := os.Create(out)
-	if err != nil {
+	if err := cli.WriteFile(out, func(f io.Writer) error { return isa.SaveImage(f, isa.Encode(prog)) }); err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := isa.SaveImage(f, isa.Encode(prog)); err != nil {
-		return err
-	}
-	fmt.Printf("assembled %d instructions, %d symbols -> %s\n",
+	fmt.Fprintf(w, "assembled %d instructions, %d symbols -> %s\n",
 		len(prog.Instrs), len(prog.Symbols), out)
 	return nil
 }
 
-func printStats(prog *isa.Program) error {
+func printStats(w io.Writer, prog *isa.Program) error {
 	counts := map[string]int{}
 	for _, in := range prog.Instrs {
 		counts[in.Op.String()]++
@@ -91,9 +83,9 @@ func printStats(prog *isa.Program) error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fmt.Printf("%d instructions\n", len(prog.Instrs))
+	fmt.Fprintf(w, "%d instructions\n", len(prog.Instrs))
 	for _, n := range names {
-		fmt.Printf("  %-10s %d\n", n, counts[n])
+		fmt.Fprintf(w, "  %-10s %d\n", n, counts[n])
 	}
 	g, err := bincfg.Build(prog)
 	if err != nil {
@@ -101,8 +93,8 @@ func printStats(prog *isa.Program) error {
 	}
 	dom := bincfg.ComputeDominators(g)
 	loops := bincfg.NaturalLoops(g, dom)
-	fmt.Printf("%d basic blocks, %d roots, %d natural loops\n",
+	fmt.Fprintf(w, "%d basic blocks, %d roots, %d natural loops\n",
 		len(g.Blocks), len(g.Roots()), len(loops))
-	fmt.Printf("%d candidate loads\n", len(bincfg.LoadsIn(prog)))
+	fmt.Fprintf(w, "%d candidate loads\n", len(bincfg.LoadsIn(prog)))
 	return nil
 }

@@ -38,71 +38,73 @@ import (
 	"repro/internal/workloads"
 )
 
-// options collects everything run needs, so tests can drive it without
+// options collects the parsed flags, so tests can drive run without
 // the process-global flag set.
 type options struct {
-	exp      string
-	tf       cli.TopologyFlags
-	sw       cli.SweepFlags
-	metrics  bool
-	seed     int64
-	format   string
-	progress bool
+	exp                    string
+	tf                     cli.TopologyFlags
+	sw                     cli.SweepFlags
+	metrics                bool
+	seed                   int64
+	format                 string
+	progress               bool
+	list                   bool
+	cpuprofile, memprofile string
 }
 
 func main() {
-	fs := flag.NewFlagSet("shbench", flag.ExitOnError)
-	cli.InstallUsage(fs)
 	var o options
-	fs.StringVar(&o.exp, "exp", "all", "comma-separated experiment IDs, or 'all'")
-	o.tf.Register(fs)
-	list := fs.Bool("list", false, "list experiment IDs and exit")
-	fs.BoolVar(&o.metrics, "metrics", false, "dump flat metrics after each table")
-	fs.Int64Var(&o.seed, "seed", 0, "override the scenario seed (0 keeps the default)")
-	fs.StringVar(&o.format, "format", "text", "text | md (markdown tables for reports)")
-	o.sw.Register(fs)
-	fs.BoolVar(&o.progress, "progress", false, "report per-job completion on stderr")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with `go tool pprof`)")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	fs.Parse(os.Args[1:])
-	cli.NoArgs(fs)
+	parse(&o, os.Args[1:])
 
-	if *list {
+	if o.list {
 		for _, e := range experiments.All() {
 			fmt.Println(e.ID)
 		}
 		return
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "shbench:", err)
-			os.Exit(1)
+	var cpuf *os.File
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "shbench:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+		exitOn(err)
+		cpuf = f
 	}
 	err := run(context.Background(), os.Stdout, os.Stderr, o)
-	if *cpuprofile != "" {
+	if cpuf != nil {
 		pprof.StopCPUProfile()
+		exitOn(cpuf.Close())
 	}
-	if *memprofile != "" {
-		f, merr := os.Create(*memprofile)
-		if merr != nil {
-			fmt.Fprintln(os.Stderr, "shbench:", merr)
-			os.Exit(1)
-		}
-		runtime.GC() // flush unreached objects so the profile shows live heap
-		if werr := pprof.WriteHeapProfile(f); werr != nil {
-			fmt.Fprintln(os.Stderr, "shbench:", werr)
-			os.Exit(1)
-		}
-		f.Close()
+	if o.memprofile != "" {
+		exitOn(cli.WriteFile(o.memprofile, func(w io.Writer) error {
+			runtime.GC() // flush unreached objects so the profile shows live heap
+			return pprof.WriteHeapProfile(w)
+		}))
 	}
+	exitOn(err)
+}
+
+// parse reads shbench's command line into o.
+func parse(o *options, args []string) {
+	fs := flag.NewFlagSet("shbench", flag.ExitOnError)
+	cli.InstallUsage(fs)
+	fs.StringVar(&o.exp, "exp", "all", "comma-separated experiment IDs, or 'all'")
+	o.tf.Register(fs)
+	fs.BoolVar(&o.list, "list", false, "list experiment IDs and exit")
+	fs.BoolVar(&o.metrics, "metrics", false, "dump flat metrics after each table")
+	fs.Int64Var(&o.seed, "seed", 0, "override the scenario seed (0 keeps the default)")
+	fs.StringVar(&o.format, "format", "text", "text | md (markdown tables for reports)")
+	o.sw.Register(fs)
+	fs.BoolVar(&o.progress, "progress", false, "report per-job completion on stderr")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file (inspect with `go tool pprof`)")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.Parse(args)
+	cli.NoArgs(fs)
+}
+
+// exitOn ends shbench with err's one-line message when err is not nil.
+func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shbench:", err)
 		os.Exit(1)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	osexec "os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -105,30 +108,91 @@ func TestRunParallelOutputMatchesSequential(t *testing.T) {
 	}
 }
 
-// A warm cache must serve the whole sweep ("(cached)" wall lines) and
-// render the same tables as the cold run.
-func TestRunWarmCacheServesSweep(t *testing.T) {
-	o := options{exp: "E1", sw: cli.SweepFlags{Seeds: 2, Parallel: 2, CacheDir: t.TempDir()}, format: "text", progress: true}
-	cold, _, err := bench(t, o)
+// replayEnv names the directory of a warm replay pass. A test binary
+// started with it set is that pass: a child process of the test.
+const replayEnv = "SHBENCH_TEST_REPLAY_DIR"
+
+// TestCacheReplay runs each command twice over one cache directory: the
+// cold pass in process, the warm pass in a child process of the test
+// binary. The warm pass must print the cold pass's tables (the
+// per-experiment wall-time or "(cached)" line aside) and serve every
+// job the cold pass computed from the cache, missing none: every job's
+// key holds across processes, which a second run in one process could
+// not show.
+func TestCacheReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string // in the warm pass's stdout or stderr
+	}{
+		{"experiments", []string{"-exp", "F1,E1"}, []string{"(cached)"}},
+		{"scaling", []string{"-cores", "2"}, nil},
+		{"seeds", []string{"-exp", "E1", "-seeds", "2", "-parallel", "2", "-progress"}, []string{"(cached)", "progress: 2/2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if dir := os.Getenv(replayEnv); dir != "" {
+				stdout, stderr := pass(t, dir, tc.args)
+				writeFile(t, filepath.Join(dir, "stdout"), stdout)
+				writeFile(t, filepath.Join(dir, "stderr"), stderr)
+				return
+			}
+			dir := t.TempDir()
+			cold, coldErr := pass(t, dir, tc.args)
+			child := osexec.Command(os.Args[0], "-test.run=^TestCacheReplay$/^"+tc.name+"$")
+			child.Env = append(os.Environ(), replayEnv+"="+dir)
+			if out, err := child.CombinedOutput(); err != nil {
+				t.Fatalf("warm pass: %v\n%s", err, out)
+			}
+			warm, warmErr := readFile(t, filepath.Join(dir, "stdout")), readFile(t, filepath.Join(dir, "stderr"))
+			if strip(cold) != strip(warm) {
+				t.Errorf("warm pass diverged:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+			}
+			computed := cacheCounts.FindStringSubmatch(coldErr)
+			if computed == nil || computed[1] != "0" {
+				t.Fatalf("cold pass over a fresh cache did not miss every job:\n%s", coldErr)
+			}
+			if want := "cache: " + computed[2] + " hit(s), 0 miss(es)"; !strings.Contains(warmErr, want) {
+				t.Errorf("warm pass: want %q, got\n%s", want, warmErr)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(warm+warmErr, want) {
+					t.Errorf("warm pass missing %q:\n%s%s", want, warm, warmErr)
+				}
+			}
+		})
+	}
+}
+
+// cacheCounts reads the hits and misses of a "cache:" summary line.
+var cacheCounts = regexp.MustCompile(`(?m)^cache: (\d+) hit\(s\), (\d+) miss\(es\)`)
+
+// pass runs shbench with args in process over the cache in dir/cache
+// and returns its stdout and stderr.
+func pass(t *testing.T, dir string, args []string) (string, string) {
+	t.Helper()
+	var o options
+	parse(&o, append([]string{"-cache-dir", filepath.Join(dir, "cache")}, args...))
+	stdout, stderr, err := bench(t, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, errOut, err := bench(t, o)
+	return stdout, stderr
+}
+
+func writeFile(t *testing.T, path, s string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(s), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(warm, "(cached)") {
-		t.Errorf("warm run not served from cache:\n%s", warm)
-	}
-	if strip(cold) != strip(warm) {
-		t.Errorf("cached output diverged:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
-	}
-	if !strings.Contains(errOut, "cache: 2 hit(s), 0 miss(es)") {
-		t.Errorf("cache summary wrong:\n%s", errOut)
-	}
-	if !strings.Contains(errOut, "progress: 2/2") {
-		t.Errorf("progress lines missing:\n%s", errOut)
-	}
+	return string(b)
 }
 
 func TestRunMarkdownFormat(t *testing.T) {

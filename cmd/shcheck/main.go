@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/cli"
-	"repro/internal/isa"
 	"repro/internal/sfi"
 )
 
@@ -59,11 +58,11 @@ func run(out io.Writer, origPath, instPath, mapPath string,
 	if origPath == "" || instPath == "" {
 		return 0, fmt.Errorf("-orig and -inst are required")
 	}
-	origImg, err := loadImage(origPath)
+	origImg, err := cli.ReadImage(origPath)
 	if err != nil {
 		return 0, err
 	}
-	instImg, err := loadImage(instPath)
+	instImg, err := cli.ReadImage(instPath)
 	if err != nil {
 		return 0, err
 	}
@@ -104,13 +103,4 @@ func run(out io.Writer, origPath, instPath, mapPath string,
 		return 0, nil
 	}
 	return 1, nil
-}
-
-func loadImage(path string) (*isa.Image, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return isa.LoadImage(f)
 }

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/instrument"
 	"repro/internal/isa"
@@ -47,26 +49,16 @@ func fixture(t *testing.T, dir string) (origPath, instPath, mapPath string, fina
 	origPath = writeImage(t, filepath.Join(dir, "orig.img"), isa.Encode(orig))
 	instPath = writeImage(t, filepath.Join(dir, "inst.img"), img)
 	mapPath = filepath.Join(dir, "map.json")
-	f, err := os.Create(mapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := check.MapFile{OldToNew: res.OldToNew}
-	if err := m.Save(f); err != nil {
+	if err := cli.WriteFile(mapPath, m.Save); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 	return origPath, instPath, mapPath, isa.MustDecode(img), res.OldToNew
 }
 
 func writeImage(t *testing.T, path string, img *isa.Image) string {
 	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := isa.SaveImage(f, img); err != nil {
+	if err := cli.WriteFile(path, func(w io.Writer) error { return isa.SaveImage(w, img) }); err != nil {
 		t.Fatal(err)
 	}
 	return path

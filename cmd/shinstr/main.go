@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/check"
@@ -108,42 +109,20 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 	res, img := inst.Pipe, isa.Encode(inst.Prog)
 
 	if report != "" {
-		f, err := os.Create(report)
-		if err != nil {
-			return err
-		}
 		m := check.MapFile{OldToNew: res.OldToNew}
-		if err := m.Save(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.WriteFile(report, m.Save); err != nil {
 			return err
 		}
 	}
 	if origOut != "" {
-		f, err := os.Create(origOut)
-		if err != nil {
-			return err
-		}
-		if err := isa.SaveImage(f, isa.Encode(h.Sc.Prog)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.WriteFile(origOut, func(w io.Writer) error { return isa.SaveImage(w, isa.Encode(h.Sc.Prog)) }); err != nil {
 			return err
 		}
 	}
-
 	if out == "" {
 		out = wf.Workload + ".instrumented.img"
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := isa.SaveImage(f, img); err != nil {
+	if err := cli.WriteFile(out, func(w io.Writer) error { return isa.SaveImage(w, img) }); err != nil {
 		return err
 	}
 

@@ -43,12 +43,7 @@ func writeProfile(t *testing.T, dir string, skew int) string {
 
 func loadImage(t *testing.T, path string) *isa.Image {
 	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	img, err := isa.LoadImage(f)
+	img, err := cli.ReadImage(path)
 	if err != nil {
 		t.Fatal(err)
 	}

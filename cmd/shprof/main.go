@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cli"
@@ -57,14 +58,11 @@ func run(wf *cli.WorkloadFlags, out string, periodScale uint64) error {
 	if out == "" {
 		out = wf.Workload + ".profile.json"
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(prof); err != nil {
+	if err := cli.WriteFile(out, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(prof)
+	}); err != nil {
 		return err
 	}
 
@@ -78,10 +76,7 @@ func run(wf *cli.WorkloadFlags, out string, periodScale uint64) error {
 	fmt.Printf("  sites:    %d sampled loads, %d LBR edges, %d block latencies\n",
 		len(prof.Sites), len(prof.Edges), len(prof.Blocks))
 	hot := prof.HotLoads()
-	if len(hot) > 5 {
-		hot = hot[:5]
-	}
-	fmt.Printf("  hottest loads by estimated stall: %v\n", hot)
+	fmt.Printf("  hottest loads by estimated stall: %v\n", hot[:min(len(hot), 5)])
 	fmt.Printf("  wrote %s\n", out)
 	return nil
 }

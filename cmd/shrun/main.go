@@ -85,9 +85,19 @@ type shape struct {
 var shapeDefaults = shape{mode: "solo", n: 1, scavengers: 3}
 
 func main() {
+	var o options
+	parse(&o, os.Args[1:])
+
+	if err := run(os.Stdout, o); err != nil {
+		fmt.Fprintln(os.Stderr, "shrun:", err)
+		os.Exit(1)
+	}
+}
+
+// parse reads shrun's command line into o.
+func parse(o *options, args []string) {
 	fs := flag.NewFlagSet("shrun", flag.ExitOnError)
 	cli.InstallUsage(fs)
-	var o options
 	o.wf.Register(fs)
 	o.tf.Register(fs)
 	o.sf.Register(fs)
@@ -101,13 +111,8 @@ func main() {
 	fs.IntVar(&o.traceN, "trace", 0, "retain and dump the last N scheduling events (across all cores with -cores)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write retained trace events as Chrome trace-event JSON to this file")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the cycle-domain observability counters after the run")
-	fs.Parse(os.Args[1:])
+	fs.Parse(args)
 	cli.NoArgs(fs)
-
-	if err := run(os.Stdout, o); err != nil {
-		fmt.Fprintln(os.Stderr, "shrun:", err)
-		os.Exit(1)
-	}
 }
 
 // observe bundles the run's observability state: the ring backing both
@@ -162,15 +167,9 @@ func (ob observe) finish(w io.Writer, o options, dumpEvents bool) error {
 	if o.traceOut == "" {
 		return nil
 	}
-	f, err := os.Create(o.traceOut)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChromeTrace(f, ob.ring.Events(), trace.ChromeTraceOptions{}); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := cli.WriteFile(o.traceOut, func(f io.Writer) error {
+		return trace.WriteChromeTrace(f, ob.ring.Events(), trace.ChromeTraceOptions{})
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "trace: %d event(s) exported to %s (load in Perfetto / chrome://tracing)\n",
@@ -238,12 +237,7 @@ func run(w io.Writer, o options) error {
 	}
 	img := h.Baseline()
 	if o.imagePath != "" {
-		f, err := os.Open(o.imagePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		fileImg, err := isa.LoadImage(f)
+		fileImg, err := cli.ReadImage(o.imagePath)
 		if err != nil {
 			return err
 		}

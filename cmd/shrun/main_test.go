@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -223,6 +226,74 @@ func stripCacheLine(s string) string {
 	return strings.Join(kept, "\n")
 }
 
+// replayEnv names the directory of a warm replay pass. A test binary
+// started with it set is that pass: a child process of the test.
+const replayEnv = "SHRUN_TEST_REPLAY_DIR"
+
+// TestCacheReplay runs each command twice over one cache directory: the
+// cold pass in process, the warm pass in a child process of the test
+// binary. The warm pass must print the cold pass's tables (the "cache:"
+// line aside) and serve every cell the cold pass computed from the
+// cache, missing none: every cell's key holds across processes, which a
+// second run in one process could not show.
+func TestCacheReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"serve", []string{"-serve", "-workload", "chase", "-rate", "0.1,0.2", "-requests", "200", "-policy", "agnostic,event-aware"}},
+		{"seeds", []string{"-workload", "chase", "-mode", "symmetric", "-n", "4", "-seeds", "3"}},
+		{"cores", []string{"-workload", "chase", "-mode", "symmetric", "-n", "4", "-cores", "2", "-seeds", "2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if dir := os.Getenv(replayEnv); dir != "" {
+				if err := os.WriteFile(filepath.Join(dir, "stdout"), []byte(pass(t, dir, tc.args)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			dir := t.TempDir()
+			cold := pass(t, dir, tc.args)
+			child := osexec.Command(os.Args[0], "-test.run=^TestCacheReplay$/^"+tc.name+"$")
+			child.Env = append(os.Environ(), replayEnv+"="+dir)
+			if out, err := child.CombinedOutput(); err != nil {
+				t.Fatalf("warm pass: %v\n%s", err, out)
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, "stdout"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := string(raw)
+			if stripCacheLine(cold) != stripCacheLine(warm) {
+				t.Errorf("warm pass diverged:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+			}
+			computed := cacheCounts.FindStringSubmatch(cold)
+			if computed == nil || computed[1] != "0" {
+				t.Fatalf("cold pass over a fresh cache did not miss every cell:\n%s", cold)
+			}
+			if want := "cache: " + computed[2] + " hit(s), 0 miss(es)"; !strings.Contains(warm, want) {
+				t.Errorf("warm pass: want %q, got\n%s", want, warm)
+			}
+		})
+	}
+}
+
+// cacheCounts reads the hits and misses of a "cache:" summary line.
+var cacheCounts = regexp.MustCompile(`(?m)^cache: (\d+) hit\(s\), (\d+) miss\(es\)`)
+
+// pass runs shrun with args in process over the cache in dir/cache and
+// returns its output.
+func pass(t *testing.T, dir string, args []string) string {
+	t.Helper()
+	var o options
+	parse(&o, append([]string{"-cache-dir", filepath.Join(dir, "cache")}, args...))
+	var out bytes.Buffer
+	if err := run(&out, o); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
 // TestServeRendersTables drives the open-loop harness end to end: the
 // per-policy and cross-policy tables render, and a second run through
 // the cache produces byte-identical tables served entirely from cache.
@@ -438,14 +509,48 @@ func TestManyCoreSweepMetrics(t *testing.T) {
 	}
 }
 
-// An image shinstr saves runs under -image exactly as the library runs
-// the instrumented image it came from: both enter each part where the
-// library's remap put it, so the cycle counts agree.
-func TestImageRunsWhatTheLibraryRuns(t *testing.T) {
-	for _, workload := range []string{"chase", "mixedchase"} {
-		o := defaults()
-		o.wf.Workload, o.mode = workload, "symmetric"
-		o.n = o.wf.Instances
+// TestToolchainChain runs the §3.2 binary toolchain end to end on the
+// built tools, as a user does: profile, rewrite with the mapping report
+// and the original image, verify the rewrite standalone, then run the
+// saved image. Package main cannot be imported, so the test builds
+// shprof, shinstr, shcheck and shrun. shinstr must write the image the
+// library instruments, shcheck must read it clean, and shrun -image must
+// print the library's own cycles for it: each part is entered at its
+// "<part>.main" symbol, which core.Image.Remap writes where the library
+// enters.
+func TestToolchainChain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds four binaries and runs them")
+	}
+	dir := t.TempDir()
+	build := osexec.Command("go", "build", "-o", dir+string(filepath.Separator),
+		"repro/cmd/shprof", "repro/cmd/shinstr", "repro/cmd/shcheck", "repro/cmd/shrun")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building the tools: %v\n%s", err, out)
+	}
+	tool := func(name string, args ...string) string {
+		t.Helper()
+		cmd := osexec.Command(filepath.Join(dir, name), args...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s %s: %v\n%s", name, strings.Join(args, " "), err, out)
+		}
+		return string(out)
+	}
+	for _, w := range []string{"chase", "mixedchase"} {
+		tool("shprof", "-workload", w, "-o", w+".prof.json")
+		tool("shinstr", "-workload", w, "-profile", w+".prof.json",
+			"-report", w+".map.json", "-origout", w+".orig.img", "-o", w+".img")
+		if out := tool("shcheck", "-orig", w+".orig.img", "-map", w+".map.json", "-inst", w+".img", "-v"); !strings.Contains(out, ": 0 errors,") {
+			t.Errorf("%s: shcheck -v did not read 0 errors:\n%s", w, out)
+		}
+		runArgs := []string{"-workload", w, "-image", w + ".img", "-mode", "symmetric", "-n", "8"}
+		out := tool("shrun", runArgs...)
+
+		// The library instruments and runs the scenario those flags name.
+		var o options
+		parse(&o, runArgs)
 		h, part, err := o.wf.Harness()
 		if err != nil {
 			t.Fatal(err)
@@ -458,28 +563,19 @@ func TestImageRunsWhatTheLibraryRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		written, err := cli.ReadImage(filepath.Join(dir, w+".img"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(written, isa.Encode(img.Prog)) {
+			t.Errorf("%s: shinstr wrote another image than the library instruments", w)
+		}
 		lib, err := h.RunSymmetric(img, part, o.n, exec.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.imagePath = filepath.Join(t.TempDir(), workload+".img")
-		f, err := os.Create(o.imagePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := isa.SaveImage(f, isa.Encode(img.Prog)); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		if err := run(&out, o); err != nil {
-			t.Fatal(err)
-		}
-		want := fmt.Sprintf("%s/symmetric: %d cycles", workload, lib.Cycles)
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("library run: %q; shrun -image:\n%s", want, out.String())
+		if want := fmt.Sprintf("%s/symmetric: %d cycles", w, lib.Cycles); !strings.Contains(out, want) {
+			t.Errorf("library run: %q; shrun -image:\n%s", want, out)
 		}
 	}
 }

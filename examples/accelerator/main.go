@@ -11,57 +11,59 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro"
 )
 
 func main() {
-	fmt.Println("offload-engine stream: checksum one 64B block per item, 8-way interleaved")
-	fmt.Printf("\n%-18s %12s %12s %12s %10s\n",
-		"engine latency", "baseline", "instrumented", "speedup", "yields")
-
-	ref, err := repro.NewSession()
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "offload-engine stream: checksum one 64B block per item, 8-way interleaved")
+	fmt.Fprintf(w, "\n%-18s %12s %12s %12s %10s\n",
+		"engine latency", "baseline", "instrumented", "speedup", "yields")
 
 	for _, latNS := range []float64{50, 150, 500} {
-		topo := ref.Topology()
+		topo := repro.DefaultTopology(1)
 		topo.Machine.CPU.AccelLatency = uint64(latNS * 3) // 3 GHz: ns -> cycles
 		s, err := repro.NewSession(repro.WithTopology(topo))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		h, err := s.NewHarness(repro.AccelStream{Blocks: 1500, Pad: 8, Instances: 8})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
-		run := func(img *repro.Image) repro.ExecStats {
-			st, err := h.RunSymmetric(img, "accelstream", 8, repro.ExecConfig{})
-			if err != nil {
-				log.Fatal(err)
-			}
-			return st
+		base, err := h.RunSymmetric(h.Baseline(), "accelstream", 8, repro.ExecConfig{})
+		if err != nil {
+			return err
 		}
-
-		base := run(h.Baseline())
 		prof, _, err := h.Profile("accelstream")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		img, err := h.Instrument(prof, repro.DefaultPipelineOptions())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		pg := run(img)
+		pg, err := h.RunSymmetric(img, "accelstream", 8, repro.ExecConfig{})
+		if err != nil {
+			return err
+		}
 
-		fmt.Printf("%15.0fns %11.1f%% %11.1f%% %11.2fx %10d\n",
+		fmt.Fprintf(w, "%15.0fns %11.1f%% %11.1f%% %11.2fx %10d\n",
 			latNS, base.Efficiency()*100, pg.Efficiency()*100,
 			float64(base.Cycles)/float64(pg.Cycles), img.Pipe.Primary.Yields)
 	}
 
-	fmt.Println("\nthe profiler attributed the stalls to the ACCWAIT site through the same")
-	fmt.Println("sampled events as cache misses; one mechanism covers both event families")
+	fmt.Fprintln(w, "\nthe profiler attributed the stalls to the ACCWAIT site through the same")
+	fmt.Fprintln(w, "sampled events as cache misses; one mechanism covers both event families")
+	return nil
 }

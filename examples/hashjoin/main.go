@@ -14,7 +14,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro"
 	"repro/internal/baselines"
@@ -24,63 +26,67 @@ import (
 const nWay = 8
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	s, err := repro.NewSession()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	h, err := s.NewHarness(repro.HashJoin{
 		BuildRows: 8192, Buckets: 4096, Probes: 400, MatchFraction: 0.7, Instances: nWay,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	fmt.Println("hash-join probe: 8192-row build side, 400 probes × 8 coroutines")
-	fmt.Printf("%-18s %14s %12s %10s %8s\n", "variant", "cycles", "efficiency", "speedup", "yields")
-
-	baseCycles := measure(h, h.Baseline(), "baseline", 0)
 
 	// Manual annotation: every load, full saves, no scavenger yields.
 	manualProg, oldToNew, err := baselines.AnnotateAllLoads(h.Sc.Prog)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	my := countYields(manualProg)
-	measureWithBase(h, h.FromRewrite(manualProg, oldToNew), "manual (CoroBase)", my, baseCycles)
-
 	// Profile-guided.
 	prof, _, err := h.Profile("hashjoin")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	img, err := h.Instrument(prof, repro.DefaultPipelineOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	measureWithBase(h, img, "profile-guided", img.Pipe.Primary.Yields, baseCycles)
 
-	fmt.Println("\nper-site decisions made by the pipeline (no source access):")
+	fmt.Fprintln(w, "hash-join probe: 8192-row build side, 400 probes × 8 coroutines")
+	fmt.Fprintf(w, "%-18s %14s %12s %10s %8s\n", "variant", "cycles", "efficiency", "speedup", "yields")
+	var base uint64 // the baseline's cycles: its row comes first
+	for _, v := range []struct {
+		name   string
+		img    *repro.Image
+		yields int
+	}{
+		{"baseline", h.Baseline(), 0},
+		{"manual (CoroBase)", h.FromRewrite(manualProg, oldToNew), countYields(manualProg)},
+		{"profile-guided", img, img.Pipe.Primary.Yields},
+	} {
+		st, err := h.RunSymmetric(v.img, "hashjoin", nWay, repro.ExecConfig{})
+		if err != nil {
+			return fmt.Errorf("%s: %w", v.name, err)
+		}
+		if base == 0 {
+			base = st.Cycles
+		}
+		fmt.Fprintf(w, "%-18s %14d %11.1f%% %9.2fx %8d\n",
+			v.name, st.Cycles, st.Efficiency()*100, float64(base)/float64(st.Cycles), v.yields)
+	}
+
+	fmt.Fprintln(w, "\nper-site decisions made by the pipeline (no source access):")
 	for _, s := range img.Pipe.Primary.Sites {
-		fmt.Printf("  load pc=%-4d est. miss rate %.2f  modelled gain %+6.1f cyc  live mask %v\n",
+		fmt.Fprintf(w, "  load pc=%-4d est. miss rate %.2f  modelled gain %+6.1f cyc  live mask %v\n",
 			s.OldPC, s.MissRate, s.Gain, s.Mask)
 	}
-}
-
-func measure(h *repro.Harness, img *repro.Image, name string, yields int) uint64 {
-	return measureWithBase(h, img, name, yields, 0)
-}
-
-func measureWithBase(h *repro.Harness, img *repro.Image, name string, yields int, base uint64) uint64 {
-	st, err := h.RunSymmetric(img, "hashjoin", nWay, repro.ExecConfig{})
-	if err != nil {
-		log.Fatalf("%s: %v", name, err)
-	}
-	speedup := "1.00x"
-	if base > 0 {
-		speedup = fmt.Sprintf("%.2fx", float64(base)/float64(st.Cycles))
-	}
-	fmt.Printf("%-18s %14d %11.1f%% %10s %8d\n", name, st.Cycles, st.Efficiency()*100, speedup, yields)
-	return st.Cycles
+	return nil
 }
 
 func countYields(p *repro.Program) int {

@@ -17,7 +17,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"repro"
@@ -29,61 +31,67 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	s, err := repro.NewSession()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	h, err := s.NewHarness(
 		repro.SkipList{Keys: 8192, Lookups: 60, Instances: nRequests},
 		repro.ArrayScan{N: 32768, Instances: nAnalytics},
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Profile both code paths in one "production" run and build the
 	// instrumented node binary.
 	prof, _, err := h.Profile("skiplist")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	scanProf, _, err := h.Profile("scan")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := prof.Merge(scanProf); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	img, err := h.Instrument(prof, repro.DefaultPipelineOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("kv node binary: %d -> %d instructions, %d request-path yields\n\n",
+	fmt.Fprintf(w, "kv node binary: %d -> %d instructions, %d request-path yields\n\n",
 		len(h.Sc.Prog.Instrs), len(img.Prog.Instrs), img.Pipe.Primary.Yields)
 
-	fmt.Printf("%d skip-list lookup requests (60 keys each) + %d analytics scans\n\n",
+	fmt.Fprintf(w, "%d skip-list lookup requests (60 keys each) + %d analytics scans\n\n",
 		nRequests, nAnalytics)
-	fmt.Printf("%-12s %14s %14s %14s %12s\n",
+	fmt.Fprintf(w, "%-12s %14s %14s %14s %12s\n",
 		"policy", "mean_latency", "p95_latency", "drain_cycles", "efficiency")
 
 	for _, policy := range []repro.ServicePolicy{repro.PolicyAgnostic, repro.PolicySidecar, repro.PolicyEventAware} {
 		reqs, err := h.Tasks(img, "skiplist", repro.Primary, nRequests)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		batch, err := h.Tasks(img, "scan", repro.Scavenger, nAnalytics)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		st, err := repro.DrainRequests(h.NewExecutor(img, repro.ExecConfig{}), policy, reqs.Tasks, batch.Tasks)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := reqs.Validate(); err != nil {
-			log.Fatalf("%v served wrong lookup results: %v", policy, err)
+			return fmt.Errorf("%v served wrong lookup results: %w", policy, err)
 		}
 		if err := batch.Validate(); err != nil {
-			log.Fatalf("%v corrupted analytics: %v", policy, err)
+			return fmt.Errorf("%v corrupted analytics: %w", policy, err)
 		}
 		var sum uint64
 		lats := make([]float64, len(st.Latencies))
@@ -93,10 +101,11 @@ func main() {
 		}
 		sort.Float64s(lats)
 		p95 := lats[len(lats)*95/100-1]
-		fmt.Printf("%-12s %14.0f %14.0f %14d %11.1f%%\n",
+		fmt.Fprintf(w, "%-12s %14.0f %14.0f %14d %11.1f%%\n",
 			policy, float64(sum)/float64(len(lats)), p95, st.Cycles, st.Efficiency()*100)
 	}
 
-	fmt.Println("\nall three policies served byte-identical results; only the scheduling")
-	fmt.Println("of miss shadows differs — the paper's §4.2 integration question")
+	fmt.Fprintln(w, "\nall three policies served byte-identical results; only the scheduling")
+	fmt.Fprintln(w, "of miss shadows differs — the paper's §4.2 integration question")
+	return nil
 }

@@ -24,15 +24,23 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	s, err := repro.NewSession(repro.WithParallelism(0)) // fan cells out over GOMAXPROCS
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	cfg := repro.ServiceConfig{
@@ -60,19 +68,20 @@ func main() {
 
 	rep, err := s.Serve(context.Background(), cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(rep)
+	fmt.Fprint(w, rep)
 
 	// The headline: what the 99th-percentile request pays under each
 	// discipline at the highest offered load.
 	rate := cfg.Rates[len(cfg.Rates)-1]
-	fmt.Printf("at %g req/µs:\n", rate)
+	fmt.Fprintf(w, "at %g req/µs:\n", rate)
 	for _, pol := range cfg.Policies {
 		cell := rep.Cell(pol, rate)
-		fmt.Printf("  %-12s p99 %9.3f µs  (%d/%d completed, %d dropped, %d shed)\n",
+		fmt.Fprintf(w, "  %-12s p99 %9.3f µs  (%d/%d completed, %d dropped, %d shed)\n",
 			cell.Policy, cell.P99Micros(), cell.Completed, cell.Requests, cell.Dropped, cell.Shed)
 	}
-	fmt.Println("\nevent-aware keeps the tail flat by serving pending requests inside")
-	fmt.Println("the oldest request's miss shadows, ahead of any batch work (§3.3)")
+	fmt.Fprintln(w, "\nevent-aware keeps the tail flat by serving pending requests inside")
+	fmt.Fprintln(w, "the oldest request's miss shadows, ahead of any batch work (§3.3)")
+	return nil
 }

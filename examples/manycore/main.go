@@ -15,35 +15,44 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro"
 )
 
 func main() {
-	fmt.Println("many-core scaling: pointer chase on 1..8 cores over a shared LLC")
-	fmt.Printf("\n%6s %14s %14s %12s %12s %12s\n",
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "many-core scaling: pointer chase on 1..8 cores over a shared LLC")
+	fmt.Fprintf(w, "\n%6s %14s %14s %12s %12s %12s\n",
 		"cores", "cycles", "retired", "retired/cyc", "llc misses", "llc queued")
 
 	for _, cores := range []int{1, 2, 4, 8} {
 		topo := repro.DefaultTopology(cores)
 		s, err := repro.NewSession(repro.WithTopology(topo))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		st, err := s.RunMachine(repro.MachineRun{
 			Spec: repro.PointerChase{Nodes: 4096, Hops: 2000, Instances: 4},
 			Mode: repro.MachineSymmetric,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%6d %14d %14d %12.4f %12d %12d\n",
+		fmt.Fprintf(w, "%6d %14d %14d %12.4f %12d %12d\n",
 			cores, st.Cycles, st.Aggregate.Retired,
 			float64(st.Aggregate.Retired)/float64(st.Cycles),
 			st.LLC.Misses, st.LLC.Queued)
 	}
 
-	fmt.Println("\nper-core seeds are strided, so cores chase decorrelated chains; the")
-	fmt.Println("1-core row is the classic single-core engine bit-for-bit")
+	fmt.Fprintln(w, "\nper-core seeds are strided, so cores chase decorrelated chains; the")
+	fmt.Fprintln(w, "1-core row is the classic single-core engine bit-for-bit")
+	return nil
 }

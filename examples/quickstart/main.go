@@ -7,15 +7,23 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	s, err := repro.NewSession() // reference machine, sequential
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// A DRAM-resident pointer chase: 8192 nodes × 64 B is 512 KiB against
@@ -23,54 +31,40 @@ func main() {
 	const n = 8
 	spec := repro.PointerChase{Nodes: 8192, Hops: 2000, Instances: n}
 
-	// Baseline: run the original binary, one coroutine, and eat every miss.
+	// Baseline: run the original binary, one coroutine at a time, and eat
+	// every miss. RunSymmetric validates every coroutine's result against
+	// the host.
 	h, err := s.NewHarness(spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	base := h.Baseline()
-	ts, err := h.Tasks(base, "chase", repro.Primary, n)
+	before, err := h.RunSymmetric(h.Baseline(), "chase", n, repro.ExecConfig{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	before, err := s.NewExecutor(h, base, repro.ExecConfig{}).RunSymmetric(ts.Tasks)
-	if err != nil {
-		log.Fatal(err)
-	}
-	must(ts.Validate())
 
 	// Steps (i)+(ii): sample-based profiling, then profile-guided binary
 	// rewriting — prefetch+yield before the loads the profile says miss.
 	h, img, err := s.Pipeline("chase", repro.DefaultPipelineOptions(), spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("instrumentation: %d yields, %d prefetches inserted (policy %s)\n",
+	fmt.Fprintf(w, "instrumentation: %d yields, %d prefetches inserted (policy %s)\n",
 		img.Pipe.Primary.Yields, img.Pipe.Primary.Prefetches, img.Pipe.Primary.PolicyName)
 
 	// Step (iii): interleave 8 coroutines; each one's miss shadows run the
 	// others' compute.
-	ts, err = h.Tasks(img, "chase", repro.Primary, n)
+	after, err := h.RunSymmetric(img, "chase", n, repro.ExecConfig{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	after, err := s.NewExecutor(h, img, repro.ExecConfig{}).RunSymmetric(ts.Tasks)
-	if err != nil {
-		log.Fatal(err)
-	}
-	must(ts.Validate())
 
-	fmt.Printf("\n%-22s %14s %12s %10s\n", "", "cycles", "efficiency", "stalled")
-	fmt.Printf("%-22s %14d %11.1f%% %9.1f%%\n", "baseline", before.Cycles,
+	fmt.Fprintf(w, "\n%-22s %14s %12s %10s\n", "", "cycles", "efficiency", "stalled")
+	fmt.Fprintf(w, "%-22s %14d %11.1f%% %9.1f%%\n", "baseline", before.Cycles,
 		before.Efficiency()*100, before.StallFraction()*100)
-	fmt.Printf("%-22s %14d %11.1f%% %9.1f%%\n", "profile-guided", after.Cycles,
+	fmt.Fprintf(w, "%-22s %14d %11.1f%% %9.1f%%\n", "profile-guided", after.Cycles,
 		after.Efficiency()*100, after.StallFraction()*100)
-	fmt.Printf("\nspeedup: %.2fx — same results, zero source changes\n",
+	fmt.Fprintf(w, "\nspeedup: %.2fx — same results, zero source changes\n",
 		float64(before.Cycles)/float64(after.Cycles))
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+	return nil
 }

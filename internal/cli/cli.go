@@ -1,5 +1,6 @@
 // Package cli holds the flag plumbing shared by the shprof / shinstr /
-// shrun / shbench tools: workload selection by name and machine options.
+// shrun / shbench tools: workload selection by name and machine options,
+// plus the one way every tool reads an image and writes an output file.
 // The tools rebuild scenarios deterministically from (workload, instances,
 // seed), so a profile collected by shprof applies to the binary shinstr
 // rewrites and shrun executes.
@@ -8,12 +9,14 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/service"
@@ -388,4 +391,29 @@ func (w *WorkloadFlags) Harness() (*core.Harness, string, error) {
 		return nil, "", err
 	}
 	return h, spec.Name(), nil
+}
+
+// ReadImage loads the binary image stored at path.
+func ReadImage(path string) (*isa.Image, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return isa.LoadImage(f)
+}
+
+// WriteFile creates path and fills it with write. It returns write's
+// error, or else the error closing the file, so a tool never reports a
+// file it did not finish writing.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,12 +2,17 @@ package cli
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"io"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/service"
 )
 
@@ -312,5 +317,36 @@ func TestNoArgsRejectsStrayArguments(t *testing.T) {
 		if !strings.Contains(msg, strconv.Quote(c.stray)) || !strings.Contains(msg, c.tool) || strings.Contains(msg, "\n") {
 			t.Errorf("%s: error must be one line naming the tool and %q, got %q", c.tool, c.stray, msg)
 		}
+	}
+}
+
+// An image WriteFile saves reads back through ReadImage unchanged; a
+// failed write comes back as WriteFile's error, and a path that cannot
+// be created or opened is an error of its own.
+func TestWriteFileReadImage(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "prog.img")
+	img := isa.Encode(isa.MustAssemble("main:\n movi r1, 7\n halt\n"))
+	if err := WriteFile(path, func(w io.Writer) error { return isa.SaveImage(w, img) }); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, img) {
+		t.Errorf("read back %+v, wrote %+v", back, img)
+	}
+
+	failed := errors.New("write failed")
+	if err := WriteFile(filepath.Join(dir, "half.img"), func(io.Writer) error { return failed }); !errors.Is(err, failed) {
+		t.Errorf("WriteFile returned %v, want the write's own error", err)
+	}
+	missing := filepath.Join(dir, "no-such-dir", "x.img")
+	if err := WriteFile(missing, func(io.Writer) error { return nil }); err == nil {
+		t.Error("WriteFile created a file in a missing directory")
+	}
+	if _, err := ReadImage(missing); err == nil {
+		t.Error("ReadImage read a missing file")
 	}
 }
