@@ -5,10 +5,7 @@
 // description, experiment lookup/run, instrumentation and execution
 // policy in one place. The aliases that name simulator building blocks
 // (Harness, workloads, configs) are not deprecated, and each names the
-// defining package's type directly (Harness is core.Harness); the free
-// functions Session subsumed — DefaultMachine, Experiments,
-// LookupExperiment, ExperimentIDs — have been removed (see the
-// migration table in doc.go).
+// defining package's type directly (Harness is core.Harness).
 package repro
 
 import (
@@ -118,12 +115,24 @@ type (
 type (
 	// MemConfig sizes the cache hierarchy.
 	MemConfig = mem.Config
+	// MemLevel is where an access was served from; it indexes the
+	// Accesses arrays of MetricsSnapshot.Mem and MachineCoreStats.Mem.
+	MemLevel = mem.Level
 	// CPUConfig fixes instruction costs and the SFI sandbox.
 	CPUConfig = cpu.Config
 	// SFIOptions configures software-fault-isolation hardening.
 	SFIOptions = sfi.Options
 	// SFIResult reports what the SFI pass inserted.
 	SFIResult = sfi.Result
+)
+
+// The serving levels a MemLevel names.
+const (
+	LevelL1       = mem.LevelL1
+	LevelL2       = mem.LevelL2
+	LevelL3       = mem.LevelL3
+	LevelDRAM     = mem.LevelDRAM
+	LevelInflight = mem.LevelInflight // met an in-flight fill
 )
 
 // DrainRequests runs requests and batch tasks on an executor under one

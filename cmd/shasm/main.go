@@ -39,11 +39,7 @@ func main() {
 
 func run(w io.Writer, path, out string, disasm, statsMode bool) error {
 	if disasm || statsMode {
-		img, err := cli.ReadImage(path)
-		if err != nil {
-			return err
-		}
-		prog, err := isa.Decode(img)
+		prog, err := cli.ReadImage(path)
 		if err != nil {
 			return err
 		}
@@ -65,7 +61,7 @@ func run(w io.Writer, path, out string, disasm, statsMode bool) error {
 	if out == "" {
 		out = path + ".img"
 	}
-	if err := cli.WriteFile(out, func(f io.Writer) error { return isa.SaveImage(f, isa.Encode(prog)) }); err != nil {
+	if err := cli.WriteFile(out, func(f io.Writer) error { return isa.SaveImage(f, prog) }); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "assembled %d instructions, %d symbols -> %s\n",

@@ -58,11 +58,11 @@ func run(out io.Writer, origPath, instPath, mapPath string,
 	if origPath == "" || instPath == "" {
 		return 0, fmt.Errorf("-orig and -inst are required")
 	}
-	origImg, err := cli.ReadImage(origPath)
+	orig, err := cli.ReadImage(origPath)
 	if err != nil {
 		return 0, err
 	}
-	instImg, err := cli.ReadImage(instPath)
+	inst, err := cli.ReadImage(instPath)
 	if err != nil {
 		return 0, err
 	}
@@ -80,15 +80,14 @@ func run(out io.Writer, origPath, instPath, mapPath string,
 			return 0, err
 		}
 		oldToNew = m.OldToNew
+	} else if oldToNew, err = check.InferMap(orig, inst); err != nil {
+		return 0, fmt.Errorf("check: cannot infer old-to-new mapping: %w", err)
 	}
 	if sfiMode {
 		opts.SFI = &sfi.Options{CoDesign: codesign, GuardStores: guardStores}
 	}
 
-	rep, err := check.Image(origImg, instImg, oldToNew, opts)
-	if err != nil {
-		return 0, err
-	}
+	rep := check.Program(orig, inst, oldToNew, opts)
 
 	if jsonOut {
 		enc := json.NewEncoder(out)

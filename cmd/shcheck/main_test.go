@@ -46,19 +46,20 @@ func fixture(t *testing.T, dir string) (origPath, instPath, mapPath string, fina
 	if err != nil {
 		t.Fatal(err)
 	}
-	origPath = writeImage(t, filepath.Join(dir, "orig.img"), isa.Encode(orig))
-	instPath = writeImage(t, filepath.Join(dir, "inst.img"), img)
+	origPath = writeImage(t, filepath.Join(dir, "orig.img"), orig)
+	final = isa.MustDecode(img)
+	instPath = writeImage(t, filepath.Join(dir, "inst.img"), final)
 	mapPath = filepath.Join(dir, "map.json")
 	m := check.MapFile{OldToNew: res.OldToNew}
 	if err := cli.WriteFile(mapPath, m.Save); err != nil {
 		t.Fatal(err)
 	}
-	return origPath, instPath, mapPath, isa.MustDecode(img), res.OldToNew
+	return origPath, instPath, mapPath, final, res.OldToNew
 }
 
-func writeImage(t *testing.T, path string, img *isa.Image) string {
+func writeImage(t *testing.T, path string, prog *isa.Program) string {
 	t.Helper()
-	if err := cli.WriteFile(path, func(w io.Writer) error { return isa.SaveImage(w, img) }); err != nil {
+	if err := cli.WriteFile(path, func(w io.Writer) error { return isa.SaveImage(w, prog) }); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -113,7 +114,7 @@ func TestTamperedImageExitsOneWithRule(t *testing.T) {
 		}
 	}
 	_ = oldToNew
-	badPath := writeImage(t, filepath.Join(dir, "bad.img"), isa.Encode(bad))
+	badPath := writeImage(t, filepath.Join(dir, "bad.img"), bad)
 	var out bytes.Buffer
 	code, err := run(&out, origPath, badPath, mapPath, false, false, true, false, false)
 	if err != nil {
@@ -137,7 +138,7 @@ func TestJSONReport(t *testing.T) {
 			break
 		}
 	}
-	badPath := writeImage(t, filepath.Join(dir, "bad.img"), isa.Encode(bad))
+	badPath := writeImage(t, filepath.Join(dir, "bad.img"), bad)
 	var out bytes.Buffer
 	code, err := run(&out, origPath, badPath, mapPath, false, false, true, true, false)
 	if err != nil {
@@ -196,8 +197,8 @@ func TestTwoPartImageVerifiesWithoutMap(t *testing.T) {
 		t.Fatal("no scavenger yields to reach")
 	}
 	dir := t.TempDir()
-	origPath := writeImage(t, filepath.Join(dir, "orig.img"), isa.Encode(h.Sc.Prog))
-	instPath := writeImage(t, filepath.Join(dir, "inst.img"), isa.Encode(img.Prog))
+	origPath := writeImage(t, filepath.Join(dir, "orig.img"), h.Sc.Prog)
+	instPath := writeImage(t, filepath.Join(dir, "inst.img"), img.Prog)
 	var out bytes.Buffer
 	code, err := run(&out, origPath, instPath, "", false, false, true, false, false)
 	if err != nil {

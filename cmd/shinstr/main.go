@@ -106,7 +106,7 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 	if err != nil {
 		return err
 	}
-	res, img := inst.Pipe, isa.Encode(inst.Prog)
+	res := inst.Pipe
 
 	if report != "" {
 		m := check.MapFile{OldToNew: res.OldToNew}
@@ -115,19 +115,19 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 		}
 	}
 	if origOut != "" {
-		if err := cli.WriteFile(origOut, func(w io.Writer) error { return isa.SaveImage(w, isa.Encode(h.Sc.Prog)) }); err != nil {
+		if err := cli.WriteFile(origOut, func(w io.Writer) error { return isa.SaveImage(w, h.Sc.Prog) }); err != nil {
 			return err
 		}
 	}
 	if out == "" {
 		out = wf.Workload + ".instrumented.img"
 	}
-	if err := cli.WriteFile(out, func(w io.Writer) error { return isa.SaveImage(w, img) }); err != nil {
+	if err := cli.WriteFile(out, func(w io.Writer) error { return isa.SaveImage(w, inst.Prog) }); err != nil {
 		return err
 	}
 
 	fmt.Printf("instrumented %s binary: %d -> %d instructions (policy %s)\n",
-		wf.Workload, len(h.Sc.Prog.Instrs), img.Len(), res.Primary.PolicyName)
+		wf.Workload, len(h.Sc.Prog.Instrs), len(inst.Prog.Instrs), res.Primary.PolicyName)
 	fmt.Printf("  primary phase: %d candidate loads, %d yields, %d prefetches\n",
 		res.Primary.Candidates, res.Primary.Yields, res.Primary.Prefetches)
 	for _, s := range res.Primary.Sites {
@@ -141,7 +141,7 @@ func run(wf *cli.WorkloadFlags, profPath, out, policyName string, theta float64,
 		fmt.Printf("  scavenger phase: %d conditional yields (%d loop guarantees, %d spacing)\n",
 			len(res.Scavenger.CondYieldPCs), res.Scavenger.LoopYields, res.Scavenger.SpacingYields)
 	}
-	fmt.Printf("  verified: %d instructions clean (shcheck)\n", img.Len())
+	fmt.Printf("  verified: %d instructions clean (shcheck)\n", len(inst.Prog.Instrs))
 	if report != "" {
 		fmt.Printf("  wrote mapping report %s\n", report)
 	}

@@ -41,18 +41,18 @@ func writeProfile(t *testing.T, dir string, skew int) string {
 	return path
 }
 
-func loadImage(t *testing.T, path string) *isa.Image {
+func loadImage(t *testing.T, path string) *isa.Program {
 	t.Helper()
-	img, err := cli.ReadImage(path)
+	prog, err := cli.ReadImage(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img
+	return prog
 }
 
 // TestRunWritesVerifiedImage drives the README's shprof → shinstr →
 // shcheck flow in process: the image, mapping report and original image
-// shinstr writes must verify clean under check.Image.
+// shinstr writes must verify clean under check.Program.
 func TestRunWritesVerifiedImage(t *testing.T) {
 	dir := t.TempDir()
 	wf := chase
@@ -71,10 +71,7 @@ func TestRunWritesVerifiedImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := check.Image(loadImage(t, origOut), loadImage(t, out), m.OldToNew, check.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := check.Program(loadImage(t, origOut), loadImage(t, out), m.OldToNew, check.Options{})
 	if !rep.Clean() || rep.Inserted == 0 {
 		t.Fatalf("written image is not a clean instrumented rewrite:\n%s", rep)
 	}

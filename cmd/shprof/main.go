@@ -68,7 +68,7 @@ func run(wf *cli.WorkloadFlags, out string, periodScale uint64) error {
 
 	fmt.Printf("profiled %s (%d instances, seed %d)\n", wf.Workload, wf.Instances, wf.Seed)
 	fmt.Printf("  run:      %d instructions, %d cycles (%.0f µs simulated)\n",
-		core.Counters.TotalRetired, core.Now, float64(core.Now)/3000)
+		core.Counters.Retired, core.Now, float64(core.Now)/3000)
 	fmt.Printf("  stalls:   %.1f%% of cycles\n", core.Counters.StallFraction()*100)
 	fmt.Printf("  samples:  %d (%d dropped), modelled overhead %.3f%%\n",
 		len(sampler.Samples), sampler.Dropped,

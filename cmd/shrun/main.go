@@ -47,7 +47,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/runner"
@@ -237,11 +236,7 @@ func run(w io.Writer, o options) error {
 	}
 	img := h.Baseline()
 	if o.imagePath != "" {
-		fileImg, err := cli.ReadImage(o.imagePath)
-		if err != nil {
-			return err
-		}
-		prog, err := isa.Decode(fileImg)
+		prog, err := cli.ReadImage(o.imagePath)
 		if err != nil {
 			return err
 		}

@@ -567,7 +567,7 @@ func TestToolchainChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(written, isa.Encode(img.Prog)) {
+		if !reflect.DeepEqual(isa.Encode(written), isa.Encode(img.Prog)) {
 			t.Errorf("%s: shinstr wrote another image than the library instruments", w)
 		}
 		lib, err := h.RunSymmetric(img, part, o.n, exec.Config{})

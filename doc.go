@@ -129,14 +129,5 @@
 //
 // cmd/shbench regenerates every table and figure of the evaluation (see
 // DESIGN.md and EXPERIMENTS.md); go run ./bench is the only timed
-// instrument (see bench/README.md). The free functions Session subsumed
-// are gone.
-// Migration:
-//
-//	DefaultMachine()        → DefaultTopology(1).Machine (removed)
-//	Experiments()           → Session.ExperimentIDs() + Session.RunAll(ctx) (removed)
-//	LookupExperiment(id)    → Session.Run(ctx, id) (removed)
-//	ExperimentIDs()         → Session.ExperimentIDs() (removed)
-//	SMTConfig, SMTRun       → Harness.RunSMT(img, part, n, ExecConfig) (removed)
-//	MachineRun.SMT          → MachineRun.Tasks and MachineRun.Exec (removed)
+// instrument (see bench/README.md).
 package repro

@@ -11,17 +11,17 @@ import (
 )
 
 // layers is ARCHITECTURE §6's package order, bottom up, one slice per
-// layer: the side leaves stats and trace, then metrics on stats, then
-// isa and mem, the chain from coro to runner with bincfg and workloads
-// beside coro, and at the top the root package with cli, the tools'
-// flag and file plumbing, beside it. Names are import paths below
+// layer: the side leaves stats and trace, then isa and mem, the chain
+// from coro to runner with bincfg and workloads beside coro and metrics
+// on cpu, and at the top the root package with cli, the tools' flag and
+// file plumbing, beside it. Names are import paths below
 // repro/internal/, except "repro" for the root.
 var layers = [][]string{
 	{"stats", "trace"},
-	{"metrics"},
 	{"isa", "mem"},
 	{"coro", "bincfg", "workloads"},
 	{"cpu"},
+	{"metrics"},
 	{"pebs", "exec"},
 	{"profile", "smt"},
 	{"instrument"},

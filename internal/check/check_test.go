@@ -164,17 +164,6 @@ func TestInferMapRejectsEffectfulExtra(t *testing.T) {
 	}
 }
 
-func TestImageEndToEnd(t *testing.T) {
-	orig, final, _ := instrumented(t, chaseSrc, 1)
-	rep, err := Image(isa.Encode(orig), isa.Encode(final), nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("image verification not clean:\n%s", rep)
-	}
-}
-
 func TestReportMechanics(t *testing.T) {
 	rep := &Report{Checked: 10, Inserted: 2}
 	rep.add(RuleLiveness, SevError, 4, 2, "mask omits %v", isa.RegMask(1<<3))

@@ -6,29 +6,6 @@ import (
 	"repro/internal/isa"
 )
 
-// Image decodes a pair of tool-interchange images and verifies the
-// rewritten one against the original. When oldToNew is nil the mapping
-// is inferred with InferMap — pass the pipeline report's mapping when
-// available; inference is a heuristic for auditing images whose report
-// was lost.
-func Image(origImg, rewImg *isa.Image, oldToNew []int, opts Options) (*Report, error) {
-	orig, err := isa.Decode(origImg)
-	if err != nil {
-		return nil, fmt.Errorf("check: original image: %w", err)
-	}
-	rew, err := isa.Decode(rewImg)
-	if err != nil {
-		return nil, fmt.Errorf("check: rewritten image: %w", err)
-	}
-	if oldToNew == nil {
-		oldToNew, err = InferMap(orig, rew)
-		if err != nil {
-			return nil, fmt.Errorf("check: cannot infer old-to-new mapping: %w", err)
-		}
-	}
-	return Program(orig, rew, oldToNew, opts), nil
-}
-
 // insertable reports whether op belongs to the effect-free set the
 // rewriter may insert, and so may be skipped during map inference.
 func insertable(op isa.Op) bool {

@@ -243,16 +243,29 @@ type ServiceFlags struct {
 	Burst    float64
 }
 
-// serviceDefaults mirrors Register's defaults so Check can tell an
-// untouched flag set from a misused one.
-var serviceDefaults = ServiceFlags{
-	Arrivals: "poisson",
-	Policy:   "agnostic,sidecar,event-aware,os-thread",
-	Requests: 2000,
-	Workers:  4,
-	Queue:    64,
-	Batch:    2,
-	Burst:    8,
+// serviceDefaults are Register's defaults, read off the service
+// package: DefaultConfig's sweep with the pool sizes Normalized fills
+// in. Check tells an untouched flag set from a misused one by them.
+var serviceDefaults = func() ServiceFlags {
+	d := service.DefaultConfig()
+	n, err := d.Normalized()
+	if err != nil {
+		panic(err)
+	}
+	return ServiceFlags{
+		Arrivals: d.Arrivals.Kind.String(),
+		Policy:   csv(d.Policies),
+		Requests: n.Requests,
+		Workers:  n.Workers,
+		Queue:    n.Queue,
+		Batch:    n.Batch,
+		Burst:    d.Arrivals.Burst,
+	}
+}()
+
+// csv spells a slice as a comma-separated flag value: [a b] → "a,b".
+func csv(xs any) string {
+	return strings.ReplaceAll(strings.Trim(fmt.Sprint(xs), "[]"), " ", ",")
 }
 
 // Register installs the service flags into fs.
@@ -260,7 +273,7 @@ func (sf *ServiceFlags) Register(fs *flag.FlagSet) {
 	d := serviceDefaults
 	fs.BoolVar(&sf.Serve, "serve", false, "run the open-loop service harness (arrivals on their own clock)")
 	fs.StringVar(&sf.Arrivals, "arrivals", d.Arrivals, "arrival process: poisson | uniform | bursty")
-	fs.StringVar(&sf.Rate, "rate", "", "offered load sweep in requests/µs, comma-separated (default 0.05,0.1,0.2)")
+	fs.StringVar(&sf.Rate, "rate", "", "offered load sweep in requests/µs, comma-separated (default "+csv(service.DefaultConfig().Rates)+")")
 	fs.IntVar(&sf.Requests, "requests", d.Requests, "requests offered per sweep cell")
 	fs.StringVar(&sf.Policy, "policy", d.Policy, "serving policies, comma-separated")
 	fs.IntVar(&sf.Workers, "workers", d.Workers, "concurrent in-flight request slots")
@@ -393,8 +406,9 @@ func (w *WorkloadFlags) Harness() (*core.Harness, string, error) {
 	return h, spec.Name(), nil
 }
 
-// ReadImage loads the binary image stored at path.
-func ReadImage(path string) (*isa.Image, error) {
+// ReadImage loads the binary image stored at path and returns the
+// program it decodes to.
+func ReadImage(path string) (*isa.Program, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

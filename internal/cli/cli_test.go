@@ -204,6 +204,47 @@ func TestServiceFlags(t *testing.T) {
 	}
 }
 
+// The serve flags default to the service package's own values: -serve
+// alone (and with -arrivals bursty, the one kind that reads -burst)
+// describes DefaultConfig's sweep, and every pool size is what
+// Normalized gives a zero Config.
+func TestServiceFlagDefaultsAreServices(t *testing.T) {
+	zero, err := service.Config{}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []service.Kind{service.Poisson, service.Bursty} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		var sf ServiceFlags
+		sf.Register(fs)
+		if err := fs.Parse([]string{"-serve", "-arrivals", kind.String()}); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := sf.parse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cfg.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		def := service.DefaultConfig()
+		def.Arrivals.Kind = kind
+		def.Arrivals.Rate = def.Rates[0] // the flags' spec carries the sweep's first rate
+		want, err := def.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("-serve -arrivals %s normalizes to\n %+v\nnot DefaultConfig's\n %+v", kind, got, want)
+		}
+		if got.Requests != zero.Requests || got.Workers != zero.Workers || got.Queue != zero.Queue ||
+			got.Batch != zero.Batch || got.ShedAfter != zero.ShedAfter || !reflect.DeepEqual(got.Policies, zero.Policies) {
+			t.Errorf("flag defaults %+v differ from a normalized zero Config %+v", got, zero)
+		}
+	}
+}
+
 // Service knobs without -serve are a hard error, not a silent no-op —
 // but both the registered defaults and the zero value pass.
 func TestServiceFlagsNeedServe(t *testing.T) {
@@ -326,16 +367,16 @@ func TestNoArgsRejectsStrayArguments(t *testing.T) {
 func TestWriteFileReadImage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prog.img")
-	img := isa.Encode(isa.MustAssemble("main:\n movi r1, 7\n halt\n"))
-	if err := WriteFile(path, func(w io.Writer) error { return isa.SaveImage(w, img) }); err != nil {
+	prog := isa.MustAssemble("main:\n movi r1, 7\n halt\n")
+	if err := WriteFile(path, func(w io.Writer) error { return isa.SaveImage(w, prog) }); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadImage(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, img) {
-		t.Errorf("read back %+v, wrote %+v", back, img)
+	if !reflect.DeepEqual(back, prog) {
+		t.Errorf("read back %+v, wrote %+v", back, prog)
 	}
 
 	failed := errors.New("write failed")

@@ -13,6 +13,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/instrument"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
@@ -256,7 +257,7 @@ func TestRegistryTotalsAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		retired += alone.CPU.Retired
-		dram += alone.Mem.DRAMAccesses
+		dram += alone.Mem.Accesses[mem.LevelDRAM]
 		episodes += alone.Exec.Episodes
 	}
 	if episodes == 0 {
@@ -269,9 +270,9 @@ func TestRegistryTotalsAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if shared.CPU.Retired != retired || shared.Mem.DRAMAccesses != dram || shared.Exec.Episodes != episodes {
+	if shared.CPU.Retired != retired || shared.Mem.Accesses[mem.LevelDRAM] != dram || shared.Exec.Episodes != episodes {
 		t.Errorf("shared registry retired/dram/episodes = %d/%d/%d, the runs sum to %d/%d/%d",
-			shared.CPU.Retired, shared.Mem.DRAMAccesses, shared.Exec.Episodes, retired, dram, episodes)
+			shared.CPU.Retired, shared.Mem.Accesses[mem.LevelDRAM], shared.Exec.Episodes, retired, dram, episodes)
 	}
 }
 
@@ -352,7 +353,7 @@ func TestProfilePartsValidates(t *testing.T) {
 	if prof == nil || sampler == nil || cpuCore == nil {
 		t.Fatal("nil outputs")
 	}
-	if cpuCore.Counters.TotalRetired == 0 {
+	if cpuCore.Counters.Retired == 0 {
 		t.Error("profiling run retired nothing")
 	}
 }

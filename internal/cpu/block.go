@@ -331,8 +331,8 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 				}
 				c.Now += segCost
 				ctx.BusyCycles += segCost
-				counters.TotalBusy += segCost
-				counters.TotalRetired += n
+				counters.Busy += segCost
+				counters.Retired += n
 				ctx.Retired += n
 				busyAcc += segCost
 				steps += n
@@ -458,11 +458,11 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 			c.Now += stall
 			ctx.StallCycles += stall
 			counters.StallCycles[pc] += stall
-			counters.TotalStall += stall
+			counters.Stall += stall
 		}
 		counters.Exec[pc]++
-		counters.TotalRetired++
-		counters.TotalBusy += busy
+		counters.Retired++
+		counters.Busy += busy
 		ctx.Retired++
 		busyAcc += busy
 		steps++

@@ -9,7 +9,6 @@ import (
 	"repro/internal/coro"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 )
 
 // testMinLen is the shortest trace the differential tests install with
@@ -164,11 +163,8 @@ func assertRigsEqual(t *testing.T, label string, a, b *engineRig) {
 	if !reflect.DeepEqual(a.core.Counters, b.core.Counters) {
 		t.Fatalf("%s: counter divergence:\n %+v\n %+v\n%s", label, a.core.Counters, b.core.Counters, isa.Disassemble(a.core.Prog))
 	}
-	var ma, mb metrics.Mem
-	a.core.Hier.FillMetrics(&ma)
-	b.core.Hier.FillMetrics(&mb)
-	if ma != mb {
-		t.Fatalf("%s: hierarchy metrics divergence:\n %+v\n %+v", label, ma, mb)
+	if a.core.Hier.Stats != b.core.Hier.Stats {
+		t.Fatalf("%s: hierarchy counter divergence:\n %+v\n %+v", label, a.core.Hier.Stats, b.core.Hier.Stats)
 	}
 	sa, sb := memImage(a.m), memImage(b.m)
 	for i := range sa {

@@ -1,9 +1,6 @@
 package cpu
 
-import (
-	"repro/internal/mem"
-	"repro/internal/metrics"
-)
+import "repro/internal/mem"
 
 // Counters are the ground-truth per-PC hardware counters. The
 // instrumentation pipeline never reads these directly — it consumes PEBS
@@ -20,12 +17,26 @@ type Counters struct {
 	AccWaits    []uint64 // accelerator waits retired
 
 	// Program-wide totals.
-	TotalRetired uint64
-	TotalBusy    uint64
-	TotalStall   uint64
+	Totals
+}
+
+// Totals are a core's program-wide counters. The metrics registry's cpu
+// section is one Totals, summed over every core it observed.
+type Totals struct {
+	Retired uint64 // instructions retired
+	Busy    uint64 // cycles doing work (incl. pipeline-absorbed latency)
+	Stall   uint64 // exposed memory stall cycles
 	// Faults counts execution faults raised by RunBlock (bad PC, memory
 	// fault, SFI trap, stepping a halted context).
 	Faults uint64
+}
+
+// Add folds another core's totals into t.
+func (t *Totals) Add(o Totals) {
+	t.Retired += o.Retired
+	t.Busy += o.Busy
+	t.Stall += o.Stall
+	t.Faults += o.Faults
 }
 
 // NewCounters allocates counters for a program of n instructions.
@@ -52,21 +63,11 @@ func (c *Counters) MissRateL2(pc int) float64 {
 
 // StallFraction returns stall cycles as a fraction of all cycles.
 func (c *Counters) StallFraction() float64 {
-	total := c.TotalBusy + c.TotalStall
+	total := c.Busy + c.Stall
 	if total == 0 {
 		return 0
 	}
-	return float64(c.TotalStall) / float64(total)
-}
-
-// FillMetrics harvests the core-wide totals into an observability
-// registry section. Per-PC counters stay here; the registry carries
-// only the program-wide cycle accounting.
-func (c *Counters) FillMetrics(m *metrics.CPU) {
-	m.Retired = c.TotalRetired
-	m.BusyCycles = c.TotalBusy
-	m.StallCycles = c.TotalStall
-	m.Faults = c.Faults
+	return float64(c.Stall) / float64(total)
 }
 
 // RetireEvent describes one retired instruction that carries an event —

@@ -9,7 +9,6 @@ import (
 	"repro/internal/coro"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 )
 
 // step retires one instruction through RunBlock, the value-returning
@@ -567,8 +566,8 @@ func TestFaultErrorAndCounterAccessors(t *testing.T) {
 		t.Error("Fault accessors broken")
 	}
 	c := NewCounters(4)
-	c.TotalBusy = 60
-	c.TotalStall = 40
+	c.Busy = 60
+	c.Stall = 40
 	if c.StallFraction() != 0.4 {
 		t.Errorf("StallFraction = %f", c.StallFraction())
 	}
@@ -590,8 +589,8 @@ func TestFaultErrorAndCounterAccessors(t *testing.T) {
 	}
 }
 
-// TestFaultCounting pins the fault accounting exported through
-// FillMetrics: every surfaced *Fault increments Counters.Faults.
+// TestFaultCounting pins the fault accounting the metrics registry
+// reads: every surfaced *Fault increments Counters.Faults.
 func TestFaultCounting(t *testing.T) {
 	prog := isa.MustAssemble(`
         movi r1, 0
@@ -615,11 +614,5 @@ func TestFaultCounting(t *testing.T) {
 	}
 	if c.Counters.Faults != 1 {
 		t.Errorf("Faults = %d after one fault, want 1", c.Counters.Faults)
-	}
-
-	var mm metrics.CPU
-	c.Counters.FillMetrics(&mm)
-	if mm.Faults != 1 || mm.Retired != c.Counters.TotalRetired || mm.BusyCycles != c.Counters.TotalBusy {
-		t.Errorf("FillMetrics mismatch: %+v vs %+v", mm, *c.Counters)
 	}
 }

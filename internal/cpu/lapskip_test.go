@@ -259,7 +259,7 @@ func (d *lapDiff) run(t *testing.T, s lapSchedule) SuperblockStats {
 // compare a few hundred thousand pairs, and under the race detector
 // reflection was most of their cost.
 func sameCounters(a, b *Counters) bool {
-	return a.TotalRetired == b.TotalRetired && a.TotalBusy == b.TotalBusy && a.TotalStall == b.TotalStall && a.Faults == b.Faults &&
+	return a.Retired == b.Retired && a.Busy == b.Busy && a.Stall == b.Stall && a.Faults == b.Faults &&
 		slices.Equal(a.Exec, b.Exec) && slices.Equal(a.Loads, b.Loads) && slices.Equal(a.Stores, b.Stores) &&
 		slices.Equal(a.MissL2, b.MissL2) && slices.Equal(a.MissL3, b.MissL3) &&
 		slices.Equal(a.StallCycles, b.StallCycles) && slices.Equal(a.AccWaits, b.AccWaits)

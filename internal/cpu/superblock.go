@@ -676,7 +676,7 @@ func (c *Core) QuietLaps(ctx *coro.Context) (cost, instrs, taken uint64) {
 // flushSuperExec applies the batched per-PC Exec increments of one
 // runSuper activation: every step retired `laps` full traversals, plus
 // one more for the first `partial` steps of the unfinished lap. Totals
-// (TotalRetired, TotalBusy, clock) are maintained live during the run —
+// (Retired, Busy, clock) are maintained live during the run —
 // only the per-PC array writes are batched — so this must run before
 // any return to generic dispatch, including faults.
 func (c *Core) flushSuperExec(sb *superblock, laps uint64, partial int) {
@@ -767,8 +767,8 @@ head:
 			busy, n := k*lap.cost, k*uint64(lap.instrs)
 			c.Now += busy
 			ctx.BusyCycles += busy
-			counters.TotalBusy += busy
-			counters.TotalRetired += n
+			counters.Busy += busy
+			counters.Retired += n
 			ctx.Retired += n
 			steps += n
 			laps += k
@@ -805,8 +805,8 @@ head:
 			}
 			c.Now += st.cost
 			ctx.BusyCycles += st.cost
-			counters.TotalBusy += st.cost
-			counters.TotalRetired += nn
+			counters.Busy += st.cost
+			counters.Retired += nn
 			ctx.Retired += nn
 			busyAcc += st.cost
 			steps += nn
@@ -834,10 +834,10 @@ head:
 				c.Now += stall
 				ctx.StallCycles += stall
 				counters.StallCycles[pc] += stall
-				counters.TotalStall += stall
+				counters.Stall += stall
 			}
-			counters.TotalRetired++
-			counters.TotalBusy += busy
+			counters.Retired++
+			counters.Busy += busy
 			ctx.Retired++
 			busyAcc += busy
 			steps++
@@ -866,8 +866,8 @@ head:
 			}
 			c.Now += st.cost
 			ctx.BusyCycles += st.cost
-			counters.TotalRetired++
-			counters.TotalBusy += st.cost
+			counters.Retired++
+			counters.Busy += st.cost
 			ctx.Retired++
 			busyAcc += st.cost
 			steps++
@@ -904,8 +904,8 @@ head:
 			busy := st.cost
 			c.Now += busy
 			ctx.BusyCycles += busy
-			counters.TotalRetired++
-			counters.TotalBusy += busy
+			counters.Retired++
+			counters.Busy += busy
 			ctx.Retired++
 			busyAcc += busy
 			steps++

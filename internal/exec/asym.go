@@ -34,12 +34,11 @@ type Asym struct {
 
 	inEpisode         bool
 	epStart, epTarget uint64
-	episodes          uint64 // episodes opened
 
 	// base holds the Stats counters of the executor's hide-episode
 	// accounting as this loop found them, so Stats reports this loop's
 	// share.
-	base struct{ chains, skips, overshoot uint64 }
+	base struct{ episodes, chains, skips, overshoot uint64 }
 }
 
 // NewAsym prepares a dual-mode loop over ring, fed by src. The first
@@ -50,7 +49,8 @@ func (e *Executor) NewAsym(ring []*Task, src AsymSource) *Asym {
 		e.hide = new(metrics.Exec)
 	}
 	l := &Asym{lane: lane{e: e, ring: ring, cur: -1}, src: src}
-	l.base.chains, l.base.skips, l.base.overshoot = e.hide.Chains, e.hide.HWSkips, e.hide.OvershootCycles
+	h := e.hide
+	l.base.episodes, l.base.chains, l.base.skips, l.base.overshoot = h.Episodes, h.Chains, h.HWSkips, h.OvershootCycles
 	return l
 }
 
@@ -59,7 +59,7 @@ func (e *Executor) NewAsym(ring []*Task, src AsymSource) *Asym {
 func (l *Asym) Stats() Stats {
 	h := l.e.hide
 	return Stats{
-		Episodes:      l.episodes,
+		Episodes:      h.Episodes - l.base.episodes,
 		ChainSwitches: h.Chains - l.base.chains,
 		HWSkips:       h.HWSkips - l.base.skips,
 		PrimaryDelay:  h.OvershootCycles - l.base.overshoot,
@@ -155,7 +155,6 @@ func (l *Asym) Run(deadline uint64) (bool, error) {
 			if skip {
 				continue
 			}
-			l.episodes++
 			l.inEpisode = true
 			l.epStart = e.Core.Now
 			l.epTarget = target

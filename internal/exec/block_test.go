@@ -100,9 +100,9 @@ func TestObserverFallbackMatchesFastPath(t *testing.T) {
 		t.Fatalf("fast vs observer traces diverge: %d vs %d events", len(fastTrace), len(obsTrace))
 	}
 	cnt := obsCore.Counters
-	if obs.loads != sum(cnt.Loads) || obs.stores != sum(cnt.Stores) || obs.accWaits != sum(cnt.AccWaits) || obs.stallCycles != cnt.TotalStall {
+	if obs.loads != sum(cnt.Loads) || obs.stores != sum(cnt.Stores) || obs.accWaits != sum(cnt.AccWaits) || obs.stallCycles != cnt.Stall {
 		t.Fatalf("observer saw %d loads, %d stores, %d waits, %d stall cycles; the core counted %d, %d, %d, %d",
-			obs.loads, obs.stores, obs.accWaits, obs.stallCycles, sum(cnt.Loads), sum(cnt.Stores), sum(cnt.AccWaits), cnt.TotalStall)
+			obs.loads, obs.stores, obs.accWaits, obs.stallCycles, sum(cnt.Loads), sum(cnt.Stores), sum(cnt.AccWaits), cnt.Stall)
 	}
 	if obs.loads == 0 || obs.branches == 0 {
 		t.Fatalf("observer saw %d loads and %d branch events in a looping chase workload", obs.loads, obs.branches)

@@ -223,12 +223,8 @@ func (e *Executor) CaptureMetrics() {
 	if m == nil {
 		return
 	}
-	var mm metrics.Mem
-	var cm metrics.CPU
-	e.Core.Hier.FillMetrics(&mm)
-	e.Core.Counters.FillMetrics(&cm)
-	m.Mem.Add(mm)
-	m.CPU.Add(cm)
+	m.Mem.Add(e.Core.Hier.Stats)
+	m.CPU.Add(e.Core.Counters.Totals)
 	if e.hide != nil {
 		m.Exec.Add(e.hide)
 	}

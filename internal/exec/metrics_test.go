@@ -65,15 +65,15 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 			reg.Exec.EpisodeDur.Sum, reg.Exec.EpisodeCycles)
 	}
 
-	if reg.CPU.Retired != e.Core.Counters.TotalRetired {
-		t.Errorf("CPU.Retired = %d, core retired %d", reg.CPU.Retired, e.Core.Counters.TotalRetired)
+	if reg.CPU.Retired != e.Core.Counters.Retired {
+		t.Errorf("CPU.Retired = %d, core retired %d", reg.CPU.Retired, e.Core.Counters.Retired)
 	}
 	hs := e.Core.Hier.Stats
 	if reg.Mem.Prefetches != hs.Prefetches {
 		t.Errorf("Mem.Prefetches = %d, hierarchy %d", reg.Mem.Prefetches, hs.Prefetches)
 	}
-	if reg.Mem.MSHRHighWater != hs.MSHRPeak {
-		t.Errorf("Mem.MSHRHighWater = %d, hierarchy peak %d", reg.Mem.MSHRHighWater, hs.MSHRPeak)
+	if reg.Mem.MSHRPeak != hs.MSHRPeak {
+		t.Errorf("Mem.MSHRPeak = %d, hierarchy peak %d", reg.Mem.MSHRPeak, hs.MSHRPeak)
 	}
 }
 

@@ -64,9 +64,9 @@ func E10SamplingPeriod(mach core.Machine) (*Result, error) {
 			mae /= float64(sites)
 		}
 		stallErr := 0.0
-		if cpuCore.Counters.TotalStall > 0 {
-			stallErr = math.Abs(prof.TotalStallCycles-float64(cpuCore.Counters.TotalStall)) /
-				float64(cpuCore.Counters.TotalStall)
+		if cpuCore.Counters.Stall > 0 {
+			stallErr = math.Abs(prof.TotalStallCycles-float64(cpuCore.Counters.Stall)) /
+				float64(cpuCore.Counters.Stall)
 		}
 		overheadFrac := float64(sampler.OverheadCycles()) / float64(cpuCore.Now)
 

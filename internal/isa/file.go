@@ -19,8 +19,9 @@ type imageFile struct {
 
 const imageMagic = "softhide-image-v1"
 
-// SaveImage writes an image in the tool-interchange format.
-func SaveImage(w io.Writer, img *Image) error {
+// SaveImage writes a program's image in the tool-interchange format.
+func SaveImage(w io.Writer, p *Program) error {
+	img := Encode(p)
 	buf := make([]byte, 8*len(img.Words))
 	for i, word := range img.Words {
 		binary.LittleEndian.PutUint64(buf[i*8:], word)
@@ -35,9 +36,9 @@ func SaveImage(w io.Writer, img *Image) error {
 	return enc.Encode(f)
 }
 
-// LoadImage reads an image written by SaveImage and validates that it
-// decodes to a well-formed program.
-func LoadImage(r io.Reader) (*Image, error) {
+// LoadImage reads an image written by SaveImage and decodes it to the
+// well-formed program it holds.
+func LoadImage(r io.Reader) (*Program, error) {
 	var f imageFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("isa: reading image: %w", err)
@@ -56,8 +57,9 @@ func LoadImage(r io.Reader) (*Image, error) {
 	for i := range img.Words {
 		img.Words[i] = binary.LittleEndian.Uint64(buf[i*8:])
 	}
-	if _, err := Decode(img); err != nil {
+	p, err := Decode(img)
+	if err != nil {
 		return nil, fmt.Errorf("isa: image does not decode: %w", err)
 	}
-	return img, nil
+	return p, nil
 }

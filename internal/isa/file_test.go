@@ -7,15 +7,17 @@ import (
 )
 
 func TestSaveLoadImageRoundTrip(t *testing.T) {
-	img := Encode(MustAssemble(sampleAsm))
+	prog := MustAssemble(sampleAsm)
+	img := Encode(prog)
 	var buf bytes.Buffer
-	if err := SaveImage(&buf, img); err != nil {
+	if err := SaveImage(&buf, prog); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadImage(&buf)
+	back, err := LoadImage(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := Encode(back)
 	if len(got.Words) != len(img.Words) {
 		t.Fatalf("word count %d != %d", len(got.Words), len(img.Words))
 	}
@@ -43,8 +45,7 @@ func TestLoadImageRejectsGarbage(t *testing.T) {
 	}
 	// Structurally valid JSON whose words do not decode to a program
 	// (branch out of range).
-	bad := Encode(&Program{Instrs: []Instr{{Op: OpHalt}}})
-	bad.Words[0] = EncodeInstr(Instr{Op: OpJmp, Imm: 99})
+	bad := &Program{Instrs: []Instr{{Op: OpJmp, Imm: 99}}}
 	var buf bytes.Buffer
 	if err := SaveImage(&buf, bad); err != nil {
 		t.Fatal(err)

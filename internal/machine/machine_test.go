@@ -209,9 +209,9 @@ func TestMultiCoreRuns(t *testing.T) {
 	if reg.CPU.Retired != st.Aggregate.Retired || reg.Machine.Retired != st.Aggregate.Retired {
 		t.Errorf("registry retired cpu %d, machine %d; aggregate %d", reg.CPU.Retired, reg.Machine.Retired, st.Aggregate.Retired)
 	}
-	if reg.Mem.DRAMAccesses != dram || reg.Mem.MSHRHighWater != peak {
+	if reg.Mem.Accesses[mem.LevelDRAM] != dram || reg.Mem.MSHRPeak != peak {
 		t.Errorf("registry mem dram %d, mshr peak %d; per-core sum %d, max %d",
-			reg.Mem.DRAMAccesses, reg.Mem.MSHRHighWater, dram, peak)
+			reg.Mem.Accesses[mem.LevelDRAM], reg.Mem.MSHRPeak, dram, peak)
 	}
 	if st.LLC.Hits+st.LLC.Misses == 0 {
 		t.Error("shared LLC saw no traffic")
@@ -316,8 +316,8 @@ func TestRegistryTotalsAcrossMachines(t *testing.T) {
 	if reg.CPU.Retired != retired {
 		t.Errorf("CPU.Retired = %d, want the sum over both runs %d", reg.CPU.Retired, retired)
 	}
-	if reg.Mem.DRAMAccesses != dram {
-		t.Errorf("Mem.DRAMAccesses = %d, want the sum over both runs %d", reg.Mem.DRAMAccesses, dram)
+	if reg.Mem.Accesses[mem.LevelDRAM] != dram {
+		t.Errorf("Mem.Accesses[LevelDRAM] = %d, want the sum over both runs %d", reg.Mem.Accesses[mem.LevelDRAM], dram)
 	}
 	if reg.Exec.Episodes != episodes {
 		t.Errorf("Exec.Episodes = %d, want the sum over both runs %d", reg.Exec.Episodes, episodes)

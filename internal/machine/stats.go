@@ -72,17 +72,13 @@ func (m *Machine) stats() Stats {
 	if reg != nil {
 		// The Machine section describes the most recent machine.
 		reg.Machine = metrics.Machine{
-			Cores:          uint64(len(st.Cores)),
-			Quanta:         st.Quanta,
-			Cycles:         st.Cycles,
-			LLCHits:        st.LLC.Hits,
-			LLCMisses:      st.LLC.Misses,
-			LLCQueued:      st.LLC.Queued,
-			LLCQueueCycles: st.LLC.QueueCycles,
-			LLCPeakBank:    st.LLC.PeakBankLoad,
-			Retired:        st.Aggregate.Retired,
-			BusyCycles:     st.Aggregate.Busy,
-			StallCycles:    st.Aggregate.Stall,
+			Cores:       uint64(len(st.Cores)),
+			Quanta:      st.Quanta,
+			Cycles:      st.Cycles,
+			LLC:         st.LLC,
+			Retired:     st.Aggregate.Retired,
+			BusyCycles:  st.Aggregate.Busy,
+			StallCycles: st.Aggregate.Stall,
 		}
 	}
 	m.folded = true

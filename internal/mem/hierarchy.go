@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"fmt"
-
-	"repro/internal/metrics"
-)
+import "fmt"
 
 // Config sizes the cache hierarchy and fixes its latencies in cycles.
 // Defaults model a contemporary server core at 3 GHz: L1 hits absorbable by
@@ -152,6 +148,22 @@ type Stats struct {
 	// most fills ever simultaneously outstanding. Against MaxInflight it
 	// tells whether a workload actually saturates the MSHR budget.
 	MSHRPeak uint64
+}
+
+// Add folds another hierarchy's counters into s, as the metrics
+// registry does across the executors it observes: every counter sums
+// except MSHRPeak, which keeps the higher peak.
+func (s *Stats) Add(o Stats) {
+	for l := range s.Accesses {
+		s.Accesses[l] += o.Accesses[l]
+	}
+	s.Prefetches += o.Prefetches
+	s.PrefetchHits += o.PrefetchHits
+	s.HWPrefetches += o.HWPrefetches
+	s.MSHRDrops += o.MSHRDrops
+	s.Writebacks += o.Writebacks
+	s.InflightFull += o.InflightFull
+	s.MSHRPeak = max(s.MSHRPeak, o.MSHRPeak)
 }
 
 // Total returns the total number of demand accesses.
@@ -494,26 +506,6 @@ func (h *Hierarchy) Contains(addr, now uint64, level Level) bool {
 		return h.l3.containsTag(tag)
 	}
 	return false
-}
-
-// FillMetrics harvests the hierarchy's always-on counters into an
-// observability registry section. The demand path never counts twice:
-// these are the same uint64 fields Stats has been bumping inline all
-// along, copied out at snapshot time.
-func (h *Hierarchy) FillMetrics(m *metrics.Mem) {
-	m.L1Hits = h.Stats.Accesses[LevelL1]
-	m.L2Hits = h.Stats.Accesses[LevelL2]
-	m.L3Hits = h.Stats.Accesses[LevelL3]
-	m.DRAMAccesses = h.Stats.Accesses[LevelDRAM]
-	m.InflightHits = h.Stats.Accesses[LevelInflight]
-	m.InflightFull = h.Stats.InflightFull
-	m.L2Misses = h.Stats.Accesses[LevelL3] + h.Stats.Accesses[LevelDRAM]
-	m.Prefetches = h.Stats.Prefetches
-	m.PrefetchHits = h.Stats.PrefetchHits
-	m.HWPrefetches = h.Stats.HWPrefetches
-	m.MSHRDrops = h.Stats.MSHRDrops
-	m.MSHRHighWater = h.Stats.MSHRPeak
-	m.Writebacks = h.Stats.Writebacks
 }
 
 // install fills the line into every level (dirtying L1 when write is

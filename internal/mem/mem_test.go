@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/metrics"
 )
 
 func TestMemoryAllocAndAccess(t *testing.T) {
@@ -581,9 +579,9 @@ func TestNewCachePanics(t *testing.T) {
 	}
 }
 
-// TestMSHRPeakAndFillMetrics pins the occupancy high-water mark and its
-// export into the observability registry.
-func TestMSHRPeakAndFillMetrics(t *testing.T) {
+// TestMSHRPeakAndStatsAdd pins the occupancy high-water mark and how
+// Stats.Add folds it: the higher peak wins.
+func TestMSHRPeakAndStatsAdd(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HWPrefetchDistance = 0 // only software prefetches occupy MSHRs
 	cfg.MaxInflight = 8
@@ -611,15 +609,15 @@ func TestMSHRPeakAndFillMetrics(t *testing.T) {
 		t.Fatalf("MSHRPeak regressed: %d", h.Stats.MSHRPeak)
 	}
 
-	var m metrics.Mem
-	h.FillMetrics(&m)
-	if m.MSHRHighWater != 5 {
-		t.Errorf("FillMetrics MSHRHighWater = %d, want 5", m.MSHRHighWater)
+	// Stats.Add sums the counters but keeps the higher peak.
+	sum := h.Stats
+	sum.Add(Stats{Accesses: [NumLevels]uint64{LevelDRAM: 2}, Prefetches: 1, MSHRPeak: 3})
+	if sum.MSHRPeak != 5 || sum.Prefetches != h.Stats.Prefetches+1 ||
+		sum.Accesses[LevelDRAM] != h.Stats.Accesses[LevelDRAM]+2 {
+		t.Errorf("Add(%+v) = %+v", h.Stats, sum)
 	}
-	if m.Prefetches != h.Stats.Prefetches || m.Writebacks != h.Stats.Writebacks {
-		t.Errorf("FillMetrics did not mirror Stats: %+v vs %+v", m, h.Stats)
-	}
-	if m.L2Misses != h.Stats.Accesses[LevelL3]+h.Stats.Accesses[LevelDRAM] {
-		t.Errorf("L2Misses = %d, want L3+DRAM accesses", m.L2Misses)
+	sum.Add(Stats{MSHRPeak: 9})
+	if sum.MSHRPeak != 9 {
+		t.Errorf("Add kept peak %d, want the higher 9", sum.MSHRPeak)
 	}
 }

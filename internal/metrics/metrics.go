@@ -16,6 +16,10 @@
 //   - Service by internal/service, once per serve cell;
 //   - Sampler by pebs.Sampler.FillMetrics, once per profile.
 //
+// Mem, CPU and Machine.LLC are the counting layers' own blocks
+// (mem.Stats, cpu.Totals, mem.LLCStats), so a harvest adds whole
+// blocks and each counter is declared once, where it is counted.
+//
 // Mem, CPU, Exec, Sched and Service are running totals: every fold
 // adds, so one registry observing two runs holds their sums. Machine
 // and Sampler describe the most recent machine or profile.
@@ -30,65 +34,10 @@ package metrics
 import (
 	"strconv"
 
+	"repro/internal/cpu"
+	"repro/internal/mem"
 	"repro/internal/stats"
 )
-
-// Mem aggregates cache-hierarchy counters, filled from
-// mem.Hierarchy.Stats by (*mem.Hierarchy).FillMetrics.
-type Mem struct {
-	// Demand accesses by serving level.
-	L1Hits, L2Hits, L3Hits, DRAMAccesses uint64
-	// InflightHits are demand accesses that met an in-flight fill;
-	// InflightFull counts the subset whose fill had already completed
-	// (the prefetch fully hid the miss).
-	InflightHits, InflightFull uint64
-	// L2Misses counts accesses that missed both L1 and L2 — the event
-	// class the paper's mechanism targets.
-	L2Misses uint64
-	// Prefetch activity and MSHR pressure.
-	Prefetches    uint64 // software prefetches that started a fill
-	PrefetchHits  uint64 // software prefetches that found the line cached/in flight
-	HWPrefetches  uint64 // hardware stream-prefetcher fills
-	MSHRDrops     uint64 // prefetches dropped at the MaxInflight cap
-	MSHRHighWater uint64 // peak simultaneous outstanding fills
-	Writebacks    uint64 // dirty L1 victims written back
-}
-
-// Add folds another hierarchy's counters into m, as the many-core
-// machine does across its cores: every counter sums except
-// MSHRHighWater, which keeps the higher peak.
-func (m *Mem) Add(o Mem) {
-	m.L1Hits += o.L1Hits
-	m.L2Hits += o.L2Hits
-	m.L3Hits += o.L3Hits
-	m.DRAMAccesses += o.DRAMAccesses
-	m.InflightHits += o.InflightHits
-	m.InflightFull += o.InflightFull
-	m.L2Misses += o.L2Misses
-	m.Prefetches += o.Prefetches
-	m.PrefetchHits += o.PrefetchHits
-	m.HWPrefetches += o.HWPrefetches
-	m.MSHRDrops += o.MSHRDrops
-	m.MSHRHighWater = max(m.MSHRHighWater, o.MSHRHighWater)
-	m.Writebacks += o.Writebacks
-}
-
-// CPU aggregates core-level cycle accounting, filled from cpu.Counters
-// by (*cpu.Counters).FillMetrics.
-type CPU struct {
-	Retired     uint64 // instructions retired
-	BusyCycles  uint64 // cycles doing work (incl. pipeline-absorbed latency)
-	StallCycles uint64 // exposed memory stall cycles
-	Faults      uint64 // execution faults (bad PC, memory fault, SFI trap)
-}
-
-// Add folds another core's counters into c.
-func (c *CPU) Add(o CPU) {
-	c.Retired += o.Retired
-	c.BusyCycles += o.BusyCycles
-	c.StallCycles += o.StallCycles
-	c.Faults += o.Faults
-}
 
 // Exec holds the hide-episode accounting of the dual-mode loop, which
 // counts it unconditionally at episode boundaries.
@@ -204,12 +153,8 @@ type Machine struct {
 	Cores  uint64 // simulated cores in the topology
 	Quanta uint64 // cycle quanta (barrier commits) executed
 	Cycles uint64 // simulated cycles (max across cores)
-	// Shared-LLC traffic: probes by outcome, plus contention queueing.
-	LLCHits        uint64
-	LLCMisses      uint64
-	LLCQueued      uint64 // accesses that paid a contention penalty
-	LLCQueueCycles uint64 // total penalty cycles added
-	LLCPeakBank    uint64 // peak per-bank committed load of any quantum
+	// LLC is the shared LLC's counter block.
+	LLC mem.LLCStats
 	// Aggregate work across cores.
 	Retired     uint64
 	BusyCycles  uint64
@@ -219,8 +164,10 @@ type Machine struct {
 // Registry is the top-level observability registry: one value per
 // domain, all plain data. The zero value is ready to use.
 type Registry struct {
-	Mem     Mem
-	CPU     CPU
+	// Mem and CPU are the hierarchy's and the core's own counter
+	// blocks, summed over every executor the registry observed.
+	Mem     mem.Stats
+	CPU     cpu.Totals
 	Exec    Exec
 	Sched   Sched
 	Service Service
@@ -268,22 +215,22 @@ type counter struct {
 // Metrics both walk it.
 func (s *Snapshot) counters() []counter {
 	return []counter{
-		{"mem", "l1_hits", s.Mem.L1Hits},
-		{"mem", "l2_hits", s.Mem.L2Hits},
-		{"mem", "l3_hits", s.Mem.L3Hits},
-		{"mem", "dram_accesses", s.Mem.DRAMAccesses},
-		{"mem", "inflight_hits", s.Mem.InflightHits},
+		{"mem", "l1_hits", s.Mem.Accesses[mem.LevelL1]},
+		{"mem", "l2_hits", s.Mem.Accesses[mem.LevelL2]},
+		{"mem", "l3_hits", s.Mem.Accesses[mem.LevelL3]},
+		{"mem", "dram_accesses", s.Mem.Accesses[mem.LevelDRAM]},
+		{"mem", "inflight_hits", s.Mem.Accesses[mem.LevelInflight]},
 		{"mem", "inflight_full", s.Mem.InflightFull},
-		{"mem", "l2_misses", s.Mem.L2Misses},
+		{"mem", "l2_misses", s.Mem.Accesses[mem.LevelL3] + s.Mem.Accesses[mem.LevelDRAM]},
 		{"mem", "prefetches", s.Mem.Prefetches},
 		{"mem", "prefetch_hits", s.Mem.PrefetchHits},
 		{"mem", "hw_prefetches", s.Mem.HWPrefetches},
 		{"mem", "mshr_drops", s.Mem.MSHRDrops},
-		{"mem", "mshr_high_water", s.Mem.MSHRHighWater},
+		{"mem", "mshr_high_water", s.Mem.MSHRPeak},
 		{"mem", "writebacks", s.Mem.Writebacks},
 		{"cpu", "retired", s.CPU.Retired},
-		{"cpu", "busy_cycles", s.CPU.BusyCycles},
-		{"cpu", "stall_cycles", s.CPU.StallCycles},
+		{"cpu", "busy_cycles", s.CPU.Busy},
+		{"cpu", "stall_cycles", s.CPU.Stall},
 		{"cpu", "faults", s.CPU.Faults},
 		{"exec", "episodes", s.Exec.Episodes},
 		{"exec", "episode_cycles", s.Exec.EpisodeCycles},
@@ -305,11 +252,11 @@ func (s *Snapshot) counters() []counter {
 		{"machine", "cores", s.Machine.Cores},
 		{"machine", "quanta", s.Machine.Quanta},
 		{"machine", "cycles", s.Machine.Cycles},
-		{"machine", "llc_hits", s.Machine.LLCHits},
-		{"machine", "llc_misses", s.Machine.LLCMisses},
-		{"machine", "llc_queued", s.Machine.LLCQueued},
-		{"machine", "llc_queue_cycles", s.Machine.LLCQueueCycles},
-		{"machine", "llc_peak_bank_load", s.Machine.LLCPeakBank},
+		{"machine", "llc_hits", s.Machine.LLC.Hits},
+		{"machine", "llc_misses", s.Machine.LLC.Misses},
+		{"machine", "llc_queued", s.Machine.LLC.Queued},
+		{"machine", "llc_queue_cycles", s.Machine.LLC.QueueCycles},
+		{"machine", "llc_peak_bank_load", s.Machine.LLC.PeakBankLoad},
 		{"machine", "retired", s.Machine.Retired},
 		{"machine", "busy_cycles", s.Machine.BusyCycles},
 		{"machine", "stall_cycles", s.Machine.StallCycles},

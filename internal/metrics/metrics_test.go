@@ -1,9 +1,14 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/mem"
 )
 
 func TestHistBuckets(t *testing.T) {
@@ -87,7 +92,7 @@ func TestNoteEpisodeReconciles(t *testing.T) {
 func TestSnapshotTableAndMetrics(t *testing.T) {
 	var r Registry
 	r.Exec.NoteEpisode(450, 300)
-	r.Mem.DRAMAccesses = 7
+	r.Mem.Accesses[mem.LevelDRAM] = 7
 	r.CPU.Retired = 1234
 	snap := r.Snapshot()
 
@@ -136,6 +141,104 @@ func TestSnapshotTableAndMetrics(t *testing.T) {
 		if !strings.HasPrefix(k, "obs.") {
 			t.Errorf("metric key %q lacks the obs. prefix", k)
 		}
+	}
+}
+
+// TestEveryRowReadsItsField: with a distinct value in every counter of
+// the mem, cpu and machine sections, each table row and each obs.* key
+// holds the one source field its name stands for. Thirteen mem rows
+// read the hierarchy's own Stats block, five of them through
+// Accesses[level], so a row reading its neighbour's level shows here.
+func TestEveryRowReadsItsField(t *testing.T) {
+	var r Registry
+	next := uint64(100)
+	var fill func(f reflect.Value)
+	fill = func(f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(next)
+			next++
+		case reflect.Array:
+			for i := range f.Len() {
+				fill(f.Index(i))
+			}
+		case reflect.Struct:
+			for i := range f.NumField() {
+				fill(f.Field(i))
+			}
+		}
+	}
+	fill(reflect.ValueOf(&r.Mem).Elem())
+	fill(reflect.ValueOf(&r.CPU).Elem())
+	fill(reflect.ValueOf(&r.Machine).Elem())
+
+	m, c, x := &r.Mem, &r.CPU, &r.Machine
+	want := []struct {
+		domain, name string
+		v            uint64
+	}{
+		{"mem", "l1_hits", m.Accesses[mem.LevelL1]},
+		{"mem", "l2_hits", m.Accesses[mem.LevelL2]},
+		{"mem", "l3_hits", m.Accesses[mem.LevelL3]},
+		{"mem", "dram_accesses", m.Accesses[mem.LevelDRAM]},
+		{"mem", "inflight_hits", m.Accesses[mem.LevelInflight]},
+		{"mem", "inflight_full", m.InflightFull},
+		{"mem", "l2_misses", m.Accesses[mem.LevelL3] + m.Accesses[mem.LevelDRAM]},
+		{"mem", "prefetches", m.Prefetches},
+		{"mem", "prefetch_hits", m.PrefetchHits},
+		{"mem", "hw_prefetches", m.HWPrefetches},
+		{"mem", "mshr_drops", m.MSHRDrops},
+		{"mem", "mshr_high_water", m.MSHRPeak},
+		{"mem", "writebacks", m.Writebacks},
+		{"cpu", "retired", c.Retired},
+		{"cpu", "busy_cycles", c.Busy},
+		{"cpu", "stall_cycles", c.Stall},
+		{"cpu", "faults", c.Faults},
+		{"machine", "cores", x.Cores},
+		{"machine", "quanta", x.Quanta},
+		{"machine", "cycles", x.Cycles},
+		{"machine", "llc_hits", x.LLC.Hits},
+		{"machine", "llc_misses", x.LLC.Misses},
+		{"machine", "llc_queued", x.LLC.Queued},
+		{"machine", "llc_queue_cycles", x.LLC.QueueCycles},
+		{"machine", "llc_peak_bank_load", x.LLC.PeakBankLoad},
+		{"machine", "retired", x.Retired},
+		{"machine", "busy_cycles", x.BusyCycles},
+		{"machine", "stall_cycles", x.StallCycles},
+	}
+
+	var tbl struct{ Rows [][]string }
+	data, err := json.Marshal(r.Snapshot().Table())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &tbl); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, row := range tbl.Rows {
+		rows[row[0]+"."+row[1]] = row[2]
+	}
+	obs := map[string]float64{}
+	r.Snapshot().Metrics(obs)
+	for _, w := range want {
+		key := w.domain + "." + w.name
+		if got := rows[key]; got != strconv.FormatUint(w.v, 10) {
+			t.Errorf("table row %s = %q, want %d", key, got, w.v)
+		}
+		if got := obs["obs."+key]; got != float64(w.v) {
+			t.Errorf("obs.%s = %v, want %d", key, got, w.v)
+		}
+	}
+	// The three sections render exactly these rows, no more.
+	n := 0
+	for key := range rows {
+		if d, _, _ := strings.Cut(key, "."); d == "mem" || d == "cpu" || d == "machine" {
+			n++
+		}
+	}
+	if n != len(want) {
+		t.Errorf("mem, cpu and machine render %d rows, want %d", n, len(want))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/service"
 )
@@ -121,7 +122,7 @@ func TestCacheRoundTripWithObservabilityTable(t *testing.T) {
 	var reg metrics.Registry
 	reg.Exec.NoteEpisode(500, 360)
 	reg.Exec.NoteEpisode(120, 360)
-	reg.Mem.L1Hits = 77
+	reg.Mem.Accesses[mem.LevelL1] = 77
 	snap := reg.Snapshot()
 
 	with := &experiments.Result{ID: "obs-on", Metrics: map[string]float64{"cycles": 123}}

@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -112,16 +111,7 @@ func (w BTree) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 	}
 	b := &Built{Prog: isa.MustAssemble(btreeAsm)}
 	for inst := 0; inst < w.Instances; inst++ {
-		// Distinct sorted keys and values.
-		keySet := map[uint64]bool{}
-		for len(keySet) < w.Keys {
-			keySet[uint64(1+rng.Intn(1<<30))] = true
-		}
-		keys := make([]uint64, 0, w.Keys)
-		for k := range keySet {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		keys := sortedKeys(rng, w.Keys)
 		values := make(map[uint64]uint64, w.Keys)
 
 		// Bulk-load leaves.

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -98,6 +99,21 @@ func (w BinarySearch) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 		b.Instances = append(b.Instances, in)
 	}
 	return b, nil
+}
+
+// sortedKeys draws n distinct keys from [1, 1<<30] and returns them in
+// ascending order.
+func sortedKeys(rng *rand.Rand, n int) []uint64 {
+	set := map[uint64]bool{}
+	for len(set) < n {
+		set[uint64(1+rng.Intn(1<<30))] = true
+	}
+	keys := make([]uint64, 0, n)
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
 }
 
 // lookupKeys writes n lookup keys into a fresh array, each on a fair

@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -80,16 +79,8 @@ func (w SkipList) Build(m *mem.Memory, rng *rand.Rand) (*Built, error) {
 	}
 	b := &Built{Prog: isa.MustAssemble(skipListAsm)}
 	for inst := 0; inst < w.Instances; inst++ {
-		// Distinct keys ≥ 1 (0 is the head sentinel), sorted.
-		keySet := map[uint64]bool{}
-		for len(keySet) < w.Keys {
-			keySet[uint64(1+rng.Intn(1<<30))] = true
-		}
-		keys := make([]uint64, 0, w.Keys)
-		for k := range keySet {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		// Keys are ≥ 1: 0 is the head sentinel.
+		keys := sortedKeys(rng, w.Keys)
 
 		// Geometric tower heights, and node slots allocated in shuffled
 		// order so addresses are uncorrelated with key order (no stream

@@ -23,8 +23,8 @@
 #          allocgate step is skipped unless allocguard is selected.
 #   -json  emit vet diagnostics as JSON (one object per package).
 #
-# The shlint build is cached: the binary is rebuilt only when a file
-# under tools/analyzers/ (or go.mod) is newer than bin/shlint.
+# bin/shlint is rebuilt on every run; go build's cache makes a warm
+# rebuild take a fraction of a second.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -46,16 +46,6 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-# epoch <file> — mtime in seconds, 0 if missing.
-epoch() {
-    if [ -e "$1" ]; then
-        # shellcheck disable=SC2012
-        stat -c %Y "$1" 2>/dev/null || stat -f %m "$1"
-    else
-        echo 0
-    fi
-}
-
 now_ms() {
     # POSIX date has no sub-second precision everywhere; prefer %N when
     # the platform has it, fall back to whole seconds.
@@ -68,18 +58,8 @@ now_ms() {
 
 mkdir -p bin
 BIN="$(pwd)/bin/shlint"
-bin_time=$(epoch "$BIN")
-newest=$(epoch go.mod)
-for f in $(find tools/analyzers -name '*.go' ! -path '*/testdata/*'); do
-    t=$(epoch "$f")
-    [ "$t" -gt "$newest" ] && newest=$t
-done
-if [ "$bin_time" -le "$newest" ]; then
-    echo "== building shlint =="
-    go build -o "$BIN" repro/tools/analyzers/shlint
-else
-    echo "== shlint up to date (bin/shlint) =="
-fi
+echo "== building shlint =="
+go build -o "$BIN" repro/tools/analyzers/shlint
 
 VET_FLAGS=""
 [ -n "$RUN" ] && VET_FLAGS="$VET_FLAGS -run=$RUN"

@@ -270,8 +270,8 @@ func TestServeObservedIsPureObservation(t *testing.T) {
 		if reg.Exec.EpisodeDur.Count != reg.Exec.Episodes {
 			t.Errorf("%d cores: %d episode durations for %d episodes", cores, reg.Exec.EpisodeDur.Count, reg.Exec.Episodes)
 		}
-		if reg.CPU.Retired == 0 || reg.Mem.L1Hits == 0 {
-			t.Errorf("%d cores: cell end folded no core counters (retired %d, L1 hits %d)", cores, reg.CPU.Retired, reg.Mem.L1Hits)
+		if reg.CPU.Retired == 0 || reg.Mem.Accesses[LevelL1] == 0 {
+			t.Errorf("%d cores: cell end folded no core counters (retired %d, L1 hits %d)", cores, reg.CPU.Retired, reg.Mem.Accesses[LevelL1])
 		}
 
 		seen := map[int]bool{}

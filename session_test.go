@@ -219,7 +219,7 @@ func TestSessionObservability(t *testing.T) {
 		t.Errorf("episode histogram (%d dur / %d episodes) does not reconcile with stats (%d)",
 			snap.Exec.EpisodeDur.Count, snap.Exec.Episodes, st.Episodes)
 	}
-	if snap.CPU.Retired == 0 || snap.Mem.L1Hits == 0 {
+	if snap.CPU.Retired == 0 || snap.Mem.Accesses[LevelL1] == 0 {
 		t.Error("CaptureMetrics harvested nothing")
 	}
 	// The snapshot renders as a mergeable stats table and a flat metric

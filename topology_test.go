@@ -7,8 +7,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"repro/internal/mem"
 )
 
 func TestWithTopology(t *testing.T) {
@@ -61,8 +59,8 @@ func TestSessionRunMachine(t *testing.T) {
 	}
 	var l1, dram, hwPrefetches, writebacks, peak, episodes uint64
 	for _, cs := range st.Cores {
-		l1 += cs.Mem.Accesses[mem.LevelL1]
-		dram += cs.Mem.Accesses[mem.LevelDRAM]
+		l1 += cs.Mem.Accesses[LevelL1]
+		dram += cs.Mem.Accesses[LevelDRAM]
 		hwPrefetches += cs.Mem.HWPrefetches
 		writebacks += cs.Mem.Writebacks
 		peak = max(peak, cs.Mem.MSHRPeak)
@@ -72,8 +70,8 @@ func TestSessionRunMachine(t *testing.T) {
 		t.Fatalf("cores saw no L1 hits (%d) or DRAM accesses (%d); the sums are vacuous", l1, dram)
 	}
 	m := snap.Mem
-	if m.L1Hits != l1 || m.DRAMAccesses != dram || m.HWPrefetches != hwPrefetches ||
-		m.Writebacks != writebacks || m.MSHRHighWater != peak {
+	if m.Accesses[LevelL1] != l1 || m.Accesses[LevelDRAM] != dram || m.HWPrefetches != hwPrefetches ||
+		m.Writebacks != writebacks || m.MSHRPeak != peak {
 		t.Errorf("Mem %+v is not the per-core sum (l1 %d, dram %d, hw prefetches %d, writebacks %d, mshr peak %d)",
 			m, l1, dram, hwPrefetches, writebacks, peak)
 	}
